@@ -52,6 +52,16 @@ Rules
     genuinely bounded (a fixed retry budget with a raise) can be
     suppressed with ``# lint: skip`` on the ``yield`` line.
 
+``fixed-poll``
+    A ``while`` loop in ``repro/core`` whose only yield is
+    ``<x>.timeout(<numeric literal>)`` is a fixed-interval poll: the
+    simulator executes every idle iteration of it (one kernel event, one
+    generator resume and one re-scan of whatever the condition reads per
+    period).  Waits on local state go through
+    :func:`repro.core.waits.poll_wait`, which keeps the polled design's
+    timing without running its idle ticks.  Suppress a loop that is
+    bounded by construction with ``# lint: skip`` on the ``yield`` line.
+
 ``span-discipline``
     Observability spans must be statically balanced: outside ``repro/obsv``
     only the ``with scope.span(...)`` context manager may be used.  Calling
@@ -378,7 +388,40 @@ class _Checker(ast.NodeVisitor):
         self._registered_funcs[id(func)] = touches
         return touches
 
+    @staticmethod
+    def _is_literal_timeout(node: ast.AST) -> bool:
+        value = getattr(node, "value", None)
+        return (isinstance(node, ast.Yield)
+                and isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Attribute)
+                and value.func.attr == "timeout"
+                and bool(value.args)
+                and isinstance(value.args[0], ast.Constant)
+                and isinstance(value.args[0].value, (int, float)))
+
+    def _check_fixed_poll(self, node: ast.While) -> None:
+        yields = [child for child in ast.walk(node)
+                  if isinstance(child, (ast.Yield, ast.YieldFrom))]
+        if not yields or not all(map(self._is_literal_timeout, yields)):
+            return
+        for child in yields:
+            # A nested loop would report the same yield once per
+            # enclosing loop.
+            if any(issue.rule == "fixed-poll" and issue.line == child.lineno
+                   for issue in self.issues):
+                continue
+            self._emit(
+                child, "fixed-poll",
+                "fixed-interval poll loop ('while ...: yield "
+                "<x>.timeout(<literal>)') in repro/core: every idle "
+                "iteration is a simulated event; wait through "
+                "core.waits.poll_wait (bounded by construction: add "
+                "'# lint: skip' on the yield line)",
+            )
+
     def visit_While(self, node: ast.While) -> None:
+        if self.package == CORE_PACKAGE:
+            self._check_fixed_poll(node)
         if (self.package == CORE_PACKAGE
                 and self.path.name not in BOUNDED_WAIT_EXEMPT_FILES
                 and self._func_stack

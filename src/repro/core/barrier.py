@@ -293,6 +293,9 @@ class RingBarrier(_TokenBarrier):
     partitioned (two or more dead edges).
     """
 
+    #: the key this strategy's latency is filed under (barrier_us.<name>).
+    name = "ring"
+
     def wait(self) -> Generator:
         rt = self.rt
         if rt.n_pes == 1:
@@ -348,6 +351,8 @@ class RingBarrier(_TokenBarrier):
 class ChainBarrier(_TokenBarrier):
     """Linear sweep for chain topologies: START right, END back left."""
 
+    name = "chain"
+
     def wait(self) -> Generator:
         rt = self.rt
         n, me = rt.n_pes, rt.my_pe_id
@@ -394,6 +399,8 @@ class DisseminationBarrier:
     can recover, exactly like the ring watermark's targeted re-RELEASE.
     Fault-free runs take the bare-yield path and stay byte-identical.
     """
+
+    name = "dissemination"
 
     #: µs a fault-aware round waits before re-sending + nudging; sized
     #: past worst-case heartbeat detection (~2 ms at the defaults) so a
@@ -541,6 +548,8 @@ class CentralizedBarrier:
     every release poll is a full AMO round trip through the ring, so cost
     scales O(N^2) in messages — the ablation bench quantifies it.
     """
+
+    name = "centralized"
 
     #: µs between release-flag polls (exponential backoff capped here).
     POLL_US = 50.0

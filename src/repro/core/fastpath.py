@@ -306,6 +306,10 @@ class CoalescingService(ShmemService):
                 while (not self._work and polled < self.fp.poll_rounds
                        and not thread.stop_requested):
                     self._poll_idle = True
+                    if polled == 0:
+                        # Later rounds flip the flag back within one
+                        # dispatch: only this edge is ever observable.
+                        self.rt.notify_progress()
                     # Bounded by poll_rounds, not a blocking wait.
                     yield self.env.timeout(self.fp.poll_us)  # lint: skip
                     self._poll_idle = False
@@ -367,6 +371,7 @@ class CoalescingService(ShmemService):
             if not gate.triggered:
                 gate.succeed()
             self.active_acks -= 1
+            self.rt.notify_progress()
 
     def _forward(self, msg: Message, in_link: "LinkEnd", payload_phys: int,
                  channel: str) -> Generator:
@@ -380,8 +385,7 @@ class CoalescingService(ShmemService):
         except NoRouteError:
             out_link = None
         if out_link is None or (
-                rt.dead_edges
-                and rt._edge_for_side(out_link.side) in rt.dead_edges):
+                rt.dead_edges and out_link.edge in rt.dead_edges):
             # Same posted-fabric semantics as the baseline hop.
             yield from self._ack(in_link, channel)
             self.dropped_forwards += 1
@@ -454,6 +458,7 @@ class CoalescingService(ShmemService):
                     gate.succeed()
                 self.active_acks -= 1
                 self.active_forwards -= 1
+                rt.notify_progress()
 
     def _forward_inline(self, msg: Message, in_link: "LinkEnd",
                         out_link: "LinkEnd", next_pe: Optional[int],
@@ -498,3 +503,4 @@ class CoalescingService(ShmemService):
             rt.tracer.count(f"{rt.name}.fwd_dropped")
         finally:
             self.active_forwards -= 1
+            rt.notify_progress()

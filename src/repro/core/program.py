@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..fabric import Cluster, ClusterConfig
-from ..sim import AllOf, CountdownLatch, Environment, Tracer
+from ..sim import (AllOf, CountdownLatch, Environment, SimulationError,
+                   Tracer)
 from .api import PE
 from .errors import ShmemError
 from .runtime import ShmemConfig, ShmemRuntime
@@ -189,7 +190,19 @@ def run_spmd(main: PeMain, n_pes: int = 3,
         env.process(pe_process(pe_id), name=f"pe{pe_id}.main")
         for pe_id in range(n_pes)
     ]
-    env.run(until=AllOf(env, processes))
+    try:
+        env.run(until=AllOf(env, processes))
+    except SimulationError as exc:
+        # The queue drained with PEs still parked: name what each one is
+        # blocked on (waits are event-driven, so nothing spins instead).
+        stuck = [f"{rt.name} blocked on {', '.join(map(repr, rt.blocked))}"
+                 for rt, proc in zip(runtimes, processes)
+                 if proc.is_alive and rt.blocked]
+        if env.peek() != float("inf") or not stuck:
+            raise
+        raise ShmemError(
+            "deadlock: no event left to run with " + ", ".join(stuck)
+        ) from exc
 
     if check_heap_consistency and not finalize:
         _check_same_offsets(runtimes)

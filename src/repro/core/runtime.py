@@ -78,7 +78,7 @@ from .transfer import (
     SPAD_BLOCK_RIGHTWARD,
     chunk_ranges,
 )
-from .waits import remote_wait
+from .waits import REPOLL, poll_wait, remote_wait
 
 __all__ = ["ShmemConfig", "ShmemRuntime", "LinkEnd", "PendingGet",
            "PendingAmo", "AmoOp"]
@@ -236,6 +236,7 @@ class LinkEnd:
     """Everything a runtime holds for one of its adapters."""
 
     side: str                      # topology port: "left"/"right"/"x+"/...
+    edge: tuple[int, int]          # directed cable name (topology.edge_for)
     driver: NtbDriver
     data_mailbox: DataMailbox      # outgoing, via this adapter
     bypass_mailbox: BypassMailbox  # outgoing, via this adapter
@@ -319,6 +320,11 @@ class ShmemRuntime:
         self._next_req_id = 1
         #: fired after any write lands in the local symmetric heap.
         self.heap_updated = Signal(self.env, name=f"{self.name}.heap_updated")
+        #: pulsed by :meth:`notify_progress`; what ``poll_wait`` parks on.
+        self.progress = Signal(self.env, name=f"{self.name}.progress")
+        #: labels of the blocking regions this PE's processes (the
+        #: program, service tasks) are inside right now.
+        self.blocked: list[str] = []
         self.initialized = False
         self._finalized = False
         # Created during init:
@@ -557,8 +563,13 @@ class ShmemRuntime:
                 slots=cfg.bypass_slots, name=f"{self.name}.{side}.bypass",
             )
         rx_bypass = self.host.alloc_pinned(bypass_mailbox.window_bytes_needed)
+        data_mailbox.on_progress = self.notify_progress
+        bypass_mailbox.on_progress = self.notify_progress
+        edge = self.topology.edge_for(self.my_pe_id, side)
+        assert edge is not None
         self.links[side] = LinkEnd(
             side=side,
+            edge=edge,
             driver=driver,
             data_mailbox=data_mailbox,
             bypass_mailbox=bypass_mailbox,
@@ -719,18 +730,20 @@ class ShmemRuntime:
 
         Poll/quiesce loops wrap themselves in this so ShmemCheck's
         deadlock and liveness checkers can see *why* a PE is not making
-        progress; a no-op (one attribute test) without a wait graph.
+        progress; without a wait graph it only keeps :attr:`blocked`,
+        which names the culprit when a run drains with PEs still parked.
         """
         graph = self.wait_graph
-        if graph is None:
-            yield
-            return
-        token = graph.block(self.my_pe_id, what=what, peer=peer,
-                            resource=resource, since=self.env.now)
+        token = None if graph is None else graph.block(
+            self.my_pe_id, what=what, peer=peer, resource=resource,
+            since=self.env.now)
+        self.blocked.append(what)
         try:
             yield
         finally:
-            graph.unblock(token)
+            self.blocked.remove(what)
+            if graph is not None:
+                graph.unblock(token)
 
     def link_for(self, direction: PortLike) -> LinkEnd:
         side = direction.value if isinstance(direction, Direction) \
@@ -817,19 +830,13 @@ class ShmemRuntime:
         try:
             while True:
                 state = yield monitor.wait_state_change()
-                edge = self._edge_for_side(side)
+                edge = self.links[side].edge
                 if state is LinkState.DEAD:
                     yield from self._mark_edge_dead(edge, announce=True)
                 elif state is LinkState.ALIVE:
                     yield from self._mark_edge_alive(edge, announce=True)
         except Interrupt:
             return
-
-    def _edge_for_side(self, side: str) -> tuple[int, int]:
-        """The directed cable name for one of my adapters."""
-        edge = self.topology.edge_for(self.my_pe_id, side)
-        assert edge is not None
-        return edge
 
     def _route_blocked(self, route: Route, dst: Optional[int] = None) -> bool:
         """Does ``route`` (starting at me, toward ``dst``) cross a dead
@@ -860,13 +867,14 @@ class ShmemRuntime:
         self.dead_edges.add(edge)
         self._fail_pending_on_edge()
         for link in self.links.values():
-            if self._edge_for_side(link.side) == edge:
+            if link.edge == edge:
                 link.data_mailbox.fail_outstanding()
                 link.bypass_mailbox.fail_outstanding()
         if self.barrier is not None:
             self.barrier.on_link_event()
         self.tracer.count(f"{self.name}.edge_dead")
         self.link_state_changed.fire(("dead", edge))
+        self.notify_progress()
         return True
 
     def apply_edge_alive(self, edge: tuple[int, int]) -> bool:
@@ -878,6 +886,7 @@ class ShmemRuntime:
             self.barrier.on_link_event()
         self.tracer.count(f"{self.name}.edge_alive")
         self.link_state_changed.fire(("alive", edge))
+        self.notify_progress()
         return True
 
     def _fail_pending_on_edge(self) -> None:
@@ -934,8 +943,8 @@ class ShmemRuntime:
         updates are idempotent).
         """
         my_side = None
-        for side in self.links:
-            if self._edge_for_side(side) == edge:
+        for side, link in self.links.items():
+            if link.edge == edge:
                 my_side = side
                 break
         if my_side is None:
@@ -1242,6 +1251,7 @@ class ShmemRuntime:
                 # a straggler response for a retired req_id is tolerated
                 # (and dropped) by the service thread.
                 self.pending_gets.pop(req_id, None)
+                self.notify_progress()
             # Bounded retry backoff (max_retries), not a blocking wait.
             yield self.env.timeout(  # lint: skip
                 self.config.retry_backoff_us * (2 ** (attempt - 1)))
@@ -1337,6 +1347,7 @@ class ShmemRuntime:
                 # The send failed before the doorbell rang, so the owner
                 # never saw the request: retrying cannot double-apply.
                 self.pending_amos.pop(req_id, None)
+                self.notify_progress()
                 if not self.fault_aware \
                         or attempt >= self.config.max_retries:
                     raise PeerUnreachableError(
@@ -1357,6 +1368,7 @@ class ShmemRuntime:
                 return old
             finally:
                 self.pending_amos.pop(req_id, None)
+                self.notify_progress()
 
     # ------------------------------------------------------------ non-blocking
     def put_nbi(self, dest: SymAddr, src_virt: int, nbytes: int, pe: int,
@@ -1438,46 +1450,46 @@ class ShmemRuntime:
                 yield handle
         deadline = (None if flush_after_us is None
                     else self.env.now + flush_after_us)
-        with self.blocked_on("quiet"):
-            while True:
-                expired = deadline is not None and self.env.now >= deadline
-                # While an edge is dead, judge each mailbox by local_idle
-                # rather than idle: quiet orders the calling PE's own
-                # operations, and the degraded barrier's resend chatter
-                # keeps every relay hop's mailbox near-permanently busy —
-                # a quiet waiting for traffic forwarded on behalf of
-                # *other* PEs livelocks the recovery (the storm only
-                # stops once this PE arrives).  Fault-free runs keep the
-                # stricter global check so their timing is untouched.
-                degraded = bool(self.dead_edges)
-                busy = []
-                for link in self.links.values():
-                    dm, bm = link.data_mailbox, link.bypass_mailbox
-                    if (dm.local_idle and bm.local_idle) if degraded \
-                            else (dm.idle and bm.idle):
+
+        def drained():
+            expired = deadline is not None and self.env.now >= deadline
+            # While an edge is dead, judge each mailbox by local_idle
+            # rather than idle: quiet orders the calling PE's own
+            # operations, and the degraded barrier's resend chatter
+            # keeps every relay hop's mailbox near-permanently busy —
+            # a quiet waiting for traffic forwarded on behalf of
+            # *other* PEs livelocks the recovery (the storm only
+            # stops once this PE arrives).  Fault-free runs keep the
+            # stricter global check so their timing is untouched.
+            degraded = bool(self.dead_edges)
+            busy = flushed = False
+            for link in self.links.values():
+                dm, bm = link.data_mailbox, link.bypass_mailbox
+                if (dm.local_idle and bm.local_idle) if degraded \
+                        else (dm.idle and bm.idle):
+                    continue
+                if expired or link.edge in self.dead_edges:
+                    # Traffic handed to a severed cable will never be
+                    # ACKed (master abort): it is failed, not pending.
+                    # apply_edge_dead flushed the slots once at death;
+                    # anything sent since (heartbeats, retries racing
+                    # the detector, stray barrier re-releases) must be
+                    # flushed here too — and again every poll tick while
+                    # senders keep queueing, since a hand-off to a dead
+                    # cable notifies nobody.
+                    dm.fail_outstanding()
+                    bm.fail_outstanding()
+                    if dm.local_idle and bm.local_idle:
                         continue
-                    if expired \
-                            or self._edge_for_side(link.side) \
-                            in self.dead_edges:
-                        # Traffic handed to a severed cable will never be
-                        # ACKed (master abort): it is failed, not pending.
-                        # apply_edge_dead flushed the slots once at death;
-                        # anything sent since (heartbeats, retries racing
-                        # the detector, stray barrier re-releases) must be
-                        # flushed here too, or this poll spins forever.
-                        dm.fail_outstanding()
-                        bm.fail_outstanding()
-                        if dm.local_idle and bm.local_idle:
-                            continue
-                    busy.append(link)
-                if not busy and not self.pending_gets \
-                        and not self.pending_amos:
-                    if self.san is not None:
-                        self.san.quiet(self.my_pe_id)
-                    return
-                # Poll cheaply: ACK top halves run at interrupt time, so a
-                # short sleep is enough to see progress.
-                yield self.env.timeout(1.0)
+                    flushed = True
+                busy = True
+            if busy or self.pending_gets or self.pending_amos:
+                return REPOLL if flushed else False
+            if self.san is not None:
+                self.san.quiet(self.my_pe_id)
+            return True
+
+        yield from poll_wait(self, "quiet", drained, deadline)
 
     def forwarding_quiesce(self) -> Generator:
         """Wait until this host's store-and-forward pipeline is empty.
@@ -1488,10 +1500,24 @@ class ShmemRuntime:
         semantics for multi-hop Puts (the first-hop ACK covered by
         ``quiet`` is not enough).
         """
-        assert self.service is not None
-        with self.blocked_on("forwarding-quiesce"):
-            while not self.service.quiescent:
-                yield self.env.timeout(1.0)
+        service = self.service
+        assert service is not None
+        yield from poll_wait(self, "forwarding-quiesce",
+                             lambda: service.quiescent)
+
+    def notify_progress(self, pushed_at: Optional[float] = None) -> None:
+        """Something a :func:`~repro.core.waits.poll_wait` check reads
+        just changed.
+
+        Called where a verdict can flip: a mailbox slot comes back, a
+        pending Get/AMO retires, an edge dies or recovers, a service
+        task finishes, the service thread goes idle.  The payload is
+        when the running event was pushed — the waiter needs it to place
+        the notifier against a poll due at this very instant.
+        """
+        if self.progress.has_waiters:
+            self.progress.fire(
+                self.env.pushed_at if pushed_at is None else pushed_at)
 
     def barrier_all(self) -> Generator:
         """``shmem_barrier_all()`` — quiesce, then run the strategy."""
@@ -1499,7 +1525,7 @@ class ShmemRuntime:
         op_start = self.env.now
         with self.scope.span("barrier", category="op", track=self.name,
                              pe=self.my_pe_id,
-                             strategy=self.config.barrier):
+                             strategy=self.barrier.name):
             yield from self.quiet()
             if self.san is not None:
                 self.san.barrier_enter(self.my_pe_id)
@@ -1509,11 +1535,11 @@ class ShmemRuntime:
                 self.san.barrier_exit(self.my_pe_id)
         self.tracer.observe(f"{self.name}.barrier_us",
                             self.env.now - op_start)
-        self.scope.hist.observe(f"barrier.{self.config.barrier}",
+        self.scope.hist.observe(f"barrier.{self.barrier.name}",
                                 self.env.now - op_start)
         self.metrics.inc("barriers")
         self.metrics_registry.observe(
-            f"barrier_us.{self.config.barrier}", self.env.now - op_start)
+            f"barrier_us.{self.barrier.name}", self.env.now - op_start)
 
     # ------------------------------------------------------------------ misc
     def malloc(self, nbytes: int) -> Generator:

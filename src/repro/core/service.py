@@ -40,6 +40,7 @@ from .transfer import (
     chunk_ranges,
     unpack_header_bytes,
 )
+from .waits import REPOLL, poll_wait
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import LinkEnd, ShmemRuntime
@@ -97,6 +98,7 @@ class ShmemService:
         self.thread = KernelThread(
             self.env, f"{runtime.name}.service", self._body,
             wake_latency_us=runtime.host.cost_model.thread_wake_us,
+            on_sleep=runtime.notify_progress,
         )
         #: diagnostics
         self.handled: dict[str, int] = {}
@@ -141,7 +143,8 @@ class ShmemService:
     def quiescent(self) -> bool:
         """No queued or in-flight *data* work anywhere in the service.
 
-        This is the condition :meth:`ShmemRuntime.forwarding_quiesce` polls;
+        This is the condition :meth:`ShmemRuntime.forwarding_quiesce` waits
+        for (every term that can turn it true calls ``notify_progress``);
         subclasses widen it (a fastpath poll-idle thread counts as asleep).
         In-flight BARRIER_MSG relays (``active_ctrl_forwards``) are
         deliberately excluded — see the counter's comment.
@@ -154,21 +157,26 @@ class ShmemService:
     def stop(self) -> Generator:
         # Let in-flight forwards/responders drain before killing the thread.
         deadline = self.env.now + self.rt.FINALIZE_DRAIN_US
-        with self.rt.blocked_on("service-stop"):
-            while (self.active_forwards or self.active_ctrl_forwards
-                   or self.active_responders
-                   or self.active_acks or self._work):
-                if self.env.now >= deadline:
-                    # A peer that already finalized will never ACK, so a
-                    # relay queued behind its slot would wait forever.
-                    # Free the slots: sends are posted writes that return
-                    # after the local hand-off, so each flush lets one
-                    # queued task complete (the bytes die at the torn-down
-                    # end, which is fine — barrier chatter is idempotent).
-                    for link in self.rt.links.values():
-                        link.data_mailbox.fail_outstanding()
-                        link.bypass_mailbox.fail_outstanding()
-                yield self.env.timeout(1.0)
+
+        def drained():
+            if not (self.active_forwards or self.active_ctrl_forwards
+                    or self.active_responders
+                    or self.active_acks or self._work):
+                return True
+            if self.env.now < deadline:
+                return False
+            # A peer that already finalized will never ACK, so a
+            # relay queued behind its slot would wait forever.
+            # Free the slots: sends are posted writes that return
+            # after the local hand-off, so each flush lets one
+            # queued task complete (the bytes die at the torn-down
+            # end, which is fine — barrier chatter is idempotent).
+            for link in self.rt.links.values():
+                link.data_mailbox.fail_outstanding()
+                link.bypass_mailbox.fail_outstanding()
+            return REPOLL
+
+        yield from poll_wait(self.rt, "service-stop", drained, deadline)
         self.thread.stop()
         yield self.thread.join()
         self.rt.host.free_pinned(self._staging)
@@ -185,6 +193,8 @@ class ShmemService:
         """Handle queued work items in arrival order until the queue drains."""
         while self._work:
             side, kind = self._work.popleft()
+            if not self._work:
+                self.rt.notify_progress()  # stop() waits on the queue too
             self.handled[kind] = self.handled.get(kind, 0) + 1
             if kind == "data":
                 yield from self._handle_data(side)
@@ -441,8 +451,7 @@ class ShmemService:
             rt.tracer.count(f"{rt.name}.fwd_dropped")
             return
         next_pe = rt.neighbor_pe(out_link.direction)
-        if rt.dead_edges \
-                and rt._edge_for_side(out_link.side) in rt.dead_edges:
+        if rt.dead_edges and out_link.edge in rt.dead_edges:
             # The onward cable is declared dead: behave like the posted
             # fabric itself — ACK the sender (its slot must come back)
             # and drop the chunk.  End-to-end recovery is the
@@ -554,9 +563,8 @@ class ShmemService:
                 # release while a long-way-around Put is still mid-line,
                 # and the reader sees stale bytes.  Data forwards are
                 # finite (no resend storm), so this always drains.
-                with self.rt.blocked_on("ctrl-relay data flush"):
-                    while self.active_forwards:
-                        yield self.env.timeout(1.0)
+                yield from poll_wait(self.rt, "ctrl-relay data flush",
+                                     lambda: not self.active_forwards)
             with self.rt.scope.span("onward_send", category="service",
                                     track=f"{self.rt.name}.service",
                                     kind=msg.kind.name, nbytes=msg.size):
@@ -582,6 +590,7 @@ class ShmemService:
                 self.active_ctrl_forwards -= 1
             else:
                 self.active_forwards -= 1
+            self.rt.notify_progress()
 
     # ------------------------------------------------------------------- gets
     def _spawn_responder(self, msg: Message, reply_side: str) -> None:
@@ -629,6 +638,7 @@ class ShmemService:
         finally:
             rt.host.free_pinned(staging)
             self.active_responders -= 1
+            rt.notify_progress()
 
     # ------------------------------------------------------------------- amos
     def _serve_amo(self, msg: Message, link: "LinkEnd", payload_phys: int,

@@ -36,7 +36,7 @@ import enum
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -280,6 +280,10 @@ class PayloadSource:
         )
 
 
+def _no_progress() -> None:
+    """A mailbox outside a runtime: nobody waits on its slots."""
+
+
 class _MailboxBase:
     """Shared flow-control plumbing: a slot pool + FIFO ACK releases."""
 
@@ -300,6 +304,9 @@ class _MailboxBase:
         #: slots force-released by fail_outstanding(); a late ACK for one
         #: of these is expected, not a protocol violation.
         self._flushed = 0
+        #: called whenever a slot comes back (ACK, flush, failed send):
+        #: the owning runtime's tickless waits re-check on it.
+        self.on_progress: Callable[[], None] = _no_progress
         #: diagnostics
         self.sent_count = 0
         self.acked_count = 0
@@ -323,6 +330,7 @@ class _MailboxBase:
         self._relay_reqs.discard(request)
         self.acked_count += 1
         self._slots.release(request)
+        self.on_progress()
 
     def fail_outstanding(self) -> int:
         """Link died: force-release every outstanding slot.
@@ -339,7 +347,19 @@ class _MailboxBase:
             self._flushed += 1
             self.failed_count += 1
             flushed += 1
+        if flushed:
+            self.on_progress()
         return flushed
+
+    def _reclaim(self, request) -> None:
+        """A send failed before reaching the peer, so no ACK will release
+        its slot — take it back or the channel wedges."""
+        if request in self._outstanding:
+            self._outstanding.remove(request)
+            self._relay_reqs.discard(request)
+            self._slots.release(request)
+            self.failed_count += 1
+            self.on_progress()
 
     @property
     def in_flight(self) -> int:
@@ -429,13 +449,7 @@ class DataMailbox(_MailboxBase):
                                                         list(regs))
             yield from self.driver.ring_doorbell(msg.kind.doorbell_bit)
         except BaseException:
-            # The message never reached the peer, so no ACK will release
-            # this slot — reclaim it here or the capacity-1 channel wedges.
-            if request in self._outstanding:
-                self._outstanding.remove(request)
-                self._relay_reqs.discard(request)
-                self._slots.release(request)
-                self.failed_count += 1
+            self._reclaim(request)
             raise
         self.sent_count += 1
 
@@ -550,12 +564,7 @@ class BypassMailbox(_MailboxBase):
             finally:
                 self._tx_lock.release(tx)
         except BaseException:
-            # Undelivered: no ACK will ever free this slot (see DataMailbox).
-            if request in self._outstanding:
-                self._outstanding.remove(request)
-                self._relay_reqs.discard(request)
-                self._slots.release(request)
-                self.failed_count += 1
+            self._reclaim(request)
             raise
         self.sent_count += 1
 
@@ -633,12 +642,7 @@ class BypassMailbox(_MailboxBase):
             finally:
                 self._tx_lock.release(tx)
         except BaseException:
-            # Undelivered: no ACK will ever free this slot (see DataMailbox).
-            if request in self._outstanding:
-                self._outstanding.remove(request)
-                self._relay_reqs.discard(request)
-                self._slots.release(request)
-                self.failed_count += 1
+            self._reclaim(request)
             raise
         self.sent_count += 1
         self.inline_count += 1

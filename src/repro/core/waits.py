@@ -1,4 +1,5 @@
-"""The bounded-wait helper for remote round-trips.
+"""The runtime's two blocking helpers: bounded remote waits and tickless
+local polls.
 
 Every wait on an event that only a *remote* peer can complete — get
 chunks, AMO replies, barrier tokens, heap-update watches — goes through
@@ -14,6 +15,12 @@ chunks, AMO replies, barrier tokens, heap-update watches — goes through
   :class:`~repro.core.errors.PeerUnreachableError` (directly, via a
   failed event, or via a caller-supplied ``doomed`` predicate) instead
   of hanging the simulation forever.
+
+Waits on this host's *own* state — ``quiet``, ``forwarding_quiesce``, the
+service's ctrl-relay flush and stop drain — go through :func:`poll_wait`:
+the modelled design polls such state every microsecond, and the helper
+returns at exactly the instants that loop would without the simulator
+executing its idle iterations (docs/SIMULATOR.md, "Tickless waits").
 """
 
 from __future__ import annotations
@@ -26,7 +33,13 @@ from .errors import PeerUnreachableError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import ShmemRuntime
 
-__all__ = ["remote_wait"]
+__all__ = ["remote_wait", "poll_wait", "REPOLL"]
+
+#: A :func:`poll_wait` check returns True (done), False (park until the
+#: next progress notification) or REPOLL: the check *acted* — flushed
+#: slots nothing will ever ACK — and must act again on the very next poll
+#: tick whether or not anything notifies.
+REPOLL = object()
 
 
 def remote_wait(rt: "ShmemRuntime", event: Event, *, what: str,
@@ -106,3 +119,53 @@ def _remote_wait_inner(
             exc = doomed()
             if exc is not None:
                 raise exc
+
+
+def poll_wait(rt: "ShmemRuntime", what: str, check: Callable[[], object],
+              deadline: Optional[float] = None) -> Generator:
+    """The 1 µs poll loop ``while not check(): <sleep one µs>``, minus
+    its idle iterations.
+
+    Polls happen on the grid ``start + k`` µs (``+= 1.0`` accumulated,
+    like the loop's own clock), so the wait ends at the same virtual
+    instant the loop would.  But a poll can only see a new verdict after
+    :meth:`ShmemRuntime.notify_progress`, so the waiter parks on
+    ``rt.progress`` and, once notified, sleeps straight to the next grid
+    tick instead of being resumed at every one.
+
+    ``check`` returns True, False or :data:`REPOLL`.  ``deadline`` is a
+    virtual instant ``check`` itself compares the clock with; passing it
+    here only makes sure a parked waiter is up for the first poll at or
+    past it.  ``what`` labels the region for the wait-for graph.
+    """
+    env = rt.env
+    with rt.blocked_on(what):
+        tick = env.now          # the grid tick the last poll ran at
+        wake = None             # the deadline's wake-up call, once set
+        while True:
+            verdict = check()
+            if verdict is True:
+                return
+            if verdict is False:
+                if deadline is not None and wake is None:
+                    at = tick
+                    while at < deadline:
+                        at += 1.0
+                    # The clock, not an event, expires a deadline: the
+                    # poll at that tick sees it wherever it falls in the
+                    # instant's event order, so the wake-up sorts first.
+                    wake = env.timeout_at(at)
+                    wake.callbacks.append(
+                        lambda _timer: rt.notify_progress(float("-inf")))
+                pushed_at = yield rt.progress.wait()
+                while tick + 1.0 < env.now:
+                    tick += 1.0
+                # A notifier running at the very instant of a poll: that
+                # poll's timer would have been pushed at the tick before,
+                # so by (time, priority, eid) it runs ahead of everything
+                # pushed since — and misses this notification.
+                if tick + 1.0 == env.now and pushed_at > tick:
+                    tick += 1.0
+            tick += 1.0
+            if tick > env.now:
+                yield env.timeout_at(tick)

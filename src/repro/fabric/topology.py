@@ -363,6 +363,13 @@ class GridTopology(Topology):
         self._strides = tuple(
             prod(dims[:axis]) for axis in range(len(dims))
         )
+        # dims and wrap never change, and neighbor() sits under every
+        # route resolve and relay hop: one table lookup, not arithmetic.
+        self._neighbors = tuple(
+            {port: self._compute_neighbor(host, port)
+             for port in self.PORT_ORDER}
+            for host in range(self.n_hosts)
+        )
 
     # -- coordinates ---------------------------------------------------------
     def coords(self, host_id: int) -> tuple[int, ...]:
@@ -393,7 +400,14 @@ class GridTopology(Topology):
     # -- structure -----------------------------------------------------------
     def neighbor(self, host_id: int, direction: PortLike) -> Optional[int]:
         self.check_host(host_id)
-        axis, sign = self._port_axis_sign(direction)
+        row = self._neighbors[host_id]
+        try:
+            return row[direction]
+        except KeyError:  # a Direction spelling, or not a port at all
+            return row[self.check_port(direction)]
+
+    def _compute_neighbor(self, host_id: int, port: str) -> Optional[int]:
+        axis, sign = self._port_axis_sign(port)
         coords = list(self.coords(host_id))
         extent = self.dims[axis]
         nxt = coords[axis] + sign

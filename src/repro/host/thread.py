@@ -26,10 +26,14 @@ class KernelThread:
 
     def __init__(self, env: Environment, name: str,
                  body: Callable[["KernelThread"], Generator],
-                 wake_latency_us: float = 0.0):
+                 wake_latency_us: float = 0.0,
+                 on_sleep: Optional[Callable[[], None]] = None):
         self.env = env
         self.name = name
         self.wake_latency_us = wake_latency_us
+        #: idle notifier: called each time the thread actually goes to
+        #: sleep, for whoever waits on :attr:`is_sleeping`.
+        self.on_sleep = on_sleep
         self._pending_kick = False
         self._sleeper: Optional[Event] = None
         self._stopped = False
@@ -54,6 +58,8 @@ class KernelThread:
             self._pending_kick = False
             return
         self._sleeper = self.env.event()
+        if self.on_sleep is not None:
+            self.on_sleep()
         yield self._sleeper
         self._sleeper = None
         self._pending_kick = False

@@ -260,11 +260,16 @@ class Timeout(Event):
     charge is one), so the constructor inlines ``Event.__init__`` +
     ``Environment.schedule``, and :meth:`Environment.timeout` recycles
     processed instances through a slab free-list instead of allocating.
+
+    ``at`` overrides the firing time with an absolute instant (see
+    :meth:`Environment.timeout_at`); ``delay`` then only records how long
+    ago the timeout was pushed.
     """
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float, value: Any = None,
+                 at: Optional[float] = None):
         if delay < 0:
             raise SchedulingError(f"negative timeout delay {delay!r}")
         self.env = env
@@ -273,10 +278,11 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self.delay = delay
-        env._push((env._now + delay, NORMAL, next(env._eid), self))
+        when = env._now + delay if at is None else at
+        env._push((when, NORMAL, next(env._eid), self))
         env.scheduled_events += 1
         if env._policy is not None:
-            env._policy.scheduled(env._now + delay, NORMAL, self)
+            env._policy.scheduled(when, NORMAL, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Timeout delay={self.delay}>"
@@ -448,6 +454,8 @@ class Environment:
         self._pop = self._queue.pop
         self._eid = count()
         self._active_process: Optional[Process] = None
+        #: the event whose callbacks are running (see :attr:`pushed_at`).
+        self._dispatching: Optional[Event] = None
         self._policy: Optional[SchedulePolicy] = schedule_policy
         #: Hooks called as ``hook(env, event)`` just before callbacks run.
         #: Mutate this list in place (append/remove); the dispatch loop
@@ -472,6 +480,22 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
+
+    @property
+    def pushed_at(self) -> float:
+        """When the event now being dispatched entered the queue.
+
+        Sequence numbers grow with push time, so this is what orders the
+        running event against a same-instant event that was never
+        pushed — the poll a tickless wait stands in for (see "Tickless
+        waits" in docs/SIMULATOR.md).  A :class:`Timeout` was pushed
+        ``delay`` µs ago; everything else triggers at the instant it is
+        pushed.
+        """
+        event = self._dispatching
+        if type(event) is Timeout:
+            return self._now - event.delay
+        return self._now
 
     @property
     def queue_kind(self) -> str:
@@ -515,6 +539,19 @@ class Environment:
             return timeout
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create an event that fires at the absolute instant ``when``.
+
+        ``when`` becomes the queue key as is.  ``timeout(when - now)``
+        would key on ``now + (when - now)`` and trust that to round back
+        to ``when``; a wait that resumes on a grid of accumulated ticks
+        compares clocks for equality and hands over the tick itself.
+        """
+        if when < self._now:
+            raise SchedulingError(
+                f"cannot fire at {when} µs: already at {self._now} µs")
+        return Timeout(self, when - self._now, value, at=when)
+
     def process(self, generator: ProcessGenerator,
                 name: Optional[str] = None) -> Process:
         """Start a new process executing ``generator``."""
@@ -548,8 +585,9 @@ class Environment:
     def _recycle(self, event: Event) -> None:
         """Return a processed Timeout to the slab if provably unobservable.
 
-        Call with ``event`` as the only remaining reference besides the
-        argument itself: ``sys.getrefcount(event) == 2`` then proves no
+        Call with ``event`` referenced only by the caller's local, the
+        argument and :attr:`_dispatching`: ``sys.getrefcount(event) == 4``
+        (those plus the call's temporary) then proves no
         process, condition or test still holds the object, so reusing it
         cannot alias a live event.  Conditions that hold constituent
         events, generators that kept the yielded timeout in a local, and
@@ -558,8 +596,9 @@ class Environment:
         """
         if (type(event) is Timeout and len(self._slab) < _SLAB_MAX
                 and self._policy is None and _getrefcount is not None
-                and _getrefcount(event) == 3):
-            # 3 == the caller's local + our argument + the temporary ref.
+                and _getrefcount(event) == 4):
+            # 4 == the caller's local + _dispatching + our argument + the
+            # temporary ref.
             event._value = PENDING
             self._slab.append(event)
             self.slab_recycled += 1
@@ -600,6 +639,7 @@ class Environment:
         else:
             when, _prio, _eid, event = self._policy_pop()
         self._now = when
+        self._dispatching = event
         self.dispatched_events += 1
         if self.step_hooks:
             for hook in self.step_hooks:
@@ -650,6 +690,7 @@ class Environment:
                 except IndexError:
                     break
                 self._now = when
+                self._dispatching = event
                 self.dispatched_events += 1
                 if hooks:
                     for hook in hooks:
@@ -663,7 +704,7 @@ class Environment:
                 if not event._ok and not event._defused:
                     raise event._value
                 if (type(event) is Timeout and len(slab) < _SLAB_MAX
-                        and refcount(event) == 2):
+                        and refcount(event) == 3):
                     event._value = PENDING
                     slab.append(event)
                     self.slab_recycled += 1
@@ -704,6 +745,7 @@ class Environment:
                         f"event triggered ({sentinel!r})"
                     ) from None
                 self._now = when
+                self._dispatching = event
                 self.dispatched_events += 1
                 if hooks:
                     for hook in hooks:
@@ -717,7 +759,7 @@ class Environment:
                 if not event._ok and not event._defused:
                     raise event._value
                 if (type(event) is Timeout and len(slab) < _SLAB_MAX
-                        and refcount(event) == 2):
+                        and refcount(event) == 3):
                     event._value = PENDING
                     slab.append(event)
                     self.slab_recycled += 1
@@ -749,6 +791,7 @@ class Environment:
             when, _prio, _eid, event = entry
             del entry
             self._now = when
+            self._dispatching = event
             self.dispatched_events += 1
             if hooks:
                 for hook in hooks:
@@ -762,7 +805,7 @@ class Environment:
             if not event._ok and not event._defused:
                 raise event._value
             if (type(event) is Timeout and len(slab) < _SLAB_MAX
-                    and refcount(event) == 2):
+                    and refcount(event) == 3):
                 event._value = PENDING
                 slab.append(event)
                 self.slab_recycled += 1

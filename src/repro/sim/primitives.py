@@ -117,6 +117,13 @@ class Signal:
         """Event that triggers at the next :meth:`fire`."""
         return self._event
 
+    @property
+    def has_waiters(self) -> bool:
+        """Is anything subscribed to the next pulse?  A :meth:`fire`
+        nobody waits for still costs a dispatched event, so notifiers on
+        hot paths check first."""
+        return bool(self._event.callbacks)
+
     def fire(self, payload: Any = None) -> None:
         """Pulse: wake all current waiters, then re-arm."""
         event, self._event = self._event, self.env.event()

@@ -224,7 +224,7 @@ def test_spin_loop_without_registration_flagged(tmp_path):
         tmp_path, "repro/core/bad.py",
         "def poll(rt, cell):\n"
         "    while cell.value == 0:\n"
-        "        yield rt.env.timeout(5.0)\n",
+        "        yield rt.env.timeout(rt.poll_us)\n",
     )
     issues = lint_file(path)
     assert [issue.rule for issue in issues] == ["registered-wait"]
@@ -237,7 +237,7 @@ def test_spin_loop_with_wait_graph_registration_allowed(tmp_path):
         "def poll(rt, cell, resource):\n"
         "    with rt.wait_graph.blocked_on(rt.my_pe_id, resource):\n"
         "        while cell.value == 0:\n"
-        "            yield rt.env.timeout(5.0)\n",
+        "            yield rt.env.timeout(rt.poll_us)\n",
     )
     assert lint_file(path) == []
 
@@ -261,6 +261,91 @@ def test_bounded_retry_suppressed_with_marker(tmp_path):
         "        attempts += 1\n",
     )
     assert lint_file(path) == []
+
+
+# ----------------------------------------------------------- rule: fixed-poll
+#: The four poll loops this rule was written against, as they stood before
+#: core.waits.poll_wait replaced them (all registered with the wait graph,
+#: so ``registered-wait`` was content).
+_OLD_POLL_LOOPS = (
+    "def quiet(self):\n"
+    "    with self.blocked_on('quiet'):\n"
+    "        while True:\n"
+    "            busy = [l for l in self.links.values() if not l.idle]\n"
+    "            if not busy:\n"
+    "                return\n"
+    "            yield self.env.timeout(1.0)\n"
+    "\n"
+    "def forwarding_quiesce(self):\n"
+    "    with self.blocked_on('forwarding-quiesce'):\n"
+    "        while not self.service.quiescent:\n"
+    "            yield self.env.timeout(1.0)\n"
+    "\n"
+    "def stop(self):\n"
+    "    with self.rt.blocked_on('service-stop'):\n"
+    "        while self.active_forwards or self._work:\n"
+    "            if self.env.now >= self.deadline:\n"
+    "                self.flush()\n"
+    "            yield self.env.timeout(1.0)\n"
+    "\n"
+    "def onward(self, msg):\n"
+    "    with self.rt.blocked_on('ctrl-relay data flush'):\n"
+    "        while self.active_forwards:\n"
+    "            yield self.env.timeout(1.0)\n"
+    "    yield from self.send(msg)\n"
+)
+
+
+def test_fixed_interval_poll_loops_flagged(tmp_path):
+    path = _write(tmp_path, "repro/core/bad.py", _OLD_POLL_LOOPS)
+    issues = lint_file(path)
+    assert [(issue.rule, issue.line) for issue in issues] == [
+        ("fixed-poll", 7), ("fixed-poll", 12), ("fixed-poll", 19),
+        ("fixed-poll", 24)]
+
+
+def test_fixed_poll_needs_a_literal_period_and_no_other_yield(tmp_path):
+    path = _write(
+        tmp_path, "repro/core/ok.py",
+        "def handshake(self, link):\n"
+        "    with self.blocked_on('hello'):\n"
+        "        while True:\n"
+        "            value = yield from link.driver.spad_read(0)\n"
+        "            if value:\n"
+        "                return\n"
+        "            yield self.env.timeout(5.0)\n"
+        "\n"
+        "def backoff(self, cell):\n"
+        "    with self.blocked_on('cell'):\n"
+        "        while cell.value == 0:\n"
+        "            yield self.env.timeout(self.config.poll_us)\n",
+    )
+    assert lint_file(path) == []
+
+
+def test_fixed_poll_nested_loop_reported_once(tmp_path):
+    path = _write(
+        tmp_path, "repro/core/bad.py",
+        "def drain(self, queues):\n"
+        "    with self.blocked_on('drain'):\n"
+        "        while queues:\n"
+        "            while queues[-1].busy:\n"
+        "                yield self.env.timeout(2)\n"
+        "            queues.pop()\n",
+    )
+    assert [(issue.rule, issue.line) for issue in lint_file(path)] == [
+        ("fixed-poll", 5)]
+
+
+def test_fixed_poll_outside_core_and_suppressed(tmp_path):
+    loop = ("def poll(rt, cell):\n"
+            "    with rt.blocked_on('cell'):\n"
+            "        while cell.value == 0:\n"
+            "            yield rt.env.timeout(1.0){marker}\n")
+    assert lint_file(_write(tmp_path, "repro/fabric/fine.py",
+                            loop.format(marker=""))) == []
+    assert lint_file(_write(tmp_path, "repro/core/ok.py",
+                            loop.format(marker="  # lint: skip"))) == []
 
 
 # ------------------------------------------------------ rule: span-discipline

@@ -172,3 +172,43 @@ class TestBarrierLatencyShape:
         report = run_spmd(main, n_pes=3)
         t_put, t_barrier = report.results[0]
         assert t_barrier > 3 * t_put
+
+
+class TestBarrierLatencyKey:
+    """``barrier_us.<name>`` / ``barrier.<name>`` carry the strategy that
+    ran, not the config default that asked for "whatever fits"."""
+
+    @staticmethod
+    def _keys(report):
+        return sorted(key for key, _ in report.cluster.metrics.hist.items()
+                      if key.startswith("barrier_us."))
+
+    @staticmethod
+    def _main(pe):
+        yield from pe.barrier_all()
+        return pe.rt.barrier.name
+
+    def test_mesh_files_under_dissemination(self):
+        # ShmemConfig.barrier stays at its default "ring"; make_barrier
+        # picks dissemination because a grid has no token to pass.
+        report = run_spmd(
+            self._main, n_pes=4,
+            cluster_config=ClusterConfig(n_hosts=4, topology="mesh",
+                                         dims=(2, 2)),
+            shmem_config=ShmemConfig(trace_spans=True))
+        assert set(report.results) == {"dissemination"}
+        assert self._keys(report) == ["barrier_us.dissemination"]
+        assert report.scope.hist.get("barrier.dissemination") is not None
+        assert report.scope.hist.get("barrier.ring") is None
+        barriers = [s for s in report.scope.spans if s.name == "barrier"]
+        assert {s.args["strategy"] for s in barriers} == {"dissemination"}
+
+    def test_ring_keeps_its_key(self):
+        report = run_spmd(self._main, n_pes=3)
+        assert self._keys(report) == ["barrier_us.ring"]
+
+    @pytest.mark.parametrize("strategy", ["dissemination", "centralized"])
+    def test_explicit_strategy_on_a_ring(self, strategy):
+        report = run_spmd(self._main, n_pes=3,
+                          shmem_config=ShmemConfig(barrier=strategy))
+        assert self._keys(report) == [f"barrier_us.{strategy}"]

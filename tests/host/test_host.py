@@ -131,6 +131,31 @@ class TestKernelThread:
         thread.stop()
         env.run()
 
+    def test_on_sleep_fires_only_on_a_real_sleep(self, env):
+        slept = []
+
+        def body(thread):
+            while True:
+                yield from thread.wait_work()
+                if thread.stop_requested:
+                    return
+                yield env.timeout(10.0)     # busy: kicks now latch
+
+        thread = KernelThread(env, "svc", body,
+                              on_sleep=lambda: slept.append(
+                                  (env.now, thread.is_sleeping)))
+        env.run(until=5.0)
+        assert slept == [(0.0, True)]
+        thread.kick()
+        env.run(until=8.0)
+        thread.kick()                       # latched while busy
+        env.run(until=50.0)
+        # Woke at 5, busy to 15, took the latched kick without sleeping,
+        # busy to 25, then really slept.
+        assert slept == [(0.0, True), (25.0, True)]
+        thread.stop()
+        env.run()
+
     def test_no_lost_wakeup(self, env):
         """A kick landing while the body is busy is latched, not lost."""
         processed = []

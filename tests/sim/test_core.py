@@ -80,6 +80,65 @@ class TestTimeout:
         assert order == [0, 1, 2, 3, 4]
 
 
+class TestTimeoutAt:
+    def test_fires_at_the_absolute_instant(self, kernel, env):
+        fired = []
+
+        def proc():
+            yield env.timeout(0.1)
+            when = 0.7999999999999999
+            yield env.timeout_at(when)
+            fired.append(env.now)
+            yield env.timeout_at(env.now)     # "now" is still reachable
+            fired.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert fired == [0.7999999999999999, 0.7999999999999999]
+
+    def test_orders_like_any_timeout_pushed_now(self, kernel, env):
+        order = []
+        for tag, make in (("a", lambda: env.timeout(2.0)),
+                          ("b", lambda: env.timeout_at(2.0)),
+                          ("c", lambda: env.timeout(2.0))):
+            make().callbacks.append(lambda _e, tag=tag: order.append(tag))
+        env.run()
+        assert order == ["a", "b", "c"]
+
+    def test_past_instant_rejected(self, env):
+        env.run(until=5.0)
+        with pytest.raises(SchedulingError):
+            env.timeout_at(4.0)
+
+
+class TestPushedAt:
+    def test_timeout_and_triggered_event(self, kernel, env):
+        seen = []
+
+        def proc():
+            yield env.timeout(3.0)              # pushed at 0.0
+            seen.append(env.pushed_at)
+            gate = env.event()
+            gate.succeed()                      # pushed at 3.0
+            yield gate
+            seen.append(env.pushed_at)
+            yield env.timeout(1.5)
+            yield env.timeout_at(7.0)           # pushed at 4.5
+            seen.append(env.pushed_at)
+
+        env.process(proc())
+        env.run()
+        assert seen == [0.0, 3.0, 4.5]
+
+    def test_plain_callback_context(self, env):
+        # Not only inside processes: ISR bottom halves are bare callbacks.
+        seen = []
+        env.timeout(2.5).callbacks.append(
+            lambda _e: seen.append(env.pushed_at))
+        env.run()
+        assert seen == [0.0]
+
+
 class TestEventLifecycle:
     def test_succeed_delivers_value(self, env):
         evt = env.event()

@@ -102,6 +102,22 @@ class TestSignal:
         assert count == [10.0, 20.0, 30.0]
         assert signal.fire_count == 3
 
+    def test_has_waiters_tracks_subscriptions(self, env):
+        signal = Signal(env)
+        assert not signal.has_waiters
+        signal.wait()                       # obtained, not yet yielded
+        assert not signal.has_waiters
+
+        def waiter():
+            yield signal.wait()
+
+        env.process(waiter())
+        env.run()
+        assert signal.has_waiters
+        signal.fire()
+        assert not signal.has_waiters       # re-armed for the next pulse
+        env.run()
+
     def test_wait_after_fire_misses_pulse(self, env):
         """Edge semantics: a pulse is not latched."""
         signal = Signal(env)
