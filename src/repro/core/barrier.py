@@ -39,6 +39,7 @@ from ..sim import Signal
 from .errors import PeerUnreachableError, ProtocolError, ShmemError
 from .heap import SymAddr
 from .transfer import (
+    AmoOp,
     DOORBELL_BARRIER_END,
     DOORBELL_BARRIER_START,
     Message,
@@ -578,8 +579,6 @@ class CentralizedBarrier:
             self._cells = self.rt.heap.malloc(16)
 
     def wait(self) -> Generator:
-        from .runtime import AmoOp  # local import avoids cycle
-
         rt = self.rt
         self._ensure_cells()
         counter: SymAddr = self._cells

@@ -21,10 +21,11 @@ The levers
    top halves, which this model keeps (masking the vectors would coalesce
    distinct messages into one delivery and lose work items).
 
-2. **Pinned staging + DMA descriptor chaining** (:class:`FastDataMailbox`,
-   :class:`FastBypassMailbox`).  Paged user buffers scatter into one
-   descriptor per 4 KiB page at ``per_descriptor_us`` each — the term
-   that caps large-Put throughput (a 512 KiB Put pays 128 × 9 µs of
+2. **Pinned staging + DMA descriptor chaining** (the mailboxes' optional
+   staging buffer, ``_MailboxBase._write_window``; link bring-up hands one
+   to each mailbox when ``chain_dma`` is set).  Paged user buffers
+   scatter into one descriptor per 4 KiB page at ``per_descriptor_us``
+   each — the term that caps large-Put throughput (a 512 KiB Put pays 128 × 9 µs of
    descriptor walks against ~176 µs of wire time).  The fastpath copies
    the payload into a pinned contiguous staging buffer (cached memcpy
    rate) and submits a *chained* descriptor ring over it: descriptor
@@ -49,7 +50,7 @@ The levers
      (the classic cut-through credit deadlock on a ring).
 
 4. **Inline small messages** (``BypassMailbox.send_inline`` +
-   ``FLAG_INLINE``, runtime side in ``ShmemRuntime._put_inline``).  A Put
+   ``FLAG_INLINE``, runtime side in ``ShmemRuntime._put_chunk``).  A Put
    of ≤ ``inline_max`` (≤ 48) bytes rides in the padding of the 64-byte
    bypass slot header: one PIO write publishes header and payload
    together, skipping DMA setup, descriptor, pump and completion
@@ -70,32 +71,23 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
 from ..fabric import NoRouteError
-from ..memory import PhysSegment
 from ..ntb import LinkDownError
-from ..ntb.device import BYPASS_WINDOW, DATA_WINDOW
 from ..sim import Event
 from .errors import PeerUnreachableError
 from .service import ShmemService
 from .transfer import (
-    BypassMailbox,
-    DataMailbox,
+    CHAIN_CHUNK_BYTES,
     FLAG_INLINE,
     INLINE_MAX_BYTES,
     Message,
-    Mode,
-    MsgKind,
     PayloadSource,
-    SLOT_HEADER_BYTES,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..host import PinnedBuffer
-    from ..ntb import NtbDriver
-    from ..sim import Environment
-    from .runtime import LinkEnd, ShmemRuntime
+    from .links import LinkEnd
+    from .runtime import ShmemRuntime
 
-__all__ = ["FastpathConfig", "FastDataMailbox", "FastBypassMailbox",
-           "CoalescingService"]
+__all__ = ["FastpathConfig", "CoalescingService"]
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ class FastpathConfig:
     poll_us: float = 5.0
     poll_rounds: int = 12
     chain_dma: bool = True
-    chain_chunk: int = 128 * 1024
+    chain_chunk: int = CHAIN_CHUNK_BYTES
     cut_through: bool = True
     credit_slots: int = 8
     inline_max: int = INLINE_MAX_BYTES
@@ -155,112 +147,6 @@ class FastpathConfig:
                 f"inline_max must be in 0..{INLINE_MAX_BYTES} "
                 f"(wire-format ceiling), got {self.inline_max}"
             )
-
-
-def _chain_segments(phys: int, nbytes: int, chunk: int) -> list[PhysSegment]:
-    """Split a contiguous pinned range into chained-descriptor segments."""
-    segments = []
-    cursor = 0
-    while cursor < nbytes:
-        take = min(chunk, nbytes - cursor)
-        segments.append(PhysSegment(phys + cursor, take))
-        cursor += take
-    return segments
-
-
-class _StagedSendMixin:
-    """Shared staging logic for the two fastpath mailboxes.
-
-    The mailbox owns one pinned TX staging buffer; sends from *paged*
-    user memory are first memcpy'd there (cached rate), then DMA'd as a
-    chained ring of large contiguous descriptors.  Reuse is safe because
-    both mailboxes serialize payload writes (capacity-1 slot for the
-    data mailbox, the TX lock for the bypass mailbox) and the staged
-    bytes are on the wire before the send routine moves on.
-    """
-
-    fp: FastpathConfig
-    _tx_staging: Optional["PinnedBuffer"]
-
-    def _init_staging(self, driver: "NtbDriver", nbytes: int) -> None:
-        self._tx_staging = (
-            driver.host.alloc_pinned(nbytes) if self.fp.chain_dma else None
-        )
-        self.staged_sends = 0
-
-    def close(self) -> None:
-        """Release the staging buffer (runtime finalize)."""
-        if self._tx_staging is not None:
-            self.driver.host.free_pinned(self._tx_staging)
-            self._tx_staging = None
-
-    def _can_stage(self, mode: Mode, payload: PayloadSource) -> bool:
-        # Staging only pays when it collapses descriptors: a payload within
-        # one page is a single descriptor either way, and the extra memcpy
-        # would make it strictly slower.
-        return (
-            mode is Mode.DMA
-            and self._tx_staging is not None
-            and payload.virt is not None
-            and 4096 < payload.nbytes <= self._tx_staging.nbytes
-        )
-
-    def _staged_chained_write(self, window_index: int, window_offset: int,
-                              payload: PayloadSource) -> Generator:
-        """memcpy into pinned staging, then one chained-descriptor DMA."""
-        staging = self._tx_staging
-        assert staging is not None
-        host = self.driver.host
-        with self.driver.scope.span("stage_copy", category="mailbox",
-                                    track=self.name,
-                                    nbytes=payload.nbytes):
-            yield from host.cpu.local_memcpy(payload.nbytes)
-            host.memory.write(staging.phys, payload.data())
-        self.staged_sends += 1
-        dma_req = yield from self.driver.dma_write_segments(
-            window_index, window_offset,
-            _chain_segments(staging.phys, payload.nbytes,
-                            self.fp.chain_chunk),
-            chained=True,
-        )
-        yield dma_req.done
-
-
-class FastDataMailbox(_StagedSendMixin, DataMailbox):
-    """Data-window mailbox with staged chained-descriptor DMA (lever 2)."""
-
-    def __init__(self, env: "Environment", driver: "NtbDriver",
-                 spad_block: int, name: str, fastpath: FastpathConfig,
-                 staging_bytes: int):
-        super().__init__(env, driver, spad_block, name)
-        self.fp = fastpath
-        self._init_staging(driver, staging_bytes)
-
-    def _write_payload(self, mode: Mode, payload: PayloadSource) -> Generator:
-        if not self._can_stage(mode, payload):
-            yield from super()._write_payload(mode, payload)
-            return
-        yield from self._staged_chained_write(DATA_WINDOW, 0, payload)
-
-
-class FastBypassMailbox(_StagedSendMixin, BypassMailbox):
-    """Bypass mailbox with credit slots + staged chained DMA (levers 2/3)."""
-
-    def __init__(self, env: "Environment", driver: "NtbDriver",
-                 slot_payload: int, slots: int, name: str,
-                 fastpath: FastpathConfig):
-        super().__init__(env, driver, slot_payload, slots, name)
-        self.fp = fastpath
-        self._init_staging(driver, slot_payload)
-
-    def _write_slot_payload(self, msg: Message, payload: PayloadSource,
-                            base: int) -> Generator:
-        if not self._can_stage(msg.mode, payload):
-            yield from super()._write_slot_payload(msg, payload, base)
-            return
-        yield from self._staged_chained_write(
-            BYPASS_WINDOW, base + SLOT_HEADER_BYTES, payload
-        )
 
 
 class CoalescingService(ShmemService):
@@ -354,23 +240,29 @@ class CoalescingService(ShmemService):
         prev, gate = self._reserve_ack(link.side)
         self.active_acks += 1
         self.env.process(
-            self._ordered_ack_task(link, channel, prev, gate),
+            self._ordered_ack(link, channel, prev, gate),
             name=f"{self.rt.name}.ack.{link.side}",
         )
 
-    def _ordered_ack_task(self, link: "LinkEnd", channel: str,
-                          prev: Optional[Event], gate: Event) -> Generator:
+    def _ordered_ack(self, link: "LinkEnd", channel: str,
+                     prev: Optional[Event], gate: Event,
+                     forwarded: bool = False) -> Generator:
+        """Ring ``link``'s ACK doorbell in chain order, then open ``gate``
+        for the next slot.  ``forwarded``: this is the tail of a
+        cut-through, whose forward is over only once the credit is back."""
         try:
             if prev is not None and not prev.triggered:
                 yield prev
             try:
-                yield from ShmemService._ack(self, link, channel)
+                yield from super()._ack(link, channel)
             except LinkDownError:
                 pass  # posted ACK into a severed cable: simply lost
         finally:
             if not gate.triggered:
                 gate.succeed()
             self.active_acks -= 1
+            if forwarded:
+                self.active_forwards -= 1
             self.rt.notify_progress()
 
     def _forward(self, msg: Message, in_link: "LinkEnd", payload_phys: int,
@@ -388,8 +280,7 @@ class CoalescingService(ShmemService):
                 rt.dead_edges and out_link.edge in rt.dead_edges):
             # Same posted-fabric semantics as the baseline hop.
             yield from self._ack(in_link, channel)
-            self.dropped_forwards += 1
-            rt.tracer.count(f"{rt.name}.fwd_dropped")
+            self._drop_forward()
             return
         next_pe = rt.neighbor_pe(out_link.direction)
         if msg.flags & FLAG_INLINE:
@@ -434,31 +325,17 @@ class CoalescingService(ShmemService):
                           prev: Optional[Event], gate: Event) -> Generator:
         rt = self.rt
         try:
-            try:
-                with rt.scope.span("cut_through_send", category="service",
-                                   track=f"{rt.name}.service",
-                                   kind=msg.kind.name, nbytes=msg.size):
-                    yield from self._send_onward(msg, out_link, next_pe,
-                                                 payload)
-            except (LinkDownError, PeerUnreachableError):
-                self.dropped_forwards += 1
-                rt.tracer.count(f"{rt.name}.fwd_dropped")
+            with rt.scope.span("cut_through_send", category="service",
+                               track=f"{rt.name}.service",
+                               kind=msg.kind.name, nbytes=msg.size):
+                yield from self._send_onward(msg, out_link, next_pe, payload)
+        except (LinkDownError, PeerUnreachableError):
+            self._drop_forward()
         finally:
             # The bytes have left the slot (or died trying): return the
             # upstream credit, in chain order.
-            try:
-                if prev is not None and not prev.triggered:
-                    yield prev
-                try:
-                    yield from ShmemService._ack(self, in_link, channel)
-                except LinkDownError:
-                    pass
-            finally:
-                if not gate.triggered:
-                    gate.succeed()
-                self.active_acks -= 1
-                self.active_forwards -= 1
-                rt.notify_progress()
+            yield from self._ordered_ack(in_link, channel, prev, gate,
+                                         forwarded=True)
 
     def _forward_inline(self, msg: Message, in_link: "LinkEnd",
                         out_link: "LinkEnd", next_pe: Optional[int],
@@ -473,34 +350,4 @@ class CoalescingService(ShmemService):
         data = rt.host.memory.read(payload_phys, msg.size).copy()
         yield from rt.host.cpu.local_memcpy(msg.size)
         yield from self._ack(in_link, channel)
-        self.active_forwards += 1
-        task = self.env.process(
-            self._inline_onward_task(msg, out_link, next_pe, data),
-            name=f"{rt.name}.fwd_inline.{msg.kind.name}",
-        )
-        rt.scope.bind_process(task, rt.scope.current_span_id())
-
-    def _inline_onward_task(self, msg: Message, out_link: "LinkEnd",
-                            next_pe: int, data) -> Generator:
-        rt = self.rt
-        try:
-            final_leg = next_pe == msg.dest_pe
-            kind = MsgKind.PUT_DATA if (
-                msg.kind in (MsgKind.PUT_DATA, MsgKind.PUT_FWD) and final_leg
-            ) else msg.kind
-            mailbox = out_link.bypass_mailbox
-            out = Message(
-                kind=kind, mode=msg.mode, src_pe=msg.src_pe,
-                dest_pe=msg.dest_pe, offset=msg.offset, size=msg.size,
-                aux=msg.aux, seq=mailbox.next_seq(), flags=FLAG_INLINE,
-            )
-            with rt.scope.span("onward_send", category="service",
-                               track=f"{rt.name}.service",
-                               kind=out.kind.name, nbytes=out.size):
-                yield from mailbox.send_inline(out, data, relay=True)
-        except (LinkDownError, PeerUnreachableError):
-            self.dropped_forwards += 1
-            rt.tracer.count(f"{rt.name}.fwd_dropped")
-        finally:
-            self.active_forwards -= 1
-            rt.notify_progress()
+        self._spawn_task(msg, out_link, next_pe, staging=None, inline=data)

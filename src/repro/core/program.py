@@ -88,7 +88,7 @@ class SpmdReport:
             f"{'max_us':>10} {'bytes':>12}"
         ]
         for runtime in self.runtimes:
-            for op in ("put", "get", "barrier"):
+            for op in ("put", "get", "amo", "barrier"):
                 stats = self.tracer.intervals.get(
                     f"{runtime.name}.{op}_us"
                 )

@@ -29,10 +29,8 @@ import numpy as np
 from ..fabric import (
     Cluster,
     Direction,
-    GridTopology,
     HeartbeatConfig,
     HeartbeatMonitor,
-    LinkState,
     NoRouteError,
     Route,
     RoutingPolicy,
@@ -44,11 +42,11 @@ if TYPE_CHECKING:  # faults loads lazily: only runs configured with a plan
     from ..faults import FaultInjector, FaultPlan  # noqa: F401
     from .fastpath import FastpathConfig  # noqa: F401  (opt-in module)
 from ..host import Host, PinnedBuffer
-from ..ntb import LinkDownError, NtbDriver
-from ..ntb.device import BYPASS_WINDOW, DATA_WINDOW
+from ..ntb import LinkDownError
 from ..obsv.metrics import MetricsRegistry, MetricsTicker, size_label
 from ..obsv.spans import NULL_SCOPE, ShmemScope, instrument_cluster
-from ..sim import Environment, Event, Interrupt, Signal, Tracer
+from ..sim import Environment, Event, Signal, Tracer
+from . import links, linkstate
 from .errors import (
     BadPeError,
     NotInitializedError,
@@ -58,57 +56,21 @@ from .errors import (
     TransferError,
 )
 from .heap import HeapConfig, SymAddr, SymmetricHeap
+from .links import LinkEnd
 from .transfer import (
-    BypassMailbox,
-    DataMailbox,
-    DOORBELL_ACK_BYPASS,
-    DOORBELL_ACK_DATA,
-    DOORBELL_AMO,
-    DOORBELL_BARRIER_END,
-    DOORBELL_BARRIER_START,
-    DOORBELL_BYPASS_MSG,
-    DOORBELL_DMAGET,
-    DOORBELL_DMAPUT,
+    AMO_REQ_FMT,
+    AmoOp,
     FLAG_INLINE,
     Message,
     Mode,
     MsgKind,
     PayloadSource,
-    SPAD_BLOCK_LEFTWARD,
-    SPAD_BLOCK_RIGHTWARD,
     chunk_ranges,
 )
 from .waits import REPOLL, poll_wait, remote_wait
 
 __all__ = ["ShmemConfig", "ShmemRuntime", "LinkEnd", "PendingGet",
            "PendingAmo", "AmoOp"]
-
-#: Handshake magic values written to ScratchPads during init.
-_HELLO_MAGIC = 0x5A5A0000
-_READY_MAGIC = 0xA5A50000
-
-#: AMO operand wire format: op(u32) dtype-code(u32) value(i64) compare(i64).
-_AMO_REQ_FMT = "<IIqq"
-_AMO_RESP_FMT = "<q"
-
-
-class AmoOp:
-    """Remote atomic operation codes (served by the owner's service thread,
-    which is single-threaded per host — that is what makes them atomic)."""
-
-    FETCH = 0
-    SET = 1
-    ADD = 2          # fetch-and-add
-    COMPARE_SWAP = 3
-    AND = 4
-    OR = 5
-    XOR = 6
-
-    ALL = (FETCH, SET, ADD, COMPARE_SWAP, AND, OR, XOR)
-    #: metric-key spellings (pe0.amo.ADD, not pe0.amo.2).
-    NAMES = {FETCH: "FETCH", SET: "SET", ADD: "ADD",
-             COMPARE_SWAP: "COMPARE_SWAP", AND: "AND", OR: "OR",
-             XOR: "XOR"}
 
 
 @dataclass(frozen=True)
@@ -229,32 +191,6 @@ class ShmemConfig:
                     f"fastpath must be a FastpathConfig or None, "
                     f"got {type(self.fastpath).__name__}"
                 )
-
-
-@dataclass
-class LinkEnd:
-    """Everything a runtime holds for one of its adapters."""
-
-    side: str                      # topology port: "left"/"right"/"x+"/...
-    edge: tuple[int, int]          # directed cable name (topology.edge_for)
-    driver: NtbDriver
-    data_mailbox: DataMailbox      # outgoing, via this adapter
-    bypass_mailbox: BypassMailbox  # outgoing, via this adapter
-    rx_data: PinnedBuffer          # incoming data-window target
-    rx_bypass: PinnedBuffer        # incoming bypass-window target
-    incoming_spad_block: int       # where peers' headers appear
-    next_rx_slot: int = 0          # in-order bypass slot cursor
-    peer_host_id: Optional[int] = None
-
-    @property
-    def direction(self) -> PortLike:
-        """Ring/chain ports keep their Direction spelling; grid ports
-        are plain port strings."""
-        if self.side == "right":
-            return Direction.RIGHT
-        if self.side == "left":
-            return Direction.LEFT
-        return self.side
 
 
 @dataclass
@@ -429,35 +365,8 @@ class ShmemRuntime:
         """``shmem_init()`` — the four-step bring-up of §III-B.1."""
         if self.initialized:
             raise ShmemError(f"{self.name}: double shmem_init")
-        # Step 1a: enumerate adapters if the cluster has not yet.  Ports
-        # come up in PORT_ORDER — ("left", "right") on rings/chains,
-        # axis pairs ("x-", "x+", ...) on grids.
-        for side in self.topology.PORT_ORDER:
-            if not self.cluster.has_adapter(self.my_pe_id, side):
-                continue
-            driver = self.cluster.driver(self.my_pe_id, side)
-            if not driver.is_probed:
-                yield from driver.probe()
-            self._setup_link(side, driver)
-        if not self.links:
-            raise ShmemError(f"{self.name}: host has no NTB adapters")
-        # Step 1b: host-ID / readiness handshake per link (ScratchPads),
-        # in fully phased rounds: all announcements, then all ID polls +
-        # window programming, then all READY flags, then all READY polls.
-        # Interleaving the phases per link deadlocks the ring (host i's
-        # left-link progress would wait on host i-1's right-link progress,
-        # circularly).
-        for link in self.links.values():
-            yield from self._announce(link)
-        for link in self.links.values():
-            yield from self._handshake(link)
-        for link in self.links.values():
-            yield from link.driver.spad_write(
-                link.data_mailbox.spad_block + 1,
-                _READY_MAGIC | self.my_pe_id,
-            )
-        for link in self.links.values():
-            yield from self._await_ready(link)
+        # Step 1 (NTB setup + handshake) and step 3 (bypass buffers).
+        yield from links.bring_up(self)
         # Step 2: interrupt structure; Step 4: service thread.
         if self.config.fastpath is not None:
             from .fastpath import CoalescingService  # deferred: opt-in
@@ -467,15 +376,15 @@ class ShmemRuntime:
             from .service import ShmemService  # local import avoids cycle
 
             self.service = ShmemService(self)
-        self._register_irqs()
+        links.register_irqs(self)
         # Barrier strategy.
         from .barrier import make_barrier  # local import avoids cycle
 
         self.barrier = make_barrier(self)
-        self._wire_link_metrics()
+        links.wire_link_metrics(self)
         self._amo_tx = self.host.alloc_pinned(4096)
         if self._heartbeat_config is not None:
-            self._start_failure_detector()
+            linkstate.start_failure_detector(self)
         if self.config.metrics_window_us is not None:
             # Cluster-singleton ticker, like the sanitizer: the first
             # sampling runtime starts it; finalize() stops it so
@@ -490,192 +399,10 @@ class ShmemRuntime:
             ticker.start()
         self.initialized = True
 
-    def _wire_link_metrics(self) -> None:
-        """Pull-gauge the mailboxes and service thread into the fabric.
-
-        Everything here binds existing lifetime statistics — zero cost on
-        the hot paths, zero virtual-time events.  Fastpath-only counters
-        (cut-throughs, coalesced wakes) are bound when the service exposes
-        them, so the same wiring covers both data planes.
-        """
-        for side, link in self.links.items():
-            for channel, mailbox in (("data", link.data_mailbox),
-                                     ("bypass", link.bypass_mailbox)):
-                scoped = self.metrics_registry.scoped(
-                    f"{self.name}.{side}.{channel}")
-                scoped.gauge("sent").bind(lambda m=mailbox: m.sent_count)
-                scoped.gauge("acked").bind(lambda m=mailbox: m.acked_count)
-                scoped.gauge("failed").bind(lambda m=mailbox: m.failed_count)
-                scoped.gauge("inline").bind(lambda m=mailbox: m.inline_count)
-                scoped.gauge("in_flight").bind(lambda m=mailbox: m.in_flight)
-                scoped.gauge("credits_free").bind(
-                    lambda m=mailbox: m.free_slots)
-                scoped.gauge("credit_waiters").bind(
-                    lambda m=mailbox: m._slots.queue_length)
-        service = self.service
-        scoped = self.metrics_registry.scoped(f"{self.name}.service")
-        for key, attr in (("cut_throughs", "cut_throughs"),
-                          ("cut_through_fallbacks", "cut_through_fallbacks"),
-                          ("coalesced_wakes", "coalesced_wakes"),
-                          ("dropped_forwards", "dropped_forwards")):
-            if hasattr(service, attr):
-                scoped.gauge(key).bind(
-                    lambda s=service, a=attr: getattr(s, a))
-
-    def _setup_link(self, side: str, driver: NtbDriver) -> None:
-        """Step 1 + 3: allocate receive buffers, program translations."""
-        cfg = self.config
-        rx_data = self.host.alloc_pinned(cfg.rx_data_size)
-        # Positive ports transmit in the RIGHTWARD ScratchPad block and
-        # listen in the LEFTWARD one (the peer's positive-port TX);
-        # negative ports mirror.  On rings this is exactly the historical
-        # right/left block split; on grids each axis cable reuses the
-        # same two blocks of its own adapter pair.
-        positive = self.topology.port_polarity(side)
-        out_block = SPAD_BLOCK_RIGHTWARD if positive \
-            else SPAD_BLOCK_LEFTWARD
-        in_block = SPAD_BLOCK_LEFTWARD if positive \
-            else SPAD_BLOCK_RIGHTWARD
-        fp = cfg.fastpath
-        if fp is not None:
-            # Deferred import: the paper-faithful stack never loads the
-            # fastpath module (keeps the default byte-identical and the
-            # dependency one-directional).
-            from .fastpath import FastBypassMailbox, FastDataMailbox
-
-            slots = fp.credit_slots if fp.cut_through else cfg.bypass_slots
-            data_mailbox = FastDataMailbox(
-                self.env, driver, spad_block=out_block,
-                name=f"{self.name}.{side}.data", fastpath=fp,
-                staging_bytes=cfg.rx_data_size,
-            )
-            bypass_mailbox = FastBypassMailbox(
-                self.env, driver, slot_payload=cfg.fwd_chunk,
-                slots=slots, name=f"{self.name}.{side}.bypass", fastpath=fp,
-            )
-        else:
-            data_mailbox = DataMailbox(
-                self.env, driver, spad_block=out_block,
-                name=f"{self.name}.{side}.data",
-            )
-            bypass_mailbox = BypassMailbox(
-                self.env, driver, slot_payload=cfg.fwd_chunk,
-                slots=cfg.bypass_slots, name=f"{self.name}.{side}.bypass",
-            )
-        rx_bypass = self.host.alloc_pinned(bypass_mailbox.window_bytes_needed)
-        data_mailbox.on_progress = self.notify_progress
-        bypass_mailbox.on_progress = self.notify_progress
-        edge = self.topology.edge_for(self.my_pe_id, side)
-        assert edge is not None
-        self.links[side] = LinkEnd(
-            side=side,
-            edge=edge,
-            driver=driver,
-            data_mailbox=data_mailbox,
-            bypass_mailbox=bypass_mailbox,
-            rx_data=rx_data,
-            rx_bypass=rx_bypass,
-            incoming_spad_block=in_block,
-        )
-
-    def _announce(self, link: LinkEnd) -> Generator:
-        """Write our host id into the link's outgoing ScratchPad block."""
-        yield from link.driver.spad_write(
-            link.data_mailbox.spad_block + 0, _HELLO_MAGIC | self.my_pe_id
-        )
-
-    def _handshake(self, link: LinkEnd) -> Generator:
-        """Exchange host ids and readiness over the link's ScratchPads,
-        then program windows + LUT — §III-B.1 step 1 verbatim."""
-        driver = link.driver
-        out, inc = link.data_mailbox.spad_block, link.incoming_spad_block
-        # Learn the neighbor.  A neighbor that never says hello (severed
-        # cable, dead host) must surface as a typed error, not an
-        # infinite ScratchPad poll.
-        start = self.env.now
-        with self.blocked_on(f"handshake hello ({link.side})"):
-            while True:
-                value = yield from driver.spad_read(inc + 0)
-                if (value & 0xFFFF0000) == _HELLO_MAGIC:
-                    link.peer_host_id = value & 0xFFFF
-                    break
-                if self.env.now - start > self.config.handshake_timeout_us:
-                    raise PeerUnreachableError(
-                        f"{self.name}: no hello from {link.side} neighbor "
-                        f"after {self.config.handshake_timeout_us} µs"
-                    )
-                yield self.env.timeout(self.config.handshake_poll_us)
-        # Program incoming translations now that we know who is talking,
-        # and add the peer's requester id to our LUT.
-        yield from driver.program_incoming(
-            DATA_WINDOW, link.rx_data.phys, link.rx_data.nbytes
-        )
-        yield from driver.program_incoming(
-            BYPASS_WINDOW, link.rx_bypass.phys, link.rx_bypass.nbytes
-        )
-        # The peer talks through the opposite-polarity port of this
-        # cable; its requester-id function number is that port's index
-        # (left=0, right=1 historically; grid ports follow PORT_ORDER).
-        peer_port = self.topology.opposite_port(link.side)
-        peer_fn = self.topology.PORT_ORDER.index(peer_port)
-        peer_requester = (link.peer_host_id << 8) | peer_fn
-        yield from driver.add_lut_entry(peer_requester, self.my_pe_id)
-
-    def _await_ready(self, link: LinkEnd) -> Generator:
-        """Poll the peer's READY flag.  The handshake registers are not
-        cleared afterwards: stale values are harmless because the receive
-        path only decodes the block when a message doorbell rings, by
-        which time a fresh header has overwritten it."""
-        inc = link.incoming_spad_block
-        start = self.env.now
-        with self.blocked_on(f"handshake ready ({link.side})"):
-            while True:
-                value = yield from link.driver.spad_read(inc + 1)
-                if (value & 0xFFFF0000) == _READY_MAGIC:
-                    break
-                if self.env.now - start > self.config.handshake_timeout_us:
-                    raise PeerUnreachableError(
-                        f"{self.name}: {link.side} neighbor never became "
-                        f"READY ({self.config.handshake_timeout_us} µs)"
-                    )
-                yield self.env.timeout(self.config.handshake_poll_us)
-
-    def _register_irqs(self) -> None:
-        """Step 2: wire doorbell bits to the service thread / mailboxes."""
-        assert self.service is not None
-        for link in self.links.values():
-            driver, side = link.driver, link.side
-            for bit in (DOORBELL_DMAPUT, DOORBELL_DMAGET, DOORBELL_AMO):
-                driver.request_irq(
-                    bit, lambda _b, s=side: self.service.enqueue(s, "data")
-                )
-            driver.request_irq(
-                DOORBELL_BYPASS_MSG,
-                lambda _b, s=side: self.service.enqueue(s, "bypass"),
-            )
-            driver.request_irq(
-                DOORBELL_BARRIER_START,
-                lambda _b, s=side: self.service.enqueue(s, "barrier_start"),
-            )
-            driver.request_irq(
-                DOORBELL_BARRIER_END,
-                lambda _b, s=side: self.service.enqueue(s, "barrier_end"),
-            )
-            # ACKs complete in the top half (no thread hop): they only
-            # release flow-control slots.
-            driver.request_irq(
-                DOORBELL_ACK_DATA,
-                lambda _b, l=link: l.data_mailbox.on_ack(),
-            )
-            driver.request_irq(
-                DOORBELL_ACK_BYPASS,
-                lambda _b, l=link: l.bypass_mailbox.on_ack(),
-            )
-
     def finalize(self) -> Generator:
         """``shmem_finalize()`` — quiesce, stop the service, release."""
         self._check_ready()
-        self._stop_failure_detector()
+        linkstate.stop_failure_detector(self)
         ticker = getattr(self.cluster, "metrics_ticker", None)
         if ticker is not None:
             ticker.stop()
@@ -687,22 +414,10 @@ class ShmemRuntime:
         assert self.service is not None
         yield from self.service.stop()
         self.heap.reset()
-        for link in self.links.values():
-            # Release IRQ vectors so the cluster can host a new runtime.
-            base = link.driver.irq_base
-            for bit in range(16):
-                self.host.interrupts.unregister(base + bit)
-            self.host.free_pinned(link.rx_data)
-            self.host.free_pinned(link.rx_bypass)
-            # Fastpath mailboxes own pinned TX staging buffers.
-            for mailbox in (link.data_mailbox, link.bypass_mailbox):
-                close = getattr(mailbox, "close", None)
-                if close is not None:
-                    close()
+        links.tear_down(self)
         if self._amo_tx is not None:
             self.host.free_pinned(self._amo_tx)
             self._amo_tx = None
-        self.links.clear()
         self.initialized = False
         self._finalized = True
 
@@ -796,195 +511,77 @@ class ShmemRuntime:
             self.tracer.count(f"{self.name}.reroute")
         return route
 
-    # -------------------------------------------------------- fault handling
-    def _start_failure_detector(self) -> None:
-        """One heartbeat monitor + link watcher per adapter."""
-        hb = self._heartbeat_config
-        assert hb is not None
-        for side, link in self.links.items():
-            monitor = HeartbeatMonitor(
-                link.driver, period_us=hb.period_us,
-                miss_threshold=hb.miss_threshold,
-            )
-            monitor.miss_counter = self.metrics_registry.counter(
-                "heartbeat.misses")
-            monitor.start()
-            self.heartbeats[side] = monitor
-            watcher = self.env.process(
-                self._watch_link(side, monitor),
-                name=f"{self.name}.{side}.linkwatch",
-            )
-            self._link_watchers.append(watcher)
-
-    def _stop_failure_detector(self) -> None:
-        for monitor in self.heartbeats.values():
-            monitor.stop()
-        self.heartbeats.clear()
-        for watcher in self._link_watchers:
-            if watcher.is_alive and watcher._target is not None:
-                watcher.interrupt("runtime finalized")
-        self._link_watchers.clear()
-
-    def _watch_link(self, side: str, monitor: HeartbeatMonitor) -> Generator:
-        """React to the failure detector's ALIVE <-> DEAD transitions."""
-        try:
-            while True:
-                state = yield monitor.wait_state_change()
-                edge = self.links[side].edge
-                if state is LinkState.DEAD:
-                    yield from self._mark_edge_dead(edge, announce=True)
-                elif state is LinkState.ALIVE:
-                    yield from self._mark_edge_alive(edge, announce=True)
-        except Interrupt:
-            return
-
-    def _route_blocked(self, route: Route, dst: Optional[int] = None) -> bool:
-        """Does ``route`` (starting at me, toward ``dst``) cross a dead
-        edge?  Without ``dst`` the walk is the 1D straight line in
-        ``route.direction``; with it, the router reconstructs the
-        issue-time path (first port, then canonical next hops)."""
-        if not self.dead_edges:
-            return False
-        if dst is None:
-            node = self.my_pe_id
-            for _ in range(route.hops):
-                edge = self.topology.edge_for(node, route.port)
-                if edge is None or edge in self.dead_edges:
-                    return True
-                node = self.topology.neighbor(node, route.port)
-            return False
-        edges = self.router.route_edges(self.my_pe_id, dst, route)
-        if len(edges) < route.hops:
-            return True  # the walk fell off a boundary: path is gone
-        return any(edge in self.dead_edges for edge in edges)
-
-    def apply_edge_dead(self, edge: tuple[int, int]) -> bool:
-        """Record a dead edge: fail doomed pending requests, flush the
-        affected mailboxes, reset the barrier's token state and wake every
-        bounded wait.  Idempotent; returns True only on first report."""
-        if edge in self.dead_edges:
-            return False
-        self.dead_edges.add(edge)
-        self._fail_pending_on_edge()
-        for link in self.links.values():
-            if link.edge == edge:
-                link.data_mailbox.fail_outstanding()
-                link.bypass_mailbox.fail_outstanding()
-        if self.barrier is not None:
-            self.barrier.on_link_event()
-        self.tracer.count(f"{self.name}.edge_dead")
-        self.link_state_changed.fire(("dead", edge))
-        self.notify_progress()
-        return True
-
-    def apply_edge_alive(self, edge: tuple[int, int]) -> bool:
-        """Record a recovered edge; returns True if it had been dead."""
-        if edge not in self.dead_edges:
-            return False
-        self.dead_edges.discard(edge)
-        if self.barrier is not None:
-            self.barrier.on_link_event()
-        self.tracer.count(f"{self.name}.edge_alive")
-        self.link_state_changed.fire(("alive", edge))
-        self.notify_progress()
-        return True
-
-    def _fail_pending_on_edge(self) -> None:
-        """Fail every pending Get/AMO whose issue-time route now crosses a
-        dead edge, so blocking callers stop waiting immediately."""
-        for table, what in ((self.pending_gets, "get"),
-                            (self.pending_amos, "amo")):
-            for req_id, pending in list(table.items()):
-                if pending.direction is None:
-                    continue
-                if not self._route_blocked(
-                        Route(pending.direction, pending.hops),
-                        dst=pending.pe):
-                    continue
-                if not pending.done.triggered:
-                    exc = PeerUnreachableError(
-                        f"{self.name}: {what} request {req_id} to PE "
-                        f"{pending.pe} lost to a dead link"
-                    )
-                    # Defuse: the waiter (if any) still receives the
-                    # failure through its AnyOf condition, but a request
-                    # caught between send and wait must not crash the
-                    # kernel as an unhandled failed event.
-                    pending.done.fail(exc).defuse()
-
-    def _mark_edge_dead(self, edge: tuple[int, int],
-                        announce: bool = False) -> Generator:
-        if not self.apply_edge_dead(edge):
-            return
-        if announce:
-            yield from self._announce_link_state(MsgKind.LINK_DOWN, edge)
-
-    def _mark_edge_alive(self, edge: tuple[int, int],
-                         announce: bool = False) -> Generator:
-        if not self.apply_edge_alive(edge):
-            return
-        if announce:
-            yield from self._announce_link_state(MsgKind.LINK_UP, edge)
-
-    def _announce_link_state(self, kind: int,
-                             edge: tuple[int, int]) -> Generator:
-        """Flood an edge's death/recovery away from the edge itself.
-
-        On rings/chains each surviving endpoint of the edge sends one
-        control message to the *far* endpoint the long way around; every
-        host on that path applies and relays it (service-thread
-        dispatch), so the whole ring learns from whichever endpoint's
-        announcement arrives first.
-
-        On grids there is no single "long way around": any host might be
-        routing through the dead edge, so the endpoint unicasts the
-        notice to every other host over whatever routes are still live
-        (each relay applies the edge state before forwarding, and the
-        updates are idempotent).
-        """
-        my_side = None
-        for side, link in self.links.items():
-            if link.edge == edge:
-                my_side = side
-                break
-        if my_side is None:
-            return  # not an endpoint of this edge; relaying is enough
-        aux = ((edge[0] & 0xFF) << 8) | (edge[1] & 0xFF)
-        if not isinstance(self.topology, GridTopology):
-            out_side = "left" if my_side == "right" else "right"
-            link = self.links.get(out_side)
-            if link is None:
-                return
-            dest = edge[1] if edge[0] == self.my_pe_id else edge[0]
-            msg = Message(
-                kind=kind, mode=Mode.DMA, src_pe=self.my_pe_id,
-                dest_pe=dest, offset=0, size=0, aux=aux,
-                seq=link.data_mailbox.next_seq(),
-            )
-            try:
-                yield from link.data_mailbox.send(msg)
-            except (LinkDownError, PeerUnreachableError):
-                pass  # both our cables are dead: nobody left to tell
-            return
-        for dest in range(self.n_pes):
-            if dest == self.my_pe_id:
-                continue
-            try:
-                route = self.route_to(dest)
-                link = self.link_for(route.direction)
-                msg = Message(
-                    kind=kind, mode=Mode.DMA, src_pe=self.my_pe_id,
-                    dest_pe=dest, offset=0, size=0, aux=aux,
-                    seq=link.data_mailbox.next_seq(),
-                )
-                yield from link.data_mailbox.send(msg)
-            except (LinkDownError, PeerUnreachableError):
-                continue  # unreachable island: nothing to tell it
-
     def deliver_to_heap(self, offset: int, data: np.ndarray) -> None:
         """Land bytes in the local symmetric heap + publish the update."""
         self.heap.write(SymAddr(offset), data)
         self.heap_updated.fire(offset)
+
+    # ------------------------------------------------------------ op pipeline
+    @contextmanager
+    def _op(self, op: str, detail: str, counter: str, size: str = "", /,
+            peer: Optional[int] = None, **attrs) -> Iterator[list]:
+        """The one envelope every app-facing op runs inside: the ``op``
+        span (``attrs`` are its arguments) plus the four latency/count
+        sinks, keyed ``{op}.{detail}`` in the span histograms and
+        ``{op}_us{size}`` in the metrics fabric.
+
+        Yields the traversed-hops holder.  Latency buckets are keyed by
+        the hop count the op *actually* traversed, not the issue-time
+        route: a mid-op sever reroutes the remaining chunks the long way
+        around, and recording that latency under the short-route bucket
+        poisons the histogram.
+        """
+        nbytes = attrs.get("nbytes", 0)
+        if peer is not None:
+            hops = 0 if peer == self.my_pe_id else self.route_to(peer).hops
+            attrs.update(peer=peer, hops=hops)
+        traversed = [attrs.get("hops")]
+        start = self.env.now
+        try:
+            with self.scope.span(op, category="op", track=self.name,
+                                 pe=self.my_pe_id, **attrs) as op_span:
+                yield traversed
+                if op_span is not None and peer is not None:
+                    op_span.args["hops"] = traversed[0]
+        finally:
+            elapsed = self.env.now - start
+            bucket = "" if peer is None else f".{traversed[0]}hop"
+            self.tracer.observe(f"{self.name}.{op}_us", elapsed)
+            self.tracer.count(f"{self.name}.{op}", nbytes=nbytes)
+            self.scope.hist.observe(f"{op}.{detail}{bucket}", elapsed)
+            self.metrics.inc(counter, nbytes=nbytes)
+            self.metrics_registry.observe(f"{op}_us{size}{bucket}", elapsed)
+
+    def _remote_attempt(self, pe: int, what: str, traversed: list,
+                        attempt, *args) -> Generator:
+        """The one remote-attempt loop behind put chunks, get chunks and
+        AMO requests: resolve a route, run ``attempt(route, link, *args)``
+        and, if the path died under it, back off and go again.
+
+        The route is re-resolved per attempt, so a mid-transfer sever
+        sends the rest of the message the long way around; callers invoke
+        this once per chunk, which resets the attempt budget per delivered
+        chunk.  Whatever an attempt registered in a pending table it has
+        drained (with ``notify_progress``) by the time its failure reaches
+        the back-off here.
+        """
+        tries = 0
+        while True:
+            route = self.route_to(pe)
+            if route.hops > traversed[0]:
+                traversed[0] = route.hops
+            link = self.link_for(route.direction)
+            try:
+                return (yield from attempt(route, link, *args))
+            except (LinkDownError, PeerUnreachableError) as exc:
+                if not self.fault_aware or tries >= self.config.max_retries:
+                    raise PeerUnreachableError(
+                        f"{self.name}: {what} failed: {exc}") from exc
+                tries += 1
+                self.retries += 1
+            # Bounded retry backoff (max_retries), not a blocking wait.
+            yield self.env.timeout(  # lint: skip
+                self.config.retry_backoff_us * (2 ** (tries - 1)))
 
     # ------------------------------------------------------------------- put
     def put(self, dest: SymAddr, src_virt: int, nbytes: int, pe: int,
@@ -1006,137 +603,59 @@ class ShmemRuntime:
         if nbytes <= 0:
             raise TransferError(f"put size must be positive, got {nbytes}")
         self.put_count += 1
-        hops = 0 if pe == self.my_pe_id else self.route_to(pe).hops
-        # Latency buckets are keyed by the hop count the op *actually*
-        # traversed, not the issue-time route: a mid-op sever reroutes
-        # the remaining chunks the long way around, and recording that
-        # latency under the short-route bucket poisons the histogram.
-        traversed = [hops]
-        op_start = self.env.now
-        try:
-            with self.scope.span("put", category="op", track=self.name,
-                                 pe=self.my_pe_id, peer=pe, nbytes=nbytes,
-                                 mode=mode.name, hops=hops) as op_span:
-                if self.san is not None:
-                    self.san.record_write(self.my_pe_id, pe, dest.offset,
-                                          nbytes, "put", self.env.now)
-                yield from self._put_inner(dest, src_virt, nbytes, pe, mode,
-                                           allow_inline=allow_inline,
-                                           traversed=traversed)
-                if op_span is not None:
-                    op_span.args["hops"] = traversed[0]
-        finally:
-            self.tracer.observe(f"{self.name}.put_us",
-                                self.env.now - op_start)
-            self.tracer.count(f"{self.name}.put", nbytes=nbytes)
-            self.scope.hist.observe(
-                f"put.{mode.name}.{nbytes}B.{traversed[0]}hop",
-                self.env.now - op_start,
-            )
-            self.metrics.inc(f"put.{mode.name}", nbytes=nbytes)
-            self.metrics_registry.observe(
-                f"put_us.{size_label(nbytes)}.{traversed[0]}hop",
-                self.env.now - op_start)
-
-    def _put_inner(self, dest: SymAddr, src_virt: int, nbytes: int,
-                   pe: int, mode: Mode, *,
-                   allow_inline: bool = True,
-                   traversed: Optional[list] = None) -> Generator:
-        if pe == self.my_pe_id:
-            # Local put: a plain memcpy into our own heap.
-            yield from self.host.cpu.local_memcpy(nbytes)
-            data = self.host.read_user(src_virt, nbytes)
-            self.deliver_to_heap(dest.offset, data)
-            return
-        fp = self.config.fastpath
-        if (fp is not None and allow_inline and fp.inline_max > 0
-                and nbytes <= fp.inline_max):
-            yield from self._put_inline(dest, src_virt, nbytes, pe,
-                                        traversed=traversed)
-            return
-        cursor = 0
-        attempt = 0
-        while cursor < nbytes:
-            # Route per chunk: a mid-transfer sever reroutes the rest of
-            # the message the long way around.  The chunk limit follows
-            # the route — a rerouted chunk must fit the bypass slot, not
-            # the neighbor's data window.
-            route = self.route_to(pe)
-            if traversed is not None and route.hops > traversed[0]:
-                traversed[0] = route.hops
-            link = self.link_for(route.direction)
-            if route.hops == 1:
-                mailbox, limit = link.data_mailbox, self.config.rx_data_size
-                kind = MsgKind.PUT_DATA
-            else:
-                mailbox, limit = link.bypass_mailbox, self.config.fwd_chunk
-                kind = MsgKind.PUT_FWD
-            chunk_size = min(limit, nbytes - cursor)
-            msg = Message(
-                kind=kind, mode=mode,
-                src_pe=self.my_pe_id, dest_pe=pe,
-                offset=dest.offset + cursor, size=chunk_size,
-                seq=mailbox.next_seq(),
-            )
-            payload = PayloadSource.from_user(
-                self.host, src_virt + cursor, chunk_size
-            )
-            try:
-                yield from mailbox.send(msg, payload)
-            except (LinkDownError, PeerUnreachableError) as exc:
-                if not self.fault_aware \
-                        or attempt >= self.config.max_retries:
-                    raise PeerUnreachableError(
-                        f"{self.name}: put to PE {pe} failed at byte "
-                        f"{cursor}/{nbytes}: {exc}"
-                    ) from exc
-                attempt += 1
-                self.retries += 1
-                # Bounded retry backoff (max_retries), not a blocking wait.
-                yield self.env.timeout(  # lint: skip
-                    self.config.retry_backoff_us * (2 ** (attempt - 1)))
-                continue
-            cursor += chunk_size
-            attempt = 0
-
-    def _put_inline(self, dest: SymAddr, src_virt: int, nbytes: int,
-                    pe: int, traversed: Optional[list] = None) -> Generator:
-        """Fastpath small Put: payload inside a bypass slot header.
-
-        One PIO store publishes header and payload together — no window
-        write, no DMA setup/descriptor/completion, no ScratchPad walk.
-        Flow control (slot held until the receiver's ACK) is unchanged, so
-        ``quiet()`` still covers inline traffic.
-        """
-        attempt = 0
-        while True:
-            route = self.route_to(pe)
-            if traversed is not None and route.hops > traversed[0]:
-                traversed[0] = route.hops
-            link = self.link_for(route.direction)
-            mailbox = link.bypass_mailbox
-            kind = MsgKind.PUT_DATA if route.hops == 1 else MsgKind.PUT_FWD
-            msg = Message(
-                kind=kind, mode=Mode.MEMCPY,
-                src_pe=self.my_pe_id, dest_pe=pe,
-                offset=dest.offset, size=nbytes,
-                seq=mailbox.next_seq(), flags=FLAG_INLINE,
-            )
-            data = self.host.read_user(src_virt, nbytes)
-            try:
-                yield from mailbox.send_inline(msg, data)
+        with self._op("put", f"{mode.name}.{nbytes}B", f"put.{mode.name}",
+                      f".{size_label(nbytes)}", peer=pe, nbytes=nbytes,
+                      mode=mode.name) as traversed:
+            if self.san is not None:
+                self.san.record_write(self.my_pe_id, pe, dest.offset,
+                                      nbytes, "put", self.env.now)
+            if pe == self.my_pe_id:
+                # Local put: a plain memcpy into our own heap.
+                yield from self.host.cpu.local_memcpy(nbytes)
+                data = self.host.read_user(src_virt, nbytes)
+                self.deliver_to_heap(dest.offset, data)
                 return
-            except (LinkDownError, PeerUnreachableError) as exc:
-                if not self.fault_aware \
-                        or attempt >= self.config.max_retries:
-                    raise PeerUnreachableError(
-                        f"{self.name}: inline put to PE {pe} failed: {exc}"
-                    ) from exc
-                attempt += 1
-                self.retries += 1
-                # Bounded retry backoff (max_retries), not a blocking wait.
-                yield self.env.timeout(  # lint: skip
-                    self.config.retry_backoff_us * (2 ** (attempt - 1)))
+            # Fastpath lever 4: one PIO store publishes header and a tiny
+            # payload together — no window write, no DMA setup/descriptor/
+            # completion, no ScratchPad walk.  Flow control (slot held
+            # until the receiver's ACK) is unchanged, so ``quiet()`` still
+            # covers inline traffic.
+            fp = self.config.fastpath
+            inline = (fp is not None and allow_inline
+                      and 0 < nbytes <= fp.inline_max)
+            cursor = 0
+            while cursor < nbytes:
+                cursor += yield from self._remote_attempt(
+                    pe, f"put to PE {pe} at byte {cursor}/{nbytes}",
+                    traversed, self._put_chunk, dest, src_virt, nbytes, pe,
+                    mode, cursor, inline)
+
+    def _put_chunk(self, route: Route, link: LinkEnd, dest: SymAddr,
+                   src_virt: int, nbytes: int, pe: int, mode: Mode,
+                   cursor: int, inline: bool) -> Generator:
+        """Hand the next chunk of a Put to the first hop; returns its
+        size.  The chunk limit follows the route — a rerouted chunk must
+        fit the bypass slot, not the neighbor's data window."""
+        if inline:
+            mailbox, limit, mode = link.bypass_mailbox, nbytes, Mode.MEMCPY
+        elif route.hops == 1:
+            mailbox, limit = link.data_mailbox, self.config.rx_data_size
+        else:
+            mailbox, limit = link.bypass_mailbox, self.config.fwd_chunk
+        size = min(limit, nbytes - cursor)
+        msg = Message(
+            kind=MsgKind.PUT_DATA if route.hops == 1 else MsgKind.PUT_FWD,
+            mode=mode, src_pe=self.my_pe_id, dest_pe=pe,
+            offset=dest.offset + cursor, size=size, seq=mailbox.next_seq(),
+            flags=FLAG_INLINE if inline else 0,
+        )
+        if inline:
+            yield from mailbox.send_inline(
+                msg, self.host.read_user(src_virt + cursor, size))
+        else:
+            yield from mailbox.send(msg, PayloadSource.from_user(
+                self.host, src_virt + cursor, size))
+        return size
 
     # ------------------------------------------------------------------- get
     def get(self, src: SymAddr, nbytes: int, pe: int, dest_virt: int,
@@ -1153,108 +672,66 @@ class ShmemRuntime:
         if nbytes <= 0:
             raise TransferError(f"get size must be positive, got {nbytes}")
         self.get_count += 1
-        hops = 0 if pe == self.my_pe_id else self.route_to(pe).hops
-        # Keyed by the actually-traversed hop count (see put()).
-        traversed = [hops]
-        op_start = self.env.now
-        try:
-            with self.scope.span("get", category="op", track=self.name,
-                                 pe=self.my_pe_id, peer=pe, nbytes=nbytes,
-                                 mode=mode.name, hops=hops) as op_span:
-                if self.san is not None:
-                    self.san.record_read(self.my_pe_id, pe, src.offset,
-                                         nbytes, "get", self.env.now)
-                yield from self._get_inner(src, nbytes, pe, dest_virt, mode,
-                                           traversed=traversed)
-                if op_span is not None:
-                    op_span.args["hops"] = traversed[0]
-        finally:
-            self.tracer.observe(f"{self.name}.get_us",
-                                self.env.now - op_start)
-            self.tracer.count(f"{self.name}.get", nbytes=nbytes)
-            self.scope.hist.observe(
-                f"get.{mode.name}.{nbytes}B.{traversed[0]}hop",
-                self.env.now - op_start,
-            )
-            self.metrics.inc(f"get.{mode.name}", nbytes=nbytes)
-            self.metrics_registry.observe(
-                f"get_us.{size_label(nbytes)}.{traversed[0]}hop",
-                self.env.now - op_start)
-
-    def _get_inner(self, src: SymAddr, nbytes: int, pe: int,
-                   dest_virt: int, mode: Mode,
-                   traversed: Optional[list] = None) -> Generator:
-        if pe == self.my_pe_id:
-            yield from self.host.cpu.local_memcpy(nbytes)
-            data = self.heap.read(src, nbytes)
-            self.host.write_user(dest_virt, data)
-            return
-        # Requester-driven chunking: one GET_REQ per get_chunk, each chunk
-        # completing end-to-end before the next request is issued.  This
-        # serialization across the whole path is what makes Get latency
-        # proportional to hop count (Fig. 9(b)): every chunk pays the full
-        # request + response traversal of the ring.  The fastpath's
-        # streaming Get sends a single request for the whole transfer —
-        # the owner's responder already streams get_chunk-sized pieces
-        # back-to-back, so the request round trip is paid once.
-        fp = self.config.fastpath
-        req_chunk = nbytes if (fp is not None and fp.streaming_get) \
-            else self.config.get_chunk
-        for chunk_off, chunk_size in chunk_ranges(nbytes, req_chunk):
-            yield from self._get_chunk(src, pe, dest_virt, mode,
-                                       chunk_off, chunk_size,
-                                       traversed=traversed)
-
-    def _get_chunk(self, src: SymAddr, pe: int, dest_virt: int, mode: Mode,
-                   chunk_off: int, chunk_size: int,
-                   traversed: Optional[list] = None) -> Generator:
-        """One GET_REQ round trip, with retry: a Get is an idempotent
-        read, so a chunk lost to a dead link is simply re-requested over
-        whatever route is currently live."""
-        attempt = 0
-        while True:
-            route = self.route_to(pe)
-            if traversed is not None and route.hops > traversed[0]:
-                traversed[0] = route.hops
-            link = self.link_for(route.direction)
-            req_id = self.next_req_id()
-            pending = PendingGet(
-                req_id=req_id, dest_virt=dest_virt + chunk_off,
-                nbytes=chunk_size, mode=mode,
-                done=self.env.event(), started_at=self.env.now,
-                pe=pe, direction=route.direction, hops=route.hops,
-            )
-            self.pending_gets[req_id] = pending
-            msg = Message(
-                kind=MsgKind.GET_REQ, mode=mode,
-                src_pe=self.my_pe_id, dest_pe=pe,
-                offset=src.offset + chunk_off, size=chunk_size, aux=req_id,
-                seq=link.data_mailbox.next_seq(),
-            )
-            try:
-                yield from link.data_mailbox.send(msg)
-                yield from remote_wait(self, pending.done,
-                                       what=f"get request {req_id}",
-                                       peer=pe)
+        with self._op("get", f"{mode.name}.{nbytes}B", f"get.{mode.name}",
+                      f".{size_label(nbytes)}", peer=pe, nbytes=nbytes,
+                      mode=mode.name) as traversed:
+            if self.san is not None:
+                self.san.record_read(self.my_pe_id, pe, src.offset,
+                                     nbytes, "get", self.env.now)
+            if pe == self.my_pe_id:
+                yield from self.host.cpu.local_memcpy(nbytes)
+                data = self.heap.read(src, nbytes)
+                self.host.write_user(dest_virt, data)
                 return
-            except (LinkDownError, PeerUnreachableError) as exc:
-                if not self.fault_aware \
-                        or attempt >= self.config.max_retries:
-                    raise PeerUnreachableError(
-                        f"{self.name}: get chunk at +{chunk_off} from PE "
-                        f"{pe} failed: {exc}"
-                    ) from exc
-                attempt += 1
-                self.retries += 1
-            finally:
-                # The pending table drains no matter how the chunk ends;
-                # a straggler response for a retired req_id is tolerated
-                # (and dropped) by the service thread.
-                self.pending_gets.pop(req_id, None)
-                self.notify_progress()
-            # Bounded retry backoff (max_retries), not a blocking wait.
-            yield self.env.timeout(  # lint: skip
-                self.config.retry_backoff_us * (2 ** (attempt - 1)))
+            # Requester-driven chunking: one GET_REQ per get_chunk, each
+            # chunk completing end-to-end before the next request is
+            # issued.  This serialization across the whole path is what
+            # makes Get latency proportional to hop count (Fig. 9(b)):
+            # every chunk pays the full request + response traversal of
+            # the ring.  The fastpath's streaming Get sends a single
+            # request for the whole transfer — the owner's responder
+            # already streams get_chunk-sized pieces back-to-back, so the
+            # request round trip is paid once.
+            fp = self.config.fastpath
+            req_chunk = nbytes if (fp is not None and fp.streaming_get) \
+                else self.config.get_chunk
+            for chunk_off, chunk_size in chunk_ranges(nbytes, req_chunk):
+                yield from self._remote_attempt(
+                    pe, f"get chunk at +{chunk_off} from PE {pe}", traversed,
+                    self._get_chunk, src, pe, dest_virt, mode, chunk_off,
+                    chunk_size)
+
+    def _get_chunk(self, route: Route, link: LinkEnd, src: SymAddr, pe: int,
+                   dest_virt: int, mode: Mode, chunk_off: int,
+                   chunk_size: int) -> Generator:
+        """One GET_REQ round trip.  A Get is an idempotent read, so the
+        whole round trip is the retried attempt: a chunk lost to a dead
+        link is simply re-requested over whatever route is currently
+        live."""
+        req_id = self.next_req_id()
+        pending = PendingGet(
+            req_id=req_id, dest_virt=dest_virt + chunk_off,
+            nbytes=chunk_size, mode=mode,
+            done=self.env.event(), started_at=self.env.now,
+            pe=pe, direction=route.direction, hops=route.hops,
+        )
+        self.pending_gets[req_id] = pending
+        msg = Message(
+            kind=MsgKind.GET_REQ, mode=mode,
+            src_pe=self.my_pe_id, dest_pe=pe,
+            offset=src.offset + chunk_off, size=chunk_size, aux=req_id,
+            seq=link.data_mailbox.next_seq(),
+        )
+        try:
+            yield from link.data_mailbox.send(msg)
+            yield from remote_wait(self, pending.done,
+                                   what=f"get request {req_id}", peer=pe)
+        finally:
+            # The pending table drains no matter how the chunk ends;
+            # a straggler response for a retired req_id is tolerated
+            # (and dropped) by the service thread.
+            self.pending_gets.pop(req_id, None)
+            self.notify_progress()
 
     # ------------------------------------------------------------------- amo
     def amo(self, pe: int, target: SymAddr, op: int, value: int = 0,
@@ -1269,106 +746,68 @@ class ShmemRuntime:
         if op not in AmoOp.ALL:
             raise TransferError(f"unknown AMO op {op}")
         self.amo_count += 1
-        hops = 0 if pe == self.my_pe_id else self.route_to(pe).hops
-        # Keyed by the actually-traversed hop count (see put()).
-        traversed = [hops]
-        op_start = self.env.now
-        try:
-            with self.scope.span("amo", category="op", track=self.name,
-                                 pe=self.my_pe_id, peer=pe, op=op,
-                                 hops=hops) as op_span:
-                if self.san is not None:
-                    self.san.record_atomic(self.my_pe_id, pe, target.offset,
-                                           8, f"amo:{op}", self.env.now)
-                old = yield from self._amo_inner(pe, target, op, value,
-                                                 compare, traversed=traversed)
-                if op_span is not None:
-                    op_span.args["hops"] = traversed[0]
-        finally:
-            self.metrics.inc(f"amo.{AmoOp.NAMES[op]}")
-            self.metrics_registry.observe(
-                f"amo_us.{traversed[0]}hop", self.env.now - op_start)
-        return old
-
-    def _amo_inner(self, pe: int, target: SymAddr, op: int, value: int,
-                   compare: int,
-                   traversed: Optional[list] = None) -> Generator:
-        if pe == self.my_pe_id:
-            # Local fast path still serializes through the service thread
-            # for atomicity with concurrent remote AMOs.
+        name = AmoOp.NAMES[op]
+        with self._op("amo", name, f"amo.{name}", peer=pe,
+                      op=op) as traversed:
+            if self.san is not None:
+                self.san.record_atomic(self.my_pe_id, pe, target.offset,
+                                       8, f"amo:{op}", self.env.now)
             assert self.service is not None
-            old = yield from self.service.apply_amo_local(
-                target.offset, op, value, compare
-            )
-            return old
-        fp = self.config.fastpath
-        inline = fp is not None and fp.inline_max >= struct.calcsize(
-            _AMO_REQ_FMT)
-        attempt = 0
-        while True:
-            route = self.route_to(pe)
-            if traversed is not None and route.hops > traversed[0]:
-                traversed[0] = route.hops
-            link = self.link_for(route.direction)
-            req_id = self.next_req_id()
-            pending = PendingAmo(req_id=req_id, done=self.env.event(),
-                                 started_at=self.env.now, pe=pe,
-                                 direction=route.direction, hops=route.hops)
-            self.pending_amos[req_id] = pending
-            operand = struct.pack(_AMO_REQ_FMT, op, 0, value, compare)
+            if pe == self.my_pe_id:
+                # Local fast path still serializes through the service
+                # thread for atomicity with concurrent remote AMOs.
+                return (yield from self.service.apply_amo_local(
+                    target.offset, op, value, compare))
+            # At-most-once: only the request hand-off is retried.  A send
+            # that failed never rang the doorbell, so the owner never saw
+            # the request and retrying cannot double-apply; a reply lost
+            # *after* the send may mean the atomic was applied, so the
+            # wait below is outside the loop and its failure is final.
+            pending = yield from self._remote_attempt(
+                pe, f"amo request to PE {pe}", traversed,
+                self._amo_request, pe, target,
+                struct.pack(AMO_REQ_FMT, op, 0, value, compare))
             try:
-                if inline:
-                    # Fastpath: the 24-byte operand rides inline in a
-                    # bypass slot header — one PIO store, no DMA.
-                    msg = Message(
-                        kind=MsgKind.AMO_REQ, mode=Mode.MEMCPY,
-                        src_pe=self.my_pe_id, dest_pe=pe,
-                        offset=target.offset, size=len(operand), aux=req_id,
-                        seq=link.bypass_mailbox.next_seq(),
-                        flags=FLAG_INLINE,
-                    )
-                    yield from link.bypass_mailbox.send_inline(
-                        msg, np.frombuffer(operand, dtype=np.uint8))
-                else:
-                    assert self._amo_tx is not None
-                    self.host.memory.write(self._amo_tx.phys, np.frombuffer(
-                        operand, dtype=np.uint8))
-                    msg = Message(
-                        kind=MsgKind.AMO_REQ, mode=Mode.DMA,
-                        src_pe=self.my_pe_id, dest_pe=pe,
-                        offset=target.offset, size=len(operand), aux=req_id,
-                        seq=link.data_mailbox.next_seq(),
-                    )
-                    payload = PayloadSource.from_pinned(
-                        self.host, self._amo_tx, 0, len(operand)
-                    )
-                    yield from link.data_mailbox.send(msg, payload)
-            except (LinkDownError, PeerUnreachableError) as exc:
-                # The send failed before the doorbell rang, so the owner
-                # never saw the request: retrying cannot double-apply.
-                self.pending_amos.pop(req_id, None)
-                self.notify_progress()
-                if not self.fault_aware \
-                        or attempt >= self.config.max_retries:
-                    raise PeerUnreachableError(
-                        f"{self.name}: amo request to PE {pe} failed: {exc}"
-                    ) from exc
-                attempt += 1
-                self.retries += 1
-                # Bounded retry backoff (max_retries), not a blocking wait.
-                yield self.env.timeout(  # lint: skip
-                    self.config.retry_backoff_us * (2 ** (attempt - 1)))
-                continue
-            try:
-                # A reply lost *after* the send may mean the atomic was
-                # applied: never retry past this point (at-most-once).
-                old = yield from remote_wait(self, pending.done,
-                                             what=f"amo request {req_id}",
-                                             peer=pe)
-                return old
+                return (yield from remote_wait(
+                    self, pending.done,
+                    what=f"amo request {pending.req_id}", peer=pe))
             finally:
-                self.pending_amos.pop(req_id, None)
+                self.pending_amos.pop(pending.req_id, None)
                 self.notify_progress()
+
+    def _amo_request(self, route: Route, link: LinkEnd, pe: int,
+                     target: SymAddr, operand: bytes) -> Generator:
+        """Register a pending AMO and hand its request to the first hop."""
+        req_id = self.next_req_id()
+        pending = PendingAmo(req_id=req_id, done=self.env.event(),
+                             started_at=self.env.now, pe=pe,
+                             direction=route.direction, hops=route.hops)
+        self.pending_amos[req_id] = pending
+        fp = self.config.fastpath
+        # Fastpath: the 24-byte operand rides inline in a bypass slot
+        # header — one PIO store, no DMA.
+        inline = fp is not None and fp.inline_max >= len(operand)
+        mailbox = link.bypass_mailbox if inline else link.data_mailbox
+        msg = Message(
+            kind=MsgKind.AMO_REQ, mode=Mode.MEMCPY if inline else Mode.DMA,
+            src_pe=self.my_pe_id, dest_pe=pe,
+            offset=target.offset, size=len(operand), aux=req_id,
+            seq=mailbox.next_seq(), flags=FLAG_INLINE if inline else 0,
+        )
+        data = np.frombuffer(operand, dtype=np.uint8)
+        try:
+            if inline:
+                yield from mailbox.send_inline(msg, data)
+            else:
+                assert self._amo_tx is not None
+                self.host.memory.write(self._amo_tx.phys, data)
+                yield from mailbox.send(msg, PayloadSource.from_pinned(
+                    self.host, self._amo_tx, 0, len(operand)))
+        except (LinkDownError, PeerUnreachableError):
+            self.pending_amos.pop(req_id, None)
+            self.notify_progress()
+            raise
+        return pending
 
     # ------------------------------------------------------------ non-blocking
     def put_nbi(self, dest: SymAddr, src_virt: int, nbytes: int, pe: int,
@@ -1522,24 +961,16 @@ class ShmemRuntime:
     def barrier_all(self) -> Generator:
         """``shmem_barrier_all()`` — quiesce, then run the strategy."""
         self._check_ready()
-        op_start = self.env.now
-        with self.scope.span("barrier", category="op", track=self.name,
-                             pe=self.my_pe_id,
-                             strategy=self.barrier.name):
+        assert self.barrier is not None
+        strategy = self.barrier.name
+        with self._op("barrier", strategy, "barriers", f".{strategy}",
+                      strategy=strategy):
             yield from self.quiet()
             if self.san is not None:
                 self.san.barrier_enter(self.my_pe_id)
-            assert self.barrier is not None
             yield from self.barrier.wait()
             if self.san is not None:
                 self.san.barrier_exit(self.my_pe_id)
-        self.tracer.observe(f"{self.name}.barrier_us",
-                            self.env.now - op_start)
-        self.scope.hist.observe(f"barrier.{self.barrier.name}",
-                                self.env.now - op_start)
-        self.metrics.inc("barriers")
-        self.metrics_registry.observe(
-            f"barrier_us.{self.barrier.name}", self.env.now - op_start)
 
     # ------------------------------------------------------------------ misc
     def malloc(self, nbytes: int) -> Generator:

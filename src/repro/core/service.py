@@ -29,7 +29,11 @@ from ..host import KernelThread
 from ..ntb import LinkDownError
 from .errors import PeerUnreachableError, ProtocolError
 from .heap import SymAddr
+from . import linkstate
 from .transfer import (
+    AMO_REQ_FMT,
+    AMO_RESP_FMT,
+    AmoOp,
     FLAG_INLINE,
     INLINE_PAYLOAD_OFFSET,
     Message,
@@ -43,13 +47,12 @@ from .transfer import (
 from .waits import REPOLL, poll_wait
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .runtime import LinkEnd, ShmemRuntime
+    from .links import LinkEnd
+    from .runtime import ShmemRuntime
 
 __all__ = ["ShmemService"]
 
-_AMO_REQ_FMT = "<IIqq"
-_AMO_RESP_FMT = "<q"
-_AMO_REQ_BYTES = struct.calcsize(_AMO_REQ_FMT)
+_AMO_REQ_BYTES = struct.calcsize(AMO_REQ_FMT)
 
 #: CPU cost of one atomic read-modify-write on the heap (µs).
 _AMO_APPLY_US = 0.5
@@ -61,8 +64,6 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 def _amo_compute(op: int, old: int, value: int, compare: int) -> int:
     """Pure AMO arithmetic on signed 64-bit cells."""
-    from .runtime import AmoOp  # local import avoids cycle
-
     if op == AmoOp.FETCH:
         return old
     if op == AmoOp.SET:
@@ -286,7 +287,7 @@ class ShmemService:
             if msg.dest_pe == me:
                 self._spawn_responder(msg, reply_side=link.side)
             else:
-                yield from self._forward_control(msg, link)
+                self._forward_control(msg, link)
             return
 
         if kind is MsgKind.GET_RESP:
@@ -320,21 +321,21 @@ class ShmemService:
                 assert rt.barrier is not None
                 rt.barrier.on_notify(msg)
             else:
-                yield from self._forward_control(msg, link)
+                self._forward_control(msg, link)
             return
 
         if kind in (MsgKind.LINK_DOWN, MsgKind.LINK_UP):
             # Control flood from a dead edge's endpoint (see
-            # ShmemRuntime._announce_link_state): apply locally, then
+            # linkstate.announce_link_state): apply locally, then
             # relay onward in the same direction until the far endpoint.
             yield from self._ack(link, channel)
             edge = ((msg.aux >> 8) & 0xFF, msg.aux & 0xFF)
             if kind is MsgKind.LINK_DOWN:
-                rt.apply_edge_dead(edge)
+                linkstate.apply_edge_dead(rt, edge)
             else:
-                rt.apply_edge_alive(edge)
+                linkstate.apply_edge_alive(rt, edge)
             if msg.dest_pe != me:
-                yield from self._forward_control(msg, link)
+                self._forward_control(msg, link)
             return
 
         raise ProtocolError(f"{rt.name}: unhandled kind {kind!r}")
@@ -400,7 +401,7 @@ class ShmemService:
                 f"{rt.name}: AMO_RESP for unknown request {msg.aux}"
             )
         raw = rt.host.memory.read_bytes(payload_phys, 8)
-        (old,) = struct.unpack(_AMO_RESP_FMT, raw)
+        (old,) = struct.unpack(AMO_RESP_FMT, raw)
         yield from self._ack(link, channel)
         if not pending.done.triggered:
             pending.done.succeed(old)
@@ -447,8 +448,7 @@ class ShmemService:
             # No live way onward from this relay: ACK and drop, exactly
             # like the dead-edge branch below.
             yield from self._ack(in_link, channel)
-            self.dropped_forwards += 1
-            rt.tracer.count(f"{rt.name}.fwd_dropped")
+            self._drop_forward()
             return
         next_pe = rt.neighbor_pe(out_link.direction)
         if rt.dead_edges and out_link.edge in rt.dead_edges:
@@ -457,8 +457,7 @@ class ShmemService:
             # and drop the chunk.  End-to-end recovery is the
             # requester's job (retry / reroute / typed error).
             yield from self._ack(in_link, channel)
-            self.dropped_forwards += 1
-            rt.tracer.count(f"{rt.name}.fwd_dropped")
+            self._drop_forward()
             return
         with rt.scope.span("bypass_forward", category="service",
                            track=f"{rt.name}.service", nbytes=msg.size,
@@ -471,45 +470,53 @@ class ShmemService:
             yield from self._ack(in_link, channel)
             self._spawn_task(msg, out_link, next_pe, staging)
 
+    def _drop_forward(self) -> None:
+        """Count a relayed message this host gave up on.  Posted-write
+        semantics: it is simply lost; end-to-end recovery is the
+        requester's job (retry / reroute / typed error)."""
+        self.dropped_forwards += 1
+        self.rt.tracer.count(f"{self.rt.name}.fwd_dropped")
+
     def _send_onward(self, msg: Message, out_link: "LinkEnd",
                      next_pe: Optional[int],
-                     payload: Optional[PayloadSource]) -> Generator:
+                     payload: Optional[PayloadSource],
+                     inline: Optional[np.ndarray] = None) -> Generator:
         """Pick the delivery window for the next hop and transmit."""
         rt = self.rt
         if next_pe is None:
             raise ProtocolError(f"{rt.name}: forwarding off the chain end")
         final_leg = next_pe == msg.dest_pe
-        if payload is None or msg.kind in (
-                MsgKind.GET_REQ, MsgKind.AMO_REQ, MsgKind.AMO_RESP,
-                MsgKind.BARRIER_MSG) or final_leg:
-            # Control traffic and final-hop payloads go through the data
-            # window; re-tag transit Puts for final delivery.
-            kind = MsgKind.PUT_DATA if (
-                msg.kind in (MsgKind.PUT_DATA, MsgKind.PUT_FWD) and final_leg
-            ) else msg.kind
-            out = Message(
-                kind=kind, mode=msg.mode, src_pe=msg.src_pe,
-                dest_pe=msg.dest_pe, offset=msg.offset, size=msg.size,
-                aux=msg.aux, seq=out_link.data_mailbox.next_seq(),
-            )
-            yield from out_link.data_mailbox.send(out, payload, relay=True)
+        kind = msg.kind
+        if kind in (MsgKind.PUT_DATA, MsgKind.PUT_FWD):
+            # Re-tag transit Puts for final delivery.
+            kind = MsgKind.PUT_DATA if final_leg else MsgKind.PUT_FWD
+        # Control traffic and final-hop payloads go through the data
+        # window, transit payloads through the bypass window; a payload
+        # that arrived in a slot header (fastpath inline) leaves in one —
+        # the relay skips DMA exactly like the first hop did.
+        control = payload is None or kind in (
+            MsgKind.GET_REQ, MsgKind.AMO_REQ, MsgKind.AMO_RESP,
+            MsgKind.BARRIER_MSG)
+        if inline is None and (control or final_leg):
+            mailbox = out_link.data_mailbox
         else:
-            out = Message(
-                kind=msg.kind if msg.kind is not MsgKind.PUT_DATA
-                else MsgKind.PUT_FWD,
-                mode=msg.mode, src_pe=msg.src_pe, dest_pe=msg.dest_pe,
-                offset=msg.offset, size=msg.size, aux=msg.aux,
-                seq=out_link.bypass_mailbox.next_seq(),
-            )
-            assert payload is not None
-            yield from out_link.bypass_mailbox.send(out, payload, relay=True)
+            mailbox = out_link.bypass_mailbox
+        out = Message(
+            kind=kind, mode=msg.mode, src_pe=msg.src_pe,
+            dest_pe=msg.dest_pe, offset=msg.offset, size=msg.size,
+            aux=msg.aux, seq=mailbox.next_seq(),
+            flags=0 if inline is None else FLAG_INLINE,
+        )
+        if inline is not None:
+            yield from mailbox.send_inline(out, inline, relay=True)
+        else:
+            yield from mailbox.send(out, payload, relay=True)
 
-    def _forward_control(self, msg: Message, in_link: "LinkEnd") -> Generator:
+    def _forward_control(self, msg: Message, in_link: "LinkEnd") -> None:
         try:
             out_link = self._out_link(in_link, msg.dest_pe)
         except NoRouteError:
-            self.dropped_forwards += 1
-            self.rt.tracer.count(f"{self.rt.name}.fwd_dropped")
+            self._drop_forward()
             return
         next_pe = self.rt.neighbor_pe(out_link.direction)
         dedup = None
@@ -527,12 +534,10 @@ class ShmemService:
                 return
             self._queued_ctrl_fwds.add(dedup)
         self._spawn_task(msg, out_link, next_pe, staging=None, dedup=dedup)
-        return
-        yield  # pragma: no cover - keeps this a generator
 
     def _spawn_task(self, msg: Message, out_link: "LinkEnd",
                     next_pe: Optional[int],
-                    staging, dedup=None) -> None:
+                    staging, dedup=None, inline=None) -> None:
         """Detach an onward send so the service thread cannot deadlock.
 
         Ordering: tasks are spawned in arrival order and a send's first
@@ -545,7 +550,8 @@ class ShmemService:
         else:
             self.active_forwards += 1
         task = self.env.process(
-            self._onward_task(msg, out_link, next_pe, staging, dedup, ctrl),
+            self._onward_task(msg, out_link, next_pe, staging, dedup, ctrl,
+                              inline),
             name=f"{self.rt.name}.fwd.{msg.kind.name}",
         )
         # Seed the detached task so its spans stay in this message's tree.
@@ -553,7 +559,8 @@ class ShmemService:
 
     def _onward_task(self, msg: Message, out_link: "LinkEnd",
                      next_pe: Optional[int], staging,
-                     dedup=None, ctrl: bool = False) -> Generator:
+                     dedup=None, ctrl: bool = False,
+                     inline=None) -> Generator:
         try:
             if ctrl:
                 # A relayed ARRIVE/RELEASE must not overtake data chunks
@@ -573,14 +580,13 @@ class ShmemService:
                     payload = PayloadSource.from_pinned(
                         self.rt.host, staging, 0, msg.size
                     )
-                yield from self._send_onward(msg, out_link, next_pe, payload)
+                yield from self._send_onward(msg, out_link, next_pe, payload,
+                                             inline)
         except (LinkDownError, PeerUnreachableError):
-            # Posted-write semantics: a chunk in flight when the cable
-            # died is simply lost.  This task is detached — letting the
-            # exception escape would crash the whole simulation, not
-            # just this transfer.
-            self.dropped_forwards += 1
-            self.rt.tracer.count(f"{self.rt.name}.fwd_dropped")
+            # A chunk in flight when the cable died.  This task is
+            # detached — letting the exception escape would crash the
+            # whole simulation, not just this transfer.
+            self._drop_forward()
         finally:
             if dedup is not None:
                 self._queued_ctrl_fwds.discard(dedup)
@@ -648,7 +654,7 @@ class ShmemService:
                            track=f"{rt.name}.service",
                            requester=msg.src_pe):
             raw = rt.host.memory.read_bytes(payload_phys, _AMO_REQ_BYTES)
-            op, _dtype, value, compare = struct.unpack(_AMO_REQ_FMT, raw)
+            op, _dtype, value, compare = struct.unpack(AMO_REQ_FMT, raw)
             yield from self._ack(link, channel)
             old = yield from self.apply_amo_local(msg.offset, op, value,
                                                   compare)
@@ -658,7 +664,7 @@ class ShmemService:
             staging = rt.host.alloc_pinned(64)
             rt.host.memory.write(
                 staging.phys,
-                np.frombuffer(struct.pack(_AMO_RESP_FMT, old),
+                np.frombuffer(struct.pack(AMO_RESP_FMT, old),
                               dtype=np.uint8),
             )
             resp = Message(

@@ -49,6 +49,9 @@ from .errors import ProtocolError, TransferError
 
 __all__ = [
     "MsgKind",
+    "AmoOp",
+    "AMO_REQ_FMT",
+    "AMO_RESP_FMT",
     "Mode",
     "Message",
     "pack_message",
@@ -70,6 +73,7 @@ __all__ = [
     "INLINE_PAYLOAD_OFFSET",
     "INLINE_MAX_BYTES",
     "FLAG_INLINE",
+    "CHAIN_CHUNK_BYTES",
 ]
 
 # Doorbell bit map (see module docstring).
@@ -103,6 +107,10 @@ INLINE_MAX_BYTES = SLOT_HEADER_BYTES - INLINE_PAYLOAD_OFFSET
 #: decode path is part of the base wire protocol so mixed rings interop.
 FLAG_INLINE = 0x1
 
+#: Default descriptor granularity of a staged chained DMA (the fastpath
+#: config's ``chain_chunk`` overrides it per mailbox).
+CHAIN_CHUNK_BYTES = 128 * 1024
+
 
 class MsgKind(enum.IntEnum):
     """Message kinds carried in the header."""
@@ -130,6 +138,31 @@ class MsgKind(enum.IntEnum):
     def carries_payload(self) -> bool:
         return self in (MsgKind.PUT_DATA, MsgKind.PUT_FWD, MsgKind.GET_RESP,
                         MsgKind.AMO_REQ, MsgKind.AMO_RESP)
+
+
+class AmoOp:
+    """Remote atomic operation codes (served by the owner's service thread,
+    which is single-threaded per host — that is what makes them atomic)."""
+
+    FETCH = 0
+    SET = 1
+    ADD = 2          # fetch-and-add
+    COMPARE_SWAP = 3
+    AND = 4
+    OR = 5
+    XOR = 6
+
+    ALL = (FETCH, SET, ADD, COMPARE_SWAP, AND, OR, XOR)
+    #: metric-key spellings (pe0.amo.ADD, not pe0.amo.2).
+    NAMES = {FETCH: "FETCH", SET: "SET", ADD: "ADD",
+             COMPARE_SWAP: "COMPARE_SWAP", AND: "AND", OR: "OR",
+             XOR: "XOR"}
+
+
+#: AMO operand wire format: op(u32) dtype-code(u32) value(i64) compare(i64);
+#: the reply carries the old value.
+AMO_REQ_FMT = "<IIqq"
+AMO_RESP_FMT = "<q"
 
 
 class Mode(enum.IntEnum):
@@ -288,10 +321,15 @@ class _MailboxBase:
     """Shared flow-control plumbing: a slot pool + FIFO ACK releases."""
 
     def __init__(self, env: Environment, driver: NtbDriver, name: str,
-                 capacity: int):
+                 capacity: int, staging: Optional[PinnedBuffer] = None):
         self.env = env
         self.driver = driver
         self.name = name
+        #: pinned TX staging buffer (fastpath lever 2; None = DMA straight
+        #: from the source) and the descriptor granularity of its chain.
+        #: Whoever allocated the buffer frees it.
+        self.staging = staging
+        self.chain_chunk = CHAIN_CHUNK_BYTES
         self._slots = Resource(env, capacity=capacity, name=f"{name}.slots")
         self._outstanding: deque = deque()
         #: slot requests issued with ``relay=True`` (store-and-forward
@@ -312,6 +350,7 @@ class _MailboxBase:
         self.acked_count = 0
         self.failed_count = 0
         self.inline_count = 0
+        self.staged_sends = 0
 
     def next_seq(self) -> int:
         self._seq = (self._seq + 1) & 0xFF
@@ -361,6 +400,69 @@ class _MailboxBase:
             self.failed_count += 1
             self.on_progress()
 
+    def _transmit(self, msg: Message, relay: bool,
+                  publish: Generator) -> Generator:
+        """The one send path: wait for a slot, run ``publish`` (the
+        channel's payload + header + doorbell hand-off), take the slot
+        back if that fails.  The slot itself is released by the peer's
+        ACK doorbell (:meth:`on_ack`), not here."""
+        scope = self.driver.scope
+        scope.bind_msg(msg, scope.current_span_id())
+        with scope.span("slot_wait", category="mailbox", track=self.name):
+            request = self._slots.request()
+            if relay:
+                self._relay_reqs.add(request)
+            try:
+                yield request
+            except BaseException:
+                self._relay_reqs.discard(request)
+                raise
+        self._outstanding.append(request)
+        try:
+            yield from publish
+        except BaseException:
+            self._reclaim(request)
+            raise
+        self.sent_count += 1
+
+    def _write_window(self, window: int, offset: int, mode: Mode,
+                      payload: PayloadSource) -> Generator:
+        """Move one payload into the peer's memory window.
+
+        With a staging buffer (fastpath lever 2), DMA sends from *paged*
+        user memory are first memcpy'd there (cached rate), then DMA'd as
+        a chained ring of large contiguous descriptors.  Reuse is safe
+        because both mailboxes serialize payload writes (capacity-1 slot
+        for the data mailbox, the TX lock for the bypass mailbox) and the
+        staged bytes are on the wire before the send routine moves on.
+        """
+        if mode is not Mode.DMA:
+            yield from self.driver.pio_window_write(window, offset,
+                                                    payload.data())
+            return
+        staging = self.staging
+        # Staging only pays when it collapses descriptors: a payload within
+        # one page is a single descriptor either way, and the extra memcpy
+        # would make it strictly slower.
+        staged = (staging is not None and payload.virt is not None
+                  and 4096 < payload.nbytes <= staging.nbytes)
+        if staged:
+            host = self.driver.host
+            with self.driver.scope.span("stage_copy", category="mailbox",
+                                        track=self.name,
+                                        nbytes=payload.nbytes):
+                yield from host.cpu.local_memcpy(payload.nbytes)
+                host.memory.write(staging.phys, payload.data())
+            self.staged_sends += 1
+            segments = [PhysSegment(staging.phys + cursor, take)
+                        for cursor, take in chunk_ranges(payload.nbytes,
+                                                         self.chain_chunk)]
+        else:
+            segments = payload.segments()
+        dma_req = yield from self.driver.dma_write_segments(
+            window, offset, segments, chained=staged)
+        yield dma_req.done
+
     @property
     def in_flight(self) -> int:
         return len(self._outstanding)
@@ -405,8 +507,9 @@ class DataMailbox(_MailboxBase):
     """
 
     def __init__(self, env: Environment, driver: NtbDriver,
-                 spad_block: int, name: str):
-        super().__init__(env, driver, name, capacity=1)
+                 spad_block: int, name: str,
+                 staging: Optional[PinnedBuffer] = None):
+        super().__init__(env, driver, name, capacity=1, staging=staging)
         self.spad_block = spad_block
 
     def send(self, msg: Message, payload: Optional[PayloadSource] = None,
@@ -415,54 +518,33 @@ class DataMailbox(_MailboxBase):
         (payload written + header + doorbell), i.e. locally blocking.
 
         ``relay=True`` marks a store-and-forward send issued on behalf
-        of another PE; see :attr:`_MailboxBase.local_idle`.
+        of another PE; see :attr:`_MailboxBase.local_idle`.  Like the
+        bypass routines, this checks its arguments and returns the
+        :meth:`_transmit` generator for the caller to ``yield from``.
         """
         if msg.kind.carries_payload and payload is None:
             raise ProtocolError(f"{self.name}: {msg.kind.name} needs payload")
-        scope = self.driver.scope
-        scope.bind_msg(msg, scope.current_span_id())
-        with scope.span("slot_wait", category="mailbox", track=self.name):
-            request = self._slots.request()
-            if relay:
-                self._relay_reqs.add(request)
-            try:
-                yield request
-            except BaseException:
-                self._relay_reqs.discard(request)
-                raise
-        self._outstanding.append(request)
-        try:
-            if payload is not None:
-                if msg.size != payload.nbytes:
-                    raise ProtocolError(
-                        f"{self.name}: header size {msg.size} != payload "
-                        f"{payload.nbytes}"
-                    )
-                with scope.span("payload_write", category="mailbox",
-                                track=self.name, nbytes=payload.nbytes,
-                                mode=msg.mode.name):
-                    yield from self._write_payload(msg.mode, payload)
-            regs = pack_message(msg)
-            with scope.span("header_write", category="mailbox",
-                            track=self.name, kind=msg.kind.name):
-                yield from self.driver.spad_write_block(self.spad_block,
-                                                        list(regs))
-            yield from self.driver.ring_doorbell(msg.kind.doorbell_bit)
-        except BaseException:
-            self._reclaim(request)
-            raise
-        self.sent_count += 1
+        return self._transmit(msg, relay, self._publish(msg, payload))
 
-    def _write_payload(self, mode: Mode, payload: PayloadSource) -> Generator:
-        if mode is Mode.DMA:
-            dma_req = yield from self.driver.dma_write_segments(
-                DATA_WINDOW, 0, payload.segments()
-            )
-            yield dma_req.done
-        else:
-            yield from self.driver.pio_window_write(
-                DATA_WINDOW, 0, payload.data()
-            )
+    def _publish(self, msg: Message,
+                 payload: Optional[PayloadSource]) -> Generator:
+        scope = self.driver.scope
+        if payload is not None:
+            if msg.size != payload.nbytes:
+                raise ProtocolError(
+                    f"{self.name}: header size {msg.size} != payload "
+                    f"{payload.nbytes}"
+                )
+            with scope.span("payload_write", category="mailbox",
+                            track=self.name, nbytes=payload.nbytes,
+                            mode=msg.mode.name):
+                yield from self._write_window(DATA_WINDOW, 0, msg.mode,
+                                              payload)
+        with scope.span("header_write", category="mailbox",
+                        track=self.name, kind=msg.kind.name):
+            yield from self.driver.spad_write_block(
+                self.spad_block, list(pack_message(msg)))
+        yield from self.driver.ring_doorbell(msg.kind.doorbell_bit)
 
     def recv_header(self, incoming_block: int) -> Generator:
         """Receiver side: read + decode an incoming ScratchPad block.
@@ -491,12 +573,13 @@ class BypassMailbox(_MailboxBase):
     """
 
     def __init__(self, env: Environment, driver: NtbDriver,
-                 slot_payload: int, slots: int, name: str):
+                 slot_payload: int, slots: int, name: str,
+                 staging: Optional[PinnedBuffer] = None):
         if slots < 1:
             raise ProtocolError(f"{name}: need at least one bypass slot")
         if slot_payload < 1024:
             raise ProtocolError(f"{name}: bypass slot payload too small")
-        super().__init__(env, driver, name, capacity=slots)
+        super().__init__(env, driver, name, capacity=slots, staging=staging)
         self.slots = slots
         self.slot_payload = slot_payload
         self.slot_stride = SLOT_HEADER_BYTES + slot_payload
@@ -525,68 +608,7 @@ class BypassMailbox(_MailboxBase):
                 f"{self.name}: header size {msg.size} != payload "
                 f"{payload.nbytes}"
             )
-        scope = self.driver.scope
-        scope.bind_msg(msg, scope.current_span_id())
-        with scope.span("slot_wait", category="mailbox", track=self.name):
-            request = self._slots.request()
-            if relay:
-                self._relay_reqs.add(request)
-            try:
-                yield request
-            except BaseException:
-                self._relay_reqs.discard(request)
-                raise
-        self._outstanding.append(request)
-        slot = self._next_slot
-        self._next_slot = (self._next_slot + 1) % self.slots
-        base = slot * self.slot_stride
-        try:
-            with scope.span("tx_wait", category="mailbox", track=self.name,
-                            slot=slot):
-                tx = self._tx_lock.request()
-                yield tx
-            try:
-                # Payload first, header last: the header's arrival (plus the
-                # doorbell) publishes the slot, so the receiver never sees a
-                # torn message.
-                with scope.span("payload_write", category="mailbox",
-                                track=self.name, nbytes=payload.nbytes,
-                                mode=msg.mode.name, slot=slot):
-                    yield from self._write_slot_payload(msg, payload, base)
-                with scope.span("header_write", category="mailbox",
-                                track=self.name, kind=msg.kind.name,
-                                slot=slot):
-                    yield from self.driver.pio_window_write(
-                        BYPASS_WINDOW, base,
-                        np.frombuffer(pack_header_bytes(msg), dtype=np.uint8)
-                    )
-                yield from self.driver.ring_doorbell(DOORBELL_BYPASS_MSG)
-            finally:
-                self._tx_lock.release(tx)
-        except BaseException:
-            self._reclaim(request)
-            raise
-        self.sent_count += 1
-
-    def _write_slot_payload(self, msg: Message, payload: PayloadSource,
-                            base: int) -> Generator:
-        """Move one slot's payload into the peer's bypass window.
-
-        Split out of :meth:`send` so the fastpath mailbox can substitute a
-        staged chained-descriptor DMA without re-deriving the slot/flow
-        protocol around it.
-        """
-        if msg.mode is Mode.DMA:
-            dma_req = yield from self.driver.dma_write_segments(
-                BYPASS_WINDOW, base + SLOT_HEADER_BYTES,
-                payload.segments()
-            )
-            yield dma_req.done
-        else:
-            yield from self.driver.pio_window_write(
-                BYPASS_WINDOW, base + SLOT_HEADER_BYTES,
-                payload.data()
-            )
+        return self._transmit(msg, relay, self._publish(msg, payload))
 
     def send_inline(self, msg: Message, data: np.ndarray,
                     relay: bool = False) -> Generator:
@@ -609,43 +631,48 @@ class BypassMailbox(_MailboxBase):
             )
         if not (msg.flags & FLAG_INLINE):
             raise ProtocolError(f"{self.name}: send_inline needs FLAG_INLINE")
+        return self._transmit(msg, relay,
+                              self._publish(msg, None, data.tobytes()))
+
+    def _publish(self, msg: Message, payload: Optional[PayloadSource],
+                 inline: Optional[bytes] = None) -> Generator:
+        """Fill the next slot under the TX lock, then ring the doorbell."""
         scope = self.driver.scope
-        scope.bind_msg(msg, scope.current_span_id())
-        with scope.span("slot_wait", category="mailbox", track=self.name):
-            request = self._slots.request()
-            if relay:
-                self._relay_reqs.add(request)
-            try:
-                yield request
-            except BaseException:
-                self._relay_reqs.discard(request)
-                raise
-        self._outstanding.append(request)
         slot = self._next_slot
-        self._next_slot = (self._next_slot + 1) % self.slots
+        self._next_slot = (slot + 1) % self.slots
         base = slot * self.slot_stride
+        with scope.span("tx_wait", category="mailbox", track=self.name,
+                        slot=slot):
+            tx = self._tx_lock.request()
+            yield tx
         try:
-            with scope.span("tx_wait", category="mailbox", track=self.name,
-                            slot=slot):
-                tx = self._tx_lock.request()
-                yield tx
-            try:
-                raw = pack_header_bytes(msg, inline_data=data.tobytes())
-                with scope.span("inline_write", category="mailbox",
-                                track=self.name, kind=msg.kind.name,
-                                nbytes=nbytes, slot=slot):
-                    yield from self.driver.pio_window_write(
-                        BYPASS_WINDOW, base,
-                        np.frombuffer(raw, dtype=np.uint8)
-                    )
-                yield from self.driver.ring_doorbell(DOORBELL_BYPASS_MSG)
-            finally:
-                self._tx_lock.release(tx)
-        except BaseException:
-            self._reclaim(request)
-            raise
-        self.sent_count += 1
-        self.inline_count += 1
+            header = np.frombuffer(pack_header_bytes(msg, inline),
+                                   dtype=np.uint8)
+            if payload is not None:
+                # Payload first, header last: the header's arrival (plus the
+                # doorbell) publishes the slot, so the receiver never sees a
+                # torn message.
+                with scope.span("payload_write", category="mailbox",
+                                track=self.name, nbytes=payload.nbytes,
+                                mode=msg.mode.name, slot=slot):
+                    yield from self._write_window(
+                        BYPASS_WINDOW, base + SLOT_HEADER_BYTES, msg.mode,
+                        payload)
+                span = scope.span("header_write", category="mailbox",
+                                  track=self.name, kind=msg.kind.name,
+                                  slot=slot)
+            else:
+                span = scope.span("inline_write", category="mailbox",
+                                  track=self.name, kind=msg.kind.name,
+                                  nbytes=msg.size, slot=slot)
+            with span:
+                yield from self.driver.pio_window_write(BYPASS_WINDOW, base,
+                                                        header)
+            yield from self.driver.ring_doorbell(DOORBELL_BYPASS_MSG)
+            if inline is not None:
+                self.inline_count += 1
+        finally:
+            self._tx_lock.release(tx)
 
     def ack(self) -> Generator:
         yield from self.driver.ring_doorbell(DOORBELL_ACK_BYPASS)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -432,6 +433,43 @@ def test_fastpath_module_itself_exempt(tmp_path):
         "from . import fastpath  # pathological but its own business\n",
     )
     assert lint_file(path) == []
+
+
+_DEFAULT_PLANE_PROGRAM = """
+import sys
+import numpy as np
+from repro import run_spmd
+
+def main(pe):
+    me, n = pe.my_pe(), pe.num_pes()
+    sym = yield from pe.malloc(16 * 1024)
+    ctr = yield from pe.malloc(8)
+    yield from pe.barrier_all()
+    yield from pe.put_array(sym, np.full(16 * 1024, me, np.uint8), (me + 2) % n)
+    yield from pe.atomic_fetch_add(ctr, 1, (me + 1) % n)
+    yield from pe.barrier_all()
+    got = yield from pe.get_array(sym, 16, np.uint8, (me + 1) % n)
+    return int(got[0])
+
+report = run_spmd(main, n_pes=3)
+assert report.results == [2, 0, 1], report.results
+print("repro.core.fastpath" in sys.modules)
+"""
+
+
+def test_default_plane_never_loads_fastpath():
+    """The static rule above, observed: a default-config run (relayed
+    puts, gets, atomics, barriers, finalize) leaves the opt-in module
+    out of a fresh interpreter altogether."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_SRC.parent), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_PLANE_PROGRAM],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- whole tree

@@ -20,13 +20,13 @@ import pytest
 
 from repro import Mode, run_spmd
 from repro.core import ShmemConfig
-from repro.core.fastpath import (
-    CoalescingService,
-    FastBypassMailbox,
-    FastDataMailbox,
-    FastpathConfig,
+from repro.core.fastpath import CoalescingService, FastpathConfig
+from repro.core.transfer import (
+    FLAG_INLINE,
+    INLINE_MAX_BYTES,
+    BypassMailbox,
+    DataMailbox,
 )
-from repro.core.transfer import FLAG_INLINE, INLINE_MAX_BYTES
 
 from ..conftest import pattern
 
@@ -471,18 +471,49 @@ class TestConfigValidation:
             ShmemConfig(fastpath="yes")  # type: ignore[arg-type]
 
     def test_mailbox_types_selected(self):
+        """The levers shape the two ordinary mailboxes: a staging
+        buffer each, a deeper credit pool, and staged sends ride
+        chained descriptors."""
+
         def main(pe):
+            me, n = pe.my_pe(), pe.num_pes()
+            sym = yield from pe.malloc(512 * 1024)
+            yield from pe.barrier_all()
+            yield from pe.put_array(sym, pattern(512 * 1024, seed=me),
+                                    (me + 1) % n)
             yield from pe.barrier_all()
             return True
+
+        def chained(report):
+            return sum(value for key, value
+                       in report.metrics.snapshot().items()
+                       if key.endswith(".dma.descriptors_chained"))
 
         report = run_spmd(main, 3, shmem_config=_fp_config(),
                           finalize=False)
         for rt in report.runtimes:
             assert isinstance(rt.service, CoalescingService)
             for link in rt.links.values():
-                assert isinstance(link.data_mailbox, FastDataMailbox)
-                assert isinstance(link.bypass_mailbox, FastBypassMailbox)
+                assert type(link.data_mailbox) is DataMailbox
+                assert type(link.bypass_mailbox) is BypassMailbox
+                assert link.data_mailbox.staging.nbytes \
+                    == rt.config.rx_data_size
+                assert link.bypass_mailbox.staging.nbytes \
+                    == rt.config.fwd_chunk
                 assert link.bypass_mailbox.slots == FP.credit_slots
+            assert rt.links["right"].data_mailbox.staged_sends == 1
+        # 512 KiB in 128 KiB descriptors: 3 prefetched behind the first.
+        assert chained(report) == 3 * 3
+
+        plain = run_spmd(main, 3, shmem_config=_fp_config(
+            fp={"chain_dma": False, "cut_through": False}), finalize=False)
+        for rt in plain.runtimes:
+            for link in rt.links.values():
+                assert link.data_mailbox.staging is None
+                assert link.bypass_mailbox.staging is None
+                assert link.bypass_mailbox.slots == rt.config.bypass_slots
+                assert link.data_mailbox.staged_sends == 0
+        assert chained(plain) == 0
 
     def test_flag_inline_wire_roundtrip(self):
         from repro.core.transfer import (

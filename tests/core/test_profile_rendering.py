@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import run_spmd
+from repro.core import ShmemConfig
 
 from ..conftest import pattern
 
@@ -29,6 +30,35 @@ class TestRenderProfile:
         get_lines = [l for l in lines if l.split()[1:2] == ["get"]]
         assert len(get_lines) == 1          # only PE 0
         assert any(l.split()[1:2] == ["barrier"] for l in lines)
+
+    def test_profile_lists_atomics(self):
+        """AMOs go through the same op envelope as put/get: a tracer row
+        per issuing PE and a span-histogram key per op name and hop."""
+
+        def main(pe):
+            ctr = yield from pe.malloc(8)
+            yield from pe.barrier_all()
+            if pe.my_pe() != 1:
+                yield from pe.atomic_fetch_add(ctr, 1, 1)
+            if pe.my_pe() == 0:
+                yield from pe.atomic_fetch(ctr, 1)
+            yield from pe.barrier_all()
+
+        report = run_spmd(main, n_pes=3,
+                          shmem_config=ShmemConfig(trace_spans=True))
+        lines = report.render_profile().splitlines()
+        amo_rows = {int(l.split()[0]): l.split()
+                    for l in lines if l.split()[1:2] == ["amo"]}
+        assert sorted(amo_rows) == [0, 2]       # PE 1 issued none
+        assert amo_rows[0][2] == "2" and amo_rows[2][2] == "1"
+        assert amo_rows[0][-1] == "0"           # atomics move no bytes
+        # Fixed-right routing: PE 0 is one hop from PE 1, PE 2 is two.
+        assert report.scope.hist.get("amo.ADD.1hop").count == 1
+        assert report.scope.hist.get("amo.ADD.2hop").count == 1
+        assert report.scope.hist.get("amo.FETCH.1hop").count == 1
+        summary = report.tracer.summary()
+        assert summary["interval.pe0.amo_us.count"] == 2
+        assert summary["count.pe0.amo"] == 2
 
     def test_profile_empty_when_nothing_ran(self):
         report = run_spmd(lambda pe: iter(()), n_pes=3)

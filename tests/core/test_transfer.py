@@ -7,9 +7,14 @@ import pytest
 
 from repro.core import Mode, MsgKind, ProtocolError, TransferError
 from repro.core.transfer import (
+    BypassMailbox,
+    DataMailbox,
+    DOORBELL_ACK_BYPASS,
+    DOORBELL_ACK_DATA,
     DOORBELL_AMO,
     DOORBELL_DMAGET,
     DOORBELL_DMAPUT,
+    FLAG_INLINE,
     Message,
     PayloadSource,
     SLOT_HEADER_BYTES,
@@ -19,9 +24,12 @@ from repro.core.transfer import (
     unpack_header_bytes,
     unpack_message,
 )
+from repro.fabric import Cluster, ClusterConfig
 from repro.host import Host
+from repro.ntb import LinkDownError
+from repro.ntb.device import BYPASS_WINDOW, DATA_WINDOW
 
-from ..conftest import pattern
+from ..conftest import pattern, run_to_completion
 
 
 class TestMessageCodec:
@@ -141,3 +149,115 @@ class TestChunkRanges:
     def test_invalid_chunk(self):
         with pytest.raises(TransferError):
             list(chunk_ranges(10, 0))
+
+
+class TestMailboxSendPath:
+    """The one ``_transmit`` path, seen through its three public faces."""
+
+    STAGING = 16 * 1024
+    SLOT = 64 * 1024
+
+    def _link(self, variant, staged):
+        """Host 0's outgoing mailbox to host 1 on a bare 2-host chain,
+        with the peer's windows programmed and our ACK doorbell wired."""
+        cluster = Cluster(ClusterConfig(n_hosts=2, topology="chain"))
+        cluster.run_probe()
+        env, host = cluster.env, cluster.host(0)
+        tx, rx = cluster.driver(0, "right"), cluster.driver(1, "left")
+        staging = host.alloc_pinned(self.STAGING) if staged else None
+        if variant == "data":
+            mailbox = DataMailbox(env, tx, spad_block=0, name="mb",
+                                  staging=staging)
+            ack_bit = DOORBELL_ACK_DATA
+        else:
+            mailbox = BypassMailbox(env, tx, slot_payload=self.SLOT, slots=1,
+                                    name="mb", staging=staging)
+            ack_bit = DOORBELL_ACK_BYPASS
+        landing = cluster.host(1).alloc_pinned(2 * self.SLOT)
+        run_to_completion(
+            env,
+            rx.program_incoming(DATA_WINDOW, landing.phys, landing.nbytes),
+            rx.program_incoming(BYPASS_WINDOW, landing.phys, landing.nbytes),
+            rx.add_lut_entry((0 << 8) | 1, 1))
+        tx.request_irq(ack_bit, lambda _bit: mailbox.on_ack())
+        progress = []
+        mailbox.on_progress = lambda: progress.append(env.now)
+
+        def ack():
+            run_to_completion(env, rx.ring_doorbell(ack_bit))
+            env.run(until=env.now + 100.0)      # MSI + ISR
+
+        return cluster, mailbox, ack, progress
+
+    def _send(self, cluster, mailbox, variant, nbytes=256, relay=False,
+              mode=Mode.DMA, pinned=False):
+        host = cluster.host(0)
+        inline = variant == "inline"
+        nbytes = 32 if inline else nbytes
+        msg = Message(kind=MsgKind.PUT_DATA, mode=mode, src_pe=0, dest_pe=1,
+                      offset=0, size=nbytes, seq=mailbox.next_seq(),
+                      flags=FLAG_INLINE if inline else 0)
+        if inline:
+            return mailbox.send_inline(msg, pattern(nbytes), relay=relay)
+        if pinned:
+            payload = PayloadSource.from_pinned(
+                host, host.alloc_pinned(nbytes), 0, nbytes)
+        else:
+            mapping = host.mmap(nbytes)
+            host.write_user(mapping.virt, pattern(nbytes))
+            payload = PayloadSource.from_user(host, mapping.virt, nbytes)
+        return mailbox.send(msg, payload, relay=relay)
+
+    @pytest.mark.parametrize("variant", ["data", "bypass", "inline"])
+    def test_slot_relay_reclaim_and_staging(self, variant):
+        cluster, mailbox, ack, progress = self._link(variant, staged=True)
+        env = cluster.env
+
+        # The slot is held from the hand-off until the ACK doorbell.
+        run_to_completion(env, self._send(cluster, mailbox, variant))
+        assert (mailbox.sent_count, mailbox.in_flight,
+                mailbox.free_slots) == (1, 1, 0)
+        assert mailbox.inline_count == (variant == "inline")
+        queued = env.process(
+            self._send(cluster, mailbox, variant, relay=True))
+        env.run(until=env.now + 1_000.0)
+        assert queued.is_alive and mailbox.sent_count == 1
+        assert not mailbox.idle and not mailbox.local_idle
+        ack()
+        env.run(until=queued)
+        assert (mailbox.sent_count, mailbox.acked_count) == (2, 1)
+
+        # A relay send is invisible to local_idle, but not to idle.
+        assert mailbox.in_flight == 1
+        assert mailbox.local_idle and not mailbox.idle
+        ack()
+        assert mailbox.idle and progress
+
+        # Staged iff staging buffer, DMA, paged source, one page < n <= buf.
+        if variant != "inline":
+            for kwargs, staged in (
+                    (dict(nbytes=8192), True),
+                    (dict(nbytes=self.STAGING), True),
+                    (dict(nbytes=4096), False),
+                    (dict(nbytes=2 * self.STAGING), False),
+                    (dict(nbytes=8192, pinned=True), False),
+                    (dict(nbytes=8192, mode=Mode.MEMCPY), False)):
+                before = mailbox.staged_sends
+                run_to_completion(
+                    env, self._send(cluster, mailbox, variant, **kwargs))
+                assert mailbox.staged_sends - before == staged, kwargs
+                ack()
+            bare_cluster, bare, bare_ack, _ = self._link(variant, staged=False)
+            run_to_completion(bare_cluster.env, self._send(
+                bare_cluster, bare, variant, nbytes=8192))
+            assert bare.staged_sends == 0
+
+        # A hand-off into a severed cable takes its slot back.
+        cluster.cable_between(0, 1).sever()
+        sent, notified = mailbox.sent_count, len(progress)
+        with pytest.raises(LinkDownError):
+            run_to_completion(env, self._send(cluster, mailbox, variant))
+        assert (mailbox.failed_count, mailbox.in_flight) == (1, 0)
+        assert mailbox.sent_count == sent and mailbox.idle
+        assert len(progress) == notified + 1
+
