@@ -93,10 +93,7 @@ from typing import Iterable, List, Optional, Sequence
 
 __all__ = ["LintIssue", "lint_file", "lint_paths", "main"]
 
-#: packages whose modules run under simulated time.  Historically the
-#: wallclock rule covered only these; it now covers *every* repro package
-#: (see WALLCLOCK_EXEMPT), but the set is kept for the register/span rules'
-#: documentation and for callers that want the "hot" layers by name.
+#: packages whose modules run under simulated time.
 SIMULATED_PACKAGES = frozenset(
     {"sim", "memory", "pcie", "ntb", "host", "fabric", "core", "faults"}
 )

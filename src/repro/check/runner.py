@@ -113,10 +113,8 @@ class _FootprintSan(ShmemSan):
     """
 
     def __init__(self, n_pes: int, policy: ExplorationPolicy,
-                 mode: str = "report", granularity: int = 8,
-                 tracer: Any = None) -> None:
-        super().__init__(n_pes, mode=mode, granularity=granularity,
-                         tracer=tracer)
+                 mode: str = "report", granularity: int = 8) -> None:
+        super().__init__(n_pes, mode=mode, granularity=granularity)
         self._policy = policy
 
     def _note(self, owner_pe: int, offset: int, nbytes: int,
@@ -218,7 +216,7 @@ def run_schedule(model: CheckModel, trace: ScheduleTrace,
     config = model.make_config()
     san = _FootprintSan(
         model.n_pes, policy, mode=config.sanitize or "report",
-        granularity=config.sanitize_granularity, tracer=cluster.tracer)
+        granularity=config.sanitize_granularity)
     cluster.shmemsan = san
     _install_probes(cluster, policy)
 

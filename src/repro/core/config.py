@@ -1,0 +1,174 @@
+"""Runtime configuration and requester-side pending-request records.
+
+:class:`ShmemConfig` is the one bag of runtime shape knobs (validated at
+construction); :class:`PendingGet` / :class:`PendingAmo` are what a PE
+keeps per outstanding Get / atomic until the reply lands.  All three are
+re-exported from :mod:`repro.core.runtime`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
+
+from ..fabric import HeartbeatConfig, RoutingPolicy
+from ..fabric.router import ROUTER_NAMES
+from ..fabric.topology import PortLike
+if TYPE_CHECKING:  # faults loads lazily: only runs configured with a plan
+    from ..faults import FaultPlan  # noqa: F401
+    from .fastpath import FastpathConfig  # noqa: F401  (opt-in module)
+from ..sim import Event
+from .heap import HeapConfig
+from .transfer import Mode
+
+__all__ = ["ShmemConfig", "PendingGet", "PendingAmo"]
+
+
+@dataclass(frozen=True)
+class ShmemConfig:
+    """Runtime shape knobs (defaults per DESIGN.md §5/§6).
+
+    Attributes
+    ----------
+    rx_data_size:
+        Incoming data-window buffer; also the max single Put message.
+    fwd_chunk:
+        Store-and-forward chunk (bypass slot payload size).
+    bypass_slots:
+        Outstanding forwarded chunks per link direction (ablation knob).
+    get_chunk:
+        Get-response chunk; each chunk pays a full interrupt handshake,
+        which is what throttles Get throughput (Fig. 9(b)/(d)).
+    routing:
+        FIXED_RIGHT (paper) or SHORTEST (ablation).
+    barrier:
+        "ring" (paper's Fig. 6), "dissemination", or "centralized".
+    default_mode:
+        DMA or MEMCPY when the caller does not specify.
+    """
+
+    heap: HeapConfig = field(default_factory=HeapConfig)
+    rx_data_size: int = 1024 * 1024
+    fwd_chunk: int = 64 * 1024
+    bypass_slots: int = 2
+    get_chunk: int = 8 * 1024
+    routing: RoutingPolicy = RoutingPolicy.FIXED_RIGHT
+    #: Router selection (repro.fabric.router): None keeps the fabric
+    #: defaults — rings/chains route by ``routing`` (byte-identical to
+    #: the historical inline logic), meshes/tori route dimension-order.
+    #: Explicit names: "fixed_right" | "shortest" | "dimension_order" |
+    #: "adaptive" (congestion-aware minimal routing).
+    router: Optional[str] = None
+    barrier: str = "ring"
+    default_mode: Mode = Mode.DMA
+    #: µs between ScratchPad polls during the init handshake.
+    handshake_poll_us: float = 5.0
+    #: consistency checking of symmetric allocation logs at barriers.
+    debug_checks: bool = True
+    #: Optional watchdog for blocking Gets/AMOs: raise TransferError if a
+    #: response chunk takes longer than this (None = wait forever).
+    reply_timeout_us: Optional[float] = None
+    #: ShmemSan race detection: None (off), "strict" (raise RaceError at
+    #: the second unordered access), or "report" (accumulate RaceReports).
+    sanitize: Optional[str] = None
+    #: Shadow-state cell size in bytes (smaller = more precise, more
+    #: memory).  Accesses are checked per cell, so two PEs touching
+    #: different fields of the same cell can be conservatively flagged.
+    sanitize_granularity: int = 8
+    #: ShmemScope span tracing (repro.obsv): record a causal span tree
+    #: per operation.  Zero virtual-time cost; off by default.
+    trace_spans: bool = False
+    #: Deterministic fault-injection plan (repro.faults); a non-empty
+    #: plan auto-enables the heartbeat failure detector.
+    faults: Optional[FaultPlan] = None
+    #: Heartbeat failure-detector knobs; None = detector off unless a
+    #: fault plan demands it.
+    heartbeat: Optional[HeartbeatConfig] = None
+    #: Send-side retries per Put/Get chunk (and per AMO request) before a
+    #: dead path surfaces as PeerUnreachableError.
+    max_retries: int = 2
+    #: First retry backoff (doubles per attempt).
+    retry_backoff_us: float = 50.0
+    #: Init-handshake patience: a missing neighbor raises instead of
+    #: polling ScratchPads forever.
+    handshake_timeout_us: float = 1_000_000.0
+    #: Opt-in optimized data plane (repro.core.fastpath): interrupt
+    #: coalescing, chained-descriptor DMA, cut-through forwarding and
+    #: inline small messages.  None (the default) keeps the runtime
+    #: byte-identical in virtual time to the paper-faithful stack.
+    fastpath: Optional[FastpathConfig] = None
+    #: Virtual-time metrics sampling period (repro.obsv.metrics): the
+    #: cluster's MetricsTicker snapshots every instrument into a ring-
+    #: buffered time series each period.  The fabric itself (counters,
+    #: gauges, histograms) is always on; only the sampler is opt-in
+    #: because its tick events must be stopped for quiescence runs.
+    metrics_window_us: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.rx_data_size < 4096:
+            raise ValueError("rx_data_size too small")
+        if self.fwd_chunk < 1024:
+            raise ValueError("fwd_chunk too small")
+        if not (1 <= self.bypass_slots <= 64):
+            raise ValueError("bypass_slots must be in 1..64")
+        if self.get_chunk < 512:
+            raise ValueError("get_chunk too small")
+        if self.barrier not in ("ring", "dissemination", "centralized"):
+            raise ValueError(f"unknown barrier strategy {self.barrier!r}")
+        if self.router is not None and self.router not in ROUTER_NAMES:
+            raise ValueError(
+                f"unknown router {self.router!r} "
+                f"(expected one of {ROUTER_NAMES})")
+        if self.sanitize not in (None, "strict", "report"):
+            raise ValueError(
+                f"sanitize must be None, 'strict' or 'report', "
+                f"got {self.sanitize!r}"
+            )
+        if self.sanitize_granularity < 1:
+            raise ValueError("sanitize_granularity must be >= 1")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.retry_backoff_us < 0:
+            raise ValueError("retry_backoff_us must be >= 0")
+        if self.handshake_timeout_us <= 0:
+            raise ValueError("handshake_timeout_us must be positive")
+        if self.metrics_window_us is not None and self.metrics_window_us <= 0:
+            raise ValueError("metrics_window_us must be positive")
+        if self.fastpath is not None:
+            from .fastpath import FastpathConfig  # deferred: opt-in only
+
+            if not isinstance(self.fastpath, FastpathConfig):
+                raise ValueError(
+                    f"fastpath must be a FastpathConfig or None, "
+                    f"got {type(self.fastpath).__name__}"
+                )
+
+
+@dataclass
+class PendingGet:
+    """Requester-side state for one outstanding Get."""
+
+    req_id: int
+    dest_virt: int
+    nbytes: int
+    mode: Mode
+    done: Event
+    received: int = 0
+    started_at: float = 0.0
+    #: target PE and route at issue time, so a link-death handler can
+    #: tell which pending requests just lost their path.
+    pe: int = 0
+    direction: Optional[PortLike] = None
+    hops: int = 0
+
+
+@dataclass
+class PendingAmo:
+    """Requester-side state for one outstanding atomic."""
+
+    req_id: int
+    done: Event
+    started_at: float = 0.0
+    pe: int = 0
+    direction: Optional[PortLike] = None
+    hops: int = 0

@@ -293,11 +293,9 @@ class CoalescingService(ShmemService):
             # downstream one — a hold-and-wait edge that can close into
             # the classic credit-deadlock cycle on a saturated ring.
             self.cut_through_fallbacks += 1
-            rt.tracer.count(f"{rt.name}.cut_fallback")
             yield from super()._forward(msg, in_link, payload_phys, channel)
             return
         self.cut_throughs += 1
-        rt.tracer.count(f"{rt.name}.cut_through")
         with rt.scope.span("cut_through", category="service",
                            track=f"{rt.name}.service", nbytes=msg.size,
                            next_pe=next_pe):

@@ -248,7 +248,8 @@ def wire_link_metrics(rt: "ShmemRuntime") -> None:
     service = rt.service
     scoped = rt.metrics_registry.scoped(f"{rt.name}.service")
     for attr in ("cut_throughs", "cut_through_fallbacks",
-                 "coalesced_wakes", "dropped_forwards"):
+                 "coalesced_wakes", "dropped_forwards", "dup_ctrl_drops",
+                 "abandoned_responses"):
         if hasattr(service, attr):
             scoped.gauge(attr).bind(
                 lambda s=service, a=attr: getattr(s, a))

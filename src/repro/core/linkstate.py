@@ -115,7 +115,7 @@ def _edge_changed(rt: "ShmemRuntime", state: str,
                   edge: tuple[int, int]) -> None:
     if rt.barrier is not None:
         rt.barrier.on_link_event()
-    rt.tracer.count(f"{rt.name}.edge_{state}")
+    rt.metrics.inc(f"edge_{state}")
     rt.link_state_changed.fire((state, edge))
     rt.notify_progress()
 

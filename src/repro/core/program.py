@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..fabric import Cluster, ClusterConfig
-from ..sim import (AllOf, CountdownLatch, Environment, SimulationError,
-                   Tracer)
+from ..sim import AllOf, CountdownLatch, Environment, SimulationError
 from .api import PE
 from .errors import ShmemError
 from .runtime import ShmemConfig, ShmemRuntime
@@ -55,10 +54,6 @@ class SpmdReport:
         return self.cluster.env
 
     @property
-    def tracer(self) -> Tracer:
-        return self.cluster.tracer
-
-    @property
     def metrics(self):
         """The cluster's always-on :class:`~repro.obsv.MetricsRegistry`."""
         return self.cluster.metrics
@@ -67,14 +62,15 @@ class SpmdReport:
         return self.runtimes[pe]
 
     def stats(self) -> dict[str, Any]:
-        """Aggregate operation counters across PEs."""
+        """Aggregate operation counters across PEs, plus every
+        MetricsRegistry value (``metrics.snapshot()``)."""
         out: dict[str, Any] = {
             "elapsed_us": self.elapsed_us,
             "puts": sum(rt.put_count for rt in self.runtimes),
             "gets": sum(rt.get_count for rt in self.runtimes),
             "amos": sum(rt.amo_count for rt in self.runtimes),
         }
-        out.update(self.tracer.summary())
+        out.update(self.metrics.snapshot())
         return out
 
     def render_profile(self) -> str:
@@ -87,18 +83,19 @@ class SpmdReport:
             f"{'PE':>3} {'op':<9} {'calls':>7} {'mean_us':>10} "
             f"{'max_us':>10} {'bytes':>12}"
         ]
+        counters = list(self.metrics.counters())
         for runtime in self.runtimes:
             for op in ("put", "get", "amo", "barrier"):
-                stats = self.tracer.intervals.get(
-                    f"{runtime.name}.{op}_us"
-                )
-                if stats is None or stats.count == 0:
+                hist = self.metrics.hist.get(f"{runtime.name}.{op}_us")
+                if hist is None:
                     continue
-                counter = self.tracer.counters.get(f"{runtime.name}.{op}")
-                nbytes = counter.bytes if counter else 0
+                # bytes ride on the per-mode op counters (peN.put.DMA ...)
+                prefix = f"{runtime.name}.{op}."
+                nbytes = sum(counter.bytes for key, counter in counters
+                             if key.startswith(prefix))
                 lines.append(
-                    f"{runtime.my_pe_id:>3} {op:<9} {stats.count:>7} "
-                    f"{stats.mean:>10.1f} {stats.maximum:>10.1f} "
+                    f"{runtime.my_pe_id:>3} {op:<9} {hist.count:>7} "
+                    f"{hist.mean:>10.1f} {hist.maximum:>10.1f} "
                     f"{nbytes:>12}"
                 )
         if len(lines) == 1:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Hashable, Iterator, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Hashable,
+                    Iterator, Optional)
 
 import numpy as np
 
@@ -33,20 +33,18 @@ from ..fabric import (
     HeartbeatMonitor,
     NoRouteError,
     Route,
-    RoutingPolicy,
     make_router,
 )
-from ..fabric.router import ROUTER_NAMES
 from ..fabric.topology import PortLike
 if TYPE_CHECKING:  # faults loads lazily: only runs configured with a plan
-    from ..faults import FaultInjector, FaultPlan  # noqa: F401
-    from .fastpath import FastpathConfig  # noqa: F401  (opt-in module)
+    from ..faults import FaultInjector  # noqa: F401
 from ..host import Host, PinnedBuffer
 from ..ntb import LinkDownError
 from ..obsv.metrics import MetricsRegistry, MetricsTicker, size_label
 from ..obsv.spans import NULL_SCOPE, ShmemScope, instrument_cluster
-from ..sim import Environment, Event, Signal, Tracer
+from ..sim import Environment, Signal
 from . import links, linkstate
+from .config import PendingAmo, PendingGet, ShmemConfig
 from .errors import (
     BadPeError,
     NotInitializedError,
@@ -55,7 +53,7 @@ from .errors import (
     ShmemError,
     TransferError,
 )
-from .heap import HeapConfig, SymAddr, SymmetricHeap
+from .heap import SymAddr, SymmetricHeap
 from .links import LinkEnd
 from .transfer import (
     AMO_REQ_FMT,
@@ -73,154 +71,18 @@ __all__ = ["ShmemConfig", "ShmemRuntime", "LinkEnd", "PendingGet",
            "PendingAmo", "AmoOp"]
 
 
-@dataclass(frozen=True)
-class ShmemConfig:
-    """Runtime shape knobs (defaults per DESIGN.md §5/§6).
-
-    Attributes
-    ----------
-    rx_data_size:
-        Incoming data-window buffer; also the max single Put message.
-    fwd_chunk:
-        Store-and-forward chunk (bypass slot payload size).
-    bypass_slots:
-        Outstanding forwarded chunks per link direction (ablation knob).
-    get_chunk:
-        Get-response chunk; each chunk pays a full interrupt handshake,
-        which is what throttles Get throughput (Fig. 9(b)/(d)).
-    routing:
-        FIXED_RIGHT (paper) or SHORTEST (ablation).
-    barrier:
-        "ring" (paper's Fig. 6), "dissemination", or "centralized".
-    default_mode:
-        DMA or MEMCPY when the caller does not specify.
-    """
-
-    heap: HeapConfig = field(default_factory=HeapConfig)
-    rx_data_size: int = 1024 * 1024
-    fwd_chunk: int = 64 * 1024
-    bypass_slots: int = 2
-    get_chunk: int = 8 * 1024
-    routing: RoutingPolicy = RoutingPolicy.FIXED_RIGHT
-    #: Router selection (repro.fabric.router): None keeps the fabric
-    #: defaults — rings/chains route by ``routing`` (byte-identical to
-    #: the historical inline logic), meshes/tori route dimension-order.
-    #: Explicit names: "fixed_right" | "shortest" | "dimension_order" |
-    #: "adaptive" (congestion-aware minimal routing).
-    router: Optional[str] = None
-    barrier: str = "ring"
-    default_mode: Mode = Mode.DMA
-    #: µs between ScratchPad polls during the init handshake.
-    handshake_poll_us: float = 5.0
-    #: consistency checking of symmetric allocation logs at barriers.
-    debug_checks: bool = True
-    #: Optional watchdog for blocking Gets/AMOs: raise TransferError if a
-    #: response chunk takes longer than this (None = wait forever).
-    reply_timeout_us: Optional[float] = None
-    #: ShmemSan race detection: None (off), "strict" (raise RaceError at
-    #: the second unordered access), or "report" (accumulate RaceReports).
-    sanitize: Optional[str] = None
-    #: Shadow-state cell size in bytes (smaller = more precise, more
-    #: memory).  Accesses are checked per cell, so two PEs touching
-    #: different fields of the same cell can be conservatively flagged.
-    sanitize_granularity: int = 8
-    #: ShmemScope span tracing (repro.obsv): record a causal span tree
-    #: per operation.  Zero virtual-time cost; off by default.
-    trace_spans: bool = False
-    #: Deterministic fault-injection plan (repro.faults); a non-empty
-    #: plan auto-enables the heartbeat failure detector.
-    faults: Optional[FaultPlan] = None
-    #: Heartbeat failure-detector knobs; None = detector off unless a
-    #: fault plan demands it.
-    heartbeat: Optional[HeartbeatConfig] = None
-    #: Send-side retries per Put/Get chunk (and per AMO request) before a
-    #: dead path surfaces as PeerUnreachableError.
-    max_retries: int = 2
-    #: First retry backoff (doubles per attempt).
-    retry_backoff_us: float = 50.0
-    #: Init-handshake patience: a missing neighbor raises instead of
-    #: polling ScratchPads forever.
-    handshake_timeout_us: float = 1_000_000.0
-    #: Opt-in optimized data plane (repro.core.fastpath): interrupt
-    #: coalescing, chained-descriptor DMA, cut-through forwarding and
-    #: inline small messages.  None (the default) keeps the runtime
-    #: byte-identical in virtual time to the paper-faithful stack.
-    fastpath: Optional[FastpathConfig] = None
-    #: Virtual-time metrics sampling period (repro.obsv.metrics): the
-    #: cluster's MetricsTicker snapshots every instrument into a ring-
-    #: buffered time series each period.  The fabric itself (counters,
-    #: gauges, histograms) is always on; only the sampler is opt-in
-    #: because its tick events must be stopped for quiescence runs.
-    metrics_window_us: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.rx_data_size < 4096:
-            raise ValueError("rx_data_size too small")
-        if self.fwd_chunk < 1024:
-            raise ValueError("fwd_chunk too small")
-        if not (1 <= self.bypass_slots <= 64):
-            raise ValueError("bypass_slots must be in 1..64")
-        if self.get_chunk < 512:
-            raise ValueError("get_chunk too small")
-        if self.barrier not in ("ring", "dissemination", "centralized"):
-            raise ValueError(f"unknown barrier strategy {self.barrier!r}")
-        if self.router is not None and self.router not in ROUTER_NAMES:
-            raise ValueError(
-                f"unknown router {self.router!r} "
-                f"(expected one of {ROUTER_NAMES})")
-        if self.sanitize not in (None, "strict", "report"):
-            raise ValueError(
-                f"sanitize must be None, 'strict' or 'report', "
-                f"got {self.sanitize!r}"
-            )
-        if self.sanitize_granularity < 1:
-            raise ValueError("sanitize_granularity must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff_us < 0:
-            raise ValueError("retry_backoff_us must be >= 0")
-        if self.handshake_timeout_us <= 0:
-            raise ValueError("handshake_timeout_us must be positive")
-        if self.metrics_window_us is not None and self.metrics_window_us <= 0:
-            raise ValueError("metrics_window_us must be positive")
-        if self.fastpath is not None:
-            from .fastpath import FastpathConfig  # deferred: opt-in only
-
-            if not isinstance(self.fastpath, FastpathConfig):
-                raise ValueError(
-                    f"fastpath must be a FastpathConfig or None, "
-                    f"got {type(self.fastpath).__name__}"
-                )
-
-
-@dataclass
-class PendingGet:
-    """Requester-side state for one outstanding Get."""
-
-    req_id: int
-    dest_virt: int
-    nbytes: int
-    mode: Mode
-    done: Event
-    received: int = 0
-    started_at: float = 0.0
-    #: target PE and route at issue time, so a link-death handler can
-    #: tell which pending requests just lost their path.
-    pe: int = 0
-    direction: Optional[PortLike] = None
-    hops: int = 0
-
-
-@dataclass
-class PendingAmo:
-    """Requester-side state for one outstanding atomic."""
-
-    req_id: int
-    done: Event
-    started_at: float = 0.0
-    pe: int = 0
-    direction: Optional[PortLike] = None
-    hops: int = 0
+def _cluster_singleton(cluster: Cluster, attr: str,
+                       build: Callable[[], Any],
+                       stale: Callable[[Any], bool] = lambda _obj: False
+                       ) -> Any:
+    """The instance every runtime of ``cluster`` shares, kept at
+    ``cluster.<attr>``: the first runtime that needs it builds it (as
+    does one that finds a ``stale`` instance), the rest pick it up."""
+    obj = getattr(cluster, attr, None)
+    if obj is None or stale(obj):
+        obj = build()
+        setattr(cluster, attr, obj)
+    return obj
 
 
 class ShmemRuntime:
@@ -236,7 +98,6 @@ class ShmemRuntime:
                  config: Optional[ShmemConfig] = None):
         self.cluster = cluster
         self.env: Environment = cluster.env
-        self.tracer: Tracer = cluster.tracer
         self.config = config or ShmemConfig()
         self.host: Host = cluster.host(host_id)
         self.topology = cluster.topology
@@ -272,15 +133,10 @@ class ShmemRuntime:
         self.put_count = 0
         self.get_count = 0
         self.amo_count = 0
-        #: always-on metrics fabric (repro.obsv.metrics): a per-PE scoped
-        #: facade over the cluster registry.  Clusters create the registry
-        #: at build time; a bare test double gets a private one.
-        registry = getattr(cluster, "metrics", None)
-        if registry is None:
-            registry = MetricsRegistry(self.env)
-            cluster.metrics = registry
-        self.metrics_registry: MetricsRegistry = registry
-        self.metrics = registry.scoped(self.name)
+        #: always-on metrics fabric (repro.obsv.metrics): the cluster
+        #: registry and a per-PE scoped facade over it.
+        self.metrics_registry: MetricsRegistry = cluster.metrics
+        self.metrics = self.metrics_registry.scoped(self.name)
         for key, stat in (("puts", "put_count"), ("gets", "get_count"),
                           ("amos", "amo_count"), ("retries", "retries"),
                           ("reroutes", "reroutes"),
@@ -298,25 +154,18 @@ class ShmemRuntime:
         if self.config.sanitize is not None:
             from .sanitizer import ShmemSan  # local import avoids cycle
 
-            san = getattr(cluster, "shmemsan", None)
-            if san is None or san.n_pes != self.n_pes:
-                san = ShmemSan(
+            self.san = _cluster_singleton(
+                cluster, "shmemsan",
+                lambda: ShmemSan(
                     self.n_pes, mode=self.config.sanitize,
-                    granularity=self.config.sanitize_granularity,
-                    tracer=self.tracer,
-                )
-                cluster.shmemsan = san
-            self.san = san
+                    granularity=self.config.sanitize_granularity),
+                stale=lambda san: san.n_pes != self.n_pes)
         #: ShmemScope, shared cluster-wide like the sanitizer: the first
         #: tracing runtime creates it and wires the hardware layers.
         self.scope = NULL_SCOPE
         if self.config.trace_spans:
-            scope = getattr(cluster, "scope", None)
-            if scope is None:
-                scope = ShmemScope(self.env)
-                cluster.scope = scope
-                instrument_cluster(cluster, scope)
-            self.scope = scope
+            self.scope = _cluster_singleton(
+                cluster, "scope", self._build_scope)
         if self.san is not None and self.scope.enabled:
             self.san.scope = self.scope
         # -- fault tolerance ------------------------------------------------
@@ -349,16 +198,21 @@ class ShmemRuntime:
         self.fault_aware = (hb is not None
                             or self.config.reply_timeout_us is not None)
         if self.config.faults is not None:
-            # Cluster-singleton, like the sanitizer: the first runtime
-            # with a plan installs it for everyone.
-            injector = getattr(cluster, "fault_injector", None)
-            if injector is None:
-                from ..faults import FaultInjector  # deferred: plans only
+            # The first runtime with a plan installs it for everyone.
+            self.fault_injector = _cluster_singleton(
+                cluster, "fault_injector", self._build_fault_injector)
 
-                injector = FaultInjector(cluster, self.config.faults)
-                injector.install()
-                cluster.fault_injector = injector
-            self.fault_injector = injector
+    def _build_scope(self) -> ShmemScope:
+        scope = ShmemScope(self.env)
+        instrument_cluster(self.cluster, scope)
+        return scope
+
+    def _build_fault_injector(self) -> "FaultInjector":
+        from ..faults import FaultInjector  # deferred: plans only
+
+        injector = FaultInjector(self.cluster, self.config.faults)
+        injector.install()
+        return injector
 
     # ------------------------------------------------------------------ init
     def initialize(self) -> Generator:
@@ -386,17 +240,14 @@ class ShmemRuntime:
         if self._heartbeat_config is not None:
             linkstate.start_failure_detector(self)
         if self.config.metrics_window_us is not None:
-            # Cluster-singleton ticker, like the sanitizer: the first
-            # sampling runtime starts it; finalize() stops it so
-            # quiescence runs (env.run until empty) still terminate.
-            ticker = getattr(self.cluster, "metrics_ticker", None)
-            if ticker is None:
-                ticker = MetricsTicker(
+            # The first sampling runtime starts the cluster's ticker;
+            # finalize() stops it so quiescence runs (env.run until
+            # empty) still terminate.
+            _cluster_singleton(
+                self.cluster, "metrics_ticker",
+                lambda: MetricsTicker(
                     self.env, self.metrics_registry,
-                    period_us=self.config.metrics_window_us,
-                )
-                self.cluster.metrics_ticker = ticker
-            ticker.start()
+                    period_us=self.config.metrics_window_us)).start()
         self.initialized = True
 
     def finalize(self) -> Generator:
@@ -505,10 +356,8 @@ class ShmemRuntime:
             ) from None
         if route.fallback:
             self.route_fallbacks += 1
-            self.tracer.count(f"{self.name}.route_fallback")
         if route.rerouted:
             self.reroutes += 1
-            self.tracer.count(f"{self.name}.reroute")
         return route
 
     def deliver_to_heap(self, offset: int, data: np.ndarray) -> None:
@@ -521,9 +370,10 @@ class ShmemRuntime:
     def _op(self, op: str, detail: str, counter: str, size: str = "", /,
             peer: Optional[int] = None, **attrs) -> Iterator[list]:
         """The one envelope every app-facing op runs inside: the ``op``
-        span (``attrs`` are its arguments) plus the four latency/count
-        sinks, keyed ``{op}.{detail}`` in the span histograms and
-        ``{op}_us{size}`` in the metrics fabric.
+        span (``attrs`` are its arguments) plus its latency/count records:
+        ``{op}.{detail}`` in the span histograms and, in the metrics
+        registry, the per-PE ``counter``, per-PE ``{op}_us`` histogram and
+        cluster-wide ``{op}_us{size}`` histogram.
 
         Yields the traversed-hops holder.  Latency buckets are keyed by
         the hop count the op *actually* traversed, not the issue-time
@@ -546,10 +396,9 @@ class ShmemRuntime:
         finally:
             elapsed = self.env.now - start
             bucket = "" if peer is None else f".{traversed[0]}hop"
-            self.tracer.observe(f"{self.name}.{op}_us", elapsed)
-            self.tracer.count(f"{self.name}.{op}", nbytes=nbytes)
             self.scope.hist.observe(f"{op}.{detail}{bucket}", elapsed)
             self.metrics.inc(counter, nbytes=nbytes)
+            self.metrics.observe(f"{op}_us", elapsed)
             self.metrics_registry.observe(f"{op}_us{size}{bucket}", elapsed)
 
     def _remote_attempt(self, pe: int, what: str, traversed: list,

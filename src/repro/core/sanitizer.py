@@ -30,9 +30,9 @@ vector-clock detector adapted to the PGAS model:
 Two conflicting accesses (at least one write, different PEs) that are not
 ordered by happens-before produce a :class:`RaceReport`.  In ``"strict"``
 mode the second access raises :class:`~repro.core.errors.RaceError`
-immediately; in ``"report"`` mode the report is recorded (and emitted as
-a ``shmemsan``/``race`` trace row through :class:`repro.sim.trace.Tracer`)
-and the run continues.  Reports are deterministic: the simulator is, and
+immediately; in ``"report"`` mode the report is recorded (in
+:attr:`ShmemSan.reports`, surfaced as ``SpmdReport.races``) and the run
+continues.  Reports are deterministic: the simulator is, and
 ShmemSan adds no virtual time, so tier-1 timing benches are unaffected
 even when it is on — and it is **off by default** (opt in with
 ``ShmemConfig(sanitize="strict")``).
@@ -46,12 +46,9 @@ hardware gives no such ordering promise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import RaceError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim import Tracer
 
 __all__ = ["ShmemSan", "RaceReport", "AccessKind", "render_race_table"]
 
@@ -162,8 +159,7 @@ class ShmemSan:
     MAX_REPORTS = 1000
 
     def __init__(self, n_pes: int, mode: str = "strict",
-                 granularity: int = 8,
-                 tracer: Optional["Tracer"] = None):
+                 granularity: int = 8):
         if mode not in ("strict", "report"):
             raise ValueError(f"unknown sanitize mode {mode!r}")
         if granularity < 1:
@@ -171,7 +167,6 @@ class ShmemSan:
         self.n_pes = n_pes
         self.mode = mode
         self.granularity = granularity
-        self.tracer = tracer
         #: :class:`repro.obsv.spans.ShmemScope` when span tracing is on
         #: (set by the runtime); lets race reports name the spans active
         #: at both racing accesses.
@@ -256,13 +251,6 @@ class ShmemSan:
                 second_op=second_op, second_time=now,
                 first_span=first_span, second_span=second_span,
             )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "shmemsan", "race",
-                    owner_pe=owner_pe, start=report.start, end=report.end,
-                    first_pe=first_pe, first_kind=first_kind,
-                    second_pe=second_pe, second_kind=second_kind,
-                )
             if self.mode == "strict":
                 raise RaceError(report)
             if len(self.reports) < self.MAX_REPORTS:

@@ -475,7 +475,6 @@ class ShmemService:
         semantics: it is simply lost; end-to-end recovery is the
         requester's job (retry / reroute / typed error)."""
         self.dropped_forwards += 1
-        self.rt.tracer.count(f"{self.rt.name}.fwd_dropped")
 
     def _send_onward(self, msg: Message, out_link: "LinkEnd",
                      next_pe: Optional[int],
@@ -530,7 +529,6 @@ class ShmemService:
             dedup = (out_link.side, msg.src_pe, msg.dest_pe, msg.aux)
             if dedup in self._queued_ctrl_fwds:
                 self.dup_ctrl_drops += 1
-                self.rt.tracer.count(f"{self.rt.name}.fwd_dup_dropped")
                 return
             self._queued_ctrl_fwds.add(dedup)
         self._spawn_task(msg, out_link, next_pe, staging=None, dedup=dedup)
@@ -640,7 +638,6 @@ class ShmemService:
             # Reverse path died mid-stream: abandon the response.  The
             # requester's bounded wait notices and retries or raises.
             self.abandoned_responses += 1
-            rt.tracer.count(f"{rt.name}.get_resp_abandoned")
         finally:
             rt.host.free_pinned(staging)
             self.active_responders -= 1

@@ -23,7 +23,7 @@ from ..host import CostModel, Host, HostConfig
 from ..ntb import NtbDriver, NtbEndpoint, NtbPortConfig, connect_endpoints
 from ..obsv.metrics import MetricsRegistry, wire_cluster_metrics
 from ..pcie import DuplexLink, LinkConfig
-from ..sim import Environment, Tracer
+from ..sim import Environment
 from .topology import (
     ChainTopology,
     Direction,
@@ -64,7 +64,6 @@ class ClusterConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     link: LinkConfig = field(default_factory=LinkConfig)
     ntb: NtbPortConfig = field(default_factory=NtbPortConfig)
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.topology not in ("ring", "chain", "mesh", "torus"):
@@ -117,12 +116,11 @@ class Cluster:
                  env: Optional[Environment] = None):
         self.config = config or ClusterConfig()
         self.env = env or Environment()
-        self.tracer = Tracer(self.env, enabled=self.config.trace)
         self.topology = self.config.make_topology()
 
         self.hosts: list[Host] = [
             Host(self.env, host_id, config=self.config.host,
-                 cost_model=self.config.cost_model, tracer=self.tracer)
+                 cost_model=self.config.cost_model)
             for host_id in range(self.config.n_hosts)
         ]
         self.cables: dict[tuple[int, int], DuplexLink] = {}
@@ -141,19 +139,16 @@ class Cluster:
             # (on rings: host_a's RIGHT adapter <-> host_b's LEFT).
             ep_owner = NtbEndpoint(
                 self.env, f"host{owner}.ntb.{owner_port}",
-                config=self.config.ntb, tracer=self.tracer,
-            )
+                config=self.config.ntb)
             ep_peer = NtbEndpoint(
                 self.env, f"host{peer}.ntb.{peer_port}",
-                config=self.config.ntb, tracer=self.tracer,
-            )
+                config=self.config.ntb)
             drv_owner = NtbDriver(self.hosts[owner], ep_owner, owner_port,
                                   irq_base=irq_base_for(topo, owner_port))
             drv_peer = NtbDriver(self.hosts[peer], ep_peer, peer_port,
                                  irq_base=irq_base_for(topo, peer_port))
             cable = connect_endpoints(ep_owner, ep_peer,
-                                      link_config=self.config.link,
-                                      tracer=self.tracer)
+                                      link_config=self.config.link)
             self.cables[(owner, peer)] = cable
             self._drivers[(owner, owner_port)] = drv_owner
             self._drivers[(peer, peer_port)] = drv_peer

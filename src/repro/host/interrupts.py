@@ -15,9 +15,9 @@ doorbell work per wake.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional
+from typing import Callable
 
-from ..sim import Environment, Tracer
+from ..sim import Environment
 
 __all__ = ["InterruptError", "InterruptController"]
 
@@ -33,7 +33,7 @@ class InterruptController:
 
     def __init__(self, env: Environment, delivery_latency_us: float,
                  num_vectors: int = 64, name: str = "pic",
-                 tracer: Optional[Tracer] = None, coalesce: bool = False):
+                 coalesce: bool = False):
         """``coalesce=True`` drops raises whose vector already has a
         delivery in flight (aggressive APIC coalescing) — an ablation /
         failure-injection mode.  The default delivers every MSI write,
@@ -45,7 +45,6 @@ class InterruptController:
             raise InterruptError("negative delivery latency")
         self.env = env
         self.name = name
-        self.tracer = tracer
         self.coalesce = coalesce
         self.delivery_latency_us = delivery_latency_us
         self.num_vectors = num_vectors
@@ -95,8 +94,6 @@ class InterruptController:
         """Adapter-side MSI write; delivery completes after the latency."""
         self._check_vector(vector)
         self.raised_count += 1
-        if self.tracer is not None:
-            self.tracer.count(f"{self.name}.msi_raised")
         if vector in self._masked:
             self._deferred.add(vector)
             return

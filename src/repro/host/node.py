@@ -21,7 +21,7 @@ from ..memory import (
     RegionAllocator,
     VirtualAddressSpace,
 )
-from ..sim import BandwidthServer, Environment, Tracer
+from ..sim import BandwidthServer, Environment
 from .cpu import CostModel, Cpu
 from .interrupts import InterruptController
 
@@ -96,13 +96,11 @@ class Host:
 
     def __init__(self, env: Environment, host_id: int,
                  config: Optional[HostConfig] = None,
-                 cost_model: Optional[CostModel] = None,
-                 tracer: Optional[Tracer] = None):
+                 cost_model: Optional[CostModel] = None):
         self.env = env
         self.host_id = host_id
         self.config = config or HostConfig()
         self.cost_model = cost_model or CostModel()
-        self.tracer = tracer
         self.name = f"host{host_id}"
 
         self.memory = PhysicalMemory(self.config.memory_size,
@@ -123,7 +121,7 @@ class Host:
         self.interrupts = InterruptController(
             env, self.cost_model.msi_delivery_us,
             num_vectors=self.config.num_irq_vectors,
-            name=f"{self.name}.pic", tracer=tracer,
+            name=f"{self.name}.pic",
             coalesce=self.config.coalesce_interrupts,
         )
         #: NTB drivers by side ("left"/"right"), installed by the fabric.

@@ -35,7 +35,7 @@ from ..pcie import (
     LinkConfig,
     Type0Header,
 )
-from ..sim import BandwidthServer, Environment, Tracer
+from ..sim import BandwidthServer, Environment
 from .bar import IncomingTranslation, OutgoingWindow, WindowError
 from .dma import DmaConfig, DmaDirection, DmaEngine, DmaRequest
 from .doorbell import DoorbellRegister
@@ -83,12 +83,10 @@ class NtbEndpoint:
     """One NTB port with its registers, windows, DMA engine and link."""
 
     def __init__(self, env: Environment, name: str,
-                 config: Optional[NtbPortConfig] = None,
-                 tracer: Optional[Tracer] = None):
+                 config: Optional[NtbPortConfig] = None):
         self.env = env
         self.name = name
         self.config = config or NtbPortConfig()
-        self.tracer = tracer
 
         bars = [BarRegister(0, BarKind.MEM32,
                             size=self.config.register_space_size)]
@@ -118,8 +116,7 @@ class NtbEndpoint:
         #: rings actually swallowed (accounting for tests/reports)
         self.dropped_doorbells = 0
         self.lut = LookupTable(name=f"{name}.lut")
-        self.dma = DmaEngine(env, self.config.dma, name=f"{name}.dma",
-                             tracer=tracer)
+        self.dma = DmaEngine(env, self.config.dma, name=f"{name}.dma")
 
         # Populated by attach_host():
         self.local_memory: Optional[PhysicalMemory] = None
@@ -217,8 +214,6 @@ class NtbEndpoint:
             return
         memory, phys, _port = self.resolve_peer(window_index, offset, nbytes)
         memory.write(phys, data)
-        if self.tracer is not None:
-            self.tracer.count(f"{self.name}.pio_write", nbytes=nbytes)
 
     def window_read_functional(self, window_index: int, offset: int,
                                nbytes: int) -> np.ndarray:
@@ -229,8 +224,6 @@ class NtbEndpoint:
         if self.link_down:
             return np.full(nbytes, 0xFF, dtype=np.uint8)
         memory, phys, _port = self.resolve_peer(window_index, offset, nbytes)
-        if self.tracer is not None:
-            self.tracer.count(f"{self.name}.pio_read", nbytes=nbytes)
         return memory.read(phys, nbytes)
 
     # -- doorbell / scratchpad ----------------------------------------------------
@@ -251,8 +244,6 @@ class NtbEndpoint:
             self.dropped_doorbells += 1
             return
         peer.doorbell.latch(bit)
-        if self.tracer is not None:
-            self.tracer.count(f"{self.name}.doorbell_rings")
 
     def spad_file(self) -> ScratchpadFile:
         if self.spad is None:
@@ -284,8 +275,7 @@ class NtbEndpoint:
 
 
 def connect_endpoints(a: NtbEndpoint, b: NtbEndpoint,
-                      link_config: Optional[LinkConfig] = None,
-                      tracer: Optional[Tracer] = None) -> DuplexLink:
+                      link_config: Optional[LinkConfig] = None) -> DuplexLink:
     """Plug a PCIe fabric cable between two attached endpoints.
 
     Creates the duplex link, instantiates the *shared* scratchpad file, and
@@ -305,7 +295,7 @@ def connect_endpoints(a: NtbEndpoint, b: NtbEndpoint,
 
     env = a.env
     cable = DuplexLink(env, link_config or LinkConfig(),
-                       name=f"{a.name}<->{b.name}", tracer=tracer)
+                       name=f"{a.name}<->{b.name}")
     # Both banks: 0..7 data/mailbox (paper §II-A), 8..15 link management
     # (heartbeat) — so the watchdog never collides with the mailboxes.
     spad = ScratchpadFile(env, name=f"{a.name}|{b.name}.spad",

@@ -35,7 +35,7 @@ from typing import Callable, Generator, Optional, Sequence
 from ..memory import PhysSegment, PhysicalMemory
 from ..obsv.spans import NULL_SCOPE
 from ..pcie import Link
-from ..sim import BandwidthServer, Environment, Event, Store, Tracer
+from ..sim import BandwidthServer, Environment, Event, Store
 
 __all__ = ["DmaConfig", "DmaDirection", "DmaRequest", "DmaEngine",
            "LinkDownError"]
@@ -141,11 +141,10 @@ class DmaEngine:
     """
 
     def __init__(self, env: Environment, config: DmaConfig,
-                 name: str = "dma", tracer: Optional[Tracer] = None):
+                 name: str = "dma"):
         self.env = env
         self.config = config
         self.name = name
-        self.tracer = tracer
         self._ring: Store[DmaRequest] = Store(
             env, capacity=config.ring_entries, name=f"{name}.ring"
         )
@@ -253,12 +252,6 @@ class DmaEngine:
             request.completed_at = self.env.now
             self.completed_requests += 1
             self.completed_bytes += request.nbytes
-            if self.tracer is not None:
-                self.tracer.count(f"{self.name}.requests", nbytes=request.nbytes)
-                self.tracer.observe(
-                    f"{self.name}.latency",
-                    request.completed_at - request.submitted_at,
-                )
             if request.on_complete is not None:
                 request.on_complete(request)
             request.done.succeed(request)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..obsv.spans import NULL_SCOPE
-from ..sim import Environment, Resource, Tracer
+from ..sim import Environment, Resource
 from .flow_control import CreditConfig, CreditPool
 from .tlp import TlpOverhead
 
@@ -135,11 +135,10 @@ class Link:
     """
 
     def __init__(self, env: Environment, config: LinkConfig,
-                 name: str = "link", tracer: Optional[Tracer] = None):
+                 name: str = "link"):
         self.env = env
         self.config = config
         self.name = name
-        self.tracer = tracer
         self._wire = Resource(env, capacity=1, name=f"{name}.wire")
         #: observability sink; replaced by instrument_cluster when tracing.
         self.scope = NULL_SCOPE
@@ -202,8 +201,6 @@ class Link:
             )
         if propagate and self.config.propagation_delay_us:
             yield self.env.timeout(self.config.propagation_delay_us)
-        if self.tracer is not None:
-            self.tracer.count(f"{self.name}.transfers", nbytes=nbytes)
         return ser
 
     def utilization(self, elapsed_us: Optional[float] = None) -> float:
@@ -227,12 +224,12 @@ class DuplexLink:
     """
 
     def __init__(self, env: Environment, config: LinkConfig,
-                 name: str = "cable", tracer: Optional[Tracer] = None):
+                 name: str = "cable"):
         self.env = env
         self.config = config
         self.name = name
-        self.a_to_b = Link(env, config, name=f"{name}.a2b", tracer=tracer)
-        self.b_to_a = Link(env, config, name=f"{name}.b2a", tracer=tracer)
+        self.a_to_b = Link(env, config, name=f"{name}.a2b")
+        self.b_to_a = Link(env, config, name=f"{name}.b2a")
 
     def direction(self, from_a: bool) -> Link:
         return self.a_to_b if from_a else self.b_to_a

@@ -5,7 +5,6 @@ Public surface::
     from repro.sim import Environment, Event, Process, Timeout
     from repro.sim import AllOf, AnyOf, Signal, Gate, CountdownLatch
     from repro.sim import Resource, Store, Channel
-    from repro.sim import Tracer, TraceRecord
     from repro.sim import Interrupt, SimulationError
 
 See :mod:`repro.sim.core` for the execution model.
@@ -34,7 +33,6 @@ from .errors import (
 )
 from .primitives import AllOf, AnyOf, Condition, CountdownLatch, Gate, Signal
 from .resources import BandwidthServer, Channel, Request, Resource, Store
-from .trace import Counter, IntervalStats, TraceRecord, Tracer
 
 __all__ = [
     "NORMAL",
@@ -68,8 +66,4 @@ __all__ = [
     "Request",
     "Resource",
     "Store",
-    "Counter",
-    "IntervalStats",
-    "TraceRecord",
-    "Tracer",
 ]

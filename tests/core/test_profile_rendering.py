@@ -32,8 +32,8 @@ class TestRenderProfile:
         assert any(l.split()[1:2] == ["barrier"] for l in lines)
 
     def test_profile_lists_atomics(self):
-        """AMOs go through the same op envelope as put/get: a tracer row
-        per issuing PE and a span-histogram key per op name and hop."""
+        """AMOs go through the same op envelope as put/get: a profile
+        row per issuing PE and a span-histogram key per op name and hop."""
 
         def main(pe):
             ctr = yield from pe.malloc(8)
@@ -56,9 +56,9 @@ class TestRenderProfile:
         assert report.scope.hist.get("amo.ADD.1hop").count == 1
         assert report.scope.hist.get("amo.ADD.2hop").count == 1
         assert report.scope.hist.get("amo.FETCH.1hop").count == 1
-        summary = report.tracer.summary()
-        assert summary["interval.pe0.amo_us.count"] == 2
-        assert summary["count.pe0.amo"] == 2
+        assert report.metrics.hist.get("pe0.amo_us").count == 2
+        assert report.metrics.value("pe0.amo.ADD") == 1
+        assert report.metrics.value("pe0.amo.*") == 2
 
     def test_profile_empty_when_nothing_ran(self):
         report = run_spmd(lambda pe: iter(()), n_pes=3)

@@ -408,14 +408,7 @@ def test_render_race_table():
 
 
 def test_race_trace_rows_emitted():
-    from repro.fabric import ClusterConfig
-
-    report = run_spmd(_racy_program, n_pes=3, shmem_config=REPORT,
-                      cluster_config=ClusterConfig(n_hosts=3, trace=True))
-    races = [
-        record for record in report.tracer.records
-        if record.source == "shmemsan" and record.kind == "race"
-    ]
+    report = run_spmd(_racy_program, n_pes=3, shmem_config=REPORT)
     assert report.sanitizer.race_count == len(report.races) == 1
-    assert len(races) == 1
-    assert races[0].detail["owner_pe"] == 1
+    assert report.races == report.sanitizer.reports
+    assert report.races[0].owner_pe == 1

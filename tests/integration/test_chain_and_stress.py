@@ -133,10 +133,9 @@ class TestLatencyInstrumentation:
             yield from pe.barrier_all()
 
         report = run_spmd(main, n_pes=3)
-        summary = report.tracer.summary()
-        assert summary["interval.pe0.put_us.count"] == 1
-        assert summary["interval.pe0.get_us.count"] == 1
-        assert summary["interval.pe0.get_us.mean_us"] > \
-            summary["interval.pe0.put_us.mean_us"]
-        assert summary["bytes.pe0.put"] == 8192
-        assert summary["interval.pe0.barrier_us.count"] >= 1
+        hist = report.metrics.hist
+        assert hist.get("pe0.put_us").count == 1
+        assert hist.get("pe0.get_us").count == 1
+        assert hist.get("pe0.get_us").mean > hist.get("pe0.put_us").mean
+        assert report.stats()["pe0.put.DMA:bytes"] == 8192
+        assert hist.get("pe0.barrier_us").count >= 1

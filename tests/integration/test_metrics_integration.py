@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,8 +12,12 @@ from repro.bench.experiments.metrics import (
     check_against,
     run_metrics_smoke,
 )
-from repro.core import ShmemConfig, run_spmd
+from repro.core import ShmemConfig, ShmemSan, run_spmd
+from repro.fabric import ClusterConfig
+from repro.host import Host, InterruptController
+from repro.ntb import DmaEngine, NtbEndpoint, connect_endpoints
 from repro.obsv.slo import SloRuleSet
+from repro.pcie import DuplexLink, Link
 
 
 def _workload(pe):
@@ -64,6 +70,68 @@ class TestClusterWiring:
         assert "# TYPE repro_pe0_puts gauge" in text
         assert "# TYPE repro_pe0_put_DMA counter" in text
         assert "repro_put_us_4KB_1hop" in text
+
+
+# ------------------------------------------------------- each fact once
+def _mixed_workload(pe):
+    sym = yield from pe.malloc(8192)
+    ctr = yield from pe.malloc(8)
+    src = pe.local_alloc(8192)
+    dst = pe.local_alloc(8192)
+    yield from pe.barrier_all()
+    right = (pe.my_pe() + 1) % pe.num_pes()
+    left = (pe.my_pe() - 1) % pe.num_pes()
+    for _ in range(pe.my_pe() + 1):
+        yield from pe.put_from(sym, src, 4096, right)
+    yield from pe.put_from(sym, src, 512, left)      # two hops, fixed-right
+    yield from pe.barrier_all()
+    yield from pe.get_into(dst, sym, 2048, left)
+    yield from pe.atomic_fetch_add(ctr, 1, 0)
+    if pe.my_pe() == 2:
+        yield from pe.atomic_fetch(ctr, 1)
+    yield from pe.barrier_all()
+
+
+class TestOneSpine:
+    #: op -> the per-PE counter keys ``_op`` increments for it.
+    COUNTER_GLOB = {"put": "put.*", "get": "get.*", "amo": "amo.*",
+                    "barrier": "barriers"}
+
+    def test_each_op_is_recorded_once_per_sink(self):
+        report = run_spmd(_mixed_workload, n_pes=3,
+                          shmem_config=ShmemConfig(trace_spans=True))
+        registry = report.metrics
+        spans = Counter((span.track, span.name) for span in report.scope.spans
+                        if span.category == "op" and not span.is_open)
+        for op, glob in self.COUNTER_GLOB.items():
+            total = 0
+            for rt in report.runtimes:
+                count = registry.hist.get(f"{rt.name}.{op}_us").count
+                assert count == registry.value(f"{rt.name}.{glob}"), \
+                    (rt.name, op)
+                assert count == spans[(rt.name, op)], (rt.name, op)
+                total += count
+            assert total == sum(
+                hist.count for key, hist in registry.hist.items()
+                if key.startswith(f"{op}_us.")), op
+        assert registry.hist.get("pe2.put_us").count == 4
+        assert registry.hist.get("pe2.amo_us").count == 2
+
+    def test_service_drop_gauges_exist_after_initialize(self):
+        registry = run_spmd(lambda pe: iter(()), n_pes=3).metrics
+        for pe in range(3):
+            assert registry.value(f"pe{pe}.service.dup_ctrl_drops") == 0
+            assert registry.value(f"pe{pe}.service.abandoned_responses") == 0
+
+    @pytest.mark.parametrize("target", [
+        Link, DuplexLink, InterruptController, Host, DmaEngine,
+        NtbEndpoint, connect_endpoints, ShmemSan])
+    def test_no_layer_takes_a_tracer(self, target):
+        assert "tracer" not in inspect.signature(target).parameters
+
+    def test_cluster_config_has_no_trace_knob(self):
+        with pytest.raises(TypeError):
+            ClusterConfig(trace=True)
 
 
 # --------------------------------------------------- zero virtual-time cost
