@@ -98,7 +98,7 @@ if __name__ == "__main__":
 
     fastpath = None
     if args.fastpath:
-        from repro.core.fastpath import FastpathConfig
+        from repro.core import FastpathConfig
 
         fastpath = FastpathConfig()
     config = None

@@ -60,6 +60,7 @@ _warm_bytecode_cache()
 from .core import (
     PE,
     AmoOp,
+    FastpathConfig,
     HeapConfig,
     LocalBuffer,
     Mode,
@@ -75,11 +76,9 @@ from .host import CostModel, HostConfig
 from .ntb import DmaConfig, NtbPortConfig
 from .pcie import LinkConfig
 
-#: Deferred (PEP 562), mirroring repro.core: sanitizer machinery and the
-#: fastpath config load on first use only.
-_LAZY_CORE_NAMES = frozenset({
-    "FastpathConfig", "RaceReport", "ShmemSan", "render_race_table",
-})
+#: Deferred (PEP 562), mirroring repro.core: sanitizer machinery loads
+#: on first use only.
+_LAZY_CORE_NAMES = frozenset({"RaceReport", "ShmemSan", "render_race_table"})
 
 
 def __getattr__(name: str):

@@ -70,15 +70,6 @@ Rules
     ``span-unbalanced`` check would fire at runtime; this rule catches it
     at lint time).
 
-``fastpath-gating``
-    The optimized protocol stack (``repro/core/fastpath.py``) must be
-    reachable only behind an explicit ``ShmemConfig(fastpath=...)``: a
-    *module-level* import of ``fastpath`` anywhere else would execute (and
-    potentially wire in) fastpath code on the default paper-faithful
-    configuration.  Imports inside function bodies (deferred, taken only
-    when a ``FastpathConfig`` is present) and under ``if TYPE_CHECKING:``
-    are allowed; the module itself is exempt.
-
 Any line containing ``pragma: no cover`` or ``lint: skip`` is exempt from
 all rules.
 """
@@ -130,11 +121,6 @@ OBSV_PACKAGE = "obsv"
 CORE_PACKAGE = "core"
 BOUNDED_WAIT_EXEMPT_FILES = frozenset({"waits.py"})
 
-#: the opt-in fastpath module (the fastpath-gating rule) and the files
-#: allowed to name it at module level (itself only).
-FASTPATH_MODULE = "fastpath"
-FASTPATH_EXEMPT_FILES = frozenset({"fastpath.py"})
-
 _SUPPRESS_MARKERS = ("pragma: no cover", "lint: skip")
 
 
@@ -173,8 +159,6 @@ class _Checker(ast.NodeVisitor):
         self.source_lines = source_lines
         self.package = _repro_package(path)
         self.issues: List[LintIssue] = []
-        self._func_depth = 0
-        self._type_checking_depth = 0
         self._func_stack: List[ast.AST] = []
         #: functions already known to touch the wait graph (id(node)).
         self._registered_funcs: dict[int, bool] = {}
@@ -211,7 +195,6 @@ class _Checker(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         is_cm = self._is_contextmanager(node)
-        self._func_depth += 1
         self._func_stack.append(node)
         self._contextmanager_depth += is_cm
         try:
@@ -219,11 +202,9 @@ class _Checker(ast.NodeVisitor):
         finally:
             self._contextmanager_depth -= is_cm
             self._func_stack.pop()
-            self._func_depth -= 1
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         is_cm = self._is_contextmanager(node)
-        self._func_depth += 1
         self._func_stack.append(node)
         self._contextmanager_depth += is_cm
         try:
@@ -231,43 +212,6 @@ class _Checker(ast.NodeVisitor):
         finally:
             self._contextmanager_depth -= is_cm
             self._func_stack.pop()
-            self._func_depth -= 1
-
-    @staticmethod
-    def _is_type_checking(test: ast.expr) -> bool:
-        return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") \
-            or (isinstance(test, ast.Attribute)
-                and test.attr == "TYPE_CHECKING")
-
-    def visit_If(self, node: ast.If) -> None:
-        if self._is_type_checking(node.test):
-            self._type_checking_depth += 1
-            try:
-                for child in node.body:
-                    self.visit(child)
-            finally:
-                self._type_checking_depth -= 1
-            for child in node.orelse:
-                self.visit(child)
-        else:
-            self.generic_visit(node)
-
-    # -------------------------------------------- rule: fastpath-gating
-    def _check_fastpath_import(self, node: ast.AST, names: List[str]) -> None:
-        if self.path.name in FASTPATH_EXEMPT_FILES:
-            return
-        if self._func_depth or self._type_checking_depth:
-            return
-        for name in names:
-            if name.split(".")[-1] == FASTPATH_MODULE:
-                self._emit(
-                    node, "fastpath-gating",
-                    f"module-level import of {name!r}: the fastpath stack "
-                    f"must load only behind an explicit "
-                    f"ShmemConfig(fastpath=...) — defer the import into "
-                    f"the function that checks FastpathConfig (or put it "
-                    f"under 'if TYPE_CHECKING:')",
-                )
 
     # ------------------------------------------------------- rule: wallclock
     def visit_Import(self, node: ast.Import) -> None:
@@ -282,8 +226,6 @@ class _Checker(ast.NodeVisitor):
                         f"determinism; only WALLCLOCK_EXEMPT files may "
                         f"read the host clock)",
                     )
-        self._check_fastpath_import(
-            node, [alias.name for alias in node.names])
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -297,13 +239,6 @@ class _Checker(ast.NodeVisitor):
                     f"determinism; only WALLCLOCK_EXEMPT files may "
                     f"read the host clock)",
                 )
-        if node.module:
-            # 'from .fastpath import X' / 'from repro.core.fastpath ...'
-            self._check_fastpath_import(node, [node.module])
-        else:
-            # 'from . import fastpath'
-            self._check_fastpath_import(
-                node, [alias.name for alias in node.names])
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ...core import Mode, ShmemConfig, run_spmd
+from ...core import FastpathConfig, Mode, ShmemConfig, run_spmd
 from ...fabric import ClusterConfig
 from ..reporting import Row, size_label
 
@@ -195,11 +195,9 @@ def _measure_grid(config: ShmemConfig, n_pes: int = 3) -> dict[str, float]:
 
 
 def run_fastpath_compare(
-        fastpath_config: Optional[Any] = None,
+        fastpath_config: Optional[FastpathConfig] = None,
         n_pes: int = 3) -> FastpathCompareResult:
     """Measure both grids and package the comparison."""
-    from ...core.fastpath import FastpathConfig
-
     fp = fastpath_config or FastpathConfig()
     wall: dict[str, float] = {}
     t0 = time.perf_counter()

@@ -36,7 +36,7 @@ from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
-from ..core import PE, ShmemConfig
+from ..core import PE, FastpathConfig, ShmemConfig
 from ..core.errors import PeerUnreachableError, ShmemError
 from ..fabric.heartbeat import HeartbeatConfig
 
@@ -226,9 +226,6 @@ def _fastpath_credit_main(pe: PE) -> Generator:
 
 
 def _fastpath_credit_config() -> ShmemConfig:
-    # Deferred import: the fastpath stack loads only for this model's
-    # explicitly fastpath-enabled configuration (lint: fastpath-gating).
-    from ..core.fastpath import FastpathConfig
     return _base_config(
         fwd_chunk=_CHUNK,
         fastpath=FastpathConfig(credit_slots=2),

@@ -17,6 +17,7 @@ from .errors import (
     SymmetricHeapError,
     TransferError,
 )
+from .fastpath import FastpathConfig
 from .heap import HeapConfig, SymAddr, SymmetricHeap
 from .locks import clear_lock, set_lock, test_lock
 from .program import SpmdReport, make_cluster, run_spmd
@@ -30,7 +31,6 @@ from .waits import remote_wait
 #: are sizeable modules that the default runtime bring-up never touches —
 #: loading them lazily keeps short CLI runs (the smoke bench) lean.
 _LAZY_SUBMODULE = {
-    "FastpathConfig": "fastpath",
     "RaceReport": "sanitizer",
     "ShmemSan": "sanitizer",
     "render_race_table": "sanitizer",

@@ -1,9 +1,12 @@
 """Runtime configuration and requester-side pending-request records.
 
 :class:`ShmemConfig` is the one bag of runtime shape knobs (validated at
-construction); :class:`PendingGet` / :class:`PendingAmo` are what a PE
-keeps per outstanding Get / atomic until the reply lands.  All three are
-re-exported from :mod:`repro.core.runtime`.
+construction; its ``fastpath`` field takes a :class:`FastpathConfig`, the
+opt-in lever sub-bag defined in :mod:`.fastpath`); :class:`PendingGet` /
+:class:`PendingAmo` are what a PE keeps per outstanding Get / atomic until
+the reply lands.
+``ShmemConfig`` and the pending records are re-exported from
+:mod:`repro.core.runtime`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from ..fabric.router import ROUTER_NAMES
 from ..fabric.topology import PortLike
 if TYPE_CHECKING:  # faults loads lazily: only runs configured with a plan
     from ..faults import FaultPlan  # noqa: F401
-    from .fastpath import FastpathConfig  # noqa: F401  (opt-in module)
 from ..sim import Event
+from .fastpath import FastpathConfig
 from .heap import HeapConfig
 from .transfer import Mode
 
@@ -92,7 +95,7 @@ class ShmemConfig:
     #: Init-handshake patience: a missing neighbor raises instead of
     #: polling ScratchPads forever.
     handshake_timeout_us: float = 1_000_000.0
-    #: Opt-in optimized data plane (repro.core.fastpath): interrupt
+    #: Opt-in optimized data plane (docs/FASTPATH.md): interrupt
     #: coalescing, chained-descriptor DMA, cut-through forwarding and
     #: inline small messages.  None (the default) keeps the runtime
     #: byte-identical in virtual time to the paper-faithful stack.
@@ -134,14 +137,12 @@ class ShmemConfig:
             raise ValueError("handshake_timeout_us must be positive")
         if self.metrics_window_us is not None and self.metrics_window_us <= 0:
             raise ValueError("metrics_window_us must be positive")
-        if self.fastpath is not None:
-            from .fastpath import FastpathConfig  # deferred: opt-in only
-
-            if not isinstance(self.fastpath, FastpathConfig):
-                raise ValueError(
-                    f"fastpath must be a FastpathConfig or None, "
-                    f"got {type(self.fastpath).__name__}"
-                )
+        if self.fastpath is not None \
+                and not isinstance(self.fastpath, FastpathConfig):
+            raise ValueError(
+                f"fastpath must be a FastpathConfig or None, "
+                f"got {type(self.fastpath).__name__}"
+            )
 
 
 @dataclass

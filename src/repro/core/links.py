@@ -226,9 +226,9 @@ def wire_link_metrics(rt: "ShmemRuntime") -> None:
     """Pull-gauge the mailboxes and service thread into the fabric.
 
     Everything here binds existing lifetime statistics — zero cost on
-    the hot paths, zero virtual-time events.  Fastpath-only counters
-    (cut-throughs, coalesced wakes) are bound when the service exposes
-    them, so the same wiring covers both data planes.
+    the hot paths, zero virtual-time events.  The fastpath lever
+    counters (cut-throughs, coalesced wakes) are bound only on a fastpath
+    runtime: on the default plane they are constant zeros, not metrics.
     """
     for side, link in rt.links.items():
         for channel, mailbox in (("data", link.data_mailbox),
@@ -247,12 +247,13 @@ def wire_link_metrics(rt: "ShmemRuntime") -> None:
                 lambda m=mailbox: m._slots.queue_length)
     service = rt.service
     scoped = rt.metrics_registry.scoped(f"{rt.name}.service")
-    for attr in ("cut_throughs", "cut_through_fallbacks",
-                 "coalesced_wakes", "dropped_forwards", "dup_ctrl_drops",
-                 "abandoned_responses"):
-        if hasattr(service, attr):
-            scoped.gauge(attr).bind(
-                lambda s=service, a=attr: getattr(s, a))
+    attrs: tuple[str, ...] = ("dropped_forwards", "dup_ctrl_drops",
+                              "abandoned_responses", "stale_responses")
+    if rt.config.fastpath is not None:
+        attrs = ("cut_throughs", "cut_through_fallbacks",
+                 "coalesced_wakes") + attrs
+    for attr in attrs:
+        scoped.gauge(attr).bind(lambda s=service, a=attr: getattr(s, a))
 
 
 def tear_down(rt: "ShmemRuntime") -> None:

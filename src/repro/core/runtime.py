@@ -222,14 +222,9 @@ class ShmemRuntime:
         # Step 1 (NTB setup + handshake) and step 3 (bypass buffers).
         yield from links.bring_up(self)
         # Step 2: interrupt structure; Step 4: service thread.
-        if self.config.fastpath is not None:
-            from .fastpath import CoalescingService  # deferred: opt-in
+        from .service import ShmemService  # local import avoids cycle
 
-            self.service = CoalescingService(self)
-        else:
-            from .service import ShmemService  # local import avoids cycle
-
-            self.service = ShmemService(self)
+        self.service = ShmemService(self)
         links.register_irqs(self)
         # Barrier strategy.
         from .barrier import make_barrier  # local import avoids cycle

@@ -14,6 +14,14 @@ exactly as Fig. 5 does:
 
 Get requests additionally walk the "Source is me?" branch: the owner spawns
 a responder that streams chunks back along the reverse path.
+
+Two of the opt-in fastpath levers (``ShmemConfig.fastpath``,
+docs/FASTPATH.md) are branches of this same thread, not a second one:
+``coalesce`` keeps it in a bounded poll window after a drain instead of
+sleeping into a wake charge, and ``cut_through`` forwards bypass chunks
+straight out of the receive slot, returning the upstream credit through a
+per-link ordered-ack chain.  With ``fastpath=None`` neither branch is ever
+taken: the lever counters stay 0 and ``_ack_tail`` stays empty.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import numpy as np
 from ..fabric import NoRouteError
 from ..host import KernelThread
 from ..ntb import LinkDownError
+from ..sim import Event
 from .errors import PeerUnreachableError, ProtocolError
 from .heap import SymAddr
 from . import linkstate
@@ -117,6 +126,20 @@ class ShmemService:
         #: in-flight deferred ACK tasks (always 0 on the baseline path;
         #: the fastpath's cut-through forwarding defers slot ACKs).
         self.active_acks = 0
+        #: fastpath levers 1 and 3, read once (both off on the default
+        #: plane, which leaves everything below inert).
+        fp = runtime.config.fastpath
+        self._fp = fp
+        self._cut_through = fp is not None and fp.cut_through
+        #: True while the thread idles inside the poll window — counts as
+        #: "asleep" for quiescence checks (the poll expires by itself).
+        self._poll_idle = False
+        #: per-incoming-side tail of the ordered-ack chain.
+        self._ack_tail: dict[str, Event] = {}
+        #: lever diagnostics
+        self.coalesced_wakes = 0
+        self.cut_throughs = 0
+        self.cut_through_fallbacks = 0
         #: fault diagnostics: chunks dropped at a dead edge, responses
         #: abandoned mid-stream, straggler replies for retired requests.
         self.dropped_forwards = 0
@@ -134,26 +157,20 @@ class ShmemService:
         self.thread.kick()
 
     @property
-    def is_idle(self) -> bool:
-        return (not self._work and self.thread.is_sleeping
-                and self.active_responders == 0
-                and self.active_forwards == 0
-                and self.active_ctrl_forwards == 0)
-
-    @property
     def quiescent(self) -> bool:
         """No queued or in-flight *data* work anywhere in the service.
 
         This is the condition :meth:`ShmemRuntime.forwarding_quiesce` waits
-        for (every term that can turn it true calls ``notify_progress``);
-        subclasses widen it (a fastpath poll-idle thread counts as asleep).
-        In-flight BARRIER_MSG relays (``active_ctrl_forwards``) are
-        deliberately excluded — see the counter's comment.
+        for (every term that can turn it true calls ``notify_progress``).
+        An idle poll counts as asleep: the queue is empty and the poll
+        window expires on its own without producing work.  In-flight
+        BARRIER_MSG relays (``active_ctrl_forwards``) are deliberately
+        excluded — see the counter's comment.
         """
         return (not self._work and self.active_forwards == 0
                 and self.active_responders == 0
                 and self.active_acks == 0
-                and self.thread.is_sleeping)
+                and (self.thread.is_sleeping or self._poll_idle))
 
     def stop(self) -> Generator:
         # Let in-flight forwards/responders drain before killing the thread.
@@ -184,11 +201,35 @@ class ShmemService:
 
     # ------------------------------------------------------------------ body
     def _body(self, thread: KernelThread) -> Generator:
+        fp = self._fp
         while True:
             yield from thread.wait_work()
             if thread.stop_requested and not self._work:
                 return
             yield from self._drain_work()
+            # Lever 1, NAPI-style hot window: poll briefly for follow-on
+            # work instead of sleeping into a thread_wake_us charge.  MSI +
+            # ISR stay charged per doorbell — the top halves still feed
+            # the queue; only the wake is skipped.  (Inline, not a helper
+            # generator: a helper costs one more frame per poll tick.)
+            while (fp is not None and fp.coalesce
+                   and not thread.stop_requested):
+                polled = 0
+                while (not self._work and polled < fp.poll_rounds
+                       and not thread.stop_requested):
+                    self._poll_idle = True
+                    if polled == 0:
+                        # Later rounds flip the flag back within one
+                        # dispatch: only this edge is ever observable.
+                        self.rt.notify_progress()
+                    # Bounded by poll_rounds, not a blocking wait.
+                    yield self.env.timeout(fp.poll_us)  # lint: skip
+                    self._poll_idle = False
+                    polled += 1
+                if not self._work:
+                    break  # window expired: back to a real sleep
+                self.coalesced_wakes += 1
+                yield from self._drain_work()
 
     def _drain_work(self) -> Generator:
         """Handle queued work items in arrival order until the queue drains."""
@@ -258,10 +299,53 @@ class ShmemService:
             )
 
     def _ack(self, link: "LinkEnd", channel: str) -> Generator:
+        """Return the sender's slot.  A posted doorbell: into a severed
+        cable it is silently lost (``ring_peer_doorbell`` never raises)."""
         if channel == "data":
             yield from link.data_mailbox.ack()
-        else:
+        elif not self._cut_through:
             yield from link.bypass_mailbox.ack()
+        else:
+            # Ordered + detached: the doorbell rings after every earlier
+            # slot's ACK, from a spawned task so the service thread never
+            # blocks on a deferred cut-through ACK ahead of it in the chain.
+            prev, gate = self._reserve_ack(link.side)
+            self.env.process(
+                self._ordered_ack(link, prev, gate),
+                name=f"{self.rt.name}.ack.{link.side}",
+            )
+
+    def _reserve_ack(self, side: str) -> tuple[Optional[Event], Event]:
+        """Claim the next position in ``side``'s ordered-ack chain.
+
+        Must be called from the service thread while the slot is being
+        handled — slot handling is serialized, so reservation order is
+        slot order, which is exactly the order the sender's FIFO credit
+        protocol frees slots in (an unACKed slot's bytes are therefore
+        never overwritten while a cut-through still streams out of them).
+        """
+        prev = self._ack_tail.get(side)
+        gate = self.env.event()
+        self._ack_tail[side] = gate
+        self.active_acks += 1
+        return prev, gate
+
+    def _ordered_ack(self, link: "LinkEnd", prev: Optional[Event],
+                     gate: Event, forwarded: bool = False) -> Generator:
+        """Ring ``link``'s bypass ACK doorbell in chain order, then open
+        ``gate`` for the next slot.  ``forwarded``: this is the tail of a
+        cut-through, whose forward is over only once the credit is back."""
+        try:
+            if prev is not None and not prev.triggered:
+                yield prev
+            yield from link.bypass_mailbox.ack()
+        finally:
+            if not gate.triggered:
+                gate.succeed()
+            self.active_acks -= 1
+            if forwarded:
+                self.active_forwards -= 1
+            self.rt.notify_progress()
 
     # --------------------------------------------------------------- dispatch
     def _dispatch(self, msg: Message, link: "LinkEnd", payload_phys: int,
@@ -431,34 +515,52 @@ class ShmemService:
 
     def _forward(self, msg: Message, in_link: "LinkEnd", payload_phys: int,
                  channel: str) -> Generator:
-        """Store-and-forward a payload message one hop onward (Fig. 4/5).
+        """Relay a payload message one hop onward (Fig. 4/5).
 
-        The chunk is copied into a per-message staging buffer, the incoming
-        slot is ACKed, and the onward send runs as a *spawned task* — the
-        service thread itself never blocks on a downstream mailbox slot.
-        Blocking in place would make the thread part of a hold-and-wait
-        cycle around the ring (every host's thread waiting for the next
-        host's thread to drain), a real distributed deadlock this design
-        hit before the tasks were detached.
+        Default: store-and-forward — the chunk is copied into a
+        per-message staging buffer, the incoming slot is ACKed, and the
+        onward send runs as a *spawned task*; the service thread itself
+        never blocks on a downstream mailbox slot.  Blocking in place
+        would make the thread part of a hold-and-wait cycle around the
+        ring (every host's thread waiting for the next host's thread to
+        drain), a real distributed deadlock this design hit before the
+        tasks were detached.
+
+        With the ``cut_through`` lever a bypass chunk instead leaves
+        straight out of its receive slot (inline payloads are relayed
+        inline) — but only when a downstream credit is free right now.
+        Under back-pressure the hop degrades to store-and-forward:
+        cutting through would hold the upstream credit while *waiting*
+        for a downstream one, a hold-and-wait edge that can close into
+        the classic credit-deadlock cycle on a saturated ring.
         """
         rt = self.rt
         try:
             out_link = self._out_link(in_link, msg.dest_pe)
         except NoRouteError:
-            # No live way onward from this relay: ACK and drop, exactly
-            # like the dead-edge branch below.
+            out_link = None  # no live way onward from this relay
+        if out_link is None or (
+                rt.dead_edges and out_link.edge in rt.dead_edges):
+            # Nowhere to go, or the onward cable is declared dead: behave
+            # like the posted fabric itself — ACK the sender (its slot
+            # must come back) and drop the chunk.  End-to-end recovery is
+            # the requester's job (retry / reroute / typed error).
             yield from self._ack(in_link, channel)
             self._drop_forward()
             return
         next_pe = rt.neighbor_pe(out_link.direction)
-        if rt.dead_edges and out_link.edge in rt.dead_edges:
-            # The onward cable is declared dead: behave like the posted
-            # fabric itself — ACK the sender (its slot must come back)
-            # and drop the chunk.  End-to-end recovery is the
-            # requester's job (retry / reroute / typed error).
-            yield from self._ack(in_link, channel)
-            self._drop_forward()
-            return
+        if self._cut_through and channel == "bypass":
+            if msg.flags & FLAG_INLINE:
+                if next_pe is not None:
+                    yield from self._forward_inline(
+                        msg, in_link, out_link, next_pe, payload_phys)
+                    return
+            elif out_link.bypass_mailbox.free_slots:
+                self._forward_cut_through(msg, in_link, out_link, next_pe,
+                                          payload_phys)
+                return
+            else:
+                self.cut_through_fallbacks += 1
         with rt.scope.span("bypass_forward", category="service",
                            track=f"{rt.name}.service", nbytes=msg.size,
                            next_pe=next_pe):
@@ -469,6 +571,62 @@ class ShmemService:
             )
             yield from self._ack(in_link, channel)
             self._spawn_task(msg, out_link, next_pe, staging)
+
+    def _forward_inline(self, msg: Message, in_link: "LinkEnd",
+                        out_link: "LinkEnd", next_pe: int,
+                        payload_phys: int) -> Generator:
+        """Forward an inline message: copy the ≤48 in-header bytes out
+        (effectively free) and relay them inline again — the relay skips
+        DMA exactly like the first hop did."""
+        rt = self.rt
+        data = rt.host.memory.read(payload_phys, msg.size).copy()
+        yield from rt.host.cpu.local_memcpy(msg.size)
+        yield from self._ack(in_link, "bypass")
+        self._spawn_task(msg, out_link, next_pe, staging=None, inline=data)
+
+    def _forward_cut_through(self, msg: Message, in_link: "LinkEnd",
+                             out_link: "LinkEnd", next_pe: Optional[int],
+                             payload_phys: int) -> None:
+        """Lever 3: zero-copy forward straight out of the rx slot.
+
+        The slot's bytes stay valid until we ACK (ordered chain => the
+        sender cannot have reused it), and the ACK is deferred to the
+        spawned task's completion.
+        """
+        rt = self.rt
+        self.cut_throughs += 1
+        with rt.scope.span("cut_through", category="service",
+                           track=f"{rt.name}.service", nbytes=msg.size,
+                           next_pe=next_pe):
+            payload = PayloadSource.from_pinned(
+                rt.host, in_link.rx_bypass,
+                payload_phys - in_link.rx_bypass.phys, msg.size,
+            )
+            prev, gate = self._reserve_ack(in_link.side)
+            self.active_forwards += 1
+            task = self.env.process(
+                self._cut_through_task(msg, in_link, out_link, next_pe,
+                                       payload, prev, gate),
+                name=f"{rt.name}.cut.{msg.kind.name}",
+            )
+            rt.scope.bind_process(task, rt.scope.current_span_id())
+
+    def _cut_through_task(self, msg: Message, in_link: "LinkEnd",
+                          out_link: "LinkEnd", next_pe: Optional[int],
+                          payload: PayloadSource,
+                          prev: Optional[Event], gate: Event) -> Generator:
+        rt = self.rt
+        try:
+            with rt.scope.span("cut_through_send", category="service",
+                               track=f"{rt.name}.service",
+                               kind=msg.kind.name, nbytes=msg.size):
+                yield from self._send_onward(msg, out_link, next_pe, payload)
+        except (LinkDownError, PeerUnreachableError):
+            self._drop_forward()
+        finally:
+            # The bytes have left the slot (or died trying): return the
+            # upstream credit, in chain order.
+            yield from self._ordered_ack(in_link, prev, gate, forwarded=True)
 
     def _drop_forward(self) -> None:
         """Count a relayed message this host gave up on.  Posted-write

@@ -15,7 +15,6 @@ from .plan import (
     FaultPlan,
     RestoreCable,
     SeverCable,
-    validate_for_ring,
     validate_for_topology,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "FaultPlan",
     "RestoreCable",
     "SeverCable",
-    "validate_for_ring",
     "validate_for_topology",
 ]

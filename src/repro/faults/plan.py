@@ -38,7 +38,6 @@ __all__ = [
     "DelayTlp",
     "FaultEvent",
     "FaultPlan",
-    "validate_for_ring",
     "validate_for_topology",
 ]
 
@@ -204,31 +203,6 @@ class _Lcg:
 
     def uniform(self) -> float:
         return self._next() / 0x100000000
-
-
-def validate_for_ring(plan: FaultPlan, n_hosts: int) -> None:
-    """Reject events naming edges that do not exist on an n-host ring.
-
-    Historical entry point (rings only); :func:`validate_for_topology`
-    is the general check used by the injector.
-    """
-    valid = set()
-    for a in range(n_hosts):
-        b = (a + 1) % n_hosts
-        valid.add((a, b))
-        valid.add((b, a))
-    for event in plan:
-        if isinstance(event, (SeverCable, RestoreCable, DelayTlp)):
-            if (event.host_a, event.host_b) not in valid:
-                raise ValueError(
-                    f"{event!r}: no cable between hosts {event.host_a} "
-                    f"and {event.host_b} on a {n_hosts}-host ring"
-                )
-        elif isinstance(event, DropDoorbell):
-            if event.host >= n_hosts:
-                raise ValueError(
-                    f"{event!r}: host {event.host} outside 0..{n_hosts - 1}"
-                )
 
 
 def validate_for_topology(plan: FaultPlan, topology) -> None:

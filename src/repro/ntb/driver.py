@@ -295,7 +295,7 @@ class NtbDriver:
 
         ``chained=True`` links the descriptors into one chain so the
         engine prefetches descriptor *i+1* while segment *i* streams
-        (fastpath; see :mod:`repro.core.fastpath`).
+        (fastpath lever 2; see docs/FASTPATH.md).
         """
         yield from self.host.cpu.dma_submit()
         return self.endpoint.dma_write(window_index, window_offset, segments,

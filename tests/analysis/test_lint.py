@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -379,97 +378,6 @@ def test_span_primitives_allowed_inside_obsv(tmp_path):
         "    scope.span_close(span)\n",
     )
     assert lint_file(path) == []
-
-
-# ------------------------------------------------------ rule: fastpath-gating
-def test_module_level_fastpath_import_flagged(tmp_path):
-    path = _write(
-        tmp_path, "repro/core/bad.py",
-        "from .fastpath import FastpathConfig\n",
-    )
-    assert [issue.rule for issue in lint_file(path)] == ["fastpath-gating"]
-
-
-def test_absolute_fastpath_import_flagged(tmp_path):
-    path = _write(
-        tmp_path, "repro/bench/bad.py",
-        "import repro.core.fastpath\n",
-    )
-    assert [issue.rule for issue in lint_file(path)] == ["fastpath-gating"]
-
-
-def test_from_package_import_fastpath_flagged(tmp_path):
-    path = _write(
-        tmp_path, "repro/core/bad.py",
-        "from . import fastpath\n",
-    )
-    assert [issue.rule for issue in lint_file(path)] == ["fastpath-gating"]
-
-
-def test_deferred_fastpath_import_allowed(tmp_path):
-    path = _write(
-        tmp_path, "repro/core/good.py",
-        "def setup(config):\n"
-        "    if config.fastpath is not None:\n"
-        "        from .fastpath import CoalescingService\n"
-        "        return CoalescingService\n",
-    )
-    assert lint_file(path) == []
-
-
-def test_type_checking_fastpath_import_allowed(tmp_path):
-    path = _write(
-        tmp_path, "repro/core/good.py",
-        "from typing import TYPE_CHECKING\n"
-        "if TYPE_CHECKING:\n"
-        "    from .fastpath import FastpathConfig  # noqa: F401\n",
-    )
-    assert lint_file(path) == []
-
-
-def test_fastpath_module_itself_exempt(tmp_path):
-    path = _write(
-        tmp_path, "repro/core/fastpath.py",
-        "from . import fastpath  # pathological but its own business\n",
-    )
-    assert lint_file(path) == []
-
-
-_DEFAULT_PLANE_PROGRAM = """
-import sys
-import numpy as np
-from repro import run_spmd
-
-def main(pe):
-    me, n = pe.my_pe(), pe.num_pes()
-    sym = yield from pe.malloc(16 * 1024)
-    ctr = yield from pe.malloc(8)
-    yield from pe.barrier_all()
-    yield from pe.put_array(sym, np.full(16 * 1024, me, np.uint8), (me + 2) % n)
-    yield from pe.atomic_fetch_add(ctr, 1, (me + 1) % n)
-    yield from pe.barrier_all()
-    got = yield from pe.get_array(sym, 16, np.uint8, (me + 1) % n)
-    return int(got[0])
-
-report = run_spmd(main, n_pes=3)
-assert report.results == [2, 0, 1], report.results
-print("repro.core.fastpath" in sys.modules)
-"""
-
-
-def test_default_plane_never_loads_fastpath():
-    """The static rule above, observed: a default-config run (relayed
-    puts, gets, atomics, barriers, finalize) leaves the opt-in module
-    out of a fresh interpreter altogether."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO_SRC.parent), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", _DEFAULT_PLANE_PROGRAM],
-        capture_output=True, text=True, env=env,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- whole tree

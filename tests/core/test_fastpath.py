@@ -1,4 +1,4 @@
-"""Fastpath data plane (repro.core.fastpath): the four levers + safety.
+"""Fastpath data plane (``ShmemConfig.fastpath``): the four levers + safety.
 
 Covers, per the PR issue:
 
@@ -19,14 +19,14 @@ import numpy as np
 import pytest
 
 from repro import Mode, run_spmd
-from repro.core import ShmemConfig
-from repro.core.fastpath import CoalescingService, FastpathConfig
+from repro.core import FastpathConfig, ShmemConfig
 from repro.core.transfer import (
     FLAG_INLINE,
     INLINE_MAX_BYTES,
     BypassMailbox,
     DataMailbox,
 )
+from repro.faults import FaultPlan
 
 from ..conftest import pattern
 
@@ -36,6 +36,14 @@ FP = FastpathConfig()
 def _fp_config(**kwargs) -> ShmemConfig:
     fp_kwargs = kwargs.pop("fp", {})
     return ShmemConfig(fastpath=FastpathConfig(**fp_kwargs), **kwargs)
+
+
+def chaos_golden_config(**extra) -> ShmemConfig:
+    """The chaos golden scenario: cable 1-2 severed at t=800 us, 8 retries
+    with 200 us backoff (pinned in test_golden_runs.py)."""
+    return ShmemConfig(
+        faults=FaultPlan.single_sever(1, 2, at_us=800.0),
+        max_retries=8, retry_backoff_us=200.0, **extra)
 
 
 class TestDefaultByteIdentity:
@@ -97,6 +105,58 @@ class TestDefaultByteIdentity:
         for got, want in zip(report.results, self.GOLDEN_RESULTS):
             assert got[:3] == want[:3]
         assert report.elapsed_us < self.GOLDEN_ELAPSED_US
+
+
+class TestDefaultPlane:
+    """``fastpath=None`` is a property of the run, not of the import
+    graph: the one service class takes none of its lever branches."""
+
+    @staticmethod
+    def _relayed_main(pe):
+        me, n = pe.my_pe(), pe.num_pes()
+        sym = yield from pe.malloc(16 * 1024)
+        ctr = yield from pe.malloc(8)
+        yield from pe.barrier_all()
+        yield from pe.put_array(sym, np.full(16 * 1024, me, np.uint8),
+                                (me + 2) % n)
+        yield from pe.atomic_fetch_add(ctr, 1, (me + 2) % n)
+        yield from pe.barrier_all()
+        got = yield from pe.get_array(sym, 16, np.uint8, (me + 2) % n)
+        return int(got[0])
+
+    @pytest.mark.parametrize("scenario", ["ring3", "chaos"])
+    def test_default_plane_takes_no_fastpath_branch(self, scenario):
+        # Both run through finalize: the teardown path is part of the claim.
+        if scenario == "ring3":
+            report = run_spmd(self._relayed_main, 3,
+                              shmem_config=ShmemConfig(trace_spans=True))
+            assert report.results == [0, 1, 2]  # my own bytes, relayed back
+        else:
+            report = run_spmd(
+                TestDefaultByteIdentity._golden_main, 4,
+                shmem_config=chaos_golden_config(trace_spans=True))
+            assert [r[:3] for r in report.results] \
+                == [r[:3] for r in TestDefaultByteIdentity.GOLDEN_RESULTS]
+        assert [span for span in report.scope.spans
+                if span.name == "bypass_forward"]  # relays did happen
+        for rt in report.runtimes:
+            svc = rt.service
+            assert svc._fp is None and not svc._cut_through
+            assert (svc.cut_throughs, svc.cut_through_fallbacks,
+                    svc.coalesced_wakes, svc.active_acks) == (0, 0, 0, 0)
+            assert svc._ack_tail == {} and not svc._poll_idle
+        # finalize cleared rt.links; the mailboxes' bound gauges outlive it.
+        inline = {key: value for key, value
+                  in report.metrics.snapshot().items()
+                  if key.endswith((".data.inline", ".bypass.inline"))}
+        assert len(inline) == 4 * len(report.runtimes)
+        assert not any(inline.values())
+        assert not [span.name for span in report.scope.spans
+                    if span.name.startswith("cut_through")]
+        lever_keys = ("cut_throughs", "cut_through_fallbacks",
+                      "coalesced_wakes")
+        assert not [key for key in report.metrics.snapshot()
+                    if ".service." in key and key.endswith(lever_keys)]
 
 
 class TestAcceptanceRatios:
@@ -297,7 +357,7 @@ class TestCutThroughForwarding:
                           finalize=False)
         assert all(report.results)
         svc = report.runtimes[1].service  # the transit hop
-        assert isinstance(svc, CoalescingService)
+        assert svc._cut_through
         assert svc.cut_throughs >= 1
         assert svc.active_acks == 0  # ordered-ack chain fully drained
         assert svc.dropped_forwards == 0
@@ -342,6 +402,71 @@ class TestCutThroughForwarding:
                           finalize=False)
         assert sum(rt.service.coalesced_wakes
                    for rt in report.runtimes) > 0
+
+
+class TestSingleLeverOff:
+    """Each boolean lever off alone (and ``inline_max=0``): payloads still
+    verify, that lever's counter stays zero, every other lever's moves."""
+
+    GET_BYTES = 64 * 1024
+
+    @staticmethod
+    def _main(pe):
+        me, n = pe.my_pe(), pe.num_pes()
+        big, far = 512 * 1024, (me + 2) % n
+        sym = yield from pe.malloc(big)
+        small = yield from pe.malloc(64)
+        yield from pe.barrier_all()
+        # inline + inline relay; staged chain + cut-through + poll window
+        yield from pe.put_array(small, pattern(32, seed=me), far)
+        yield from pe.put_array(sym, pattern(big, seed=me), far)
+        yield from pe.barrier_all()
+        src = (me - 2) % n
+        ok = (np.array_equal(pe.read_symmetric_array(small, 32, np.uint8),
+                             pattern(32, seed=src))
+              and np.array_equal(pe.read_symmetric_array(sym, big, np.uint8),
+                                 pattern(big, seed=src)))
+        if me == 0:  # the only request ids this PE ever burns
+            got = yield from pe.get_array(
+                sym, TestSingleLeverOff.GET_BYTES, np.uint8, 1)
+            ok = ok and np.array_equal(
+                got, pattern(big, seed=3)[:TestSingleLeverOff.GET_BYTES])
+        yield from pe.barrier_all()
+        return bool(ok)
+
+    @pytest.mark.parametrize("lever", [
+        "coalesce", "chain_dma", "cut_through", "streaming_get",
+        "inline_max"])
+    def test_single_lever_off(self, lever):
+        config = _fp_config(
+            fp={lever: 0 if lever == "inline_max" else False})
+        report = run_spmd(self._main, 4, shmem_config=config,
+                          finalize=False)
+        assert all(report.results)
+        mailboxes = [mailbox for rt in report.runtimes
+                     for link in rt.links.values()
+                     for mailbox in (link.data_mailbox, link.bypass_mailbox)]
+        get_reqs = report.runtimes[0]._next_req_id - 1
+        get_chunks = self.GET_BYTES // config.get_chunk
+        activity = {
+            "coalesce": sum(rt.service.coalesced_wakes
+                            for rt in report.runtimes),
+            "chain_dma": sum(
+                value for key, value in report.metrics.snapshot().items()
+                if key.endswith(".dma.descriptors_chained"))
+            + sum(mailbox.staged_sends for mailbox in mailboxes),
+            "cut_through": sum(rt.service.cut_throughs
+                               for rt in report.runtimes),
+            "streaming_get": get_chunks - get_reqs,  # round trips saved
+            "inline_max": sum(mailbox.inline_count for mailbox in mailboxes),
+        }
+        assert activity.pop(lever) == 0
+        assert all(count > 0 for count in activity.values()), activity
+        assert get_reqs == (get_chunks if lever == "streaming_get" else 1)
+        slots = (config.bypass_slots if lever == "cut_through"
+                 else config.fastpath.credit_slots)
+        assert all(link.bypass_mailbox.slots == slots
+                   for rt in report.runtimes for link in rt.links.values())
 
 
 class TestOrderingUnderFastpath:
@@ -492,7 +617,7 @@ class TestConfigValidation:
         report = run_spmd(main, 3, shmem_config=_fp_config(),
                           finalize=False)
         for rt in report.runtimes:
-            assert isinstance(rt.service, CoalescingService)
+            assert rt.service._fp.coalesce and rt.service._cut_through
             for link in rt.links.values():
                 assert type(link.data_mailbox) is DataMailbox
                 assert type(link.bypass_mailbox) is BypassMailbox
@@ -508,6 +633,7 @@ class TestConfigValidation:
         plain = run_spmd(main, 3, shmem_config=_fp_config(
             fp={"chain_dma": False, "cut_through": False}), finalize=False)
         for rt in plain.runtimes:
+            assert rt.service._fp.coalesce and not rt.service._cut_through
             for link in rt.links.values():
                 assert link.data_mailbox.staging is None
                 assert link.bypass_mailbox.staging is None

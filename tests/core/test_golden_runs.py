@@ -15,11 +15,10 @@ with retries (chaos), and the fastpath data plane.
 from __future__ import annotations
 
 from repro import run_spmd
-from repro.core import ShmemConfig
-from repro.core.fastpath import FastpathConfig
-from repro.faults import FaultPlan
+from repro.core import FastpathConfig, ShmemConfig
 
 from .test_fastpath import TestDefaultByteIdentity as _Golden
+from .test_fastpath import chaos_golden_config as _chaos_config
 
 #: fault-free default plane (same capture as TestDefaultByteIdentity).
 DEFAULT_ELAPSED_US = _Golden.GOLDEN_ELAPSED_US
@@ -45,12 +44,6 @@ FASTPATH_RESULTS = [
     [522240, 0, 261120, 2377.281183292285],
 ]
 FASTPATH_SPANS = 664
-
-
-def _chaos_config(**extra) -> ShmemConfig:
-    return ShmemConfig(
-        faults=FaultPlan.single_sever(1, 2, at_us=800.0),
-        max_retries=8, retry_backoff_us=200.0, **extra)
 
 
 class TestGoldenRunsPerKernel:

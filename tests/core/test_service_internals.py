@@ -39,9 +39,10 @@ class TestServiceAccounting:
             yield from pe.put(sym, pattern(4096), right)
             yield from pe.barrier_all()
             yield from pe.rt.forwarding_quiesce()
-            return (pe.rt.service.is_idle,
-                    pe.rt.service.active_forwards,
-                    pe.rt.service.active_responders)
+            svc = pe.rt.service
+            return (svc.quiescent and svc.active_ctrl_forwards == 0,
+                    svc.active_forwards,
+                    svc.active_responders)
 
         report = run_spmd(main, n_pes=3)
         for idle, forwards, responders in report.results:

@@ -17,8 +17,13 @@ import pytest
 
 import repro.core.runtime as runtime_module
 import repro.core.service as service_module
-from repro.core import ShmemConfig, ShmemError, ShmemRuntime, run_spmd
-from repro.core.fastpath import FastpathConfig
+from repro.core import (
+    FastpathConfig,
+    ShmemConfig,
+    ShmemError,
+    ShmemRuntime,
+    run_spmd,
+)
 from repro.core.transfer import DOORBELL_ACK_DATA, DOORBELL_DMAPUT
 from repro.core.waits import REPOLL, poll_wait
 from repro.fabric import Cluster, ClusterConfig, HeartbeatConfig

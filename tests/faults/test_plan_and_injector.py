@@ -12,7 +12,6 @@ from repro.faults import (
     FaultPlan,
     RestoreCable,
     SeverCable,
-    validate_for_ring,
     validate_for_topology,
 )
 
@@ -98,11 +97,12 @@ class TestFaultPlan:
     def test_validate_for_ring_rejects_missing_edge(self):
         plan = FaultPlan(events=(SeverCable(10.0, 0, 2),))
         with pytest.raises(ValueError):
-            validate_for_ring(plan, 4)  # 0-2 is a chord, not a cable
+            # 0-2 is a chord, not a cable
+            validate_for_topology(plan, RingTopology(4))
 
     def test_validate_for_ring_accepts_wraparound(self):
         plan = FaultPlan(events=(SeverCable(10.0, 3, 0),))
-        validate_for_ring(plan, 4)
+        validate_for_topology(plan, RingTopology(4))
 
 
 class TestFaultInjector:

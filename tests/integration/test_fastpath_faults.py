@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from repro import run_spmd
-from repro.core import PeerUnreachableError, ShmemConfig
-from repro.core.fastpath import CoalescingService, FastpathConfig
+from repro.core import FastpathConfig, PeerUnreachableError, ShmemConfig
 from repro.faults import FaultPlan, SeverCable
 
 from ..conftest import pattern
@@ -67,7 +66,9 @@ class TestSeveredFirstHop:
             for link in rt.links.values():
                 assert link.bypass_mailbox.in_flight == 0
                 assert link.data_mailbox.in_flight == 0
-            assert isinstance(rt.service, CoalescingService)
+                assert link.bypass_mailbox.slots \
+                    == config.fastpath.credit_slots
+            assert rt.service._cut_through
             assert rt.service.active_acks == 0
             assert rt.service.active_forwards == 0
 

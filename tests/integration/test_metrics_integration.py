@@ -122,6 +122,7 @@ class TestOneSpine:
         for pe in range(3):
             assert registry.value(f"pe{pe}.service.dup_ctrl_drops") == 0
             assert registry.value(f"pe{pe}.service.abandoned_responses") == 0
+            assert registry.value(f"pe{pe}.service.stale_responses") == 0
 
     @pytest.mark.parametrize("target", [
         Link, DuplexLink, InterruptController, Host, DmaEngine,

@@ -31,9 +31,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import ShmemConfig
+from repro.core import FastpathConfig, ShmemConfig
 from repro.core.errors import PeerUnreachableError
-from repro.core.fastpath import FastpathConfig
 from repro.core.program import make_cluster, run_spmd
 from repro.faults import FaultPlan
 from repro.obsv.profiler import DesProfiler
