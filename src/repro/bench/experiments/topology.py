@@ -37,7 +37,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ...core import PE, PeerUnreachableError, ShmemConfig, run_spmd
-from ...fabric import ClusterConfig
+from ...fabric import ClusterConfig, RoutingPolicy
 from ...faults import FaultPlan
 
 __all__ = ["TopologyBenchResult", "run_topology_bench", "run_scenario",
@@ -134,11 +134,11 @@ def _bench_body(pe: PE):
 
 def run_scenario(name: str, topology: str, n: int,
                  dims: Optional[tuple] = None,
-                 router: Optional[str] = None) -> dict[str, Any]:
+                 routing: Optional[RoutingPolicy] = None) -> dict[str, Any]:
     """One (topology, N) point of the sweep; all figures virtual-time."""
     config = ClusterConfig(n_hosts=n, topology=topology, dims=dims)
     report = run_spmd(_bench_body, n_pes=n, cluster_config=config,
-                      shmem_config=ShmemConfig(router=router))
+                      shmem_config=ShmemConfig(routing=routing))
     ok = all(r["ok"] for r in report.results)
     # Concurrent phases: the slowest PE defines the round wall.
     phase = {key: max(r[key] for r in report.results)

@@ -79,7 +79,6 @@ def _base_config(**overrides: Any) -> ShmemConfig:
     settings: dict[str, Any] = dict(
         sanitize="report",
         trace_spans=True,
-        debug_checks=True,
     )
     settings.update(overrides)
     return ShmemConfig(**settings)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Generator, Optional
 
-from ..fabric import ChainTopology, GridTopology, RingTopology
 from ..ntb import LinkDownError
 from ..sim import Signal
 from .errors import PeerUnreachableError, ProtocolError, ShmemError
@@ -183,7 +182,7 @@ class _TokenBarrier:
                 f"{len(rt.dead_edges)} dead edges "
                 f"({sorted(rt.dead_edges)})"
             )
-        if not isinstance(rt.topology, RingTopology):
+        if rt.topology.kind != "ring":
             raise PeerUnreachableError(
                 f"{rt.name}: dead edge partitions a non-ring topology"
             )
@@ -607,14 +606,11 @@ def make_barrier(runtime: "ShmemRuntime"):
         return DisseminationBarrier(runtime)
     if strategy == "centralized":
         return CentralizedBarrier(runtime)
-    if isinstance(runtime.topology, ChainTopology):
+    kind = runtime.topology.kind
+    if kind == "chain":
         return ChainBarrier(runtime)
-    if isinstance(runtime.topology, RingTopology):
+    if kind == "ring":
         return RingBarrier(runtime)
-    if isinstance(runtime.topology, GridTopology):
-        # Grids have no token to circulate; dissemination's pairwise
-        # notifies route dimension-order like any other message.
-        return DisseminationBarrier(runtime)
-    raise ShmemError(  # pragma: no cover - defensive
-        f"no barrier strategy for {runtime.topology!r}"
-    )
+    # mesh/torus circulate no token; dissemination's pairwise notifies
+    # route dimension-order like any other message.
+    return DisseminationBarrier(runtime)

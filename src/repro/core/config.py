@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..fabric import HeartbeatConfig, RoutingPolicy
-from ..fabric.router import ROUTER_NAMES
-from ..fabric.topology import PortLike
 if TYPE_CHECKING:  # faults loads lazily: only runs configured with a plan
     from ..faults import FaultPlan  # noqa: F401
 from ..sim import Event
@@ -43,7 +41,11 @@ class ShmemConfig:
         Get-response chunk; each chunk pays a full interrupt handshake,
         which is what throttles Get throughput (Fig. 9(b)/(d)).
     routing:
-        FIXED_RIGHT (paper) or SHORTEST (ablation).
+        Which router resolves routes: a :class:`RoutingPolicy` member or
+        its value (``"fixed_right"`` — the paper's rule — ``"shortest"``,
+        ``"dimension_order"``, ``"adaptive"``).  None is the fabric
+        default: FIXED_RIGHT on ring/chain, dimension-order on
+        mesh/torus.  The two 1-D policies raise on multi-axis grids.
     barrier:
         "ring" (paper's Fig. 6), "dissemination", or "centralized".
     default_mode:
@@ -55,19 +57,11 @@ class ShmemConfig:
     fwd_chunk: int = 64 * 1024
     bypass_slots: int = 2
     get_chunk: int = 8 * 1024
-    routing: RoutingPolicy = RoutingPolicy.FIXED_RIGHT
-    #: Router selection (repro.fabric.router): None keeps the fabric
-    #: defaults — rings/chains route by ``routing`` (byte-identical to
-    #: the historical inline logic), meshes/tori route dimension-order.
-    #: Explicit names: "fixed_right" | "shortest" | "dimension_order" |
-    #: "adaptive" (congestion-aware minimal routing).
-    router: Optional[str] = None
+    routing: Optional[RoutingPolicy] = None
     barrier: str = "ring"
     default_mode: Mode = Mode.DMA
     #: µs between ScratchPad polls during the init handshake.
     handshake_poll_us: float = 5.0
-    #: consistency checking of symmetric allocation logs at barriers.
-    debug_checks: bool = True
     #: Optional watchdog for blocking Gets/AMOs: raise TransferError if a
     #: response chunk takes longer than this (None = wait forever).
     reply_timeout_us: Optional[float] = None
@@ -118,10 +112,8 @@ class ShmemConfig:
             raise ValueError("get_chunk too small")
         if self.barrier not in ("ring", "dissemination", "centralized"):
             raise ValueError(f"unknown barrier strategy {self.barrier!r}")
-        if self.router is not None and self.router not in ROUTER_NAMES:
-            raise ValueError(
-                f"unknown router {self.router!r} "
-                f"(expected one of {ROUTER_NAMES})")
+        if self.routing is not None:  # accept the value spelling too
+            object.__setattr__(self, "routing", RoutingPolicy(self.routing))
         if self.sanitize not in (None, "strict", "report"):
             raise ValueError(
                 f"sanitize must be None, 'strict' or 'report', "
@@ -159,7 +151,7 @@ class PendingGet:
     #: target PE and route at issue time, so a link-death handler can
     #: tell which pending requests just lost their path.
     pe: int = 0
-    direction: Optional[PortLike] = None
+    direction: Optional[str] = None
     hops: int = 0
 
 
@@ -171,5 +163,5 @@ class PendingAmo:
     done: Event
     started_at: float = 0.0
     pe: int = 0
-    direction: Optional[PortLike] = None
+    direction: Optional[str] = None
     hops: int = 0

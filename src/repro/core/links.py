@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
-from ..fabric import Direction
-from ..fabric.topology import PortLike
 from ..host import PinnedBuffer
 from ..ntb import NtbDriver
 from ..ntb.device import BYPASS_WINDOW, DATA_WINDOW
@@ -58,16 +56,6 @@ class LinkEnd:
     incoming_spad_block: int       # where peers' headers appear
     next_rx_slot: int = 0          # in-order bypass slot cursor
     peer_host_id: Optional[int] = None
-
-    @property
-    def direction(self) -> PortLike:
-        """Ring/chain ports keep their Direction spelling; grid ports
-        are plain port strings."""
-        if self.side == "right":
-            return Direction.RIGHT
-        if self.side == "left":
-            return Direction.LEFT
-        return self.side
 
 
 def bring_up(rt: "ShmemRuntime") -> Generator:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from ..fabric import GridTopology, HeartbeatMonitor, LinkState, Route
+from ..fabric import HeartbeatMonitor, LinkState, Route
 from ..ntb import LinkDownError
 from ..sim import Interrupt
 from .errors import PeerUnreachableError
@@ -165,11 +165,11 @@ def announce_link_state(rt: "ShmemRuntime", kind: int,
             break
     if my_side is None:
         return  # not an endpoint of this edge; relaying is enough
-    grid = isinstance(rt.topology, GridTopology)
+    grid = rt.topology.kind in ("mesh", "torus")
     if grid:
         dests = [dest for dest in range(rt.n_pes) if dest != rt.my_pe_id]
     else:
-        link = rt.links.get("left" if my_side == "right" else "right")
+        link = rt.links.get(rt.topology.opposite_port(my_side))
         if link is None:
             return
         dests = [edge[1] if edge[0] == rt.my_pe_id else edge[0]]

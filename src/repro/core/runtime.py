@@ -28,14 +28,12 @@ import numpy as np
 
 from ..fabric import (
     Cluster,
-    Direction,
     HeartbeatConfig,
     HeartbeatMonitor,
     NoRouteError,
     Route,
     make_router,
 )
-from ..fabric.topology import PortLike
 if TYPE_CHECKING:  # faults loads lazily: only runs configured with a plan
     from ..faults import FaultInjector  # noqa: F401
 from ..host import Host, PinnedBuffer
@@ -103,8 +101,7 @@ class ShmemRuntime:
         self.topology = cluster.topology
         #: pluggable route resolver (repro.fabric.router); the default
         #: selection reproduces the historical inline routing exactly.
-        self.router = make_router(
-            self.topology, self.config.routing, self.config.router)
+        self.router = make_router(self.topology, self.config.routing)
         self.my_pe_id = host_id
         self.n_pes = cluster.n_hosts
         self.name = f"pe{host_id}"
@@ -306,18 +303,16 @@ class ShmemRuntime:
             if graph is not None:
                 graph.unblock(token)
 
-    def link_for(self, direction: PortLike) -> LinkEnd:
-        side = direction.value if isinstance(direction, Direction) \
-            else direction
+    def link_for(self, port: str) -> LinkEnd:
         try:
-            return self.links[side]
+            return self.links[port]
         except KeyError:
             raise ProtocolError(
-                f"{self.name}: no {side} adapter for routing"
+                f"{self.name}: no {port} adapter for routing"
             ) from None
 
-    def neighbor_pe(self, direction: PortLike) -> Optional[int]:
-        return self.topology.neighbor(self.my_pe_id, direction)
+    def neighbor_pe(self, port: str) -> Optional[int]:
+        return self.topology.neighbor(self.my_pe_id, port)
 
     def _port_load(self, port: str) -> float:
         """Live congestion estimate the adaptive router consults per hop:

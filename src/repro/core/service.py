@@ -548,7 +548,7 @@ class ShmemService:
             yield from self._ack(in_link, channel)
             self._drop_forward()
             return
-        next_pe = rt.neighbor_pe(out_link.direction)
+        next_pe = rt.neighbor_pe(out_link.side)
         if self._cut_through and channel == "bypass":
             if msg.flags & FLAG_INLINE:
                 if next_pe is not None:
@@ -675,7 +675,7 @@ class ShmemService:
         except NoRouteError:
             self._drop_forward()
             return
-        next_pe = self.rt.neighbor_pe(out_link.direction)
+        next_pe = self.rt.neighbor_pe(out_link.side)
         dedup = None
         if msg.kind is MsgKind.BARRIER_MSG:
             # ARRIVE/RELEASE are idempotent and generation-tagged (aux):
@@ -773,7 +773,7 @@ class ShmemService:
                                track=f"{rt.name}.service",
                                nbytes=msg.size, requester=msg.src_pe):
                 out_link = rt.links[reply_side]
-                next_pe = rt.neighbor_pe(out_link.direction)
+                next_pe = rt.neighbor_pe(out_link.side)
                 for chunk_off, chunk_size in chunk_ranges(msg.size, chunk):
                     # heap -> staging (cached copy)
                     yield from rt.host.cpu.local_memcpy(chunk_size)
@@ -815,7 +815,7 @@ class ShmemService:
                                                   compare)
             # Reply along the reverse path (detached, like onward sends).
             out_link = link
-            next_pe = rt.neighbor_pe(out_link.direction)
+            next_pe = rt.neighbor_pe(out_link.side)
             staging = rt.host.alloc_pinned(64)
             rt.host.memory.write(
                 staging.phys,

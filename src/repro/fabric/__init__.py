@@ -3,7 +3,6 @@
 from .cluster import Cluster, ClusterConfig
 from .heartbeat import HeartbeatConfig, HeartbeatMonitor, LinkState
 from .router import (
-    ROUTER_NAMES,
     AdaptiveRouter,
     DimensionOrderRouter,
     PolicyRouter,
@@ -13,7 +12,6 @@ from .router import (
 from .topology import (
     ChainTopology,
     Direction,
-    GridTopology,
     MeshTopology,
     NoRouteError,
     RingTopology,
@@ -32,7 +30,6 @@ __all__ = [
     "ClusterConfig",
     "ChainTopology",
     "Direction",
-    "GridTopology",
     "MeshTopology",
     "NoRouteError",
     "RingTopology",
@@ -41,7 +38,6 @@ __all__ = [
     "Topology",
     "TopologyError",
     "TorusTopology",
-    "ROUTER_NAMES",
     "AdaptiveRouter",
     "DimensionOrderRouter",
     "PolicyRouter",

@@ -26,7 +26,6 @@ from ..pcie import DuplexLink, LinkConfig
 from ..sim import Environment
 from .topology import (
     ChainTopology,
-    Direction,
     MeshTopology,
     RingTopology,
     Topology,
@@ -36,12 +35,8 @@ from .topology import (
 
 __all__ = ["ClusterConfig", "Cluster", "irq_base_for"]
 
-#: IRQ vector bases per adapter side (16 doorbell bits each).  Kept for
-#: the historical ring/chain names; grid ports extend the same rule
-#: (16 vectors per seated adapter, in PORT_ORDER).
-IRQ_BASE = {"left": 0, "right": 16}
-
-#: Doorbell/MSI vectors reserved per seated adapter.
+#: Doorbell/MSI vectors reserved per seated adapter, in PORT_ORDER
+#: (so ring/chain keep left = 0, right = 16).
 IRQ_VECTORS_PER_PORT = 16
 
 
@@ -164,20 +159,18 @@ class Cluster:
         self.topology.check_host(host_id)
         return self.hosts[host_id]
 
-    def driver(self, host_id: int, direction: Direction | str) -> NtbDriver:
-        """The NTB driver on ``host_id`` facing ``direction``/port."""
-        side = direction.value if isinstance(direction, Direction) else direction
+    def driver(self, host_id: int, port: str) -> NtbDriver:
+        """The NTB driver on ``host_id`` behind ``port``."""
         try:
-            return self._drivers[(host_id, side)]
+            return self._drivers[(host_id, port)]
         except KeyError:
             raise TopologyError(
-                f"host {host_id} has no {side!r} adapter "
+                f"host {host_id} has no {port!r} adapter "
                 f"(chain/mesh boundary or bad id)"
             ) from None
 
-    def has_adapter(self, host_id: int, direction: Direction | str) -> bool:
-        side = direction.value if isinstance(direction, Direction) else direction
-        return (host_id, side) in self._drivers
+    def has_adapter(self, host_id: int, port: str) -> bool:
+        return (host_id, port) in self._drivers
 
     def drivers(self) -> Iterator[NtbDriver]:
         return iter(self._drivers.values())

@@ -9,10 +9,11 @@ expressed at all.  This module lifts routing into small strategy objects:
 
 ``PolicyRouter``
     The historical behaviour — ``FIXED_RIGHT`` (the paper's rule) or
-    ``SHORTEST`` (ties rightward) on rings and chains.  Byte-identical
-    to the inline logic on live fabrics; on dead edges it now *validates*
-    the detour too and raises :class:`~.topology.NoRouteError` promptly
-    when both ways around are severed.
+    ``SHORTEST`` (ties rightward) on one axis; the only place a 1-D
+    fabric's direction is decided.  Byte-identical to the inline logic
+    on live fabrics; on dead edges it *validates* the detour too and
+    raises :class:`~.topology.NoRouteError` promptly when both ways
+    around are severed.  Relays keep the arrival direction.
 
 ``DimensionOrderRouter``
     X-then-Y-then-Z per-hop resolution on meshes and tori (the APEnet+
@@ -38,8 +39,6 @@ from collections import deque
 from typing import AbstractSet, Callable, Optional
 
 from .topology import (
-    Direction,
-    GridTopology,
     NoRouteError,
     Route,
     RoutingPolicy,
@@ -48,7 +47,7 @@ from .topology import (
 )
 
 __all__ = ["Router", "PolicyRouter", "DimensionOrderRouter",
-           "AdaptiveRouter", "make_router", "ROUTER_NAMES"]
+           "AdaptiveRouter", "make_router"]
 
 #: Outbound-port load estimate at the resolving node (0.0 == idle).
 LoadFn = Callable[[str], float]
@@ -182,44 +181,72 @@ class Router:
                 f"no live route {src} -> {dst} "
                 f"(dead edges: {sorted(dead_edges)})"
             )
-        first_port = path[0][1]
-        direction = (Direction(first_port)
-                     if first_port in ("left", "right") else first_port)
-        return Route(direction, len(path), rerouted=True)
+        return Route(path[0][1], len(path), rerouted=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} over {self.topology!r}>"
 
 
 class PolicyRouter(Router):
-    """FIXED_RIGHT / SHORTEST on rings and chains (historical behaviour)."""
+    """FIXED_RIGHT / SHORTEST on one axis (the paper's protocol family).
+
+    This class owns how a 1-D fabric picks a direction.  FIXED_RIGHT
+    leaves through the positive port whenever the destination can be
+    reached that way (always on a ring; on a chain the leftward
+    fallback is flagged on the :class:`Route`).  SHORTEST takes the
+    shorter way around, ties positive — which on one axis *is* the
+    canonical ``next_hop``/``min_hops``, computed here by 1-D arithmetic
+    instead of a coordinate walk per call.
+    """
 
     def __init__(self, topology: Topology, policy: RoutingPolicy):
-        if isinstance(topology, GridTopology):
+        if len(topology.dims) != 1:
             raise TopologyError(
                 "policy routers are 1D; use dimension_order/adaptive "
                 "on meshes and tori"
             )
+        if policy not in (RoutingPolicy.FIXED_RIGHT, RoutingPolicy.SHORTEST):
+            raise TopologyError(f"{policy} is not a 1D direction policy")
         super().__init__(topology)
         self.policy = policy
         self.name = policy.value
+        self._negative, self._positive = topology.PORT_ORDER
 
     def resolve(self, src: int, dst: int,
                 dead_edges: AbstractSet = _NO_EDGES,
                 load: Optional[LoadFn] = None) -> Route:
-        route = self.topology.route(src, dst, self.policy)
-        if not dead_edges:
+        topo = self.topology
+        topo.check_host(src)
+        topo.check_host(dst)
+        if src == dst:
+            raise TopologyError(f"route to self (host {src})")
+        # Link traversals travelling only rightward / only leftward;
+        # 0 when a chain end is in the way.
+        if topo.wrap:
+            right, left = (dst - src) % topo.n_hosts, (src - dst) % topo.n_hosts
+        else:
+            right, left = max(dst - src, 0), max(src - dst, 0)
+        fixed = self.policy is RoutingPolicy.FIXED_RIGHT
+        if not right:
+            # Chain: the destination lies leftward.  Under the paper's
+            # fixed-rightward rule that is a fallback — a real routing
+            # decision that must show up in the metrics fabric.
+            route = Route(self._negative, left, fallback=fixed)
+        elif fixed or not left or right <= left:  # ties rightward
+            route = Route(self._positive, right)
+        else:
+            route = Route(self._negative, left)
+        if not dead_edges or not self._blocked(src, route, dead_edges):
             return route
-        if not self._blocked(src, route, dead_edges):
-            return route
-        # The historical detour: the exact opposite way around — but now
+        # The historical detour: the exact opposite way around — but
         # validated against the dead-edge set, so a double-severed ring
         # fails promptly instead of retrying into a known hole.
-        alt_hops = self.topology.hops(src, dst, route.direction.opposite)
-        if alt_hops is not None:
-            alt = Route(route.direction.opposite, alt_hops, rerouted=True)
-            if not self._blocked(src, alt, dead_edges):
-                return alt
+        if route.port == self._positive:
+            alt = Route(self._negative, left, rerouted=True)
+        else:
+            alt = Route(self._positive, right, rerouted=True)
+        if alt.hops and not self._blocked(src, alt, dead_edges):
+            return alt
         raise NoRouteError(
             f"no live route {src} -> {dst} "
             f"(dead edges: {sorted(dead_edges)})"
@@ -337,30 +364,25 @@ class AdaptiveRouter(Router):
         return Route(port, here, rerouted=rerouted)
 
 
-#: Selectable router names for configs/CLIs.
-ROUTER_NAMES = ("fixed_right", "shortest", "dimension_order", "adaptive")
-
-
 def make_router(topology: Topology,
-                policy: RoutingPolicy = RoutingPolicy.FIXED_RIGHT,
-                name: Optional[str] = None) -> Router:
-    """Build the router for ``topology``.
+                name: RoutingPolicy | str | None = None) -> Router:
+    """Build the router ``name`` (a :class:`RoutingPolicy` or its value)
+    for ``topology``.
 
-    With ``name=None`` the fabric keeps its historical defaults:
-    rings/chains route by ``policy`` (byte-identical to the inline
-    logic), grids route dimension-order.  Explicit names select any
-    compatible router from :data:`ROUTER_NAMES`.
+    ``None`` is the fabric default, keyed on ``topology.kind``:
+    FIXED_RIGHT on ring/chain (the paper's rule), dimension-order on
+    mesh/torus.  The two 1-D policies raise on multi-axis grids.
     """
     if name is None:
-        if isinstance(topology, GridTopology):
-            return DimensionOrderRouter(topology)
-        return PolicyRouter(topology, policy)
-    if name in ("fixed_right", "shortest"):
-        return PolicyRouter(topology, RoutingPolicy(name))
-    if name == "dimension_order":
+        name = (RoutingPolicy.FIXED_RIGHT
+                if topology.kind in ("ring", "chain")
+                else RoutingPolicy.DIMENSION_ORDER)
+    try:
+        policy = RoutingPolicy(name)
+    except ValueError as exc:
+        raise TopologyError(str(exc)) from None
+    if policy is RoutingPolicy.DIMENSION_ORDER:
         return DimensionOrderRouter(topology)
-    if name == "adaptive":
+    if policy is RoutingPolicy.ADAPTIVE:
         return AdaptiveRouter(topology)
-    raise TopologyError(
-        f"unknown router {name!r} (expected one of {ROUTER_NAMES})"
-    )
+    return PolicyRouter(topology, policy)

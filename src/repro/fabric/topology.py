@@ -1,33 +1,45 @@
-"""Switchless topology descriptors: rings, chains, meshes and tori.
+"""The switchless fabric description: one topology class, four cablings.
 
 The paper wires hosts into a **ring**: each host carries two NTB adapters;
 host *i*'s right adapter is cabled to host *i+1*'s left adapter (mod N).
 Forwarding for non-neighbors is store-and-forward through intermediate
-hosts (§III-A).  The paper always forwards rightward (toward increasing
-host id); we additionally implement shortest-direction routing as an
-ablation (DESIGN.md §6).
+hosts (§III-A).  Beyond the paper, hosts may seat one adapter per grid
+*port* (``x-``/``x+``/``y-``/``y+``/``z-``/``z+``) in the style of the
+APEnet+ switchless direct networks (PAPERS.md), which treat
+lower-dimensional layouts as degenerate tori of one router datapath.
 
-A **chain** is a ring with one cable removed — useful for two-host
-"independent connection" experiments and failure-injection tests.
+So there is **one** class, :class:`Topology` ``(dims, wrap)`` — a k-ary
+n-dimensional grid, open or wrapped — and four named constructors that
+add nothing but an extent check, a ``kind`` and (on one axis) the
+historical port names:
 
-Beyond the paper, :class:`MeshTopology` and :class:`TorusTopology`
-generalize the fabric to 2D/3D grids in the style of the APEnet+ switchless
-direct networks (PAPERS.md): each host seats one NTB adapter per grid
-*port* (``x-``/``x+``/``y-``/``y+``/``z-``/``z+``) and routing becomes
-per-hop dimension-order resolution via :meth:`Topology.next_hop` rather
-than a single scalar direction.  Rings and chains keep their historical
-``left``/``right`` port names, so ring clusters are byte-identical to the
-pre-grid builds.
+=======================  =========  ====  ====================
+constructor              ``kind``   wrap  ports
+=======================  =========  ====  ====================
+``RingTopology(n)``      ``ring``   yes   ``left``/``right``
+``ChainTopology(n)``     ``chain``  no    ``left``/``right``
+``MeshTopology(dims)``   ``mesh``   no    ``x-``/``x+``/...
+``TorusTopology(dims)``  ``torus``  yes   ``x-``/``x+``/...
+=======================  =========  ====  ====================
+
+``RingTopology(4)`` and ``TorusTopology((4,))`` are the same cabling
+under different port names.  What stays forked, on purpose, is keyed on
+``kind`` outside this module: ring/chain clusters keep the paper's
+protocol family (rightward routing with keep-direction relays, token
+barriers, the long-way link-state flood) while mesh/torus clusters
+default to dimension-order routing, the dissemination barrier and a
+unicast flood.  Collapsing those *defaults* moves every ring figure and
+waits for the next re-baseline (ROADMAP item 1).
 
 Port conventions
 ----------------
-``PORT_ORDER`` lists a topology's port names as (negative, positive)
-pairs per axis — ``("left", "right")`` for rings/chains, ``("x-", "x+",
-"y-", "y+", ...)`` for grids.  The *positive* port of a cable owns the
-canonical edge id: the directed edge ``(a, b)`` names the cable from
-``a``'s positive port into ``b``'s matching negative port, which is
-exactly the ``(host, right-neighbor)`` convention the fault layer and
-dead-edge bookkeeping already use on rings.
+A port is a plain ``str``.  ``PORT_ORDER`` lists a topology's port names
+as (negative, positive) pairs per axis — ``("left", "right")`` for
+rings/chains, ``("x-", "x+", "y-", "y+", ...)`` for grids.  The
+*positive* port of a cable owns the canonical edge id: the directed edge
+``(a, b)`` names the cable from ``a``'s positive port into ``b``'s
+matching negative port, which is exactly the ``(host, right-neighbor)``
+convention the fault layer and dead-edge bookkeeping use on rings.
 """
 
 from __future__ import annotations
@@ -35,11 +47,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 __all__ = ["Direction", "RoutingPolicy", "Route", "TopologyError",
            "NoRouteError", "Topology", "RingTopology", "ChainTopology",
-           "GridTopology", "MeshTopology", "TorusTopology", "PortLike"]
+           "MeshTopology", "TorusTopology"]
 
 
 class TopologyError(Exception):
@@ -50,277 +62,49 @@ class NoRouteError(TopologyError):
     """No live path exists between two hosts (given the dead-edge set)."""
 
 
-class Direction(enum.Enum):
-    """Which adapter a hop leaves through (ring/chain port names)."""
+class Direction:
+    """The two ring/chain port names, as plain strings."""
 
     RIGHT = "right"  # toward increasing host id
     LEFT = "left"    # toward decreasing host id
 
-    @property
-    def opposite(self) -> "Direction":
-        return Direction.LEFT if self is Direction.RIGHT else Direction.RIGHT
-
-
-#: A port is named either by the historical ring enum or a port string.
-PortLike = Union[Direction, str]
-
-
-def _port_name(port: PortLike) -> str:
-    return port.value if isinstance(port, Direction) else port
-
 
 class RoutingPolicy(enum.Enum):
-    """How multi-hop destinations pick a direction."""
+    """Which router resolves routes (see :func:`.router.make_router`)."""
 
-    FIXED_RIGHT = "fixed_right"  # the paper's behaviour
-    SHORTEST = "shortest"        # ablation: min-hop direction, ties right
+    FIXED_RIGHT = "fixed_right"  # the paper's behaviour (one axis only)
+    SHORTEST = "shortest"        # min-hop direction, ties right (one axis)
+    DIMENSION_ORDER = "dimension_order"  # X, then Y, then Z per hop
+    ADAPTIVE = "adaptive"        # least-loaded live minimal port
+
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        raise ValueError(
+            f"unknown router {value!r} "
+            f"(expected one of {[policy.value for policy in cls]})")
 
 
 @dataclass(frozen=True)
 class Route:
-    """A resolved route: initial direction/port and total link traversals.
+    """A resolved route: first-hop port and total link traversals.
 
-    ``direction`` stays a :class:`Direction` on rings and chains (so every
-    existing comparison keeps working) and is a port string (``"x+"`` …)
-    on grid topologies.  ``fallback`` marks a policy route that had to
-    abandon the requested direction (FIXED_RIGHT on a chain end);
-    ``rerouted`` marks a route that detoured around dead edges.
+    ``fallback`` marks a policy route that had to abandon the requested
+    direction (FIXED_RIGHT on a chain end); ``rerouted`` marks a route
+    that detoured around dead edges.
     """
 
-    direction: PortLike
+    direction: str
     hops: int
     fallback: bool = field(default=False, compare=False)
     rerouted: bool = field(default=False, compare=False)
 
     @property
     def port(self) -> str:
-        """The outbound port name of the first hop."""
-        return _port_name(self.direction)
+        """The outbound port name of the first hop (``direction``)."""
+        return self.direction
 
 
 class Topology:
-    """Common interface for switchless topologies.
-
-    Subclasses must provide :meth:`neighbor`, :meth:`cables`,
-    :meth:`next_hop` and :meth:`min_hops`; rings and chains additionally
-    keep the scalar :meth:`hops`/:meth:`route` interface the runtime's
-    default routers use.
-    """
-
-    #: Port names as (negative, positive) pairs per axis.
-    PORT_ORDER: tuple[str, ...] = ("left", "right")
-
-    def __init__(self, n_hosts: int):
-        if n_hosts < 2:
-            raise TopologyError(f"need at least 2 hosts, got {n_hosts}")
-        self.n_hosts = n_hosts
-        #: Routing decisions where the policy direction was unavailable
-        #: and the resolver fell back to another port (chain FIXED_RIGHT
-        #: crossing the gap leftward).  Mirrored into the metrics fabric
-        #: by the runtime as ``route_fallbacks``.
-        self.fallbacks = 0
-
-    def check_host(self, host_id: int) -> None:
-        if not (0 <= host_id < self.n_hosts):
-            raise TopologyError(
-                f"host id {host_id} outside 0..{self.n_hosts - 1}"
-            )
-
-    # -- ports ---------------------------------------------------------------
-    def check_port(self, port: PortLike) -> str:
-        name = _port_name(port)
-        if name not in self.PORT_ORDER:
-            raise TopologyError(
-                f"unknown port {name!r} (expected one of {self.PORT_ORDER})"
-            )
-        return name
-
-    def ports(self, host_id: int) -> tuple[str, ...]:
-        """The ports on ``host_id`` that have a cabled neighbor."""
-        self.check_host(host_id)
-        return tuple(
-            port for port in self.PORT_ORDER
-            if self.neighbor(host_id, port) is not None
-        )
-
-    def port_polarity(self, port: PortLike) -> bool:
-        """True for the positive member of a port pair (owns the cable)."""
-        name = self.check_port(port)
-        return self.PORT_ORDER.index(name) % 2 == 1
-
-    def opposite_port(self, port: PortLike) -> str:
-        """The same-axis port of opposite polarity."""
-        name = self.check_port(port)
-        return self.PORT_ORDER[self.PORT_ORDER.index(name) ^ 1]
-
-    def edge_for(self, host_id: int, port: PortLike) -> Optional[tuple[int, int]]:
-        """Canonical directed edge id of the cable behind ``port``.
-
-        Positive ports own the cable: the edge is ``(host, neighbor)``;
-        negative ports alias the neighbor's positive edge
-        ``(neighbor, host)``.  None at a chain/mesh boundary.
-        """
-        nb = self.neighbor(host_id, port)
-        if nb is None:
-            return None
-        if self.port_polarity(port):
-            return (host_id, nb)
-        return (nb, host_id)
-
-    # -- structure -----------------------------------------------------------
-    def neighbor(self, host_id: int, direction: PortLike) -> Optional[int]:
-        """The adjacent host behind ``direction``/port, or None at an edge."""
-        raise NotImplementedError
-
-    def cables(self) -> Iterator[tuple[int, str, int, str]]:
-        """All cables as ``(owner, owner_port, peer, peer_port)`` tuples.
-
-        ``owner_port`` is always positive; the matching negative port on
-        ``peer`` is ``opposite_port(owner_port)``.  Yield order is the
-        cluster build/cabling order and must stay stable.
-        """
-        raise NotImplementedError
-
-    def links(self) -> Iterator[tuple[int, int]]:
-        """All cables as (host_a, host_b): a's positive to b's negative."""
-        for owner, _port, peer, _peer_port in self.cables():
-            yield owner, peer
-
-    # -- routing -------------------------------------------------------------
-    def hops(self, src: int, dst: int, direction: Direction) -> Optional[int]:
-        """Link traversals from src to dst travelling only ``direction``.
-
-        Only meaningful on 1D topologies; grids raise TopologyError.
-        """
-        raise NotImplementedError
-
-    def next_hop(self, src: int, dst: int) -> tuple[str, int]:
-        """The canonical first hop for src -> dst: ``(port, next_host)``."""
-        raise NotImplementedError
-
-    def min_hops(self, src: int, dst: int) -> int:
-        """Length of the canonical (minimal) path from src to dst."""
-        raise NotImplementedError
-
-    def path(self, src: int, dst: int) -> list[tuple[int, str, int]]:
-        """The canonical hop-by-hop walk as ``(node, port, next)`` triples."""
-        self.check_host(src)
-        self.check_host(dst)
-        walk: list[tuple[int, str, int]] = []
-        node = src
-        while node != dst:
-            port, nxt = self.next_hop(node, dst)
-            walk.append((node, port, nxt))
-            node = nxt
-            if len(walk) > self.n_hosts:  # pragma: no cover - safety net
-                raise TopologyError(f"next_hop cycle routing {src}->{dst}")
-        return walk
-
-    def route(self, src: int, dst: int,
-              policy: RoutingPolicy = RoutingPolicy.FIXED_RIGHT) -> Route:
-        """Pick a direction/hop-count for src -> dst under ``policy``."""
-        self.check_host(src)
-        self.check_host(dst)
-        if src == dst:
-            raise TopologyError(f"route to self (host {src})")
-        right = self.hops(src, dst, Direction.RIGHT)
-        left = self.hops(src, dst, Direction.LEFT)
-        if policy is RoutingPolicy.FIXED_RIGHT:
-            if right is None:
-                if left is None:
-                    raise NoRouteError(f"no route {src} -> {dst}")
-                # Chain fallback: the paper's fixed-rightward rule cannot
-                # cross the gap, so we route leftward — a real routing
-                # decision that must show up in the metrics fabric.
-                self.fallbacks += 1
-                return Route(Direction.LEFT, left, fallback=True)
-            return Route(Direction.RIGHT, right)
-        # SHORTEST, ties broken rightward.
-        candidates = [
-            (hops, direction)
-            for hops, direction in ((right, Direction.RIGHT), (left, Direction.LEFT))
-            if hops is not None
-        ]
-        if not candidates:
-            raise NoRouteError(f"no route {src} -> {dst}")
-        candidates.sort(key=lambda item: (item[0], item[1] is Direction.LEFT))
-        hops, direction = candidates[0]
-        return Route(direction, hops)
-
-
-class RingTopology(Topology):
-    """N hosts in a cycle; every host has both neighbors."""
-
-    def neighbor(self, host_id: int, direction: PortLike) -> int:
-        self.check_host(host_id)
-        if self.check_port(direction) == "right":
-            return (host_id + 1) % self.n_hosts
-        return (host_id - 1) % self.n_hosts
-
-    def cables(self) -> Iterator[tuple[int, str, int, str]]:
-        for host in range(self.n_hosts):
-            yield host, "right", (host + 1) % self.n_hosts, "left"
-
-    def hops(self, src: int, dst: int, direction: Direction) -> int:
-        self.check_host(src)
-        self.check_host(dst)
-        if direction is Direction.RIGHT:
-            return (dst - src) % self.n_hosts
-        return (src - dst) % self.n_hosts
-
-    def next_hop(self, src: int, dst: int) -> tuple[str, int]:
-        route = self.route(src, dst, RoutingPolicy.SHORTEST)
-        return route.port, self.neighbor(src, route.port)
-
-    def min_hops(self, src: int, dst: int) -> int:
-        if src == dst:
-            return 0
-        return min(self.hops(src, dst, Direction.RIGHT),
-                   self.hops(src, dst, Direction.LEFT))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<RingTopology n={self.n_hosts}>"
-
-
-class ChainTopology(Topology):
-    """N hosts in a line: host 0 has no left neighbor, host N-1 no right."""
-
-    def neighbor(self, host_id: int, direction: PortLike) -> Optional[int]:
-        self.check_host(host_id)
-        if self.check_port(direction) == "right":
-            return host_id + 1 if host_id + 1 < self.n_hosts else None
-        return host_id - 1 if host_id > 0 else None
-
-    def cables(self) -> Iterator[tuple[int, str, int, str]]:
-        for host in range(self.n_hosts - 1):
-            yield host, "right", host + 1, "left"
-
-    def hops(self, src: int, dst: int,
-             direction: Direction) -> Optional[int]:
-        self.check_host(src)
-        self.check_host(dst)
-        if direction is Direction.RIGHT:
-            return dst - src if dst > src else None
-        return src - dst if dst < src else None
-
-    def next_hop(self, src: int, dst: int) -> tuple[str, int]:
-        self.check_host(src)
-        self.check_host(dst)
-        if src == dst:
-            raise TopologyError(f"route to self (host {src})")
-        port = "right" if dst > src else "left"
-        return port, self.neighbor(src, port)
-
-    def min_hops(self, src: int, dst: int) -> int:
-        self.check_host(src)
-        self.check_host(dst)
-        return abs(dst - src)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ChainTopology n={self.n_hosts}>"
-
-
-class GridTopology(Topology):
     """A k-ary n-dimensional grid (1 <= n <= 3), open (mesh) or wrapped.
 
     Hosts are numbered row-major with x fastest: the host at coordinates
@@ -337,24 +121,27 @@ class GridTopology(Topology):
 
     AXES = "xyz"
 
-    def __init__(self, dims: Sequence[int], wrap: bool):
+    def __init__(self, dims: Sequence[int], wrap: bool,
+                 kind: Optional[str] = None,
+                 ports: Optional[tuple[str, ...]] = None):
         dims = tuple(int(d) for d in dims)
         if not 1 <= len(dims) <= 3:
             raise TopologyError(
                 f"grid needs 1..3 dimensions, got {len(dims)}"
             )
-        floor = 3 if wrap else 2
         for axis, extent in zip(self.AXES, dims):
-            if extent < floor:
-                kind = "torus" if wrap else "mesh"
+            if extent < 2:
                 raise TopologyError(
-                    f"{kind} axis {axis!r} needs extent >= {floor}, "
-                    f"got {extent}"
+                    f"axis {axis!r} needs extent >= 2, got {extent}"
                 )
-        super().__init__(prod(dims))
         self.dims = dims
         self.wrap = wrap
-        self.PORT_ORDER = tuple(
+        #: "ring" | "chain" | "mesh" | "torus": selects protocol defaults
+        #: (router, barrier, link-state flood), never structure.
+        self.kind = kind or ("torus" if wrap else "mesh")
+        self.n_hosts = prod(dims)
+        #: Port names as (negative, positive) pairs per axis.
+        self.PORT_ORDER: tuple[str, ...] = ports or tuple(
             f"{axis}{sign}"
             for axis in self.AXES[: len(dims)]
             for sign in ("-", "+")
@@ -370,6 +157,50 @@ class GridTopology(Topology):
              for port in self.PORT_ORDER}
             for host in range(self.n_hosts)
         )
+
+    def check_host(self, host_id: int) -> None:
+        if not (0 <= host_id < self.n_hosts):
+            raise TopologyError(
+                f"host id {host_id} outside 0..{self.n_hosts - 1}"
+            )
+
+    # -- ports ---------------------------------------------------------------
+    def check_port(self, port: str) -> str:
+        if port not in self.PORT_ORDER:
+            raise TopologyError(
+                f"unknown port {port!r} (expected one of {self.PORT_ORDER})"
+            )
+        return port
+
+    def ports(self, host_id: int) -> tuple[str, ...]:
+        """The ports on ``host_id`` that have a cabled neighbor."""
+        self.check_host(host_id)
+        return tuple(
+            port for port, peer in self._neighbors[host_id].items()
+            if peer is not None
+        )
+
+    def port_polarity(self, port: str) -> bool:
+        """True for the positive member of a port pair (owns the cable)."""
+        return self.PORT_ORDER.index(self.check_port(port)) % 2 == 1
+
+    def opposite_port(self, port: str) -> str:
+        """The same-axis port of opposite polarity."""
+        return self.PORT_ORDER[self.PORT_ORDER.index(self.check_port(port)) ^ 1]
+
+    def edge_for(self, host_id: int, port: str) -> Optional[tuple[int, int]]:
+        """Canonical directed edge id of the cable behind ``port``.
+
+        Positive ports own the cable: the edge is ``(host, neighbor)``;
+        negative ports alias the neighbor's positive edge
+        ``(neighbor, host)``.  None at a chain/mesh boundary.
+        """
+        nb = self.neighbor(host_id, port)
+        if nb is None:
+            return None
+        if self.port_polarity(port):
+            return (host_id, nb)
+        return (nb, host_id)
 
     # -- coordinates ---------------------------------------------------------
     def coords(self, host_id: int) -> tuple[int, ...]:
@@ -392,22 +223,19 @@ class GridTopology(Topology):
                 )
         return sum(c * s for c, s in zip(coords, self._strides))
 
-    def _port_axis_sign(self, port: PortLike) -> tuple[int, int]:
-        name = self.check_port(port)
-        index = self.PORT_ORDER.index(name)
-        return index // 2, +1 if index % 2 else -1
-
     # -- structure -----------------------------------------------------------
-    def neighbor(self, host_id: int, direction: PortLike) -> Optional[int]:
+    def neighbor(self, host_id: int, port: str) -> Optional[int]:
+        """The adjacent host behind ``port``, or None at a boundary."""
         self.check_host(host_id)
-        row = self._neighbors[host_id]
         try:
-            return row[direction]
-        except KeyError:  # a Direction spelling, or not a port at all
-            return row[self.check_port(direction)]
+            return self._neighbors[host_id][port]
+        except KeyError:
+            self.check_port(port)  # raises TopologyError: not a port name
+            raise
 
     def _compute_neighbor(self, host_id: int, port: str) -> Optional[int]:
-        axis, sign = self._port_axis_sign(port)
+        index = self.PORT_ORDER.index(port)
+        axis, sign = index // 2, +1 if index % 2 else -1
         coords = list(self.coords(host_id))
         extent = self.dims[axis]
         nxt = coords[axis] + sign
@@ -420,23 +248,25 @@ class GridTopology(Topology):
         return self.host_at(coords)
 
     def cables(self) -> Iterator[tuple[int, str, int, str]]:
+        """All cables as ``(owner, owner_port, peer, peer_port)`` tuples.
+
+        ``owner_port`` is always positive; the matching negative port on
+        ``peer`` is ``opposite_port(owner_port)``.  Yield order is the
+        cluster build/cabling order and must stay stable.
+        """
+        axes = list(zip(self.PORT_ORDER[::2], self.PORT_ORDER[1::2]))
         for host in range(self.n_hosts):
-            for axis in range(len(self.dims)):
-                port = self.PORT_ORDER[axis * 2 + 1]  # positive
-                peer = self.neighbor(host, port)
-                if peer is None:
-                    continue
-                coords = self.coords(host)
-                if not self.wrap and coords[axis] + 1 >= self.dims[axis]:
-                    continue  # pragma: no cover - neighbor() already None
-                yield host, port, peer, self.opposite_port(port)
+            for negative, positive in axes:
+                peer = self._neighbors[host][positive]
+                if peer is not None:
+                    yield host, positive, peer, negative
+
+    def links(self) -> Iterator[tuple[int, int]]:
+        """All cables as (host_a, host_b): a's positive to b's negative."""
+        for owner, _port, peer, _peer_port in self.cables():
+            yield owner, peer
 
     # -- routing -------------------------------------------------------------
-    def hops(self, src: int, dst: int, direction: Direction) -> Optional[int]:
-        raise TopologyError(
-            "grid topologies route per-hop; use next_hop()/min_hops()"
-        )
-
     def _axis_step(self, axis: int, frm: int, to: int) -> tuple[int, int]:
         """(signed step, remaining hops) to correct one axis coordinate."""
         extent = self.dims[axis]
@@ -449,6 +279,7 @@ class GridTopology(Topology):
         return (+1 if to > frm else -1), abs(to - frm)
 
     def next_hop(self, src: int, dst: int) -> tuple[str, int]:
+        """The canonical first hop for src -> dst: ``(port, next_host)``."""
         self.check_host(src)
         self.check_host(dst)
         if src == dst:
@@ -466,6 +297,7 @@ class GridTopology(Topology):
         )
 
     def min_hops(self, src: int, dst: int) -> int:
+        """Length of the canonical (minimal) path from src to dst."""
         self.check_host(src)
         self.check_host(dst)
         sc = self.coords(src)
@@ -475,27 +307,52 @@ class GridTopology(Topology):
             for axis, (s, d) in enumerate(zip(sc, dc))
         )
 
-    def route(self, src: int, dst: int,
-              policy: RoutingPolicy = RoutingPolicy.FIXED_RIGHT) -> Route:
-        """Dimension-order route; ``policy`` is ignored on grids."""
-        port, _ = self.next_hop(src, dst)
-        return Route(port, self.min_hops(src, dst))
+    def path(self, src: int, dst: int) -> list[tuple[int, str, int]]:
+        """The canonical hop-by-hop walk as ``(node, port, next)`` triples."""
+        self.check_host(src)
+        self.check_host(dst)
+        walk: list[tuple[int, str, int]] = []
+        node = src
+        while node != dst:
+            port, nxt = self.next_hop(node, dst)
+            walk.append((node, port, nxt))
+            node = nxt
+            if len(walk) > self.n_hosts:  # pragma: no cover - safety net
+                raise TopologyError(f"next_hop cycle routing {src}->{dst}")
+        return walk
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         shape = "x".join(str(d) for d in self.dims)
-        kind = "Torus" if self.wrap else "Mesh"
-        return f"<{kind}Topology {shape} n={self.n_hosts}>"
+        return f"<{type(self).__name__} {shape} n={self.n_hosts}>"
 
 
-class MeshTopology(GridTopology):
-    """Open-boundary 2D/3D grid: edge hosts have fewer seated adapters."""
+class RingTopology(Topology):
+    """N hosts in a cycle — the paper's fabric; a 1-D torus cabling."""
+
+    def __init__(self, n_hosts: int):
+        super().__init__((n_hosts,), True, "ring", ("left", "right"))
+
+
+class ChainTopology(Topology):
+    """N hosts in a line (a ring minus one cable); a 1-D mesh cabling."""
+
+    def __init__(self, n_hosts: int):
+        super().__init__((n_hosts,), False, "chain", ("left", "right"))
+
+
+class MeshTopology(Topology):
+    """Open-boundary grid: edge hosts have fewer seated adapters."""
 
     def __init__(self, dims: Sequence[int]):
-        super().__init__(dims, wrap=False)
+        super().__init__(dims, False, "mesh")
 
 
-class TorusTopology(GridTopology):
-    """Wrapped grid: every axis closes into a ring (1D torus == ring)."""
+class TorusTopology(Topology):
+    """Wrapped grid: every axis closes into a ring of extent >= 3 (a
+    2-extent wrapped axis would cable the same pair twice per axis)."""
 
     def __init__(self, dims: Sequence[int]):
-        super().__init__(dims, wrap=True)
+        if any(int(extent) < 3 for extent in dims):
+            raise TopologyError(
+                f"torus axes need extent >= 3, got {tuple(dims)}")
+        super().__init__(dims, True, "torus")

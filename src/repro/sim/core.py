@@ -37,7 +37,6 @@ synchronization primitives live in :mod:`repro.sim.primitives` and
 
 from __future__ import annotations
 
-import os
 import sys
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -87,12 +86,9 @@ ProcessGenerator = Generator["Event", Any, Any]
 
 #: Process-wide default queue backend.  The calendar queue became the
 #: default in PR 8 once the differential harness proved it byte-identical
-#: to the heap on every covered scenario; ``REPRO_SIM_QUEUE=heap`` (or
-#: :func:`set_default_queue`) selects the classic heap scheduler.
-_DEFAULT_QUEUE = os.environ.get("REPRO_SIM_QUEUE", "calendar").strip().lower()
-if _DEFAULT_QUEUE not in QUEUE_KINDS:  # pragma: no cover - env guard
-    raise ValueError(
-        f"REPRO_SIM_QUEUE={_DEFAULT_QUEUE!r}: expected one of {QUEUE_KINDS}")
+#: to the heap on every covered scenario; :func:`set_default_queue`
+#: (or ``Environment(queue="heap")``) selects the classic heap scheduler.
+_DEFAULT_QUEUE = "calendar"
 
 
 def get_default_queue() -> str:

@@ -130,10 +130,6 @@ class TestDimensionOrderRouting:
         for (_, _, arrive), (depart, _, _) in zip(path, path[1:]):
             assert arrive == depart
 
-    def test_grid_hops_is_per_hop_only(self):
-        with pytest.raises(TopologyError):
-            MeshTopology((3, 3)).hops(0, 8, "x+")
-
 
 class TestGridEdges:
     def test_positive_port_owns_canonical_edge(self):

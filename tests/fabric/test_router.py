@@ -3,8 +3,8 @@
 Covers the two routing-correctness bugfixes this PR lands:
 
 * the chain's silent ``FIXED_RIGHT`` -> leftward fallback is now a
-  counted, flagged routing decision (``Route.fallback`` +
-  ``Topology.fallbacks``), and the even-ring SHORTEST tie-break is
+  flagged routing decision (``Route.fallback``, counted by the runtime
+  as ``route_fallbacks``), and the even-ring SHORTEST tie-break is
   pinned rightward;
 * a blocked route triggers a real alternate-path search validated
   against the dead-edge set, so a double-severed ring raises
@@ -24,6 +24,7 @@ from repro.fabric import (
     NoRouteError,
     PolicyRouter,
     RingTopology,
+    Route,
     RoutingPolicy,
     TopologyError,
     TorusTopology,
@@ -33,28 +34,38 @@ from repro.fabric import (
 
 class TestPolicyRouter:
     def test_live_ring_matches_topology_route(self):
+        # What the deleted ``Topology.route`` computed, as closed forms.
         topo = RingTopology(6)
-        for policy in RoutingPolicy:
-            router = PolicyRouter(topo, policy)
-            for src in range(6):
-                for dst in range(6):
-                    if src == dst:
-                        continue
-                    assert router.resolve(src, dst) == \
-                        topo.route(src, dst, policy)
+        fixed = PolicyRouter(topo, RoutingPolicy.FIXED_RIGHT)
+        shortest = PolicyRouter(topo, RoutingPolicy.SHORTEST)
+        for src in range(6):
+            for dst in range(6):
+                if src == dst:
+                    continue
+                right, left = (dst - src) % 6, (src - dst) % 6
+                assert fixed.resolve(src, dst) == Route("right", right)
+                assert shortest.resolve(src, dst) == (
+                    Route("right", right) if right <= left
+                    else Route("left", left))
+
+    def test_only_the_two_direction_policies(self):
+        for policy in (RoutingPolicy.DIMENSION_ORDER, RoutingPolicy.ADAPTIVE):
+            with pytest.raises(TopologyError):
+                PolicyRouter(RingTopology(6), policy)
 
     def test_even_ring_shortest_ties_right(self):
         # Antipodal on an even ring: both ways are 2 hops.  Pin the
         # historical tie-break so goldens stay byte-identical.
-        route = RingTopology(4).route(0, 2, RoutingPolicy.SHORTEST)
-        assert route.direction is Direction.RIGHT
+        route = PolicyRouter(RingTopology(4),
+                             RoutingPolicy.SHORTEST).resolve(0, 2)
+        assert route.direction == Direction.RIGHT
         assert route.hops == 2
 
     def test_single_sever_detours_the_other_way(self):
         topo = RingTopology(4)
         router = PolicyRouter(topo, RoutingPolicy.FIXED_RIGHT)
         route = router.resolve(0, 1, dead_edges={(0, 1)})
-        assert route.direction is Direction.LEFT
+        assert route.direction == Direction.LEFT
         assert route.hops == 3
         assert route.rerouted
 
@@ -97,23 +108,24 @@ class TestPolicyRouter:
 class TestChainFallback:
     def test_fixed_right_fallback_is_flagged_and_counted(self):
         # FIXED_RIGHT cannot cross the chain gap rightward; the fallback
-        # used to be silent — it is now a flagged, counted decision.
-        topo = ChainTopology(4)
-        assert topo.fallbacks == 0
-        route = topo.route(3, 0, RoutingPolicy.FIXED_RIGHT)
-        assert route.direction is Direction.LEFT
+        # used to be silent — it is now flagged on every such resolve
+        # (the runtime counts the flags: test_route_fallbacks_counted).
+        router = PolicyRouter(ChainTopology(4), RoutingPolicy.FIXED_RIGHT)
+        route = router.resolve(3, 0)
+        assert route.direction == Direction.LEFT
         assert route.hops == 3
         assert route.fallback
-        assert topo.fallbacks == 1
-        # Rightward routes don't touch the counter.
-        assert not topo.route(0, 3, RoutingPolicy.FIXED_RIGHT).fallback
-        assert topo.fallbacks == 1
+        # Rightward routes are not fallbacks.
+        assert not router.resolve(0, 3).fallback
+        assert router.resolve(3, 0).fallback
 
     def test_router_surfaces_the_fallback(self):
         topo = ChainTopology(3)
         router = PolicyRouter(topo, RoutingPolicy.FIXED_RIGHT)
         assert router.resolve(2, 0).fallback
-        assert topo.fallbacks == 1
+        # Leftward by choice (SHORTEST) is not a fallback.
+        assert not PolicyRouter(
+            topo, RoutingPolicy.SHORTEST).resolve(2, 0).fallback
 
 
 class TestDimensionOrderRouter:

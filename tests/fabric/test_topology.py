@@ -1,4 +1,9 @@
-"""Unit tests for topology math and routing policies."""
+"""Unit tests for topology math and routing policies.
+
+The direction decision lives in :class:`PolicyRouter`; "hops travelling
+only leftward" is what FIXED_RIGHT resolves once the rightward cable at
+the source is dead.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +12,17 @@ import pytest
 from repro.fabric import (
     ChainTopology,
     Direction,
+    NoRouteError,
+    PolicyRouter,
     RingTopology,
+    Route,
     RoutingPolicy,
     TopologyError,
 )
+
+
+def _route(topo, src, dst, policy=RoutingPolicy.FIXED_RIGHT, dead=()):
+    return PolicyRouter(topo, policy).resolve(src, dst, frozenset(dead))
 
 
 class TestRing:
@@ -21,38 +33,40 @@ class TestRing:
 
     def test_hops_each_direction(self):
         ring = RingTopology(5)
-        assert ring.hops(0, 2, Direction.RIGHT) == 2
-        assert ring.hops(0, 2, Direction.LEFT) == 3
-        assert ring.hops(4, 0, Direction.RIGHT) == 1
+        assert _route(ring, 0, 2).hops == 2
+        leftward = _route(ring, 0, 2, dead={(0, 1)})
+        assert leftward.direction == Direction.LEFT
+        assert leftward.hops == 3
+        assert _route(ring, 4, 0).hops == 1
 
     def test_links_count(self):
         assert len(list(RingTopology(4).links())) == 4
 
     def test_fixed_right_always_right(self):
         ring = RingTopology(5)
-        route = ring.route(0, 4, RoutingPolicy.FIXED_RIGHT)
-        assert route.direction is Direction.RIGHT
+        route = _route(ring, 0, 4, RoutingPolicy.FIXED_RIGHT)
+        assert route.direction == Direction.RIGHT
         assert route.hops == 4
 
     def test_shortest_picks_min(self):
         ring = RingTopology(5)
-        route = ring.route(0, 4, RoutingPolicy.SHORTEST)
-        assert route.direction is Direction.LEFT
+        route = _route(ring, 0, 4, RoutingPolicy.SHORTEST)
+        assert route.direction == Direction.LEFT
         assert route.hops == 1
 
     def test_shortest_tie_breaks_right(self):
         ring = RingTopology(4)
-        route = ring.route(0, 2, RoutingPolicy.SHORTEST)
-        assert route.direction is Direction.RIGHT
+        route = _route(ring, 0, 2, RoutingPolicy.SHORTEST)
+        assert route.direction == Direction.RIGHT
         assert route.hops == 2
 
     def test_route_to_self_rejected(self):
         with pytest.raises(TopologyError):
-            RingTopology(3).route(1, 1)
+            _route(RingTopology(3), 1, 1)
 
     def test_bad_host_id(self):
         with pytest.raises(TopologyError):
-            RingTopology(3).route(0, 3)
+            _route(RingTopology(3), 0, 3)
         with pytest.raises(TopologyError):
             RingTopology(3).neighbor(-1, Direction.RIGHT)
 
@@ -62,9 +76,9 @@ class TestRing:
 
     def test_two_host_ring(self):
         ring = RingTopology(2)
-        assert ring.hops(0, 1, Direction.RIGHT) == 1
-        assert ring.hops(0, 1, Direction.LEFT) == 1
-        route = ring.route(0, 1, RoutingPolicy.SHORTEST)
+        assert _route(ring, 0, 1) == Route(Direction.RIGHT, 1)
+        assert _route(ring, 0, 1, dead={(0, 1)}) == Route(Direction.LEFT, 1)
+        route = _route(ring, 0, 1, RoutingPolicy.SHORTEST)
         assert route.hops == 1
 
 
@@ -77,27 +91,24 @@ class TestChain:
 
     def test_hops_directional(self):
         chain = ChainTopology(4)
-        assert chain.hops(0, 3, Direction.RIGHT) == 3
-        assert chain.hops(0, 3, Direction.LEFT) is None
-        assert chain.hops(3, 1, Direction.LEFT) == 2
+        assert _route(chain, 0, 3).hops == 3
+        with pytest.raises(NoRouteError):  # no leftward way from the end
+            _route(chain, 0, 3, dead={(0, 1)})
+        leftward = _route(chain, 3, 1)
+        assert leftward.direction == Direction.LEFT
+        assert leftward.hops == 2
 
     def test_links_count(self):
         assert len(list(ChainTopology(4).links())) == 3
 
     def test_fixed_right_falls_back_left(self):
         chain = ChainTopology(4)
-        route = chain.route(3, 0, RoutingPolicy.FIXED_RIGHT)
-        assert route.direction is Direction.LEFT
+        route = _route(chain, 3, 0, RoutingPolicy.FIXED_RIGHT)
+        assert route.direction == Direction.LEFT
         assert route.hops == 3
 
     def test_shortest_on_chain(self):
         chain = ChainTopology(4)
-        route = chain.route(1, 3, RoutingPolicy.SHORTEST)
-        assert route.direction is Direction.RIGHT
+        route = _route(chain, 1, 3, RoutingPolicy.SHORTEST)
+        assert route.direction == Direction.RIGHT
         assert route.hops == 2
-
-
-class TestDirection:
-    def test_opposite(self):
-        assert Direction.RIGHT.opposite is Direction.LEFT
-        assert Direction.LEFT.opposite is Direction.RIGHT

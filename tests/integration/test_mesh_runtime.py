@@ -61,7 +61,7 @@ class TestGridEndToEnd:
             _antipodal_workload, n_pes=9,
             cluster_config=ClusterConfig(n_hosts=9, topology="torus",
                                          dims=(3, 3)),
-            shmem_config=ShmemConfig(router="adaptive"),
+            shmem_config=ShmemConfig(routing="adaptive"),
             check_heap_consistency=False)
         assert all(r["ok"] for r in report.results)
         assert report.runtimes[0].router.name == "adaptive"
@@ -194,7 +194,7 @@ class TestMidBarrierSever:
 
     def test_torus_barrier_survives_mid_barrier_cut(self):
         plan = FaultPlan(events=(SeverCable(150.0, 5, 6),))
-        config = ShmemConfig(faults=plan, router="adaptive",
+        config = ShmemConfig(faults=plan, routing="adaptive",
                              max_retries=8, retry_backoff_us=200.0)
 
         def main(pe):
@@ -235,7 +235,7 @@ class TestMidBarrierSever:
 class TestRouterConfigValidation:
     def test_unknown_router_rejected(self):
         with pytest.raises(ValueError, match="unknown router"):
-            ShmemConfig(router="valiant")
+            ShmemConfig(routing="valiant")
 
     def test_policy_router_rejected_on_grid(self):
         from repro.fabric import TopologyError
@@ -245,5 +245,5 @@ class TestRouterConfigValidation:
                      cluster_config=ClusterConfig(n_hosts=4,
                                                   topology="mesh",
                                                   dims=(2, 2)),
-                     shmem_config=ShmemConfig(router="fixed_right"),
+                     shmem_config=ShmemConfig(routing="fixed_right"),
                      check_heap_consistency=False)

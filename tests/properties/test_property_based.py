@@ -16,7 +16,12 @@ from repro.core.transfer import (
     unpack_header_bytes,
     unpack_message,
 )
-from repro.fabric import Direction, RingTopology, RoutingPolicy
+from repro.fabric import (
+    Direction,
+    PolicyRouter,
+    RingTopology,
+    RoutingPolicy,
+)
 from repro.host import Host
 from repro.memory import (
     AllocationError,
@@ -176,9 +181,15 @@ class TestTopologyProperties:
         dst = data.draw(st.integers(0, n - 1))
         if src == dst:
             return
-        right = ring.hops(src, dst, Direction.RIGHT)
-        left = ring.hops(src, dst, Direction.LEFT)
-        assert right + left == n
+        # Leftward hops: what FIXED_RIGHT detours to once the source's
+        # rightward cable is dead.
+        router = PolicyRouter(ring, RoutingPolicy.FIXED_RIGHT)
+        right = router.resolve(src, dst)
+        left = router.resolve(
+            src, dst, {ring.edge_for(src, Direction.RIGHT)})
+        assert (right.direction, left.direction) == (
+            Direction.RIGHT, Direction.LEFT)
+        assert right.hops + left.hops == n
 
     @_SETTINGS
     @given(st.integers(2, 16), st.data())
@@ -188,8 +199,9 @@ class TestTopologyProperties:
         dst = data.draw(st.integers(0, n - 1))
         if src == dst:
             return
-        fixed = ring.route(src, dst, RoutingPolicy.FIXED_RIGHT)
-        short = ring.route(src, dst, RoutingPolicy.SHORTEST)
+        fixed = PolicyRouter(
+            ring, RoutingPolicy.FIXED_RIGHT).resolve(src, dst)
+        short = PolicyRouter(ring, RoutingPolicy.SHORTEST).resolve(src, dst)
         assert short.hops <= fixed.hops
         assert short.hops <= n // 2
 
@@ -202,7 +214,7 @@ class TestTopologyProperties:
         if src == dst:
             return
         for policy in (RoutingPolicy.FIXED_RIGHT, RoutingPolicy.SHORTEST):
-            route = ring.route(src, dst, policy)
+            route = PolicyRouter(ring, policy).resolve(src, dst)
             node = src
             for _hop in range(route.hops):
                 node = ring.neighbor(node, route.direction)

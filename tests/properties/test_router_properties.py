@@ -26,7 +26,6 @@ from repro.fabric import (
     AdaptiveRouter,
     ChainTopology,
     DimensionOrderRouter,
-    GridTopology,
     MeshTopology,
     NoRouteError,
     PolicyRouter,
@@ -51,11 +50,13 @@ _TOPOLOGIES = st.one_of(
 
 
 def _routers_for(topology):
-    if isinstance(topology, GridTopology):
-        return (DimensionOrderRouter(topology), AdaptiveRouter(topology))
+    routers = (DimensionOrderRouter(topology), AdaptiveRouter(topology))
+    if len(topology.dims) > 1:
+        return routers
+    # One axis (ring, chain, and the 1-D torus they share a class with):
+    # the two direction policies apply as well.
     return (PolicyRouter(topology, RoutingPolicy.FIXED_RIGHT),
-            PolicyRouter(topology, RoutingPolicy.SHORTEST),
-            DimensionOrderRouter(topology))
+            PolicyRouter(topology, RoutingPolicy.SHORTEST)) + routers
 
 
 @st.composite
