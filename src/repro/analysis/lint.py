@@ -99,7 +99,6 @@ WALLCLOCK_MODULES = frozenset({"time", "random", "datetime"})
 WALLCLOCK_EXEMPT = frozenset({
     ("obsv", "profiler.py"),
     ("bench", "__main__.py"),
-    ("bench", "fastpath.py"),
 })
 
 #: attribute names that are NTB register state (the register-mutation rule).

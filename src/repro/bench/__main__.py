@@ -10,13 +10,15 @@ Options::
     python -m repro.bench --smoke         # fig9-only small sizes (CI)
     python -m repro.bench --chaos         # sever-a-cable fault demo
     python -m repro.bench --chaos --chaos-seed 7   # different cut point
+    python -m repro.bench --compare-fastpath   # baseline-vs-fastpath grid
     python -m repro.bench --metrics       # metered smoke + SLO evaluation
-    python -m repro.bench --metrics --check BENCH_PR7.json  # CI gate
-    python -m repro.bench --kernel        # DES kernel throughput bench
-    python -m repro.bench --kernel --check BENCH_PR8.json   # CI gate
+    python -m repro.bench --metrics --snapshot m.json  # + registry snapshot
     python -m repro.bench --topology      # ring/mesh/torus scaling sweep
     python -m repro.bench --topology --topology-full        # + 64 hosts
-    python -m repro.bench --topology --check BENCH_PR9.json # CI gate
+
+Every entry prints; only ``--json``, ``--trace`` and ``--snapshot`` write
+a file, and nothing here compares against a stored number — see
+docs/SIMULATOR.md, "Where a figure is pinned".
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ def _run_ablations() -> None:
     from .experiments import (
         run_barrier_ablation,
         run_chunk_ablation,
+        run_dma_channel_ablation,
         run_dma_page_ablation,
         run_get_chunk_ablation,
         run_irq_ablation,
@@ -45,6 +48,7 @@ def _run_ablations() -> None:
         ("bypass chunking (x = chunk bytes)", run_chunk_ablation),
         ("get chunk (x = chunk bytes)", run_get_chunk_ablation),
         ("DMA descriptor cost", run_dma_page_ablation),
+        ("DMA channels (x = channel count)", run_dma_channel_ablation),
         ("barrier strategy (x = ring size)", run_barrier_ablation),
         ("ring scaling (x = ring size)", run_scaling_ablation),
         ("interrupt path", run_irq_ablation),
@@ -83,25 +87,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--compare-fastpath", action="store_true",
                         help="baseline-vs-fastpath grid (Put/Get latency "
                              "and throughput at 4KB/64KB/512KB x 1/2 hops, "
-                             "inline 32B, barrier); writes BENCH_PR5.json "
-                             "unless --check is given")
+                             "inline 32B, barrier) and its acceptance "
+                             "ratios")
     parser.add_argument("--metrics", action="store_true",
                         help="metered smoke run: mixed workload with the "
                              "metrics ticker + DES profiler, evaluated "
-                             "against the bundled SLO ruleset; writes "
-                             "BENCH_PR7.json unless --check is given")
-    parser.add_argument("--kernel", action="store_true",
-                        help="DES kernel throughput bench: timer-storm "
-                             "dispatch rate per scheduler (heap/calendar/"
-                             "legacy step driver), 16-host chaos+traced "
-                             "stress and the PR-7 profile rerun; writes "
-                             "BENCH_PR8.json unless --check is given")
+                             "against the bundled SLO ruleset")
     parser.add_argument("--topology", action="store_true",
                         help="ring/mesh/torus scaling sweep: antipodal "
                              "put/get/barrier latency + bisection "
                              "throughput at N=4/16 plus a fault-injected "
-                             "mesh reroute scenario; writes BENCH_PR9.json "
-                             "unless --check is given")
+                             "mesh reroute scenario")
     parser.add_argument("--topology-full", action="store_true",
                         help="with --topology: include the slow 64-host "
                              "tier (ring64/mesh8x8/torus4x4x4)")
@@ -109,94 +105,34 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --metrics: also write the registry "
                              "snapshot JSON (repro-metrics/v1) for "
                              "'python -m repro.obsv metrics'")
-    parser.add_argument("--out", metavar="PATH",
-                        help="output path for --compare-fastpath "
-                             "(default: BENCH_PR5.json), --metrics "
-                             "(default: BENCH_PR7.json) or --kernel "
-                             "(default: BENCH_PR8.json)")
-    parser.add_argument("--check", metavar="PATH",
-                        help="with --compare-fastpath or --metrics: gate "
-                             "against a checked-in reference instead of "
-                             "writing; fails on any virtual-time metric "
-                             "regressing beyond the recorded tolerance")
     args = parser.parse_args(argv)
 
-    if args.topology:
-        from .experiments.topology import check_against as topology_check, \
-            run_topology_bench
-
+    if args.topology or args.metrics or args.compare_fastpath:
         t0 = time.perf_counter()
-        result = run_topology_bench(include_slow=args.topology_full)
+        if args.topology:
+            from .experiments.topology import run_topology_bench
+
+            result = run_topology_bench(include_slow=args.topology_full)
+            ok = result.targets_pass
+        elif args.metrics:
+            from .experiments.metrics import run_metrics_smoke
+
+            result = run_metrics_smoke()
+            ok = result.ok
+            if args.snapshot:
+                result.write_snapshot(args.snapshot)
+                print(f"wrote metrics snapshot to {args.snapshot} "
+                      f"(inspect with 'python -m repro.obsv metrics "
+                      f"{args.snapshot}')\n")
+        else:
+            from .experiments.fastpath import run_fastpath_compare
+
+            result = run_fastpath_compare()
+            ok = result.targets_pass
         print(result.render())
         print(f"\nwall time: {time.perf_counter() - t0:.1f}s; "
               "latencies/throughputs are virtual-time measurements")
-        if args.check:
-            check = topology_check(result, args.check)
-            print(check.render())
-            return 0 if check.ok and result.targets_pass else 1
-        out = args.out or "BENCH_PR9.json"
-        result.write(out)
-        print(f"wrote {out}")
-        return 0 if result.targets_pass else 1
-
-    if args.kernel:
-        from .experiments.kernel import check_against as kernel_check, \
-            run_kernel_bench
-
-        t0 = time.perf_counter()
-        result = run_kernel_bench()
-        print(result.render())
-        print(f"\nwall time: {time.perf_counter() - t0:.1f}s; "
-              "events/sec are host wall-clock figures")
-        if args.check:
-            check = kernel_check(result, args.check)
-            print(check.render())
-            return 0 if check.ok else 1
-        out = args.out or "BENCH_PR8.json"
-        result.write(out)
-        print(f"wrote {out}")
-        return 0 if result.targets_pass else 1
-
-    if args.metrics:
-        from .experiments.metrics import check_against as metrics_check, \
-            run_metrics_smoke
-
-        t0 = time.perf_counter()
-        result = run_metrics_smoke()
-        print(result.render())
-        print(f"\nwall time: {time.perf_counter() - t0:.1f}s; "
-              "latencies/counters are virtual-time measurements")
-        if args.snapshot:
-            result.write_snapshot(args.snapshot)
-            print(f"wrote metrics snapshot to {args.snapshot} "
-                  f"(inspect with 'python -m repro.obsv metrics "
-                  f"{args.snapshot}')")
-        if args.check:
-            check = metrics_check(result, args.check)
-            print(check.render())
-            return 0 if check.ok and result.ok else 1
-        out = args.out or "BENCH_PR7.json"
-        result.write(out)
-        print(f"wrote {out}")
-        return 0 if result.ok else 1
-
-    if args.compare_fastpath:
-        from .experiments.fastpath import check_against, \
-            run_fastpath_compare
-
-        t0 = time.perf_counter()
-        result = run_fastpath_compare()
-        print(result.render())
-        print(f"\nwall time: {time.perf_counter() - t0:.1f}s; "
-              "latencies/throughputs are virtual-time measurements")
-        if args.check:
-            check = check_against(result, args.check)
-            print(check.render())
-            return 0 if check.ok and result.targets_pass else 1
-        out = args.out or "BENCH_PR5.json"
-        result.write(out)
-        print(f"wrote {out}")
-        return 0 if result.targets_pass else 1
+        return 0 if ok else 1
 
     if args.chaos:
         from .experiments.chaos import run_chaos_demo

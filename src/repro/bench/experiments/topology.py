@@ -1,7 +1,7 @@
-"""Topology scaling bench + gate (``python -m repro.bench --topology``).
+"""Topology scaling bench (``python -m repro.bench --topology``).
 
-The PR-9 capstone: the same SPMD workload measured across ring x mesh x
-torus at N = 4 / 16 / 64 hosts, recording BENCH_PR9.json.
+The same SPMD workload measured across ring x mesh x torus at
+N = 4 / 16 / 64 hosts.
 
 Per (topology, N) scenario the workload measures, in virtual time:
 
@@ -23,15 +23,16 @@ final round must verify on every PE — the end-to-end proof that
 dimension-order routing, the BFS detour and the relay plane compose.
 
 The 64-host sweep triples the runtime; it is included only with
-``include_slow=True`` (CI marks it slow, the checked-in reference always
-carries it).  All recorded figures are deterministic virtual-time
-measurements, gated with the usual tolerance.
+``include_slow=True``.  Display only: the exit code is
+:attr:`TopologyBenchResult.targets_pass`.  Every figure is a deterministic
+virtual-time measurement, pinned ``==`` (all three tiers and the fault
+scenario) by ``tests/integration/test_pinned_figures.py``
+(docs/SIMULATOR.md, "Where a figure is pinned").
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -41,15 +42,7 @@ from ...fabric import ClusterConfig, RoutingPolicy
 from ...faults import FaultPlan
 
 __all__ = ["TopologyBenchResult", "run_topology_bench", "run_scenario",
-           "run_fault_scenario", "check_against", "SCHEMA", "SCENARIOS",
-           "SLOW_SCENARIOS"]
-
-SCHEMA = "bench-pr9/v1"
-
-#: virtual figures are deterministic; tolerance buys headroom against
-#: intentional model recalibrations only (same policy as the PR 5/7/8
-#: gates).
-TOLERANCE = 0.10
+           "run_fault_scenario", "SCENARIOS", "SLOW_SCENARIOS"]
 
 #: latency-phase payload per put/get (bytes).
 _SLOT = 4096
@@ -220,7 +213,7 @@ def run_fault_scenario() -> dict[str, Any]:
 
 @dataclass
 class TopologyBenchResult:
-    """Everything BENCH_PR9.json records plus render/gate helpers."""
+    """The sweep's scenarios + fault scenario, and how to print them."""
 
     scenarios: list[dict[str, Any]]
     fault: dict[str, Any]
@@ -231,20 +224,6 @@ class TopologyBenchResult:
         return (all(s["ok"] for s in self.scenarios)
                 and self.fault["final_ok"]
                 and self.fault["virtual"]["reroutes"] > 0)
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA,
-            "tolerance": TOLERANCE,
-            "include_slow": self.include_slow,
-            "scenarios": self.scenarios,
-            "fault_scenario": self.fault,
-        }
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_payload(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def render(self) -> str:
         lines = [
@@ -283,95 +262,3 @@ def run_topology_bench(include_slow: bool = False) -> TopologyBenchResult:
     fault = run_fault_scenario()
     return TopologyBenchResult(scenarios=scenarios, fault=fault,
                                include_slow=include_slow)
-
-
-@dataclass
-class CheckResult:
-    """Outcome of gating a fresh run against a checked-in BENCH_PR9.json."""
-
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def render(self) -> str:
-        lines = []
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        for failure in self.failures:
-            lines.append(f"  REGRESSION: {failure}")
-        lines.append("topology gate: " + ("PASS" if self.ok else "FAIL"))
-        return "\n".join(lines)
-
-
-def check_against(result: TopologyBenchResult, path: str,
-                  tolerance: Optional[float] = None) -> CheckResult:
-    """Gate a fresh run against a checked-in BENCH_PR9.json.
-
-    Every scenario present in both runs must agree within tolerance on
-    all virtual figures; a quick run is allowed to omit the reference's
-    slow tier (noted, not failed), but a scenario the reference knows
-    that a *full* run lost is a regression.
-    """
-    with open(path) as fh:
-        reference = json.load(fh)
-    if reference.get("schema") != SCHEMA:
-        return CheckResult(ok=False, failures=[
-            f"{path}: unknown schema {reference.get('schema')!r} "
-            f"(expected {SCHEMA})"
-        ])
-    tol = tolerance if tolerance is not None \
-        else float(reference.get("tolerance", TOLERANCE))
-    failures: list[str] = []
-    notes: list[str] = []
-    current = {s["name"]: s for s in result.scenarios}
-    slow_names = {name for name, *_ in SLOW_SCENARIOS}
-    for ref in reference.get("scenarios", []):
-        name = ref["name"]
-        scenario = current.get(name)
-        if scenario is None:
-            if name in slow_names and not result.include_slow:
-                notes.append(f"{name}: slow tier skipped in this run")
-                continue
-            failures.append(f"{name}: scenario disappeared from the run")
-            continue
-        if not scenario["ok"]:
-            failures.append(f"{name}: data verification failed")
-        for key, ref_value in sorted(ref.get("virtual", {}).items()):
-            value = scenario["virtual"].get(key)
-            if value is None:
-                failures.append(f"{name}.{key}: figure disappeared")
-                continue
-            if ref_value == 0:
-                if value != 0:
-                    failures.append(
-                        f"{name}.{key}: 0 -> {value:g} (was zero)")
-                continue
-            drift = abs(value - ref_value) / abs(ref_value)
-            if drift > tol:
-                failures.append(
-                    f"{name}.{key}: {ref_value:g} -> {value:g} "
-                    f"({drift * 100:+.1f}% drift, "
-                    f"tolerance {tol * 100:.0f}%)"
-                )
-    if not result.fault["final_ok"]:
-        failures.append("fault scenario: final round failed to verify")
-    if result.fault["virtual"]["reroutes"] <= 0:
-        failures.append("fault scenario: no reroutes recorded "
-                        "(sever did not exercise the detour path)")
-    ref_fault = reference.get("fault_scenario", {}).get("virtual", {})
-    for key, ref_value in sorted(ref_fault.items()):
-        value = result.fault["virtual"].get(key)
-        if value is None:
-            failures.append(f"fault.{key}: figure disappeared")
-            continue
-        if ref_value == 0:
-            if value != 0:
-                failures.append(f"fault.{key}: 0 -> {value:g} (was zero)")
-            continue
-        drift = abs(value - ref_value) / abs(ref_value)
-        if drift > tol:
-            failures.append(
-                f"fault.{key}: {ref_value:g} -> {value:g} "
-                f"({drift * 100:+.1f}% drift, tolerance {tol * 100:.0f}%)"
-            )
-    return CheckResult(ok=not failures, failures=failures, notes=notes)

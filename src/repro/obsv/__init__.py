@@ -37,7 +37,6 @@ _LAZY_SUBMODULE = {
     "to_chrome_trace": "export",
     "validate_chrome_trace": "export",
     "DesProfiler": "profiler",
-    "Stopwatch": "profiler",
     "SloReport": "slo",
     "SloRule": "slo",
     "SloRuleSet": "slo",
@@ -82,7 +81,6 @@ __all__ = [
     "render_breakdown",
     "render_flamegraph",
     "DesProfiler",
-    "Stopwatch",
     "SloRule",
     "SloRuleSet",
     "SloReport",

@@ -22,7 +22,7 @@ Usage::
     ... run ...
     profiler.uninstall()
     print(profiler.report())
-    figures = profiler.to_json()   # events/sec for BENCH_PR7.json
+    figures = profiler.to_json()   # events, wall_s, events_per_sec
 """
 
 from __future__ import annotations
@@ -30,49 +30,9 @@ from __future__ import annotations
 import time
 from typing import Any, Optional
 
-__all__ = ["DesProfiler", "Stopwatch"]
+__all__ = ["DesProfiler"]
 
 _perf = time.perf_counter
-
-
-class Stopwatch:
-    """Plain wall-clock interval reader for bench harnesses.
-
-    Unlike :class:`DesProfiler` this installs **no** dispatch hook, so the
-    measured loop runs untaxed — the right tool when the *kernel itself*
-    is the benchmark subject (``repro.bench.experiments.kernel``) and the
-    per-event attribution hook would dominate what it measures.  Lives in
-    this module because it is the determinism lint's one sanctioned
-    wall-clock reader.
-    """
-
-    __slots__ = ("_started", "_stopped")
-
-    def __init__(self) -> None:
-        self._started: Optional[float] = None
-        self._stopped: Optional[float] = None
-
-    def start(self) -> "Stopwatch":
-        self._started = _perf()
-        self._stopped = None
-        return self
-
-    def stop(self) -> float:
-        self._stopped = _perf()
-        return self.seconds
-
-    @property
-    def seconds(self) -> float:
-        if self._started is None:
-            return 0.0
-        end = self._stopped if self._stopped is not None else _perf()
-        return end - self._started
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
 
 #: Marker in the type-key cache: this type's key is derived per instance
 #: (Process events are keyed by their name family, not their class).

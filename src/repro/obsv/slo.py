@@ -2,7 +2,7 @@
 
 The missing half of "how is the system doing": metrics give you numbers,
 this module gives you *judgments* — machine-checkable health rules that
-bench ``--check`` and the CI chaos job gate on (ROADMAP item 5).
+``python -m repro.bench --metrics`` exits on (ROADMAP item 5).
 
 Rule syntax (one rule per line; ``#`` comments and blank lines ignored)::
 

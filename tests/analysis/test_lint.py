@@ -56,8 +56,7 @@ def test_wallclock_flagged_in_every_repro_package(tmp_path):
 def test_wallclock_exempt_files_may_read_the_host_clock(tmp_path):
     # repro.obsv.profiler is the sanctioned DES wall-clock profiler and
     # the bench CLI measures wall time by design (WALLCLOCK_EXEMPT).
-    for relative in ("repro/obsv/profiler.py", "repro/bench/__main__.py",
-                     "repro/bench/experiments/fastpath.py"):
+    for relative in ("repro/obsv/profiler.py", "repro/bench/__main__.py"):
         path = _write(tmp_path, relative,
                       "import time\nt0 = time.perf_counter()\n")
         assert lint_file(path) == [], relative

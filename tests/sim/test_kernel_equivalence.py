@@ -36,6 +36,7 @@ from repro.core.errors import PeerUnreachableError
 from repro.core.program import make_cluster, run_spmd
 from repro.faults import FaultPlan
 from repro.obsv.profiler import DesProfiler
+from repro.sim import Environment
 from repro.sim.core import set_default_queue
 from repro.sim.queues import QUEUE_KINDS
 
@@ -242,6 +243,48 @@ def test_schedulers_byte_identical(name):
             + _first_divergence(heap_lines, cal_lines))
     # sanity: the harness actually observed a non-trivial run
     assert len(heap_lines) > 100
+
+
+# --------------------------------------------------------------------------
+# The bare kernel: one deep queue, three ways to dispatch it
+# --------------------------------------------------------------------------
+
+STORM_TIMERS = 1024
+STORM_HORIZON_US = 40.0
+
+
+def _run_until(env):
+    env.run(until=STORM_HORIZON_US)
+
+
+def _step_loop(env):
+    while env.peek() <= STORM_HORIZON_US:
+        env.step()
+
+
+def _storm(queue_kind, dispatch):
+    """1024 periodic timers (the pending set sits in the thousands, the
+    64-host regime); returns the event count and who resumed when."""
+    env = Environment(queue=queue_kind)
+    resumed = []
+
+    def timer(name, period):
+        while True:
+            yield env.timeout(period)
+            resumed.append((env.now, name))
+
+    for i in range(STORM_TIMERS):
+        name = f"storm.{i}"
+        env.process(timer(name, 1.0 + (i % 173) * 0.037), name=name)
+    dispatch(env)
+    return env.dispatched_events, resumed
+
+
+def test_timer_storm_same_under_heap_calendar_and_step():
+    default = _storm(None, _run_until)      # the calendar queue
+    assert default[0] > 10 * STORM_TIMERS
+    assert _storm("heap", _run_until) == default
+    assert _storm(None, _step_loop) == default
 
 
 def test_all_backends_covered():
