@@ -153,6 +153,8 @@ def run_scenario(name: str, topology: str, n: int,
             "barrier_us": phase["barrier_us"],
             "bisection_bytes_per_us":
                 aggregate / phase["bisection_us"],
+            "events_dispatched":
+                float(report.cluster.env.dispatched_events),
         },
     }
 

@@ -157,6 +157,10 @@ class Topology:
              for port in self.PORT_ORDER}
             for host in range(self.n_hosts)
         )
+        # Likewise the canonical route of a (src, dst) pair, asked again
+        # at every relay hop; filled on first use, so set-up pays nothing.
+        self._next_hops: dict[tuple[int, int], tuple[str, int]] = {}
+        self._min_hops: dict[tuple[int, int], int] = {}
 
     def check_host(self, host_id: int) -> None:
         if not (0 <= host_id < self.n_hosts):
@@ -280,6 +284,12 @@ class Topology:
 
     def next_hop(self, src: int, dst: int) -> tuple[str, int]:
         """The canonical first hop for src -> dst: ``(port, next_host)``."""
+        hop = self._next_hops.get((src, dst))
+        if hop is None:
+            hop = self._next_hops[src, dst] = self._compute_next_hop(src, dst)
+        return hop
+
+    def _compute_next_hop(self, src: int, dst: int) -> tuple[str, int]:
         self.check_host(src)
         self.check_host(dst)
         if src == dst:
@@ -298,14 +308,17 @@ class Topology:
 
     def min_hops(self, src: int, dst: int) -> int:
         """Length of the canonical (minimal) path from src to dst."""
-        self.check_host(src)
-        self.check_host(dst)
-        sc = self.coords(src)
-        dc = self.coords(dst)
-        return sum(
-            self._axis_step(axis, s, d)[1]
-            for axis, (s, d) in enumerate(zip(sc, dc))
-        )
+        hops = self._min_hops.get((src, dst))
+        if hops is None:
+            self.check_host(src)
+            self.check_host(dst)
+            sc = self.coords(src)
+            dc = self.coords(dst)
+            hops = self._min_hops[src, dst] = sum(
+                self._axis_step(axis, s, d)[1]
+                for axis, (s, d) in enumerate(zip(sc, dc))
+            )
+        return hops
 
     def path(self, src: int, dst: int) -> list[tuple[int, str, int]]:
         """The canonical hop-by-hop walk as ``(node, port, next)`` triples."""

@@ -130,6 +130,24 @@ class Cpu:
     def mmio_reg_read(self) -> Generator:
         yield from self._charge(self.cost.mmio_reg_read_us)
 
+    def mmio_reg_block(self, count: int, read: bool) -> Generator:
+        """``count`` back-to-back register reads (or posted writes) of one
+        process, charged from this one frame.
+
+        Still one charge — one event — per register.  A single ``Timeout``
+        at the end instant would enter the queue when the *block* starts,
+        not when its last register does, so it sorts ahead of any event
+        pushed in between that is due at that very instant: same-instant
+        ties re-order (docs/SIMULATOR.md, "Events that do no work").
+        """
+        cost = (self.cost.mmio_reg_read_us if read
+                else self.cost.mmio_reg_write_us)
+        if cost > 0:
+            timeout = self.env.timeout
+            for _ in range(count):
+                self.busy_us += cost
+                yield timeout(cost)
+
     def dma_submit(self) -> Generator:
         yield from self._charge(self.cost.dma_submit_us)
 

@@ -149,15 +149,28 @@ class NtbDriver:
         return self.endpoint.spad_file().read(index)
 
     def spad_write_block(self, start: int, values: Sequence[int]) -> Generator:
-        for offset, value in enumerate(values):
-            yield from self.spad_write(start + offset, value)
+        """Write consecutive registers: charged one by one, landed at once.
+
+        A message header is published only by the doorbell rung after
+        the block and read only after that doorbell's IRQ, so nothing
+        can observe the registers one by one; they all land when the
+        last one's charge ends.  A cable severed anywhere inside the
+        block therefore drops the whole block, as a sever just before it
+        does."""
+        yield from self.host.cpu.mmio_reg_block(len(values), read=False)
+        if self.endpoint.link_down:
+            return
+        self.endpoint.spad_file().write_block(start, values)
 
     def spad_read_block(self, start: int, count: int) -> Generator:
-        values = []
-        for offset in range(count):
-            value = yield from self.spad_read(start + offset)
-            values.append(value)
-        return tuple(values)
+        """Read consecutive registers: charged one by one, sampled at
+        once (see :meth:`spad_write_block`); all of them master-abort to
+        all-ones when the cable is down at that instant."""
+        yield from self.host.cpu.mmio_reg_block(count, read=True)
+        if self.endpoint.link_down:
+            self.master_aborts += count
+            return (0xFFFFFFFF,) * count
+        return self.endpoint.spad_file().read_block(start, count)
 
     # -- doorbells ---------------------------------------------------------------------
     def ring_doorbell(self, bit: int) -> Generator:

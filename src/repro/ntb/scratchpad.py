@@ -14,6 +14,8 @@ wait for updates in tests.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..sim import Environment, Signal
 
 __all__ = [
@@ -81,7 +83,8 @@ class ScratchpadFile:
             self.probe(("spad", self.name, index), True)
         self._regs[index] = value & 0xFFFFFFFF
         self.write_count += 1
-        self.changed.fire((index, self._regs[index]))
+        if self.changed.has_waiters:
+            self.changed.fire((index, self._regs[index]))
 
     def read_all(self) -> tuple[int, ...]:
         if self.probe is not None:
@@ -89,7 +92,7 @@ class ScratchpadFile:
                 self.probe(("spad", self.name, index), False)
         return tuple(self._regs)
 
-    def write_block(self, start: int, values: list[int]) -> None:
+    def write_block(self, start: int, values: Sequence[int]) -> None:
         """Write consecutive registers (transfer-info record)."""
         if start < 0 or start + len(values) > self.count:
             raise ScratchpadError(
@@ -115,7 +118,8 @@ class ScratchpadFile:
             if self.probe is not None:
                 self.probe(("spad", self.name, index), True)
             self._regs[index] = 0
-        self.changed.fire(None)
+        if self.changed.has_waiters:
+            self.changed.fire(None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ScratchpadFile {self.name} regs={self._regs}>"

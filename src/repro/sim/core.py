@@ -27,8 +27,11 @@ Design notes
   the dispatch body instead of calling :meth:`Environment.step` per event;
   processed :class:`Timeout` objects are recycled through a slab free-list
   when the interpreter's reference count proves nothing else can observe
-  them; and the no-hook / no-policy paths pay a single truthiness check per
-  event — never an iteration, never a callable invocation.
+  them; the no-hook / no-policy paths pay a single truthiness check per
+  event — never an iteration, never a callable invocation; and an event
+  nothing could observe is not dispatched at all
+  (:meth:`Environment._grant_inline`, "Events that do no work" in
+  docs/SIMULATOR.md).
 
 The kernel is intentionally small and dependency-free; higher-level
 synchronization primitives live in :mod:`repro.sim.primitives` and
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import sys
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 from .errors import (
     EventLifecycleError,
@@ -81,6 +84,11 @@ URGENT = 0
 
 #: Maximum recycled Timeout objects kept per environment.
 _SLAB_MAX = 512
+
+#: Stands in for the running callback list once a grant was delivered
+#: inline (:meth:`Environment._grant_inline`): still exactly one callback,
+#: but the rest of it runs as if inside the granted event's own dispatch.
+_INLINED = (None,)
 
 ProcessGenerator = Generator["Event", Any, Any]
 
@@ -452,6 +460,9 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: the event whose callbacks are running (see :attr:`pushed_at`).
         self._dispatching: Optional[Event] = None
+        #: that event's detached callback list (or :data:`_INLINED`); None
+        #: outside a dispatch.  What :meth:`_grant_inline` reads.
+        self._running: Optional[Sequence] = None
         self._policy: Optional[SchedulePolicy] = schedule_policy
         #: Hooks called as ``hook(env, event)`` just before callbacks run.
         #: Mutate this list in place (append/remove); the dispatch loop
@@ -489,7 +500,7 @@ class Environment:
         pushed.
         """
         event = self._dispatching
-        if type(event) is Timeout:
+        if type(event) is Timeout and self._running is not _INLINED:
             return self._now - event.delay
         return self._now
 
@@ -512,28 +523,32 @@ class Environment:
         """Create a new untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float, value: Any = None,
+                _at: Optional[float] = None) -> Timeout:
         """Create an event that fires ``delay`` µs from now.
 
         Draws from the slab free-list when a processed Timeout is
         available; recycling is disabled while a :class:`SchedulePolicy`
         is installed so model checkers can key state on event identity.
+        (``_at`` is :meth:`timeout_at`'s way in: the one slab draw serves
+        both without a second frame under every cost charge.)
         """
+        if delay < 0:
+            raise SchedulingError(f"negative timeout delay {delay!r}")
+        when = self._now + delay if _at is None else _at
         slab = self._slab
         if slab and self._policy is None:
-            if delay < 0:
-                raise SchedulingError(f"negative timeout delay {delay!r}")
             timeout = slab.pop()
             timeout.callbacks = []
             timeout._value = value
             timeout._ok = True
             timeout._defused = False
             timeout.delay = delay
-            self._push((self._now + delay, NORMAL, next(self._eid), timeout))
+            self._push((when, NORMAL, next(self._eid), timeout))
             self.scheduled_events += 1
             self.slab_reused += 1
             return timeout
-        return Timeout(self, delay, value)
+        return Timeout(self, delay, value, at=when)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """Create an event that fires at the absolute instant ``when``.
@@ -546,7 +561,7 @@ class Environment:
         if when < self._now:
             raise SchedulingError(
                 f"cannot fire at {when} µs: already at {self._now} µs")
-        return Timeout(self, when - self._now, value, at=when)
+        return self.timeout(when - self._now, value, when)
 
     def process(self, generator: ProcessGenerator,
                 name: Optional[str] = None) -> Process:
@@ -577,6 +592,31 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
         return self._queue.peek_time()
+
+    def _grant_inline(self, event: Event, value: Any) -> bool:
+        """Process the untriggered ``event`` here and now, with ``value``,
+        if dispatching it through the queue could not be told apart.
+
+        That holds at a *quiet instant*: a dispatch is in progress, the
+        event being dispatched had exactly one callback (the caller runs
+        inside it, and nothing else runs after it returns), no policy is
+        installed, and the queue holds no entry due at or before ``now``.
+        ``event.succeed(value)`` would then be the very next entry popped,
+        at the same instant, with nothing able to run in between — so the
+        caller that yields it may as well continue in this dispatch
+        (:meth:`Process._resume` resumes on a processed event at once),
+        with :attr:`pushed_at` reading as it would inside that event's
+        own dispatch.  Returns False, touching nothing, when the instant
+        is not quiet.
+        """
+        running = self._running
+        if (running is None or len(running) != 1 or self._policy is not None
+                or self._queue.has_due(self._now)):
+            return False
+        event._value = value
+        event.callbacks = None
+        self._running = _INLINED
+        return True
 
     def _recycle(self, event: Event) -> None:
         """Return a processed Timeout to the slab if provably unobservable.
@@ -644,8 +684,12 @@ class Environment:
         event.callbacks = None
         if callbacks is None:  # pragma: no cover - defensive
             raise EventLifecycleError(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
+        self._running = callbacks
+        try:
+            for callback in callbacks:
+                callback(event)
+        finally:
+            self._running = None
         if not event._ok and not event._defused:
             # Nobody handled the failure: surface it.
             exc = event._value
@@ -662,84 +706,45 @@ class Environment:
         * an :class:`Event` — run until that event is processed, returning
           its value (raising its exception on failure).
 
-        All three paths dispatch through an inlined hot loop (one Python
-        frame per *run*, not per event) whenever no :class:`SchedulePolicy`
-        is installed; with a policy they fall back to :meth:`step`.
+        All three dispatch through one inlined hot loop (one Python frame
+        per *run*, not per event) whenever no :class:`SchedulePolicy` is
+        installed; with a policy it falls back to :meth:`step`.
         """
-        if until is None:
-            queue = self._queue
-            # Inlined dispatch body — keep in sync with step().  Queue
-            # exhaustion is signalled by pop() raising IndexError, so the
-            # loop pays no emptiness probe per event.
-            pop = self._pop
-            hooks = self.step_hooks
-            slab = self._slab
-            refcount = _getrefcount or (lambda _o: 0)
-            while True:
-                if self._policy is not None:
-                    if not queue:
-                        break
-                    self.step()
-                    continue
-                try:
-                    when, _prio, _eid, event = pop()
-                except IndexError:
-                    break
-                self._now = when
-                self._dispatching = event
-                self.dispatched_events += 1
-                if hooks:
-                    for hook in hooks:
-                        hook(self, event)
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks is None:  # pragma: no cover - defensive
-                    raise EventLifecycleError(f"{event!r} processed twice")
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-                if (type(event) is Timeout and len(slab) < _SLAB_MAX
-                        and refcount(event) == 3):
-                    event._value = PENDING
-                    slab.append(event)
-                    self.slab_recycled += 1
-            return None
-
+        sentinel: Optional[Event] = None
+        horizon = float("inf")
+        done: list = []   # non-empty once the sentinel is processed
         if isinstance(until, Event):
             sentinel = until
             if sentinel.callbacks is None:
                 if not sentinel._ok:
                     raise sentinel._value
                 return sentinel._value
-            done = [False]
-
-            def _mark(_event: Event) -> None:
-                done[0] = True
-
-            sentinel.callbacks.append(_mark)
-            queue = self._queue
-            pop = self._pop
-            hooks = self.step_hooks
-            slab = self._slab
-            refcount = _getrefcount or (lambda _o: 0)
-            while not done[0]:
+            sentinel.callbacks.append(done.append)
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self._now:
+                raise SchedulingError(
+                    f"cannot run until {horizon} µs: already at "
+                    f"{self._now} µs"
+                )
+        queue = self._queue
+        pop_le = queue.pop_le
+        hooks = self.step_hooks
+        slab = self._slab
+        refcount = _getrefcount or (lambda _o: 0)
+        try:
+            while not done:
                 if self._policy is not None:
-                    if not queue:
-                        raise SimulationError(
-                            "deadlock: event loop drained before the awaited "
-                            f"event triggered ({sentinel!r})"
-                        )
+                    if not queue or queue.peek_time() > horizon:
+                        break
                     self.step()
                     continue
+                entry = pop_le(horizon)
+                if entry is None:
+                    break
                 # Inlined dispatch body — keep in sync with step().
-                try:
-                    when, _prio, _eid, event = pop()
-                except IndexError:
-                    raise SimulationError(
-                        "deadlock: event loop drained before the awaited "
-                        f"event triggered ({sentinel!r})"
-                    ) from None
+                when, _prio, _eid, event = entry
+                del entry
                 self._now = when
                 self._dispatching = event
                 self.dispatched_events += 1
@@ -750,6 +755,7 @@ class Environment:
                 event.callbacks = None
                 if callbacks is None:  # pragma: no cover - defensive
                     raise EventLifecycleError(f"{event!r} processed twice")
+                self._running = callbacks
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
@@ -759,51 +765,18 @@ class Environment:
                     event._value = PENDING
                     slab.append(event)
                     self.slab_recycled += 1
+        finally:
+            self._running = None
+        if sentinel is not None:
+            if not done:
+                raise SimulationError(
+                    "deadlock: event loop drained before the awaited "
+                    f"event triggered ({sentinel!r})"
+                )
             if not sentinel._ok:
                 sentinel._defused = True
                 raise sentinel._value
             return sentinel._value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise SchedulingError(
-                f"cannot run until {horizon} µs: already at {self._now} µs"
-            )
-        queue = self._queue
-        pop_le = queue.pop_le
-        hooks = self.step_hooks
-        slab = self._slab
-        refcount = _getrefcount or (lambda _o: 0)
-        while True:
-            if self._policy is not None:
-                if queue.peek_time() > horizon:
-                    break
-                self.step()
-                continue
-            entry = pop_le(horizon)
-            if entry is None:
-                break
-            # Inlined dispatch body — keep in sync with step().
-            when, _prio, _eid, event = entry
-            del entry
-            self._now = when
-            self._dispatching = event
-            self.dispatched_events += 1
-            if hooks:
-                for hook in hooks:
-                    hook(self, event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks is None:  # pragma: no cover - defensive
-                raise EventLifecycleError(f"{event!r} processed twice")
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-            if (type(event) is Timeout and len(slab) < _SLAB_MAX
-                    and refcount(event) == 3):
-                event._value = PENDING
-                slab.append(event)
-                self.slab_recycled += 1
-        self._now = horizon
+        if until is not None:
+            self._now = horizon
         return None

@@ -112,6 +112,11 @@ class HeapQueue:
             return _heappop(heap)
         return None
 
+    def has_due(self, now: float) -> bool:
+        """Is any entry due at or before ``now``?  Changes nothing."""
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= now
+
     def entries(self) -> list:
         """All pending entries in pop order (diagnostics; O(n log n))."""
         return sorted(self._heap)
@@ -223,6 +228,24 @@ class CalendarQueue:
         self._pos = 1
         self._size -= 1
         return entry
+
+    def has_due(self, now: float) -> bool:
+        """Is any entry due at or before ``now``?  Changes nothing.
+
+        Unlike :meth:`peek_time` this never loads (and sorts) the next
+        day — the kernel asks it in mid-dispatch, where moving the cursor
+        ahead of pushes still to come would demote the day right back.
+        With today drained it therefore answers from the earliest pending
+        *day*: that day starting at or before ``now`` may say True with
+        nothing due yet (or on a stale day-heap entry), never False with
+        something due, and the caller only ever skips work on False.
+        """
+        pos = self._pos
+        today = self._today
+        if pos < len(today):
+            return today[pos][0] <= now
+        heap = self._day_heap
+        return bool(heap) and heap[0] <= int(now * self._winv)
 
     def peek_entry(self) -> Optional[Entry]:
         pos = self._pos

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Generic, Optional, TypeVar
 
-from .core import Environment, Event
+from .core import PENDING, Environment, Event
 from .errors import SimulationError
 
 __all__ = ["Request", "Resource", "Store", "Channel", "BandwidthServer"]
@@ -30,7 +30,13 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Event.__init__ inlined, as Timeout does: one per mailbox slot,
+        # wire and lock acquisition.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
 
 
@@ -68,26 +74,29 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiting)
 
-    def _probe(self) -> None:
+    def request(self) -> Request:
+        env = self.env
         # Grant/queue order is shared state an exploring scheduler must
         # treat as a conflict between steps; the default policy ignores it.
-        policy = self.env.schedule_policy
+        policy = env._policy
         if policy is not None:
             policy.accessed(("resource", self.name), True)
-
-    def request(self) -> Request:
-        self._probe()
         req = Request(self)
         if len(self._holders) < self.capacity:
             self._holders.add(req)
             self.grant_count += 1
-            req.succeed(self)
+            # Free: at a quiet instant the request comes back already
+            # processed and the requester runs on without an event.
+            if not env._grant_inline(req, self):
+                req.succeed(self)
         else:
             self._waiting.append(req)
         return req
 
     def release(self, request: Request) -> None:
-        self._probe()
+        policy = self.env._policy
+        if policy is not None:
+            policy.accessed(("resource", self.name), True)
         if request in self._holders:
             self._holders.remove(request)
         elif request in self._waiting:
@@ -136,8 +145,8 @@ class Store(Generic[T]):
 
     def _probe(self) -> None:
         # FIFO order is shared state for an exploring scheduler (see
-        # Resource._probe); the default policy ignores the report.
-        policy = self.env.schedule_policy
+        # Resource.request); the default policy ignores the report.
+        policy = self.env._policy
         if policy is not None:
             policy.accessed(("store", self.name), True)
 

@@ -25,7 +25,7 @@ from repro.core.transfer import (
     unpack_message,
 )
 from repro.fabric import Cluster, ClusterConfig
-from repro.host import Host
+from repro.host import CostModel, Host
 from repro.ntb import LinkDownError
 from repro.ntb.device import BYPASS_WINDOW, DATA_WINDOW
 
@@ -261,3 +261,60 @@ class TestMailboxSendPath:
         assert mailbox.sent_count == sent and mailbox.idle
         assert len(progress) == notified + 1
 
+
+
+class TestHeaderBlockUnderSever:
+    """The four header registers are charged one by one but written, and
+    read, at one instant — when the last charge ends: a cable cut
+    anywhere inside the block behaves as a cut just before it, never
+    half a header."""
+
+    MSG = Message(kind=MsgKind.GET_REQ, mode=Mode.DMA, src_pe=0, dest_pe=1,
+                  offset=64, size=128, aux=7, seq=1)
+
+    @staticmethod
+    def _pair():
+        cluster = Cluster(ClusterConfig(n_hosts=2, topology="chain"))
+        cluster.run_probe()
+        tx, rx = cluster.driver(0, "right"), cluster.driver(1, "left")
+        return (cluster, tx, rx,
+                DataMailbox(cluster.env, tx, spad_block=0, name="tx"),
+                DataMailbox(cluster.env, rx, spad_block=4, name="rx"))
+
+    def _write_outcome(self, sever_after_us):
+        cluster, tx, rx, sender, _receiver = self._pair()
+        env, cable = cluster.env, cluster.cable_between(0, 1)
+        env.timeout(sever_after_us).callbacks.append(
+            lambda _evt: cable.sever())
+        run_to_completion(env, sender.send(self.MSG))   # posted: no error
+        env.run(until=env.now + 100.0)
+        return (tx.endpoint.spad_file().read_block(0, 4),
+                sender.sent_count, tx.master_aborts,
+                cable.a_to_b.dropped_bytes, rx.endpoint.doorbell.pending)
+
+    def test_sever_inside_a_header_write_drops_the_whole_header(self):
+        write_us = CostModel().mmio_reg_write_us
+        before = self._write_outcome(0.0)
+        between_2nd_and_3rd = self._write_outcome(2.5 * write_us)
+        assert between_2nd_and_3rd == before
+        assert before[0] == (0, 0, 0, 0) and before[3] > 0
+
+    def _read_outcome(self, sever_after_us):
+        cluster, _tx, rx, sender, receiver = self._pair()
+        env, cable = cluster.env, cluster.cable_between(0, 1)
+        run_to_completion(env, sender.send(self.MSG))
+        env.run(until=env.now + 100.0)
+        assert rx.endpoint.spad_file().read_block(0, 4) \
+            == pack_message(self.MSG)
+        env.timeout(sever_after_us).callbacks.append(
+            lambda _evt: cable.sever())
+        with pytest.raises(ProtocolError) as caught:
+            run_to_completion(env, receiver.recv_header(0))
+        return str(caught.value), rx.master_aborts
+
+    def test_sever_inside_a_header_read_aborts_the_whole_header(self):
+        read_us = CostModel().mmio_reg_read_us
+        before = self._read_outcome(0.0)
+        between_2nd_and_3rd = self._read_outcome(2.5 * read_us)
+        assert between_2nd_and_3rd == before
+        assert before[1] == 4

@@ -68,6 +68,15 @@ class TestScratchpads:
         env.run()
         assert seen == [(2, 42)]
 
+    def test_unobserved_write_schedules_nothing(self, env):
+        """No waiter, no pulse: the register changes, the queue does not."""
+        spad = ScratchpadFile(env)
+        spad.write(2, 42)
+        spad.write_block(4, [1, 2, 3, 4])
+        spad.clear()
+        assert (spad.write_count, env.scheduled_events) == (5, 0)
+        assert spad.changed.fire_count == 0
+
     def test_clear(self, env):
         spad = ScratchpadFile(env)
         spad.write(0, 5)

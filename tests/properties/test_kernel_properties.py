@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.host import CostModel, Cpu
 from repro.sim import (
     AllOf,
     BandwidthServer,
@@ -151,3 +152,49 @@ class TestConditionProperties:
         condition = AllOf(env, events)
         env.run(until=condition)
         assert env.now == pytest.approx(max(delays))
+
+
+class TestRegisterBlockCharge:
+    @_SETTINGS
+    @given(st.floats(0.0, 1e7), st.floats(1e-3, 50.0), st.integers(1, 8),
+           st.integers(0, 7), st.booleans())
+    def test_indistinguishable_from_the_chain_of_single_charges(
+            self, start, cost, count, rival_at, read):
+        """``Cpu.mmio_reg_block`` against ``count`` single charges: same
+        final instant bit for bit, same ``busy_us`` and ``pushed_at`` —
+        and the same order against a rival timer that enters the queue
+        *during* the block and is due at the very instant it ends.  (One
+        ``Timeout`` for the whole block passes the first half and fails
+        the second: pushed when the block starts, it overtakes the rival.)
+        """
+        model = CostModel(mmio_reg_read_us=cost, mmio_reg_write_us=cost / 3)
+        step = cost if read else cost / 3
+        grid = [start]
+        for _ in range(count):
+            grid.append(grid[-1] + step)
+
+        def run(block):
+            env = Environment(initial_time=start)
+            cpu = Cpu(env, model)
+            log = []
+
+            def charged():
+                if block:
+                    yield from cpu.mmio_reg_block(count, read=read)
+                else:
+                    for _ in range(count):
+                        yield from (cpu.mmio_reg_read() if read
+                                    else cpu.mmio_reg_write())
+                log.append(("block", env.now, env.pushed_at, cpu.busy_us))
+
+            def rival():
+                yield env.timeout_at(grid[min(rival_at, count - 1)])
+                yield env.timeout_at(grid[-1])
+                log.append(("rival", env.now))
+
+            env.process(charged())
+            env.process(rival())
+            env.run()
+            return repr(log)
+
+        assert run(block=True) == run(block=False)

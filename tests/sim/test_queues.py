@@ -15,7 +15,7 @@ import weakref
 
 import pytest
 
-from repro.sim import Environment
+from repro.sim import Environment, SchedulingError
 from repro.sim.core import NORMAL, SchedulePolicy, Timeout, URGENT
 from repro.sim.queues import (
     QUEUE_KINDS,
@@ -269,6 +269,26 @@ class TestTimeoutSlab:
         assert values == [True, "second"]
         assert env.now == 3.0
 
+    def test_timeout_at_draws_from_the_slab_too(self, queue):
+        env = Environment(queue=queue)
+        seen = []
+
+        def body():
+            yield env.timeout(1.0)              # recycled once processed
+            yield env.timeout_at(1.5)           # "now" first, slab filled
+            before = env.slab_reused
+            tick = env.timeout_at(4.0, "tick")
+            seen.append((env.slab_reused - before, tick.delay))
+            seen.append((yield tick))
+            with pytest.raises(SchedulingError, match="already at 4.0"):
+                env.timeout_at(3.0)
+            with pytest.raises(SchedulingError, match="negative"):
+                env.timeout(-1.0)
+
+        env.process(body())
+        env.run()
+        assert seen == [(1, 2.5), "tick"] and env.now == 4.0
+
 
 # --------------------------------------------------------------------------
 # step_hooks zero-overhead guarantee
@@ -285,23 +305,24 @@ class _NoIterList(list):
 
 @pytest.mark.parametrize("queue", QUEUE_KINDS)
 def test_empty_step_hooks_invoke_nothing(queue):
-    # All four dispatch paths (step(), run-to-quiescence, run-until-event,
-    # run-until-time) must skip hook dispatch entirely when the list is
-    # empty — no iterator, no callable invocation, per event.
+    # Both dispatch bodies — step(), and run()'s one loop entered to
+    # quiescence, until an event and until a time — must skip hook
+    # dispatch entirely when the list is empty: no iterator, no callable
+    # invocation, per event.
     env = Environment(queue=queue)
     env.step_hooks = _NoIterList()
     env.process(_timeout_chain(env, 20))
-    env.run()  # quiescence loop
+    env.run()  # to quiescence
 
     env2 = Environment(queue=queue)
     env2.step_hooks = _NoIterList()
     proc = env2.process(_timeout_chain(env2, 5))
-    env2.run(until=proc)  # until-event loop
+    env2.run(until=proc)  # until an event
 
     env3 = Environment(queue=queue)
     env3.step_hooks = _NoIterList()
     env3.process(_timeout_chain(env3, 20))
-    env3.run(until=10.0)  # until-time loop
+    env3.run(until=10.0)  # until a time
     while env3.peek() != float("inf"):
         env3.step()  # step() path
     assert env3.now >= 20.0

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import BandwidthServer, Resource, SimulationError, Store
+from repro.sim import (
+    BandwidthServer,
+    Environment,
+    Resource,
+    SchedulePolicy,
+    SimulationError,
+    Store,
+)
 from repro.sim.resources import Channel
 
 
@@ -61,6 +68,159 @@ class TestResource:
     def test_invalid_capacity(self, env):
         with pytest.raises(ValueError):
             Resource(env, capacity=0)
+
+
+class TestQuietInstantGrant:
+    """A free resource requested at a quiet instant comes back already
+    processed (no event); anything less than quiet keeps the evented
+    grant.  Both queue backends, via the ``kernel`` fixture."""
+
+    @staticmethod
+    def _request_at_t5(env, resource, seen, before=None):
+        """A process that wakes alone at t=5 and requests ``resource``."""
+        def body():
+            yield env.timeout(5.0)
+            if before is not None:
+                before()
+            scheduled = env.scheduled_events
+            req = resource.request()
+            seen.update(processed=req.processed,
+                        pushed=env.scheduled_events - scheduled,
+                        pushed_at=env.pushed_at)
+            got = yield req
+            seen.update(value=got, granted_at=env.now)
+            resource.release(req)
+        return env.process(body())
+
+    def test_free_and_quiet_is_born_processed(self, kernel):
+        env = Environment()
+        resource = Resource(env)
+        seen = {}
+        self._request_at_t5(env, resource, seen)
+        env.run()
+        assert seen == {"processed": True, "pushed": 0, "pushed_at": 5.0,
+                        "value": resource, "granted_at": 5.0}
+        assert resource.grant_count == 1 and resource.in_use == 0
+        # Initialize, the timeout, the process's own termination: no Request.
+        assert env.dispatched_events == 3
+
+    def test_same_instant_entry_pending_keeps_the_event(self, kernel):
+        env = Environment()
+        resource = Resource(env)
+        order = []
+        seen = {}
+        self._request_at_t5(env, resource, seen,
+                            before=lambda: order.append("requested"))
+
+        def other():
+            # Started second, so its timer is pushed later and due at the
+            # same instant: it must still run between the request and
+            # the grant, exactly as with the evented grant.
+            yield env.timeout(5.0)
+            order.append("other" if "granted_at" not in seen else "late")
+
+        env.process(other())
+        env.run()
+        assert (seen["processed"], seen["pushed"]) == (False, 1)
+        assert seen["granted_at"] == 5.0
+        assert order == ["requested", "other"]
+
+    def test_event_pushed_earlier_in_the_dispatch_keeps_the_event(self, kernel):
+        env = Environment()
+        resource = Resource(env)
+        seen = {}
+        self._request_at_t5(env, resource, seen,
+                            before=lambda: env.event().succeed())
+        env.run()
+        assert (seen["processed"], seen["pushed"]) == (False, 1)
+
+    def test_two_callback_dispatch_keeps_the_event(self, kernel):
+        env = Environment()
+        resource = Resource(env)
+        shared = env.timeout(5.0)
+        order = []
+
+        def first():
+            yield shared
+            req = resource.request()
+            order.append(("first requested", req.processed))
+            yield req
+            order.append("first granted")
+            resource.release(req)
+
+        def second():
+            yield shared
+            order.append("second ran")
+
+        env.process(first())
+        env.process(second())
+        env.run()
+        # The other waiter of the same event runs before the grant lands.
+        assert order == [("first requested", False), "second ran",
+                         "first granted"]
+
+    def test_policy_installed_keeps_the_event(self, kernel):
+        env = Environment(schedule_policy=SchedulePolicy())
+        resource = Resource(env)
+        seen = {}
+        self._request_at_t5(env, resource, seen)
+        env.run()
+        assert (seen["processed"], seen["pushed"]) == (False, 1)
+        assert env.dispatched_events == 4
+
+    def test_no_dispatch_in_progress_keeps_the_event(self, kernel):
+        env = Environment()
+        resource = Resource(env)
+        env.run()                      # a finished run leaves nothing behind
+        req = resource.request()
+        assert not req.processed and env.scheduled_events == 1
+        env.step()                     # ... and neither does step()
+        assert req.processed
+        again = Resource(env).request()
+        assert not again.processed
+
+    def test_contended_requests_stay_fifo(self, kernel):
+        env = Environment()
+        resource = Resource(env)
+        order = []
+
+        def user(tag):
+            yield env.timeout(1.0 + tag)
+            req = resource.request()
+            order.append((tag, req.processed))
+            yield req
+            order.append(("in", tag, env.now))
+            yield env.timeout(10.0)
+            resource.release(req)
+
+        for tag in range(3):
+            env.process(user(tag))
+        env.run()
+        assert order == [(0, True), ("in", 0, 1.0), (1, False), (2, False),
+                         ("in", 1, 11.0), ("in", 2, 21.0)]
+
+    def test_timeout_held_across_an_inline_grant_is_not_recycled(self, kernel):
+        # The slab proves a Timeout unobservable by counting references,
+        # the kernel's own "now dispatching" slot among them; carrying on
+        # inside that dispatch after an inline grant must not upset the
+        # count.
+        env = Environment()
+        resource = Resource(env)
+        seen = []
+
+        def body():
+            timer = env.timeout(5.0, value="mine")   # our local: one ref
+            yield timer
+            req = resource.request()
+            assert req.processed
+            yield req
+            resource.release(req)
+            yield env.timeout(1.0)      # would draw `timer` from the slab
+            seen.append(timer.value)
+
+        env.process(body())
+        env.run()
+        assert seen == ["mine"] and env.slab_reused == 0
 
 
 class TestStore:

@@ -3,7 +3,16 @@ always-0 equivalence, and the scheduled/accessed hooks."""
 
 from __future__ import annotations
 
+import pytest
+
+from repro.bench.experiments.topology import _bench_body
+from repro.core import FastpathConfig, ShmemConfig
+from repro.core.program import make_cluster, run_spmd
+from repro.fabric import ClusterConfig
+from repro.faults import FaultPlan
 from repro.sim import Environment, Resource, SchedulePolicy
+
+from .test_kernel_equivalence import _chaos_main, _quickstart_main, _span_rows
 
 
 def _race(env, log, name, delay):
@@ -46,6 +55,43 @@ def test_default_environment_has_no_policy():
 
 def test_always_zero_policy_matches_default_order():
     assert _run_three_way_tie() == _run_three_way_tie(_Recording(pick=0))
+
+
+#: name -> (PE body, hosts, cluster config, runtime knobs); all span-traced.
+_WHOLE_RUNS = {
+    "quickstart": (_quickstart_main, 3, None, {}),
+    "torus4x4": (_bench_body, 16,
+                 ClusterConfig(n_hosts=16, topology="torus", dims=(4, 4)),
+                 {}),
+    "chaos": (_chaos_main, 4, None,
+              dict(faults=FaultPlan.seeded_severs(
+                       4, seed=7, window_us=(2_000.0, 6_000.0)),
+                   max_retries=8, retry_backoff_us=200.0)),
+    "fastpath": (_quickstart_main, 3, None,
+                 dict(fastpath=FastpathConfig())),
+}
+
+
+@pytest.mark.parametrize("name", _WHOLE_RUNS)
+def test_always_zero_policy_is_the_reference_for_whole_runs(name):
+    """The default ``SchedulePolicy()`` turns off every kernel shortcut
+    (Timeout slab, inline grant at a quiet instant) while reproducing the
+    default order: what a run computes must not depend on them."""
+    main, n_pes, cluster_config, knobs = _WHOLE_RUNS[name]
+
+    def run(policy):
+        cluster = make_cluster(n_pes, cluster_config)
+        cluster.env.schedule_policy = policy
+        return run_spmd(main, n_pes=n_pes, cluster=cluster,
+                        shmem_config=ShmemConfig(trace_spans=True, **knobs))
+
+    fast, reference = run(None), run(SchedulePolicy())
+    assert repr(fast.results) == repr(reference.results)
+    assert repr(fast.elapsed_us) == repr(reference.elapsed_us)
+    assert _span_rows(fast.scope) == _span_rows(reference.scope)
+    fast_env, reference_env = fast.cluster.env, reference.cluster.env
+    assert fast_env.slab_reused > 0 and reference_env.slab_reused == 0
+    assert fast_env.dispatched_events < reference_env.dispatched_events
 
 
 def test_policy_sees_ties_and_controls_order():
