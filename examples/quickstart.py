@@ -140,4 +140,4 @@ if __name__ == "__main__":
         dump_chrome_trace(report.scope, args.trace)
         print(f"wrote {len(report.scope.spans)} spans to {args.trace} "
               f"(open in https://ui.perfetto.dev or run "
-              f"'python -m repro.obsv {args.trace}')")
+              f"'python -m repro.obsv trace {args.trace}')")

@@ -28,7 +28,7 @@ import json
 import sys
 import time
 
-from .reporting import render_percentiles, render_table
+from .reporting import render_table
 
 
 def _run_ablations() -> None:
@@ -160,10 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         print(render_table(
             [r for r in rows if r.experiment == "fig9b"],
             "Fig 9(b) Get latency, smoke sizes [us]"))
-        if args.trace:
-            print()
-            print(render_percentiles(
-                rows, "fig9 latency percentiles (traced)"))
         report = None
     else:
         from .harness import run_all
@@ -187,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         dump_chrome_trace(scope, args.trace)
         print(f"\nwrote {len(scope.spans)} spans to {args.trace} "
               f"(open in https://ui.perfetto.dev or inspect with "
-              f"'python -m repro.obsv {args.trace}')")
+              f"'python -m repro.obsv trace {args.trace}')")
 
     if args.json:
         payload = [

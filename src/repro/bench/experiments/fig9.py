@@ -49,10 +49,9 @@ def run_fig9(sizes: Optional[list[int]] = None,
     (put latency), ``fig9b`` (get latency), ``fig9c``/``fig9d``
     (derived throughputs).
 
-    ``trace=True`` turns on span tracing for the sweep: latency rows
-    carry ``p50_us``/``p99_us`` from the per-op×size×hop histograms in
-    ``Row.extra`` and the scope lands in ``Fig9Result.scope`` (export it
-    with :func:`repro.obsv.dump_chrome_trace`).  Tracing never consumes
+    ``trace=True`` turns on span tracing for the sweep: the scope lands
+    in ``Fig9Result.scope`` (export it with
+    :func:`repro.obsv.dump_chrome_trace`).  Tracing never consumes
     virtual time, so the measured values are identical either way.
     """
     sizes = sizes or PAPER_SIZES
@@ -89,21 +88,10 @@ def run_fig9(sizes: Optional[list[int]] = None,
     report = run_spmd(main, n_pes=n_pes,
                       cluster_config=ClusterConfig(n_hosts=n_pes),
                       shmem_config=shmem_config)
-    scope = report.scope
-
-    series_key = {series: (mode, hops) for series, mode, hops in CONFIGS}
     rows: list[Row] = []
     for (op, series, size), latency in measurements.items():
         lat_exp = "fig9a" if op == "put" else "fig9b"
         thr_exp = "fig9c" if op == "put" else "fig9d"
-        extra: dict[str, Any] = {}
-        if scope is not None:
-            mode, hops = series_key[series]
-            hist = scope.hist.get(f"{op}.{mode.name}.{size}B.{hops}hop")
-            if hist is not None:
-                summary = hist.summary()
-                extra = {"p50_us": summary.p50, "p99_us": summary.p99}
-        rows.append(Row(lat_exp, series, size, latency, "us", dict(extra)))
-        rows.append(Row(thr_exp, series, size, size / latency, "MB/s",
-                        dict(extra)))
-    return Fig9Result(rows, scope=scope)
+        rows.append(Row(lat_exp, series, size, latency, "us"))
+        rows.append(Row(thr_exp, series, size, size / latency, "MB/s"))
+    return Fig9Result(rows, scope=report.scope)

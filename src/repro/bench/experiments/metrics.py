@@ -9,7 +9,8 @@ hooked on the dispatch loop, then:
 * packages the registry snapshot (``repro-metrics/v1``) for
   ``python -m repro.obsv metrics`` and the CI artifact upload
   (``--snapshot PATH``, the only file this entry writes);
-* prints the profiler's events/sec, for the eye only.
+* prints the op-latency histogram table and the profiler's events/sec,
+  for the eye only.
 
 Display only: the exit code is :attr:`MetricsSmokeResult.ok`.
 :meth:`MetricsSmokeResult.virtual_figures` is pinned ``==`` by
@@ -29,6 +30,7 @@ from typing import Any, Optional
 from ...core import ShmemConfig, run_spmd
 from ...core.program import SpmdReport, make_cluster
 from ...fabric import ClusterConfig
+from ...obsv.hist import render_histograms
 from ...obsv.profiler import DesProfiler
 from ...obsv.slo import SloReport, SloRuleSet
 
@@ -95,11 +97,9 @@ class MetricsSmokeResult:
                 registry.value("sim.events_dispatched") or 0.0),
             "samples_taken": float(registry.samples_taken),
         }
-        for key, hist in registry.hist.items():
-            if key.startswith(("put_us.", "get_us.", "amo_us.",
-                               "barrier_us.")):
-                out[f"p50({key})"] = hist.quantile(0.5)
-                out[f"p99({key})"] = hist.quantile(0.99)
+        for key, summary in registry.op_latencies():
+            out[f"p50({key})"] = summary.p50
+            out[f"p99({key})"] = summary.p99
         return out
 
     def write_snapshot(self, path: str) -> None:
@@ -118,6 +118,8 @@ class MetricsSmokeResult:
             f"{self.profile['wall_s']:.3f} s wall "
             f"({self.profile['events_per_sec']:,.0f} events/sec, "
             f"informational)",
+            "",
+            render_histograms(self.report.metrics.op_latencies()),
             "",
             self.slo.render(),
         ]

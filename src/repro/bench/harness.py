@@ -22,7 +22,6 @@ from .reporting import (
     Row,
     ShapeCheck,
     check_shapes,
-    render_percentiles,
     render_table,
 )
 
@@ -189,12 +188,6 @@ class ExperimentReport:
             rows = self.rows_for(experiment)
             if rows:
                 sections.append(render_table(rows, title))
-        traced = [r for r in self.rows
-                  if r.experiment in ("fig9a", "fig9b")
-                  and "p50_us" in r.extra]
-        if traced:
-            sections.append(render_percentiles(
-                traced, "Fig 9 latency percentiles (traced run)"))
         shape_lines = ["", "shape checks vs paper:"]
         for experiment, description, passed in self.shape_results:
             marker = "PASS" if passed else "FAIL"
@@ -208,8 +201,8 @@ def run_all(sizes: Optional[list[int]] = None,
     """Regenerate every table and figure.
 
     ``quick=True`` sweeps a 4-point size grid instead of the paper's 10.
-    ``trace=True`` runs fig9 with span tracing: its latency rows carry
-    p50/p99 in ``Row.extra`` and ``report.scope`` holds the spans.
+    ``trace=True`` runs fig9 with span tracing: ``report.scope`` holds
+    the spans.
     """
     if sizes is None:
         sizes = ([1 << 10, 1 << 13, 1 << 16, 1 << 19] if quick

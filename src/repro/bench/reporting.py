@@ -13,7 +13,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ..core.sanitizer import render_race_table
 
-__all__ = ["Row", "render_table", "render_percentiles", "size_label",
+__all__ = ["Row", "render_table", "size_label",
            "ShapeCheck", "geometric_mean", "render_race_table"]
 
 #: The request sizes the paper sweeps in every figure (1 KB .. 512 KB).
@@ -21,7 +21,7 @@ PAPER_SIZES = [1 << k for k in range(10, 20)]
 
 
 # Canonical implementation lives in the metrics fabric so size-keyed
-# metric names (put_us.4KB.1hop) agree everywhere; re-exported here for
+# metric names (put_us.DMA.4KB.1hop) agree everywhere; re-exported here for
 # the existing bench callers.
 from ..obsv.metrics import size_label  # noqa: E402,F401
 
@@ -73,26 +73,6 @@ def render_table(rows: Sequence[Row], title: str = "",
             cols += (value_format.format(value).rjust(width)
                      if value is not None else " " * (width - 3) + "  -")
         lines.append(f"{size_label(size):>8} {cols}")
-    return "\n".join(lines)
-
-
-def render_percentiles(rows: Sequence[Row], title: str = "") -> str:
-    """Latency percentile table for rows carrying ``p50_us``/``p99_us``
-    in ``extra`` (traced bench runs); empty-safe."""
-    rows = [r for r in rows if "p50_us" in r.extra]
-    lines = [title] if title else []
-    if not rows:
-        lines.append("(no percentile data; run with tracing enabled)")
-        return "\n".join(lines)
-    header = (f"{'experiment':<12} {'series':<16} {'size':>8} "
-              f"{'p50_us':>10} {'p99_us':>10}")
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in rows:
-        lines.append(
-            f"{row.experiment:<12} {row.series:<16} {row.size_label:>8} "
-            f"{row.extra['p50_us']:>10.1f} {row.extra['p99_us']:>10.1f}"
-        )
     return "\n".join(lines)
 
 

@@ -1,12 +1,10 @@
-"""Runtime configuration and requester-side pending-request records.
+"""Runtime configuration and the requester-side pending-reply record.
 
 :class:`ShmemConfig` is the one bag of runtime shape knobs (validated at
 construction; its ``fastpath`` field takes a :class:`FastpathConfig`, the
-opt-in lever sub-bag defined in :mod:`.fastpath`); :class:`PendingGet` /
-:class:`PendingAmo` are what a PE keeps per outstanding Get / atomic until
-the reply lands.
-``ShmemConfig`` and the pending records are re-exported from
-:mod:`repro.core.runtime`.
+opt-in lever sub-bag defined in :mod:`.fastpath`); :class:`PendingReply`
+is what a PE keeps per outstanding Get chunk or atomic until the reply
+lands.  ``ShmemConfig`` is re-exported from :mod:`repro.core.runtime`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from .fastpath import FastpathConfig
 from .heap import HeapConfig
 from .transfer import Mode
 
-__all__ = ["ShmemConfig", "PendingGet", "PendingAmo"]
+__all__ = ["ShmemConfig", "PendingReply"]
 
 
 @dataclass(frozen=True)
@@ -60,8 +58,6 @@ class ShmemConfig:
     routing: Optional[RoutingPolicy] = None
     barrier: str = "ring"
     default_mode: Mode = Mode.DMA
-    #: µs between ScratchPad polls during the init handshake.
-    handshake_poll_us: float = 5.0
     #: Optional watchdog for blocking Gets/AMOs: raise TransferError if a
     #: response chunk takes longer than this (None = wait forever).
     reply_timeout_us: Optional[float] = None
@@ -86,9 +82,6 @@ class ShmemConfig:
     max_retries: int = 2
     #: First retry backoff (doubles per attempt).
     retry_backoff_us: float = 50.0
-    #: Init-handshake patience: a missing neighbor raises instead of
-    #: polling ScratchPads forever.
-    handshake_timeout_us: float = 1_000_000.0
     #: Opt-in optimized data plane (docs/FASTPATH.md): interrupt
     #: coalescing, chained-descriptor DMA, cut-through forwarding and
     #: inline small messages.  None (the default) keeps the runtime
@@ -125,8 +118,6 @@ class ShmemConfig:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff_us < 0:
             raise ValueError("retry_backoff_us must be >= 0")
-        if self.handshake_timeout_us <= 0:
-            raise ValueError("handshake_timeout_us must be positive")
         if self.metrics_window_us is not None and self.metrics_window_us <= 0:
             raise ValueError("metrics_window_us must be positive")
         if self.fastpath is not None \
@@ -138,30 +129,20 @@ class ShmemConfig:
 
 
 @dataclass
-class PendingGet:
-    """Requester-side state for one outstanding Get."""
+class PendingReply:
+    """Requester-side state for one outstanding Get chunk or atomic."""
 
     req_id: int
-    dest_virt: int
-    nbytes: int
-    mode: Mode
+    #: "get" or "amo": which response answers it, and its name in errors.
+    what: str
     done: Event
-    received: int = 0
-    started_at: float = 0.0
     #: target PE and route at issue time, so a link-death handler can
     #: tell which pending requests just lost their path.
-    pe: int = 0
-    direction: Optional[str] = None
-    hops: int = 0
-
-
-@dataclass
-class PendingAmo:
-    """Requester-side state for one outstanding atomic."""
-
-    req_id: int
-    done: Event
-    started_at: float = 0.0
-    pe: int = 0
-    direction: Optional[str] = None
-    hops: int = 0
+    pe: int
+    direction: str
+    hops: int
+    #: Get only: where response chunks land and how many bytes are in.
+    dest_virt: int = 0
+    nbytes: int = 0
+    mode: Optional[Mode] = None
+    received: int = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .transfer import CHAIN_CHUNK_BYTES, INLINE_MAX_BYTES
+from .transfer import INLINE_MAX_BYTES
 
 __all__ = ["FastpathConfig"]
 
@@ -27,16 +27,9 @@ class FastpathConfig:
     ----------
     coalesce:
         Adaptive polling in the service thread (lever 1).
-    poll_us / poll_rounds:
-        Poll period and the number of empty polls before the thread goes
-        back to a real (wake-cost-charging) sleep.  The default hot
-        window (12 × 5 µs) covers one ACK or response round trip.
     chain_dma:
         Pinned staging + chained-descriptor DMA for paged sources
         (lever 2).
-    chain_chunk:
-        Descriptor granularity of the staged chain; descriptors after
-        the first hide behind the previous segment's stream time.
     cut_through:
         Zero-copy forwarding with deferred ACKs (lever 3).
     credit_slots:
@@ -52,22 +45,13 @@ class FastpathConfig:
     """
 
     coalesce: bool = True
-    poll_us: float = 5.0
-    poll_rounds: int = 12
     chain_dma: bool = True
-    chain_chunk: int = CHAIN_CHUNK_BYTES
     cut_through: bool = True
     credit_slots: int = 8
     inline_max: int = INLINE_MAX_BYTES
     streaming_get: bool = True
 
     def __post_init__(self) -> None:
-        if self.poll_us <= 0:
-            raise ValueError("poll_us must be positive")
-        if self.poll_rounds < 0:
-            raise ValueError("poll_rounds must be >= 0")
-        if self.chain_chunk < 4096:
-            raise ValueError("chain_chunk unreasonably small")
         if not (1 <= self.credit_slots <= 64):
             raise ValueError("credit_slots must be in 1..64")
         if not (0 <= self.inline_max <= INLINE_MAX_BYTES):

@@ -40,6 +40,10 @@ __all__ = ["LinkEnd", "bring_up", "register_irqs", "wire_link_metrics",
 #: Handshake magic values written to ScratchPads during init.
 _HELLO_MAGIC = 0x5A5A0000
 _READY_MAGIC = 0xA5A50000
+#: µs between ScratchPad polls during the init handshake, and its
+#: patience: a missing neighbor raises instead of polling forever.
+_HANDSHAKE_POLL_US = 5.0
+_HANDSHAKE_TIMEOUT_US = 1_000_000.0
 
 
 @dataclass
@@ -128,8 +132,6 @@ def _setup_link(rt: "ShmemRuntime", side: str, driver: NtbDriver) -> None:
     rx_bypass = rt.host.alloc_pinned(bypass_mailbox.window_bytes_needed)
     for mailbox in (data_mailbox, bypass_mailbox):
         mailbox.on_progress = rt.notify_progress
-        if stage:
-            mailbox.chain_chunk = fp.chain_chunk
     edge = rt.topology.edge_for(rt.my_pe_id, side)
     assert edge is not None
     rt.links[side] = LinkEnd(
@@ -157,11 +159,10 @@ def _await_magic(rt: "ShmemRuntime", link: LinkEnd, reg: int, magic: int,
                 link.incoming_spad_block + reg)
             if (value & 0xFFFF0000) == magic:
                 return value & 0xFFFF
-            if rt.env.now - start > rt.config.handshake_timeout_us:
+            if rt.env.now - start > _HANDSHAKE_TIMEOUT_US:
                 raise PeerUnreachableError(
-                    f"{rt.name}: {gone} "
-                    f"({rt.config.handshake_timeout_us} µs)")
-            yield rt.env.timeout(rt.config.handshake_poll_us)
+                    f"{rt.name}: {gone} ({_HANDSHAKE_TIMEOUT_US} µs)")
+            yield rt.env.timeout(_HANDSHAKE_POLL_US)
 
 
 def _handshake(rt: "ShmemRuntime", link: LinkEnd) -> Generator:

@@ -123,23 +123,20 @@ def _edge_changed(rt: "ShmemRuntime", state: str,
 def _fail_pending_on_edge(rt: "ShmemRuntime") -> None:
     """Fail every pending Get/AMO whose issue-time route now crosses a
     dead edge, so blocking callers stop waiting immediately."""
-    for table, what in ((rt.pending_gets, "get"), (rt.pending_amos, "amo")):
-        for req_id, pending in list(table.items()):
-            if pending.direction is None:
-                continue
-            if not _route_blocked(rt, Route(pending.direction, pending.hops),
-                                  pending.pe):
-                continue
-            if not pending.done.triggered:
-                exc = PeerUnreachableError(
-                    f"{rt.name}: {what} request {req_id} to PE "
-                    f"{pending.pe} lost to a dead link"
-                )
-                # Defuse: the waiter (if any) still receives the
-                # failure through its AnyOf condition, but a request
-                # caught between send and wait must not crash the
-                # kernel as an unhandled failed event.
-                pending.done.fail(exc).defuse()
+    for req_id, pending in list(rt.pending.items()):
+        if not _route_blocked(rt, Route(pending.direction, pending.hops),
+                              pending.pe):
+            continue
+        if not pending.done.triggered:
+            exc = PeerUnreachableError(
+                f"{rt.name}: {pending.what} request {req_id} to PE "
+                f"{pending.pe} lost to a dead link"
+            )
+            # Defuse: the waiter (if any) still receives the failure
+            # through its AnyOf condition, but a request caught between
+            # send and wait must not crash the kernel as an unhandled
+            # failed event.
+            pending.done.fail(exc).defuse()
 
 
 def announce_link_state(rt: "ShmemRuntime", kind: int,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..fabric import Cluster, ClusterConfig
+from ..obsv.hist import render_histograms
 from ..sim import AllOf, CountdownLatch, Environment, SimulationError
 from .api import PE
 from .errors import ShmemError
@@ -77,7 +78,9 @@ class SpmdReport:
         """Human-readable per-PE operation profile (virtual time).
 
         One line per (PE, op) with call count, mean and max latency plus
-        moved bytes — the quick answer to "where did the time go?".
+        moved bytes — the quick answer to "where did the time go?" —
+        then the cluster-wide latency histograms, one row per
+        ``{op}_us.{detail}...`` key (docs/METRICS.md).
         """
         lines = [
             f"{'PE':>3} {'op':<9} {'calls':>7} {'mean_us':>10} "
@@ -100,9 +103,8 @@ class SpmdReport:
                 )
         if len(lines) == 1:
             lines.append("  (no instrumented operations recorded)")
-        if self.scope is not None and list(self.scope.hist.items()):
-            lines.append("")
-            lines.append(self.scope.hist.render())
+        else:
+            lines += ["", render_histograms(self.metrics.op_latencies())]
         return "\n".join(lines)
 
 

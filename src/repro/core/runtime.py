@@ -42,7 +42,7 @@ from ..obsv.metrics import MetricsRegistry, MetricsTicker, size_label
 from ..obsv.spans import NULL_SCOPE, ShmemScope, instrument_cluster
 from ..sim import Environment, Signal
 from . import links, linkstate
-from .config import PendingAmo, PendingGet, ShmemConfig
+from .config import PendingReply, ShmemConfig
 from .errors import (
     BadPeError,
     NotInitializedError,
@@ -65,8 +65,7 @@ from .transfer import (
 )
 from .waits import REPOLL, poll_wait, remote_wait
 
-__all__ = ["ShmemConfig", "ShmemRuntime", "LinkEnd", "PendingGet",
-           "PendingAmo", "AmoOp"]
+__all__ = ["ShmemConfig", "ShmemRuntime", "LinkEnd", "AmoOp"]
 
 
 def _cluster_singleton(cluster: Cluster, attr: str,
@@ -108,8 +107,9 @@ class ShmemRuntime:
 
         self.heap = SymmetricHeap(self.host, self.config.heap)
         self.links: dict[str, LinkEnd] = {}
-        self.pending_gets: dict[int, PendingGet] = {}
-        self.pending_amos: dict[int, PendingAmo] = {}
+        #: outstanding Get chunks and atomics by request id, registered
+        #: by :meth:`_expect_reply` and dropped by :meth:`_retire`.
+        self.pending: dict[int, PendingReply] = {}
         self._nbi_handles: list = []
         self._next_req_id = 1
         #: fired after any write lands in the local symmetric heap.
@@ -276,10 +276,23 @@ class ShmemRuntime:
         if not (0 <= pe < self.n_pes):
             raise BadPeError(f"PE {pe} outside 0..{self.n_pes - 1}")
 
-    def next_req_id(self) -> int:
+    def _expect_reply(self, what: str, route: Route, pe: int,
+                      **get_fields) -> PendingReply:
+        """Register an outstanding ``what`` ("get" / "amo") request under
+        the next request id."""
         req_id = self._next_req_id
-        self._next_req_id = (self._next_req_id + 1) & 0xFFFFFFFF or 1
-        return req_id
+        self._next_req_id = (req_id + 1) & 0xFFFFFFFF or 1
+        pending = self.pending[req_id] = PendingReply(
+            req_id=req_id, what=what, done=self.env.event(), pe=pe,
+            direction=route.direction, hops=route.hops, **get_fields)
+        return pending
+
+    def _retire(self, pending: PendingReply) -> None:
+        """Drop a request from the pending table, however it ended; a
+        straggler response for a retired id is tolerated (and dropped)
+        by the service thread."""
+        self.pending.pop(pending.req_id, None)
+        self.notify_progress()
 
     @contextmanager
     def blocked_on(self, what: str, *, peer: Optional[int] = None,
@@ -357,39 +370,40 @@ class ShmemRuntime:
 
     # ------------------------------------------------------------ op pipeline
     @contextmanager
-    def _op(self, op: str, detail: str, counter: str, size: str = "", /,
+    def _op(self, op: str, detail: str, counter: str, /,
             peer: Optional[int] = None, **attrs) -> Iterator[list]:
         """The one envelope every app-facing op runs inside: the ``op``
-        span (``attrs`` are its arguments) plus its latency/count records:
-        ``{op}.{detail}`` in the span histograms and, in the metrics
-        registry, the per-PE ``counter``, per-PE ``{op}_us`` histogram and
-        cluster-wide ``{op}_us{size}`` histogram.
+        span (``attrs`` are its arguments) plus its records in the metrics
+        registry — the per-PE ``counter``, the per-PE ``{op}_us`` histogram
+        and the cluster-wide ``{op}_us.{detail}[.{hops}hop]`` histogram
+        (the key family of docs/METRICS.md).
 
-        Yields the traversed-hops holder.  Latency buckets are keyed by
-        the hop count the op *actually* traversed, not the issue-time
-        route: a mid-op sever reroutes the remaining chunks the long way
-        around, and recording that latency under the short-route bucket
-        poisons the histogram.
+        Yields the traversed-hops holder, which :meth:`_remote_attempt`
+        fills: latency buckets are keyed by the hop count the op
+        *actually* traversed, not the issue-time route — a mid-op sever
+        reroutes the remaining chunks the long way around, and recording
+        that latency under the short-route bucket poisons the histogram.
+        Resolving a route here as well, only to label the op, would count
+        its reroute twice.
         """
         nbytes = attrs.get("nbytes", 0)
         if peer is not None:
-            hops = 0 if peer == self.my_pe_id else self.route_to(peer).hops
-            attrs.update(peer=peer, hops=hops)
-        traversed = [attrs.get("hops")]
+            attrs.update(peer=peer, hops=0)
+        traversed = [0]
         start = self.env.now
+        op_span = None
         try:
             with self.scope.span(op, category="op", track=self.name,
                                  pe=self.my_pe_id, **attrs) as op_span:
                 yield traversed
-                if op_span is not None and peer is not None:
-                    op_span.args["hops"] = traversed[0]
         finally:
             elapsed = self.env.now - start
             bucket = "" if peer is None else f".{traversed[0]}hop"
-            self.scope.hist.observe(f"{op}.{detail}{bucket}", elapsed)
+            if op_span is not None and peer is not None:
+                op_span.args["hops"] = traversed[0]
             self.metrics.inc(counter, nbytes=nbytes)
             self.metrics.observe(f"{op}_us", elapsed)
-            self.metrics_registry.observe(f"{op}_us{size}{bucket}", elapsed)
+            self.metrics_registry.observe(f"{op}_us.{detail}{bucket}", elapsed)
 
     def _remote_attempt(self, pe: int, what: str, traversed: list,
                         attempt, *args) -> Generator:
@@ -400,8 +414,8 @@ class ShmemRuntime:
         The route is re-resolved per attempt, so a mid-transfer sever
         sends the rest of the message the long way around; callers invoke
         this once per chunk, which resets the attempt budget per delivered
-        chunk.  Whatever an attempt registered in a pending table it has
-        drained (with ``notify_progress``) by the time its failure reaches
+        chunk.  Whatever an attempt registered in the pending table it has
+        retired (with ``notify_progress``) by the time its failure reaches
         the back-off here.
         """
         tries = 0
@@ -442,8 +456,8 @@ class ShmemRuntime:
         if nbytes <= 0:
             raise TransferError(f"put size must be positive, got {nbytes}")
         self.put_count += 1
-        with self._op("put", f"{mode.name}.{nbytes}B", f"put.{mode.name}",
-                      f".{size_label(nbytes)}", peer=pe, nbytes=nbytes,
+        with self._op("put", f"{mode.name}.{size_label(nbytes)}",
+                      f"put.{mode.name}", peer=pe, nbytes=nbytes,
                       mode=mode.name) as traversed:
             if self.san is not None:
                 self.san.record_write(self.my_pe_id, pe, dest.offset,
@@ -511,8 +525,8 @@ class ShmemRuntime:
         if nbytes <= 0:
             raise TransferError(f"get size must be positive, got {nbytes}")
         self.get_count += 1
-        with self._op("get", f"{mode.name}.{nbytes}B", f"get.{mode.name}",
-                      f".{size_label(nbytes)}", peer=pe, nbytes=nbytes,
+        with self._op("get", f"{mode.name}.{size_label(nbytes)}",
+                      f"get.{mode.name}", peer=pe, nbytes=nbytes,
                       mode=mode.name) as traversed:
             if self.san is not None:
                 self.san.record_read(self.my_pe_id, pe, src.offset,
@@ -547,30 +561,22 @@ class ShmemRuntime:
         whole round trip is the retried attempt: a chunk lost to a dead
         link is simply re-requested over whatever route is currently
         live."""
-        req_id = self.next_req_id()
-        pending = PendingGet(
-            req_id=req_id, dest_virt=dest_virt + chunk_off,
-            nbytes=chunk_size, mode=mode,
-            done=self.env.event(), started_at=self.env.now,
-            pe=pe, direction=route.direction, hops=route.hops,
-        )
-        self.pending_gets[req_id] = pending
+        pending = self._expect_reply(
+            "get", route, pe, dest_virt=dest_virt + chunk_off,
+            nbytes=chunk_size, mode=mode)
         msg = Message(
             kind=MsgKind.GET_REQ, mode=mode,
             src_pe=self.my_pe_id, dest_pe=pe,
-            offset=src.offset + chunk_off, size=chunk_size, aux=req_id,
-            seq=link.data_mailbox.next_seq(),
+            offset=src.offset + chunk_off, size=chunk_size,
+            aux=pending.req_id, seq=link.data_mailbox.next_seq(),
         )
         try:
             yield from link.data_mailbox.send(msg)
-            yield from remote_wait(self, pending.done,
-                                   what=f"get request {req_id}", peer=pe)
+            yield from remote_wait(
+                self, pending.done,
+                what=f"get request {pending.req_id}", peer=pe)
         finally:
-            # The pending table drains no matter how the chunk ends;
-            # a straggler response for a retired req_id is tolerated
-            # (and dropped) by the service thread.
-            self.pending_gets.pop(req_id, None)
-            self.notify_progress()
+            self._retire(pending)
 
     # ------------------------------------------------------------------- amo
     def amo(self, pe: int, target: SymAddr, op: int, value: int = 0,
@@ -611,17 +617,12 @@ class ShmemRuntime:
                     self, pending.done,
                     what=f"amo request {pending.req_id}", peer=pe))
             finally:
-                self.pending_amos.pop(pending.req_id, None)
-                self.notify_progress()
+                self._retire(pending)
 
     def _amo_request(self, route: Route, link: LinkEnd, pe: int,
                      target: SymAddr, operand: bytes) -> Generator:
         """Register a pending AMO and hand its request to the first hop."""
-        req_id = self.next_req_id()
-        pending = PendingAmo(req_id=req_id, done=self.env.event(),
-                             started_at=self.env.now, pe=pe,
-                             direction=route.direction, hops=route.hops)
-        self.pending_amos[req_id] = pending
+        pending = self._expect_reply("amo", route, pe)
         fp = self.config.fastpath
         # Fastpath: the 24-byte operand rides inline in a bypass slot
         # header — one PIO store, no DMA.
@@ -630,7 +631,7 @@ class ShmemRuntime:
         msg = Message(
             kind=MsgKind.AMO_REQ, mode=Mode.MEMCPY if inline else Mode.DMA,
             src_pe=self.my_pe_id, dest_pe=pe,
-            offset=target.offset, size=len(operand), aux=req_id,
+            offset=target.offset, size=len(operand), aux=pending.req_id,
             seq=mailbox.next_seq(), flags=FLAG_INLINE if inline else 0,
         )
         data = np.frombuffer(operand, dtype=np.uint8)
@@ -643,8 +644,7 @@ class ShmemRuntime:
                 yield from mailbox.send(msg, PayloadSource.from_pinned(
                     self.host, self._amo_tx, 0, len(operand)))
         except (LinkDownError, PeerUnreachableError):
-            self.pending_amos.pop(req_id, None)
-            self.notify_progress()
+            self._retire(pending)
             raise
         return pending
 
@@ -761,7 +761,7 @@ class ShmemRuntime:
                         continue
                     flushed = True
                 busy = True
-            if busy or self.pending_gets or self.pending_amos:
+            if busy or self.pending:
                 return REPOLL if flushed else False
             if self.san is not None:
                 self.san.quiet(self.my_pe_id)
@@ -802,8 +802,7 @@ class ShmemRuntime:
         self._check_ready()
         assert self.barrier is not None
         strategy = self.barrier.name
-        with self._op("barrier", strategy, "barriers", f".{strategy}",
-                      strategy=strategy):
+        with self._op("barrier", strategy, "barriers", strategy=strategy):
             yield from self.quiet()
             if self.san is not None:
                 self.san.barrier_enter(self.my_pe_id)

@@ -67,6 +67,11 @@ _AMO_REQ_BYTES = struct.calcsize(AMO_REQ_FMT)
 _AMO_APPLY_US = 0.5
 #: CPU cost of parsing an in-slot header (µs).
 _SLOT_HEADER_US = 0.2
+#: The ``coalesce`` lever's hot window: poll period (µs) and the number
+#: of empty polls before the thread goes back to a real (wake-cost-
+#: charging) sleep.  12 × 5 µs covers one ACK or response round trip.
+_POLL_US = 5.0
+_POLL_ROUNDS = 12
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -215,15 +220,15 @@ class ShmemService:
             while (fp is not None and fp.coalesce
                    and not thread.stop_requested):
                 polled = 0
-                while (not self._work and polled < fp.poll_rounds
+                while (not self._work and polled < _POLL_ROUNDS
                        and not thread.stop_requested):
                     self._poll_idle = True
                     if polled == 0:
                         # Later rounds flip the flag back within one
                         # dispatch: only this edge is ever observable.
                         self.rt.notify_progress()
-                    # Bounded by poll_rounds, not a blocking wait.
-                    yield self.env.timeout(fp.poll_us)  # lint: skip
+                    # Bounded by _POLL_ROUNDS, not a blocking wait.
+                    yield self.env.timeout(_POLL_US)  # lint: skip
                     self._poll_idle = False
                     polled += 1
                 if not self._work:
@@ -436,21 +441,31 @@ class ShmemService:
             rt.deliver_to_heap(msg.offset, data)
             yield from self._ack(link, channel)
 
+    def _awaited(self, msg: Message, what: str, link: "LinkEnd",
+                 channel: str) -> Generator:
+        """The pending ``what`` request a response answers, or None for
+        a straggler (ACKed and dropped here)."""
+        rt = self.rt
+        pending = rt.pending.get(msg.aux)
+        if pending is not None and pending.what == what:
+            return pending
+        if not rt.fault_aware:
+            raise ProtocolError(
+                f"{rt.name}: {msg.kind.name} for unknown request {msg.aux}"
+            )
+        # A request that was failed or retried after a link event:
+        # drain the slot, drop the response.
+        self.stale_responses += 1
+        yield from self._ack(link, channel)
+        return None
+
     def _deliver_get_chunk(self, msg: Message, link: "LinkEnd",
                            payload_phys: int, channel: str) -> Generator:
         """One response chunk for a Get we initiated."""
         rt = self.rt
-        pending = rt.pending_gets.get(msg.aux)
+        pending = yield from self._awaited(msg, "get", link, channel)
         if pending is None:
-            if rt.fault_aware:
-                # Straggler response for a request that was failed or
-                # retried after a link event: drain the slot, drop it.
-                self.stale_responses += 1
-                yield from self._ack(link, channel)
-                return
-            raise ProtocolError(
-                f"{rt.name}: GET_RESP for unknown request {msg.aux}"
-            )
+            return
         if msg.offset + msg.size > pending.nbytes:
             raise ProtocolError(
                 f"{rt.name}: GET_RESP chunk overruns request {msg.aux}"
@@ -474,17 +489,10 @@ class ShmemService:
 
     def _deliver_amo_resp(self, msg: Message, link: "LinkEnd",
                           payload_phys: int, channel: str) -> Generator:
-        rt = self.rt
-        pending = rt.pending_amos.get(msg.aux)
+        pending = yield from self._awaited(msg, "amo", link, channel)
         if pending is None:
-            if rt.fault_aware:
-                self.stale_responses += 1
-                yield from self._ack(link, channel)
-                return
-            raise ProtocolError(
-                f"{rt.name}: AMO_RESP for unknown request {msg.aux}"
-            )
-        raw = rt.host.memory.read_bytes(payload_phys, 8)
+            return
+        raw = self.rt.host.memory.read_bytes(payload_phys, 8)
         (old,) = struct.unpack(AMO_RESP_FMT, raw)
         yield from self._ack(link, channel)
         if not pending.done.triggered:

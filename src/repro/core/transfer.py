@@ -107,8 +107,8 @@ INLINE_MAX_BYTES = SLOT_HEADER_BYTES - INLINE_PAYLOAD_OFFSET
 #: decode path is part of the base wire protocol so mixed rings interop.
 FLAG_INLINE = 0x1
 
-#: Default descriptor granularity of a staged chained DMA (the fastpath
-#: config's ``chain_chunk`` overrides it per mailbox).
+#: Descriptor granularity of a staged chained DMA: descriptors after the
+#: first hide behind the previous segment's stream time.
 CHAIN_CHUNK_BYTES = 128 * 1024
 
 
@@ -326,10 +326,8 @@ class _MailboxBase:
         self.driver = driver
         self.name = name
         #: pinned TX staging buffer (fastpath lever 2; None = DMA straight
-        #: from the source) and the descriptor granularity of its chain.
-        #: Whoever allocated the buffer frees it.
+        #: from the source).  Whoever allocated the buffer frees it.
         self.staging = staging
-        self.chain_chunk = CHAIN_CHUNK_BYTES
         self._slots = Resource(env, capacity=capacity, name=f"{name}.slots")
         self._outstanding: deque = deque()
         #: slot requests issued with ``relay=True`` (store-and-forward
@@ -456,7 +454,7 @@ class _MailboxBase:
             self.staged_sends += 1
             segments = [PhysSegment(staging.phys + cursor, take)
                         for cursor, take in chunk_ranges(payload.nbytes,
-                                                         self.chain_chunk)]
+                                                         CHAIN_CHUNK_BYTES)]
         else:
             segments = payload.segments()
         dma_req = yield from self.driver.dma_write_segments(

@@ -1,20 +1,20 @@
-"""ShmemScope: span tracing, latency histograms and timeline export.
+"""Observability: span tracing with timeline export, and the always-on
+metrics registry that holds every latency histogram.
 
-The observability layer of the reproduction (ISSUE 2).  Enable it with
-``ShmemConfig(trace_spans=True)``; the resulting
+Spans are opt-in (``ShmemConfig(trace_spans=True)``); the resulting
 :class:`~repro.obsv.ShmemScope` lands on ``report.scope`` and can be
 exported with :func:`dump_chrome_trace` then opened in ``ui.perfetto.dev``
-or dissected with ``python -m repro.obsv trace.json``.
+or dissected with ``python -m repro.obsv trace trace.json``.
 
 Import direction: this package depends only on the stdlib, so the
 hardware layers (``pcie``, ``ntb``) may import it without cycles.
 """
 
-from .hist import HistogramRegistry, HistSummary, LogHistogram
+from .hist import (HistogramRegistry, HistSummary, LogHistogram,
+                   render_histograms)
 from .metrics import (
     Counter,
     Gauge,
-    Meter,
     MetricsRegistry,
     MetricsTicker,
     ScopedMetrics,
@@ -63,11 +63,11 @@ __all__ = [
     "LogHistogram",
     "HistogramRegistry",
     "HistSummary",
+    "render_histograms",
     "LinkSample",
     "link_utilisation",
     "Counter",
     "Gauge",
-    "Meter",
     "TimeSeries",
     "MetricsRegistry",
     "ScopedMetrics",

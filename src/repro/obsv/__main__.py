@@ -4,10 +4,6 @@
     python -m repro.obsv trace trace.json --validate
     python -m repro.obsv metrics metrics.json      # dashboard + sparklines
 
-Legacy spelling (bare path, PR-2 era) still works::
-
-    python -m repro.obsv trace.json [--validate] [--flame]
-
 Missing or malformed input files print a one-line error and exit 2.
 """
 
@@ -17,6 +13,8 @@ import argparse
 import json
 import sys
 from typing import Any
+
+from .hist import HistSummary, render_histograms
 
 #: Eight-step unicode sparkline ramp.
 _SPARK = "▁▂▃▄▅▆▇█"
@@ -95,19 +93,9 @@ def _render_metrics(snapshot: dict[str, Any]) -> str:
             lines.append(f"{key:<{width}} {value:>14g}")
     hists = snapshot.get("histograms", {})
     if hists:
-        width = max(len(key) for key in hists)
         lines.append("")
-        lines.append(
-            f"{'histogram':<{width}} {'n':>6} {'mean':>9} {'p50':>9} "
-            f"{'p99':>9} {'p999':>9} {'max':>9}  [us]")
-        lines.append("-" * (width + 57))
-        for key in sorted(hists):
-            h = hists[key]
-            lines.append(
-                f"{key:<{width}} {h.get('count', 0):>6} "
-                f"{h.get('mean', 0.0):>9.2f} {h.get('p50', 0.0):>9.2f} "
-                f"{h.get('p99', 0.0):>9.2f} {h.get('p999', 0.0):>9.2f} "
-                f"{h.get('max', 0.0):>9.2f}")
+        lines.append(render_histograms(
+            (key, HistSummary.from_json(hists[key])) for key in sorted(hists)))
     series = snapshot.get("series", {})
     drawable = {key: [v for _t, v in points]
                 for key, points in series.items() if len(points) >= 2}
@@ -163,12 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # Legacy compatibility: `python -m repro.obsv trace.json [flags]`
-    # (no subcommand) keeps working — CI and docs from PR 2 use it.
-    if argv and argv[0] not in ("trace", "metrics", "-h", "--help"):
-        argv = ["trace"] + list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:

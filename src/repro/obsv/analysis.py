@@ -1,7 +1,7 @@
 """Offline analysis of exported traces: breakdown tables + flamegraph.
 
 Works from the exported Chrome-trace JSON alone (span ids and parent ids
-ride in each event's ``args``), so ``python -m repro.obsv trace.json``
+ride in each event's ``args``), so ``python -m repro.obsv trace t.json``
 can dissect a run produced on another machine.
 """
 

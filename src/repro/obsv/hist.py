@@ -15,10 +15,11 @@ histogram reports that sample for every quantile).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import astuple, dataclass
+from typing import Iterable, Iterator, Mapping, Optional
 
-__all__ = ["LogHistogram", "HistogramRegistry", "HistSummary"]
+__all__ = ["LogHistogram", "HistogramRegistry", "HistSummary",
+           "render_histograms"]
 
 #: Fixed-point scale: 1 unit == 0.01 µs (10 ns).
 _SCALE = 100.0
@@ -52,9 +53,13 @@ def _bucket_mid_us(index: int) -> float:
     return (low + (1 << shift) / 2.0) / _SCALE
 
 
+#: ``repro-metrics/v1`` names of the :class:`HistSummary` fields, in order.
+_JSON_FIELDS = ("count", "mean", "p50", "p90", "p99", "p999", "min", "max")
+
+
 @dataclass(frozen=True)
 class HistSummary:
-    """Snapshot of one histogram, ready for Row.extra / report tables."""
+    """Snapshot of one histogram: what the table and the JSON export show."""
 
     count: int
     mean: float
@@ -64,6 +69,13 @@ class HistSummary:
     p999: float
     minimum: float
     maximum: float
+
+    def to_json(self) -> dict[str, float]:
+        return dict(zip(_JSON_FIELDS, astuple(self)))
+
+    @classmethod
+    def from_json(cls, entry: Mapping[str, float]) -> "HistSummary":
+        return cls(*(entry.get(name, 0) for name in _JSON_FIELDS))
 
 
 class LogHistogram:
@@ -132,8 +144,8 @@ class LogHistogram:
 class HistogramRegistry:
     """Named histograms, created on first observation.
 
-    Keys follow ``{op}.{mode}.{size}B.{hops}hop`` for the bench paths,
-    but any string works.  Iteration is sorted for deterministic output.
+    Any string is a key (the op family is documented in docs/METRICS.md).
+    Iteration is sorted for deterministic output.
     """
 
     def __init__(self) -> None:
@@ -155,24 +167,22 @@ class HistogramRegistry:
     def __len__(self) -> int:
         return len(self._hists)
 
-    def render(self, title: str = "latency histograms") -> str:
-        """Fixed-width table of every histogram's summary.
 
-        The key column stretches to the longest key so long
-        ``{op}.{mode}.{size}B.{hops}hop`` names cannot shear the table.
-        """
-        width = max([36] + [len(key) for key in self._hists])
-        lines = [title,
-                 f"{'key':<{width}} {'n':>6} {'mean':>9} {'p50':>9} "
-                 f"{'p90':>9} {'p99':>9} {'p999':>9} {'max':>9}  [us]"]
-        lines.append("-" * len(lines[1]))
-        for key, hist in self.items():
-            s = hist.summary()
-            lines.append(
-                f"{key:<{width}} {s.count:>6} {s.mean:>9.2f} {s.p50:>9.2f} "
-                f"{s.p90:>9.2f} {s.p99:>9.2f} {s.p999:>9.2f} "
-                f"{s.maximum:>9.2f}"
-            )
-        if len(lines) == 3:
-            lines.append("  (no observations)")
-        return "\n".join(lines)
+def render_histograms(summaries: Iterable[tuple[str, HistSummary]],
+                      title: str = "latency histograms") -> str:
+    """The one histogram table: a fixed-width row per ``(key, summary)``
+    in the order given.  The key column stretches to the longest key so
+    ``put_us.MEMCPY.512KB.2hop`` cannot shear the table."""
+    rows = list(summaries)
+    width = max([36] + [len(key) for key, _ in rows])
+    lines = [title,
+             f"{'key':<{width}} {'n':>6} {'mean':>9} {'p50':>9} "
+             f"{'p90':>9} {'p99':>9} {'p999':>9} {'max':>9}  [us]"]
+    lines.append("-" * len(lines[1]))
+    for key, s in rows:
+        lines.append(
+            f"{key:<{width}} {s.count:>6} {s.mean:>9.2f} {s.p50:>9.2f} "
+            f"{s.p90:>9.2f} {s.p99:>9.2f} {s.p999:>9.2f} {s.maximum:>9.2f}")
+    if not rows:
+        lines.append("  (no observations)")
+    return "\n".join(lines)

@@ -11,11 +11,10 @@ single :class:`MetricsRegistry` per cluster holds typed instruments —
   hardware layers' existing lifetime statistics (``dma.completed_bytes``,
   ``doorbell.set_count``, event-heap depth) join the fabric with zero
   per-event overhead;
-* :class:`Meter` — a counter with a sliding virtual-time window so
-  recent rates ("doorbells/ms over the last 5 ms") are first-class;
-* distributions — the registry embeds a
-  :class:`~repro.obsv.hist.HistogramRegistry` (the same log-bucketed
-  histograms the span scope uses) for latency tails up to p999.
+* distributions — the registry embeds the run's one
+  :class:`~repro.obsv.hist.HistogramRegistry` (log-bucketed, p50..p999):
+  every op's latency lands there under the key family of
+  docs/METRICS.md, traced or not.
 
 Design rules (the same discipline as spans, docs/METRICS.md):
 
@@ -41,13 +40,13 @@ from collections import deque
 from fnmatch import fnmatchcase
 from typing import Any, Callable, Generator, Iterator, Optional
 
-from .hist import HistogramRegistry
+from .hist import HistogramRegistry, HistSummary
 
 
 def size_label(nbytes: int) -> str:
     """1024 -> '1KB', 524288 -> '512KB' (the paper's x-axis labels).
 
-    Canonical spelling for size-keyed metric names (``put_us.4KB.1hop``)
+    Canonical spelling for size-keyed metric names (``put_us.DMA.4KB.1hop``)
     so bench tables, SLO rules and the registry all agree.
     """
     if nbytes % 1024 == 0 and 0 < nbytes < (1 << 20):
@@ -59,7 +58,6 @@ def size_label(nbytes: int) -> str:
 __all__ = [
     "Counter",
     "Gauge",
-    "Meter",
     "TimeSeries",
     "MetricsRegistry",
     "ScopedMetrics",
@@ -121,44 +119,6 @@ class Gauge:
         return f"<Gauge {self.name}={self.value}>"
 
 
-class Meter:
-    """Counter with a sliding virtual-time rate window.
-
-    ``mark(n)`` records ``n`` events at the current virtual time;
-    :meth:`rate` reports events/µs over the trailing ``window_us``.
-    The mark log is bounded (``maxlen``) so an unsampled meter cannot
-    grow without bound.
-    """
-
-    __slots__ = ("name", "env", "count", "_marks", "window_us")
-
-    def __init__(self, name: str, env, window_us: float = 1000.0,
-                 maxlen: int = 4096):
-        if window_us <= 0:
-            raise ValueError(f"window_us must be positive, got {window_us}")
-        self.name = name
-        self.env = env
-        self.count = 0
-        self.window_us = window_us
-        self._marks: deque[tuple[float, int]] = deque(maxlen=maxlen)
-
-    def mark(self, n: int = 1) -> None:
-        self.count += n
-        self._marks.append((self.env.now, n))
-
-    def rate(self, window_us: Optional[float] = None) -> float:
-        """Marked events per µs over the trailing window."""
-        window = self.window_us if window_us is None else window_us
-        if window <= 0:
-            raise ValueError(f"window_us must be positive, got {window}")
-        horizon = self.env.now - window
-        marked = sum(n for t, n in self._marks if t >= horizon)
-        return marked / window
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Meter {self.name} count={self.count}>"
-
-
 class TimeSeries:
     """Ring-buffered ``(virtual_time, value)`` samples for one metric."""
 
@@ -198,7 +158,6 @@ class MetricsRegistry:
         self.series_maxlen = series_maxlen
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._meters: dict[str, Meter] = {}
         #: log-bucketed latency/size distributions (p50..p999).
         self.hist = HistogramRegistry()
         self._series: dict[str, TimeSeries] = {}
@@ -223,13 +182,6 @@ class MetricsRegistry:
             self._sample_plan = None
         return gauge
 
-    def meter(self, key: str, window_us: float = 1000.0) -> Meter:
-        meter = self._meters.get(key)
-        if meter is None:
-            meter = self._meters[key] = Meter(key, self.env, window_us)
-            self._sample_plan = None
-        return meter
-
     # ---------------------------------------------------------- conveniences
     def inc(self, key: str, n: int = 1, nbytes: int = 0) -> None:
         self.counter(key).inc(n, nbytes)
@@ -237,15 +189,24 @@ class MetricsRegistry:
     def observe(self, key: str, value_us: float) -> None:
         self.hist.observe(key, value_us)
 
+    def op_latencies(self) -> Iterator[tuple[str, HistSummary]]:
+        """Summaries of the cluster-wide op family
+        ``{op}_us.{detail}[.{size}][.{hops}hop]`` (docs/METRICS.md), sorted
+        by key; the per-PE ``peN.{op}_us`` histograms are not part of it."""
+        for key, hist in self.hist.items():
+            if key.startswith(("put_us.", "get_us.", "amo_us.",
+                               "barrier_us.")):
+                yield key, hist.summary()
+
     def scoped(self, prefix: str) -> "ScopedMetrics":
         """A facade that prefixes every key with ``prefix.``."""
         return ScopedMetrics(self, prefix)
 
     # ------------------------------------------------------------- resolution
     def value(self, key: str) -> Optional[float]:
-        """Resolve ``key`` to its current value (counter > gauge > meter).
+        """Resolve ``key`` to its current value (counter, then gauge).
 
-        A ``*`` glob sums every matching counter/gauge/meter; an unknown
+        A ``*`` glob sums every matching counter/gauge; an unknown
         key returns ``None`` so callers (the SLO engine) can distinguish
         "zero" from "never registered".
         """
@@ -263,14 +224,10 @@ class MetricsRegistry:
         gauge = self._gauges.get(key)
         if gauge is not None:
             return float(gauge.value)
-        meter = self._meters.get(key)
-        if meter is not None:
-            return float(meter.count)
         return None
 
     def keys(self) -> list[str]:
-        return sorted(set(self._counters) | set(self._gauges)
-                      | set(self._meters))
+        return sorted(set(self._counters) | set(self._gauges))
 
     def counters(self) -> Iterator[tuple[str, Counter]]:
         for key in sorted(self._counters):
@@ -279,10 +236,6 @@ class MetricsRegistry:
     def gauges(self) -> Iterator[tuple[str, Gauge]]:
         for key in sorted(self._gauges):
             yield key, self._gauges[key]
-
-    def meters(self) -> Iterator[tuple[str, Meter]]:
-        for key in sorted(self._meters):
-            yield key, self._meters[key]
 
     # ------------------------------------------------------------- sampling
     def series(self, key: str) -> TimeSeries:
@@ -311,9 +264,6 @@ class MetricsRegistry:
         for key, gauge in self._gauges.items():
             plan.append((self.series(key).append,
                          lambda g=gauge: float(g.value)))
-        for key, meter in self._meters.items():
-            plan.append((self.series(key).append,
-                         lambda m=meter: m.rate()))
         self._sample_plan = plan
         return plan
 
@@ -333,7 +283,7 @@ class MetricsRegistry:
 
     # --------------------------------------------------------------- export
     def snapshot(self) -> dict[str, float]:
-        """Flat ``{key: value}`` of every counter/gauge/meter."""
+        """Flat ``{key: value}`` of every counter and gauge."""
         out: dict[str, float] = {}
         for key, counter in self.counters():
             out[key] = float(counter.value)
@@ -341,25 +291,16 @@ class MetricsRegistry:
                 out[f"{key}:bytes"] = float(counter.bytes)
         for key, gauge in self.gauges():
             out[key] = float(gauge.value)
-        for key, meter in self.meters():
-            out[key] = float(meter.count)
         return out
 
     def to_json(self) -> dict[str, Any]:
         """JSON-ready snapshot: values, histogram summaries, time series."""
-        hists: dict[str, Any] = {}
-        for key, hist in self.hist.items():
-            s = hist.summary()
-            hists[key] = {
-                "count": s.count, "mean": s.mean, "p50": s.p50,
-                "p90": s.p90, "p99": s.p99, "p999": s.p999,
-                "min": s.minimum, "max": s.maximum,
-            }
         return {
             "schema": "repro-metrics/v1",
             "now_us": self.env.now,
             "metrics": self.snapshot(),
-            "histograms": hists,
+            "histograms": {key: hist.summary().to_json()
+                           for key, hist in self.hist.items()},
             "series": {
                 key: [[t, v] for t, v in series.samples()]
                 for key, series in self.all_series()
@@ -388,10 +329,6 @@ class MetricsRegistry:
             name = _name(key)
             lines.append(f"# TYPE {name} gauge")
             lines.append(f"{name} {gauge.value}")
-        for key, meter in self.meters():
-            name = _name(key)
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name} {meter.count}")
         for key, hist in self.hist.items():
             name = _name(key)
             s = hist.summary()
@@ -405,8 +342,7 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MetricsRegistry counters={len(self._counters)} "
-                f"gauges={len(self._gauges)} meters={len(self._meters)} "
-                f"hists={len(self.hist)}>")
+                f"gauges={len(self._gauges)} hists={len(self.hist)}>")
 
 
 class ScopedMetrics:
@@ -423,9 +359,6 @@ class ScopedMetrics:
 
     def gauge(self, key: str) -> Gauge:
         return self._registry.gauge(self._prefix + key)
-
-    def meter(self, key: str, window_us: float = 1000.0) -> Meter:
-        return self._registry.meter(self._prefix + key, window_us)
 
     def inc(self, key: str, n: int = 1, nbytes: int = 0) -> None:
         self._registry.inc(self._prefix + key, n, nbytes)

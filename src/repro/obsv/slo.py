@@ -6,7 +6,7 @@ this module gives you *judgments* — machine-checkable health rules that
 
 Rule syntax (one rule per line; ``#`` comments and blank lines ignored)::
 
-    p99(put_us.32B.2hop) < 2500
+    p99(put_us.*.32B.2hop) < 2500
     mean(get_us.*) <= 40000
     rate(pe*.retries) == 0 unless faults.severs > 0
     heartbeat.misses == 0 unless faults.severs > 0
@@ -17,7 +17,7 @@ Rule syntax (one rule per line; ``#`` comments and blank lines ignored)::
   histogram before taking the quantile.
 * ``rate(key)`` is a counter/gauge value divided by elapsed virtual
   seconds; a bare ``key`` (no function) is the raw value.  Both resolve
-  counters, then gauges, then meters; ``*`` globs sum matches.
+  counters, then gauges; ``*`` globs sum matches.
 * Comparators: ``< <= > >= == !=``.
 * ``unless <key> <op> <number>`` waives the rule (reported as WAIVED,
   counts as passing) when the condition holds — the idiom for "zero

@@ -35,8 +35,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterator, Optional
 
-from .hist import HistogramRegistry
-
 __all__ = ["Span", "ShmemScope", "NullScope", "NULL_SCOPE",
            "instrument_cluster"]
 
@@ -122,7 +120,7 @@ _NO_PROCESS = object()  # context key for callback/dispatch contexts
 
 
 class ShmemScope:
-    """Span recorder + histogram registry for one simulation.
+    """Span recorder for one simulation.
 
     One scope is shared by every instrumented component of a cluster
     (mirroring how ``cluster.shmemsan`` is shared): the first tracing
@@ -136,8 +134,6 @@ class ShmemScope:
     def __init__(self, env):
         self.env = env
         self.spans: list[Span] = []
-        #: registry of log-bucketed latency histograms (op x size x hops).
-        self.hist = HistogramRegistry()
         self._next_id = 1
         #: per-process span stacks, keyed on the active Process.
         self._stacks: dict[Any, list[int]] = {}
@@ -281,28 +277,12 @@ class ShmemScope:
                 f"open={len(self.open_spans())}>")
 
 
-class _NullHist:
-    """Histogram sink that drops everything (tracing disabled)."""
-
-    def observe(self, key: str, value: float) -> None:
-        pass
-
-    def get(self, key: str):
-        return None
-
-    def items(self):
-        return []
-
-
 class NullScope:
     """Do-nothing scope: the default wired into every instrumented
     component, so instrumentation sites need no ``if scope`` branches
     and tracing-off runs pay only a no-op method call."""
 
     enabled = False
-
-    def __init__(self) -> None:
-        self.hist = _NullHist()
 
     def span(self, name: str, category: str = "op", track: str = "",
              parent: Optional[int] = None, **args: Any) -> "_NullCtx":

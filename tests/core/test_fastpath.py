@@ -3,7 +3,8 @@
 Covers, per the PR issue:
 
 * the default config stays **byte-identical** in virtual time — pinned
-  against hard-coded golden numbers captured before the fastpath landed;
+  in the ``golden`` section of ``tests/integration/pinned_figures.json``
+  (numbers captured before the fastpath landed);
 * acceptance ratios: large-Put throughput >= 3x, 2-hop 64 KB Get latency
   <= 0.6x, <= 32 B Put latency <= 0.5x baseline;
 * functional correctness of inline messages, staged chained DMA and
@@ -26,9 +27,9 @@ from repro.core.transfer import (
     BypassMailbox,
     DataMailbox,
 )
-from repro.faults import FaultPlan
 
 from ..conftest import pattern
+from .test_golden_runs import check_golden, golden_run
 
 FP = FastpathConfig()
 
@@ -38,73 +39,18 @@ def _fp_config(**kwargs) -> ShmemConfig:
     return ShmemConfig(fastpath=FastpathConfig(**fp_kwargs), **kwargs)
 
 
-def chaos_golden_config(**extra) -> ShmemConfig:
-    """The chaos golden scenario: cable 1-2 severed at t=800 us, 8 retries
-    with 200 us backoff (pinned in test_golden_runs.py)."""
-    return ShmemConfig(
-        faults=FaultPlan.single_sever(1, 2, at_us=800.0),
-        max_retries=8, retry_backoff_us=200.0, **extra)
-
-
 class TestDefaultByteIdentity:
     """The paper-faithful stack must not move by a single virtual ns."""
 
-    #: Captured on the pre-fastpath tree (see CHANGES.md PR 5); any edit
-    #: that shifts these has changed the default protocol's timing.
-    GOLDEN_ELAPSED_US = 2686.0853643267683
-    GOLDEN_RESULTS = [
-        [522240, 0, 261120, 2488.6731768267673],
-        [522240, 0, 261120, 2544.4772393267676],
-        [522240, 0, 261120, 2600.281301826768],
-        [522240, 0, 261120, 2656.0853643267683],
-    ]
-
-    @staticmethod
-    def _pattern(n, seed=0):
-        # The pattern the golden capture used (differs from conftest's).
-        return (np.arange(n, dtype=np.int64) * 7 + seed).astype(np.uint8)
-
-    @staticmethod
-    def _golden_main(pe):
-        me, n = pe.my_pe(), pe.num_pes()
-        right, left = (me + 1) % n, (me - 1) % n
-        sym = yield from pe.malloc(n * 65536)
-        yield from pe.barrier_all()
-        # small put (inline-eligible size under fastpath)
-        yield from pe.put_array(sym + me * 65536, TestDefaultByteIdentity._pattern(32, seed=me), right)
-        yield from pe.barrier_all()
-        # large put (chaining-eligible)
-        yield from pe.put_array(sym + me * 65536, TestDefaultByteIdentity._pattern(65536, seed=me),
-                                right)
-        yield from pe.barrier_all()
-        far = (me + 2) % n
-        got = yield from pe.get_array(sym + ((far - 1) % n) * 65536, 4096,
-                                      np.uint8, far)
-        ctr = yield from pe.malloc(8)
-        yield from pe.barrier_all()
-        old = yield from pe.atomic_fetch_add(ctr, 1, right)
-        buf = pe.local_alloc(2048)
-        buf.write(TestDefaultByteIdentity._pattern(2048, seed=100 + me))
-        pe.put_nbi(sym + me * 65536 + 4096, buf, 2048, right)
-        yield from pe.quiet()
-        yield from pe.barrier_all()
-        back = pe.read_symmetric_array(sym + left * 65536 + 4096, 2048,
-                                       np.uint8)
-        return [int(got.sum()), int(old),
-                int(back.sum()), float(pe.rt.env.now)]
-
     def test_default_config_is_byte_identical(self):
-        report = run_spmd(self._golden_main, 4)
-        assert report.elapsed_us == self.GOLDEN_ELAPSED_US
-        assert report.results == self.GOLDEN_RESULTS
+        check_golden("default")
 
     def test_fastpath_same_results_different_timing(self):
-        report = run_spmd(self._golden_main, 4,
-                          shmem_config=_fp_config())
+        base, fast = golden_run("default"), golden_run("fastpath")
         # Functional values identical; the timing column strictly faster.
-        for got, want in zip(report.results, self.GOLDEN_RESULTS):
+        for got, want in zip(fast.results, base.results):
             assert got[:3] == want[:3]
-        assert report.elapsed_us < self.GOLDEN_ELAPSED_US
+        assert fast.elapsed_us < base.elapsed_us
 
 
 class TestDefaultPlane:
@@ -132,11 +78,7 @@ class TestDefaultPlane:
                               shmem_config=ShmemConfig(trace_spans=True))
             assert report.results == [0, 1, 2]  # my own bytes, relayed back
         else:
-            report = run_spmd(
-                TestDefaultByteIdentity._golden_main, 4,
-                shmem_config=chaos_golden_config(trace_spans=True))
-            assert [r[:3] for r in report.results] \
-                == [r[:3] for r in TestDefaultByteIdentity.GOLDEN_RESULTS]
+            report = check_golden("chaos", trace_spans=True)
         assert [span for span in report.scope.spans
                 if span.name == "bypass_forward"]  # relays did happen
         for rt in report.runtimes:
@@ -579,12 +521,6 @@ class TestObservability:
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            FastpathConfig(poll_us=0)
-        with pytest.raises(ValueError):
-            FastpathConfig(poll_rounds=-1)
-        with pytest.raises(ValueError):
-            FastpathConfig(chain_chunk=1024)
         with pytest.raises(ValueError):
             FastpathConfig(credit_slots=0)
         with pytest.raises(ValueError):

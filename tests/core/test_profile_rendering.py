@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import run_spmd
-from repro.core import ShmemConfig
 
 from ..conftest import pattern
 
@@ -33,7 +32,7 @@ class TestRenderProfile:
 
     def test_profile_lists_atomics(self):
         """AMOs go through the same op envelope as put/get: a profile
-        row per issuing PE and a span-histogram key per op name and hop."""
+        row per issuing PE and a histogram key per op name and hop."""
 
         def main(pe):
             ctr = yield from pe.malloc(8)
@@ -44,8 +43,7 @@ class TestRenderProfile:
                 yield from pe.atomic_fetch(ctr, 1)
             yield from pe.barrier_all()
 
-        report = run_spmd(main, n_pes=3,
-                          shmem_config=ShmemConfig(trace_spans=True))
+        report = run_spmd(main, n_pes=3)
         lines = report.render_profile().splitlines()
         amo_rows = {int(l.split()[0]): l.split()
                     for l in lines if l.split()[1:2] == ["amo"]}
@@ -53,9 +51,10 @@ class TestRenderProfile:
         assert amo_rows[0][2] == "2" and amo_rows[2][2] == "1"
         assert amo_rows[0][-1] == "0"           # atomics move no bytes
         # Fixed-right routing: PE 0 is one hop from PE 1, PE 2 is two.
-        assert report.scope.hist.get("amo.ADD.1hop").count == 1
-        assert report.scope.hist.get("amo.ADD.2hop").count == 1
-        assert report.scope.hist.get("amo.FETCH.1hop").count == 1
+        assert report.metrics.hist.get("amo_us.ADD.1hop").count == 1
+        assert report.metrics.hist.get("amo_us.ADD.2hop").count == 1
+        assert report.metrics.hist.get("amo_us.FETCH.1hop").count == 1
+        assert any(l.startswith("amo_us.ADD.2hop ") for l in lines)
         assert report.metrics.hist.get("pe0.amo_us").count == 2
         assert report.metrics.value("pe0.amo.ADD") == 1
         assert report.metrics.value("pe0.amo.*") == 2

@@ -58,7 +58,7 @@ class TestAmoAtMostOnce:
                 except PeerUnreachableError:
                     outcome = "typed"
                 outcome = (outcome, pe.rt.retries - retries,
-                           len(pe.rt.pending_amos))
+                           len(pe.rt.pending))
             else:
                 yield pe.rt.env.timeout(10_000.0)   # past detection
             return outcome, int(pe.read_symmetric_array(cell, 1, np.int64)[0])
@@ -83,7 +83,7 @@ class TestAmoAtMostOnce:
                 pe.rt.cluster.cable_between(0, 1).sever()
                 old = yield from pe.atomic_fetch_add(cell, 5, OWNER)
                 outcome = (old, pe.rt.retries, pe.rt.reroutes > 0,
-                           len(pe.rt.pending_amos))
+                           len(pe.rt.pending))
             else:
                 yield pe.rt.env.timeout(10_000.0)
             return outcome, int(pe.read_symmetric_array(cell, 1, np.int64)[0])

@@ -53,12 +53,11 @@ def _ring_workload(n_rounds=6, gap_us=2_500.0, size=512):
         yield from pe.barrier_all()
         got = yield from pe.get_array(sym + left * size, size, np.uint8, me)
         ok = bool(np.array_equal(got, pattern(size, seed=1000 + left)))
-        # Satellite: pending-reply tables must have drained.
+        # Satellite: the pending-reply table must have drained.
         return {
             "ok": ok,
             "dead": sorted(pe.rt.dead_edges),
-            "pending_gets": len(pe.rt.pending_gets),
-            "pending_amos": len(pe.rt.pending_amos),
+            "pending": len(pe.rt.pending),
             "reroutes": pe.rt.reroutes,
         }
 
@@ -85,8 +84,7 @@ class TestSeededChaos:
         for result in report.results:
             assert result["ok"], result
             assert result["dead"] == [(edge_a, edge_b)]
-            assert result["pending_gets"] == 0
-            assert result["pending_amos"] == 0
+            assert result["pending"] == 0
         # Somebody had to route the long way around.
         assert sum(r["reroutes"] for r in report.results) > 0
 
@@ -146,7 +144,7 @@ class TestTypedFailureNoHang:
                 except PeerUnreachableError:
                     outcome = "typed"
             # Pending table drained even though the get failed.
-            return outcome, len(pe.rt.pending_gets)
+            return outcome, len(pe.rt.pending)
 
         report = run_spmd(main, 4, shmem_config=config,
                           check_heap_consistency=False, finalize=False)
@@ -185,7 +183,8 @@ class TestPioMasterAbort:
 class TestRerouteAndRecovery:
     def test_puts_reroute_with_correct_data(self):
         """After detection, a put whose direct path died arrives the long
-        way around with intact payload."""
+        way around with intact payload — and counts as one reroute (the
+        op's hop label used to resolve a second, counted, route)."""
         plan = FaultPlan.single_sever(1, 2, at_us=5_000.0)
         config = ShmemConfig(faults=plan, **_SURVIVOR_CONFIG)
         payload = pattern(8192, seed=7)
@@ -196,8 +195,13 @@ class TestRerouteAndRecovery:
             yield from pe.barrier_all()
             yield pe.rt.env.timeout(12_000.0)  # sever + detection done
             if me == 1:
+                before = pe.rt.reroutes, pe.rt.retries
                 yield from pe.put_array(sym, payload, 2)
+                counted = (pe.rt.reroutes - before[0],
+                           pe.rt.retries - before[1])
             yield from pe.barrier_all()       # recovery barrier
+            if me == 1:
+                return counted
             if me == 2:
                 return bool(np.array_equal(
                     pe.read_symmetric_array(sym, 8192, np.uint8), payload))
@@ -205,7 +209,7 @@ class TestRerouteAndRecovery:
 
         report = run_spmd(main, 4, shmem_config=config,
                           check_heap_consistency=False)
-        assert all(report.results)
+        assert report.results == [True, (1, 0), True, True]
 
     def test_recovery_barrier_survives_mid_episode_cut(self):
         """Sever timed to land inside a barrier episode: every PE's call

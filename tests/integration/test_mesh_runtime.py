@@ -119,8 +119,8 @@ class TestTraversedHopMetrics:
         rt0 = report.runtimes[0]
         assert rt0.reroutes > 0
         keys = [key for key, _h in rt0.metrics_registry.hist.items()]
-        assert "put_us.256KB.3hop" in keys, keys
-        assert "put_us.256KB.1hop" not in keys, keys
+        assert "put_us.DMA.256KB.3hop" in keys, keys
+        assert "put_us.DMA.256KB.1hop" not in keys, keys
 
 
 class TestChainFallbackSurfaced:

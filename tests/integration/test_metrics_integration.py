@@ -7,8 +7,11 @@ from collections import Counter
 
 import pytest
 
-from repro.core import ShmemConfig, ShmemSan, run_spmd
+from repro import Mode
+from repro.core import (FastpathConfig, PeerUnreachableError, ShmemConfig,
+                        ShmemSan, run_spmd)
 from repro.fabric import ClusterConfig
+from repro.faults import FaultPlan, SeverCable
 from repro.host import Host, InterruptController
 from repro.ntb import DmaEngine, NtbEndpoint, connect_endpoints
 from repro.obsv.slo import SloRuleSet
@@ -52,10 +55,12 @@ class TestClusterWiring:
 
     def test_op_histograms_recorded(self):
         report = run_spmd(_workload, n_pes=3)
-        hist = report.metrics.hist.get("put_us.4KB.1hop")
+        assert report.scope is None     # percentiles need no tracing
+        hist = report.metrics.hist.get("put_us.DMA.4KB.1hop")
         assert hist is not None
         assert hist.count == 9  # 3 puts x 3 PEs, all one hop
         assert hist.quantile(0.999) >= hist.quantile(0.5) > 0
+        assert "put_us.DMA.4KB.1hop" in report.render_profile()
 
     def test_prometheus_export_of_real_run(self):
         report = run_spmd(_workload, n_pes=2)
@@ -64,7 +69,7 @@ class TestClusterWiring:
         # the per-mode breakdown (put.DMA) is a true counter.
         assert "# TYPE repro_pe0_puts gauge" in text
         assert "# TYPE repro_pe0_put_DMA counter" in text
-        assert "repro_put_us_4KB_1hop" in text
+        assert "repro_put_us_DMA_4KB_1hop" in text
 
 
 # ------------------------------------------------------- each fact once
@@ -87,30 +92,68 @@ def _mixed_workload(pe):
     yield from pe.barrier_all()
 
 
-class TestOneSpine:
-    #: op -> the per-PE counter keys ``_op`` increments for it.
-    COUNTER_GLOB = {"put": "put.*", "get": "get.*", "amo": "amo.*",
-                    "barrier": "barriers"}
+def _partitioned_workload(pe):
+    """The mixed traffic, then both of PE 1's routes to PE 2 are cut:
+    its last put fails, typed."""
+    yield from _mixed_workload(pe)
+    sym = yield from pe.malloc(256)
+    yield pe.rt.env.timeout(30_000.0)       # past sever + detection
+    if pe.my_pe() == 1:
+        with pytest.raises(PeerUnreachableError):
+            yield from pe.put_from(sym, pe.local_alloc(256), 256, 2)
 
-    def test_each_op_is_recorded_once_per_sink(self):
-        report = run_spmd(_mixed_workload, n_pes=3,
-                          shmem_config=ShmemConfig(trace_spans=True))
+
+#: name -> (workload, n_pes, ClusterConfig knobs, ShmemConfig knobs)
+_SCENARIOS = {
+    "ring-default": (_mixed_workload, 3, {}, {}),
+    "ring-fastpath": (_mixed_workload, 3, {},
+                      {"fastpath": FastpathConfig()}),
+    "mesh2x2": (_mixed_workload, 4, {"topology": "mesh", "dims": (2, 2)},
+                {}),
+    "sever-failed": (_partitioned_workload, 4, {}, {
+        "faults": FaultPlan(events=(SeverCable(20_000.0, 1, 2),
+                                    SeverCable(20_000.0, 3, 0))),
+        "max_retries": 1, "retry_backoff_us": 100.0}),
+}
+
+
+class TestOneSpine:
+    #: op -> the per-PE counter keys ``_op`` increments for it, and the
+    #: per-PE lifetime gauge (barriers have none).
+    VIEWS = {"put": ("put.*", "puts"), "get": ("get.*", "gets"),
+             "amo": ("amo.*", "amos"), "barrier": ("barriers", None)}
+
+    @pytest.mark.parametrize("scenario", _SCENARIOS)
+    def test_every_op_once_per_view(self, scenario):
+        """Every op is recorded exactly once per view of it."""
+        main, n_pes, cluster, shmem = _SCENARIOS[scenario]
+        report = run_spmd(
+            main, n_pes=n_pes,
+            cluster_config=ClusterConfig(n_hosts=n_pes, **cluster),
+            shmem_config=ShmemConfig(trace_spans=True, **shmem),
+            finalize="faults" not in shmem, check_heap_consistency=False)
         registry = report.metrics
         spans = Counter((span.track, span.name) for span in report.scope.spans
                         if span.category == "op" and not span.is_open)
-        for op, glob in self.COUNTER_GLOB.items():
+        cluster_wide = Counter()
+        for key, summary in registry.op_latencies():
+            cluster_wide[key.split("_us.")[0]] += summary.count
+        for op, (counters, gauge) in self.VIEWS.items():
             total = 0
             for rt in report.runtimes:
-                count = registry.hist.get(f"{rt.name}.{op}_us").count
-                assert count == registry.value(f"{rt.name}.{glob}"), \
-                    (rt.name, op)
+                hist = registry.hist.get(f"{rt.name}.{op}_us")
+                count = hist.count if hist is not None else 0
+                assert count == (registry.value(f"{rt.name}.{counters}")
+                                 or 0), (rt.name, op)
                 assert count == spans[(rt.name, op)], (rt.name, op)
+                if gauge is not None:
+                    assert count == registry.value(f"{rt.name}.{gauge}")
                 total += count
-            assert total == sum(
-                hist.count for key, hist in registry.hist.items()
-                if key.startswith(f"{op}_us.")), op
+            assert total == cluster_wide[op] > 0, op
         assert registry.hist.get("pe2.put_us").count == 4
         assert registry.hist.get("pe2.amo_us").count == 2
+        if main is _partitioned_workload:   # the put that never left PE 1
+            assert registry.hist.get("put_us.DMA.256B.0hop").count == 1
 
     def test_service_drop_gauges_exist_after_initialize(self):
         registry = run_spmd(lambda pe: iter(()), n_pes=3).metrics
@@ -179,10 +222,31 @@ class TestSloOnRealRuns:
         # measured p99 blows through it and the ruleset must fail.
         report = run_spmd(_workload, n_pes=3)
         rules = SloRuleSet.parse(
-            "p99(put_us.4KB.1hop) < 0.001\n"
+            "p99(put_us.DMA.4KB.1hop) < 0.001\n"
             "pe*.retries == 0 unless faults.severs > 0\n")
         slo = rules.evaluate(report.metrics)
         assert not slo.ok
         assert len(slo.failures) == 1
         assert slo.failures[0].rule.func == "p99"
         assert slo.failures[0].actual > 0.001
+
+    def test_mode_blind_glob_merges_dma_and_memcpy(self):
+        def main(pe):
+            sym = yield from pe.malloc(4096)
+            src = pe.local_alloc(4096)
+            yield from pe.barrier_all()
+            for mode in (Mode.DMA, Mode.MEMCPY):
+                yield from pe.put_from(sym, src, 4096, 1, mode=mode)
+                yield from pe.barrier_all()
+
+        hist = run_spmd(main, n_pes=2).metrics.hist
+        dma = hist.get("put_us.DMA.4KB.1hop")
+        memcpy = hist.get("put_us.MEMCPY.4KB.1hop")
+        assert dma.count == memcpy.count == 1       # PE 1 -> itself: 0hop
+        slowest = max(dma.maximum, memcpy.maximum)
+        slo = SloRuleSet.parse(
+            "count(put_us.*.4KB.1hop) == 2\n"
+            f"p99(put_us.*.4KB.1hop) == {slowest!r}\n"
+            f"min(put_us.*.4KB.1hop) == {min(dma.minimum, memcpy.minimum)!r}\n"
+        ).evaluate(run_spmd(main, n_pes=2).metrics)
+        assert slo.ok, slo.render()

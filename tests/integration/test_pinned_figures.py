@@ -3,7 +3,8 @@
 Virtual time is a pure function of the source tree, so a figure either
 equals its pin or something changed it; there is no tolerance.  The pins
 live in ``pinned_figures.json`` beside this module, one section per
-experiment of ``python -m repro.bench`` (which only displays them), and
+experiment of ``python -m repro.bench`` (which only displays them) plus
+the ``golden`` full-stack runs of ``tests/core/test_golden_runs.py``, and
 :func:`assert_pinned` is the only comparison against a stored number
 anywhere in the repo.  Wall clock is never compared here — that is
 ``BENCHMARK.json`` + ``benchmarks/trajectory/`` (docs/SIMULATOR.md,
@@ -35,12 +36,14 @@ from repro.bench.experiments.topology import (
 PIN_FILE = Path(__file__).with_name("pinned_figures.json")
 
 
-def assert_pinned(section: str, figures: dict) -> None:
+def assert_pinned(section: str, figures: dict, partial: bool = False) -> None:
+    """``figures`` must equal the pinned ``section`` key for key;
+    ``partial``: the test reproduced only ``figures``' keys of it."""
     pinned = json.loads(PIN_FILE.read_text())[section]
     got = json.loads(json.dumps(figures))   # as the writer would store them
+    keys = got.keys() if partial else pinned.keys() | got.keys()
     wrong = [f"{section}.{key}: pinned {pinned.get(key)}, got {got.get(key)}"
-             for key in sorted(pinned.keys() | got.keys())
-             if pinned.get(key) != got.get(key)]
+             for key in sorted(keys) if pinned.get(key) != got.get(key)]
     assert not wrong, "\n".join(wrong)
 
 
@@ -64,6 +67,13 @@ def _stress16() -> dict:
     return run_stress_16host()
 
 
+def _golden() -> dict:
+    # Deferred: test_golden_runs imports assert_pinned from this module.
+    from ..core.test_golden_runs import golden_figures
+
+    return golden_figures()
+
+
 def _topology(scenarios: tuple = SCENARIOS) -> dict:
     figures = {}
     for scenario in scenarios:
@@ -82,6 +92,7 @@ def _topology_fault() -> dict:
 
 SECTIONS = {
     "fastpath": _fastpath,
+    "golden": _golden,          # asserted per backend in test_golden_runs
     "metrics_smoke": _metrics_smoke,
     "stress16": _stress16,      # asserted per backend in test_kernel_stress
     "topology": _topology,

@@ -38,11 +38,14 @@ def test_non_json_file_one_line_error_exit_2(tmp_path, capsys):
 
 
 def test_legacy_bare_path_spelling_still_errors_gracefully(capsys):
-    # PR-2 era spelling without the 'trace' subcommand.
+    # PR-2 era spelling without the 'trace' subcommand: no longer
+    # rewritten, so argparse names the subcommands and exits 2.
     with pytest.raises(SystemExit) as excinfo:
         obsv_main(["/no/such/trace.json", "--validate"])
     assert _exit_code(excinfo) == 2
-    assert "error: cannot read" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "choose from 'trace', 'metrics'" in err
+    assert "Traceback" not in err
 
 
 def test_no_arguments_prints_help(capsys):
@@ -66,9 +69,9 @@ def _snapshot() -> dict:
         "now_us": 1234.5,
         "metrics": {"pe0.puts": 12, "sim.heap_depth": 3},
         "histograms": {
-            "put_us.32B.1hop": {"count": 4, "mean": 11.0, "p50": 10.0,
-                                "p90": 12.0, "p99": 13.0, "p999": 13.0,
-                                "min": 10.0, "max": 13.0},
+            "put_us.DMA.32B.1hop": {"count": 4, "mean": 11.0, "p50": 10.0,
+                                    "p90": 12.0, "p99": 13.0, "p999": 13.0,
+                                    "min": 10.0, "max": 13.0},
         },
         "series": {"pe0.puts": [[100.0, 4], [200.0, 8], [300.0, 12]]},
     }
@@ -81,7 +84,7 @@ def test_metrics_dashboard_renders_tables_and_sparklines(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "t=1234.5" in out
     assert "pe0.puts" in out
-    assert "put_us.32B.1hop" in out
+    assert "put_us.DMA.32B.1hop" in out
     assert "p999" in out
     assert "[4 → 12]" in out
     assert any(ch in out for ch in "▁▂▃▄▅▆▇█")

@@ -114,13 +114,13 @@ class TestAnalysis:
         flame = render_flamegraph(roots)
         assert "#" in flame and "put@pe0" in flame
 
-        assert obsv_main([str(path), "--validate"]) == 0
-        assert obsv_main([str(path)]) == 0
+        assert obsv_main(["trace", str(path), "--validate"]) == 0
+        assert obsv_main(["trace", str(path)]) == 0
 
     def test_cli_rejects_invalid_trace(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"traceEvents": [{"ph": "Q"}]}')
-        assert obsv_main([str(path)]) == 1
+        assert obsv_main(["trace", str(path)]) == 1
 
 
 # ------------------------------------------------------------------- sampler

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.obsv import HistogramRegistry, LogHistogram
+from repro.obsv import (HistogramRegistry, HistSummary, LogHistogram,
+                        render_histograms)
 from repro.obsv.hist import _SUB_COUNT, _bucket_index, _bucket_low
 
 
@@ -67,18 +68,28 @@ def test_empty_histogram_summary():
 
 def test_registry_creates_sorts_and_renders():
     registry = HistogramRegistry()
-    registry.observe("put.DMA.1024B.2hop", 40.0)
-    registry.observe("get.DMA.1024B.1hop", 160.0)
-    registry.observe("put.DMA.1024B.2hop", 44.0)
+    registry.observe("put_us.DMA.1KB.2hop", 40.0)
+    registry.observe("get_us.DMA.1KB.1hop", 160.0)
+    registry.observe("put_us.DMA.1KB.2hop", 44.0)
     assert len(registry) == 2
     keys = [key for key, _hist in registry.items()]
     assert keys == sorted(keys)
-    assert registry.get("put.DMA.1024B.2hop").count == 2
+    assert registry.get("put_us.DMA.1KB.2hop").count == 2
     assert registry.get("missing") is None
-    rendered = registry.render()
-    assert "put.DMA.1024B.2hop" in rendered
+    rendered = render_histograms(
+        (key, hist.summary()) for key, hist in registry.items())
+    assert "put_us.DMA.1KB.2hop" in rendered
     assert "p99" in rendered
 
 
 def test_empty_registry_render():
-    assert "(no observations)" in HistogramRegistry().render()
+    assert "(no observations)" in render_histograms([])
+
+
+def test_summary_json_round_trips():
+    hist = LogHistogram("k")
+    for value in (1.0, 2.0, 400.0):
+        hist.observe(value)
+    entry = hist.summary().to_json()
+    assert (entry["count"], entry["min"], entry["max"]) == (3, 1.0, 400.0)
+    assert HistSummary.from_json(entry) == hist.summary()

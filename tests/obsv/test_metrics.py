@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.obsv import MetricsRegistry, MetricsTicker
-from repro.obsv.metrics import Counter, Gauge, Meter, TimeSeries
+from repro.obsv.metrics import Counter, Gauge, TimeSeries
 from repro.sim import Environment
 
 
@@ -32,33 +30,6 @@ def test_gauge_set_vs_bind():
     gauge.set(1)
     box["depth"] = 99
     assert gauge.value == 1
-
-
-def test_meter_rate_windows_in_virtual_time():
-    env = Environment()
-    meter = Meter("msgs", env, window_us=1000.0)
-    assert meter.rate() == 0.0
-
-    def ticks():
-        for _ in range(10):
-            meter.mark()
-            yield env.timeout(100.0)
-
-    env.process(ticks())
-    env.run()
-    # All ten marks landed in [0, 900] and the window is closed at its
-    # lower edge ([now-window, now]), so at now=1000 all ten still count.
-    assert env.now == 1000.0
-    assert meter.rate() == pytest.approx(10 / 1000.0)
-    # A mark exactly on the lower edge stays; anything older would age out.
-    marks = list(meter._marks)
-    assert marks[0][0] == 0.0
-
-
-def test_meter_rejects_nonpositive_window():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Meter("bad", env, window_us=0.0)
 
 
 def test_timeseries_is_bounded():
