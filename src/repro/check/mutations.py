@@ -77,37 +77,16 @@ def lost_doorbell() -> Iterator[None]:
 @contextmanager
 def watermark_off_by_one() -> Iterator[None]:
     """Degraded barrier coordinator releases one generation too early."""
-    original = _barrier._TokenBarrier._coord_arrive
-
-    def _coord_arrive(self: "_barrier._TokenBarrier", pe: int,
-                      gen: int) -> None:
-        self._arrivals[pe] = max(self._arrivals.get(pe, -1), gen)
-        rt = self.rt
-        if len(self._arrivals) == rt.n_pes:
-            # BUG: off-by-one watermark — releases a generation that not
-            # every PE has arrived at yet.
-            watermark = min(self._arrivals.values()) + 1
-            if watermark > self._released:
-                self._released = watermark
-                self._signal.fire(("release", watermark))
-                for dest in range(rt.n_pes):
-                    if dest != rt.my_pe_id:
-                        rt.env.process(
-                            self._release_task(dest, watermark),
-                            name=f"{rt.name}.barrier.release{dest}",
-                        )
-                return
-        if self._released >= gen and pe != rt.my_pe_id:
-            rt.env.process(
-                self._release_task(pe, self._released),
-                name=f"{rt.name}.barrier.rerelease{pe}",
-            )
-
-    _barrier._TokenBarrier._coord_arrive = _coord_arrive  # type: ignore[method-assign]
+    # ``_TokenBarrier._coord_arrive`` computes the watermark with the
+    # module's only ``min`` call: shadow the builtin in that namespace
+    # rather than fork a copy of the method.
+    # BUG: off-by-one watermark — releases a generation that not every PE
+    # has arrived at yet.
+    _barrier.min = lambda arrivals: min(arrivals) + 1  # type: ignore[attr-defined]
     try:
         yield
     finally:
-        _barrier._TokenBarrier._coord_arrive = original  # type: ignore[method-assign]
+        del _barrier.min  # type: ignore[attr-defined]
 
 
 MUTATIONS: dict[str, Callable[[], ContextManager[None]]] = {

@@ -29,15 +29,14 @@ Checkers, in the order they can fire:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from ..analysis.invariants import check_cluster
-from ..core.runtime import ShmemRuntime
+from ..core.program import launch
 from ..core.sanitizer import ShmemSan
 from ..core.waitgraph import WaitGraph
-from ..core.api import PE
 from ..fabric import Cluster, ClusterConfig
-from ..sim import AllOf, CountdownLatch, Environment
+from ..sim import AllOf, Environment
 from .models import CheckModel
 from .policy import ExplorationPolicy
 from .trace import Counterexample, FaultPoint, ScheduleTrace
@@ -220,25 +219,7 @@ def run_schedule(model: CheckModel, trace: ScheduleTrace,
     cluster.shmemsan = san
     _install_probes(cluster, policy)
 
-    runtimes = [ShmemRuntime(cluster, pe_id, config)
-                for pe_id in range(model.n_pes)]
-    pes = [PE(rt) for rt in runtimes]
-    results: list[Any] = [None] * model.n_pes
-    init_latch = CountdownLatch(env, model.n_pes)
-    exit_latch = CountdownLatch(env, model.n_pes)
-
-    def pe_process(pe_id: int) -> Generator:
-        runtime = runtimes[pe_id]
-        yield from runtime.initialize()
-        init_latch.count_down()
-        yield init_latch.wait()  # launcher rendezvous, local  # lint: skip
-        results[pe_id] = yield from model.main(pes[pe_id])
-        exit_latch.count_down()
-        yield exit_latch.wait()  # local rendezvous  # lint: skip
-        yield from runtime.finalize()
-
-    processes = [env.process(pe_process(pe_id), name=f"pe{pe_id}.main")
-                 for pe_id in range(model.n_pes)]
+    runtimes, _pes, results, processes = launch(cluster, model.main, config)
     done = AllOf(env, processes)
 
     # ------------------------------------------------------------ main loop

@@ -42,7 +42,6 @@ from .transfer import (
     DOORBELL_BARRIER_END,
     DOORBELL_BARRIER_START,
     Message,
-    Mode,
     MsgKind,
 )
 from .waits import remote_wait
@@ -61,6 +60,25 @@ _MSG_RELEASE = 1
 #: Dissemination aux low byte: round index, plus a high bit marking a
 #: *nudge* — "re-send me your (generation, round) notification".
 _DISSEM_NUDGE = 0x80
+
+
+def _notify(rt: "ShmemRuntime", dest: int, gen: int, low: int) -> Generator:
+    """One generation-tagged BARRIER_MSG toward ``dest`` over whatever
+    route is live (plain function: returns the send for ``yield from``)."""
+    route = rt.route_to(dest)
+    return rt.link_for(route.direction).post(
+        MsgKind.BARRIER_MSG, rt.my_pe_id, dest, last_leg=route.hops == 1,
+        aux=((gen & 0xFFFFFF) << 8) | low)
+
+
+def _notify_detached(rt: "ShmemRuntime", dest: int, gen: int,
+                     low: int) -> Generator:
+    """Body of a detached re-send.  A cable dying under it is not an
+    error: the waiter re-ARRIVEs / nudges again and we re-send."""
+    try:
+        yield from _notify(rt, dest, gen, low)
+    except (LinkDownError, PeerUnreachableError):
+        pass
 
 
 class _TokenBarrier:
@@ -198,8 +216,7 @@ class _TokenBarrier:
             if rt.my_pe_id == coordinator:
                 self._coord_arrive(rt.my_pe_id, gen)
             else:
-                yield from self._send_degraded_msg(
-                    coordinator, gen, _MSG_ARRIVE)
+                yield from _notify(rt, coordinator, gen, _MSG_ARRIVE)
             with rt.blocked_on(f"degraded barrier release gen {gen}",
                                peer=coordinator
                                if rt.my_pe_id != coordinator else None):
@@ -218,8 +235,8 @@ class _TokenBarrier:
                         # dropped by a relay that had not yet learned of
                         # the dead edge; arrivals are idempotent, so just
                         # re-send.
-                        yield from self._send_degraded_msg(
-                            coordinator, gen, _MSG_ARRIVE)
+                        yield from _notify(rt, coordinator, gen,
+                                           _MSG_ARRIVE)
         self.degraded_generation += 1
         self.generation = gen + 1
 
@@ -239,7 +256,8 @@ class _TokenBarrier:
                 for dest in range(rt.n_pes):
                     if dest != rt.my_pe_id:
                         rt.env.process(
-                            self._release_task(dest, watermark),
+                            _notify_detached(rt, dest, watermark,
+                                             _MSG_RELEASE),
                             name=f"{rt.name}.barrier.release{dest}",
                         )
                 return
@@ -247,29 +265,9 @@ class _TokenBarrier:
             # The sender re-arrived for an episode we already released:
             # its RELEASE was lost, re-send to it alone.
             rt.env.process(
-                self._release_task(pe, self._released),
+                _notify_detached(rt, pe, self._released, _MSG_RELEASE),
                 name=f"{rt.name}.barrier.rerelease{pe}",
             )
-
-    def _release_task(self, dest: int, watermark: int) -> Generator:
-        try:
-            yield from self._send_degraded_msg(
-                dest, watermark, _MSG_RELEASE)
-        except (LinkDownError, PeerUnreachableError):
-            pass  # the waiter re-ARRIVEs and we re-send
-
-    def _send_degraded_msg(self, dest: int, gen: int,
-                           subtype: int) -> Generator:
-        rt = self.rt
-        route = rt.route_to(dest)
-        link = rt.link_for(route.direction)
-        msg = Message(
-            kind=MsgKind.BARRIER_MSG, mode=Mode.DMA,
-            src_pe=rt.my_pe_id, dest_pe=dest, offset=0, size=0,
-            aux=((gen & 0xFFFFFF) << 8) | subtype,
-            seq=link.data_mailbox.next_seq(),
-        )
-        yield from link.data_mailbox.send(msg)
 
     def _line_doomed(self, edge: tuple[int, int]) -> Optional[BaseException]:
         live = self.rt.dead_edges == {edge}
@@ -450,29 +448,9 @@ class DisseminationBarrier:
             return
         rt = self.rt
         rt.env.process(
-            self._renotify_task(requester, gen, rnd),
+            _notify_detached(rt, requester, gen, rnd),
             name=f"{rt.name}.dissem.renotify{requester}",
         )
-
-    def _renotify_task(self, dest: int, gen: int, rnd: int) -> Generator:
-        try:
-            yield from self._send_notify(dest, gen, rnd)
-        except (LinkDownError, PeerUnreachableError):
-            pass  # the waiter nudges again
-
-    def _send_notify(self, dest: int, gen: int, rnd: int,
-                     nudge: bool = False) -> Generator:
-        rt = self.rt
-        route = rt.route_to(dest)
-        link = rt.link_for(route.direction)
-        msg = Message(
-            kind=MsgKind.BARRIER_MSG, mode=Mode.DMA,
-            src_pe=rt.my_pe_id, dest_pe=dest, offset=0, size=0,
-            aux=((gen & 0xFFFFFF) << 8)
-            | (rnd | _DISSEM_NUDGE if nudge else rnd),
-            seq=link.data_mailbox.next_seq(),
-        )
-        yield from link.data_mailbox.send(msg)
 
     def on_link_event(self) -> None:
         """Notifications are generation-tagged: nothing to drain."""
@@ -504,7 +482,7 @@ class DisseminationBarrier:
                 # Same flush rule as the token barrier: do not let our
                 # notification overtake data we are relaying.
                 yield from rt.forwarding_quiesce()
-                yield from self._send_notify(partner, gen, rnd)
+                yield from _notify(rt, partner, gen, rnd)
             key = (gen, rnd)
             while self._arrived.get(key, 0) < 1:
                 try:
@@ -527,10 +505,10 @@ class DisseminationBarrier:
                     # under the resend just waits for the detector.
                     try:
                         if partner != rt.my_pe_id:
-                            yield from self._send_notify(partner, gen, rnd)
+                            yield from _notify(rt, partner, gen, rnd)
                         if sender != rt.my_pe_id:
-                            yield from self._send_notify(
-                                sender, gen, rnd, nudge=True)
+                            yield from _notify(rt, sender, gen,
+                                               rnd | _DISSEM_NUDGE)
                     except LinkDownError:
                         pass
             self._arrived.pop(key, None)

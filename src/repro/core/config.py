@@ -45,7 +45,11 @@ class ShmemConfig:
         default: FIXED_RIGHT on ring/chain, dimension-order on
         mesh/torus.  The two 1-D policies raise on multi-axis grids.
     barrier:
-        "ring" (paper's Fig. 6), "dissemination", or "centralized".
+        "ring", "dissemination", or "centralized".  "ring" (the default)
+        means the fabric's token barrier where one exists: the paper's
+        Fig. 6 ring barrier on a ring, the chain sweep on a chain — and,
+        silently, dissemination on a mesh/torus, which circulates no
+        token (``topology.kind`` decides, see ``make_barrier``).
     default_mode:
         DMA or MEMCPY when the caller does not specify.
     """
@@ -58,8 +62,10 @@ class ShmemConfig:
     routing: Optional[RoutingPolicy] = None
     barrier: str = "ring"
     default_mode: Mode = Mode.DMA
-    #: Optional watchdog for blocking Gets/AMOs: raise TransferError if a
-    #: response chunk takes longer than this (None = wait forever).
+    #: Optional deadline for every remote wait (Get/AMO replies, barrier
+    #: tokens and notifications): a wait that outlasts it counts one
+    #: ``wait_timeouts`` and raises PeerUnreachableError (None = no
+    #: deadline).  Setting it also makes the runtime fault-aware.
     reply_timeout_us: Optional[float] = None
     #: ShmemSan race detection: None (off), "strict" (raise RaceError at
     #: the second unordered access), or "report" (accumulate RaceReports).

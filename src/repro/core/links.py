@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
+import numpy as np
+
 from ..host import PinnedBuffer
 from ..ntb import NtbDriver
 from ..ntb.device import BYPASS_WINDOW, DATA_WINDOW
@@ -27,6 +29,12 @@ from .transfer import (
     DOORBELL_BYPASS_MSG,
     DOORBELL_DMAGET,
     DOORBELL_DMAPUT,
+    FLAG_INLINE,
+    KIND_FACTS,
+    Message,
+    Mode,
+    MsgKind,
+    PayloadSource,
     SPAD_BLOCK_LEFTWARD,
     SPAD_BLOCK_RIGHTWARD,
 )
@@ -59,7 +67,63 @@ class LinkEnd:
     rx_bypass: PinnedBuffer        # incoming bypass-window target
     incoming_spad_block: int       # where peers' headers appear
     next_rx_slot: int = 0          # in-order bypass slot cursor
-    peer_host_id: Optional[int] = None
+    peer_host_id: Optional[int] = None  # learned in the handshake
+
+    def post(self, kind: MsgKind, src_pe: int, dest_pe: int, *,
+             last_leg: bool, mode: Mode = Mode.DMA, offset: int = 0,
+             size: int = 0, aux: int = 0,
+             payload: Optional[PayloadSource] = None,
+             inline: Optional[np.ndarray] = None,
+             relay: bool = False) -> Generator:
+        """Send one message through this adapter — the channel rule of
+        Fig. 4/5, decided here and nowhere else (docs/PROTOCOL.md):
+        ``inline`` bytes ride a **bypass** slot header; no payload, a
+        ``data_only`` kind or the ``last_leg`` to the destination take the
+        **data** window; any other payload is in transit → **bypass**.
+        Puts are tagged ``PUT_DATA`` on the last leg, ``PUT_FWD`` before
+        it; ``relay`` marks a send on behalf of another PE.  A plain
+        function: it returns the mailbox's send generator for the caller
+        to ``yield from``, adding no frame of its own.
+        """
+        if kind is MsgKind.PUT_DATA or kind is MsgKind.PUT_FWD:
+            kind = MsgKind.PUT_DATA if last_leg else MsgKind.PUT_FWD
+        via_data = inline is None and (payload is None or last_leg
+                                       or KIND_FACTS[kind].data_only)
+        mailbox = self.data_mailbox if via_data else self.bypass_mailbox
+        msg = Message(kind, mode, src_pe, dest_pe, offset, size, aux,
+                      mailbox.next_seq(),
+                      0 if inline is None else FLAG_INLINE)
+        if via_data:
+            return self.data_mailbox.send(msg, payload, relay)
+        if inline is not None:
+            return self.bypass_mailbox.send_inline(msg, inline, relay)
+        assert payload is not None
+        return self.bypass_mailbox.send(msg, payload, relay)
+
+    def flush(self) -> None:
+        """Force-release both channels' outstanding slots: what a dead
+        cable or a torn-down peer holds is never ACKed."""
+        self.data_mailbox.fail_outstanding()
+        self.bypass_mailbox.fail_outstanding()
+
+    def idle(self, local: bool = False) -> bool:
+        """Nothing in flight or queued on either channel; ``local`` counts
+        only the owning PE's own sends (``_MailboxBase.local_idle``)."""
+        if local:
+            return (self.data_mailbox.local_idle
+                    and self.bypass_mailbox.local_idle)
+        return self.data_mailbox.idle and self.bypass_mailbox.idle
+
+    @property
+    def load(self) -> int:
+        """In-flight messages plus credit waiters, both channels."""
+        dm, bm = self.data_mailbox, self.bypass_mailbox
+        return dm.in_flight + bm.in_flight + dm.waiters + bm.waiters
+
+    @property
+    def transit_credits(self) -> int:
+        """Bypass credits free right now (cut-through's go/no-go)."""
+        return self.bypass_mailbox.free_slots
 
 
 def bring_up(rt: "ShmemRuntime") -> Generator:
@@ -233,7 +297,7 @@ def wire_link_metrics(rt: "ShmemRuntime") -> None:
                 scoped.gauge(key).bind(
                     lambda m=mailbox, a=attr: getattr(m, a))
             scoped.gauge("credit_waiters").bind(
-                lambda m=mailbox: m._slots.queue_length)
+                lambda m=mailbox: m.waiters)
     service = rt.service
     scoped = rt.metrics_registry.scoped(f"{rt.name}.service")
     attrs: tuple[str, ...] = ("dropped_forwards", "dup_ctrl_drops",

@@ -16,7 +16,7 @@ from ..fabric import HeartbeatMonitor, LinkState, Route
 from ..ntb import LinkDownError
 from ..sim import Interrupt
 from .errors import PeerUnreachableError
-from .transfer import Message, Mode, MsgKind
+from .transfer import MsgKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import ShmemRuntime
@@ -96,8 +96,7 @@ def apply_edge_dead(rt: "ShmemRuntime", edge: tuple[int, int]) -> bool:
     _fail_pending_on_edge(rt)
     for link in rt.links.values():
         if link.edge == edge:
-            link.data_mailbox.fail_outstanding()
-            link.bypass_mailbox.fail_outstanding()
+            link.flush()
     _edge_changed(rt, "dead", edge)
     return True
 
@@ -139,7 +138,7 @@ def _fail_pending_on_edge(rt: "ShmemRuntime") -> None:
             pending.done.fail(exc).defuse()
 
 
-def announce_link_state(rt: "ShmemRuntime", kind: int,
+def announce_link_state(rt: "ShmemRuntime", kind: MsgKind,
                         edge: tuple[int, int]) -> Generator:
     """Flood an edge's death/recovery away from the edge itself.
 
@@ -174,13 +173,9 @@ def announce_link_state(rt: "ShmemRuntime", kind: int,
         try:
             if grid:
                 link = rt.link_for(rt.route_to(dest).direction)
-            msg = Message(
-                kind=kind, mode=Mode.DMA, src_pe=rt.my_pe_id,
-                dest_pe=dest, offset=0, size=0,
-                aux=((edge[0] & 0xFF) << 8) | (edge[1] & 0xFF),
-                seq=link.data_mailbox.next_seq(),
-            )
-            yield from link.data_mailbox.send(msg)
+            yield from link.post(
+                kind, rt.my_pe_id, dest, last_leg=link.peer_host_id == dest,
+                aux=((edge[0] & 0xFF) << 8) | (edge[1] & 0xFF))
         except (LinkDownError, PeerUnreachableError):
             # Ring: both our cables are dead, nobody left to tell.
             # Grid: an unreachable island, nothing to tell it.

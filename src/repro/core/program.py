@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..fabric import Cluster, ClusterConfig
 from ..obsv.hist import render_histograms
-from ..sim import AllOf, CountdownLatch, Environment, SimulationError
+from ..sim import (AllOf, CountdownLatch, Environment, Process,
+                   SimulationError)
 from .api import PE
 from .errors import ShmemError
 from .runtime import ShmemConfig, ShmemRuntime
@@ -28,7 +29,7 @@ from .runtime import ShmemConfig, ShmemRuntime
 if TYPE_CHECKING:  # sanitizer loads lazily (see repro.core.__getattr__)
     from .sanitizer import RaceReport, ShmemSan  # noqa: F401
 
-__all__ = ["SpmdReport", "run_spmd", "make_cluster"]
+__all__ = ["SpmdReport", "run_spmd", "make_cluster", "launch"]
 
 PeMain = Callable[[PE], Generator]
 
@@ -120,6 +121,45 @@ def make_cluster(n_pes: int,
     return Cluster(cluster_config)
 
 
+def launch(cluster: Cluster, main: PeMain,
+           shmem_config: Optional[ShmemConfig] = None,
+           finalize: bool = True
+           ) -> tuple[list[ShmemRuntime], list[PE], list[Any], list[Process]]:
+    """Start ``main(pe)`` on every host of ``cluster`` without running it:
+    one runtime, one :class:`PE` and one ``peN.main`` process per host,
+    with the launcher's two rendezvous (after ``shmem_init``, before
+    ``shmem_finalize``).  Returns ``(runtimes, pes, results, processes)``;
+    the caller drives ``cluster.env`` (``run_spmd`` to completion,
+    ShmemCheck step by step) and ``results[pe]`` fills in as PEs return.
+    """
+    env = cluster.env
+    n_pes = cluster.n_hosts
+    runtimes = [
+        ShmemRuntime(cluster, pe_id, shmem_config) for pe_id in range(n_pes)
+    ]
+    pes = [PE(rt) for rt in runtimes]
+    results: list[Any] = [None] * n_pes
+    init_latch = CountdownLatch(env, n_pes)
+    exit_latch = CountdownLatch(env, n_pes)
+
+    def pe_process(pe_id: int) -> Generator:
+        runtime = runtimes[pe_id]
+        yield from runtime.initialize()
+        init_latch.count_down()
+        yield init_latch.wait()  # launcher rendezvous, local  # lint: skip
+        results[pe_id] = yield from main(pes[pe_id])
+        exit_latch.count_down()
+        yield exit_latch.wait()  # local rendezvous  # lint: skip
+        if finalize:
+            yield from runtime.finalize()
+
+    processes = [
+        env.process(pe_process(pe_id), name=f"pe{pe_id}.main")
+        for pe_id in range(n_pes)
+    ]
+    return runtimes, pes, results, processes
+
+
 def run_spmd(main: PeMain, n_pes: int = 3,
              cluster_config: Optional[ClusterConfig] = None,
              shmem_config: Optional[ShmemConfig] = None,
@@ -166,29 +206,8 @@ def run_spmd(main: PeMain, n_pes: int = 3,
             shmem_config = dataclasses.replace(shmem_config,
                                                sanitize=env_mode)
     env = cluster.env
-    runtimes = [
-        ShmemRuntime(cluster, pe_id, shmem_config) for pe_id in range(n_pes)
-    ]
-    pes = [PE(rt) for rt in runtimes]
-    results: list[Any] = [None] * n_pes
-    init_latch = CountdownLatch(env, n_pes)
-    exit_latch = CountdownLatch(env, n_pes)
-
-    def pe_process(pe_id: int) -> Generator:
-        runtime = runtimes[pe_id]
-        yield from runtime.initialize()
-        init_latch.count_down()
-        yield init_latch.wait()  # launcher rendezvous, local  # lint: skip
-        results[pe_id] = yield from main(pes[pe_id])
-        exit_latch.count_down()
-        yield exit_latch.wait()  # local rendezvous  # lint: skip
-        if finalize:
-            yield from runtime.finalize()
-
-    processes = [
-        env.process(pe_process(pe_id), name=f"pe{pe_id}.main")
-        for pe_id in range(n_pes)
-    ]
+    runtimes, pes, results, processes = launch(
+        cluster, main, shmem_config, finalize)
     try:
         env.run(until=AllOf(env, processes))
     except SimulationError as exc:

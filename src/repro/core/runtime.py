@@ -56,8 +56,6 @@ from .links import LinkEnd
 from .transfer import (
     AMO_REQ_FMT,
     AmoOp,
-    FLAG_INLINE,
-    Message,
     Mode,
     MsgKind,
     PayloadSource,
@@ -324,20 +322,13 @@ class ShmemRuntime:
                 f"{self.name}: no {port} adapter for routing"
             ) from None
 
-    def neighbor_pe(self, port: str) -> Optional[int]:
-        return self.topology.neighbor(self.my_pe_id, port)
-
     def _port_load(self, port: str) -> float:
         """Live congestion estimate the adaptive router consults per hop:
         in-flight traffic plus credit waiters on the port's mailboxes
         (the post-hoc ``link_utilisation`` sampler tells the same story
         offline from ``link_transit`` spans)."""
         link = self.links.get(port)
-        if link is None:
-            return float("inf")
-        dm, bm = link.data_mailbox, link.bypass_mailbox
-        return (dm.in_flight + bm.in_flight
-                + dm._slots.queue_length + bm._slots.queue_length)
+        return float("inf") if link is None else link.load
 
     def route_to(self, pe: int) -> Route:
         """Resolve a route via the pluggable router, steering around
@@ -489,25 +480,20 @@ class ShmemRuntime:
         """Hand the next chunk of a Put to the first hop; returns its
         size.  The chunk limit follows the route — a rerouted chunk must
         fit the bypass slot, not the neighbor's data window."""
+        last_leg = route.hops == 1
         if inline:
-            mailbox, limit, mode = link.bypass_mailbox, nbytes, Mode.MEMCPY
-        elif route.hops == 1:
-            mailbox, limit = link.data_mailbox, self.config.rx_data_size
+            limit, mode = nbytes, Mode.MEMCPY
         else:
-            mailbox, limit = link.bypass_mailbox, self.config.fwd_chunk
+            limit = (self.config.rx_data_size if last_leg
+                     else self.config.fwd_chunk)
         size = min(limit, nbytes - cursor)
-        msg = Message(
-            kind=MsgKind.PUT_DATA if route.hops == 1 else MsgKind.PUT_FWD,
-            mode=mode, src_pe=self.my_pe_id, dest_pe=pe,
-            offset=dest.offset + cursor, size=size, seq=mailbox.next_seq(),
-            flags=FLAG_INLINE if inline else 0,
-        )
-        if inline:
-            yield from mailbox.send_inline(
-                msg, self.host.read_user(src_virt + cursor, size))
-        else:
-            yield from mailbox.send(msg, PayloadSource.from_user(
-                self.host, src_virt + cursor, size))
+        virt = src_virt + cursor
+        yield from link.post(
+            MsgKind.PUT_DATA, self.my_pe_id, pe, last_leg=last_leg,
+            mode=mode, offset=dest.offset + cursor, size=size,
+            payload=(None if inline
+                     else PayloadSource.from_user(self.host, virt, size)),
+            inline=self.host.read_user(virt, size) if inline else None)
         return size
 
     # ------------------------------------------------------------------- get
@@ -564,14 +550,12 @@ class ShmemRuntime:
         pending = self._expect_reply(
             "get", route, pe, dest_virt=dest_virt + chunk_off,
             nbytes=chunk_size, mode=mode)
-        msg = Message(
-            kind=MsgKind.GET_REQ, mode=mode,
-            src_pe=self.my_pe_id, dest_pe=pe,
-            offset=src.offset + chunk_off, size=chunk_size,
-            aux=pending.req_id, seq=link.data_mailbox.next_seq(),
-        )
         try:
-            yield from link.data_mailbox.send(msg)
+            yield from link.post(
+                MsgKind.GET_REQ, self.my_pe_id, pe,
+                last_leg=route.hops == 1, mode=mode,
+                offset=src.offset + chunk_off, size=chunk_size,
+                aux=pending.req_id)
             yield from remote_wait(
                 self, pending.done,
                 what=f"get request {pending.req_id}", peer=pe)
@@ -627,22 +611,21 @@ class ShmemRuntime:
         # Fastpath: the 24-byte operand rides inline in a bypass slot
         # header — one PIO store, no DMA.
         inline = fp is not None and fp.inline_max >= len(operand)
-        mailbox = link.bypass_mailbox if inline else link.data_mailbox
-        msg = Message(
-            kind=MsgKind.AMO_REQ, mode=Mode.MEMCPY if inline else Mode.DMA,
-            src_pe=self.my_pe_id, dest_pe=pe,
-            offset=target.offset, size=len(operand), aux=pending.req_id,
-            seq=mailbox.next_seq(), flags=FLAG_INLINE if inline else 0,
-        )
         data = np.frombuffer(operand, dtype=np.uint8)
+        payload = None
+        if not inline:
+            assert self._amo_tx is not None
+            self.host.memory.write(self._amo_tx.phys, data)
+            payload = PayloadSource.from_pinned(
+                self.host, self._amo_tx, 0, len(operand))
         try:
-            if inline:
-                yield from mailbox.send_inline(msg, data)
-            else:
-                assert self._amo_tx is not None
-                self.host.memory.write(self._amo_tx.phys, data)
-                yield from mailbox.send(msg, PayloadSource.from_pinned(
-                    self.host, self._amo_tx, 0, len(operand)))
+            yield from link.post(
+                MsgKind.AMO_REQ, self.my_pe_id, pe,
+                last_leg=route.hops == 1,
+                mode=Mode.MEMCPY if inline else Mode.DMA,
+                offset=target.offset, size=len(operand),
+                aux=pending.req_id, payload=payload,
+                inline=data if inline else None)
         except (LinkDownError, PeerUnreachableError):
             self._retire(pending)
             raise
@@ -742,9 +725,7 @@ class ShmemRuntime:
             degraded = bool(self.dead_edges)
             busy = flushed = False
             for link in self.links.values():
-                dm, bm = link.data_mailbox, link.bypass_mailbox
-                if (dm.local_idle and bm.local_idle) if degraded \
-                        else (dm.idle and bm.idle):
+                if link.idle(local=degraded):
                     continue
                 if expired or link.edge in self.dead_edges:
                     # Traffic handed to a severed cable will never be
@@ -755,9 +736,8 @@ class ShmemRuntime:
                     # flushed here too — and again every poll tick while
                     # senders keep queueing, since a hand-off to a dead
                     # cable notifies nobody.
-                    dm.fail_outstanding()
-                    bm.fail_outstanding()
-                    if dm.local_idle and bm.local_idle:
+                    link.flush()
+                    if link.idle(local=True):
                         continue
                     flushed = True
                 busy = True

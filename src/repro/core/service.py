@@ -45,6 +45,7 @@ from .transfer import (
     AmoOp,
     FLAG_INLINE,
     INLINE_PAYLOAD_OFFSET,
+    KIND_FACTS,
     Message,
     Mode,
     MsgKind,
@@ -107,9 +108,10 @@ class ShmemService:
         self.rt = runtime
         self.env = runtime.env
         self._work: deque[tuple[str, str]] = deque()
-        self._staging = runtime.host.alloc_pinned(
-            max(runtime.config.fwd_chunk, runtime.config.get_chunk, 4096)
-        )
+        #: payload kind -> the bound method that consumes it here.
+        self._deliver = {kind: getattr(self, facts.deliver)
+                         for kind, facts in KIND_FACTS.items()
+                         if facts.deliver is not None}
         self.thread = KernelThread(
             self.env, f"{runtime.name}.service", self._body,
             wake_latency_us=runtime.host.cost_model.thread_wake_us,
@@ -118,7 +120,7 @@ class ShmemService:
         #: diagnostics
         self.handled: dict[str, int] = {}
         self.active_responders = 0
-        #: in-flight spawned forward/reply tasks (see _spawn_task).
+        #: in-flight detached forward/reply tasks (see _detach).
         self.active_forwards = 0
         #: in-flight BARRIER_MSG relays.  Counted separately because
         #: :attr:`quiescent` must ignore them: barrier control is
@@ -195,14 +197,12 @@ class ShmemService:
             # queued task complete (the bytes die at the torn-down
             # end, which is fine — barrier chatter is idempotent).
             for link in self.rt.links.values():
-                link.data_mailbox.fail_outstanding()
-                link.bypass_mailbox.fail_outstanding()
+                link.flush()
             return REPOLL
 
         yield from poll_wait(self.rt, "service-stop", drained, deadline)
         self.thread.stop()
         yield self.thread.join()
-        self.rt.host.free_pinned(self._staging)
 
     # ------------------------------------------------------------------ body
     def _body(self, thread: KernelThread) -> Generator:
@@ -243,10 +243,8 @@ class ShmemService:
             if not self._work:
                 self.rt.notify_progress()  # stop() waits on the queue too
             self.handled[kind] = self.handled.get(kind, 0) + 1
-            if kind == "data":
-                yield from self._handle_data(side)
-            elif kind == "bypass":
-                yield from self._handle_bypass(side)
+            if kind == "data" or kind == "bypass":
+                yield from self._receive(side, kind)
             elif kind in ("barrier_start", "barrier_end"):
                 assert self.rt.barrier is not None
                 self.rt.barrier.on_token(side, kind)
@@ -254,54 +252,47 @@ class ShmemService:
                 raise ProtocolError(f"unknown work kind {kind!r}")
 
     # --------------------------------------------------------------- channels
-    def _handle_data(self, side: str) -> Generator:
-        """A data-window message: header in ScratchPads, payload at rx[0]."""
-        link = self.rt.links[side]
-        try:
-            msg = yield from link.data_mailbox.recv_header(
-                link.incoming_spad_block
-            )
-        except ProtocolError:
-            if self.rt.fault_aware:
-                # The cable died between the doorbell and this read: the
-                # ScratchPads master-abort to all-ones, which decodes to
-                # an invalid kind.  Drop the orphaned work item.
-                self.stale_responses += 1
-                return
-            raise
-        scope = self.rt.scope
+    def _receive(self, side: str, channel: str) -> Generator:
+        """Decode the message a doorbell announced and dispatch it.
+
+        Data window: header in ScratchPads, payload at ``rx_data[0]``.
+        Bypass window: in-slot header, slots consumed in order."""
+        rt = self.rt
+        link = rt.links[side]
+        where: dict[str, int] = {}
+        if channel == "data":
+            try:
+                msg = yield from link.data_mailbox.recv_header(
+                    link.incoming_spad_block)
+            except ProtocolError:
+                if rt.fault_aware:
+                    # The cable died between the doorbell and this read:
+                    # the ScratchPads master-abort to all-ones, an invalid
+                    # kind.  Drop the orphaned work item.
+                    self.stale_responses += 1
+                    return
+                raise
+            payload_phys = link.rx_data.phys
+        else:
+            mailbox = link.bypass_mailbox
+            slot = where["slot"] = link.next_rx_slot
+            link.next_rx_slot = (slot + 1) % mailbox.slots
+            base = link.rx_bypass.phys + slot * mailbox.slot_stride
+            yield from rt.host.cpu._charge(_SLOT_HEADER_US)
+            msg = unpack_header_bytes(rt.host.memory.read(base, 16))
+            # Inline payloads (fastpath small messages) ride inside the
+            # slot header itself, right after the packed Message words.
+            payload_phys = base + (INLINE_PAYLOAD_OFFSET
+                                   if msg.flags & FLAG_INLINE
+                                   else SLOT_HEADER_BYTES)
+        scope = rt.scope
         # Adopt the sender's span so this hop's work joins its tree.
         ctx = scope.adopt_msg(msg)
         with scope.span(f"svc_{msg.kind.name.lower()}", category="service",
-                        track=f"{self.rt.name}.service", parent=ctx,
-                        src=msg.src_pe, dest=msg.dest_pe, nbytes=msg.size):
-            yield from self._dispatch(
-                msg, link, payload_phys=link.rx_data.phys, channel="data"
-            )
-
-    def _handle_bypass(self, side: str) -> Generator:
-        """A bypass-window message: in-slot header, in-order slots."""
-        link = self.rt.links[side]
-        mailbox = link.bypass_mailbox
-        slot = link.next_rx_slot
-        link.next_rx_slot = (slot + 1) % mailbox.slots
-        base = link.rx_bypass.phys + slot * mailbox.slot_stride
-        yield from self.rt.host.cpu._charge(_SLOT_HEADER_US)
-        msg = unpack_header_bytes(self.rt.host.memory.read(base, 16))
-        # Inline payloads (fastpath small messages) ride inside the slot
-        # header itself, right after the packed Message words.
-        payload_off = (INLINE_PAYLOAD_OFFSET if msg.flags & FLAG_INLINE
-                       else SLOT_HEADER_BYTES)
-        scope = self.rt.scope
-        ctx = scope.adopt_msg(msg)
-        with scope.span(f"svc_{msg.kind.name.lower()}", category="service",
-                        track=f"{self.rt.name}.service", parent=ctx,
+                        track=f"{rt.name}.service", parent=ctx,
                         src=msg.src_pe, dest=msg.dest_pe, nbytes=msg.size,
-                        slot=slot):
-            yield from self._dispatch(
-                msg, link, payload_phys=base + payload_off,
-                channel="bypass"
-            )
+                        **where):
+            yield from self._dispatch(msg, link, payload_phys, channel)
 
     def _ack(self, link: "LinkEnd", channel: str) -> Generator:
         """Return the sender's slot.  A posted doorbell: into a severed
@@ -336,10 +327,11 @@ class ShmemService:
         return prev, gate
 
     def _ordered_ack(self, link: "LinkEnd", prev: Optional[Event],
-                     gate: Event, forwarded: bool = False) -> Generator:
+                     gate: Event, *also: str) -> Generator:
         """Ring ``link``'s bypass ACK doorbell in chain order, then open
-        ``gate`` for the next slot.  ``forwarded``: this is the tail of a
-        cut-through, whose forward is over only once the credit is back."""
+        ``gate`` for the next slot.  ``also``: the tail of a cut-through
+        passes ``"active_forwards"`` — its forward is over only once the
+        credit is back."""
         try:
             if prev is not None and not prev.triggered:
                 yield prev
@@ -347,21 +339,40 @@ class ShmemService:
         finally:
             if not gate.triggered:
                 gate.succeed()
-            self.active_acks -= 1
-            if forwarded:
-                self.active_forwards -= 1
-            self.rt.notify_progress()
+            self._finish("active_acks", *also)
+
+    # ----------------------------------------------------------------- detach
+    def _detach(self, body: Generator, name: str, counter: str) -> None:
+        """Run ``body`` as its own process so the service thread never
+        blocks on it, counted in ``counter`` until its :meth:`_finish`.
+
+        Ordering: tasks are spawned in arrival order and a send's first
+        action is the mailbox slot request, so FIFO slot granting plus the
+        mailbox TX lock preserve per-direction message order.
+        """
+        setattr(self, counter, getattr(self, counter) + 1)
+        task = self.env.process(body, name=f"{self.rt.name}.{name}")
+        # Seed the detached task so its spans stay in this message's tree.
+        self.rt.scope.bind_process(task, self.rt.scope.current_span_id())
+
+    def _finish(self, *counters: str) -> None:
+        """A detached body's ``finally``: uncount it, wake the waiters."""
+        for counter in counters:
+            setattr(self, counter, getattr(self, counter) - 1)
+        self.rt.notify_progress()
 
     # --------------------------------------------------------------- dispatch
     def _dispatch(self, msg: Message, link: "LinkEnd", payload_phys: int,
                   channel: str) -> Generator:
         rt = self.rt
-        me = rt.my_pe_id
         kind = msg.kind
-
-        if kind in (MsgKind.PUT_DATA, MsgKind.PUT_FWD):
-            if msg.dest_pe == me:
-                yield from self._deliver_put(msg, link, payload_phys, channel)
+        mine = msg.dest_pe == rt.my_pe_id
+        deliver = self._deliver.get(kind)
+        if deliver is not None:
+            # Payload kinds (Fig. 5): destination is me -> consume, else
+            # relay one hop onward; each ACKs once the slot is drained.
+            if mine:
+                yield from deliver(msg, link, payload_phys, channel)
             elif kind is MsgKind.PUT_DATA:
                 raise ProtocolError(
                     f"{rt.name}: misrouted PUT_DATA for PE {msg.dest_pe}"
@@ -369,65 +380,26 @@ class ShmemService:
             else:
                 yield from self._forward(msg, link, payload_phys, channel)
             return
-
-        if kind is MsgKind.GET_REQ:
-            # Control only — ACK right away to free the ScratchPads.
-            yield from self._ack(link, channel)
-            if msg.dest_pe == me:
-                self._spawn_responder(msg, reply_side=link.side)
-            else:
-                self._forward_control(msg, link)
-            return
-
-        if kind is MsgKind.GET_RESP:
-            if msg.dest_pe == me:
-                yield from self._deliver_get_chunk(
-                    msg, link, payload_phys, channel
-                )
-            else:
-                yield from self._forward(msg, link, payload_phys, channel)
-            return
-
-        if kind is MsgKind.AMO_REQ:
-            if msg.dest_pe == me:
-                yield from self._serve_amo(msg, link, payload_phys, channel)
-            else:
-                yield from self._forward(msg, link, payload_phys, channel)
-            return
-
-        if kind is MsgKind.AMO_RESP:
-            if msg.dest_pe == me:
-                yield from self._deliver_amo_resp(
-                    msg, link, payload_phys, channel
-                )
-            else:
-                yield from self._forward(msg, link, payload_phys, channel)
-            return
-
-        if kind is MsgKind.BARRIER_MSG:
-            yield from self._ack(link, channel)
-            if msg.dest_pe == me:
-                assert rt.barrier is not None
-                rt.barrier.on_notify(msg)
-            else:
-                self._forward_control(msg, link)
-            return
-
-        if kind in (MsgKind.LINK_DOWN, MsgKind.LINK_UP):
+        # Control only — ACK right away to free the ScratchPads.
+        yield from self._ack(link, channel)
+        if kind is MsgKind.LINK_DOWN or kind is MsgKind.LINK_UP:
             # Control flood from a dead edge's endpoint (see
             # linkstate.announce_link_state): apply locally, then
             # relay onward in the same direction until the far endpoint.
-            yield from self._ack(link, channel)
             edge = ((msg.aux >> 8) & 0xFF, msg.aux & 0xFF)
             if kind is MsgKind.LINK_DOWN:
                 linkstate.apply_edge_dead(rt, edge)
             else:
                 linkstate.apply_edge_alive(rt, edge)
-            if msg.dest_pe != me:
-                self._forward_control(msg, link)
-            return
-
-        raise ProtocolError(f"{rt.name}: unhandled kind {kind!r}")
+        if not mine:
+            self._forward_control(msg, link)
+        elif kind is MsgKind.GET_REQ:
+            # Owner side of a Get: stream chunks back the way it came.
+            self._detach(self._serve_get(msg, link),
+                         f"get_responder.{msg.aux}", "active_responders")
+        elif kind is MsgKind.BARRIER_MSG:
+            assert rt.barrier is not None
+            rt.barrier.on_notify(msg)
 
     # --------------------------------------------------------------- delivery
     def _deliver_put(self, msg: Message, link: "LinkEnd", payload_phys: int,
@@ -499,27 +471,24 @@ class ShmemService:
             pending.done.succeed(old)
 
     # -------------------------------------------------------------- forwarding
-    def _out_link(self, in_link: "LinkEnd", dest_pe: int) -> "LinkEnd":
+    def _out_link(self, in_link: "LinkEnd",
+                  dest_pe: int) -> Optional["LinkEnd"]:
         """The onward link a relay sends toward ``dest_pe``.
 
         Routing is the runtime's router's call: ring/chain relays keep
         travelling the direction they arrived from (the historical rule),
         grid relays re-resolve per hop (dimension-order by default), so
         the same store-and-forward machinery serves every topology.
-        Raises :class:`NoRouteError` when the router finds no live way
-        onward — the caller drops the message (end-to-end recovery is the
-        requester's job).
+        None when the router finds no live way onward — the caller drops
+        the message (end-to-end recovery is the requester's job).
         """
         rt = self.rt
-        out_side = rt.router.forward_port(
-            rt.my_pe_id, dest_pe, in_link.side, rt.dead_edges,
-            load=rt._port_load)
         try:
-            return rt.links[out_side]
-        except KeyError:
-            raise ProtocolError(
-                f"{rt.name}: cannot forward, no {out_side} adapter"
-            ) from None
+            return rt.link_for(rt.router.forward_port(
+                rt.my_pe_id, dest_pe, in_link.side, rt.dead_edges,
+                load=rt._port_load))
+        except NoRouteError:
+            return None
 
     def _forward(self, msg: Message, in_link: "LinkEnd", payload_phys: int,
                  channel: str) -> Generator:
@@ -543,147 +512,95 @@ class ShmemService:
         the classic credit-deadlock cycle on a saturated ring.
         """
         rt = self.rt
-        try:
-            out_link = self._out_link(in_link, msg.dest_pe)
-        except NoRouteError:
-            out_link = None  # no live way onward from this relay
+        out_link = self._out_link(in_link, msg.dest_pe)
         if out_link is None or (
                 rt.dead_edges and out_link.edge in rt.dead_edges):
             # Nowhere to go, or the onward cable is declared dead: behave
             # like the posted fabric itself — ACK the sender (its slot
-            # must come back) and drop the chunk.  End-to-end recovery is
-            # the requester's job (retry / reroute / typed error).
+            # must come back) and drop the chunk.
             yield from self._ack(in_link, channel)
-            self._drop_forward()
+            self._drop_forward(msg)
             return
-        next_pe = rt.neighbor_pe(out_link.side)
         if self._cut_through and channel == "bypass":
             if msg.flags & FLAG_INLINE:
-                if next_pe is not None:
-                    yield from self._forward_inline(
-                        msg, in_link, out_link, next_pe, payload_phys)
-                    return
-            elif out_link.bypass_mailbox.free_slots:
-                self._forward_cut_through(msg, in_link, out_link, next_pe,
-                                          payload_phys)
+                # Copy the ≤48 in-header bytes out (effectively free) and
+                # relay them inline again — the relay skips DMA exactly
+                # like the first hop did.
+                data = rt.host.memory.read(payload_phys, msg.size).copy()
+                yield from rt.host.cpu.local_memcpy(msg.size)
+                yield from self._ack(in_link, channel)
+                self._relay(msg, out_link, inline=data)
                 return
-            else:
-                self.cut_through_fallbacks += 1
+            if out_link.transit_credits:
+                # Lever 3: zero-copy, straight out of the rx slot.  Its
+                # bytes stay valid until we ACK (ordered chain => the
+                # sender cannot have reused it), and the ACK is deferred
+                # to the detached task's completion.
+                self.cut_throughs += 1
+                with rt.scope.span("cut_through", category="service",
+                                   track=f"{rt.name}.service",
+                                   nbytes=msg.size,
+                                   next_pe=out_link.peer_host_id):
+                    payload = PayloadSource.from_pinned(
+                        rt.host, in_link.rx_bypass,
+                        payload_phys - in_link.rx_bypass.phys, msg.size)
+                    prev, gate = self._reserve_ack(in_link.side)
+                    self._detach(
+                        self._cut_through_task(msg, in_link, out_link,
+                                               payload, prev, gate),
+                        f"cut.{msg.kind.name}", "active_forwards")
+                return
+            self.cut_through_fallbacks += 1
         with rt.scope.span("bypass_forward", category="service",
                            track=f"{rt.name}.service", nbytes=msg.size,
-                           next_pe=next_pe):
+                           next_pe=out_link.peer_host_id):
             yield from rt.host.cpu.local_memcpy(msg.size)
             staging = rt.host.alloc_pinned(max(msg.size, 64))
             rt.host.memory.write(
                 staging.phys, rt.host.memory.view(payload_phys, msg.size)
             )
             yield from self._ack(in_link, channel)
-            self._spawn_task(msg, out_link, next_pe, staging)
-
-    def _forward_inline(self, msg: Message, in_link: "LinkEnd",
-                        out_link: "LinkEnd", next_pe: int,
-                        payload_phys: int) -> Generator:
-        """Forward an inline message: copy the ≤48 in-header bytes out
-        (effectively free) and relay them inline again — the relay skips
-        DMA exactly like the first hop did."""
-        rt = self.rt
-        data = rt.host.memory.read(payload_phys, msg.size).copy()
-        yield from rt.host.cpu.local_memcpy(msg.size)
-        yield from self._ack(in_link, "bypass")
-        self._spawn_task(msg, out_link, next_pe, staging=None, inline=data)
-
-    def _forward_cut_through(self, msg: Message, in_link: "LinkEnd",
-                             out_link: "LinkEnd", next_pe: Optional[int],
-                             payload_phys: int) -> None:
-        """Lever 3: zero-copy forward straight out of the rx slot.
-
-        The slot's bytes stay valid until we ACK (ordered chain => the
-        sender cannot have reused it), and the ACK is deferred to the
-        spawned task's completion.
-        """
-        rt = self.rt
-        self.cut_throughs += 1
-        with rt.scope.span("cut_through", category="service",
-                           track=f"{rt.name}.service", nbytes=msg.size,
-                           next_pe=next_pe):
-            payload = PayloadSource.from_pinned(
-                rt.host, in_link.rx_bypass,
-                payload_phys - in_link.rx_bypass.phys, msg.size,
-            )
-            prev, gate = self._reserve_ack(in_link.side)
-            self.active_forwards += 1
-            task = self.env.process(
-                self._cut_through_task(msg, in_link, out_link, next_pe,
-                                       payload, prev, gate),
-                name=f"{rt.name}.cut.{msg.kind.name}",
-            )
-            rt.scope.bind_process(task, rt.scope.current_span_id())
+            self._relay(msg, out_link, staging)
 
     def _cut_through_task(self, msg: Message, in_link: "LinkEnd",
-                          out_link: "LinkEnd", next_pe: Optional[int],
-                          payload: PayloadSource,
+                          out_link: "LinkEnd", payload: PayloadSource,
                           prev: Optional[Event], gate: Event) -> Generator:
         rt = self.rt
         try:
             with rt.scope.span("cut_through_send", category="service",
                                track=f"{rt.name}.service",
                                kind=msg.kind.name, nbytes=msg.size):
-                yield from self._send_onward(msg, out_link, next_pe, payload)
+                yield from self._onward(msg, out_link, payload)
         except (LinkDownError, PeerUnreachableError):
-            self._drop_forward()
+            self._drop_forward(msg)
         finally:
             # The bytes have left the slot (or died trying): return the
             # upstream credit, in chain order.
-            yield from self._ordered_ack(in_link, prev, gate, forwarded=True)
+            yield from self._ordered_ack(in_link, prev, gate,
+                                         "active_forwards")
 
-    def _drop_forward(self) -> None:
-        """Count a relayed message this host gave up on.  Posted-write
+    def _drop_forward(self, msg: Message) -> None:
+        """Count a relayed ``msg`` this host gave up on.  Posted-write
         semantics: it is simply lost; end-to-end recovery is the
         requester's job (retry / reroute / typed error)."""
         self.dropped_forwards += 1
 
-    def _send_onward(self, msg: Message, out_link: "LinkEnd",
-                     next_pe: Optional[int],
-                     payload: Optional[PayloadSource],
-                     inline: Optional[np.ndarray] = None) -> Generator:
-        """Pick the delivery window for the next hop and transmit."""
-        rt = self.rt
-        if next_pe is None:
-            raise ProtocolError(f"{rt.name}: forwarding off the chain end")
-        final_leg = next_pe == msg.dest_pe
-        kind = msg.kind
-        if kind in (MsgKind.PUT_DATA, MsgKind.PUT_FWD):
-            # Re-tag transit Puts for final delivery.
-            kind = MsgKind.PUT_DATA if final_leg else MsgKind.PUT_FWD
-        # Control traffic and final-hop payloads go through the data
-        # window, transit payloads through the bypass window; a payload
-        # that arrived in a slot header (fastpath inline) leaves in one —
-        # the relay skips DMA exactly like the first hop did.
-        control = payload is None or kind in (
-            MsgKind.GET_REQ, MsgKind.AMO_REQ, MsgKind.AMO_RESP,
-            MsgKind.BARRIER_MSG)
-        if inline is None and (control or final_leg):
-            mailbox = out_link.data_mailbox
-        else:
-            mailbox = out_link.bypass_mailbox
-        out = Message(
-            kind=kind, mode=msg.mode, src_pe=msg.src_pe,
-            dest_pe=msg.dest_pe, offset=msg.offset, size=msg.size,
-            aux=msg.aux, seq=mailbox.next_seq(),
-            flags=0 if inline is None else FLAG_INLINE,
-        )
-        if inline is not None:
-            yield from mailbox.send_inline(out, inline, relay=True)
-        else:
-            yield from mailbox.send(out, payload, relay=True)
+    def _onward(self, msg: Message, out_link: "LinkEnd",
+                payload: Optional[PayloadSource] = None,
+                inline: Optional[np.ndarray] = None) -> Generator:
+        """``msg``'s next hop: the same record posted through ``out_link``
+        (plain function — returns the mailbox's send generator)."""
+        return out_link.post(
+            msg.kind, msg.src_pe, msg.dest_pe,
+            last_leg=out_link.peer_host_id == msg.dest_pe, mode=msg.mode,
+            offset=msg.offset, size=msg.size, aux=msg.aux,
+            payload=payload, inline=inline, relay=True)
 
     def _forward_control(self, msg: Message, in_link: "LinkEnd") -> None:
-        try:
-            out_link = self._out_link(in_link, msg.dest_pe)
-        except NoRouteError:
-            self._drop_forward()
+        out_link = self._out_link(in_link, msg.dest_pe)
+        if out_link is None:
+            self._drop_forward(msg)
             return
-        next_pe = self.rt.neighbor_pe(out_link.side)
         dedup = None
         if msg.kind is MsgKind.BARRIER_MSG:
             # ARRIVE/RELEASE are idempotent and generation-tagged (aux):
@@ -697,36 +614,22 @@ class ShmemService:
                 self.dup_ctrl_drops += 1
                 return
             self._queued_ctrl_fwds.add(dedup)
-        self._spawn_task(msg, out_link, next_pe, staging=None, dedup=dedup)
+        self._relay(msg, out_link, dedup=dedup)
 
-    def _spawn_task(self, msg: Message, out_link: "LinkEnd",
-                    next_pe: Optional[int],
-                    staging, dedup=None, inline=None) -> None:
-        """Detach an onward send so the service thread cannot deadlock.
+    def _relay(self, msg: Message, out_link: "LinkEnd", staging=None,
+               dedup=None, inline=None) -> None:
+        """Detach ``msg``'s onward send (blocking in place would make the
+        thread part of a hold-and-wait cycle, see :meth:`_forward`)."""
+        counter = ("active_ctrl_forwards" if msg.kind is MsgKind.BARRIER_MSG
+                   else "active_forwards")
+        self._detach(
+            self._onward_task(msg, out_link, counter, staging, dedup, inline),
+            f"fwd.{msg.kind.name}", counter)
 
-        Ordering: tasks are spawned in arrival order and a send's first
-        action is the mailbox slot request, so FIFO slot granting plus the
-        mailbox TX lock preserve per-direction message order.
-        """
-        ctrl = msg.kind is MsgKind.BARRIER_MSG
-        if ctrl:
-            self.active_ctrl_forwards += 1
-        else:
-            self.active_forwards += 1
-        task = self.env.process(
-            self._onward_task(msg, out_link, next_pe, staging, dedup, ctrl,
-                              inline),
-            name=f"{self.rt.name}.fwd.{msg.kind.name}",
-        )
-        # Seed the detached task so its spans stay in this message's tree.
-        self.rt.scope.bind_process(task, self.rt.scope.current_span_id())
-
-    def _onward_task(self, msg: Message, out_link: "LinkEnd",
-                     next_pe: Optional[int], staging,
-                     dedup=None, ctrl: bool = False,
-                     inline=None) -> Generator:
+    def _onward_task(self, msg: Message, out_link: "LinkEnd", counter: str,
+                     staging, dedup, inline) -> Generator:
         try:
-            if ctrl:
+            if counter == "active_ctrl_forwards":
                 # A relayed ARRIVE/RELEASE must not overtake data chunks
                 # this host is forwarding — the same rule the ring-token
                 # path enforces with forwarding_quiesce before ringing
@@ -744,35 +647,21 @@ class ShmemService:
                     payload = PayloadSource.from_pinned(
                         self.rt.host, staging, 0, msg.size
                     )
-                yield from self._send_onward(msg, out_link, next_pe, payload,
-                                             inline)
+                yield from self._onward(msg, out_link, payload, inline)
         except (LinkDownError, PeerUnreachableError):
             # A chunk in flight when the cable died.  This task is
             # detached — letting the exception escape would crash the
             # whole simulation, not just this transfer.
-            self._drop_forward()
+            self._drop_forward(msg)
         finally:
             if dedup is not None:
                 self._queued_ctrl_fwds.discard(dedup)
             if staging is not None:
                 self.rt.host.free_pinned(staging)
-            if ctrl:
-                self.active_ctrl_forwards -= 1
-            else:
-                self.active_forwards -= 1
-            self.rt.notify_progress()
+            self._finish(counter)
 
     # ------------------------------------------------------------------- gets
-    def _spawn_responder(self, msg: Message, reply_side: str) -> None:
-        """Owner side of a Get: stream chunks back along the reverse path."""
-        self.active_responders += 1
-        task = self.env.process(
-            self._serve_get(msg, reply_side),
-            name=f"{self.rt.name}.get_responder.{msg.aux}",
-        )
-        self.rt.scope.bind_process(task, self.rt.scope.current_span_id())
-
-    def _serve_get(self, msg: Message, reply_side: str) -> Generator:
+    def _serve_get(self, msg: Message, out_link: "LinkEnd") -> Generator:
         rt = self.rt
         chunk = rt.config.get_chunk
         staging = rt.host.alloc_pinned(chunk)
@@ -780,8 +669,7 @@ class ShmemService:
             with rt.scope.span("serve_get", category="service",
                                track=f"{rt.name}.service",
                                nbytes=msg.size, requester=msg.src_pe):
-                out_link = rt.links[reply_side]
-                next_pe = rt.neighbor_pe(out_link.side)
+                last_leg = out_link.peer_host_id == msg.src_pe
                 for chunk_off, chunk_size in chunk_ranges(msg.size, chunk):
                     # heap -> staging (cached copy)
                     yield from rt.host.cpu.local_memcpy(chunk_size)
@@ -789,25 +677,20 @@ class ShmemService:
                         SymAddr(msg.offset + chunk_off), chunk_size
                     )
                     rt.host.memory.write(staging.phys, data)
-                    payload = PayloadSource.from_pinned(
-                        rt.host, staging, 0, chunk_size
-                    )
-                    resp = Message(
-                        kind=MsgKind.GET_RESP, mode=msg.mode,
-                        src_pe=rt.my_pe_id, dest_pe=msg.src_pe,
-                        offset=chunk_off, size=chunk_size, aux=msg.aux,
-                        seq=0,  # stamped by _send_onward per mailbox
-                    )
-                    yield from self._send_onward(resp, out_link, next_pe,
-                                                 payload)
+                    yield from out_link.post(
+                        MsgKind.GET_RESP, rt.my_pe_id, msg.src_pe,
+                        last_leg=last_leg, mode=msg.mode, offset=chunk_off,
+                        size=chunk_size, aux=msg.aux,
+                        payload=PayloadSource.from_pinned(
+                            rt.host, staging, 0, chunk_size),
+                        relay=True)
         except (LinkDownError, PeerUnreachableError):
             # Reverse path died mid-stream: abandon the response.  The
             # requester's bounded wait notices and retries or raises.
             self.abandoned_responses += 1
         finally:
             rt.host.free_pinned(staging)
-            self.active_responders -= 1
-            rt.notify_progress()
+            self._finish("active_responders")
 
     # ------------------------------------------------------------------- amos
     def _serve_amo(self, msg: Message, link: "LinkEnd", payload_phys: int,
@@ -822,20 +705,17 @@ class ShmemService:
             old = yield from self.apply_amo_local(msg.offset, op, value,
                                                   compare)
             # Reply along the reverse path (detached, like onward sends).
-            out_link = link
-            next_pe = rt.neighbor_pe(out_link.side)
             staging = rt.host.alloc_pinned(64)
             rt.host.memory.write(
                 staging.phys,
                 np.frombuffer(struct.pack(AMO_RESP_FMT, old),
                               dtype=np.uint8),
             )
-            resp = Message(
+            self._relay(Message(
                 kind=MsgKind.AMO_RESP, mode=Mode.DMA,
                 src_pe=rt.my_pe_id, dest_pe=msg.src_pe,
-                offset=msg.offset, size=8, aux=msg.aux, seq=0,
-            )
-            self._spawn_task(resp, out_link, next_pe, staging)
+                offset=msg.offset, size=8, aux=msg.aux,
+            ), link, staging)
 
     def apply_amo_local(self, offset: int, op: int, value: int,
                         compare: int) -> Generator:

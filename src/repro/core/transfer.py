@@ -36,7 +36,7 @@ import enum
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,8 @@ from .errors import ProtocolError, TransferError
 
 __all__ = [
     "MsgKind",
+    "KindFacts",
+    "KIND_FACTS",
     "AmoOp",
     "AMO_REQ_FMT",
     "AMO_RESP_FMT",
@@ -125,19 +127,32 @@ class MsgKind(enum.IntEnum):
     LINK_DOWN = 8    # control: an edge of the ring died (aux = edge)
     LINK_UP = 9      # control: a previously dead edge recovered
 
-    @property
-    def doorbell_bit(self) -> int:
-        if self in (MsgKind.PUT_DATA, MsgKind.PUT_FWD):
-            return DOORBELL_DMAPUT
-        if self in (MsgKind.GET_REQ, MsgKind.GET_RESP, MsgKind.BARRIER_MSG,
-                    MsgKind.LINK_DOWN, MsgKind.LINK_UP):
-            return DOORBELL_DMAGET
-        return DOORBELL_AMO
 
-    @property
-    def carries_payload(self) -> bool:
-        return self in (MsgKind.PUT_DATA, MsgKind.PUT_FWD, MsgKind.GET_RESP,
-                        MsgKind.AMO_REQ, MsgKind.AMO_RESP)
+class KindFacts(NamedTuple):
+    """What the protocol knows about one :class:`MsgKind`."""
+
+    doorbell: int           # the bit that announces it in the data window
+    payload: bool           # ``send`` needs payload bytes (else: control)
+    data_only: bool         # its payload rides the data window on every hop
+    deliver: Optional[str]  # ShmemService method consuming it (None: control)
+
+
+#: The one per-kind table: the mailboxes read ``doorbell`` / ``payload``,
+#: the channel rule (``LinkEnd.post``) ``data_only``, the service's
+#: dispatch ``deliver``.
+KIND_FACTS: dict[MsgKind, KindFacts] = {
+    MsgKind.PUT_DATA: KindFacts(DOORBELL_DMAPUT, True, False, "_deliver_put"),
+    MsgKind.PUT_FWD: KindFacts(DOORBELL_DMAPUT, True, False, "_deliver_put"),
+    MsgKind.GET_REQ: KindFacts(DOORBELL_DMAGET, False, False, None),
+    MsgKind.GET_RESP: KindFacts(DOORBELL_DMAGET, True, False,
+                                "_deliver_get_chunk"),
+    MsgKind.AMO_REQ: KindFacts(DOORBELL_AMO, True, True, "_serve_amo"),
+    MsgKind.AMO_RESP: KindFacts(DOORBELL_AMO, True, True,
+                                "_deliver_amo_resp"),
+    MsgKind.BARRIER_MSG: KindFacts(DOORBELL_DMAGET, False, False, None),
+    MsgKind.LINK_DOWN: KindFacts(DOORBELL_DMAGET, False, False, None),
+    MsgKind.LINK_UP: KindFacts(DOORBELL_DMAGET, False, False, None),
+}
 
 
 class AmoOp:
@@ -466,6 +481,11 @@ class _MailboxBase:
         return len(self._outstanding)
 
     @property
+    def waiters(self) -> int:
+        """Senders queued for a slot right now."""
+        return self._slots.queue_length
+
+    @property
     def free_slots(self) -> int:
         """Credits immediately available (no queued waiters, free tokens)."""
         if self._slots.queue_length:
@@ -520,7 +540,7 @@ class DataMailbox(_MailboxBase):
         bypass routines, this checks its arguments and returns the
         :meth:`_transmit` generator for the caller to ``yield from``.
         """
-        if msg.kind.carries_payload and payload is None:
+        if payload is None and KIND_FACTS[msg.kind].payload:
             raise ProtocolError(f"{self.name}: {msg.kind.name} needs payload")
         return self._transmit(msg, relay, self._publish(msg, payload))
 
@@ -542,7 +562,8 @@ class DataMailbox(_MailboxBase):
                         track=self.name, kind=msg.kind.name):
             yield from self.driver.spad_write_block(
                 self.spad_block, list(pack_message(msg)))
-        yield from self.driver.ring_doorbell(msg.kind.doorbell_bit)
+        yield from self.driver.ring_doorbell(
+            KIND_FACTS[msg.kind].doorbell)
 
     def recv_header(self, incoming_block: int) -> Generator:
         """Receiver side: read + decode an incoming ScratchPad block.

@@ -15,6 +15,7 @@ from repro.core.transfer import (
     DOORBELL_DMAGET,
     DOORBELL_DMAPUT,
     FLAG_INLINE,
+    KIND_FACTS,
     Message,
     PayloadSource,
     SLOT_HEADER_BYTES,
@@ -71,17 +72,18 @@ class TestMessageCodec:
                     dest_pe=0, offset=2**32, size=1)
 
     def test_doorbell_bit_mapping(self):
-        assert MsgKind.PUT_DATA.doorbell_bit == DOORBELL_DMAPUT
-        assert MsgKind.PUT_FWD.doorbell_bit == DOORBELL_DMAPUT
-        assert MsgKind.GET_REQ.doorbell_bit == DOORBELL_DMAGET
-        assert MsgKind.GET_RESP.doorbell_bit == DOORBELL_DMAGET
-        assert MsgKind.AMO_REQ.doorbell_bit == DOORBELL_AMO
+        assert set(KIND_FACTS) == set(MsgKind)
+        assert KIND_FACTS[MsgKind.PUT_DATA].doorbell == DOORBELL_DMAPUT
+        assert KIND_FACTS[MsgKind.PUT_FWD].doorbell == DOORBELL_DMAPUT
+        assert KIND_FACTS[MsgKind.GET_REQ].doorbell == DOORBELL_DMAGET
+        assert KIND_FACTS[MsgKind.GET_RESP].doorbell == DOORBELL_DMAGET
+        assert KIND_FACTS[MsgKind.AMO_REQ].doorbell == DOORBELL_AMO
 
     def test_payload_classification(self):
-        assert MsgKind.PUT_DATA.carries_payload
-        assert MsgKind.GET_RESP.carries_payload
-        assert not MsgKind.GET_REQ.carries_payload
-        assert not MsgKind.BARRIER_MSG.carries_payload
+        assert KIND_FACTS[MsgKind.PUT_DATA].payload
+        assert KIND_FACTS[MsgKind.GET_RESP].payload
+        assert not KIND_FACTS[MsgKind.GET_REQ].payload
+        assert not KIND_FACTS[MsgKind.BARRIER_MSG].payload
 
 
 class TestPayloadSource:

@@ -32,6 +32,7 @@ from repro.bench.experiments.topology import (
     run_fault_scenario,
     run_scenario,
 )
+from repro.bench.harness import run_all
 
 PIN_FILE = Path(__file__).with_name("pinned_figures.json")
 
@@ -58,6 +59,13 @@ def _metrics_smoke() -> dict:
     result = run_metrics_smoke()
     assert result.ok, result.slo.render()
     return result.virtual_figures()
+
+
+def _paper() -> dict:
+    """Figs. 8a-d, 9a-d, 10 and Table I on the paper's full 1 KB-512 KB
+    grid: every row ``python -m repro.bench`` prints, not just its shape."""
+    return {f"{row.experiment}.{row.series}.{row.size}": row.value
+            for row in run_all().rows}
 
 
 def _stress16() -> dict:
@@ -94,6 +102,7 @@ SECTIONS = {
     "fastpath": _fastpath,
     "golden": _golden,          # asserted per backend in test_golden_runs
     "metrics_smoke": _metrics_smoke,
+    "paper": _paper,
     "stress16": _stress16,      # asserted per backend in test_kernel_stress
     "topology": _topology,
     "topology_fault": _topology_fault,
@@ -102,7 +111,8 @@ SECTIONS = {
 
 
 @pytest.mark.parametrize(
-    "section", ["fastpath", "metrics_smoke", "topology", "topology_fault"])
+    "section",
+    ["fastpath", "metrics_smoke", "paper", "topology", "topology_fault"])
 def test_pinned(section):
     assert_pinned(section, SECTIONS[section]())
 
