@@ -68,7 +68,11 @@ Rules
     the low-level ``span_open``/``span_close`` primitives elsewhere can
     leak an open span past quiescence (the invariant auditor's
     ``span-unbalanced`` check would fire at runtime; this rule catches it
-    at lint time).
+    at lint time).  The one admitted exception is the
+    ``begin_span``/``end_span`` pair, for a span whose two ends run in
+    different event callbacks (a pipeline stage has no process, so no
+    ``with`` block can span it); such a span is still covered by
+    ``span-unbalanced`` at runtime.
 
 Any line containing ``pragma: no cover`` or ``lint: skip`` is exempt from
 all rules.

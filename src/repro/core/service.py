@@ -35,7 +35,7 @@ import numpy as np
 from ..fabric import NoRouteError
 from ..host import KernelThread
 from ..ntb import LinkDownError
-from ..sim import Event
+from ..sim import Event, Process
 from .errors import PeerUnreachableError, ProtocolError
 from .heap import SymAddr
 from . import linkstate
@@ -75,6 +75,19 @@ _POLL_US = 5.0
 _POLL_ROUNDS = 12
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+class _Detached(Process):
+    """A :meth:`ShmemService._detach` body.  Nothing ever joins it, so a
+    success ends it without the termination event — dispatched with no
+    callback, that event moves no other one.  A failure is still
+    scheduled, so it surfaces from ``Environment.run`` as before."""
+
+    __slots__ = ()
+
+    def _terminate_ok(self, value: object) -> None:
+        self._target = None
+        self._value = value
 
 
 def _amo_compute(op: int, old: int, value: int, compare: int) -> int:
@@ -351,7 +364,7 @@ class ShmemService:
         mailbox TX lock preserve per-direction message order.
         """
         setattr(self, counter, getattr(self, counter) + 1)
-        task = self.env.process(body, name=f"{self.rt.name}.{name}")
+        task = _Detached(self.env, body, name=f"{self.rt.name}.{name}")
         # Seed the detached task so its spans stay in this message's tree.
         self.rt.scope.bind_process(task, self.rt.scope.current_span_id())
 

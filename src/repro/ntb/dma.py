@@ -17,8 +17,12 @@ per request:
 2. for each SG segment: charges ``per_descriptor_us`` (descriptor fetch and
    processing — **this is the term that caps OpenSHMEM Put throughput for
    paged memory**, DESIGN.md §5), then pumps the payload through a
-   three-stage pipeline (source memory port → PCIe link → destination
-   memory port) in ``pipeline_chunk`` pieces;
+   pipeline (source memory port → PCIe link → destination memory port,
+   under the engine's own pump ceiling) in ``pipeline_chunk`` pieces.
+   The four stages of a chunk are event callbacks started from the
+   engine's own dispatch, and the engine waits on one
+   :class:`~repro.sim.Join` per chunk — no stage process, no condition
+   event (docs/SIMULATOR.md, "Events that do no work");
 3. triggers the request's completion event (and an optional completion
    callback used for interrupt-on-completion).
 
@@ -35,7 +39,7 @@ from typing import Callable, Generator, Optional, Sequence
 from ..memory import PhysSegment, PhysicalMemory
 from ..obsv.spans import NULL_SCOPE
 from ..pcie import Link
-from ..sim import BandwidthServer, Environment, Event, Store
+from ..sim import BandwidthServer, Environment, Event, Join, Store
 
 __all__ = ["DmaConfig", "DmaDirection", "DmaRequest", "DmaEngine",
            "LinkDownError"]
@@ -151,6 +155,7 @@ class DmaEngine:
         self._pump = BandwidthServer(
             env, config.engine_rate_mbps, name=f"{name}.pump"
         )
+        self._join_name = f"{name}.join"
         #: observability sink; replaced by instrument_cluster when tracing.
         self.scope = NULL_SCOPE
         # Wired by attach():
@@ -224,7 +229,8 @@ class DmaEngine:
             ctx_span=self.scope.current_span_id(),
             chained=chained,
         )
-        self._ring.put(request)
+        # Nothing waits on the insertion: a full ring parks the request.
+        self._ring.push(request)
         return request
 
     # -- engine process -----------------------------------------------------------------
@@ -331,16 +337,23 @@ class DmaEngine:
                       dst_mem: PhysicalMemory, dst_addr: int,
                       dst_port: BandwidthServer,
                       nbytes: int, link: Link) -> Generator:
-        """Three-stage fluid pipeline: src port || link || dst port.
+        """Four-stage fluid pipeline: src port || link || dst port || pump.
 
-        Each chunk occupies the three stages concurrently (AllOf), so the
-        chunk time is the *maximum* of the stage times including queueing —
-        the standard fluid approximation for a pipelined DMA stream.  The
-        engine's own pump ceiling is applied as a fourth concurrent stage.
+        Each chunk occupies the source memory port, the wire, the
+        destination memory port and the engine's own pump ceiling
+        concurrently, so the chunk time is the *maximum* of the stage
+        times including queueing — the standard fluid approximation for a
+        pipelined DMA stream.  The stages are callbacks, not processes
+        (:meth:`BandwidthServer.stage`, :meth:`Link.stage`), started from
+        this dispatch in the order their processes used to be spawned —
+        same-instant ties can tell — and each arrives at the chunk's
+        :class:`~repro.sim.Join` when its service ends.
         """
         chunk_size = self.config.pipeline_chunk
         if link.config.propagation_delay_us:
             yield self.env.timeout(link.config.propagation_delay_us)
+        # The wire stage's spans hang under this request's engine span.
+        parent = self.scope.current_span_id()
         offset = 0
         while offset < nbytes:
             if link.down:
@@ -349,23 +362,13 @@ class DmaEngine:
                     "bytes"
                 )
             take = min(chunk_size, nbytes - offset)
-            # Stage names carry the owning component so schedule analysis
-            # can attribute each resumption (ports belong to their host,
-            # the wire and pump stages to this engine's host).
-            stages = [
-                self.env.process(src_port.hold(take),
-                                 name=f"{src_port.name}.hold"),
-                self.env.process(link.transfer(take, propagate=False),
-                                 name=f"{self.name}.wire"),
-                self.env.process(dst_port.hold(take),
-                                 name=f"{dst_port.name}.hold"),
-                self.env.process(self._pump.hold(take),
-                                 name=f"{self._pump.name}.hold"),
-            ]
-            # Parent the wire-occupancy span (opened inside the spawned
-            # link stage) under this request's engine span.
-            self.scope.bind_process(stages[1], self.scope.current_span_id())
-            yield self.env.all_of(stages)
+            join = Join(self.env, 4, self._join_name)
+            arrive = join.arrive
+            src_port.stage(take, arrive)
+            link.stage(take, parent, arrive)
+            dst_port.stage(take, arrive)
+            self._pump.stage(take, arrive)
+            yield join
             # Realize the bytes only after the full pipeline completed so a
             # concurrent reader cannot observe data "ahead of time".
             dst_mem.write(

@@ -24,9 +24,11 @@ true):
   per direction, so bindings are queued and popped in order.
 * **Balanced enter/exit.**  Spans are only opened through the
   :meth:`ShmemScope.span` context manager (the ``span-discipline`` lint
-  rule forbids raw ``span_open``/``span_close`` outside this package),
-  and the NTB invariant auditor checks no span is left open at
-  quiescence (``repro.analysis.invariants.check_span_balance``).
+  rule forbids raw ``span_open``/``span_close`` outside this package) —
+  or, for a callback stage with no process, the
+  :meth:`ShmemScope.begin_span` / :meth:`ShmemScope.end_span` pair — and
+  the NTB invariant auditor checks no span is left open at quiescence
+  (``repro.analysis.invariants.check_span_balance``).
 """
 
 from __future__ import annotations
@@ -203,6 +205,19 @@ class ShmemScope:
         """Low-level close; see :meth:`span_open`."""
         span.end = self.env.now
 
+    def begin_span(self, name: str, category: str, track: str,
+                   parent: Optional[int], **args: Any) -> Span:
+        """Open a span whose two ends run in different event callbacks —
+        a pipeline stage with no process, hence no span stack to keep it
+        on.  ``parent`` is explicit and no stack is touched; close it with
+        :meth:`end_span`.  The ``span-discipline`` lint rule admits this
+        pair; ``check_span_balance`` still reports one left open."""
+        return self.span_open(name, category, track, parent, args)
+
+    def end_span(self, span: Span) -> None:
+        """Close a :meth:`begin_span` span."""
+        self.span_close(span)
+
     def instant(self, name: str, category: str = "driver", track: str = "",
                 **args: Any) -> Span:
         """A zero-duration marker (doorbell latch, IRQ edge, ...)."""
@@ -287,6 +302,13 @@ class NullScope:
     def span(self, name: str, category: str = "op", track: str = "",
              parent: Optional[int] = None, **args: Any) -> "_NullCtx":
         return _NULL_CTX
+
+    def begin_span(self, name: str, category: str, track: str,
+                   parent: Optional[int], **args: Any) -> None:
+        return None
+
+    def end_span(self, span: Any) -> None:
+        pass
 
     def instant(self, name: str, category: str = "driver", track: str = "",
                 **args: Any) -> None:

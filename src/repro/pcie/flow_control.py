@@ -14,7 +14,7 @@ the ring-simultaneous curves of Fig. 8 and in the ablation benches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Optional
 
 from ..sim import Environment, Event, SimulationError
 
@@ -46,7 +46,8 @@ class CreditPool:
     """Counting credit pool with FIFO waiters.
 
     ``acquire`` is a process generator that blocks until the requested
-    credits are available; ``release`` returns them (typically from the
+    credits are available (``claim`` is the same for a caller that runs
+    as event callbacks); ``release`` returns them (typically from the
     receiver's drain process).
     """
 
@@ -79,6 +80,13 @@ class CreditPool:
     def acquire(self, headers: int, nbytes: int) -> Generator:
         """Block until ``headers`` header credits and credits for
         ``nbytes`` of payload are granted (process generator)."""
+        stall = self.claim(headers, nbytes)
+        if stall is not None:
+            yield stall
+
+    def claim(self, headers: int, nbytes: int) -> Optional[Event]:
+        """Take the credits now, or queue for them: ``None`` when granted
+        at once, else the event that triggers when they are."""
         data = self.data_credits_for(nbytes)
         if headers > self.config.header_credits or data > self.config.data_credits:
             raise SimulationError(
@@ -89,11 +97,11 @@ class CreditPool:
         if not self._waiters and self._can_grant(headers, data):
             self._headers -= headers
             self._data -= data
-            return
+            return None
         self.stall_count += 1
         evt = self.env.event()
         self._waiters.append((headers, data, evt))
-        yield evt
+        return evt
 
     def release(self, headers: int, nbytes: int) -> None:
         """Return credits and serve queued waiters in FIFO order."""

@@ -20,10 +20,10 @@ Rates (per PCIe spec, §II-A of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..obsv.spans import NULL_SCOPE
-from ..sim import Environment, Resource
+from ..sim import Environment, Event, Request, Resource
 from .flow_control import CreditConfig, CreditPool
 from .tlp import TlpOverhead
 
@@ -128,10 +128,16 @@ class LinkConfig:
 class Link:
     """One direction of a PCIe connection as a serializing sim resource.
 
-    ``transfer`` is a process generator: it acquires the link, charges
-    serialization time for the payload, releases, then waits propagation
-    delay.  Multiple in-flight transfers therefore pipeline at the link but
-    never exceed wire rate.
+    A payload crosses under the wire's rules, in this order: the
+    :class:`~repro.faults.DelayTlp` hook (``fault_extra_delay_us``),
+    drop-when-down, the receiver's credit pool (``fc_stall``), then the
+    wire itself — FIFO, a ``link_transit`` span over exactly the
+    serialization, byte/busy accounting, release, and credits back one
+    drain later.  :meth:`transfer` walks them as a process generator and
+    then waits the propagation delay (a posted doorbell write);
+    :meth:`stage` walks them as event callbacks, for the DMA engine's
+    wire stage, whose stream pays propagation once, not per chunk.  Both
+    take credits, occupy and vacate the wire through the same methods.
     """
 
     def __init__(self, env: Environment, config: LinkConfig,
@@ -158,14 +164,10 @@ class Link:
         self.busy_time_us = 0.0
         self.dropped_bytes = 0
 
-    def transfer(self, nbytes: int, propagate: bool = True) -> Generator:
-        """Move ``nbytes`` across the link (process generator).
-
-        ``propagate=False`` skips the per-call propagation delay; pipelined
-        callers (the DMA chunk pump) pay propagation once per stream instead
-        of once per chunk.  Returns (via StopIteration value) the µs spent
-        serializing.
-        """
+    def transfer(self, nbytes: int) -> Generator:
+        """Move ``nbytes`` across the link, then wait the propagation
+        delay (process generator).  Returns (via StopIteration value) the
+        µs spent serializing."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         if self.fault_extra_delay_us:
@@ -176,32 +178,71 @@ class Link:
             yield self.env.timeout(self.config.serialization_time_us(nbytes))
             self.dropped_bytes += nbytes
             return 0.0
+        parent = self.scope.current_span_id()
         if self.credits is not None:
-            with self.scope.span("fc_stall", category="link",
-                                 track=self.name, nbytes=nbytes):
-                yield from self.credits.acquire(1, nbytes)
+            stall, span = self._take_credits(nbytes, parent)
+            if stall is not None:
+                yield stall
+            self.scope.end_span(span)
         req = self._wire.request()
         yield req
+        ser, span = self._occupy(nbytes, parent)
         try:
-            ser = self.config.serialization_time_us(nbytes)
-            # The span covers exactly the wire occupancy (queueing is the
-            # gap before it), so the utilisation sampler stays honest.
-            with self.scope.span("link_transit", category="link",
-                                 track=self.name, nbytes=nbytes):
-                yield self.env.timeout(ser)
-            self.payload_bytes += nbytes
-            self.busy_time_us += ser
-        finally:
+            yield self.env.timeout(ser)
+        except BaseException:
+            # An interrupted sender must not keep the wire.
+            self.scope.end_span(span)
             self._wire.release(req)
+            raise
+        self._vacate(req, nbytes, ser, span)
+        if self.config.propagation_delay_us:
+            yield self.env.timeout(self.config.propagation_delay_us)
+        return ser
+
+    def stage(self, nbytes: int, parent: Optional[int],
+              then: Callable[[], None]) -> None:
+        """Move ``nbytes`` across the link with no process and no
+        propagation delay, then call ``then()`` — the DMA engine's wire
+        stage (see :class:`~repro.sim.Join`).  ``parent`` is the span its
+        ``fc_stall`` / ``link_transit`` spans hang under."""
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+        _Crossing(self, nbytes, parent, then)
+
+    # -- the wire's rules, shared by transfer() and stage() ---------------------
+    def _take_credits(self, nbytes: int, parent: Optional[int]
+                      ) -> tuple[Optional[Event], Any]:
+        """Open ``fc_stall`` and claim one header credit plus data credits
+        for ``nbytes``: ``(stall, span)``, ``stall`` None when granted at
+        once; end the span when the credits are in hand."""
+        assert self.credits is not None
+        span = self.scope.begin_span("fc_stall", "link", self.name, parent,
+                                     nbytes=nbytes)
+        return self.credits.claim(1, nbytes), span
+
+    def _occupy(self, nbytes: int, parent: Optional[int]
+                ) -> tuple[float, Any]:
+        """The wire is granted: ``(serialization µs, link_transit span)``.
+        The span covers exactly the wire occupancy (queueing is the gap
+        before it), so the utilisation sampler stays honest."""
+        return (self.config.serialization_time_us(nbytes),
+                self.scope.begin_span("link_transit", "link", self.name,
+                                      parent, nbytes=nbytes))
+
+    def _vacate(self, req: Request, nbytes: int, ser: float,
+                span: Any) -> None:
+        """Serialization is over: close the span, account, release the
+        wire (which may grant the next waiter), and return the credits once
+        the receiver drains its buffer."""
+        self.scope.end_span(span)
+        self.payload_bytes += nbytes
+        self.busy_time_us += ser
+        self._wire.release(req)
         if self.credits is not None:
-            # Credits return once the receiver drains its buffer.
             drain = self.env.timeout(self.config.receiver_drain_us)
             drain.callbacks.append(
                 lambda _evt, n=nbytes: self.credits.release(1, n)
             )
-        if propagate and self.config.propagation_delay_us:
-            yield self.env.timeout(self.config.propagation_delay_us)
-        return ser
 
     def utilization(self, elapsed_us: Optional[float] = None) -> float:
         elapsed = self.env.now if elapsed_us is None else elapsed_us
@@ -213,6 +254,69 @@ class Link:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name} {self.config.describe()}>"
+
+
+class _Crossing:
+    """One :meth:`Link.stage`: :meth:`Link.transfer`'s steps up to the
+    propagation delay, each run from the callback of the event the
+    generator would have yielded.  Named after the link: ShmemCheck
+    attributes a callback to its owner's ``name``."""
+
+    __slots__ = ("name", "_link", "_nbytes", "_parent", "_then", "_req",
+                 "_ser", "_span")
+
+    def __init__(self, link: Link, nbytes: int, parent: Optional[int],
+                 then: Callable[[], None]):
+        self.name = link.name
+        self._link = link
+        self._nbytes = nbytes
+        self._parent = parent
+        self._then = then
+        self._req: Optional[Request] = None
+        self._ser = 0.0
+        self._span: Any = None
+        if link.fault_extra_delay_us:
+            link.env.timeout(link.fault_extra_delay_us).callbacks.append(
+                self._admit)
+        else:
+            self._admit(None)
+
+    def _admit(self, _event: Optional[Event]) -> None:
+        link = self._link
+        if link.down:
+            link.env.timeout(link.config.serialization_time_us(
+                self._nbytes)).callbacks.append(self._dropped)
+            return
+        if link.credits is not None:
+            stall, self._span = link._take_credits(self._nbytes, self._parent)
+            if stall is not None:
+                stall.callbacks.append(self._credited)
+                return
+        self._credited(None)
+
+    def _dropped(self, _timeout: Event) -> None:
+        self._link.dropped_bytes += self._nbytes
+        self._then()
+
+    def _credited(self, _stall: Optional[Event]) -> None:
+        link = self._link
+        if link.credits is not None:
+            link.scope.end_span(self._span)
+        req = self._req = link._wire.request()
+        if req.callbacks is None:           # granted inline
+            self._granted(req)
+        else:
+            req.callbacks.append(self._granted)
+
+    def _granted(self, _req: Event) -> None:
+        link = self._link
+        self._ser, self._span = link._occupy(self._nbytes, self._parent)
+        link.env.timeout(self._ser).callbacks.append(self._served)
+
+    def _served(self, _timeout: Event) -> None:
+        assert self._req is not None
+        self._link._vacate(self._req, self._nbytes, self._ser, self._span)
+        self._then()
 
 
 class DuplexLink:

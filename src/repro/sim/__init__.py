@@ -3,7 +3,7 @@
 Public surface::
 
     from repro.sim import Environment, Event, Process, Timeout
-    from repro.sim import AllOf, AnyOf, Signal, Gate, CountdownLatch
+    from repro.sim import AllOf, AnyOf, Join, Signal, Gate, CountdownLatch
     from repro.sim import Resource, Store, Channel
     from repro.sim import Interrupt, SimulationError
 
@@ -31,7 +31,8 @@ from .errors import (
     SimulationError,
     StopProcess,
 )
-from .primitives import AllOf, AnyOf, Condition, CountdownLatch, Gate, Signal
+from .primitives import (AllOf, AnyOf, Condition, CountdownLatch, Gate, Join,
+                         Signal)
 from .resources import BandwidthServer, Channel, Request, Resource, Store
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "Condition",
     "CountdownLatch",
     "Gate",
+    "Join",
     "Signal",
     "BandwidthServer",
     "Channel",

@@ -602,20 +602,27 @@ class Environment:
         inside it, and nothing else runs after it returns), no policy is
         installed, and the queue holds no entry due at or before ``now``.
         ``event.succeed(value)`` would then be the very next entry popped,
-        at the same instant, with nothing able to run in between — so the
-        caller that yields it may as well continue in this dispatch
-        (:meth:`Process._resume` resumes on a processed event at once),
-        with :attr:`pushed_at` reading as it would inside that event's
-        own dispatch.  Returns False, touching nothing, when the instant
+        at the same instant, with nothing able to run in between — so
+        ``event``'s waiter may as well run in this dispatch, with
+        :attr:`pushed_at` reading as it would inside that event's own.
+        A waiter that has not yielded ``event`` yet continues at once
+        (:meth:`Process._resume` resumes on a processed event
+        immediately); one already attached — at most one, or the first
+        would find the instant quiet with the second still to run — is
+        called here.  Returns False, touching nothing, when the instant
         is not quiet.
         """
         running = self._running
-        if (running is None or len(running) != 1 or self._policy is not None
+        callbacks = event.callbacks
+        if (running is None or len(running) != 1 or len(callbacks) > 1
+                or self._policy is not None
                 or self._queue.has_due(self._now)):
             return False
         event._value = value
         event.callbacks = None
         self._running = _INLINED
+        for callback in callbacks:
+            callback(event)
         return True
 
     def _recycle(self, event: Event) -> None:

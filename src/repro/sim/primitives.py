@@ -16,6 +16,7 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
+    "Join",
     "Signal",
     "Gate",
     "CountdownLatch",
@@ -96,6 +97,47 @@ class AnyOf(Condition):
 
     def __init__(self, env: Environment, events: list[Event]):
         super().__init__(env, lambda events, n: n >= 1, events)
+
+
+class Join(Event):
+    """Triggers on the ``count``-th :meth:`arrive` — the :class:`AllOf` of
+    stages that run as event callbacks instead of processes.
+
+    ``AllOf`` over ``count`` processes costs every process an
+    ``Initialize`` and a termination event, and itself one more.  A
+    callback stage has neither, and the non-last arrivals only count —
+    as the non-last terminations only bumped ``AllOf``'s counter.  The
+    last arrival (made from the callback of the event that ends its
+    stage) stands for the last termination, which ``AllOf`` answered by
+    triggering itself: two queue hops, taken only where they are
+    observable.  At a quiet instant (:meth:`Environment._grant_inline`)
+    the join is triggered in place — both hops would have been the next
+    two dispatches, with nothing able to run in between.  Otherwise one
+    event stands in for the termination, and its own dispatch triggers
+    the join by the same rule: in place if that instant is quiet, as an
+    event of its own if not.  Every other event keeps its ``(time,
+    priority)`` and its order.
+    """
+
+    __slots__ = ("name", "_pending")
+
+    def __init__(self, env: Environment, count: int, name: str = "join"):
+        super().__init__(env)
+        self.name = name
+        self._pending = count
+
+    def arrive(self) -> None:
+        """One stage is done; the last one triggers the join."""
+        self._pending -= 1
+        if self._pending or self.env._grant_inline(self, None):
+            return
+        hop = Event(self.env)
+        hop.callbacks.append(self._hop)
+        hop.succeed()
+
+    def _hop(self, _event: Event) -> None:
+        if not self.env._grant_inline(self, None):
+            self.succeed()
 
 
 class Signal:

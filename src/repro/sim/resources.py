@@ -14,9 +14,9 @@ The hardware models use these for:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Optional, TypeVar
+from typing import Callable, Deque, Generic, Optional, TypeVar
 
-from .core import PENDING, Environment, Event
+from .core import PENDING, Environment, Event, Timeout
 from .errors import SimulationError
 
 __all__ = ["Request", "Resource", "Store", "Channel", "BandwidthServer"]
@@ -130,7 +130,8 @@ class Store(Generic[T]):
         self.name = name
         self._items: Deque[T] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, T]] = deque()
+        #: parked puts; the event is None for a :meth:`push`.
+        self._putters: Deque[tuple[Optional[Event], T]] = deque()
         #: lifetime counts (diagnostics)
         self.put_count = 0
         self.get_count = 0
@@ -152,21 +153,33 @@ class Store(Generic[T]):
 
     def put(self, item: T) -> Event:
         """Insert ``item``; the returned event triggers once it is stored."""
-        self._probe()
         evt = self.env.event()
+        if self._insert(item, evt):
+            evt.succeed()
+        return evt
+
+    def push(self, item: T) -> None:
+        """:meth:`put` for a caller that never waits on the insertion, so
+        no event is made (``put``'s would be dispatched with no callback).
+        A full store parks the item, admitted FIFO as getters make room,
+        exactly as ``put`` parks it."""
+        self._insert(item, None)
+
+    def _insert(self, item: T, evt: Optional[Event]) -> bool:
+        """Hand ``item`` to the oldest getter or store it (True), or park
+        it with ``evt`` until there is room (False)."""
+        self._probe()
         self.put_count += 1
         if self._getters:
-            # Hand straight to the oldest waiting getter.
             getter = self._getters.popleft()
             self.get_count += 1
             getter.succeed(item)
-            evt.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
+            return True
+        if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            evt.succeed()
-        else:
-            self._putters.append((evt, item))
-        return evt
+            return True
+        self._putters.append((evt, item))
+        return False
 
     def try_put(self, item: T) -> bool:
         """Non-blocking put; returns False when the store is full."""
@@ -211,7 +224,8 @@ class Store(Generic[T]):
         ):
             evt, item = self._putters.popleft()
             self._items.append(item)
-            evt.succeed()
+            if evt is not None:
+                evt.succeed()
 
 
 class BandwidthServer:
@@ -238,19 +252,13 @@ class BandwidthServer:
     def service_time_us(self, nbytes: int) -> float:
         return nbytes / self.rate_mbps
 
-    def hold(self, nbytes: int):
-        """Process generator: queue FIFO, then occupy for the service time."""
+    def stage(self, nbytes: int, then: Callable[[], None]) -> None:
+        """Queue FIFO, occupy for the service time, then call ``then()``
+        — a pipeline stage run by event callbacks, with no process (see
+        :class:`~repro.sim.Join`)."""
         if nbytes < 0:
             raise ValueError(f"negative hold size {nbytes}")
-        req = self._server.request()
-        yield req
-        try:
-            duration = self.service_time_us(nbytes)
-            yield self.env.timeout(duration)
-            self.total_bytes += nbytes
-            self.busy_time_us += duration
-        finally:
-            self._server.release(req)
+        _Hold(self, nbytes, then)
 
     def utilization(self, elapsed_us: Optional[float] = None) -> float:
         elapsed = self.env.now if elapsed_us is None else elapsed_us
@@ -259,6 +267,42 @@ class BandwidthServer:
     @property
     def queue_length(self) -> int:
         return self._server.queue_length
+
+
+class _Hold:
+    """One :meth:`BandwidthServer.stage`: request, one service
+    ``Timeout`` on the grant, and in its callback the accounting, the
+    release (which may grant the next waiter) and ``then()`` — the steps
+    a holding process took, in its order, without its events.  Named
+    after the server: ShmemCheck attributes a callback to its owner's
+    ``name``."""
+
+    __slots__ = ("name", "_server", "_nbytes", "_then", "_req")
+
+    def __init__(self, server: BandwidthServer, nbytes: int,
+                 then: Callable[[], None]):
+        self.name = server.name
+        self._server = server
+        self._nbytes = nbytes
+        self._then = then
+        req = self._req = server._server.request()
+        if req.callbacks is None:           # granted inline
+            self._granted(req)
+        else:
+            req.callbacks.append(self._granted)
+
+    def _granted(self, _req: Event) -> None:
+        server = self._server
+        server.env.timeout(
+            server.service_time_us(self._nbytes)).callbacks.append(
+                self._served)
+
+    def _served(self, timeout: Timeout) -> None:
+        server = self._server
+        server.total_bytes += self._nbytes
+        server.busy_time_us += timeout.delay
+        server._server.release(self._req)
+        self._then()
 
 
 class Channel(Generic[T]):

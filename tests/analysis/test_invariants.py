@@ -227,6 +227,20 @@ def test_open_span_flagged():
     assert "never" in violation.detail and "'put'" in violation.detail
 
 
+def test_callback_stage_span_left_open_flagged():
+    from repro.obsv import ShmemScope
+
+    env = Environment()
+    scope = ShmemScope(env)
+    closed = scope.begin_span("fc_stall", "link", "cable", None, nbytes=8)
+    scope.end_span(closed)
+    scope.begin_span("link_transit", "link", "cable", closed.span_id,
+                     nbytes=8)
+    [violation] = check_span_balance(scope)
+    assert violation.rule == "span-unbalanced"
+    assert "'link_transit'" in violation.detail
+
+
 def test_unadopted_binding_flagged():
     from repro.obsv import ShmemScope
 

@@ -369,6 +369,17 @@ def test_span_context_manager_allowed(tmp_path):
     assert lint_file(path) == []
 
 
+def test_callback_stage_span_pair_admitted(tmp_path):
+    path = _write(
+        tmp_path, "repro/pcie/stage.py",
+        "def granted(scope, parent):\n"
+        "    return scope.begin_span('x', 'link', 't', parent, nbytes=1)\n"
+        "def served(scope, span):\n"
+        "    scope.end_span(span)\n",
+    )
+    assert lint_file(path) == []
+
+
 def test_span_primitives_allowed_inside_obsv(tmp_path):
     path = _write(
         tmp_path, "repro/obsv/spans_like.py",

@@ -163,7 +163,8 @@ def test_only_links_and_the_receive_side_name_a_mailbox():
 
 def test_service_detaches_in_one_place():
     service = (CORE / "service.py").read_text()
-    assert service.count("env.process(") == 2   # _detach, the ordered ack
+    assert service.count("env.process(") == 1   # the ordered ack
+    assert service.count("_Detached(") == 2     # its class, _detach
     assert service.count("bind_process(") == 1
     gone = ("_handle_data", "_handle_bypass", "_send_onward", "_spawn_task",
             "_spawn_responder", "_forward_inline", "_send_degraded_msg",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.pcie import DuplexLink, Link, LinkConfig
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt, Join
 
 from ..conftest import run_to_completion
 
@@ -65,15 +65,20 @@ class TestLinkTransfers:
         assert end == pytest.approx(expected)
 
     def test_transfer_without_propagation(self, env):
+        """The DMA wire stage crosses without the propagation delay (its
+        stream pays it once) and with the same byte accounting."""
         config = LinkConfig(propagation_delay_us=1.0)
         link = Link(env, config)
 
         def xfer():
-            yield from link.transfer(4096, propagate=False)
+            done = Join(env, 1)
+            link.stage(4096, None, done.arrive)
+            yield done
             return env.now
 
         [end] = run_to_completion(env, xfer())
-        assert end == pytest.approx(config.serialization_time_us(4096))
+        assert end == config.serialization_time_us(4096)
+        assert link.payload_bytes == 4096 and link.busy_time_us == end
 
     def test_concurrent_transfers_serialize(self, env):
         link = Link(env, LinkConfig(propagation_delay_us=0.0))
@@ -96,6 +101,31 @@ class TestLinkTransfers:
         run_to_completion(env, xfer())
         assert link.payload_bytes == 8192
         assert link.utilization() == pytest.approx(1.0, rel=0.01)
+
+    def test_interrupted_transfer_frees_the_wire(self, env):
+        link = Link(env, LinkConfig(propagation_delay_us=0.0))
+        single = link.config.serialization_time_us(1 << 20)
+        finish = {}
+
+        def xfer(tag):
+            try:
+                yield from link.transfer(1 << 20)
+            except Interrupt:
+                finish[tag] = "interrupted"
+                return
+            finish[tag] = env.now
+
+        first = env.process(xfer("first"))
+        env.process(xfer("second"))
+
+        def cut():
+            yield env.timeout(single / 2)
+            first.interrupt()
+
+        env.process(cut())
+        env.run()
+        assert finish == {"first": "interrupted", "second": single * 1.5}
+        assert link.payload_bytes == 1 << 20 and link.queue_length == 0
 
     def test_negative_size_rejected(self, env):
         link = Link(env, LinkConfig())

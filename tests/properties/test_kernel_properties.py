@@ -7,17 +7,25 @@ tests generate random process graphs and hammer both.
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.host import CostModel, Cpu
+from repro.memory import PhysicalMemory, PhysSegment
+from repro.ntb import DmaConfig, DmaDirection, DmaEngine, LinkDownError
+from repro.pcie import CreditConfig, Link, LinkConfig
 from repro.sim import (
     AllOf,
     BandwidthServer,
     Environment,
+    Join,
     Resource,
     Store,
 )
+from repro.sim.queues import QUEUE_KINDS
 
 _SETTINGS = settings(
     max_examples=40,
@@ -132,7 +140,9 @@ class TestBandwidthConservation:
         done = []
 
         def stream(nbytes):
-            yield from server.hold(nbytes)
+            served = Join(env, 1)
+            server.stage(nbytes, served.arrive)
+            yield served
             done.append(env.now)
 
         for nbytes in sizes:
@@ -198,3 +208,271 @@ class TestRegisterBlockCharge:
             return repr(log)
 
         assert run(block=True) == run(block=False)
+
+
+# ---------------------------------------------------------------------------
+# The DMA pipeline against the pump it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_hold(server, nbytes):
+    """``BandwidthServer.hold``: a port or pump stage as a process."""
+    req = server._server.request()
+    yield req
+    try:
+        duration = server.service_time_us(nbytes)
+        yield server.env.timeout(duration)
+        server.total_bytes += nbytes
+        server.busy_time_us += duration
+    finally:
+        server._server.release(req)
+
+
+def _reference_wire(link, nbytes):
+    """``Link.transfer(nbytes, propagate=False)``: the wire stage as a
+    process."""
+    env = link.env
+    if link.fault_extra_delay_us:
+        yield env.timeout(link.fault_extra_delay_us)
+    if link.down:
+        yield env.timeout(link.config.serialization_time_us(nbytes))
+        link.dropped_bytes += nbytes
+        return
+    if link.credits is not None:
+        with link.scope.span("fc_stall", category="link", track=link.name,
+                             nbytes=nbytes):
+            yield from link.credits.acquire(1, nbytes)
+    req = link._wire.request()
+    yield req
+    try:
+        ser = link.config.serialization_time_us(nbytes)
+        with link.scope.span("link_transit", category="link",
+                             track=link.name, nbytes=nbytes):
+            yield env.timeout(ser)
+        link.payload_bytes += nbytes
+        link.busy_time_us += ser
+    finally:
+        link._wire.release(req)
+    if link.credits is not None:
+        drain = env.timeout(link.config.receiver_drain_us)
+        drain.callbacks.append(
+            lambda _evt, n=nbytes: link.credits.release(1, n))
+
+
+class ReferencePump(DmaEngine):
+    """The engine before callback stages: four spawned stage processes
+    and an ``AllOf`` per chunk, and a descriptor-ring ``put`` whose event
+    nobody waits for."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._ring.push = self._ring.put
+
+    def _pump_segment(self, src_mem, src_addr, src_port, dst_mem, dst_addr,
+                      dst_port, nbytes, link):
+        env = self.env
+        if link.config.propagation_delay_us:
+            yield env.timeout(link.config.propagation_delay_us)
+        offset = 0
+        while offset < nbytes:
+            if link.down:
+                raise LinkDownError(f"{self.name}: link went down")
+            take = min(self.config.pipeline_chunk, nbytes - offset)
+            stages = [
+                env.process(_reference_hold(src_port, take),
+                            name=f"{src_port.name}.hold"),
+                env.process(_reference_wire(link, take),
+                            name=f"{self.name}.wire"),
+                env.process(_reference_hold(dst_port, take),
+                            name=f"{dst_port.name}.hold"),
+                env.process(_reference_hold(self._pump, take),
+                            name=f"{self._pump.name}.hold"),
+            ]
+            self.scope.bind_process(stages[1], self.scope.current_span_id())
+            yield env.all_of(stages)
+            dst_mem.write(dst_addr + offset,
+                          src_mem.view(src_addr + offset, take))
+            offset += take
+
+
+_MEMORY = 1 << 18
+_SLOT = 1 << 16
+#: Commensurable rates (B/µs) so that stage ends tie, plus odd ones.
+_RATES = st.sampled_from([256.0, 512.0, 1024.0, 2900.0, 4096.0, 12800.0,
+                          333.3])
+_SIZES = st.sampled_from([100, 512, 4096, 5000, 16384, 20000])
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25, 8.0, 20.0])
+
+
+@st.composite
+def _pipelines(draw):
+    n_ports = draw(st.integers(1, 3))
+    n_links = draw(st.integers(1, 2))
+    n_pumps = draw(st.integers(1, 3))
+    engines = draw(st.lists(st.fixed_dictionaries({
+        "port": st.integers(0, n_ports - 1),
+        "peer_port": st.integers(0, n_ports - 1),
+        "link": st.integers(0, n_links - 1),
+        "pump": st.integers(0, n_pumps - 1),
+        "config": st.builds(
+            DmaConfig,
+            setup_time_us=st.sampled_from([0.0, 0.5, 2.0]),
+            per_descriptor_us=st.sampled_from([0.0, 1.0, 9.0]),
+            pipeline_chunk=st.sampled_from([512, 4096, 16384]),
+            completion_latency_us=st.sampled_from([0.0, 2.0]),
+            read_roundtrip_us=st.sampled_from([0.0, 3.0]),
+            channels=st.integers(1, 2)),
+        "requests": st.lists(st.tuples(
+            _TIMES, st.booleans(), st.booleans(),
+            st.lists(_SIZES, min_size=1, max_size=3)),
+            min_size=1, max_size=3),
+    }), min_size=1, max_size=3))
+    return {
+        "backend": draw(st.sampled_from(QUEUE_KINDS)),
+        "ports": draw(st.lists(_RATES, min_size=n_ports, max_size=n_ports)),
+        "pumps": draw(st.lists(_RATES, min_size=n_pumps, max_size=n_pumps)),
+        "links": draw(st.lists(st.builds(
+            LinkConfig,
+            generation=st.sampled_from([1, 2, 3]),
+            lanes=st.sampled_from([1, 4, 8]),
+            propagation_delay_us=st.sampled_from([0.0, 0.5]),
+            flow_control=st.one_of(st.none(), st.builds(
+                CreditConfig, header_credits=st.sampled_from([1, 2, 64]),
+                data_credits=st.sampled_from([1024, 2048]))),
+            receiver_drain_us=st.sampled_from([0.5, 1.0])),
+            min_size=n_links, max_size=n_links)),
+        "engines": engines,
+        # rival holders of a port (0), wire (1) or pump (2)
+        "rivals": draw(st.lists(st.tuples(
+            _TIMES, st.integers(0, 2), st.integers(0, 2),
+            st.sampled_from([0.5, 1.0, 4.0])), max_size=4)),
+        # rival timers: which instant of a first run, how early pushed,
+        # and whether they then contend for a resource
+        "timers": draw(st.lists(st.tuples(
+            st.integers(0, 10_000), st.sampled_from([0.0, 0.5, 0.999]),
+            st.one_of(st.none(), st.tuples(st.integers(0, 2),
+                                           st.integers(0, 2)))),
+            max_size=6)),
+    }
+
+
+def _run_pipeline(spec, engine_class, instants=()):
+    """Run ``spec`` with ``engine_class``; returns every observation as
+    one string, the event count and every dispatched instant."""
+    env = Environment(queue=spec["backend"])
+    log = []
+
+    def note(*what):
+        log.append((*what, env.now))
+
+    def watched(resource):
+        request, release = resource.request, resource.release
+
+        def on_request():
+            note("request", resource.name)
+            return request()
+
+        def on_release(req):
+            note("release", resource.name)
+            release(req)
+        resource.request, resource.release = on_request, on_release
+        return resource
+
+    ports = [BandwidthServer(env, rate, name=f"port{i}")
+             for i, rate in enumerate(spec["ports"])]
+    pumps = [BandwidthServer(env, rate, name=f"pump{i}")
+             for i, rate in enumerate(spec["pumps"])]
+    links = [Link(env, config, name=f"link{i}")
+             for i, config in enumerate(spec["links"])]
+    kinds = ([p._server for p in ports], [lk._wire for lk in links],
+             [p._server for p in pumps])
+    for resources in kinds:
+        for resource in resources:
+            watched(resource)
+
+    memories = []
+    for index, shape in enumerate(spec["engines"]):
+        engine = engine_class(env, shape["config"], name=f"dma{index}")
+        engine._pump = pumps[shape["pump"]]
+        local = PhysicalMemory(_MEMORY, name=f"local{index}")
+        local.write(0, (np.arange(_MEMORY) * (index + 3) % 251)
+                    .astype(np.uint8))
+        peer = PhysicalMemory(_MEMORY, name=f"peer{index}")
+        peer_port = ports[shape["peer_port"]]
+        engine.attach(local, ports[shape["port"]],
+                      lambda _w, offset, _n, peer=peer, port=peer_port:
+                      (peer, offset, port),
+                      links[shape["link"]], links[shape["link"]])
+        memories += [local, peer]
+
+        def submitter(engine, slot, at, read, chained, sizes):
+            yield env.timeout(at)
+            segments, cursor = [], slot * _SLOT
+            for size in sizes:
+                segments.append(PhysSegment(cursor, size))
+                cursor += size
+            request = engine.submit(
+                DmaDirection.READ if read else DmaDirection.WRITE,
+                0, slot * _SLOT, segments, chained=chained)
+            yield request.done
+            note("done", engine.name, slot, request.completed_at)
+
+        for slot, (at, read, chained, sizes) in enumerate(shape["requests"]):
+            env.process(submitter(engine, slot, at, read, chained, sizes))
+
+    def rival(tag, at, kind, index, hold):
+        resources = kinds[kind]
+        resource = resources[index % len(resources)]
+        yield env.timeout(at)
+        req = resource.request()
+        yield req
+        note("rival in", tag)
+        yield env.timeout(hold)
+        resource.release(req)
+        note("rival out", tag)
+
+    for tag, (at, kind, index, hold) in enumerate(spec["rivals"]):
+        env.process(rival(tag, at, kind, index, hold))
+
+    def timer(tag, when, early, contend):
+        yield env.timeout(when * early)
+        yield env.timeout_at(when)
+        note("timer", tag)
+        if contend is not None:
+            yield from rival(f"t{tag}", 0.0, *contend, 0.5)
+
+    for tag, (pick, early, contend) in enumerate(spec["timers"]):
+        if instants:
+            env.process(timer(tag, instants[pick % len(instants)], early,
+                              contend))
+
+    seen = []
+    env.step_hooks.append(lambda env, _event: seen.append(env.now))
+    env.run()
+    stats = ([(p.name, p.total_bytes, p.busy_time_us) for p in ports + pumps]
+             + [(lk.name, lk.payload_bytes, lk.busy_time_us) for lk in links]
+             + [hashlib.sha1(m._data.tobytes()).hexdigest()
+                for m in memories])
+    return repr((log, stats, env.now)), env.dispatched_events, seen
+
+
+class TestDmaPipeline:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(_pipelines())
+    def test_callback_stages_observe_as_the_four_process_pump(self, spec):
+        """One ``Join`` and four callback stages per chunk against the
+        four spawned stage processes + ``AllOf`` they replaced: the same
+        completion instants, the same order of every request and release
+        on every port, wire and pump (so the same grant order), the same
+        byte/busy accounting and memory contents, and every rival —
+        resource holders, and timers due at the very instants the
+        reference dispatched something (stage ends, chunk starts) —
+        observing the same things in the same order.  With fewer
+        events."""
+        _, _, instants = _run_pipeline(spec, ReferencePump)
+        reference, reference_events, _ = _run_pipeline(
+            spec, ReferencePump, instants)
+        callbacks, events, _ = _run_pipeline(spec, DmaEngine, instants)
+        assert callbacks == reference
+        assert events < reference_events

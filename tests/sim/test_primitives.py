@@ -10,6 +10,8 @@ from repro.sim import (
     CountdownLatch,
     Environment,
     Gate,
+    Join,
+    SchedulePolicy,
     Signal,
 )
 
@@ -46,6 +48,94 @@ class TestAllOf:
         env.run()  # process it
         done = AllOf(env, [evt])
         assert env.run(until=done) == {evt: "x"}
+
+
+class TestJoin:
+    """One test per clause of the last arrival, on both queue backends.
+    Two stages end on timers at t=1 and t=2 and arrive from the timers'
+    callbacks; each log entry carries ``dispatched_events`` at the time,
+    so the waiter's entry shows how many events the join cost after the
+    last stage's timer."""
+
+    @staticmethod
+    def _run(policy=None, rival=None, second_callback=False):
+        env = Environment(schedule_policy=policy)
+        log = []
+        join = Join(env, 2)
+
+        def note(what):
+            log.append((what, env.now, env.dispatched_events))
+
+        def waiter():
+            yield join
+            note("joined")
+
+        def stage(delay):
+            def done(_timer):
+                note("stage")
+                join.arrive()
+            timer = env.timeout(delay)
+            timer.callbacks.append(done)
+            return timer
+
+        env.process(waiter())
+        stage(1.0)
+        last = stage(2.0)
+        if second_callback:
+            last.callbacks.append(lambda _timer: note("second"))
+        if rival is not None:
+            rival(env, note)
+        env.run()
+        return log
+
+    def test_quiet_instant_resumes_in_place(self, kernel):
+        log = self._run()
+        assert log == [("stage", 1.0, 2), ("stage", 2.0, 3),
+                       ("joined", 2.0, 3)]
+
+    def test_entry_due_takes_the_hop(self, kernel):
+        def rival(env, note):
+            env.timeout(2.0).callbacks.append(lambda _t: note("rival"))
+
+        # The rival runs between the last stage and the join, as it ran
+        # between the last process's termination and AllOf; the hop's
+        # own dispatch is quiet, so the join needs no second event.
+        assert self._run(rival=rival) == [
+            ("stage", 1.0, 2), ("stage", 2.0, 3), ("rival", 2.0, 4),
+            ("joined", 2.0, 5)]
+
+    def test_entry_due_at_the_hop_takes_the_join_event(self, kernel):
+        def rival(env, note):
+            def late(_t):
+                note("rival")
+                behind_the_hop = env.event()
+                behind_the_hop.callbacks.append(lambda _e: note("behind"))
+                behind_the_hop.succeed()
+            env.timeout(2.0).callbacks.append(late)
+
+        # hop (5), then the join's own event (7) behind that entry (6):
+        # the termination and AllOf, one for one.
+        assert self._run(rival=rival) == [
+            ("stage", 1.0, 2), ("stage", 2.0, 3), ("rival", 2.0, 4),
+            ("behind", 2.0, 6), ("joined", 2.0, 7)]
+
+    def test_policy_installed_takes_both_events(self, kernel):
+        assert self._run(policy=SchedulePolicy()) == [
+            ("stage", 1.0, 2), ("stage", 2.0, 3), ("joined", 2.0, 5)]
+
+    def test_two_callback_dispatch_takes_the_hop(self, kernel):
+        # The timer's second callback runs before the join, as it would
+        # before the last process's termination.
+        assert self._run(second_callback=True) == [
+            ("stage", 1.0, 2), ("stage", 2.0, 3), ("second", 2.0, 3),
+            ("joined", 2.0, 4)]
+
+    def test_join_before_anyone_waits_is_born_processed(self, kernel):
+        env = Environment()
+        join = Join(env, 1)
+        env.timeout(1.0).callbacks.append(lambda _t: join.arrive())
+        env.run()
+        assert join.processed and env.dispatched_events == 1
 
 
 class TestAnyOf:

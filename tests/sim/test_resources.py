@@ -7,6 +7,7 @@ import pytest
 from repro.sim import (
     BandwidthServer,
     Environment,
+    Join,
     Resource,
     SchedulePolicy,
     SimulationError,
@@ -309,12 +310,19 @@ class TestStore:
         assert len(store) == 0
 
 
+def _served(server, nbytes):
+    """Wait (from a process) until ``server``'s stage has served ``nbytes``."""
+    done = Join(server.env, 1)
+    server.stage(nbytes, done.arrive)
+    yield done
+
+
 class TestBandwidthServer:
     def test_service_time(self, env):
         server = BandwidthServer(env, rate_mbps=100.0)  # 100 B/us
 
         def user():
-            yield from server.hold(1000)
+            yield from _served(server, 1000)
             return env.now
 
         assert env.run(until=env.process(user())) == 10.0
@@ -326,7 +334,7 @@ class TestBandwidthServer:
 
         def stream(tag):
             for _ in range(10):
-                yield from server.hold(100)  # 1 µs each alone
+                yield from _served(server, 100)  # 1 µs each alone
             finish[tag] = env.now
 
         env.process(stream("a"))
@@ -340,7 +348,7 @@ class TestBandwidthServer:
         server = BandwidthServer(env, rate_mbps=50.0)
 
         def user():
-            yield from server.hold(500)  # 10 us busy
+            yield from _served(server, 500)  # 10 us busy
 
         env.process(user())
         env.run(until=20.0)
@@ -350,6 +358,67 @@ class TestBandwidthServer:
     def test_invalid_rate(self, env):
         with pytest.raises(ValueError):
             BandwidthServer(env, rate_mbps=0)
+
+    def test_stage_takes_a_grant_and_a_timer_and_no_process(self, kernel):
+        """A free server at a quiet instant: the stage is granted inline
+        and costs its service timer only; a busy one queues FIFO and is
+        granted by the release, all in callbacks."""
+        env = Environment()
+        server = BandwidthServer(env, rate_mbps=100.0)
+        log = []
+
+        def kick(_timer):
+            dispatched = env.dispatched_events
+            for tag in ("a", "b"):
+                server.stage(100, lambda tag=tag: log.append(
+                    (tag, env.now, env.dispatched_events - dispatched)))
+
+        env.timeout(1.0).callbacks.append(kick)
+        env.run()
+        # a: its timer; b: the grant its release made, then its timer.
+        assert log == [("a", 2.0, 1), ("b", 3.0, 3)]
+        assert server.total_bytes == 200 and server.busy_time_us == 2.0
+        with pytest.raises(ValueError):
+            server.stage(-1, lambda: None)
+
+
+class TestStorePush:
+    def test_push_makes_no_event(self, kernel):
+        env = Environment()
+        store: Store[int] = Store(env)
+        store.push(1)
+        assert env.scheduled_events == 0 and store.items == (1,)
+
+    def test_push_hands_to_a_waiting_getter(self, kernel):
+        env = Environment()
+        store: Store[int] = Store(env)
+        got = []
+
+        def consumer():
+            got.append((yield store.get()))
+
+        env.process(consumer())
+        env.run()
+        store.push(7)
+        env.run()
+        assert got == [7] and len(store) == 0
+
+    def test_full_store_parks_pushes_and_admits_them_fifo(self, kernel):
+        env = Environment()
+        store: Store[int] = Store(env, capacity=1)
+        for item in range(4):
+            store.push(item)
+        assert store.items == (0,) and store.put_count == 4
+        received = []
+
+        def consumer():
+            for _ in range(4):
+                received.append((yield store.get()))
+                yield env.timeout(1.0)
+
+        env.process(consumer())
+        env.run()
+        assert received == [0, 1, 2, 3] and len(store) == 0
 
 
 class TestChannel:

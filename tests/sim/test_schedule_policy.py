@@ -3,6 +3,7 @@ always-0 equivalence, and the scheduled/accessed hooks."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench.experiments.topology import _bench_body
@@ -57,6 +58,25 @@ def test_always_zero_policy_matches_default_order():
     assert _run_three_way_tie() == _run_three_way_tie(_Recording(pick=0))
 
 
+def _dma_main(pe):
+    """DMA-heavy: 64 KiB puts to both neighbours at once (two engines on
+    one memory port, each port also the target of a neighbour's puts),
+    then 96 KiB gets from two hops away."""
+    me, n = pe.my_pe(), pe.num_pes()
+    size = 64 * 1024
+    sym = yield from pe.malloc(2 * size)
+    src = pe.local_alloc(size)
+    src.write(((np.arange(size) * 7 + me) % 251).astype(np.uint8))
+    dst = pe.local_alloc(size + size // 2)
+    yield from pe.barrier_all()
+    for side, peer in enumerate(((me + 1) % n, (me - 1) % n)):
+        pe.put_nbi(sym + side * size, src, size, peer)
+    yield from pe.quiet()
+    yield from pe.barrier_all()
+    yield from pe.get_into(dst, sym, size + size // 2, (me + 2) % n)
+    return (me, int(dst.read().astype(np.int64).sum()))
+
+
 #: name -> (PE body, hosts, cluster config, runtime knobs); all span-traced.
 _WHOLE_RUNS = {
     "quickstart": (_quickstart_main, 3, None, {}),
@@ -69,6 +89,7 @@ _WHOLE_RUNS = {
                    max_retries=8, retry_backoff_us=200.0)),
     "fastpath": (_quickstart_main, 3, None,
                  dict(fastpath=FastpathConfig())),
+    "dma": (_dma_main, 4, None, {}),
 }
 
 
