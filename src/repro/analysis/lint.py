@@ -11,9 +11,8 @@ Rules
     event queue: importing ``time``/``random``/``datetime`` or touching
     ``numpy.random`` injects wall-clock or ambient entropy and breaks
     reproducibility.  The only files allowed to read the host clock are
-    named in ``WALLCLOCK_EXEMPT`` — the bench CLI (which *measures* wall
-    time) and ``repro.obsv.profiler`` (the sanctioned DES wall-clock
-    profiler).  Exempt files still may not feed wall-clock values back
+    named in ``WALLCLOCK_EXEMPT`` — only the bench CLI, which *measures*
+    wall time.  An exempt file still may not feed wall-clock values back
     into simulated state; that is a review invariant, not a lint rule.
 
 ``bare-yield``
@@ -88,20 +87,13 @@ from typing import Iterable, List, Optional, Sequence
 
 __all__ = ["LintIssue", "lint_file", "lint_paths", "main"]
 
-#: packages whose modules run under simulated time.
-SIMULATED_PACKAGES = frozenset(
-    {"sim", "memory", "pcie", "ntb", "host", "fabric", "core", "faults"}
-)
-
 #: modules whose import anywhere under repro is a violation.
 WALLCLOCK_MODULES = frozenset({"time", "random", "datetime"})
 
 #: (package, filename) pairs allowed to read the host clock: the bench
-#: CLI measures wall time by design, and repro.obsv.profiler is the one
-#: sanctioned wall-clock reader over the DES dispatch loop.  Everything
-#: else in repro.* — including the rest of obsv — stays banned.
+#: CLI measures wall time by design.  Everything else in repro.* stays
+#: banned; the trajectory benchmark owns every other wall-clock figure.
 WALLCLOCK_EXEMPT = frozenset({
-    ("obsv", "profiler.py"),
     ("bench", "__main__.py"),
 })
 
@@ -175,10 +167,6 @@ class _Checker(ast.NodeVisitor):
         self.issues.append(
             LintIssue(str(self.path), lineno, rule, message)
         )
-
-    @property
-    def _in_simulated(self) -> bool:
-        return self.package in SIMULATED_PACKAGES
 
     @property
     def _wallclock_banned(self) -> bool:

@@ -13,7 +13,6 @@ _LAZY_SUBMODULE = {
     "Row": "reporting",
     "ShapeCheck": "reporting",
     "check_shapes": "reporting",
-    "format_shape_report": "reporting",
     "render_table": "reporting",
     "size_label": "reporting",
 }
@@ -40,7 +39,6 @@ __all__ = [
     "Row",
     "ShapeCheck",
     "check_shapes",
-    "format_shape_report",
     "render_table",
     "size_label",
 ]

@@ -30,9 +30,6 @@ REPEATS = 4
 class Fig8Result:
     rows: list[Row]
 
-    def series(self, name: str) -> dict[int, float]:
-        return {r.size: r.value for r in self.rows if r.series == name}
-
 
 def _prepare_links(cluster: Cluster, buffer_bytes: int):
     """Program every link for raw pinned-buffer DMA; returns per-link

@@ -9,12 +9,12 @@ criteria from DESIGN.md §4 so benches can assert the reproduction holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..core.sanitizer import render_race_table
 
 __all__ = ["Row", "render_table", "size_label",
-           "ShapeCheck", "geometric_mean", "render_race_table"]
+           "ShapeCheck", "render_race_table"]
 
 #: The request sizes the paper sweeps in every figure (1 KB .. 512 KB).
 PAPER_SIZES = [1 << k for k in range(10, 20)]
@@ -76,16 +76,6 @@ def render_table(rows: Sequence[Row], title: str = "",
     return "\n".join(lines)
 
 
-def geometric_mean(values: Iterable[float]) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
-
-
 @dataclass
 class ShapeCheck:
     """A qualitative acceptance criterion against the paper's figure.
@@ -107,11 +97,3 @@ def check_shapes(rows: Sequence[Row],
                  checks: Sequence[ShapeCheck]) -> list[tuple[str, bool]]:
     """Evaluate all checks; returns (description, passed) pairs."""
     return [(check.description, check.evaluate(rows)) for check in checks]
-
-
-def format_shape_report(results: Sequence[tuple[str, bool]]) -> str:
-    lines = ["shape checks vs paper:"]
-    for description, passed in results:
-        marker = "PASS" if passed else "FAIL"
-        lines.append(f"  [{marker}] {description}")
-    return "\n".join(lines)

@@ -77,7 +77,7 @@ def lost_doorbell() -> Iterator[None]:
 @contextmanager
 def watermark_off_by_one() -> Iterator[None]:
     """Degraded barrier coordinator releases one generation too early."""
-    # ``_TokenBarrier._coord_arrive`` computes the watermark with the
+    # ``RingBarrier._coord_arrive`` computes the watermark with the
     # module's only ``min`` call: shadow the builtin in that namespace
     # rather than fork a copy of the method.
     # BUG: off-by-one watermark — releases a generation that not every PE

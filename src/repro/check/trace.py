@@ -68,9 +68,6 @@ class ScheduleTrace:
             return self
         return ScheduleTrace(choices=self.choices[:keep], fault=self.fault)
 
-    def with_fault(self, fault: FaultPoint) -> "ScheduleTrace":
-        return ScheduleTrace(choices=self.choices, fault=fault)
-
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {"choices": list(self.choices)}
         if self.fault is not None:

@@ -3,7 +3,6 @@
 from .api import PE, LocalBuffer
 from .barrier import (
     CentralizedBarrier,
-    ChainBarrier,
     DisseminationBarrier,
     RingBarrier,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "PE",
     "LocalBuffer",
     "CentralizedBarrier",
-    "ChainBarrier",
     "DisseminationBarrier",
     "RingBarrier",
     "REDUCE_OPS",

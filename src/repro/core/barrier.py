@@ -23,9 +23,6 @@ Two alternatives are provided for the ablation benches (DESIGN.md §6):
   through the data mailboxes (multi-hop partners are store-and-forwarded);
 * :class:`CentralizedBarrier` — fetch-add arrival counter + release flag
   on PE 0, all traffic via remote atomics; deliberately naive.
-
-:class:`ChainBarrier` covers chain topologies (up-sweep right, down-sweep
-left) where the ring token cannot wrap.
 """
 
 from __future__ import annotations
@@ -49,8 +46,8 @@ from .waits import remote_wait
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import ShmemRuntime
 
-__all__ = ["make_barrier", "RingBarrier", "ChainBarrier",
-           "DisseminationBarrier", "CentralizedBarrier"]
+__all__ = ["make_barrier", "RingBarrier", "DisseminationBarrier",
+           "CentralizedBarrier"]
 
 
 #: Degraded-mode message subtypes carried in BARRIER_MSG aux (low byte).
@@ -81,8 +78,16 @@ def _notify_detached(rt: "ShmemRuntime", dest: int, gen: int,
         pass
 
 
-class _TokenBarrier:
-    """Shared machinery for doorbell-token barriers (ring and chain).
+class RingBarrier:
+    """The paper's Fig. 6 two-round ring barrier.
+
+    Fault behavior: a cable death mid-episode aborts the token round, and
+    ``wait()`` *recovers inside the same call* by re-synchronizing with
+    the degraded line sweep.  That keeps the barrier-call count aligned
+    across PEs — if some PEs raised while others completed, later
+    barriers would pair mismatched episodes and deadlock.  The call only
+    raises :class:`PeerUnreachableError` when the ring is genuinely
+    partitioned (two or more dead edges).
 
     Besides the healthy-path doorbell tokens, this also owns the
     *degraded* barrier a ring falls back to when one cable is dead: a
@@ -100,6 +105,9 @@ class _TokenBarrier:
     on a timer, so a control message dropped at a not-yet-informed
     relay cannot hang the barrier.
     """
+
+    #: the key this strategy's latency is filed under (barrier_us.<name>).
+    name = "ring"
 
     #: µs between ARRIVE retransmissions while waiting for a release.
     RESEND_US = 1_000.0
@@ -164,8 +172,8 @@ class _TokenBarrier:
         self._end_tokens -= 1
 
     def _token_doomed(self) -> Optional[BaseException]:
-        # Ring tokens traverse every cable of the ring (and chain tokens
-        # every cable of the chain), so any dead edge dooms the episode.
+        # Ring tokens traverse every cable of the ring, so any dead edge
+        # dooms the episode.
         if self.rt.dead_edges:
             return PeerUnreachableError(
                 f"{self.rt.name}: barrier token path crosses dead edge(s) "
@@ -199,10 +207,6 @@ class _TokenBarrier:
                 f"{rt.name}: barrier impossible with "
                 f"{len(rt.dead_edges)} dead edges "
                 f"({sorted(rt.dead_edges)})"
-            )
-        if rt.topology.kind != "ring":
-            raise PeerUnreachableError(
-                f"{rt.name}: dead edge partitions a non-ring topology"
             )
         (edge,) = rt.dead_edges
         coordinator = edge[1]  # left end of the surviving line
@@ -278,22 +282,6 @@ class _TokenBarrier:
             f"(dead edges now {sorted(self.rt.dead_edges)})"
         )
 
-
-class RingBarrier(_TokenBarrier):
-    """The paper's Fig. 6 two-round ring barrier.
-
-    Fault behavior: a cable death mid-episode aborts the token round, and
-    ``wait()`` *recovers inside the same call* by re-synchronizing with
-    the degraded line sweep.  That keeps the barrier-call count aligned
-    across PEs — if some PEs raised while others completed, later
-    barriers would pair mismatched episodes and deadlock.  The call only
-    raises :class:`PeerUnreachableError` when the ring is genuinely
-    partitioned (two or more dead edges).
-    """
-
-    #: the key this strategy's latency is filed under (barrier_us.<name>).
-    name = "ring"
-
     def wait(self) -> Generator:
         rt = self.rt
         if rt.n_pes == 1:
@@ -343,37 +331,6 @@ class RingBarrier(_TokenBarrier):
             # Forward END onward; for the last host this wraps to host 0,
             # which absorbs it (see above).
             yield from self._ring_bit("right", DOORBELL_BARRIER_END)
-        self.generation += 1
-
-
-class ChainBarrier(_TokenBarrier):
-    """Linear sweep for chain topologies: START right, END back left."""
-
-    name = "chain"
-
-    def wait(self) -> Generator:
-        rt = self.rt
-        n, me = rt.n_pes, rt.my_pe_id
-        if n == 1:
-            self.generation += 1
-            return
-        if rt.dead_edges:
-            # A chain has no alternate path: any dead edge partitions it.
-            raise PeerUnreachableError(
-                f"{rt.name}: chain barrier impossible with dead edge(s) "
-                f"{sorted(rt.dead_edges)}"
-            )
-        if me == 0:
-            yield from self._ring_bit("right", DOORBELL_BARRIER_START)
-            yield from self._await_end()
-        elif me == n - 1:
-            yield from self._await_start()
-            yield from self._ring_bit("left", DOORBELL_BARRIER_END)
-        else:
-            yield from self._await_start()
-            yield from self._ring_bit("right", DOORBELL_BARRIER_START)
-            yield from self._await_end()
-            yield from self._ring_bit("left", DOORBELL_BARRIER_END)
         self.generation += 1
 
 
@@ -584,10 +541,7 @@ def make_barrier(runtime: "ShmemRuntime"):
         return DisseminationBarrier(runtime)
     if strategy == "centralized":
         return CentralizedBarrier(runtime)
-    kind = runtime.topology.kind
-    if kind == "chain":
-        return ChainBarrier(runtime)
-    if kind == "ring":
+    if runtime.topology.kind == "ring":
         return RingBarrier(runtime)
     # mesh/torus circulate no token; dissemination's pairwise notifies
     # route dimension-order like any other message.

@@ -2,7 +2,7 @@
 
 :class:`ShmemConfig` is the one bag of runtime shape knobs (validated at
 construction; its ``fastpath`` field takes a :class:`FastpathConfig`, the
-opt-in lever sub-bag defined in :mod:`.fastpath`); :class:`PendingReply`
+opt-in fastpath plane defined in :mod:`.fastpath`); :class:`PendingReply`
 is what a PE keeps per outstanding Get chunk or atomic until the reply
 lands.  ``ShmemConfig`` is re-exported from :mod:`repro.core.runtime`.
 """
@@ -42,14 +42,14 @@ class ShmemConfig:
         Which router resolves routes: a :class:`RoutingPolicy` member or
         its value (``"fixed_right"`` — the paper's rule — ``"shortest"``,
         ``"dimension_order"``, ``"adaptive"``).  None is the fabric
-        default: FIXED_RIGHT on ring/chain, dimension-order on
+        default: FIXED_RIGHT on a ring, dimension-order on
         mesh/torus.  The two 1-D policies raise on multi-axis grids.
     barrier:
         "ring", "dissemination", or "centralized".  "ring" (the default)
-        means the fabric's token barrier where one exists: the paper's
-        Fig. 6 ring barrier on a ring, the chain sweep on a chain — and,
-        silently, dissemination on a mesh/torus, which circulates no
-        token (``topology.kind`` decides, see ``make_barrier``).
+        means the fabric's token barrier where one exists — the paper's
+        Fig. 6 ring barrier on a ring — and, silently, dissemination on
+        a mesh/torus, which circulates no token (``topology.kind``
+        decides, see ``make_barrier``).
     default_mode:
         DMA or MEMCPY when the caller does not specify.
     """

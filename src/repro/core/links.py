@@ -129,7 +129,7 @@ class LinkEnd:
 def bring_up(rt: "ShmemRuntime") -> Generator:
     """Step 1: probe + set up every seated adapter, then handshake."""
     # Step 1a: enumerate adapters if the cluster has not yet.  Ports
-    # come up in PORT_ORDER — ("left", "right") on rings/chains,
+    # come up in PORT_ORDER — ("left", "right") on rings,
     # axis pairs ("x-", "x+", ...) on grids.
     for side in rt.topology.PORT_ORDER:
         if not rt.cluster.has_adapter(rt.my_pe_id, side):
@@ -177,13 +177,12 @@ def _setup_link(rt: "ShmemRuntime", side: str, driver: NtbDriver) -> None:
     positive = rt.topology.port_polarity(side)
     out_block = SPAD_BLOCK_RIGHTWARD if positive else SPAD_BLOCK_LEFTWARD
     in_block = SPAD_BLOCK_LEFTWARD if positive else SPAD_BLOCK_RIGHTWARD
-    # Two fastpath levers shape a link: a pinned TX staging buffer per
-    # mailbox (lever 2, freed by tear_down) and a deeper credit pool
-    # (lever 3).
+    # The fastpath shapes a link: a pinned TX staging buffer per mailbox
+    # (chained DMA, freed by tear_down) and a deeper bypass credit pool
+    # (cut-through).
     fp = cfg.fastpath
-    stage = fp is not None and fp.chain_dma
-    slots = fp.credit_slots if fp is not None and fp.cut_through \
-        else cfg.bypass_slots
+    stage = fp is not None
+    slots = fp.credit_slots if fp is not None else cfg.bypass_slots
     data_mailbox = DataMailbox(
         rt.env, driver, spad_block=out_block, name=f"{rt.name}.{side}.data",
         staging=rt.host.alloc_pinned(cfg.rx_data_size) if stage else None,
@@ -279,8 +278,8 @@ def wire_link_metrics(rt: "ShmemRuntime") -> None:
     """Pull-gauge the mailboxes and service thread into the fabric.
 
     Everything here binds existing lifetime statistics — zero cost on
-    the hot paths, zero virtual-time events.  The fastpath lever
-    counters (cut-throughs, coalesced wakes) are bound only on a fastpath
+    the hot paths, zero virtual-time events.  The fastpath's counters
+    (cut-throughs, coalesced wakes) are bound only on a fastpath
     runtime: on the default plane they are constant zeros, not metrics.
     """
     for side, link in rt.links.items():

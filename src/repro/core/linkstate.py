@@ -142,7 +142,7 @@ def announce_link_state(rt: "ShmemRuntime", kind: MsgKind,
                         edge: tuple[int, int]) -> Generator:
     """Flood an edge's death/recovery away from the edge itself.
 
-    On rings/chains each surviving endpoint of the edge sends one
+    On rings each surviving endpoint of the edge sends one
     control message to the *far* endpoint the long way around; every
     host on that path applies and relays it (service-thread
     dispatch), so the whole ring learns from whichever endpoint's
@@ -161,13 +161,11 @@ def announce_link_state(rt: "ShmemRuntime", kind: MsgKind,
             break
     if my_side is None:
         return  # not an endpoint of this edge; relaying is enough
-    grid = rt.topology.kind in ("mesh", "torus")
+    grid = rt.topology.kind != "ring"
     if grid:
         dests = [dest for dest in range(rt.n_pes) if dest != rt.my_pe_id]
     else:
-        link = rt.links.get(rt.topology.opposite_port(my_side))
-        if link is None:
-            return
+        link = rt.links[rt.topology.opposite_port(my_side)]
         dests = [edge[1] if edge[0] == rt.my_pe_id else edge[0]]
     for dest in dests:
         try:

@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..fabric import Cluster, ClusterConfig
 from ..obsv.hist import render_histograms
-from ..sim import (AllOf, CountdownLatch, Environment, Process,
-                   SimulationError)
+from ..sim import AllOf, CountdownLatch, Process, SimulationError
 from .api import PE
 from .errors import ShmemError
 from .runtime import ShmemConfig, ShmemRuntime
@@ -50,10 +49,6 @@ class SpmdReport:
     #: the span scope (:class:`repro.obsv.spans.ShmemScope`) when
     #: ``ShmemConfig(trace_spans=True)``; None otherwise.
     scope: Optional[Any] = None
-
-    @property
-    def env(self) -> Environment:
-        return self.cluster.env
 
     @property
     def metrics(self):

@@ -55,6 +55,7 @@ from .heap import SymAddr, SymmetricHeap
 from .links import LinkEnd
 from .transfer import (
     AMO_REQ_FMT,
+    INLINE_MAX_BYTES,
     AmoOp,
     Mode,
     MsgKind,
@@ -176,8 +177,8 @@ class ShmemRuntime:
         self._link_watchers: list = []
         self.reroutes = 0
         #: routes where the policy direction was structurally unavailable
-        #: (FIXED_RIGHT on a chain crossing the gap leftward) — a real
-        #: routing decision chain runs used to under-report.
+        #: (FIXED_RIGHT on a 1-D mesh, leftward) — a real routing
+        #: decision the metrics must show.
         self.route_fallbacks = 0
         self.retries = 0
         self.fault_injector: Optional[FaultInjector] = None
@@ -459,14 +460,13 @@ class ShmemRuntime:
                 data = self.host.read_user(src_virt, nbytes)
                 self.deliver_to_heap(dest.offset, data)
                 return
-            # Fastpath lever 4: one PIO store publishes header and a tiny
-            # payload together — no window write, no DMA setup/descriptor/
-            # completion, no ScratchPad walk.  Flow control (slot held
-            # until the receiver's ACK) is unchanged, so ``quiet()`` still
-            # covers inline traffic.
-            fp = self.config.fastpath
-            inline = (fp is not None and allow_inline
-                      and 0 < nbytes <= fp.inline_max)
+            # Fastpath inline messages: one PIO store publishes header and
+            # a tiny payload together — no window write, no DMA setup/
+            # descriptor/completion, no ScratchPad walk.  Flow control
+            # (slot held until the receiver's ACK) is unchanged, so
+            # ``quiet()`` still covers inline traffic.
+            inline = (self.config.fastpath is not None and allow_inline
+                      and 0 < nbytes <= INLINE_MAX_BYTES)
             cursor = 0
             while cursor < nbytes:
                 cursor += yield from self._remote_attempt(
@@ -531,8 +531,7 @@ class ShmemRuntime:
             # request for the whole transfer — the owner's responder
             # already streams get_chunk-sized pieces back-to-back, so the
             # request round trip is paid once.
-            fp = self.config.fastpath
-            req_chunk = nbytes if (fp is not None and fp.streaming_get) \
+            req_chunk = nbytes if self.config.fastpath is not None \
                 else self.config.get_chunk
             for chunk_off, chunk_size in chunk_ranges(nbytes, req_chunk):
                 yield from self._remote_attempt(
@@ -607,10 +606,9 @@ class ShmemRuntime:
                      target: SymAddr, operand: bytes) -> Generator:
         """Register a pending AMO and hand its request to the first hop."""
         pending = self._expect_reply("amo", route, pe)
-        fp = self.config.fastpath
         # Fastpath: the 24-byte operand rides inline in a bypass slot
         # header — one PIO store, no DMA.
-        inline = fp is not None and fp.inline_max >= len(operand)
+        inline = self.config.fastpath is not None
         data = np.frombuffer(operand, dtype=np.uint8)
         payload = None
         if not inline:

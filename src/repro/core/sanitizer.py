@@ -390,9 +390,6 @@ class ShmemSan:
     def race_count(self) -> int:
         return len(self.reports)
 
-    def render(self) -> str:
-        return render_race_table(self.reports)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ShmemSan mode={self.mode} pes={self.n_pes} "
                 f"races={len(self.reports)} ops={self.checked_ops}>")

@@ -15,13 +15,13 @@ exactly as Fig. 5 does:
 Get requests additionally walk the "Source is me?" branch: the owner spawns
 a responder that streams chunks back along the reverse path.
 
-Two of the opt-in fastpath levers (``ShmemConfig.fastpath``,
+Two mechanisms of the opt-in fastpath plane (``ShmemConfig.fastpath``,
 docs/FASTPATH.md) are branches of this same thread, not a second one:
-``coalesce`` keeps it in a bounded poll window after a drain instead of
-sleeping into a wake charge, and ``cut_through`` forwards bypass chunks
+coalesced wakes keep it in a bounded poll window after a drain instead
+of sleeping into a wake charge, and cut-through forwards bypass chunks
 straight out of the receive slot, returning the upstream credit through a
 per-link ordered-ack chain.  With ``fastpath=None`` neither branch is ever
-taken: the lever counters stay 0 and ``_ack_tail`` stays empty.
+taken: their counters stay 0 and ``_ack_tail`` stays empty.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ _AMO_REQ_BYTES = struct.calcsize(AMO_REQ_FMT)
 _AMO_APPLY_US = 0.5
 #: CPU cost of parsing an in-slot header (µs).
 _SLOT_HEADER_US = 0.2
-#: The ``coalesce`` lever's hot window: poll period (µs) and the number
+#: The coalesced-wake hot window: poll period (µs) and the number
 #: of empty polls before the thread goes back to a real (wake-cost-
 #: charging) sleep.  12 × 5 µs covers one ACK or response round trip.
 _POLL_US = 5.0
@@ -146,17 +146,15 @@ class ShmemService:
         #: in-flight deferred ACK tasks (always 0 on the baseline path;
         #: the fastpath's cut-through forwarding defers slot ACKs).
         self.active_acks = 0
-        #: fastpath levers 1 and 3, read once (both off on the default
-        #: plane, which leaves everything below inert).
-        fp = runtime.config.fastpath
-        self._fp = fp
-        self._cut_through = fp is not None and fp.cut_through
+        #: the fastpath's coalesced wakes and cut-through, read once (both
+        #: off on the default plane, which leaves everything below inert).
+        self._fastpath = runtime.config.fastpath is not None
         #: True while the thread idles inside the poll window — counts as
         #: "asleep" for quiescence checks (the poll expires by itself).
         self._poll_idle = False
         #: per-incoming-side tail of the ordered-ack chain.
         self._ack_tail: dict[str, Event] = {}
-        #: lever diagnostics
+        #: fastpath diagnostics
         self.coalesced_wakes = 0
         self.cut_throughs = 0
         self.cut_through_fallbacks = 0
@@ -219,19 +217,17 @@ class ShmemService:
 
     # ------------------------------------------------------------------ body
     def _body(self, thread: KernelThread) -> Generator:
-        fp = self._fp
         while True:
             yield from thread.wait_work()
             if thread.stop_requested and not self._work:
                 return
             yield from self._drain_work()
-            # Lever 1, NAPI-style hot window: poll briefly for follow-on
+            # Fastpath, NAPI-style hot window: poll briefly for follow-on
             # work instead of sleeping into a thread_wake_us charge.  MSI +
             # ISR stay charged per doorbell — the top halves still feed
             # the queue; only the wake is skipped.  (Inline, not a helper
             # generator: a helper costs one more frame per poll tick.)
-            while (fp is not None and fp.coalesce
-                   and not thread.stop_requested):
+            while self._fastpath and not thread.stop_requested:
                 polled = 0
                 while (not self._work and polled < _POLL_ROUNDS
                        and not thread.stop_requested):
@@ -312,7 +308,7 @@ class ShmemService:
         cable it is silently lost (``ring_peer_doorbell`` never raises)."""
         if channel == "data":
             yield from link.data_mailbox.ack()
-        elif not self._cut_through:
+        elif not self._fastpath:
             yield from link.bypass_mailbox.ack()
         else:
             # Ordered + detached: the doorbell rings after every earlier
@@ -516,7 +512,7 @@ class ShmemService:
         drain), a real distributed deadlock this design hit before the
         tasks were detached.
 
-        With the ``cut_through`` lever a bypass chunk instead leaves
+        On the fastpath a bypass chunk instead cuts through: it leaves
         straight out of its receive slot (inline payloads are relayed
         inline) — but only when a downstream credit is free right now.
         Under back-pressure the hop degrades to store-and-forward:
@@ -534,7 +530,7 @@ class ShmemService:
             yield from self._ack(in_link, channel)
             self._drop_forward(msg)
             return
-        if self._cut_through and channel == "bypass":
+        if self._fastpath and channel == "bypass":
             if msg.flags & FLAG_INLINE:
                 # Copy the ≤48 in-header bytes out (effectively free) and
                 # relay them inline again — the relay skips DMA exactly
@@ -545,7 +541,7 @@ class ShmemService:
                 self._relay(msg, out_link, inline=data)
                 return
             if out_link.transit_credits:
-                # Lever 3: zero-copy, straight out of the rx slot.  Its
+                # Cut-through: zero-copy, straight out of the rx slot.  Its
                 # bytes stay valid until we ACK (ordered chain => the
                 # sender cannot have reused it), and the ACK is deferred
                 # to the detached task's completion.

@@ -100,8 +100,8 @@ SLOT_HEADER_BYTES = 64
 #: Inline payloads ride in the header's padding, after the 4 packed regs.
 INLINE_PAYLOAD_OFFSET = 16
 
-#: Hard ceiling on an inline payload (wire-format limit; the fastpath
-#: config's ``inline_max`` may only lower it).
+#: Largest inline payload (the wire format's limit; the fastpath inlines
+#: every Put and AMO operand up to it).
 INLINE_MAX_BYTES = SLOT_HEADER_BYTES - INLINE_PAYLOAD_OFFSET
 
 #: Message flag: the payload is carried inside the slot header itself
@@ -340,7 +340,7 @@ class _MailboxBase:
         self.env = env
         self.driver = driver
         self.name = name
-        #: pinned TX staging buffer (fastpath lever 2; None = DMA straight
+        #: pinned TX staging buffer (fastpath chained DMA; None = DMA straight
         #: from the source).  Whoever allocated the buffer frees it.
         self.staging = staging
         self._slots = Resource(env, capacity=capacity, name=f"{name}.slots")
@@ -442,7 +442,7 @@ class _MailboxBase:
                       payload: PayloadSource) -> Generator:
         """Move one payload into the peer's memory window.
 
-        With a staging buffer (fastpath lever 2), DMA sends from *paged*
+        With a staging buffer (fastpath chained DMA), DMA sends from *paged*
         user memory are first memcpy'd there (cached rate), then DMA'd as
         a chained ring of large contiguous descriptors.  Reuse is safe
         because both mailboxes serialize payload writes (capacity-1 slot

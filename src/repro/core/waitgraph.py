@@ -105,9 +105,6 @@ class WaitGraph:
     def blocked(self) -> list[WaitEntry]:
         return list(self._blocked.values())
 
-    def holder_of(self, resource: Hashable) -> Optional[int]:
-        return self._holders.get(resource)
-
     def edges(self, *, peer_edges: bool = False
               ) -> list[tuple[int, int, WaitEntry]]:
         """Projected PE→PE edges, one per blocked entry with a known target.

@@ -10,7 +10,6 @@ from .router import (
     make_router,
 )
 from .topology import (
-    ChainTopology,
     Direction,
     MeshTopology,
     NoRouteError,
@@ -28,7 +27,6 @@ __all__ = [
     "LinkState",
     "Cluster",
     "ClusterConfig",
-    "ChainTopology",
     "Direction",
     "MeshTopology",
     "NoRouteError",

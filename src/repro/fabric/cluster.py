@@ -5,9 +5,9 @@ NTB host adapters seated in Gen3 slots; adapters are cabled neighbor to
 neighbor to close the ring.  ``Cluster.probe()`` runs every driver's
 config-space enumeration, after which the OpenSHMEM runtime can take over.
 
-Beyond the paper's ring (and the chain ablation), the builder seats one
-adapter per topology *port*, so 2D meshes and 3D tori (``topology="mesh"``
-/ ``"torus"`` with ``dims``) cable up the same way: the topology's
+Beyond the paper's ring, the builder seats one adapter per topology
+*port*, so meshes and tori (``topology="mesh"`` / ``"torus"`` with
+``dims``; a line of hosts is the 1-D mesh) cable up the same way: the topology's
 :meth:`~.topology.Topology.cables` plan decides which adapters exist and
 how they pair.  A 3D torus seats six adapters per host; the builder
 widens the host's MSI vector space accordingly (16 doorbell vectors per
@@ -25,7 +25,6 @@ from ..obsv.metrics import MetricsRegistry, wire_cluster_metrics
 from ..pcie import DuplexLink, LinkConfig
 from ..sim import Environment
 from .topology import (
-    ChainTopology,
     MeshTopology,
     RingTopology,
     Topology,
@@ -36,7 +35,7 @@ from .topology import (
 __all__ = ["ClusterConfig", "Cluster", "irq_base_for"]
 
 #: Doorbell/MSI vectors reserved per seated adapter, in PORT_ORDER
-#: (so ring/chain keep left = 0, right = 16).
+#: (so a ring keeps left = 0, right = 16).
 IRQ_VECTORS_PER_PORT = 16
 
 
@@ -51,7 +50,7 @@ class ClusterConfig:
     """Everything needed to stand up a cluster."""
 
     n_hosts: int = 3
-    topology: str = "ring"  # "ring" | "chain" | "mesh" | "torus"
+    topology: str = "ring"  # "ring" | "mesh" | "torus"
     #: Grid extents for mesh/torus, x fastest (e.g. ``(4, 4)`` or
     #: ``(4, 4, 4)``).  Must multiply out to ``n_hosts``.
     dims: Optional[tuple[int, ...]] = None
@@ -61,7 +60,7 @@ class ClusterConfig:
     ntb: NtbPortConfig = field(default_factory=NtbPortConfig)
 
     def __post_init__(self) -> None:
-        if self.topology not in ("ring", "chain", "mesh", "torus"):
+        if self.topology not in ("ring", "mesh", "torus"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.n_hosts < 2:
             raise ValueError(f"need at least 2 hosts, got {self.n_hosts}")
@@ -92,8 +91,6 @@ class ClusterConfig:
     def make_topology(self) -> Topology:
         if self.topology == "ring":
             return RingTopology(self.n_hosts)
-        if self.topology == "chain":
-            return ChainTopology(self.n_hosts)
         if self.topology == "mesh":
             return MeshTopology(self.dims)
         return TorusTopology(self.dims)
@@ -166,7 +163,7 @@ class Cluster:
         except KeyError:
             raise TopologyError(
                 f"host {host_id} has no {port!r} adapter "
-                f"(chain/mesh boundary or bad id)"
+                f"(mesh boundary or bad id)"
             ) from None
 
     def has_adapter(self, host_id: int, port: str) -> bool:

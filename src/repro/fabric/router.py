@@ -71,7 +71,7 @@ class Router:
 
         ``route.rerouted`` is set when the canonical route was blocked by
         a dead edge and a detour was taken; ``route.fallback`` when the
-        policy direction was structurally unavailable (chain gap).
+        policy direction was structurally unavailable (an open axis).
         """
         raise NotImplementedError
 
@@ -81,8 +81,8 @@ class Router:
         """The outbound port a relay at ``node`` sends toward ``dst``.
 
         The default re-resolves from the relay's own view — per-hop
-        routing in the dimension-order style.  Ring/chain routers
-        override this with the historical "keep travelling the arrival
+        routing in the dimension-order style.  The 1-D policy router
+        overrides this with the historical "keep travelling the arrival
         direction" rule.
         """
         return self.resolve(node, dst, dead_edges, load).port
@@ -192,8 +192,8 @@ class PolicyRouter(Router):
 
     This class owns how a 1-D fabric picks a direction.  FIXED_RIGHT
     leaves through the positive port whenever the destination can be
-    reached that way (always on a ring; on a chain the leftward
-    fallback is flagged on the :class:`Route`).  SHORTEST takes the
+    reached that way (always on a ring; on an open axis — a 1-D mesh —
+    the leftward fallback is flagged on the :class:`Route`).  SHORTEST takes the
     shorter way around, ties positive — which on one axis *is* the
     canonical ``next_hop``/``min_hops``, computed here by 1-D arithmetic
     instead of a coordinate walk per call.
@@ -221,14 +221,14 @@ class PolicyRouter(Router):
         if src == dst:
             raise TopologyError(f"route to self (host {src})")
         # Link traversals travelling only rightward / only leftward;
-        # 0 when a chain end is in the way.
+        # 0 when an open axis ends in the way.
         if topo.wrap:
             right, left = (dst - src) % topo.n_hosts, (src - dst) % topo.n_hosts
         else:
             right, left = max(dst - src, 0), max(src - dst, 0)
         fixed = self.policy is RoutingPolicy.FIXED_RIGHT
         if not right:
-            # Chain: the destination lies leftward.  Under the paper's
+            # Open axis: the destination lies leftward.  Under the paper's
             # fixed-rightward rule that is a fallback — a real routing
             # decision that must show up in the metrics fabric.
             route = Route(self._negative, left, fallback=fixed)
@@ -370,12 +370,11 @@ def make_router(topology: Topology,
     for ``topology``.
 
     ``None`` is the fabric default, keyed on ``topology.kind``:
-    FIXED_RIGHT on ring/chain (the paper's rule), dimension-order on
+    FIXED_RIGHT on a ring (the paper's rule), dimension-order on
     mesh/torus.  The two 1-D policies raise on multi-axis grids.
     """
     if name is None:
-        name = (RoutingPolicy.FIXED_RIGHT
-                if topology.kind in ("ring", "chain")
+        name = (RoutingPolicy.FIXED_RIGHT if topology.kind == "ring"
                 else RoutingPolicy.DIMENSION_ORDER)
     try:
         policy = RoutingPolicy(name)

@@ -1,4 +1,4 @@
-"""The switchless fabric description: one topology class, four cablings.
+"""The switchless fabric description: one topology class, three cablings.
 
 The paper wires hosts into a **ring**: each host carries two NTB adapters;
 host *i*'s right adapter is cabled to host *i+1*'s left adapter (mod N).
@@ -9,33 +9,33 @@ APEnet+ switchless direct networks (PAPERS.md), which treat
 lower-dimensional layouts as degenerate tori of one router datapath.
 
 So there is **one** class, :class:`Topology` ``(dims, wrap)`` — a k-ary
-n-dimensional grid, open or wrapped — and four named constructors that
-add nothing but an extent check, a ``kind`` and (on one axis) the
+n-dimensional grid, open or wrapped — and three named constructors that
+add nothing but an extent check, a ``kind`` and (on the ring) the
 historical port names:
 
 =======================  =========  ====  ====================
 constructor              ``kind``   wrap  ports
 =======================  =========  ====  ====================
 ``RingTopology(n)``      ``ring``   yes   ``left``/``right``
-``ChainTopology(n)``     ``chain``  no    ``left``/``right``
 ``MeshTopology(dims)``   ``mesh``   no    ``x-``/``x+``/...
 ``TorusTopology(dims)``  ``torus``  yes   ``x-``/``x+``/...
 =======================  =========  ====  ====================
 
 ``RingTopology(4)`` and ``TorusTopology((4,))`` are the same cabling
-under different port names.  What stays forked, on purpose, is keyed on
-``kind`` outside this module: ring/chain clusters keep the paper's
-protocol family (rightward routing with keep-direction relays, token
-barriers, the long-way link-state flood) while mesh/torus clusters
+under different port names; a line of hosts (a ring minus one cable) is
+the 1-D mesh ``MeshTopology((n,))``.  What stays forked, on purpose, is
+keyed on ``kind`` outside this module: ring clusters keep the paper's
+protocol family (rightward routing with keep-direction relays, the token
+barrier, the long-way link-state flood) while mesh/torus clusters
 default to dimension-order routing, the dissemination barrier and a
 unicast flood.  Collapsing those *defaults* moves every ring figure and
-waits for the next re-baseline (ROADMAP item 1).
+waits for the next re-baseline (ROADMAP item 6).
 
 Port conventions
 ----------------
 A port is a plain ``str``.  ``PORT_ORDER`` lists a topology's port names
 as (negative, positive) pairs per axis — ``("left", "right")`` for
-rings/chains, ``("x-", "x+", "y-", "y+", ...)`` for grids.  The
+rings, ``("x-", "x+", "y-", "y+", ...)`` for grids.  The
 *positive* port of a cable owns the canonical edge id: the directed edge
 ``(a, b)`` names the cable from ``a``'s positive port into ``b``'s
 matching negative port, which is exactly the ``(host, right-neighbor)``
@@ -50,8 +50,8 @@ from math import prod
 from typing import Iterator, Optional, Sequence
 
 __all__ = ["Direction", "RoutingPolicy", "Route", "TopologyError",
-           "NoRouteError", "Topology", "RingTopology", "ChainTopology",
-           "MeshTopology", "TorusTopology"]
+           "NoRouteError", "Topology", "RingTopology", "MeshTopology",
+           "TorusTopology"]
 
 
 class TopologyError(Exception):
@@ -63,7 +63,7 @@ class NoRouteError(TopologyError):
 
 
 class Direction:
-    """The two ring/chain port names, as plain strings."""
+    """The two ring port names, as plain strings."""
 
     RIGHT = "right"  # toward increasing host id
     LEFT = "left"    # toward decreasing host id
@@ -89,7 +89,7 @@ class Route:
     """A resolved route: first-hop port and total link traversals.
 
     ``fallback`` marks a policy route that had to abandon the requested
-    direction (FIXED_RIGHT on a chain end); ``rerouted`` marks a route
+    direction (FIXED_RIGHT on an open axis); ``rerouted`` marks a route
     that detoured around dead edges.
     """
 
@@ -136,7 +136,7 @@ class Topology:
                 )
         self.dims = dims
         self.wrap = wrap
-        #: "ring" | "chain" | "mesh" | "torus": selects protocol defaults
+        #: "ring" | "mesh" | "torus": selects protocol defaults
         #: (router, barrier, link-state flood), never structure.
         self.kind = kind or ("torus" if wrap else "mesh")
         self.n_hosts = prod(dims)
@@ -197,7 +197,7 @@ class Topology:
 
         Positive ports own the cable: the edge is ``(host, neighbor)``;
         negative ports alias the neighbor's positive edge
-        ``(neighbor, host)``.  None at a chain/mesh boundary.
+        ``(neighbor, host)``.  None at a mesh boundary.
         """
         nb = self.neighbor(host_id, port)
         if nb is None:
@@ -344,13 +344,6 @@ class RingTopology(Topology):
 
     def __init__(self, n_hosts: int):
         super().__init__((n_hosts,), True, "ring", ("left", "right"))
-
-
-class ChainTopology(Topology):
-    """N hosts in a line (a ring minus one cable); a 1-D mesh cabling."""
-
-    def __init__(self, n_hosts: int):
-        super().__init__((n_hosts,), False, "chain", ("left", "right"))
 
 
 class MeshTopology(Topology):

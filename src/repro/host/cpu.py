@@ -151,11 +151,5 @@ class Cpu:
     def dma_submit(self) -> Generator:
         yield from self._charge(self.cost.dma_submit_us)
 
-    def thread_wake(self) -> Generator:
-        yield from self._charge(self.cost.thread_wake_us)
-
-    def isr_entry(self) -> Generator:
-        yield from self._charge(self.cost.isr_entry_us)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Cpu {self.name} busy={self.busy_us:.1f}us>"

@@ -6,10 +6,10 @@ latency, then invokes the registered handler.  Handlers in this codebase
 are tiny "top halves" that latch state and wake a service thread (the
 "bottom half" of Fig. 5), mirroring the Linux driver split.
 
-Pending semantics: raising a vector whose handler is still being delivered
-coalesces (a vector is either idle or pending once) — matching edge MSI +
-level doorbell behaviour, which is why the service thread must drain *all*
-doorbell work per wake.
+Delivery semantics: every raise is one posted MSI write and is delivered
+once, even while an earlier raise of the same vector is still in flight —
+the runtime's ACK counting depends on that.  A raise on a masked vector is
+deferred, and all deferred raises of a vector deliver once, at unmask.
 """
 
 from __future__ import annotations
@@ -32,25 +32,17 @@ class InterruptController:
     """Per-host interrupt controller with MSI delivery latency."""
 
     def __init__(self, env: Environment, delivery_latency_us: float,
-                 num_vectors: int = 64, name: str = "pic",
-                 coalesce: bool = False):
-        """``coalesce=True`` drops raises whose vector already has a
-        delivery in flight (aggressive APIC coalescing) — an ablation /
-        failure-injection mode.  The default delivers every MSI write,
-        matching distinct posted MSI transactions; the runtime's ACK
-        counting depends on that."""
+                 num_vectors: int = 64, name: str = "pic"):
         if num_vectors < 1:
             raise InterruptError("need at least one vector")
         if delivery_latency_us < 0:
             raise InterruptError("negative delivery latency")
         self.env = env
         self.name = name
-        self.coalesce = coalesce
         self.delivery_latency_us = delivery_latency_us
         self.num_vectors = num_vectors
         self._handlers: dict[int, Handler] = {}
         self._masked: set[int] = set()
-        self._in_flight: dict[int, int] = {}
         self._deferred: set[int] = set()  # raised while masked
         #: lifetime counts (diagnostics)
         self.raised_count = 0
@@ -86,9 +78,6 @@ class InterruptController:
             self._deferred.discard(vector)
             self._schedule_delivery(vector)
 
-    def is_masked(self, vector: int) -> bool:
-        return vector in self._masked
-
     # -- raising -------------------------------------------------------------------
     def raise_msi(self, vector: int) -> None:
         """Adapter-side MSI write; delivery completes after the latency."""
@@ -97,12 +86,9 @@ class InterruptController:
         if vector in self._masked:
             self._deferred.add(vector)
             return
-        if self.coalesce and self._in_flight.get(vector, 0) > 0:
-            return  # coalesced with the in-flight delivery
         self._schedule_delivery(vector)
 
     def _schedule_delivery(self, vector: int) -> None:
-        self._in_flight[vector] = self._in_flight.get(vector, 0) + 1
         timeout = self.env.timeout(self.delivery_latency_us)
         # A partial of the bound method (not a closure) keeps the delivery
         # step attributable to this controller's host for schedule analysis.
@@ -112,11 +98,6 @@ class InterruptController:
         self._deliver(vector)
 
     def _deliver(self, vector: int) -> None:
-        count = self._in_flight.get(vector, 0)
-        if count <= 1:
-            self._in_flight.pop(vector, None)
-        else:
-            self._in_flight[vector] = count - 1
         if vector in self._masked:
             # Masked during flight: defer until unmask.
             self._deferred.add(vector)

@@ -46,9 +46,6 @@ class HostConfig:
     #: §III-B.2 — virtually contiguous, physically scattered.
     mmap_fragment_size: int = 64 * 1024
     num_irq_vectors: int = 64
-    #: aggressive APIC MSI coalescing (failure-injection mode; the mailbox
-    #: protocol is self-clocking and must survive it).
-    coalesce_interrupts: bool = False
 
     def __post_init__(self) -> None:
         if self.memory_size < 1 << 20:
@@ -122,7 +119,6 @@ class Host:
             env, self.cost_model.msi_delivery_us,
             num_vectors=self.config.num_irq_vectors,
             name=f"{self.name}.pic",
-            coalesce=self.config.coalesce_interrupts,
         )
         #: NTB drivers by side ("left"/"right"), installed by the fabric.
         self.adapters: dict[str, "object"] = {}

@@ -14,7 +14,7 @@ advice while keeping correctness-by-default).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -123,9 +123,6 @@ class PhysicalMemory:
             raise MemoryError_(
                 f"{self.name} has no region named {name!r}"
             ) from None
-
-    def regions(self) -> Iterator[Region]:
-        return iter(self._regions.values())
 
     # -- raw access ------------------------------------------------------------
     def _probe_range(self, addr: int, nbytes: int, is_write: bool) -> None:

@@ -107,10 +107,6 @@ class VirtualAddressSpace:
         self._virt_bases.pop(idx)
         return self._mappings.pop(idx)
 
-    @property
-    def mappings(self) -> tuple[Mapping, ...]:
-        return tuple(self._mappings)
-
     def _find(self, virt: int) -> Mapping:
         idx = bisect_right(self._virt_bases, virt) - 1
         if idx < 0:

@@ -180,11 +180,6 @@ class NtbDriver:
             yield from self.host.cpu.mmio_reg_write()
             yield from self.endpoint.ring_peer_doorbell(bit)
 
-    def clear_doorbell(self, bit: int) -> Generator:
-        """W1C our local pending bit."""
-        yield from self.host.cpu.mmio_reg_write()
-        self.endpoint.doorbell.clear(bit)
-
     def drain_doorbells(self) -> Generator:
         """Read-and-clear all local pending bits (ISR bottom-half entry)."""
         yield from self.host.cpu.mmio_reg_read()
@@ -317,11 +312,6 @@ class NtbDriver:
     def dma_read_user(self, window_index: int, window_offset: int,
                       virt: int, nbytes: int) -> Generator:
         segments = self.host.user_segments(virt, nbytes)
-        yield from self.host.cpu.dma_submit()
-        return self.endpoint.dma_read(window_index, window_offset, segments)
-
-    def dma_read_segments(self, window_index: int, window_offset: int,
-                          segments: Sequence[PhysSegment]) -> Generator:
         yield from self.host.cpu.dma_submit()
         return self.endpoint.dma_read(window_index, window_offset, segments)
 

@@ -64,11 +64,5 @@ class LookupTable:
     def contains(self, remote_id: int) -> bool:
         return remote_id in self._entries
 
-    def entries(self) -> dict[int, int]:
-        return dict(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<LookupTable {self.name} {len(self._entries)}/{self.capacity}>"

@@ -25,9 +25,9 @@ from .sampler import LinkSample, link_utilisation
 from .spans import NULL_SCOPE, NullScope, ShmemScope, Span, \
     instrument_cluster
 
-#: Deferred (PEP 562): the analysis/export/profiling/SLO helpers pull
-#: rendering, filesystem or wall-clock machinery that the hot import path
-#: (runtime bring-up, the smoke bench) never touches.
+#: Deferred (PEP 562): the analysis/export helpers pull rendering and
+#: filesystem machinery that the hot import path (runtime bring-up, the
+#: smoke bench) never touches.
 _LAZY_SUBMODULE = {
     "TraceNode": "analysis",
     "build_trees": "analysis",
@@ -36,11 +36,6 @@ _LAZY_SUBMODULE = {
     "dump_chrome_trace": "export",
     "to_chrome_trace": "export",
     "validate_chrome_trace": "export",
-    "DesProfiler": "profiler",
-    "SloReport": "slo",
-    "SloRule": "slo",
-    "SloRuleSet": "slo",
-    "DEFAULT_RULES": "slo",
 }
 
 
@@ -80,9 +75,4 @@ __all__ = [
     "build_trees",
     "render_breakdown",
     "render_flamegraph",
-    "DesProfiler",
-    "SloRule",
-    "SloRuleSet",
-    "SloReport",
-    "DEFAULT_RULES",
 ]

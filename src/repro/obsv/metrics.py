@@ -47,7 +47,7 @@ def size_label(nbytes: int) -> str:
     """1024 -> '1KB', 524288 -> '512KB' (the paper's x-axis labels).
 
     Canonical spelling for size-keyed metric names (``put_us.DMA.4KB.1hop``)
-    so bench tables, SLO rules and the registry all agree.
+    so bench tables and the registry agree.
     """
     if nbytes % 1024 == 0 and 0 < nbytes < (1 << 20):
         return f"{nbytes // 1024}KB"
@@ -137,9 +137,6 @@ class TimeSeries:
     def values(self) -> list[float]:
         return [v for _t, v in self._samples]
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TimeSeries {self.name} n={len(self._samples)}>"
 
@@ -207,8 +204,8 @@ class MetricsRegistry:
         """Resolve ``key`` to its current value (counter, then gauge).
 
         A ``*`` glob sums every matching counter/gauge; an unknown
-        key returns ``None`` so callers (the SLO engine) can distinguish
-        "zero" from "never registered".
+        key returns ``None``, so a caller can tell "zero" from "never
+        registered".
         """
         if "*" in key or "?" in key:
             names = [k for k in self.keys() if fnmatchcase(k, key)]
@@ -307,39 +304,6 @@ class MetricsRegistry:
             },
         }
 
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition (one family per instrument)."""
-        lines: list[str] = []
-
-        def _name(key: str) -> str:
-            cleaned = "".join(
-                c if c.isalnum() or c == "_" else "_" for c in key)
-            if cleaned and cleaned[0].isdigit():
-                cleaned = "_" + cleaned
-            return f"repro_{cleaned}"
-
-        for key, counter in self.counters():
-            name = _name(key)
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name} {counter.value}")
-            if counter.bytes:
-                lines.append(f"# TYPE {name}_bytes counter")
-                lines.append(f"{name}_bytes {counter.bytes}")
-        for key, gauge in self.gauges():
-            name = _name(key)
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {gauge.value}")
-        for key, hist in self.hist.items():
-            name = _name(key)
-            s = hist.summary()
-            lines.append(f"# TYPE {name} summary")
-            for q, value in (("0.5", s.p50), ("0.9", s.p90),
-                             ("0.99", s.p99), ("0.999", s.p999)):
-                lines.append(f'{name}{{quantile="{q}"}} {value}')
-            lines.append(f"{name}_sum {hist.total}")
-            lines.append(f"{name}_count {s.count}")
-        return "\n".join(lines) + "\n"
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MetricsRegistry counters={len(self._counters)} "
                 f"gauges={len(self._gauges)} hists={len(self.hist)}>")
@@ -353,9 +317,6 @@ class ScopedMetrics:
     def __init__(self, registry: MetricsRegistry, prefix: str):
         self._registry = registry
         self._prefix = prefix.rstrip(".") + "."
-
-    def counter(self, key: str) -> Counter:
-        return self._registry.counter(self._prefix + key)
 
     def gauge(self, key: str) -> Gauge:
         return self._registry.gauge(self._prefix + key)

@@ -263,9 +263,6 @@ class ShmemScope:
         """Message bindings never adopted — lost causality edges."""
         return sum(len(q) for q in self._msg_bind.values())
 
-    def span_by_id(self, span_id: int) -> Span:
-        return self.spans[span_id - 1]
-
     def children(self, span_id: int) -> list[Span]:
         return list(self._kids.get(span_id, ()))
 

@@ -1,4 +1,4 @@
-"""PCIe substrate: TLP framing, link timing, config space, flow control."""
+"""PCIe substrate: TLP framing, link timing, config space."""
 
 from .config import (
     BarKind,
@@ -6,7 +6,6 @@ from .config import (
     ConfigSpace,
     Type0Header,
 )
-from .flow_control import CREDIT_UNIT_BYTES, CreditConfig, CreditPool
 from .link import DuplexLink, Link, LinkConfig
 from .tlp import (
     Tlp,
@@ -22,9 +21,6 @@ __all__ = [
     "BarRegister",
     "ConfigSpace",
     "Type0Header",
-    "CREDIT_UNIT_BYTES",
-    "CreditConfig",
-    "CreditPool",
     "DuplexLink",
     "Link",
     "LinkConfig",

@@ -24,7 +24,6 @@ from typing import Any, Callable, Generator, Optional
 
 from ..obsv.spans import NULL_SCOPE
 from ..sim import Environment, Event, Request, Resource
-from .flow_control import CreditConfig, CreditPool
 from .tlp import TlpOverhead
 
 __all__ = ["LinkConfig", "Link", "DuplexLink"]
@@ -55,14 +54,6 @@ class LinkConfig:
     max_payload: int = 256
     propagation_delay_us: float = 0.5
     overhead: TlpOverhead = TlpOverhead()
-    #: Optional receiver credit pool (posted path).  ``None`` disables
-    #: flow-control modelling; with a pool, each transfer holds one header
-    #: credit + data credits for its payload until the receiver drains
-    #: (one drain latency after delivery) — visible only when the
-    #: receiver's buffering is smaller than the bandwidth-delay product.
-    flow_control: Optional[CreditConfig] = None
-    #: Receiver drain latency applied when flow_control is enabled.
-    receiver_drain_us: float = 1.0
 
     def __post_init__(self) -> None:
         if self.generation not in _GEN_RATES_GTPS:
@@ -130,14 +121,13 @@ class Link:
 
     A payload crosses under the wire's rules, in this order: the
     :class:`~repro.faults.DelayTlp` hook (``fault_extra_delay_us``),
-    drop-when-down, the receiver's credit pool (``fc_stall``), then the
-    wire itself — FIFO, a ``link_transit`` span over exactly the
-    serialization, byte/busy accounting, release, and credits back one
-    drain later.  :meth:`transfer` walks them as a process generator and
-    then waits the propagation delay (a posted doorbell write);
-    :meth:`stage` walks them as event callbacks, for the DMA engine's
-    wire stage, whose stream pays propagation once, not per chunk.  Both
-    take credits, occupy and vacate the wire through the same methods.
+    drop-when-down, then the wire itself — FIFO, a ``link_transit`` span
+    over exactly the serialization, byte/busy accounting and release.
+    :meth:`transfer` walks them as a process generator and then waits
+    the propagation delay (a posted doorbell write); :meth:`stage` walks
+    them as event callbacks, for the DMA engine's wire stage, whose
+    stream pays propagation once, not per chunk.  Both occupy and vacate
+    the wire through the same methods.
     """
 
     def __init__(self, env: Environment, config: LinkConfig,
@@ -148,10 +138,6 @@ class Link:
         self._wire = Resource(env, capacity=1, name=f"{name}.wire")
         #: observability sink; replaced by instrument_cluster when tracing.
         self.scope = NULL_SCOPE
-        self.credits: Optional[CreditPool] = (
-            CreditPool(env, config.flow_control, name=f"{name}.fc")
-            if config.flow_control is not None else None
-        )
         #: Severed-cable flag: a down link silently drops posted traffic
         #: (PCIe master-abort semantics); see :meth:`sever`.
         self.down = False
@@ -179,11 +165,6 @@ class Link:
             self.dropped_bytes += nbytes
             return 0.0
         parent = self.scope.current_span_id()
-        if self.credits is not None:
-            stall, span = self._take_credits(nbytes, parent)
-            if stall is not None:
-                yield stall
-            self.scope.end_span(span)
         req = self._wire.request()
         yield req
         ser, span = self._occupy(nbytes, parent)
@@ -204,22 +185,12 @@ class Link:
         """Move ``nbytes`` across the link with no process and no
         propagation delay, then call ``then()`` — the DMA engine's wire
         stage (see :class:`~repro.sim.Join`).  ``parent`` is the span its
-        ``fc_stall`` / ``link_transit`` spans hang under."""
+        ``link_transit`` span hangs under."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         _Crossing(self, nbytes, parent, then)
 
     # -- the wire's rules, shared by transfer() and stage() ---------------------
-    def _take_credits(self, nbytes: int, parent: Optional[int]
-                      ) -> tuple[Optional[Event], Any]:
-        """Open ``fc_stall`` and claim one header credit plus data credits
-        for ``nbytes``: ``(stall, span)``, ``stall`` None when granted at
-        once; end the span when the credits are in hand."""
-        assert self.credits is not None
-        span = self.scope.begin_span("fc_stall", "link", self.name, parent,
-                                     nbytes=nbytes)
-        return self.credits.claim(1, nbytes), span
-
     def _occupy(self, nbytes: int, parent: Optional[int]
                 ) -> tuple[float, Any]:
         """The wire is granted: ``(serialization µs, link_transit span)``.
@@ -231,18 +202,12 @@ class Link:
 
     def _vacate(self, req: Request, nbytes: int, ser: float,
                 span: Any) -> None:
-        """Serialization is over: close the span, account, release the
-        wire (which may grant the next waiter), and return the credits once
-        the receiver drains its buffer."""
+        """Serialization is over: close the span, account, and release
+        the wire (which may grant the next waiter)."""
         self.scope.end_span(span)
         self.payload_bytes += nbytes
         self.busy_time_us += ser
         self._wire.release(req)
-        if self.credits is not None:
-            drain = self.env.timeout(self.config.receiver_drain_us)
-            drain.callbacks.append(
-                lambda _evt, n=nbytes: self.credits.release(1, n)
-            )
 
     def utilization(self, elapsed_us: Optional[float] = None) -> float:
         elapsed = self.env.now if elapsed_us is None else elapsed_us
@@ -287,26 +252,15 @@ class _Crossing:
             link.env.timeout(link.config.serialization_time_us(
                 self._nbytes)).callbacks.append(self._dropped)
             return
-        if link.credits is not None:
-            stall, self._span = link._take_credits(self._nbytes, self._parent)
-            if stall is not None:
-                stall.callbacks.append(self._credited)
-                return
-        self._credited(None)
-
-    def _dropped(self, _timeout: Event) -> None:
-        self._link.dropped_bytes += self._nbytes
-        self._then()
-
-    def _credited(self, _stall: Optional[Event]) -> None:
-        link = self._link
-        if link.credits is not None:
-            link.scope.end_span(self._span)
         req = self._req = link._wire.request()
         if req.callbacks is None:           # granted inline
             self._granted(req)
         else:
             req.callbacks.append(self._granted)
+
+    def _dropped(self, _timeout: Event) -> None:
+        self._link.dropped_bytes += self._nbytes
+        self._then()
 
     def _granted(self, _req: Event) -> None:
         link = self._link

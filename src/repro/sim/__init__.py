@@ -3,8 +3,8 @@
 Public surface::
 
     from repro.sim import Environment, Event, Process, Timeout
-    from repro.sim import AllOf, AnyOf, Join, Signal, Gate, CountdownLatch
-    from repro.sim import Resource, Store, Channel
+    from repro.sim import AllOf, AnyOf, Join, Signal, CountdownLatch
+    from repro.sim import Resource, Store, BandwidthServer
     from repro.sim import Interrupt, SimulationError
 
 See :mod:`repro.sim.core` for the execution model.
@@ -20,7 +20,6 @@ from .core import (
     ProcessGenerator,
     SchedulePolicy,
     Timeout,
-    get_default_queue,
     set_default_queue,
 )
 from .queues import QUEUE_KINDS, CalendarQueue, HeapQueue, make_queue
@@ -31,9 +30,8 @@ from .errors import (
     SimulationError,
     StopProcess,
 )
-from .primitives import (AllOf, AnyOf, Condition, CountdownLatch, Gate, Join,
-                         Signal)
-from .resources import BandwidthServer, Channel, Request, Resource, Store
+from .primitives import AllOf, AnyOf, Condition, CountdownLatch, Join, Signal
+from .resources import BandwidthServer, Request, Resource, Store
 
 __all__ = [
     "NORMAL",
@@ -45,7 +43,6 @@ __all__ = [
     "ProcessGenerator",
     "SchedulePolicy",
     "Timeout",
-    "get_default_queue",
     "set_default_queue",
     "QUEUE_KINDS",
     "CalendarQueue",
@@ -60,11 +57,9 @@ __all__ = [
     "AnyOf",
     "Condition",
     "CountdownLatch",
-    "Gate",
     "Join",
     "Signal",
     "BandwidthServer",
-    "Channel",
     "Request",
     "Resource",
     "Store",

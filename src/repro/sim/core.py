@@ -68,7 +68,6 @@ __all__ = [
     "Timeout",
     "Process",
     "ProcessGenerator",
-    "get_default_queue",
     "set_default_queue",
 ]
 
@@ -97,11 +96,6 @@ ProcessGenerator = Generator["Event", Any, Any]
 #: to the heap on every covered scenario; :func:`set_default_queue`
 #: (or ``Environment(queue="heap")``) selects the classic heap scheduler.
 _DEFAULT_QUEUE = "calendar"
-
-
-def get_default_queue() -> str:
-    """The queue backend new :class:`Environment` objects use by default."""
-    return _DEFAULT_QUEUE
 
 
 def set_default_queue(kind: str) -> str:
@@ -443,8 +437,9 @@ class Environment:
     concurrency in the models is cooperative.
 
     ``queue`` selects the scheduler backend (``"heap"`` or ``"calendar"``;
-    default: :func:`get_default_queue`).  Both produce the identical
-    ``(time, priority, sequence)`` total order — see :mod:`repro.sim.queues`.
+    default: the calendar queue, or what :func:`set_default_queue` set).
+    Both produce the identical ``(time, priority, sequence)`` total order
+    — see :mod:`repro.sim.queues`.
     """
 
     def __init__(self, initial_time: float = 0.0,
@@ -503,11 +498,6 @@ class Environment:
         if type(event) is Timeout and self._running is not _INLINED:
             return self._now - event.delay
         return self._now
-
-    @property
-    def queue_kind(self) -> str:
-        """The scheduler backend in use (``"heap"`` | ``"calendar"``)."""
-        return self._queue.kind
 
     @property
     def schedule_policy(self) -> Optional[SchedulePolicy]:

@@ -7,7 +7,7 @@ conditions without busy-waiting.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .core import Environment, Event
 from .errors import EventLifecycleError
@@ -18,7 +18,6 @@ __all__ = [
     "AnyOf",
     "Join",
     "Signal",
-    "Gate",
     "CountdownLatch",
 ]
 
@@ -174,42 +173,6 @@ class Signal:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Signal {self.name} fired={self.fire_count}>"
-
-
-class Gate:
-    """A level-sensitive condition: processes wait until the gate is open.
-
-    Unlike :class:`Signal`, waiting on an already-open gate completes
-    immediately.  Used for "wait until initialization finished" and for
-    modelling status flags polled by driver threads.
-    """
-
-    def __init__(self, env: Environment, open_: bool = False):
-        self.env = env
-        self._open = open_
-        self._event: Optional[Event] = None
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> Event:
-        if self._open:
-            evt = self.env.event()
-            evt.succeed()
-            return evt
-        if self._event is None or self._event.callbacks is None:
-            self._event = self.env.event()
-        return self._event
-
-    def open(self, payload: Any = None) -> None:
-        self._open = True
-        if self._event is not None and not self._event.triggered:
-            self._event.succeed(payload)
-        self._event = None
-
-    def close(self) -> None:
-        self._open = False
 
 
 class CountdownLatch:

@@ -1,4 +1,5 @@
-"""Shared-resource models: capacity-limited resources, FIFO stores, channels.
+"""Shared-resource models: capacity-limited resources, FIFO stores, rate
+servers.
 
 The hardware models use these for:
 
@@ -7,8 +8,7 @@ The hardware models use these for:
   mailbox protocol).
 * :class:`Store` — unbounded or bounded FIFO of items (DMA descriptor rings,
   driver work queues, per-host service-thread inboxes).
-* :class:`Channel` — a rendezvous pipe with optional per-message delay,
-  convenient for test fixtures.
+* :class:`BandwidthServer` — a FIFO rate server (memory ports, DMA pumps).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Deque, Generic, Optional, TypeVar
 from .core import PENDING, Environment, Event, Timeout
 from .errors import SimulationError
 
-__all__ = ["Request", "Resource", "Store", "Channel", "BandwidthServer"]
+__all__ = ["Request", "Resource", "Store", "BandwidthServer"]
 
 T = TypeVar("T")
 
@@ -115,10 +115,11 @@ class Resource:
 
 
 class Store(Generic[T]):
-    """FIFO item store with blocking get and (optionally) blocking put.
+    """FIFO item store with a blocking get and a non-blocking push.
 
-    ``capacity=None`` means unbounded (puts never block).  Items are
-    delivered to getters in FIFO order; getters are served in FIFO order.
+    ``capacity=None`` means unbounded.  Items are delivered to getters in
+    FIFO order; getters are served in FIFO order; pushes past
+    ``capacity`` park and are admitted FIFO as getters make room.
     """
 
     def __init__(self, env: Environment, capacity: Optional[int] = None,
@@ -130,8 +131,8 @@ class Store(Generic[T]):
         self.name = name
         self._items: Deque[T] = deque()
         self._getters: Deque[Event] = deque()
-        #: parked puts; the event is None for a :meth:`push`.
-        self._putters: Deque[tuple[Optional[Event], T]] = deque()
+        #: parked pushes, admitted FIFO as getters make room.
+        self._parked: Deque[T] = deque()
         #: lifetime counts (diagnostics)
         self.put_count = 0
         self.get_count = 0
@@ -151,50 +152,19 @@ class Store(Generic[T]):
         if policy is not None:
             policy.accessed(("store", self.name), True)
 
-    def put(self, item: T) -> Event:
-        """Insert ``item``; the returned event triggers once it is stored."""
-        evt = self.env.event()
-        if self._insert(item, evt):
-            evt.succeed()
-        return evt
-
     def push(self, item: T) -> None:
-        """:meth:`put` for a caller that never waits on the insertion, so
-        no event is made (``put``'s would be dispatched with no callback).
-        A full store parks the item, admitted FIFO as getters make room,
-        exactly as ``put`` parks it."""
-        self._insert(item, None)
-
-    def _insert(self, item: T, evt: Optional[Event]) -> bool:
-        """Hand ``item`` to the oldest getter or store it (True), or park
-        it with ``evt`` until there is room (False)."""
+        """Hand ``item`` to the oldest getter or store it; a full store
+        parks it.  No event is made: nothing waits on an insertion."""
         self._probe()
         self.put_count += 1
         if self._getters:
             getter = self._getters.popleft()
             self.get_count += 1
             getter.succeed(item)
-            return True
-        if self.capacity is None or len(self._items) < self.capacity:
+        elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            return True
-        self._putters.append((evt, item))
-        return False
-
-    def try_put(self, item: T) -> bool:
-        """Non-blocking put; returns False when the store is full."""
-        self._probe()
-        if self._getters:
-            getter = self._getters.popleft()
-            self.put_count += 1
-            self.get_count += 1
-            getter.succeed(item)
-            return True
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            return False
-        self.put_count += 1
-        self._items.append(item)
-        return True
+        else:
+            self._parked.append(item)
 
     def get(self) -> Event:
         """Remove and return the oldest item; blocks (as an event) if empty."""
@@ -203,29 +173,11 @@ class Store(Generic[T]):
         if self._items:
             self.get_count += 1
             evt.succeed(self._items.popleft())
-            self._admit_putter()
+            if self._parked:
+                self._items.append(self._parked.popleft())
         else:
             self._getters.append(evt)
         return evt
-
-    def try_get(self) -> tuple[bool, Optional[T]]:
-        """Non-blocking get; returns ``(False, None)`` when empty."""
-        self._probe()
-        if not self._items:
-            return False, None
-        self.get_count += 1
-        item = self._items.popleft()
-        self._admit_putter()
-        return True, item
-
-    def _admit_putter(self) -> None:
-        if self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            evt, item = self._putters.popleft()
-            self._items.append(item)
-            if evt is not None:
-                evt.succeed()
 
 
 class BandwidthServer:
@@ -264,11 +216,6 @@ class BandwidthServer:
         elapsed = self.env.now if elapsed_us is None else elapsed_us
         return self.busy_time_us / elapsed if elapsed > 0 else 0.0
 
-    @property
-    def queue_length(self) -> int:
-        return self._server.queue_length
-
-
 class _Hold:
     """One :meth:`BandwidthServer.stage`: request, one service
     ``Timeout`` on the grant, and in its callback the accounting, the
@@ -303,40 +250,3 @@ class _Hold:
         server.busy_time_us += timeout.delay
         server._server.release(self._req)
         self._then()
-
-
-class Channel(Generic[T]):
-    """A delayed FIFO pipe: messages become visible ``delay`` µs after send.
-
-    A thin convenience over :class:`Store` used by tests and by the cable
-    model's control-plane side-band.
-    """
-
-    def __init__(self, env: Environment, delay: float = 0.0,
-                 name: str = "channel"):
-        if delay < 0:
-            raise ValueError(f"negative channel delay {delay}")
-        self.env = env
-        self.delay = delay
-        self.name = name
-        self._store: Store[T] = Store(env, name=f"{name}.store")
-
-    def send(self, message: T) -> Event:
-        """Send a message; it is receivable ``delay`` µs later."""
-        if self.delay == 0.0:
-            return self._store.put(message)
-        done = self.env.event()
-
-        def _deliver(_evt: Event) -> None:
-            self._store.put(message)
-            done.succeed()
-
-        self.env.timeout(self.delay).callbacks.append(_deliver)
-        return done
-
-    def recv(self) -> Event:
-        """Event yielding the next message."""
-        return self._store.get()
-
-    def __len__(self) -> int:
-        return len(self._store)

@@ -63,14 +63,14 @@ def test_disabled_window_ignored():
 
 # ------------------------------------------------------ dma descriptor reuse
 def _probed_pair():
-    cluster = Cluster(ClusterConfig(n_hosts=2, topology="chain"))
+    cluster = Cluster(ClusterConfig(n_hosts=2, topology="mesh", dims=(2,)))
     cluster.run_probe()
     return cluster
 
 
 def test_queued_completed_request_flagged():
     cluster = _probed_pair()
-    driver = cluster.driver(0, "right")
+    driver = cluster.driver(0, "x+")
     engine = driver.endpoint.dma
     # Craft a descriptor whose completion event has already fired and
     # sneak it back into the ring: classic reuse-before-completion.
@@ -90,7 +90,7 @@ def test_queued_completed_request_flagged():
 
 def test_double_queued_request_flagged():
     cluster = _probed_pair()
-    engine = cluster.driver(0, "right").endpoint.dma
+    engine = cluster.driver(0, "x+").endpoint.dma
     from repro.memory import PhysSegment
     from repro.ntb.dma import DmaDirection, DmaRequest
 
@@ -107,7 +107,7 @@ def test_double_queued_request_flagged():
 
 def test_fresh_engine_clean():
     cluster = _probed_pair()
-    engine = cluster.driver(0, "right").endpoint.dma
+    engine = cluster.driver(0, "x+").endpoint.dma
     assert check_dma_engine(engine, "host0.right") == []
 
 
@@ -182,7 +182,7 @@ def test_check_cluster_clean_after_real_run():
 
 def test_check_cluster_strict_raises():
     cluster = _probed_pair()
-    doorbell = cluster.driver(0, "right").endpoint.doorbell
+    doorbell = cluster.driver(0, "x+").endpoint.doorbell
     doorbell.set_mask(2)
     doorbell.latch(2)
     with pytest.raises(InvariantError) as excinfo:

@@ -54,19 +54,19 @@ def test_wallclock_flagged_in_every_repro_package(tmp_path):
 
 
 def test_wallclock_exempt_files_may_read_the_host_clock(tmp_path):
-    # repro.obsv.profiler is the sanctioned DES wall-clock profiler and
-    # the bench CLI measures wall time by design (WALLCLOCK_EXEMPT).
-    for relative in ("repro/obsv/profiler.py", "repro/bench/__main__.py"):
-        path = _write(tmp_path, relative,
-                      "import time\nt0 = time.perf_counter()\n")
-        assert lint_file(path) == [], relative
+    # The bench CLI measures wall time by design (WALLCLOCK_EXEMPT).
+    path = _write(tmp_path, "repro/bench/__main__.py",
+                  "import time\nt0 = time.perf_counter()\n")
+    assert lint_file(path) == []
 
 
 def test_wallclock_exemption_is_per_package_and_filename(tmp_path):
     # The exemption names (package, filename) pairs: the same filename
     # in a different package is still banned.
-    path = _write(tmp_path, "repro/core/profiler.py", "import time\n")
-    assert [issue.rule for issue in lint_file(path)] == ["wallclock"]
+    for relative in ("repro/core/__main__.py", "repro/obsv/profiler.py"):
+        path = _write(tmp_path, relative, "import time\n")
+        assert [issue.rule for issue in lint_file(path)] == ["wallclock"], \
+            relative
 
 
 def test_wallclock_allowed_outside_repro(tmp_path):

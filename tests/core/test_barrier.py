@@ -8,7 +8,6 @@ import pytest
 from repro import ClusterConfig, ShmemConfig, run_spmd
 from repro.core.barrier import (
     CentralizedBarrier,
-    ChainBarrier,
     DisseminationBarrier,
     RingBarrier,
 )
@@ -134,10 +133,14 @@ class TestCentralizedBarrier:
 
 
 class TestChainBarrier:
+    """A line of hosts (the 1-D mesh) circulates no token: its default
+    barrier is the dissemination barrier."""
+
     def test_correctness_on_chain(self):
         report = run_spmd(
             barrier_correctness_program(rounds=3), n_pes=3,
-            cluster_config=ClusterConfig(n_hosts=3, topology="chain"),
+            cluster_config=ClusterConfig(n_hosts=3, topology="mesh",
+                                         dims=(3,)),
         )
         assert report.results == [0, 0, 0]
 
@@ -148,9 +151,10 @@ class TestChainBarrier:
 
         report = run_spmd(
             main, n_pes=3,
-            cluster_config=ClusterConfig(n_hosts=3, topology="chain"),
+            cluster_config=ClusterConfig(n_hosts=3, topology="mesh",
+                                         dims=(3,)),
         )
-        assert all(r == "ChainBarrier" for r in report.results)
+        assert all(r == "DisseminationBarrier" for r in report.results)
 
 
 class TestBarrierLatencyShape:

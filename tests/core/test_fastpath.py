@@ -1,4 +1,4 @@
-"""Fastpath data plane (``ShmemConfig.fastpath``): the four levers + safety.
+"""Fastpath data plane (``ShmemConfig.fastpath``): its mechanisms + safety.
 
 Covers, per the PR issue:
 
@@ -55,7 +55,7 @@ class TestDefaultByteIdentity:
 
 class TestDefaultPlane:
     """``fastpath=None`` is a property of the run, not of the import
-    graph: the one service class takes none of its lever branches."""
+    graph: the one service class takes none of its fastpath branches."""
 
     @staticmethod
     def _relayed_main(pe):
@@ -83,7 +83,7 @@ class TestDefaultPlane:
                 if span.name == "bypass_forward"]  # relays did happen
         for rt in report.runtimes:
             svc = rt.service
-            assert svc._fp is None and not svc._cut_through
+            assert not svc._fastpath
             assert (svc.cut_throughs, svc.cut_through_fallbacks,
                     svc.coalesced_wakes, svc.active_acks) == (0, 0, 0, 0)
             assert svc._ack_tail == {} and not svc._poll_idle
@@ -156,13 +156,14 @@ class TestInlineMessages:
         assert all(report.results)
 
     def test_inline_boundary_goes_regular(self):
-        """inline_max + 1 bytes must take the regular (non-inline) path."""
+        """INLINE_MAX_BYTES + 1 bytes must take the regular (non-inline)
+        path."""
 
         def main(pe):
             me, n = pe.my_pe(), pe.num_pes()
             sym = yield from pe.malloc(4096)
             yield from pe.barrier_all()
-            nbytes = FP.inline_max + 1
+            nbytes = INLINE_MAX_BYTES + 1
             yield from pe.put_array(sym, pattern(nbytes, seed=me),
                                     (me + 1) % n)
             yield from pe.barrier_all()
@@ -172,24 +173,6 @@ class TestInlineMessages:
                 got, pattern(nbytes, seed=(me - 1) % n)))
 
         report = run_spmd(main, 3, shmem_config=_fp_config())
-        assert all(report.results)
-
-    def test_inline_disabled_by_config(self):
-        """inline_max=0 keeps small puts on the regular path (slower but
-        allowed) — and they still deliver."""
-
-        def main(pe):
-            me, n = pe.my_pe(), pe.num_pes()
-            sym = yield from pe.malloc(256)
-            yield from pe.barrier_all()
-            yield from pe.put_array(sym, pattern(16, seed=me), (me + 1) % n)
-            yield from pe.barrier_all()
-            got = pe.read_symmetric_array(sym, 16, np.uint8)
-            yield from pe.barrier_all()
-            return bool(np.array_equal(got, pattern(16, seed=(me - 1) % n)))
-
-        report = run_spmd(
-            main, 3, shmem_config=_fp_config(fp={"inline_max": 0}))
         assert all(report.results)
 
     def test_amo_rides_inline(self):
@@ -296,7 +279,7 @@ class TestCutThroughForwarding:
                           finalize=False)
         assert all(report.results)
         svc = report.runtimes[1].service  # the transit hop
-        assert svc._cut_through
+        assert svc._fastpath
         assert svc.cut_throughs >= 1
         assert svc.active_acks == 0  # ordered-ack chain fully drained
         assert svc.dropped_forwards == 0
@@ -341,71 +324,6 @@ class TestCutThroughForwarding:
                           finalize=False)
         assert sum(rt.service.coalesced_wakes
                    for rt in report.runtimes) > 0
-
-
-class TestSingleLeverOff:
-    """Each boolean lever off alone (and ``inline_max=0``): payloads still
-    verify, that lever's counter stays zero, every other lever's moves."""
-
-    GET_BYTES = 64 * 1024
-
-    @staticmethod
-    def _main(pe):
-        me, n = pe.my_pe(), pe.num_pes()
-        big, far = 512 * 1024, (me + 2) % n
-        sym = yield from pe.malloc(big)
-        small = yield from pe.malloc(64)
-        yield from pe.barrier_all()
-        # inline + inline relay; staged chain + cut-through + poll window
-        yield from pe.put_array(small, pattern(32, seed=me), far)
-        yield from pe.put_array(sym, pattern(big, seed=me), far)
-        yield from pe.barrier_all()
-        src = (me - 2) % n
-        ok = (np.array_equal(pe.read_symmetric_array(small, 32, np.uint8),
-                             pattern(32, seed=src))
-              and np.array_equal(pe.read_symmetric_array(sym, big, np.uint8),
-                                 pattern(big, seed=src)))
-        if me == 0:  # the only request ids this PE ever burns
-            got = yield from pe.get_array(
-                sym, TestSingleLeverOff.GET_BYTES, np.uint8, 1)
-            ok = ok and np.array_equal(
-                got, pattern(big, seed=3)[:TestSingleLeverOff.GET_BYTES])
-        yield from pe.barrier_all()
-        return bool(ok)
-
-    @pytest.mark.parametrize("lever", [
-        "coalesce", "chain_dma", "cut_through", "streaming_get",
-        "inline_max"])
-    def test_single_lever_off(self, lever):
-        config = _fp_config(
-            fp={lever: 0 if lever == "inline_max" else False})
-        report = run_spmd(self._main, 4, shmem_config=config,
-                          finalize=False)
-        assert all(report.results)
-        mailboxes = [mailbox for rt in report.runtimes
-                     for link in rt.links.values()
-                     for mailbox in (link.data_mailbox, link.bypass_mailbox)]
-        get_reqs = report.runtimes[0]._next_req_id - 1
-        get_chunks = self.GET_BYTES // config.get_chunk
-        activity = {
-            "coalesce": sum(rt.service.coalesced_wakes
-                            for rt in report.runtimes),
-            "chain_dma": sum(
-                value for key, value in report.metrics.snapshot().items()
-                if key.endswith(".dma.descriptors_chained"))
-            + sum(mailbox.staged_sends for mailbox in mailboxes),
-            "cut_through": sum(rt.service.cut_throughs
-                               for rt in report.runtimes),
-            "streaming_get": get_chunks - get_reqs,  # round trips saved
-            "inline_max": sum(mailbox.inline_count for mailbox in mailboxes),
-        }
-        assert activity.pop(lever) == 0
-        assert all(count > 0 for count in activity.values()), activity
-        assert get_reqs == (get_chunks if lever == "streaming_get" else 1)
-        slots = (config.bypass_slots if lever == "cut_through"
-                 else config.fastpath.credit_slots)
-        assert all(link.bypass_mailbox.slots == slots
-                   for rt in report.runtimes for link in rt.links.values())
 
 
 class TestOrderingUnderFastpath:
@@ -495,12 +413,13 @@ class TestObservability:
         assert all(report.results)
         assert report.races == []
         names = {span.name for span in report.scope.spans}
-        assert "inline_write" in names   # lever 4
-        assert "cut_through" in names    # lever 3
-        assert "stage_copy" in names     # lever 2
+        assert "inline_write" in names   # inline messages
+        assert "cut_through" in names    # cut-through forwarding
+        assert "stage_copy" in names     # staged chained DMA
 
     def test_streaming_get_single_request(self):
-        """streaming_get collapses the per-chunk request round trips."""
+        """The streaming Get collapses the per-chunk request round
+        trips."""
 
         def main(pe):
             me, n = pe.my_pe(), pe.num_pes()
@@ -524,14 +443,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FastpathConfig(credit_slots=0)
         with pytest.raises(ValueError):
-            FastpathConfig(inline_max=INLINE_MAX_BYTES + 1)
-        with pytest.raises(ValueError):
             ShmemConfig(fastpath="yes")  # type: ignore[arg-type]
 
     def test_mailbox_types_selected(self):
-        """The levers shape the two ordinary mailboxes: a staging
+        """The fastpath shapes the two ordinary mailboxes: a staging
         buffer each, a deeper credit pool, and staged sends ride
-        chained descriptors."""
+        chained descriptors; the default plane has none of them."""
 
         def main(pe):
             me, n = pe.my_pe(), pe.num_pes()
@@ -550,7 +467,7 @@ class TestConfigValidation:
         report = run_spmd(main, 3, shmem_config=_fp_config(),
                           finalize=False)
         for rt in report.runtimes:
-            assert rt.service._fp.coalesce and rt.service._cut_through
+            assert rt.service._fastpath
             for link in rt.links.values():
                 assert type(link.data_mailbox) is DataMailbox
                 assert type(link.bypass_mailbox) is BypassMailbox
@@ -563,10 +480,9 @@ class TestConfigValidation:
         # 512 KiB in 128 KiB descriptors: 3 prefetched behind the first.
         assert chained(report) == 3 * 3
 
-        plain = run_spmd(main, 3, shmem_config=_fp_config(
-            fp={"chain_dma": False, "cut_through": False}), finalize=False)
+        plain = run_spmd(main, 3, finalize=False)
         for rt in plain.runtimes:
-            assert rt.service._fp.coalesce and not rt.service._cut_through
+            assert not rt.service._fastpath
             for link in rt.links.values():
                 assert link.data_mailbox.staging is None
                 assert link.bypass_mailbox.staging is None

@@ -8,11 +8,9 @@ from repro.bench import (
     Row,
     ShapeCheck,
     check_shapes,
-    format_shape_report,
     render_table,
     size_label,
 )
-from repro.bench.reporting import geometric_mean
 
 
 class TestSizeLabel:
@@ -79,22 +77,6 @@ class TestShapeChecks:
             ShapeCheck("fail", lambda t: False),
         ])
         assert results == [("pass", True), ("fail", False)]
-
-    def test_format_report(self):
-        text = format_shape_report([("ok", True), ("bad", False)])
-        assert "[PASS] ok" in text
-        assert "[FAIL] bad" in text
-
-
-class TestGeometricMean:
-    def test_basic(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_ignores_nonpositive(self):
-        assert geometric_mean([0.0, -3.0, 8.0]) == pytest.approx(8.0)
-
-    def test_empty(self):
-        assert geometric_mean([]) == 0.0
 
 
 class TestRowProperties:

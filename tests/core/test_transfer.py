@@ -160,12 +160,12 @@ class TestMailboxSendPath:
     SLOT = 64 * 1024
 
     def _link(self, variant, staged):
-        """Host 0's outgoing mailbox to host 1 on a bare 2-host chain,
+        """Host 0's outgoing mailbox to host 1 on a bare 2-host line,
         with the peer's windows programmed and our ACK doorbell wired."""
-        cluster = Cluster(ClusterConfig(n_hosts=2, topology="chain"))
+        cluster = Cluster(ClusterConfig(n_hosts=2, topology="mesh", dims=(2,)))
         cluster.run_probe()
         env, host = cluster.env, cluster.host(0)
-        tx, rx = cluster.driver(0, "right"), cluster.driver(1, "left")
+        tx, rx = cluster.driver(0, "x+"), cluster.driver(1, "x-")
         staging = host.alloc_pinned(self.STAGING) if staged else None
         if variant == "data":
             mailbox = DataMailbox(env, tx, spad_block=0, name="mb",
@@ -276,9 +276,9 @@ class TestHeaderBlockUnderSever:
 
     @staticmethod
     def _pair():
-        cluster = Cluster(ClusterConfig(n_hosts=2, topology="chain"))
+        cluster = Cluster(ClusterConfig(n_hosts=2, topology="mesh", dims=(2,)))
         cluster.run_probe()
-        tx, rx = cluster.driver(0, "right"), cluster.driver(1, "left")
+        tx, rx = cluster.driver(0, "x+"), cluster.driver(1, "x-")
         return (cluster, tx, rx,
                 DataMailbox(cluster.env, tx, spad_block=0, name="tx"),
                 DataMailbox(cluster.env, rx, spad_block=4, name="rx"))

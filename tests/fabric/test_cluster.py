@@ -47,17 +47,21 @@ class TestRingCluster:
 
 
 class TestChainCluster:
+    """A line of hosts is ``topology="mesh"`` with one axis."""
+
     def test_chain_ends_lack_adapters(self):
-        cluster = Cluster(ClusterConfig(n_hosts=3, topology="chain"))
-        assert not cluster.has_adapter(0, "left")
-        assert not cluster.has_adapter(2, "right")
-        assert cluster.has_adapter(1, "left")
-        assert cluster.has_adapter(1, "right")
+        cluster = Cluster(ClusterConfig(n_hosts=3, topology="mesh",
+                                        dims=(3,)))
+        assert not cluster.has_adapter(0, "x-")
+        assert not cluster.has_adapter(2, "x+")
+        assert cluster.has_adapter(1, "x-")
+        assert cluster.has_adapter(1, "x+")
         with pytest.raises(TopologyError):
-            cluster.driver(0, "left")
+            cluster.driver(0, "x-")
 
     def test_chain_cable_count(self):
-        cluster = Cluster(ClusterConfig(n_hosts=5, topology="chain"))
+        cluster = Cluster(ClusterConfig(n_hosts=5, topology="mesh",
+                                        dims=(5,)))
         assert len(cluster.cables) == 4
 
 
@@ -65,6 +69,8 @@ class TestConfigValidation:
     def test_bad_topology(self):
         with pytest.raises(ValueError):
             ClusterConfig(topology="torus")
+        with pytest.raises(ValueError):
+            ClusterConfig(topology="chain")
 
     def test_min_hosts(self):
         with pytest.raises(ValueError):

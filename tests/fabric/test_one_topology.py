@@ -1,14 +1,15 @@
 """One fabric description: a ring is the 1-D torus it already is.
 
 ``fabric/topology.py`` has a single :class:`Topology` ``(dims, wrap)``;
-``RingTopology`` / ``ChainTopology`` / ``MeshTopology`` / ``TorusTopology``
-are named constructors over it.  These tests pin (a) the closed-form
-answers the deleted ring and chain classes computed, (b) that a ring and
-a 1-D torus (a chain and a 1-D mesh) are the same cabling and differ
-only in *defaults*, (c) that the SHORTEST policy is canonical next-hop
-routing on one axis, dead edges included, and (d) the FIXED_RIGHT chain
-fallback — and the frozen fabric/core calls the trajectory benchmark
-makes, so a rename breaks tier-1 rather than the benchmark.
+``RingTopology`` / ``MeshTopology`` / ``TorusTopology`` are named
+constructors over it, and a chain (a line of hosts) is the 1-D mesh.
+These tests pin (a) the closed-form answers the deleted ring and chain
+classes computed, (b) that a ring and a 1-D torus are the same cabling
+and differ only in *defaults*, (c) that the SHORTEST policy is canonical
+next-hop routing on one axis, dead edges included, and (d) the
+FIXED_RIGHT fallback on an open axis — and the frozen fabric/core calls
+the trajectory benchmark makes, so a rename breaks tier-1 rather than
+the benchmark.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import pytest
 
 from repro import run_spmd
 from repro.core import ShmemConfig
-from repro.core.barrier import ChainBarrier, DisseminationBarrier, RingBarrier
+from repro.core.barrier import DisseminationBarrier, RingBarrier
 from repro.fabric import (
-    ChainTopology,
     Cluster,
     ClusterConfig,
     Direction,
@@ -55,7 +55,7 @@ def _resolve(router, src, dst, dead):
 
 
 class TestClosedForms:
-    """(a) What ``RingTopology`` / ``ChainTopology`` used to compute."""
+    """(a) What the ring and chain classes used to compute."""
 
     @pytest.mark.parametrize("n", SIZES)
     def test_ring(self, n):
@@ -83,26 +83,27 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_chain(self, n):
-        chain = ChainTopology(n)
+        chain = MeshTopology((n,))
         assert (chain.kind, chain.n_hosts, chain.dims, chain.wrap) == (
-            "chain", n, (n,), False)
-        assert chain.PORT_ORDER == ("left", "right")
+            "mesh", n, (n,), False)
+        assert chain.PORT_ORDER == ("x-", "x+")
         assert list(chain.cables()) == [
-            (i, "right", i + 1, "left") for i in range(n - 1)]
+            (i, "x+", i + 1, "x-") for i in range(n - 1)]
         for i in range(n):
-            assert chain.neighbor(i, "right") == (
+            assert chain.neighbor(i, "x+") == (
                 i + 1 if i + 1 < n else None)
-            assert chain.neighbor(i, "left") == (i - 1 if i > 0 else None)
-        assert chain.edge_for(0, "left") is None
+            assert chain.neighbor(i, "x-") == (i - 1 if i > 0 else None)
+        assert chain.edge_for(0, "x-") is None
         for s, d in _pairs(n):
             assert chain.min_hops(s, d) == abs(d - s)
-            port = "right" if d > s else "left"
+            port = "x+" if d > s else "x-"
             assert chain.next_hop(s, d) == (port, chain.neighbor(s, port))
 
     def test_extent_floors(self):
-        for build in (RingTopology, ChainTopology):
-            with pytest.raises(TopologyError):
-                build(1)
+        with pytest.raises(TopologyError):
+            RingTopology(1)
+        with pytest.raises(TopologyError):
+            MeshTopology((1,))
         with pytest.raises(TopologyError):
             TorusTopology((2,))  # torus axes keep >= 3; the ring keeps 2
         assert TorusTopology((3,)).n_hosts == 3
@@ -112,8 +113,7 @@ class TestOneClass:
     """(b) Same cabling, different defaults."""
 
     def test_constructors_only_construct(self):
-        for cls in (RingTopology, ChainTopology, MeshTopology,
-                    TorusTopology):
+        for cls in (RingTopology, MeshTopology, TorusTopology):
             assert cls.__mro__[1] is Topology
             own = {name for name in vars(cls) if not name.startswith("__")}
             assert own == set(), own
@@ -121,10 +121,11 @@ class TestOneClass:
         assert Topology((4, 4), wrap=True).kind == "torus"
         assert Topology((4, 4), wrap=False).kind == "mesh"
 
-    @pytest.mark.parametrize("named,grid", [
-        (RingTopology, TorusTopology), (ChainTopology, MeshTopology)])
+    @pytest.mark.parametrize("named,grid", [(RingTopology, TorusTopology)])
     @pytest.mark.parametrize("n", range(3, 10))
     def test_ring_is_torus_chain_is_mesh(self, named, grid, n):
+        # A chain *is* ``MeshTopology((n,))``; the ring is the one named
+        # constructor left with a cabling of its own name.
         one, other = named(n), grid((n,))
         assert (one.dims, one.wrap) == (other.dims, other.wrap)
         assert one.kind != other.kind
@@ -145,7 +146,7 @@ class TestOneClass:
     @pytest.mark.parametrize("topology,dims,router,barrier", [
         ("ring", None, "fixed_right", RingBarrier),
         ("torus", (4,), "dimension_order", DisseminationBarrier),
-        ("chain", None, "fixed_right", ChainBarrier),
+        ("mesh", (2, 2), "dimension_order", DisseminationBarrier),
         ("mesh", (4,), "dimension_order", DisseminationBarrier),
     ])
     def test_the_defaults_fork_is_on_kind(self, topology, dims, router,
@@ -166,7 +167,7 @@ class TestOneClass:
 
 
 def _one_axis(n):
-    return [RingTopology(n), ChainTopology(n), MeshTopology((n,))] + (
+    return [RingTopology(n), MeshTopology((n,))] + (
         [TorusTopology((n,))] if n >= 3 else [])
 
 
@@ -206,7 +207,7 @@ class TestShortestIsCanonical:
                     onward, _nxt = topo.next_hop(node, dst)
                     in_port = topo.opposite_port(onward)
                     if topo.neighbor(node, in_port) is None:
-                        continue  # chain end: nothing arrives there
+                        continue  # line end: nothing arrives there
                     keep = shortest.forward_port(node, dst, in_port, dead)
                     assert keep == onward
                     try:
@@ -232,19 +233,19 @@ class TestShortestIsCanonical:
 
 
 class TestFixedRight:
-    """(d) The paper's rule, with the chain fallback on the Route."""
+    """(d) The paper's rule, with the open-axis fallback on the Route."""
 
     @pytest.mark.parametrize("n", SIZES)
     def test_chain_rightward_else_flagged_leftward(self, n):
-        router = make_router(ChainTopology(n))  # the 1-D default
+        router = make_router(MeshTopology((n,)), "fixed_right")
         assert router.name == "fixed_right"
         for s, d in _pairs(n):
             route = router.resolve(s, d)
             if d > s:
-                assert route == Route("right", d - s)
+                assert route == Route("x+", d - s)
                 assert not route.fallback
             else:
-                assert route == Route("left", s - d)
+                assert route == Route("x-", s - d)
                 assert route.fallback
             assert not route.rerouted
 
@@ -261,7 +262,7 @@ class TestFixedRight:
         assert route == Route("x+", 4)
 
     def test_errors_still_come_from_the_router(self):
-        for topo in (RingTopology(3), ChainTopology(3)):
+        for topo in (RingTopology(3), MeshTopology((3,))):
             for policy in ("fixed_right", "shortest"):
                 router = make_router(topo, policy)
                 with pytest.raises(TopologyError):

@@ -2,7 +2,7 @@
 
 Covers the two routing-correctness bugfixes this PR lands:
 
-* the chain's silent ``FIXED_RIGHT`` -> leftward fallback is now a
+* the open axis's silent ``FIXED_RIGHT`` -> leftward fallback is now a
   flagged routing decision (``Route.fallback``, counted by the runtime
   as ``route_fallbacks``), and the even-ring SHORTEST tie-break is
   pinned rightward;
@@ -17,7 +17,6 @@ import pytest
 
 from repro.fabric import (
     AdaptiveRouter,
-    ChainTopology,
     DimensionOrderRouter,
     Direction,
     MeshTopology,
@@ -107,12 +106,13 @@ class TestPolicyRouter:
 
 class TestChainFallback:
     def test_fixed_right_fallback_is_flagged_and_counted(self):
-        # FIXED_RIGHT cannot cross the chain gap rightward; the fallback
-        # used to be silent — it is now flagged on every such resolve
-        # (the runtime counts the flags: test_route_fallbacks_counted).
-        router = PolicyRouter(ChainTopology(4), RoutingPolicy.FIXED_RIGHT)
+        # FIXED_RIGHT cannot leave a line (the 1-D mesh) past its end
+        # rightward; the fallback used to be silent — it is now flagged
+        # on every such resolve (the runtime counts the flags:
+        # test_route_fallbacks_counted).
+        router = PolicyRouter(MeshTopology((4,)), RoutingPolicy.FIXED_RIGHT)
         route = router.resolve(3, 0)
-        assert route.direction == Direction.LEFT
+        assert route.direction == "x-"
         assert route.hops == 3
         assert route.fallback
         # Rightward routes are not fallbacks.
@@ -120,7 +120,7 @@ class TestChainFallback:
         assert router.resolve(3, 0).fallback
 
     def test_router_surfaces_the_fallback(self):
-        topo = ChainTopology(3)
+        topo = MeshTopology((3,))
         router = PolicyRouter(topo, RoutingPolicy.FIXED_RIGHT)
         assert router.resolve(2, 0).fallback
         # Leftward by choice (SHORTEST) is not a fallback.

@@ -10,8 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.fabric import (
-    ChainTopology,
     Direction,
+    MeshTopology,
     NoRouteError,
     PolicyRouter,
     RingTopology,
@@ -83,32 +83,34 @@ class TestRing:
 
 
 class TestChain:
+    """A line of hosts — a ring minus one cable — is the 1-D mesh."""
+
     def test_ends_have_no_neighbor(self):
-        chain = ChainTopology(3)
-        assert chain.neighbor(0, Direction.LEFT) is None
-        assert chain.neighbor(2, Direction.RIGHT) is None
-        assert chain.neighbor(1, Direction.RIGHT) == 2
+        chain = MeshTopology((3,))
+        assert chain.neighbor(0, "x-") is None
+        assert chain.neighbor(2, "x+") is None
+        assert chain.neighbor(1, "x+") == 2
 
     def test_hops_directional(self):
-        chain = ChainTopology(4)
+        chain = MeshTopology((4,))
         assert _route(chain, 0, 3).hops == 3
         with pytest.raises(NoRouteError):  # no leftward way from the end
             _route(chain, 0, 3, dead={(0, 1)})
         leftward = _route(chain, 3, 1)
-        assert leftward.direction == Direction.LEFT
+        assert leftward.direction == "x-"
         assert leftward.hops == 2
 
     def test_links_count(self):
-        assert len(list(ChainTopology(4).links())) == 3
+        assert len(list(MeshTopology((4,)).links())) == 3
 
     def test_fixed_right_falls_back_left(self):
-        chain = ChainTopology(4)
+        chain = MeshTopology((4,))
         route = _route(chain, 3, 0, RoutingPolicy.FIXED_RIGHT)
-        assert route.direction == Direction.LEFT
+        assert route.direction == "x-" and route.fallback
         assert route.hops == 3
 
     def test_shortest_on_chain(self):
-        chain = ChainTopology(4)
+        chain = MeshTopology((4,))
         route = _route(chain, 1, 3, RoutingPolicy.SHORTEST)
-        assert route.direction == Direction.RIGHT
+        assert route.direction == "x+"
         assert route.hops == 2

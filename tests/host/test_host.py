@@ -70,16 +70,6 @@ class TestInterruptController:
         env.run()
         assert len(hits) == 3
 
-    def test_coalesce_mode_drops_inflight_duplicates(self, env):
-        pic = InterruptController(env, delivery_latency_us=20.0,
-                                  coalesce=True)
-        hits = []
-        pic.register(1, lambda v: hits.append(env.now))
-        pic.raise_msi(1)
-        pic.raise_msi(1)  # coalesced
-        env.run()
-        assert len(hits) == 1
-
     def test_mask_defers_until_unmask(self, env):
         pic = InterruptController(env, delivery_latency_us=5.0)
         hits = []

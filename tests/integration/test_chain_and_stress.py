@@ -1,4 +1,4 @@
-"""Chain-topology end-to-end tests and protocol stress (seq wraparound)."""
+"""Line-of-hosts end-to-end tests and protocol stress (seq wraparound)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ from ..conftest import pattern
 
 
 def chain(n):
-    return ClusterConfig(n_hosts=n, topology="chain")
+    """A line of ``n`` hosts — a ring minus one cable — is the 1-D mesh."""
+    return ClusterConfig(n_hosts=n, topology="mesh", dims=(n,))
 
 
 class TestChainTopologyEndToEnd:
@@ -32,8 +33,8 @@ class TestChainTopologyEndToEnd:
         assert all(report.results)
 
     def test_leftward_put_on_chain(self):
-        """FIXED_RIGHT falls back to leftward routing when rightward is
-        impossible on a chain."""
+        """A destination on the left is reached leftward: there is no
+        wraparound cable at the end of a line."""
         def main(pe):
             dest = yield from pe.malloc(4096)
             if pe.my_pe() == 2:

@@ -35,7 +35,7 @@ class TestBenchCli:
 
     @pytest.mark.parametrize("argv, shows", [
         (["--compare-fastpath"], "acceptance targets"),
-        (["--metrics"], "SLO report"),
+        (["--metrics"], "faults:"),
         (["--topology"], "torus4x4"),
     ])
     def test_display_entries_print_and_write_nothing(

@@ -68,7 +68,7 @@ class TestSeveredFirstHop:
                 assert link.data_mailbox.in_flight == 0
                 assert link.bypass_mailbox.slots \
                     == config.fastpath.credit_slots
-            assert rt.service._cut_through
+            assert rt.service._fastpath
             assert rt.service.active_acks == 0
             assert rt.service.active_forwards == 0
 

@@ -8,8 +8,9 @@ the runtime level:
 * latency histograms are keyed by the hop count an op *actually*
   traversed: a put rerouted mid-transfer by a severed cable lands in
   the long-route bucket, not the issue-time one;
-* the chain's FIXED_RIGHT leftward fallback is surfaced as
-  ``route_fallbacks`` in the metrics fabric;
+* FIXED_RIGHT's leftward fallback on an open axis (a line of hosts,
+  the 1-D mesh) is surfaced as ``route_fallbacks`` in the metrics
+  fabric;
 * a double-severed ring raises a typed :class:`PeerUnreachableError`
   promptly (no retry spin into a known-dead route);
 * ``ShmemConfig`` validates router names up front.
@@ -125,9 +126,9 @@ class TestTraversedHopMetrics:
 
 class TestChainFallbackSurfaced:
     def test_route_fallbacks_counted(self):
-        # On a 3-chain, PE 2 -> PE 0 cannot honor FIXED_RIGHT; the
-        # leftward fallback used to be silent — it must now show up in
-        # the runtime's mirrored counter.
+        # On a line of 3 hosts, PE 2 -> PE 0 cannot honor FIXED_RIGHT;
+        # the leftward fallback used to be silent — it must now show up
+        # in the runtime's mirrored counter.
         def main(pe):
             me, n = pe.my_pe(), pe.num_pes()
             sym = yield from pe.malloc(_SLOT)
@@ -137,8 +138,9 @@ class TestChainFallbackSurfaced:
             return {"fallbacks": pe.rt.route_fallbacks}
 
         report = run_spmd(main, 3,
-                          cluster_config=ClusterConfig(n_hosts=3,
-                                                       topology="chain"),
+                          cluster_config=ClusterConfig(
+                              n_hosts=3, topology="mesh", dims=(3,)),
+                          shmem_config=ShmemConfig(routing="fixed_right"),
                           check_heap_consistency=False)
         by_pe = [r["fallbacks"] for r in report.results]
         assert by_pe[2] > 0
@@ -230,6 +232,49 @@ class TestMidBarrierSever:
                           shmem_config=config,
                           check_heap_consistency=False)
         assert list(report.results) == list(range(4))
+
+
+class TestPendingGetOnACutPath:
+    def test_get_whose_issue_time_path_dies_is_retried_and_verified(
+            self, monkeypatch):
+        """A 64 KiB get from PE 0 to PE 8 on a 3x3 mesh leaves on the
+        dimension-order path 0-1-2-5-8; cable (1,2) dies under it.  When
+        the detector marks the edge, the base router's grid walk
+        (``Router.route_edges``) finds the pending request on the dead
+        path, fails it, and the retry verifies the data over a detour."""
+        from repro.fabric import Router
+
+        walks = []
+        walk = Router.route_edges
+
+        def counted(router, src, dst, route):
+            walks.append((type(router).__name__, src, dst))
+            return walk(router, src, dst, route)
+
+        monkeypatch.setattr(Router, "route_edges", counted)
+        size = 64 * 1024
+
+        def main(pe):
+            sym = yield from pe.malloc(size)
+            pe.write_symmetric(sym, np.full(size, pe.my_pe() + 1, np.uint8))
+            yield from pe.barrier_all()
+            ok = True
+            if pe.my_pe() == 0:
+                got = yield from pe.get(sym, size, 8)
+                ok = bool((got == 9).all())
+            yield from pe.barrier_all()
+            return ok
+
+        report = run_spmd(
+            main, 9,
+            cluster_config=ClusterConfig(n_hosts=9, topology="mesh",
+                                         dims=(3, 3)),
+            shmem_config=ShmemConfig(
+                faults=FaultPlan([SeverCable(2_500.0, 1, 2)]),
+                max_retries=8, retry_backoff_us=200.0))
+        assert all(report.results)
+        assert walks == [("DimensionOrderRouter", 0, 8)]
+        assert report.runtimes[0].retries == 1
 
 
 class TestRouterConfigValidation:

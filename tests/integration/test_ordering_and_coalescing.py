@@ -1,11 +1,10 @@
-"""Channel-ordering conformance + interrupt-coalescing survival tests."""
+"""Channel-ordering conformance tests."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro import ClusterConfig, HostConfig, Mode, run_spmd
+from repro import run_spmd
 
 from ..conftest import pattern
 
@@ -79,62 +78,3 @@ class TestChannelOrdering:
 
         report = run_spmd(main, n_pes=3)
         assert report.results == [0, 0, 0]
-
-
-class TestInterruptCoalescing:
-    """The protocol is self-clocking (one outstanding message per channel,
-    each awaiting its ACK), so even aggressive MSI coalescing cannot lose
-    a wakeup — data integrity must hold."""
-
-    def _config(self):
-        return ClusterConfig(
-            n_hosts=3, host=HostConfig(coalesce_interrupts=True)
-        )
-
-    def test_puts_survive_coalescing(self):
-        def main(pe):
-            sym = yield from pe.malloc(64 * 1024)
-            right = (pe.my_pe() + 1) % pe.num_pes()
-            for round_no in range(4):
-                yield from pe.put(
-                    sym, pattern(64 * 1024, seed=round_no), right
-                )
-            yield from pe.barrier_all()
-            return bool(np.array_equal(
-                pe.read_symmetric(sym, 64 * 1024), pattern(64 * 1024, seed=3)
-            ))
-
-        report = run_spmd(main, n_pes=3, cluster_config=self._config())
-        assert all(report.results)
-
-    def test_multihop_and_gets_survive_coalescing(self):
-        def main(pe):
-            sym = yield from pe.malloc(100_000)
-            two = (pe.my_pe() + 2) % pe.num_pes()
-            yield from pe.put(sym, pattern(100_000, seed=pe.my_pe()), two)
-            yield from pe.barrier_all()
-            right = (pe.my_pe() + 1) % pe.num_pes()
-            data = yield from pe.get(sym, 10_000, right)
-            sender_for_right = (right - 2) % pe.num_pes()
-            ok = np.array_equal(
-                data, pattern(100_000, seed=sender_for_right)[:10_000]
-            )
-            yield from pe.barrier_all()
-            return bool(ok)
-
-        report = run_spmd(main, n_pes=3, cluster_config=self._config())
-        assert all(report.results)
-
-    def test_atomics_survive_coalescing(self):
-        def main(pe):
-            cell = yield from pe.malloc(8)
-            pe.write_symmetric(cell, np.zeros(1, dtype=np.int64))
-            yield from pe.barrier_all()
-            for _ in range(3):
-                yield from pe.atomic_add(cell, 1, 0)
-            yield from pe.barrier_all()
-            value = yield from pe.atomic_fetch(cell, 0)
-            return value
-
-        report = run_spmd(main, n_pes=3, cluster_config=self._config())
-        assert all(v == 9 for v in report.results)

@@ -57,7 +57,7 @@ def _fastpath() -> dict:
 
 def _metrics_smoke() -> dict:
     result = run_metrics_smoke()
-    assert result.ok, result.slo.render()
+    assert result.ok, result.render()
     return result.virtual_figures()
 
 

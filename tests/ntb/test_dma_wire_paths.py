@@ -1,12 +1,12 @@
 """The DMA engine's wire stage on the two wire paths no workload runs.
 
-A flow-controlled cable (the ``fc_stall`` credit pool) and an open
-:class:`~repro.faults.DelayTlp` window each add a wait before the wire.
-Both are walked here by concurrent DMA writes and reads in both
+An open :class:`~repro.faults.DelayTlp` window adds a wait before the
+wire.  It is walked here by concurrent DMA writes and reads in both
 directions of one cable, and must give the figures the engine gave when
 every pipeline stage was a spawned process joined by an ``AllOf``: the
 pinned completion instants and byte counts below were produced by that
-engine on this very scenario.
+engine on this very scenario.  A cable severed inside that wait drops
+the chunk on the wire (``Link.stage``'s drop path).
 """
 
 from __future__ import annotations
@@ -16,28 +16,28 @@ import numpy as np
 from repro.host import Host
 from repro.ntb import (
     DATA_WINDOW,
+    LinkDownError,
     NtbEndpoint,
     connect_endpoints,
 )
-from repro.pcie import CreditConfig, LinkConfig
 from repro.sim import Environment
 
 from ..conftest import pattern
 
 
-def _scenario(link_config=None, delay_window=None):
+def _scenario(delay_window=None):
     """Two hosts, one cable; host 0 writes 3 x 48 KiB and reads 40 KiB
     while host 1 writes 2 x 64 KiB back.  ``delay_window = (open, close,
     extra_us)`` opens a DelayTlp window on both directions, as the fault
     injector does.  Returns every completion instant, the bytes and busy
-    time of both directions, the credit stalls and the payload check."""
+    time of both directions and the payload check."""
     env = Environment()
     h0, h1 = Host(env, 0), Host(env, 1)
     e0 = NtbEndpoint(env, "h0.right")
     e1 = NtbEndpoint(env, "h1.left")
     e0.attach_host(h0.memory, h0.memory_port, 0x000)
     e1.attach_host(h1.memory, h1.memory_port, 0x101)
-    cable = connect_endpoints(e0, e1, link_config)
+    cable = connect_endpoints(e0, e1)
     e0.lut.add(e1.requester_id, 1)
     e1.lut.add(e0.requester_id, 0)
     rx0, rx1 = h0.alloc_pinned(1 << 18), h1.alloc_pinned(1 << 18)
@@ -77,8 +77,7 @@ def _scenario(link_config=None, delay_window=None):
     sent = h0.memory.read(writes.value.phys, 3 * 48 * 1024)
     read_ok = np.array_equal(h0.memory.read(reads.value.phys, 40 * 1024),
                              pattern(40 * 1024, seed=7))
-    links = [(link.payload_bytes, link.busy_time_us, link.dropped_bytes,
-              link.credits.stall_count if link.credits else None)
+    links = [(link.payload_bytes, link.busy_time_us, link.dropped_bytes)
              for link in (cable.a_to_b, cable.b_to_a)]
     return {
         "done": sorted(done, key=lambda entry: (entry[2], entry[0])),
@@ -89,37 +88,74 @@ def _scenario(link_config=None, delay_window=None):
     }
 
 
-def test_flow_controlled_cable_gives_the_process_pumps_figures():
-    figures = _scenario(LinkConfig(flow_control=CreditConfig(
-        header_credits=2, data_credits=1024), receiver_drain_us=3.0))
-    assert figures["payload_ok"]
-    assert repr(figures) == repr(PINNED["credits"])
-
-
 def test_delay_tlp_window_gives_the_process_pumps_figures():
     figures = _scenario(delay_window=(30.0, 90.0, 6.0))
     assert figures["payload_ok"]
     assert repr(figures) == repr(PINNED["delay_tlp"])
 
 
+def severed_in_flight(sever_at_us, nbytes=48 * 1024, extra_us=6.0):
+    """One DMA write of three 16 KiB pipeline chunks across a cable whose
+    DelayTlp wait (``extra_us``) holds each chunk before the wire, severed
+    at ``sever_at_us``: a cut inside a chunk's wait drops that chunk on
+    the wire (``Link.stage``'s drop path).  Returns the request's outcome,
+    the link's dropped / carried bytes, and whether each chunk's bytes
+    are in the receiver's window."""
+    env = Environment()
+    h0, h1 = Host(env, 0), Host(env, 1)
+    e0, e1 = NtbEndpoint(env, "h0.right"), NtbEndpoint(env, "h1.left")
+    e0.attach_host(h0.memory, h0.memory_port, 0x000)
+    e1.attach_host(h1.memory, h1.memory_port, 0x101)
+    cable = connect_endpoints(e0, e1)
+    e0.lut.add(e1.requester_id, 1)
+    e1.lut.add(e0.requester_id, 0)
+    rx = h1.alloc_pinned(1 << 17)
+    e1.program_incoming(DATA_WINDOW, rx.phys, rx.nbytes)
+    source = h0.alloc_pinned(nbytes)
+    h0.memory.write(source.phys, pattern(nbytes, seed=3))
+    cable.a_to_b.fault_extra_delay_us = extra_us
+    env.timeout(sever_at_us).callbacks.append(lambda _evt: cable.sever())
+    request = e0.dma_write(DATA_WINDOW, 0, [source.segment])
+    outcome = []
+
+    def waiter():
+        try:
+            yield request.done
+            outcome.append("completed")
+        except LinkDownError:
+            outcome.append("LinkDownError")
+
+    env.process(waiter())
+    env.run()
+    landed, want = h1.memory.read(rx.phys, nbytes), pattern(nbytes, seed=3)
+    chunk = 16 * 1024
+    return {
+        "outcome": outcome,
+        "dropped": cable.a_to_b.dropped_bytes,
+        "carried": cable.a_to_b.payload_bytes,
+        "landed": [bool(np.array_equal(landed[i:i + chunk], want[i:i + chunk]))
+                   for i in range(0, nbytes, chunk)],
+    }
+
+
+def test_chunk_into_a_severed_cable_fails_the_request_typed():
+    """The first chunk waits out its DelayTlp, finds the cable cut and is
+    dropped on the wire; the next chunk sees the dead link and the
+    engine fails the request with its typed error."""
+    figures = severed_in_flight(sever_at_us=32.0)
+    assert figures["outcome"] == ["LinkDownError"]
+    assert (figures["dropped"], figures["carried"]) == (16 * 1024, 0)
+    assert figures["landed"][1:] == [False, False]
+
+
 #: Produced by the engine whose every stage was a spawned process.
-PINNED = {'credits': {'done': [('w0', 0, 48.44896551724138),
-                               ('w1', 0, 56.05427055702916),
-                               ('r0', 0, 105.18646551724142),
-                               ('w1', 1, 116.11112068965521),
-                               ('w0', 1, 153.63543103448276),
-                               ('w0', 2, 202.08439655172413)],
-                      'links': [(147456, 20.474999999999998, 0, 0),
-                                (172032, 23.887499999999996, 0, 6)],
-                      'payload_ok': True,
-                      'now': 202.08439655172413},
-          'delay_tlp': {'done': [('w0', 0, 53.69965517241379),
+PINNED = {'delay_tlp': {'done': [('w0', 0, 53.69965517241379),
                                  ('w1', 0, 62.62653846153845),
                                  ('r0', 0, 107.15102122015914),
                                  ('w1', 1, 116.7251591511936),
                                  ('w0', 1, 155.59998673740049),
                                  ('w0', 2, 204.04895225464185)],
-                        'links': [(147456, 20.474999999999998, 0, None),
-                                  (172032, 23.887499999999996, 0, None)],
+                        'links': [(147456, 20.474999999999998, 0),
+                                  (172032, 23.887499999999996, 0)],
                         'payload_ok': True,
                         'now': 204.04895225464185}}

@@ -139,14 +139,6 @@ def test_to_json_schema_and_roundtrip():
     json.dumps(payload)  # must be serializable as-is
 
 
-def test_to_prometheus_families():
-    text = _populated_registry().to_prometheus()
-    assert "# TYPE repro_pe0_puts counter" in text
-    assert "repro_pe0_puts 3" in text
-    assert "# TYPE repro_sim_heap_depth gauge" in text
-    assert 'quantile="0.99"' in text
-
-
 def test_snapshot_exposes_counter_bytes():
     snapshot = _populated_registry().snapshot()
     assert snapshot["pe0.puts"] == 3

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.host import CostModel, Cpu
 from repro.memory import PhysicalMemory, PhysSegment
 from repro.ntb import DmaConfig, DmaDirection, DmaEngine, LinkDownError
-from repro.pcie import CreditConfig, Link, LinkConfig
+from repro.pcie import Link, LinkConfig
 from repro.sim import (
     AllOf,
     BandwidthServer,
@@ -112,13 +112,19 @@ class TestResourceConservation:
     @given(items=st.lists(st.integers(), min_size=0, max_size=30),
            capacity=st.one_of(st.none(), st.integers(1, 5)))
     def test_store_conserves_and_orders_items(self, items, capacity):
+        """Every push is admitted FIFO: past ``capacity`` it parks until a
+        get makes room, and a getter waiting on an empty store takes the
+        next push directly."""
         env = Environment()
         store: Store[int] = Store(env, capacity=capacity)
         received = []
 
         def producer():
-            for item in items:
-                yield store.put(item)
+            for index, item in enumerate(items):
+                if index % 3 == 2:
+                    yield env.timeout(1.0)
+                store.push(item)
+                assert capacity is None or len(store) <= capacity
 
         def consumer():
             for _ in items:
@@ -237,10 +243,6 @@ def _reference_wire(link, nbytes):
         yield env.timeout(link.config.serialization_time_us(nbytes))
         link.dropped_bytes += nbytes
         return
-    if link.credits is not None:
-        with link.scope.span("fc_stall", category="link", track=link.name,
-                             nbytes=nbytes):
-            yield from link.credits.acquire(1, nbytes)
     req = link._wire.request()
     yield req
     try:
@@ -252,20 +254,11 @@ def _reference_wire(link, nbytes):
         link.busy_time_us += ser
     finally:
         link._wire.release(req)
-    if link.credits is not None:
-        drain = env.timeout(link.config.receiver_drain_us)
-        drain.callbacks.append(
-            lambda _evt, n=nbytes: link.credits.release(1, n))
 
 
 class ReferencePump(DmaEngine):
     """The engine before callback stages: four spawned stage processes
-    and an ``AllOf`` per chunk, and a descriptor-ring ``put`` whose event
-    nobody waits for."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._ring.push = self._ring.put
+    and an ``AllOf`` per chunk."""
 
     def _pump_segment(self, src_mem, src_addr, src_port, dst_mem, dst_addr,
                       dst_port, nbytes, link):
@@ -334,11 +327,7 @@ def _pipelines(draw):
             LinkConfig,
             generation=st.sampled_from([1, 2, 3]),
             lanes=st.sampled_from([1, 4, 8]),
-            propagation_delay_us=st.sampled_from([0.0, 0.5]),
-            flow_control=st.one_of(st.none(), st.builds(
-                CreditConfig, header_credits=st.sampled_from([1, 2, 64]),
-                data_credits=st.sampled_from([1024, 2048]))),
-            receiver_drain_us=st.sampled_from([0.5, 1.0])),
+            propagation_delay_us=st.sampled_from([0.0, 0.5])),
             min_size=n_links, max_size=n_links)),
         "engines": engines,
         # rival holders of a port (0), wire (1) or pump (2)

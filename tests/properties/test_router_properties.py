@@ -24,7 +24,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fabric import (
     AdaptiveRouter,
-    ChainTopology,
     DimensionOrderRouter,
     MeshTopology,
     NoRouteError,
@@ -42,7 +41,7 @@ _SETTINGS = settings(
 
 _TOPOLOGIES = st.one_of(
     st.integers(3, 8).map(RingTopology),
-    st.integers(3, 8).map(ChainTopology),
+    st.integers(3, 8).map(lambda n: MeshTopology((n,))),
     st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 3), (2, 2, 2)])
     .map(MeshTopology),
     st.sampled_from([(4,), (3, 3), (4, 3), (3, 3, 3)]).map(TorusTopology),
@@ -53,7 +52,7 @@ def _routers_for(topology):
     routers = (DimensionOrderRouter(topology), AdaptiveRouter(topology))
     if len(topology.dims) > 1:
         return routers
-    # One axis (ring, chain, and the 1-D torus they share a class with):
+    # One axis (ring, line — the 1-D mesh — and the 1-D torus):
     # the two direction policies apply as well.
     return (PolicyRouter(topology, RoutingPolicy.FIXED_RIGHT),
             PolicyRouter(topology, RoutingPolicy.SHORTEST)) + routers

@@ -19,8 +19,8 @@ The fingerprint is a byte string built from:
 
 Scenario coverage maps the repo's feature surface: the quickstart ring
 (paper-faithful plane), chaos (seeded cable sever + recovery), the
-fastpath data plane, the metered run (DesProfiler + metrics ticker on
-the hot loop), and two ShmemCheck protocol models (lock, put-signal)
+fastpath data plane, the metered run (the metrics ticker on the hot
+loop), and two ShmemCheck protocol models (lock, put-signal)
 under their instrumented configs.
 """
 
@@ -35,7 +35,6 @@ from repro.core import FastpathConfig, ShmemConfig
 from repro.core.errors import PeerUnreachableError
 from repro.core.program import make_cluster, run_spmd
 from repro.faults import FaultPlan
-from repro.obsv.profiler import DesProfiler
 from repro.sim import Environment
 from repro.sim.core import set_default_queue
 from repro.sim.queues import QUEUE_KINDS
@@ -123,18 +122,11 @@ def _metered_main(pe):
 # ``step_hooks`` *before* anything runs, and returns the finished report.
 # --------------------------------------------------------------------------
 
-def _run(main, n_pes, hook, shmem_config=None, install_profiler=False):
+def _run(main, n_pes, hook, shmem_config=None):
     cluster = make_cluster(n_pes)
     cluster.env.step_hooks.append(hook)
-    profiler = DesProfiler(cluster.env) if install_profiler else None
-    if profiler is not None:
-        profiler.install()
-    try:
-        return run_spmd(main, n_pes=n_pes, cluster=cluster,
-                        shmem_config=shmem_config)
-    finally:
-        if profiler is not None:
-            profiler.uninstall()
+    return run_spmd(main, n_pes=n_pes, cluster=cluster,
+                    shmem_config=shmem_config)
 
 
 def _scenario_quickstart(hook):
@@ -162,8 +154,7 @@ def _scenario_fastpath(hook):
 
 def _scenario_metered(hook):
     return _run(_metered_main, 3, hook,
-                ShmemConfig(metrics_window_us=200.0),
-                install_profiler=True)
+                ShmemConfig(metrics_window_us=200.0))
 
 
 def _check_model(name):

@@ -9,7 +9,6 @@ from repro.sim import (
     AnyOf,
     CountdownLatch,
     Environment,
-    Gate,
     Join,
     SchedulePolicy,
     Signal,
@@ -221,49 +220,6 @@ class TestSignal:
         env.process(late_waiter())
         env.run()
         assert hits == []  # waiter still blocked; run() drained
-
-
-class TestGate:
-    def test_closed_gate_blocks(self, env):
-        gate = Gate(env)
-        log = []
-
-        def waiter():
-            yield gate.wait()
-            log.append(env.now)
-
-        env.process(waiter())
-
-        def opener():
-            yield env.timeout(4.0)
-            gate.open()
-
-        env.process(opener())
-        env.run()
-        assert log == [4.0]
-
-    def test_open_gate_passes_immediately(self, env):
-        gate = Gate(env, open_=True)
-
-        def waiter():
-            yield gate.wait()
-            return env.now
-
-        assert env.run(until=env.process(waiter())) == 0.0
-
-    def test_reclose(self, env):
-        gate = Gate(env, open_=True)
-        gate.close()
-        assert not gate.is_open
-        hits = []
-
-        def waiter():
-            yield gate.wait()
-            hits.append(True)
-
-        env.process(waiter())
-        env.run()
-        assert hits == []
 
 
 class TestCountdownLatch:

@@ -1,4 +1,4 @@
-"""Unit tests for Resource, Store, BandwidthServer and Channel."""
+"""Unit tests for Resource, Store and BandwidthServer."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.sim import (
     SimulationError,
     Store,
 )
-from repro.sim.resources import Channel
 
 
 class TestResource:
@@ -239,7 +238,7 @@ class TestStore:
         def producer():
             for item in (10, 20, 30):
                 yield env.timeout(1.0)
-                store.put(item)
+                store.push(item)
 
         env.process(producer())
         env.run()
@@ -257,42 +256,28 @@ class TestStore:
 
         def producer():
             yield env.timeout(5.0)
-            store.put("late")
+            store.push("late")
 
         env.process(producer())
         env.run()
         assert times == [("late", 5.0)]
 
     def test_bounded_put_blocks(self, env):
+        """A push past capacity parks until a get makes room."""
         store: Store[int] = Store(env, capacity=1)
         log = []
 
-        def producer():
-            yield store.put(1)
-            log.append(("put1", env.now))
-            yield store.put(2)
-            log.append(("put2", env.now))
-
-        env.process(producer())
-
         def consumer():
             yield env.timeout(10.0)
-            item = yield store.get()
-            log.append(("got", item, env.now))
+            log.append(("got", (yield store.get()), env.now))
+            log.append(("got", (yield store.get()), env.now))
 
+        store.push(1)
+        store.push(2)
+        assert store.items == (1,)
         env.process(consumer())
         env.run()
-        assert ("put1", 0.0) in log
-        assert ("put2", 10.0) in log
-
-    def test_try_put_try_get(self, env):
-        store: Store[int] = Store(env, capacity=1)
-        assert store.try_put(1)
-        assert not store.try_put(2)
-        ok, item = store.try_get()
-        assert ok and item == 1
-        ok, item = store.try_get()
-        assert not ok and item is None
+        assert log == [("got", 1, 10.0), ("got", 2, 10.0)]
 
     def test_direct_handoff_to_waiting_getter(self, env):
         store: Store[int] = Store(env, capacity=1)
@@ -304,7 +289,7 @@ class TestStore:
 
         env.process(consumer())
         env.run()  # consumer now waiting
-        assert store.try_put(99)
+        store.push(99)
         env.run()
         assert results == [99]
         assert len(store) == 0
@@ -419,39 +404,3 @@ class TestStorePush:
         env.process(consumer())
         env.run()
         assert received == [0, 1, 2, 3] and len(store) == 0
-
-
-class TestChannel:
-    def test_delayed_delivery(self, env):
-        channel: Channel[str] = Channel(env, delay=3.0)
-        got = []
-
-        def consumer():
-            message = yield channel.recv()
-            got.append((message, env.now))
-
-        env.process(consumer())
-
-        def producer():
-            yield env.timeout(1.0)
-            channel.send("hello")
-
-        env.process(producer())
-        env.run()
-        assert got == [("hello", 4.0)]
-
-    def test_zero_delay(self, env):
-        channel: Channel[int] = Channel(env)
-        channel.send(7)
-        got = []
-
-        def consumer():
-            got.append((yield channel.recv()))
-
-        env.process(consumer())
-        env.run()
-        assert got == [7]
-
-    def test_negative_delay_rejected(self, env):
-        with pytest.raises(ValueError):
-            Channel(env, delay=-1.0)
