@@ -68,6 +68,7 @@ from .core import (
     ShmemConfig,
     ShmemError,
     SpmdReport,
+    StuckRunError,
     SymAddr,
     run_spmd,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "ShmemError",
     "ShmemSan",
     "SpmdReport",
+    "StuckRunError",
     "SymAddr",
     "render_race_table",
     "run_spmd",

@@ -43,13 +43,13 @@ Rules
 ``registered-wait``
     A spin/retry loop in ``repro/core`` (``while ...: yield
     <x>.timeout(...)``) is a blocking primitive: it can park a PE for
-    unbounded simulated time.  Every such primitive must make itself
-    visible to the wait-for graph — the enclosing function must touch
-    ``wait_graph`` / ``blocked_on`` (register, or consult the graph) so
-    the ShmemCheck deadlock detector can see the dependency and name the
-    cycle instead of reporting an anonymous hang.  Loops that are
-    genuinely bounded (a fixed retry budget with a raise) can be
-    suppressed with ``# lint: skip`` on the ``yield`` line.
+    unbounded simulated time.  Every such primitive must register with
+    the wait-for graph through its one registration path — the enclosing
+    function must call ``blocked_on`` or ``remote_wait`` — so a stalled
+    run names what the PE is blocked on and the deadlock check sees the
+    dependency.  Loops that are genuinely bounded (a fixed retry budget
+    with a raise) can be suppressed with ``# lint: skip`` on the
+    ``yield`` line.
 
 ``fixed-poll``
     A ``while`` loop in ``repro/core`` whose only yield is
@@ -292,7 +292,7 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
     # --------------------------------------------- rule: registered-wait
-    _WAIT_GRAPH_NAMES = frozenset({"wait_graph", "blocked_on"})
+    _WAIT_GRAPH_NAMES = frozenset({"blocked_on", "remote_wait"})
 
     def _touches_wait_graph(self, func: ast.AST) -> bool:
         cached = self._registered_funcs.get(id(func))
@@ -358,10 +358,10 @@ class _Checker(ast.NodeVisitor):
                         child, "registered-wait",
                         "spin loop ('while ...: yield <x>.timeout(...)') "
                         "in repro/core without wait-for-graph "
-                        "registration: blocking primitives must report "
-                        "through wait_graph/blocked_on so the deadlock "
-                        "detector can name the cycle (bounded retries: "
-                        "add '# lint: skip' on the yield line)",
+                        "registration: blocking primitives register "
+                        "through blocked_on / remote_wait so a stalled "
+                        "run names what it is blocked on (bounded "
+                        "retries: add '# lint: skip' on the yield line)",
                     )
         self.generic_visit(node)
 

@@ -3,25 +3,24 @@
 ``run_schedule(model, trace)`` is the deterministic re-execution core of
 ShmemCheck: it stands up a fresh cluster with an
 :class:`~repro.check.policy.ExplorationPolicy` installed, replays the
-trace's forced choices (injecting its fault, if any), and drives the
-simulation with explicit bounds instead of ``env.run`` — a wedged or
-livelocked schedule must be *diagnosed*, not waited out.
+trace's forced choices (injecting its fault, if any), and runs it with
+:func:`repro.core.program.drive` under the model's virtual-time horizon
+and step budget — a wedged or livelocked schedule must be *diagnosed*,
+not waited out.
 
 Checkers, in the order they can fire:
 
-1. **deadlock (cycle)** — after any step that mutated the wait-for
-   graph, a cycle in the hold-and-wait projection is reported
-   immediately, with the blocking primitives on the cycle;
-2. **deadlock (drain)** — the event queue emptied before every PE
-   finished: whatever the PEs are blocked on can no longer occur;
-3. **liveness (horizon / step budget)** — virtual time or step count
-   exceeded the model's bounds: a livelock or lost wakeup, reported with
-   the currently blocked primitives and open ShmemScope spans;
-4. **exceptions** — protocol errors, assertion failures and sanitizer
+1. **drive's verdict** (``StuckRunError.kind``): ``deadlock-cycle`` —
+   the wait-for graph closed a hold-and-wait cycle; ``deadlock-drain`` —
+   the event queue emptied before every PE finished; ``liveness-horizon``
+   / ``livelock-steps`` — virtual time or step count exceeded the
+   model's bounds.  Each is reported with the blocked primitives and
+   open ShmemScope spans at that instant;
+2. **exceptions** — protocol errors, assertion failures and sanitizer
    strict-mode races surface as schedule failures with the trace;
-5. **post-run quiescence** — leaked wait-graph registrations, barrier
+3. **post-run quiescence** — leaked wait-graph registrations, barrier
    generation skew across PEs, services with queued work;
-6. **terminal-state checks** — NTB hardware invariants
+4. **terminal-state checks** — NTB hardware invariants
    (:func:`repro.analysis.invariants.check_cluster`), accumulated
    ShmemSan race reports, and the model's own result property.
 """
@@ -32,11 +31,11 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..analysis.invariants import check_cluster
-from ..core.program import launch
+from ..core.errors import StuckRunError
+from ..core.program import drive, launch, stuck_run
 from ..core.sanitizer import ShmemSan
-from ..core.waitgraph import WaitGraph
 from ..fabric import Cluster, ClusterConfig
-from ..sim import AllOf, Environment
+from ..sim import Environment
 from .models import CheckModel
 from .policy import ExplorationPolicy
 from .trace import Counterexample, FaultPoint, ScheduleTrace
@@ -158,26 +157,6 @@ def _install_probes(cluster: Cluster, policy: ExplorationPolicy) -> None:
             memory.probe = policy.note_access
 
 
-def _blocked_summary(graph: WaitGraph, now: float) -> list[str]:
-    return [
-        f"PE {entry.pe}: {entry.what} "
-        f"(for {now - entry.since:.1f}us"
-        + (f", peer={entry.peer}" if entry.peer is not None else "")
-        + (f", resource={entry.resource!r}"
-           if entry.resource is not None else "")
-        + ")"
-        for entry in graph.blocked
-    ]
-
-
-def _open_span_summary(cluster: Cluster) -> list[str]:
-    scope = getattr(cluster, "scope", None)
-    if scope is None:
-        return []
-    spans = scope.open_spans()
-    return [f"{span.track}:{span.name}" for span in spans[:16]]
-
-
 def run_schedule(model: CheckModel, trace: ScheduleTrace,
                  settings: CheckSettings = CheckSettings()) -> RunOutcome:
     """Deterministically execute ``model`` under ``trace`` and check it."""
@@ -209,8 +188,6 @@ def run_schedule(model: CheckModel, trace: ScheduleTrace,
 
     cluster = Cluster(ClusterConfig(n_hosts=model.n_pes), env=env)
     cluster_holder["cluster"] = cluster
-    graph = WaitGraph()
-    cluster.wait_graph = graph
 
     config = model.make_config()
     san = _FootprintSan(
@@ -220,69 +197,23 @@ def run_schedule(model: CheckModel, trace: ScheduleTrace,
     _install_probes(cluster, policy)
 
     runtimes, _pes, results, processes = launch(cluster, model.main, config)
-    done = AllOf(env, processes)
 
-    # ------------------------------------------------------------ main loop
-    steps = 0
-    graph_version = graph.version
+    # ------------------------------------------------------------ main run
     completed = False
-    failed: Optional[BaseException] = None
-    while not done.processed:
-        if env.peek() == float("inf"):
-            outcome_trace = policy.recorded_trace().shrunk()
-            found("deadlock-drain",
-                  "event queue drained before all PEs finished",
-                  now=env.now,
-                  blocked=_blocked_summary(graph, env.now),
-                  spans=_open_span_summary(cluster))
-            break
-        if env.now > horizon:
-            outcome_trace = policy.recorded_trace().shrunk()
-            found("liveness-horizon",
-                  f"no completion within {horizon:.0f}us of virtual time",
-                  now=env.now,
-                  blocked=_blocked_summary(graph, env.now),
-                  spans=_open_span_summary(cluster))
-            break
-        if steps > max_steps:
-            outcome_trace = policy.recorded_trace().shrunk()
-            found("livelock-steps",
-                  f"no completion within {max_steps} simulator steps",
-                  now=env.now,
-                  blocked=_blocked_summary(graph, env.now),
-                  spans=_open_span_summary(cluster))
-            break
-        try:
-            env.step()
-        except BaseException as exc:  # noqa: BLE001 - report, don't mask
-            failed = exc
-            break
-        steps += 1
-        if graph.version != graph_version:
-            graph_version = graph.version
-            cycle = graph.find_cycle()
-            if cycle is not None:
-                outcome_trace = policy.recorded_trace().shrunk()
-                found("deadlock-cycle",
-                      f"wait-for cycle over PEs {cycle.pes}: "
-                      f"{cycle.describe()}",
-                      now=env.now,
-                      blocked=_blocked_summary(graph, env.now),
-                      spans=_open_span_summary(cluster))
-                break
-    else:
+    try:
+        drive(cluster, processes, horizon_us=horizon, max_events=max_steps)
         completed = True
+    except BaseException as exc:  # noqa: BLE001 - report, don't mask
+        stuck = exc if isinstance(exc, StuckRunError) else stuck_run(
+            cluster, "exception", f"{type(exc).__name__}: {exc}")
+        found(stuck.kind, stuck.detail, now=stuck.time_us,
+              blocked=stuck.blocked, spans=stuck.open_spans)
+    steps = env.dispatched_events
 
     policy.finish()
     outcome_trace = policy.recorded_trace().shrunk()
     for violation in violations:
         violation.trace = outcome_trace
-
-    if failed is not None:
-        found("exception", f"{type(failed).__name__}: {failed}",
-              now=env.now,
-              blocked=_blocked_summary(graph, env.now),
-              spans=_open_span_summary(cluster))
 
     if policy.diverged:
         found("trace-divergence",
@@ -292,25 +223,22 @@ def run_schedule(model: CheckModel, trace: ScheduleTrace,
 
     # ----------------------------------------------------------- post-run
     if completed:
-        drain = 0
-        while env.peek() != float("inf") and drain < settings.drain_steps:
-            try:
-                env.step()
-            except BaseException as exc:  # noqa: BLE001
-                found("exception",
-                      f"post-completion: {type(exc).__name__}: {exc}",
-                      now=env.now)
-                break
-            drain += 1
-        if env.peek() != float("inf"):
+        try:
+            drive(cluster, [], max_events=settings.drain_steps)
+        except StuckRunError:
             found("quiescence",
                   f"event queue still busy {settings.drain_steps} steps "
                   "after program completion", now=env.now)
+        except BaseException as exc:  # noqa: BLE001
+            found("exception",
+                  f"post-completion: {type(exc).__name__}: {exc}",
+                  now=env.now)
 
-        if graph.blocked:
+        leaked = cluster.wait_graph.entries
+        if leaked:
             found("unreleased-wait",
-                  "wait-graph entries leaked past completion",
-                  now=env.now, blocked=_blocked_summary(graph, env.now))
+                  "wait-graph entries leaked past completion", now=env.now,
+                  blocked=[entry.describe(env.now) for entry in leaked])
 
         generations = {rt.my_pe_id: rt.barrier.generation
                        for rt in runtimes}

@@ -13,6 +13,7 @@ from .errors import (
     ProtocolError,
     RaceError,
     ShmemError,
+    StuckRunError,
     SymmetricHeapError,
     TransferError,
 )
@@ -23,7 +24,6 @@ from .program import SpmdReport, make_cluster, run_spmd
 from .runtime import AmoOp, ShmemConfig, ShmemRuntime
 from .service import ShmemService
 from .transfer import Message, Mode, MsgKind
-from .waitgraph import WaitEntry, WaitGraph
 from .waits import remote_wait
 
 #: Deferred (PEP 562): the race sanitizer and the collective algorithms
@@ -70,6 +70,7 @@ __all__ = [
     "ProtocolError",
     "RaceError",
     "ShmemError",
+    "StuckRunError",
     "SymmetricHeapError",
     "TransferError",
     "HeapConfig",
@@ -92,7 +93,5 @@ __all__ = [
     "Message",
     "Mode",
     "MsgKind",
-    "WaitEntry",
-    "WaitGraph",
     "remote_wait",
 ]

@@ -11,6 +11,7 @@ __all__ = [
     "PeerUnreachableError",
     "ProtocolError",
     "RaceError",
+    "StuckRunError",
 ]
 
 
@@ -48,6 +49,35 @@ class PeerUnreachableError(TransferError):
 class ProtocolError(ShmemError):
     """Wire-protocol violations: bad message kinds, misrouted packets,
     mailbox misuse.  Always indicates a runtime bug, never user error."""
+
+
+class StuckRunError(ShmemError):
+    """A run that neither completed nor raised: the one verdict of
+    :func:`repro.core.program.drive`.
+
+    ``kind`` is ``deadlock-drain`` (the event queue drained with PEs
+    still blocked), ``deadlock-cycle`` (a wait-for cycle closed),
+    ``liveness-horizon`` (the virtual-time bound passed) or
+    ``livelock-steps`` (the event budget ran out).  ``entries`` are the
+    wait-for graph's blocked primitives at that instant
+    (:class:`~repro.obsv.waitgraph.WaitEntry`), ``open_spans`` the
+    ShmemScope spans still open (empty when tracing is off).
+    """
+
+    def __init__(self, kind: str, detail: str, time_us: float,
+                 entries: list, open_spans: list[str]) -> None:
+        self.kind = kind
+        self.detail = detail
+        self.time_us = time_us
+        self.entries = entries
+        self.open_spans = open_spans
+        super().__init__("; ".join(
+            [f"{kind} at {time_us:.1f}us: {detail}"] + self.blocked))
+
+    @property
+    def blocked(self) -> list[str]:
+        """One line per entry: ``pe0 blocked on 'quiet' for 3.0us``."""
+        return [entry.describe(self.time_us) for entry in self.entries]
 
 
 class RaceError(ShmemError):

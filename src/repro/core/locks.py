@@ -40,21 +40,21 @@ def _lock_resource(lock: SymAddr) -> tuple[str, int]:
 def set_lock(pe: "PE", lock: SymAddr) -> Generator:
     """``shmem_set_lock`` — blocking acquisition.
 
-    Between failed CAS attempts the waiter registers with the wait-for
-    graph (when one is installed), naming the holder the CAS observed, so
-    ShmemCheck can witness hold-and-wait cycles across PEs.
+    Every backoff between failed CAS attempts is a wait on the cell in
+    the wait-for graph, whose holder the graph has from that holder's
+    acquisition: a wait that closes a hold-and-wait cycle across PEs ends
+    the run with ``deadlock-cycle``.
     """
     token = pe.my_pe() + 1
-    graph = pe.rt.wait_graph
+    rt = pe.rt
     resource = _lock_resource(lock)
     attempt = 0
     while True:
-        old = yield from pe.rt.amo(
+        old = yield from rt.amo(
             LOCK_ARBITER_PE, lock, AmoOp.COMPARE_SWAP, token, 0
         )
         if old == 0:
-            if graph is not None:
-                graph.acquire(resource, pe.my_pe())
+            rt.wait_graph.acquire(resource, pe.my_pe())
             return
         if old == token:
             raise ShmemError(
@@ -62,19 +62,8 @@ def set_lock(pe: "PE", lock: SymAddr) -> Generator:
             )
         attempt += 1
         backoff = min(_BACKOFF_BASE_US * attempt, _BACKOFF_CAP_US)
-        wait_token = None
-        if graph is not None:
-            # The failed CAS told us who holds the cell right now.
-            graph.note_holder(resource, old - 1)
-            wait_token = graph.block(
-                pe.my_pe(), what=f"set_lock @+{lock.offset}",
-                resource=resource, since=pe.rt.env.now,
-            )
-        try:
-            yield pe.rt.env.timeout(backoff)
-        finally:
-            if graph is not None:
-                graph.unblock(wait_token)
+        with rt.blocked_on(f"set_lock @+{lock.offset}", resource=resource):
+            yield rt.env.timeout(backoff)
 
 
 def test_lock(pe: "PE", lock: SymAddr) -> Generator:
@@ -87,7 +76,7 @@ def test_lock(pe: "PE", lock: SymAddr) -> Generator:
         raise ShmemError(
             f"PE {pe.my_pe()}: test_lock on a lock it already holds"
         )
-    if old == 0 and pe.rt.wait_graph is not None:
+    if old == 0:
         pe.rt.wait_graph.acquire(_lock_resource(lock), pe.my_pe())
     return old == 0
 
@@ -103,5 +92,4 @@ def clear_lock(pe: "PE", lock: SymAddr) -> Generator:
             f"PE {pe.my_pe()}: clear_lock while not holding it "
             f"(holder token {old})"
         )
-    if pe.rt.wait_graph is not None:
-        pe.rt.wait_graph.release(_lock_resource(lock), pe.my_pe())
+    pe.rt.wait_graph.release(_lock_resource(lock))

@@ -3,7 +3,10 @@
 ``run_spmd(main, n_pes=3)`` stands up a cluster, initializes one
 :class:`~repro.core.runtime.ShmemRuntime` per host, rendezvouses, runs the
 user's generator ``main(pe)`` on every PE, and returns a report with
-per-PE results and virtual-time statistics.
+per-PE results and virtual-time statistics.  Under it, :func:`launch`
+starts the PEs and :func:`drive` runs them — the one loop ShmemCheck and
+the fault tests share, bounded there — to completion or to one typed
+verdict on how the run stalled.
 
 The pre-``shmem_init`` rendezvous uses a simulation-level latch: on real
 systems the job launcher provides that out-of-band synchronization; inside
@@ -20,15 +23,17 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..fabric import Cluster, ClusterConfig
 from ..obsv.hist import render_histograms
+from ..obsv.waitgraph import WaitCycle
 from ..sim import AllOf, CountdownLatch, Process, SimulationError
 from .api import PE
-from .errors import ShmemError
+from .errors import ShmemError, StuckRunError
 from .runtime import ShmemConfig, ShmemRuntime
 
 if TYPE_CHECKING:  # sanitizer loads lazily (see repro.core.__getattr__)
     from .sanitizer import RaceReport, ShmemSan  # noqa: F401
 
-__all__ = ["SpmdReport", "run_spmd", "make_cluster", "launch"]
+__all__ = ["SpmdReport", "run_spmd", "make_cluster", "launch", "drive",
+           "stuck_run"]
 
 PeMain = Callable[[PE], Generator]
 
@@ -124,8 +129,9 @@ def launch(cluster: Cluster, main: PeMain,
     one runtime, one :class:`PE` and one ``peN.main`` process per host,
     with the launcher's two rendezvous (after ``shmem_init``, before
     ``shmem_finalize``).  Returns ``(runtimes, pes, results, processes)``;
-    the caller drives ``cluster.env`` (``run_spmd`` to completion,
-    ShmemCheck step by step) and ``results[pe]`` fills in as PEs return.
+    the caller runs the processes with :func:`drive` (``run_spmd``
+    unbounded, ShmemCheck and the fault tests under a budget) and
+    ``results[pe]`` fills in as PEs return.
     """
     env = cluster.env
     n_pes = cluster.n_hosts
@@ -153,6 +159,69 @@ def launch(cluster: Cluster, main: PeMain,
         for pe_id in range(n_pes)
     ]
     return runtimes, pes, results, processes
+
+
+def drive(cluster: Cluster, processes: list[Process],
+          horizon_us: Optional[float] = None,
+          max_events: Optional[int] = None) -> None:
+    """Run ``cluster.env`` until every one of ``processes`` has finished
+    (none given: until the event queue drains), or raise the one
+    stuck-run verdict, a :class:`StuckRunError` whose ``kind`` says how
+    the run stalled.
+
+    Unbounded, this is ``env.run(until=AllOf(processes))``, the kernel's
+    hot loop with nothing added per event.  A run can stall there in two
+    ways: the queue drains with processes still blocked
+    (``deadlock-drain``), or a lock wait closes a wait-for cycle, which
+    the graph raises at the instant it closes (``deadlock-cycle``).
+    With ``horizon_us`` (virtual µs) or ``max_events`` (events
+    dispatched from here), the loop steps one event at a time and adds
+    ``liveness-horizon`` and ``livelock-steps``.  Any other exception —
+    a PE's own error — passes through unchanged.
+    """
+    env = cluster.env
+    done = AllOf(env, processes) if processes else None
+    last = None if max_events is None else env.dispatched_events + max_events
+    try:
+        if horizon_us is None and last is None:
+            env.run(until=done)
+        else:
+            while (done is None or not done.processed) \
+                    and env.peek() != float("inf"):
+                if horizon_us is not None and env.now > horizon_us:
+                    raise stuck_run(
+                        cluster, "liveness-horizon",
+                        f"no completion within {horizon_us:.0f}us of "
+                        "virtual time")
+                if last is not None and env.dispatched_events > last:
+                    raise stuck_run(
+                        cluster, "livelock-steps",
+                        f"no completion within {max_events} simulator "
+                        "steps")
+                env.step()
+    except WaitCycle as cycle:
+        raise stuck_run(
+            cluster, "deadlock-cycle",
+            f"wait-for cycle over PEs {cycle.pes}: {cycle.describe()}"
+        ) from None
+    except SimulationError:
+        # ``run(until=...)`` raises this when the queue drains first;
+        # from anywhere else it is a model's own error.
+        if done is None or done.triggered or env.peek() != float("inf"):
+            raise
+    if done is not None and not done.processed:
+        raise stuck_run(cluster, "deadlock-drain",
+                        "event queue drained before all PEs finished")
+
+
+def stuck_run(cluster: Cluster, kind: str, detail: str) -> StuckRunError:
+    """The verdict on a stalled run, with what the wait-for graph says
+    each PE is blocked on and the ShmemScope spans still open."""
+    scope = getattr(cluster, "scope", None)
+    spans = [] if scope is None else [
+        f"{span.track}:{span.name}" for span in scope.open_spans()[:16]]
+    return StuckRunError(kind, detail, cluster.env.now,
+                         cluster.wait_graph.entries, spans)
 
 
 def run_spmd(main: PeMain, n_pes: int = 3,
@@ -200,22 +269,9 @@ def run_spmd(main: PeMain, n_pes: int = 3,
         elif shmem_config.sanitize is None:
             shmem_config = dataclasses.replace(shmem_config,
                                                sanitize=env_mode)
-    env = cluster.env
     runtimes, pes, results, processes = launch(
         cluster, main, shmem_config, finalize)
-    try:
-        env.run(until=AllOf(env, processes))
-    except SimulationError as exc:
-        # The queue drained with PEs still parked: name what each one is
-        # blocked on (waits are event-driven, so nothing spins instead).
-        stuck = [f"{rt.name} blocked on {', '.join(map(repr, rt.blocked))}"
-                 for rt, proc in zip(runtimes, processes)
-                 if proc.is_alive and rt.blocked]
-        if env.peek() != float("inf") or not stuck:
-            raise
-        raise ShmemError(
-            "deadlock: no event left to run with " + ", ".join(stuck)
-        ) from exc
+    drive(cluster, processes)
 
     if check_heap_consistency and not finalize:
         _check_same_offsets(runtimes)
@@ -230,7 +286,7 @@ def run_spmd(main: PeMain, n_pes: int = 3,
 
     return SpmdReport(
         results=results,
-        elapsed_us=env.now,
+        elapsed_us=cluster.env.now,
         cluster=cluster,
         runtimes=runtimes,
         pes=pes,

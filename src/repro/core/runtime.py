@@ -115,9 +115,6 @@ class ShmemRuntime:
         self.heap_updated = Signal(self.env, name=f"{self.name}.heap_updated")
         #: pulsed by :meth:`notify_progress`; what ``poll_wait`` parks on.
         self.progress = Signal(self.env, name=f"{self.name}.progress")
-        #: labels of the blocking regions this PE's processes (the
-        #: program, service tasks) are inside right now.
-        self.blocked: list[str] = []
         self.initialized = False
         self._finalized = False
         # Created during init:
@@ -138,12 +135,11 @@ class ShmemRuntime:
                           ("reroutes", "reroutes"),
                           ("route_fallbacks", "route_fallbacks")):
             self.metrics.gauge(key).bind(lambda s=stat: getattr(self, s))
-        #: Wait-for graph (cluster singleton, installed by ShmemCheck's
-        #: runner before runtimes are built; None on ordinary runs).  Every
-        #: blocking primitive registers through :meth:`blocked_on` or
-        #: :func:`repro.core.waits.remote_wait` so wedged schedules can be
-        #: blamed on a concrete cycle.
-        self.wait_graph = getattr(cluster, "wait_graph", None)
+        #: The cluster's wait-for graph.  Every blocking primitive
+        #: registers through :meth:`blocked_on` (directly or through
+        #: :func:`repro.core.waits.remote_wait`), so a stalled run names
+        #: what each PE is blocked on and a lock cycle ends the run.
+        self.wait_graph = cluster.wait_graph
         #: ShmemSan instance, shared by every sanitizing runtime of the
         #: cluster (race detection needs all PEs' clocks in one place).
         self.san = None
@@ -298,22 +294,17 @@ class ShmemRuntime:
                    resource: Optional[Hashable] = None) -> Iterator[None]:
         """Register a blocking region with the wait-for graph.
 
-        Poll/quiesce loops wrap themselves in this so ShmemCheck's
-        deadlock and liveness checkers can see *why* a PE is not making
-        progress; without a wait graph it only keeps :attr:`blocked`,
-        which names the culprit when a run drains with PEs still parked.
+        The one registration path: remote waits, lock spins and local
+        polls wrap themselves in this, so a stalled run can say *why*
+        each PE is not making progress (``drive``'s verdict) and a lock
+        wait that closes a cycle ends the run.
         """
         graph = self.wait_graph
-        token = None if graph is None else graph.block(
-            self.my_pe_id, what=what, peer=peer, resource=resource,
-            since=self.env.now)
-        self.blocked.append(what)
+        token = graph.block(self.my_pe_id, what, peer, resource)
         try:
             yield
         finally:
-            self.blocked.remove(what)
-            if graph is not None:
-                graph.unblock(token)
+            graph.unblock(token)
 
     def link_for(self, port: str) -> LinkEnd:
         try:

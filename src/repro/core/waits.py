@@ -16,6 +16,9 @@ chunks, AMO replies, barrier tokens, heap-update watches — goes through
   failed event, or via a caller-supplied ``doomed`` predicate) instead
   of hanging the simulation forever.
 
+Either way the wait is registered with the wait-for graph
+(``rt.blocked_on``) for as long as it blocks.
+
 Waits on this host's *own* state — ``quiet``, ``forwarding_quiesce``, the
 service's ctrl-relay flush and stop drain — go through :func:`poll_wait`:
 the modelled design polls such state every microsecond, and the helper
@@ -65,60 +68,41 @@ def remote_wait(rt: "ShmemRuntime", event: Event, *, what: str,
         Deadline relative to entry; defaults to the runtime's
         ``reply_timeout_us`` (``None`` disables the deadline).
     peer:
-        The PE that must act for this wait to complete, when known.
-        Feeds the wait-for graph's deadlock detector under ShmemCheck;
-        ``None`` registers a targetless wait (liveness checks only).
+        The PE that must act for this wait to complete, when known; the
+        wait-for graph names it when a run stalls here.
 
     Returns the event's value; raises :class:`PeerUnreachableError` on
     deadline expiry or a ``doomed`` verdict.
     """
-    graph = rt.wait_graph
-    if graph is None:
-        value = yield from _remote_wait_inner(rt, event, what, doomed,
-                                              timeout_us)
-        return value
-    token = graph.block(rt.my_pe_id, what=what, peer=peer,
-                        since=rt.env.now)
-    try:
-        value = yield from _remote_wait_inner(rt, event, what, doomed,
-                                              timeout_us)
-        return value
-    finally:
-        graph.unblock(token)
-
-
-def _remote_wait_inner(
-        rt: "ShmemRuntime", event: Event, what: str,
-        doomed: Optional[Callable[[], Optional[BaseException]]],
-        timeout_us: Optional[float]) -> Generator:
-    if not rt.fault_aware:
-        value = yield event
-        return value
-    env = rt.env
-    if timeout_us is None:
-        timeout_us = rt.config.reply_timeout_us
-    deadline = None if timeout_us is None else env.now + timeout_us
-    while True:
-        waits = [event, rt.link_state_changed.wait()]
-        timer = None
-        if deadline is not None:
-            timer = env.timeout(max(0.0, deadline - env.now))
-            waits.append(timer)
-        outcome = yield env.any_of(waits)
-        if event in outcome:
-            return outcome[event]
-        if timer is not None and timer in outcome:
-            rt.metrics.inc("wait_timeouts")
-            raise PeerUnreachableError(
-                f"{rt.name}: {what} timed out after {timeout_us} µs "
-                f"(lost response? dead link?)"
-            )
-        # A link changed state while we waited: the caller decides
-        # whether this wait can still complete.
-        if doomed is not None:
-            exc = doomed()
-            if exc is not None:
-                raise exc
+    with rt.blocked_on(what, peer=peer):
+        if not rt.fault_aware:
+            value = yield event
+            return value
+        env = rt.env
+        if timeout_us is None:
+            timeout_us = rt.config.reply_timeout_us
+        deadline = None if timeout_us is None else env.now + timeout_us
+        while True:
+            waits = [event, rt.link_state_changed.wait()]
+            timer = None
+            if deadline is not None:
+                timer = env.timeout(max(0.0, deadline - env.now))
+                waits.append(timer)
+            outcome = yield env.any_of(waits)
+            if event in outcome:
+                return outcome[event]
+            if timer is not None and timer in outcome:
+                rt.metrics.inc("wait_timeouts")
+                raise PeerUnreachableError(
+                    f"{rt.name}: {what} timed out after {timeout_us} µs "
+                    f"(lost response? dead link?)"
+                )
+            # A link changed state while we waited: the caller decides
+            # whether this wait can still complete.
+            if doomed is not None:
+                exc = doomed()
+                if exc is not None:
+                    raise exc
 
 
 def poll_wait(rt: "ShmemRuntime", what: str, check: Callable[[], object],

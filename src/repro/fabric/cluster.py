@@ -22,6 +22,7 @@ from typing import Generator, Iterator, Optional
 from ..host import CostModel, Host, HostConfig
 from ..ntb import NtbDriver, NtbEndpoint, NtbPortConfig, connect_endpoints
 from ..obsv.metrics import MetricsRegistry, wire_cluster_metrics
+from ..obsv.waitgraph import WaitGraph
 from ..pcie import DuplexLink, LinkConfig
 from ..sim import Environment
 from .topology import (
@@ -120,6 +121,9 @@ class Cluster:
         #: always-on metrics fabric (docs/METRICS.md); the time-series
         #: ticker stays off unless the runtime opts in.
         self.metrics = MetricsRegistry(self.env)
+        #: always-on wait-for graph: what every PE is blocked on, and
+        #: the deadlock check (docs/CHECKING.md).
+        self.wait_graph = WaitGraph(self.env)
         self._build()
         wire_cluster_metrics(self)
 

@@ -1,13 +1,15 @@
-"""Observability: span tracing with timeline export, and the always-on
-metrics registry that holds every latency histogram.
+"""Observability: span tracing with timeline export, the always-on
+metrics registry that holds every latency histogram, and the always-on
+wait-for graph that names what a stalled run is blocked on.
 
 Spans are opt-in (``ShmemConfig(trace_spans=True)``); the resulting
 :class:`~repro.obsv.ShmemScope` lands on ``report.scope`` and can be
 exported with :func:`dump_chrome_trace` then opened in ``ui.perfetto.dev``
 or dissected with ``python -m repro.obsv trace trace.json``.
 
-Import direction: this package depends only on the stdlib, so the
-hardware layers (``pcie``, ``ntb``) may import it without cycles.
+Import direction: this package depends only on the stdlib and the kernel
+(``repro.sim``), so the hardware layers (``pcie``, ``ntb``) may import it
+without cycles.
 """
 
 from .hist import (HistogramRegistry, HistSummary, LogHistogram,
@@ -24,6 +26,7 @@ from .metrics import (
 from .sampler import LinkSample, link_utilisation
 from .spans import NULL_SCOPE, NullScope, ShmemScope, Span, \
     instrument_cluster
+from .waitgraph import WaitEntry, WaitGraph
 
 #: Deferred (PEP 562): the analysis/export helpers pull rendering and
 #: filesystem machinery that the hot import path (runtime bring-up, the
@@ -68,6 +71,8 @@ __all__ = [
     "ScopedMetrics",
     "MetricsTicker",
     "wire_cluster_metrics",
+    "WaitEntry",
+    "WaitGraph",
     "to_chrome_trace",
     "dump_chrome_trace",
     "validate_chrome_trace",

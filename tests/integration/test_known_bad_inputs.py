@@ -1,11 +1,12 @@
 """The known bad inputs: runs that break "verified data or a typed error
 in bounded virtual time" today, each a strict xfail.
 
-Four come from ``benchmarks/trajectory/README.md`` ("Known bad inputs");
-the last is a wire-level cousin of the first.  Each test bounds its own
-run — ``core.program.launch``, then ``env.run(until=...)`` in slices,
-under a virtual-time horizon and a cap on dispatched events — so an
-input that never finishes fails in seconds instead of hanging tier-1.
+Four come from ``benchmarks/trajectory/README.md`` ("Known bad inputs"),
+one is a wire-level cousin of the first, and one is a cable cut while a
+barrier token is in flight.  Each run goes through
+``core.program.launch`` and ``drive`` under a virtual-time horizon and a
+cap on dispatched events, so an input that never finishes fails in
+seconds with drive's ``StuckRunError`` instead of hanging tier-1.
 Every failure message is a one-line repro: seed, plan, topology and
 routing (the plans are fixed, so there is no seed).
 
@@ -18,15 +19,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import PeerUnreachableError, RaceError, ShmemConfig
-from repro.core.program import launch, make_cluster
+from repro.core import (
+    PeerUnreachableError,
+    RaceError,
+    ShmemConfig,
+    StuckRunError,
+)
+from repro.core.program import drive, launch, make_cluster
 from repro.fabric import ClusterConfig
 from repro.faults import DelayTlp, FaultPlan, RestoreCable, SeverCable
 
 from ..ntb.test_dma_wire_paths import severed_in_flight
 
-#: virtual µs the bounded loop advances per ``env.run`` call.
-_SLICE_US = 500.0
 #: the healthy and the sever-only versions of the hanging inputs below
 #: finish in under 65 000 events and 30 ms of virtual time.
 _HORIZON_US = 1_000_000.0
@@ -34,33 +38,35 @@ _MAX_EVENTS = 150_000
 _RETRIES = dict(max_retries=8, retry_backoff_us=200.0)
 
 
-def _bounded(cluster_config, shmem_config, main):
-    """Run ``main`` on every PE until all return, the queue drains, or
-    the horizon / event cap is hit: ``(finished, results)``.  A typed
-    error escaping a PE ends the run as finished, with the error in that
-    PE's result."""
+def _run(cluster_config, shmem_config, main):
+    """Launch ``main`` on every PE and drive it under the horizon and the
+    event cap: ``(results, stuck)``.  A typed error escaping a PE ends
+    the run, with the error in the result of every PE that had not
+    returned; ``stuck`` is drive's ``StuckRunError`` if the run stalled,
+    else None."""
     cluster = make_cluster(cluster_config.n_hosts, cluster_config)
     _runtimes, _pes, results, procs = launch(cluster, main, shmem_config)
-    env = cluster.env
-    while any(proc.is_alive for proc in procs):
-        if (env.now >= _HORIZON_US or env.dispatched_events >= _MAX_EVENTS
-                or env.peek() == float("inf")):
-            return False, results
-        try:
-            env.run(until=min(env.now + _SLICE_US, _HORIZON_US))
-        except PeerUnreachableError as exc:
-            return True, [exc if r is None else r for r in results]
-    return True, results
+    try:
+        drive(cluster, procs, horizon_us=_HORIZON_US, max_events=_MAX_EVENTS)
+    except PeerUnreachableError as exc:
+        return [exc if r is None else r for r in results], None
+    except StuckRunError as exc:
+        return results, exc
+    return results, None
 
 
-def _repro(plan, cluster_config, shmem_config):
+def _repro(plan, cluster_config, shmem_config, seed="none"):
+    """The one-line repro every failure here and in the fault fuzz
+    (tests/properties/test_fault_fuzz.py) prints."""
     topology = cluster_config.topology + (
         f"{'x'.join(map(str, cluster_config.dims))}"
         if cluster_config.dims else str(cluster_config.n_hosts))
     routing = shmem_config.routing.value if shmem_config.routing \
         else "default"
-    return (f"repro: seed=none plan={list(plan)} topology={topology} "
-            f"routing={routing} barrier={shmem_config.barrier}")
+    fastpath = "on" if shmem_config.fastpath else "off"
+    return (f"repro: seed={seed} plan={list(plan)} topology={topology} "
+            f"routing={routing} barrier={shmem_config.barrier} "
+            f"fastpath={fastpath}")
 
 
 def _outcomes(results):
@@ -70,15 +76,12 @@ def _outcomes(results):
             and result is not None and result[0]]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a put relayed across a cable in the window between its cut and its "
-    "detection is dropped by the relay; the sender's put already "
-    "returned and nobody is told (ROADMAP item 2)"))
-def test_relayed_put_lost_between_cut_and_detection():
-    """PE 0 puts 64 KiB to PE 2 over PE 1 on a 4-ring; cable (1,2) is cut
-    while PE 1 relays it, 1.5 ms before the detector can mark it."""
+def _put_over_a_cut_cable(sever_at_us):
+    """PE 0 puts 64 KiB to PE 2 over PE 1 on a 4-ring between two
+    barriers, and cable (1,2) is cut at ``sever_at_us``; PE 2 then checks
+    the payload.  Returns the driven run and its repro line."""
     size = 64 * 1024
-    plan = FaultPlan([SeverCable(500.0, 1, 2)])
+    plan = FaultPlan([SeverCable(sever_at_us, 1, 2)])
     cluster_config = ClusterConfig(n_hosts=4)
     shmem_config = ShmemConfig(faults=plan, **_RETRIES)
 
@@ -96,9 +99,37 @@ def test_relayed_put_lost_between_cut_and_detection():
             stale = int((pe.read_symmetric(sym, size) != 9).sum())
         return (stale,)
 
-    finished, results = _bounded(cluster_config, shmem_config, main)
-    repro = _repro(plan, cluster_config, shmem_config)
-    assert finished, f"did not finish: {repro}"
+    return (_run(cluster_config, shmem_config, main),
+            _repro(plan, cluster_config, shmem_config))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a put relayed across a cable in the window between its cut and its "
+    "detection is dropped by the relay; the sender's put already "
+    "returned and nobody is told (ROADMAP item 2)"))
+def test_relayed_put_lost_between_cut_and_detection():
+    """The cut lands while PE 1 relays the put, 1.5 ms before the
+    detector can mark the cable."""
+    (results, stuck), repro = _put_over_a_cut_cable(500.0)
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
+    assert not _outcomes(results), \
+        f"stale payload, no error on PE {_outcomes(results)}: {repro}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a cable cut while a barrier token is in flight leaves the degraded "
+    "barrier waiting for arrivals that never come (ROADMAP item 2)"))
+def test_cut_while_a_barrier_token_is_in_flight():
+    """The same put, cut 200 µs later: the second barrier's token is on
+    the cable.  PEs 0 and 1 finish; PEs 2 and 3 wait in the degraded
+    barrier, resending every millisecond, until the horizon."""
+    (results, stuck), repro = _put_over_a_cut_cable(700.0)
+    if stuck is not None and (
+            stuck.kind != "liveness-horizon"
+            or [r is not None for r in results] != [True, True, False, False]
+            or sorted({entry.pe for entry in stuck.entries}) != [2, 3]):
+        pytest.fail(f"the stall changed shape: {stuck}; {repro}")
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
     assert not _outcomes(results), \
         f"stale payload, no error on PE {_outcomes(results)}: {repro}"
 
@@ -127,7 +158,7 @@ def _rounds_on_mesh16(plan, op):
             yield pe.rt.env.timeout(1_000.0)
         return (stale, errors)
 
-    return (_bounded(cluster_config, shmem_config, main),
+    return (_run(cluster_config, shmem_config, main),
             _repro(plan, cluster_config, shmem_config))
 
 
@@ -149,8 +180,8 @@ def test_get_never_returns_while_a_cable_is_down():
     """Cable (5,6) of a 4x4 mesh is cut between two get rounds; PEs 12-15
     then wait in ``get`` for good (the healthy run: 54 000 events)."""
     plan = FaultPlan([SeverCable(3_000.0, 5, 6)])
-    (finished, results), repro = _rounds_on_mesh16(plan, _get)
-    assert finished, f"did not finish: {repro}"
+    (results, stuck), repro = _rounds_on_mesh16(plan, _get)
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
     assert not _outcomes(results), f"stale get: {repro}"
 
 
@@ -163,8 +194,8 @@ def test_flap_never_finishes():
     in 59 000 events, this one is past the cap."""
     plan = FaultPlan([SeverCable(3_000.0, 5, 6),
                       RestoreCable(8_000.0, 5, 6)])
-    (finished, results), repro = _rounds_on_mesh16(plan, _put)
-    assert finished, f"did not finish: {repro}"
+    (results, stuck), repro = _rounds_on_mesh16(plan, _put)
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
     assert not _outcomes(results), f"stale put: {repro}"
 
 
@@ -191,7 +222,7 @@ def _unflushed_put(sanitize):
         yield from pe.barrier_all()
         return (stale,)
 
-    return (_bounded(cluster_config, shmem_config, main),
+    return (_run(cluster_config, shmem_config, main),
             _repro(plan, cluster_config, shmem_config))
 
 
@@ -200,8 +231,8 @@ def _unflushed_put(sanitize):
     "not travel behind: a put on another route lands after the barrier "
     "(ROADMAP item 2)"))
 def test_dissemination_barrier_does_not_flush_a_put_on_another_route():
-    (finished, results), repro = _unflushed_put(sanitize=None)
-    assert finished, f"did not finish: {repro}"
+    (results, stuck), repro = _unflushed_put(sanitize=None)
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
     assert not _outcomes(results), f"stale after barrier: {repro}"
 
 
@@ -210,10 +241,10 @@ def test_dissemination_barrier_does_not_flush_a_put_on_another_route():
     "puts, so the unflushed put above is no race to it"))
 def test_shmemsan_strict_flags_the_unflushed_put():
     try:
-        (finished, results), repro = _unflushed_put(sanitize="strict")
+        (results, stuck), repro = _unflushed_put(sanitize="strict")
     except RaceError:
         return
-    assert finished, f"did not finish: {repro}"
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
     assert not _outcomes(results), \
         f"stale after barrier, and ShmemSan strict saw no race: {repro}"
 
