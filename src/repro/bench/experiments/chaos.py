@@ -7,10 +7,10 @@ plan severs one cable at a seeded virtual time.  The expected story:
 1. the send path hits the dead cable (master abort) and retries with
    backoff while the heartbeat monitors count silent periods;
 2. within ``miss_threshold`` periods both endpoints declare the edge
-   DEAD and flood LINK_DOWN the long way around the ring;
+   DEAD and send LINK_DOWN to every other host;
 3. traffic re-routes in the opposite direction, barriers fall back to
-   the degraded line sweep over the surviving path, and the workload
-   completes with correct data.
+   dissemination over the surviving path, and the workload completes
+   with correct data.
 
 Rounds that were cut mid-flight surface as typed
 ``PeerUnreachableError`` on the affected PEs (never a hang); the final
@@ -116,7 +116,7 @@ def run_chaos_demo(seed: int = 42, n_pes: int = 4) -> ChaosResult:
                 stats["rounds_degraded"] += 1
             yield pe.rt.env.timeout(_ROUND_GAP_US)
         # Strict final round: by now every PE routes around the dead
-        # edge and barriers run the degraded line sweep.
+        # edge and barriers run the dissemination recovery.
         yield from pe.put_array(sym + me * _SLOT, _pattern(99, me), right)
         yield from pe.barrier_all()
         got = yield from pe.get_array(sym + left * _SLOT, _SLOT,

@@ -19,8 +19,9 @@ depends on ordering:
 ``barrier-recovery``
     A three-PE ring exchanging data around barriers, with fault branches
     that sever a cable at decision points across the workload's active
-    window — the paper's degraded-barrier protocol under systematic
-    fault placement, asserting data only on the post-recovery round.
+    window — the ring barrier's dissemination recovery (resend + nudge)
+    under systematic fault placement, asserting data only on the
+    post-recovery round.
 ``put-signal``
     Producer/consumer over ``shmem_put_signal`` + ``wait_until``: the
     signal must never overtake its payload.
@@ -136,8 +137,8 @@ def _barrier_recovery_main(pe: PE) -> Generator:
     The fault contract (docs/FAULTS.md) promises delivery only *after*
     recovery: a put racing the sever may raise
     :class:`PeerUnreachableError`, and a barrier crossed by the cut
-    completes via the degraded watermark protocol without guaranteeing
-    the phase's data landed.  So the phases under fire are tolerant —
+    completes via the dissemination recovery without guaranteeing the
+    phase's data landed.  So the phases under fire are tolerant —
     attempt, swallow unreachable, barrier — and correctness is asserted
     on a strict post-recovery round over the rerouted ring.
     """

@@ -16,12 +16,13 @@ replayable trace, and that the same exploration without it stays clean.
     latches (the classic lost-wakeup hardware erratum).  The payload
     sits in the data window, the receiving service never learns of it,
     and the sender waits forever for an ACK — caught on ``put-signal``.
-``watermark-off-by-one``
-    The degraded-mode barrier coordinator releases ``min(arrivals)+1``
-    instead of ``min(arrivals)``: a barrier generation retires before
-    every PE arrived.  Caught on ``barrier-recovery`` fault branches as
-    a data-consistency violation (a PE reads its neighbor's buffer
-    before the neighbor wrote it).
+``dropped-nudge``
+    ``DisseminationBarrier._on_nudge`` ignores every request: a PE whose
+    round notification the cut lost never gets it re-sent.  A cut ring
+    recovers through dissemination, and a PE that finished the token
+    episode only ever sends its notification in answer to a nudge, so
+    the laggards resend and nudge forever — caught on
+    ``barrier-recovery`` fault branches as a livelock.
 """
 
 from __future__ import annotations
@@ -75,24 +76,25 @@ def lost_doorbell() -> Iterator[None]:
 
 
 @contextmanager
-def watermark_off_by_one() -> Iterator[None]:
-    """Degraded barrier coordinator releases one generation too early."""
-    # ``RingBarrier._coord_arrive`` computes the watermark with the
-    # module's only ``min`` call: shadow the builtin in that namespace
-    # rather than fork a copy of the method.
-    # BUG: off-by-one watermark — releases a generation that not every PE
-    # has arrived at yet.
-    _barrier.min = lambda arrivals: min(arrivals) + 1  # type: ignore[attr-defined]
+def dropped_nudge() -> Iterator[None]:
+    """Dissemination senders ignore every nudge."""
+    barrier = _barrier.DisseminationBarrier
+    original = barrier._on_nudge
+
+    def _on_nudge(self, requester: int, gen: int, rnd: int) -> None:
+        return  # BUG: the lost notification is never re-sent
+
+    barrier._on_nudge = _on_nudge  # type: ignore[method-assign]
     try:
         yield
     finally:
-        del _barrier.min  # type: ignore[attr-defined]
+        barrier._on_nudge = original  # type: ignore[method-assign]
 
 
 MUTATIONS: dict[str, Callable[[], ContextManager[None]]] = {
     "dropped-credit-ack": dropped_credit_ack,
     "lost-doorbell": lost_doorbell,
-    "watermark-off-by-one": watermark_off_by_one,
+    "dropped-nudge": dropped_nudge,
 }
 
 #: the model each mutation is expected to bite on (used by the CLI's
@@ -100,5 +102,5 @@ MUTATIONS: dict[str, Callable[[], ContextManager[None]]] = {
 MUTATION_TARGETS: dict[str, str] = {
     "dropped-credit-ack": "fastpath-credit",
     "lost-doorbell": "put-signal",
-    "watermark-off-by-one": "barrier-recovery",
+    "dropped-nudge": "barrier-recovery",
 }

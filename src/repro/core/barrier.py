@@ -16,7 +16,9 @@ the same (rightward) direction — giving the barrier flush semantics for
 FIXED_RIGHT routing.  (With SHORTEST routing leftward data races the
 rightward token; the scaling ablation quantifies it.)
 
-Two alternatives are provided for the ablation benches (DESIGN.md §6):
+A cut ring falls back to dissemination (:class:`RingBarrier` inherits
+it).  Two alternatives are provided for the ablation benches (DESIGN.md
+§6):
 
 * :class:`DisseminationBarrier` — ceil(log2(N)) rounds of point-to-point
   notifications (Mellor-Crummey & Scott [20]), carried as control messages
@@ -50,10 +52,6 @@ __all__ = ["make_barrier", "RingBarrier", "DisseminationBarrier",
            "CentralizedBarrier"]
 
 
-#: Degraded-mode message subtypes carried in BARRIER_MSG aux (low byte).
-_MSG_ARRIVE = 0
-_MSG_RELEASE = 1
-
 #: Dissemination aux low byte: round index, plus a high bit marking a
 #: *nudge* — "re-send me your (generation, round) notification".
 _DISSEM_NUDGE = 0x80
@@ -71,267 +69,11 @@ def _notify(rt: "ShmemRuntime", dest: int, gen: int, low: int) -> Generator:
 def _notify_detached(rt: "ShmemRuntime", dest: int, gen: int,
                      low: int) -> Generator:
     """Body of a detached re-send.  A cable dying under it is not an
-    error: the waiter re-ARRIVEs / nudges again and we re-send."""
+    error: the waiter nudges again and we re-send."""
     try:
         yield from _notify(rt, dest, gen, low)
     except (LinkDownError, PeerUnreachableError):
         pass
-
-
-class RingBarrier:
-    """The paper's Fig. 6 two-round ring barrier.
-
-    Fault behavior: a cable death mid-episode aborts the token round, and
-    ``wait()`` *recovers inside the same call* by re-synchronizing with
-    the degraded line sweep.  That keeps the barrier-call count aligned
-    across PEs — if some PEs raised while others completed, later
-    barriers would pair mismatched episodes and deadlock.  The call only
-    raises :class:`PeerUnreachableError` when the ring is genuinely
-    partitioned (two or more dead edges).
-
-    Besides the healthy-path doorbell tokens, this also owns the
-    *degraded* barrier a ring falls back to when one cable is dead: a
-    watermark protocol over generation-tagged BARRIER_MSG control
-    messages routed along the surviving path.  Each call sends
-    ARRIVE(g) — its absolute episode number — to a coordinator (the
-    left end of the surviving line), which maintains the minimum
-    generation any PE is still waiting at and broadcasts that watermark
-    as RELEASE(w); a call completes once ``w >= g``.  Absolute
-    generations make the protocol immune to the skew a mid-episode cut
-    creates (some PEs complete the token episode, others abort it):
-    a PE that is one episode ahead simply arrives with ``g+1`` and the
-    watermark waits for the stragglers, whereas any scheme that pairs
-    calls positionally deadlocks.  Arrivals are idempotent and resent
-    on a timer, so a control message dropped at a not-yet-informed
-    relay cannot hang the barrier.
-    """
-
-    #: the key this strategy's latency is filed under (barrier_us.<name>).
-    name = "ring"
-
-    #: µs between ARRIVE retransmissions while waiting for a release.
-    RESEND_US = 1_000.0
-
-    def __init__(self, runtime: "ShmemRuntime"):
-        self.rt = runtime
-        self._start_tokens = 0
-        self._end_tokens = 0
-        self._signal = Signal(runtime.env, name=f"{runtime.name}.barrier")
-        #: coordinator state: highest generation each PE arrived with.
-        self._arrivals: dict[int, int] = {}
-        #: highest released watermark seen (coordinator or broadcast).
-        self._released = -1
-        #: completed barrier episodes (absolute; tags degraded messages).
-        self.generation = 0
-        #: completed *degraded* episodes (diagnostics).
-        self.degraded_generation = 0
-
-    # Called synchronously by the service thread (FIFO with data traffic).
-    def on_token(self, side: str, kind: str) -> None:
-        if kind == "barrier_start":
-            self._start_tokens += 1
-        elif kind == "barrier_end":
-            self._end_tokens += 1
-        else:  # pragma: no cover - defensive
-            raise ProtocolError(f"bad barrier token kind {kind!r}")
-        self._signal.fire(kind)
-
-    def on_notify(self, msg: Message) -> None:
-        """A degraded-mode control message (generation-tagged)."""
-        gen = (msg.aux >> 8) & 0xFFFFFF
-        subtype = msg.aux & 0xFF
-        if subtype == _MSG_ARRIVE:
-            self._coord_arrive(msg.src_pe, gen)
-        elif subtype == _MSG_RELEASE:
-            if gen > self._released:
-                self._released = gen
-                self._signal.fire(("release", gen))
-        else:  # pragma: no cover - defensive
-            raise ProtocolError(f"bad degraded barrier subtype {subtype}")
-
-    def on_link_event(self) -> None:
-        """An edge died or recovered: in-flight ring tokens are no longer
-        trustworthy (the episode they belonged to cannot complete
-        consistently), so drain the counters.  Degraded-mode messages are
-        generation-tagged and survive untouched."""
-        self._start_tokens = 0
-        self._end_tokens = 0
-
-    def _await_start(self) -> Generator:
-        while self._start_tokens == 0:
-            yield from remote_wait(self.rt, self._signal.wait(),
-                                   what="barrier START token",
-                                   doomed=self._token_doomed)
-        self._start_tokens -= 1
-
-    def _await_end(self) -> Generator:
-        while self._end_tokens == 0:
-            yield from remote_wait(self.rt, self._signal.wait(),
-                                   what="barrier END token",
-                                   doomed=self._token_doomed)
-        self._end_tokens -= 1
-
-    def _token_doomed(self) -> Optional[BaseException]:
-        # Ring tokens traverse every cable of the ring, so any dead edge
-        # dooms the episode.
-        if self.rt.dead_edges:
-            return PeerUnreachableError(
-                f"{self.rt.name}: barrier token path crosses dead edge(s) "
-                f"{sorted(self.rt.dead_edges)}"
-            )
-        return None
-
-    def _ring_bit(self, side: str, bit: int) -> Generator:
-        token = ("start" if bit == DOORBELL_BARRIER_START else "end")
-        with self.rt.scope.span("barrier_token", category="op",
-                                track=self.rt.name, token=token, side=side):
-            # Flush our store-and-forward pipeline first: the token must
-            # not overtake data we are relaying for other PEs.
-            yield from self.rt.forwarding_quiesce()
-            yield from self.rt.links[side].driver.ring_doorbell(bit)
-
-    # -- degraded mode: the ring minus one cable is a line -----------------
-    def _degraded_wait(self) -> Generator:
-        """Watermark barrier over the surviving path (recovery barrier).
-
-        With dead edge ``(a, b)`` (b = a's right neighbor) the surviving
-        line runs ``b -> b+1 -> ... -> a`` rightward; host ``b`` acts as
-        the coordinator.  Control messages ride the data mailboxes and
-        are service-forwarded along the line — never across the dead
-        cable.  See the class docstring for the protocol and why it
-        tolerates generation skew.
-        """
-        rt = self.rt
-        if len(rt.dead_edges) != 1:
-            raise PeerUnreachableError(
-                f"{rt.name}: barrier impossible with "
-                f"{len(rt.dead_edges)} dead edges "
-                f"({sorted(rt.dead_edges)})"
-            )
-        (edge,) = rt.dead_edges
-        coordinator = edge[1]  # left end of the surviving line
-        gen = self.generation
-        with rt.scope.span("barrier_degraded", category="op",
-                           track=rt.name, gen=gen,
-                           coordinator=rt.my_pe_id == coordinator):
-            # Same flush rule as the token path: our arrival must not
-            # overtake data we are relaying along the line.
-            yield from rt.forwarding_quiesce()
-            if rt.my_pe_id == coordinator:
-                self._coord_arrive(rt.my_pe_id, gen)
-            else:
-                yield from _notify(rt, coordinator, gen, _MSG_ARRIVE)
-            with rt.blocked_on(f"degraded barrier release gen {gen}",
-                               peer=coordinator
-                               if rt.my_pe_id != coordinator else None):
-                while self._released < gen:
-                    doom = self._line_doomed(edge)
-                    if doom is not None:
-                        raise doom
-                    resend = rt.env.timeout(self.RESEND_US)
-                    yield rt.env.any_of([
-                        self._signal.wait(), rt.link_state_changed.wait(),
-                        resend,
-                    ])
-                    if (resend.triggered and self._released < gen
-                            and rt.my_pe_id != coordinator):
-                        # The arrival (or its release) may have been
-                        # dropped by a relay that had not yet learned of
-                        # the dead edge; arrivals are idempotent, so just
-                        # re-send.
-                        yield from _notify(rt, coordinator, gen,
-                                           _MSG_ARRIVE)
-        self.degraded_generation += 1
-        self.generation = gen + 1
-
-    def _coord_arrive(self, pe: int, gen: int) -> None:
-        """Coordinator: record an arrival, advance/re-send the watermark.
-
-        Synchronous (called from service dispatch or the local barrier
-        call); any sends it triggers run as detached processes.
-        """
-        self._arrivals[pe] = max(self._arrivals.get(pe, -1), gen)
-        rt = self.rt
-        if len(self._arrivals) == rt.n_pes:
-            watermark = min(self._arrivals.values())
-            if watermark > self._released:
-                self._released = watermark
-                self._signal.fire(("release", watermark))
-                for dest in range(rt.n_pes):
-                    if dest != rt.my_pe_id:
-                        rt.env.process(
-                            _notify_detached(rt, dest, watermark,
-                                             _MSG_RELEASE),
-                            name=f"{rt.name}.barrier.release{dest}",
-                        )
-                return
-        if self._released >= gen and pe != rt.my_pe_id:
-            # The sender re-arrived for an episode we already released:
-            # its RELEASE was lost, re-send to it alone.
-            rt.env.process(
-                _notify_detached(rt, pe, self._released, _MSG_RELEASE),
-                name=f"{rt.name}.barrier.rerelease{pe}",
-            )
-
-    def _line_doomed(self, edge: tuple[int, int]) -> Optional[BaseException]:
-        live = self.rt.dead_edges == {edge}
-        if live:
-            return None
-        return PeerUnreachableError(
-            f"{self.rt.name}: topology changed mid-degraded-barrier "
-            f"(dead edges now {sorted(self.rt.dead_edges)})"
-        )
-
-    def wait(self) -> Generator:
-        rt = self.rt
-        if rt.n_pes == 1:
-            self.generation += 1
-            return
-        if "right" not in rt.links or "left" not in rt.links:
-            raise ShmemError(
-                f"{rt.name}: ring barrier needs both adapters"
-            )
-        if not rt.dead_edges:
-            try:
-                yield from self._token_wait()
-                return
-            except LinkDownError:
-                # Master abort: the hardware says the cable is gone, but
-                # only the failure detector can mark the edge.  Without
-                # one there is no recovery verdict — surface the error.
-                if not rt.fault_aware or not rt.heartbeats:
-                    raise
-            except PeerUnreachableError:
-                # Recover only on link death; a reply-deadline timeout
-                # with healthy links must surface to the caller.
-                if not rt.fault_aware or not rt.dead_edges:
-                    raise
-        # Recovery barrier: synchronize over the surviving path.  The
-        # hardware may report the dead cable (master abort) before the
-        # failure detector marks the edge; wait for the verdict so the
-        # recovery protocol knows the line layout.  Local signal, fired
-        # by our own failure detector.
-        while not rt.dead_edges:
-            yield rt.link_state_changed.wait()  # lint: skip
-        yield from self._degraded_wait()
-
-    def _token_wait(self) -> Generator:
-        if self.rt.my_pe_id == 0:
-            # A stale wrapped END from the previous round may still be
-            # latched (host N-1 rings END to us as it releases); host 0
-            # never waits on END, so drain the counter at entry.
-            self._end_tokens = 0
-            yield from self._ring_bit("right", DOORBELL_BARRIER_START)
-            yield from self._await_start()     # the wrapped START
-            yield from self._ring_bit("right", DOORBELL_BARRIER_END)
-        else:
-            yield from self._await_start()
-            yield from self._ring_bit("right", DOORBELL_BARRIER_START)
-            yield from self._await_end()
-            # Forward END onward; for the last host this wraps to host 0,
-            # which absorbs it (see above).
-            yield from self._ring_bit("right", DOORBELL_BARRIER_END)
-        self.generation += 1
 
 
 class DisseminationBarrier:
@@ -351,7 +93,8 @@ class DisseminationBarrier:
     The nudge is load-bearing — the sender may have completed this whole
     generation before the cut's damage surfaced (dissemination lets a
     subset of PEs finish while others stall), so only a request/response
-    can recover, exactly like the ring watermark's targeted re-RELEASE.
+    can recover.  A ring cut mid-token-sweep leaves the same skew, which
+    is why :class:`RingBarrier` recovers through this class.
     Fault-free runs take the bare-yield path and stay byte-identical.
     """
 
@@ -475,6 +218,142 @@ class DisseminationBarrier:
         for key in [k for k in self._arrived if k[0] <= gen]:
             del self._arrived[key]
 
+
+class RingBarrier(DisseminationBarrier):
+    """The paper's Fig. 6 two-round ring barrier.
+
+    With every cable alive this is the token sweep and nothing else.
+    Fault behavior: a cable death mid-episode aborts the token round, and
+    ``wait()`` *recovers inside the same call*.  A ring minus one cable is
+    a 1-D mesh, and a mesh's barrier is dissemination, so the call runs
+    the inherited :meth:`DisseminationBarrier.wait` over the surviving
+    routes under the same absolute ``generation``.  That keeps the
+    barrier-call count aligned across PEs — if some PEs raised while
+    others completed, later barriers would pair mismatched episodes and
+    deadlock.  A cut lets some PEs finish the token episode while others
+    abort it; a finished PE is one generation ahead, so it answers a
+    laggard's nudge for the episode it already passed (see
+    :meth:`DisseminationBarrier._on_nudge`).  The call only raises
+    :class:`PeerUnreachableError` when the ring is genuinely partitioned
+    (two or more dead edges).
+    """
+
+    #: the key this strategy's latency is filed under (barrier_us.<name>).
+    name = "ring"
+
+    def __init__(self, runtime: "ShmemRuntime"):
+        super().__init__(runtime)
+        #: latched START / END doorbells not yet consumed, by token kind.
+        self._tokens = {"barrier_start": 0, "barrier_end": 0}
+
+    # Called synchronously by the service thread (FIFO with data traffic).
+    def on_token(self, side: str, kind: str) -> None:
+        if kind not in self._tokens:  # pragma: no cover - defensive
+            raise ProtocolError(f"bad barrier token kind {kind!r}")
+        self._tokens[kind] += 1
+        self._signal.fire(kind)
+
+    def on_link_event(self) -> None:
+        """An edge died or recovered: in-flight ring tokens are no longer
+        trustworthy (the episode they belonged to cannot complete
+        consistently), so drain the counters.  Dissemination
+        notifications are generation-tagged and survive untouched."""
+        self._tokens = dict.fromkeys(self._tokens, 0)
+
+    def _await(self, kind: str) -> Generator:
+        token = "START" if kind == "barrier_start" else "END"
+        while self._tokens[kind] == 0:
+            yield from remote_wait(self.rt, self._signal.wait(),
+                                   what=f"barrier {token} token",
+                                   doomed=self._token_doomed)
+        self._tokens[kind] -= 1
+
+    def _token_doomed(self) -> Optional[BaseException]:
+        # Ring tokens traverse every cable of the ring, so any dead edge
+        # dooms the episode.
+        if self.rt.dead_edges:
+            return PeerUnreachableError(
+                f"{self.rt.name}: barrier token path crosses dead edge(s) "
+                f"{sorted(self.rt.dead_edges)}"
+            )
+        return None
+
+    def _partitioned(self) -> Optional[BaseException]:
+        # Two dead edges split the ring: whichever side a partner is on,
+        # some round of the episode needs the other side.
+        dead = self.rt.dead_edges
+        if len(dead) > 1:
+            return PeerUnreachableError(
+                f"{self.rt.name}: barrier impossible with {len(dead)} "
+                f"dead edges ({sorted(dead)})"
+            )
+        return None
+
+    def _partner_doomed(self, partner: int) -> Optional[BaseException]:
+        return self._partitioned() or super()._partner_doomed(partner)
+
+    def _ring_bit(self, side: str, bit: int) -> Generator:
+        token = ("start" if bit == DOORBELL_BARRIER_START else "end")
+        with self.rt.scope.span("barrier_token", category="op",
+                                track=self.rt.name, token=token, side=side):
+            # Flush our store-and-forward pipeline first: the token must
+            # not overtake data we are relaying for other PEs.
+            yield from self.rt.forwarding_quiesce()
+            yield from self.rt.links[side].driver.ring_doorbell(bit)
+
+    def wait(self) -> Generator:
+        rt = self.rt
+        if rt.n_pes == 1:
+            self.generation += 1
+            return
+        if "right" not in rt.links or "left" not in rt.links:
+            raise ShmemError(
+                f"{rt.name}: ring barrier needs both adapters"
+            )
+        if not rt.dead_edges:
+            try:
+                yield from self._token_wait()
+                return
+            except LinkDownError:
+                # Master abort: the hardware says the cable is gone, but
+                # only the failure detector can mark the edge.  Without
+                # one there is no recovery verdict — surface the error.
+                if not rt.fault_aware or not rt.heartbeats:
+                    raise
+            except PeerUnreachableError:
+                # Recover only on link death; a reply-deadline timeout
+                # with healthy links must surface to the caller.
+                if not rt.fault_aware or not rt.dead_edges:
+                    raise
+        # Recovery barrier: dissemination over the surviving routes.  The
+        # hardware may report the dead cable (master abort) before the
+        # failure detector marks the edge; wait for the verdict so the
+        # notifications route around it.  Local signal, fired by our own
+        # failure detector.
+        while not rt.dead_edges:
+            yield rt.link_state_changed.wait()  # lint: skip
+        doom = self._partitioned()
+        if doom is not None:
+            raise doom
+        yield from super().wait()
+
+    def _token_wait(self) -> Generator:
+        if self.rt.my_pe_id == 0:
+            # A stale wrapped END from the previous round may still be
+            # latched (host N-1 rings END to us as it releases); host 0
+            # never waits on END, so drain the counter at entry.
+            self._tokens["barrier_end"] = 0
+            yield from self._ring_bit("right", DOORBELL_BARRIER_START)
+            yield from self._await("barrier_start")     # the wrapped START
+            yield from self._ring_bit("right", DOORBELL_BARRIER_END)
+        else:
+            yield from self._await("barrier_start")
+            yield from self._ring_bit("right", DOORBELL_BARRIER_START)
+            yield from self._await("barrier_end")
+            # Forward END onward; for the last host this wraps to host 0,
+            # which absorbs it (see above).
+            yield from self._ring_bit("right", DOORBELL_BARRIER_END)
+        self.generation += 1
 
 class CentralizedBarrier:
     """Arrival counter + release flag on PE 0, via remote atomics.

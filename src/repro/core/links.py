@@ -299,8 +299,8 @@ def wire_link_metrics(rt: "ShmemRuntime") -> None:
                 lambda m=mailbox: m.waiters)
     service = rt.service
     scoped = rt.metrics_registry.scoped(f"{rt.name}.service")
-    attrs: tuple[str, ...] = ("dropped_forwards", "dup_ctrl_drops",
-                              "abandoned_responses", "stale_responses")
+    attrs: tuple[str, ...] = ("dropped_forwards", "abandoned_responses",
+                              "stale_responses")
     if rt.config.fastpath is not None:
         attrs = ("cut_throughs", "cut_through_fallbacks",
                  "coalesced_wakes") + attrs

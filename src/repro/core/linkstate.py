@@ -140,41 +140,22 @@ def _fail_pending_on_edge(rt: "ShmemRuntime") -> None:
 
 def announce_link_state(rt: "ShmemRuntime", kind: MsgKind,
                         edge: tuple[int, int]) -> Generator:
-    """Flood an edge's death/recovery away from the edge itself.
+    """Tell every other host about an edge's death/recovery.
 
-    On rings each surviving endpoint of the edge sends one
-    control message to the *far* endpoint the long way around; every
-    host on that path applies and relays it (service-thread
-    dispatch), so the whole ring learns from whichever endpoint's
-    announcement arrives first.
-
-    On grids there is no single "long way around": any host might be
-    routing through the dead edge, so the endpoint unicasts the
-    notice to every other host over whatever routes are still live
-    (each relay applies the edge state before forwarding, and the
-    updates are idempotent).
+    Any host might be routing through the edge, so each of its surviving
+    endpoints unicasts the notice to every other host over whatever
+    routes are still live (each relay applies the edge state before
+    forwarding, and the updates are idempotent).
     """
-    my_side = None
-    for side, link in rt.links.items():
-        if link.edge == edge:
-            my_side = side
-            break
-    if my_side is None:
+    if not any(link.edge == edge for link in rt.links.values()):
         return  # not an endpoint of this edge; relaying is enough
-    grid = rt.topology.kind != "ring"
-    if grid:
-        dests = [dest for dest in range(rt.n_pes) if dest != rt.my_pe_id]
-    else:
-        link = rt.links[rt.topology.opposite_port(my_side)]
-        dests = [edge[1] if edge[0] == rt.my_pe_id else edge[0]]
-    for dest in dests:
+    for dest in range(rt.n_pes):
+        if dest == rt.my_pe_id:
+            continue
         try:
-            if grid:
-                link = rt.link_for(rt.route_to(dest).direction)
+            link = rt.link_for(rt.route_to(dest).direction)
             yield from link.post(
                 kind, rt.my_pe_id, dest, last_leg=link.peer_host_id == dest,
                 aux=((edge[0] & 0xFF) << 8) | (edge[1] & 0xFF))
         except (LinkDownError, PeerUnreachableError):
-            # Ring: both our cables are dead, nobody left to tell.
-            # Grid: an unreachable island, nothing to tell it.
-            continue
+            continue  # an unreachable island: nothing to tell it

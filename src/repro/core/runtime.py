@@ -705,12 +705,12 @@ class ShmemRuntime:
             expired = deadline is not None and self.env.now >= deadline
             # While an edge is dead, judge each mailbox by local_idle
             # rather than idle: quiet orders the calling PE's own
-            # operations, and the degraded barrier's resend chatter
-            # keeps every relay hop's mailbox near-permanently busy —
-            # a quiet waiting for traffic forwarded on behalf of
-            # *other* PEs livelocks the recovery (the storm only
-            # stops once this PE arrives).  Fault-free runs keep the
-            # stricter global check so their timing is untouched.
+            # operations, and after a cut the detours, retries and
+            # barrier resends of *other* PEs crowd the surviving
+            # cables — a quiet waiting for traffic this PE relays for
+            # them can wait on PEs that are waiting on it.  Fault-free
+            # runs keep the stricter global check so their timing is
+            # untouched.
             degraded = bool(self.dead_edges)
             busy = flushed = False
             for link in self.links.values():
@@ -721,7 +721,7 @@ class ShmemRuntime:
                     # ACKed (master abort): it is failed, not pending.
                     # apply_edge_dead flushed the slots once at death;
                     # anything sent since (heartbeats, retries racing
-                    # the detector, stray barrier re-releases) must be
+                    # the detector, stray barrier re-sends) must be
                     # flushed here too — and again every poll tick while
                     # senders keep queueing, since a hand-off to a dead
                     # cable notifies nobody.

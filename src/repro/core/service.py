@@ -137,11 +137,10 @@ class ShmemService:
         self.active_forwards = 0
         #: in-flight BARRIER_MSG relays.  Counted separately because
         #: :attr:`quiescent` must ignore them: barrier control is
-        #: idempotent and generation-tagged, so a token overtaking one
-        #: is harmless — and during a degraded-barrier resend storm a
-        #: relay hop's control forwards never fully drain, which would
-        #: wedge ``forwarding_quiesce`` (and with it the very arrival
-        #: that would end the storm).
+        #: idempotent and generation-tagged, so a token or notification
+        #: overtaking one is harmless, while counting them would hold
+        #: each of this PE's dissemination sends behind the relays of
+        #: other PEs' rounds on a grid.
         self.active_ctrl_forwards = 0
         #: in-flight deferred ACK tasks (always 0 on the baseline path;
         #: the fastpath's cut-through forwarding defers slot ACKs).
@@ -163,10 +162,6 @@ class ShmemService:
         self.dropped_forwards = 0
         self.abandoned_responses = 0
         self.stale_responses = 0
-        #: identical BARRIER_MSG relays queued per direction (dedup set,
-        #: see _forward_control) and how many duplicates were dropped.
-        self._queued_ctrl_fwds: set = set()
-        self.dup_ctrl_drops = 0
 
     # ---------------------------------------------------------------- intake
     def enqueue(self, side: str, kind: str) -> None:
@@ -392,9 +387,9 @@ class ShmemService:
         # Control only — ACK right away to free the ScratchPads.
         yield from self._ack(link, channel)
         if kind is MsgKind.LINK_DOWN or kind is MsgKind.LINK_UP:
-            # Control flood from a dead edge's endpoint (see
+            # Link-state notice from a dead edge's endpoint (see
             # linkstate.announce_link_state): apply locally, then
-            # relay onward in the same direction until the far endpoint.
+            # relay onward toward its destination.
             edge = ((msg.aux >> 8) & 0xFF, msg.aux & 0xFF)
             if kind is MsgKind.LINK_DOWN:
                 linkstate.apply_edge_dead(rt, edge)
@@ -610,42 +605,29 @@ class ShmemService:
         if out_link is None:
             self._drop_forward(msg)
             return
-        dedup = None
-        if msg.kind is MsgKind.BARRIER_MSG:
-            # ARRIVE/RELEASE are idempotent and generation-tagged (aux):
-            # while an identical copy is still queued for this direction,
-            # relaying another adds nothing but mailbox congestion.  At
-            # large ring sizes the degraded barrier's resend storm would
-            # otherwise outpace the surviving line (every hop is a
-            # capacity-1 mailbox) and livelock the whole episode.
-            dedup = (out_link.side, msg.src_pe, msg.dest_pe, msg.aux)
-            if dedup in self._queued_ctrl_fwds:
-                self.dup_ctrl_drops += 1
-                return
-            self._queued_ctrl_fwds.add(dedup)
-        self._relay(msg, out_link, dedup=dedup)
+        self._relay(msg, out_link)
 
     def _relay(self, msg: Message, out_link: "LinkEnd", staging=None,
-               dedup=None, inline=None) -> None:
+               inline=None) -> None:
         """Detach ``msg``'s onward send (blocking in place would make the
         thread part of a hold-and-wait cycle, see :meth:`_forward`)."""
         counter = ("active_ctrl_forwards" if msg.kind is MsgKind.BARRIER_MSG
                    else "active_forwards")
         self._detach(
-            self._onward_task(msg, out_link, counter, staging, dedup, inline),
+            self._onward_task(msg, out_link, counter, staging, inline),
             f"fwd.{msg.kind.name}", counter)
 
     def _onward_task(self, msg: Message, out_link: "LinkEnd", counter: str,
-                     staging, dedup, inline) -> Generator:
+                     staging, inline) -> Generator:
         try:
             if counter == "active_ctrl_forwards":
-                # A relayed ARRIVE/RELEASE must not overtake data chunks
-                # this host is forwarding — the same rule the ring-token
-                # path enforces with forwarding_quiesce before ringing
-                # the token doorbell.  Without it a degraded barrier can
-                # release while a long-way-around Put is still mid-line,
-                # and the reader sees stale bytes.  Data forwards are
-                # finite (no resend storm), so this always drains.
+                # A relayed barrier notification must not overtake data
+                # chunks this host is forwarding — the same rule the
+                # ring-token path enforces with forwarding_quiesce before
+                # ringing the token doorbell.  Without it a barrier can
+                # release while a multi-hop Put is still mid-route, and
+                # the reader sees stale bytes.  Data forwards are finite,
+                # so this always drains.
                 yield from poll_wait(self.rt, "ctrl-relay data flush",
                                      lambda: not self.active_forwards)
             with self.rt.scope.span("onward_send", category="service",
@@ -663,8 +645,6 @@ class ShmemService:
             # whole simulation, not just this transfer.
             self._drop_forward(msg)
         finally:
-            if dedup is not None:
-                self._queued_ctrl_fwds.discard(dedup)
             if staging is not None:
                 self.rt.host.free_pinned(staging)
             self._finish(counter)

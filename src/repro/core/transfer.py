@@ -502,11 +502,9 @@ class _MailboxBase:
 
         Sends tagged ``relay=True`` do not count: OpenSHMEM ``quiet``
         orders the *calling* PE's operations only, and a busy relay line
-        must not wedge it.  On a large degraded ring the resend storm of
-        a recovery barrier keeps every hop's mailbox near-permanently
-        occupied with forwarded ARRIVEs — a quiet that waits for those
-        can never finish, yet the storm only stops once that quiet's PE
-        arrives (a livelock observed at 16 hosts).
+        must not wedge it.  After a cut, other PEs' detours and barrier
+        resends can keep a relay hop's mailbox occupied for as long as
+        those PEs wait on this one.
         """
         if not self._relay_reqs:
             return self.idle

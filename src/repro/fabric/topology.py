@@ -25,11 +25,13 @@ constructor              ``kind``   wrap  ports
 under different port names; a line of hosts (a ring minus one cable) is
 the 1-D mesh ``MeshTopology((n,))``.  What stays forked, on purpose, is
 keyed on ``kind`` outside this module: ring clusters keep the paper's
-protocol family (rightward routing with keep-direction relays, the token
-barrier, the long-way link-state flood) while mesh/torus clusters
-default to dimension-order routing, the dissemination barrier and a
-unicast flood.  Collapsing those *defaults* moves every ring figure and
-waits for the next re-baseline (ROADMAP item 6).
+protocol family (rightward routing with keep-direction relays and the
+token barrier) while mesh/torus clusters default to dimension-order
+routing and the dissemination barrier.  Those two are the only forks:
+the link-state flood is one unicast for every fabric, and a cut ring
+recovers through the dissemination barrier the ring barrier inherits.
+Collapsing the two *defaults* moves every ring figure and waits for the
+next re-baseline (ROADMAP item 6).
 
 Port conventions
 ----------------
@@ -136,8 +138,8 @@ class Topology:
                 )
         self.dims = dims
         self.wrap = wrap
-        #: "ring" | "mesh" | "torus": selects protocol defaults
-        #: (router, barrier, link-state flood), never structure.
+        #: "ring" | "mesh" | "torus": selects the two protocol defaults
+        #: (router, barrier), never structure.
         self.kind = kind or ("torus" if wrap else "mesh")
         self.n_hosts = prod(dims)
         #: Port names as (negative, positive) pairs per axis.

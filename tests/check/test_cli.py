@@ -26,7 +26,7 @@ def test_list_names_models_and_mutations():
                  "fastpath-credit", "deadlock-demo"):
         assert name in out
     for mutation in ("dropped-credit-ack", "lost-doorbell",
-                     "watermark-off-by-one"):
+                     "dropped-nudge"):
         assert mutation in out
 
 

@@ -6,9 +6,9 @@ The contract under test, per docs/FAULTS.md:
   operation either completes via the rerouted path or raises a typed
   :class:`PeerUnreachableError`;
 * the heartbeat failure detector marks the edge DEAD within
-  ``miss_threshold`` periods and floods LINK_DOWN the long way around;
-* ring barriers recover *inside the same call* via the degraded
-  watermark protocol over the surviving line;
+  ``miss_threshold`` periods and tells every other host with LINK_DOWN;
+* ring barriers recover *inside the same call* via the dissemination
+  barrier they inherit, over the surviving line;
 * pending-reply tables drain on link death (no leaked entries);
 * a run configured with an **empty** fault plan is byte-identical in
   virtual time to a run with no fault layer at all.
@@ -21,6 +21,7 @@ import pytest
 
 from repro import Mode, run_spmd
 from repro.core import PeerUnreachableError, ShmemConfig
+from repro.core.program import drive, launch, make_cluster
 from repro.faults import FaultPlan, SeverCable
 
 from ..conftest import pattern
@@ -149,6 +150,43 @@ class TestTypedFailureNoHang:
         report = run_spmd(main, 4, shmem_config=config,
                           check_heap_consistency=False, finalize=False)
         assert report.results[0] == ("typed", 0)
+
+    @pytest.mark.parametrize("second_cut_us", [3_000.0, 12_000.0])
+    def test_partitioned_ring_barrier_raises(self, second_cut_us):
+        """Two cuts isolate PE 1 of an 8-ring, before the recovery barrier
+        starts or while the others wait in it for PE 1: every barrier
+        raises a typed error.  PE 4's dissemination partners (5, 6, 0)
+        all stay reachable, so only the ring's partition check can end
+        its wait — PE 0 raises in round 0 and never sends round 2."""
+        plan = FaultPlan(events=(
+            SeverCable(2_000.0, 0, 1),
+            SeverCable(second_cut_us, 1, 2),
+        ))
+        cluster = make_cluster(8)
+        _rts, _pes, results, procs = launch(
+            cluster, self._barrier_after_cut, ShmemConfig(faults=plan),
+            finalize=False)
+        drive(cluster, procs, horizon_us=200_000.0, max_events=400_000)
+        assert all("barrier impossible" in outcome
+                   for outcome, _waited in results), results
+        waited = [w for _outcome, w in results]
+        if second_cut_us < 8_000.0:     # both cuts known at entry
+            assert waited == [0.0] * 8, waited
+        else:                           # PE 1 enters after the second
+            assert waited[1] == 0.0, waited
+            assert all(w > 0.0 for pe, w in enumerate(waited) if pe != 1), \
+                waited
+
+    @staticmethod
+    def _barrier_after_cut(pe):
+        yield from pe.barrier_all()
+        yield pe.rt.env.timeout(20_000.0 if pe.my_pe() == 1 else 8_000.0)
+        entered = pe.rt.env.now
+        try:
+            yield from pe.barrier_all()
+        except PeerUnreachableError as exc:
+            return str(exc), pe.rt.env.now - entered
+        return "passed", pe.rt.env.now - entered
 
 
 class TestPioMasterAbort:

@@ -1,9 +1,11 @@
 """The known bad inputs: runs that break "verified data or a typed error
-in bounded virtual time" today, each a strict xfail.
+in bounded virtual time" today, each a strict xfail, and the ones a fix
+has turned into regression tests.
 
-Four come from ``benchmarks/trajectory/README.md`` ("Known bad inputs"),
-one is a wire-level cousin of the first, and one is a cable cut while a
-barrier token is in flight.  Each run goes through
+Four come from ``benchmarks/trajectory/README.md`` ("Known bad inputs")
+and one is a wire-level cousin of the first.  A cable cut while a ring
+barrier token is in flight is the regression test of the ring's
+dissemination recovery.  Each run goes through
 ``core.program.launch`` and ``drive`` under a virtual-time horizon and a
 cap on dispatched events, so an input that never finishes fails in
 seconds with drive's ``StuckRunError`` instead of hanging tier-1.
@@ -116,22 +118,15 @@ def test_relayed_put_lost_between_cut_and_detection():
         f"stale payload, no error on PE {_outcomes(results)}: {repro}"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a cable cut while a barrier token is in flight leaves the degraded "
-    "barrier waiting for arrivals that never come (ROADMAP item 2)"))
 def test_cut_while_a_barrier_token_is_in_flight():
     """The same put, cut 200 µs later: the second barrier's token is on
-    the cable.  PEs 0 and 1 finish; PEs 2 and 3 wait in the degraded
-    barrier, resending every millisecond, until the horizon."""
+    the cable.  PEs 0 and 1 finish the token episode; PEs 2 and 3 finish
+    it through the dissemination recovery, nudging the PEs ahead of them
+    for the notifications those never sent."""
     (results, stuck), repro = _put_over_a_cut_cable(700.0)
-    if stuck is not None and (
-            stuck.kind != "liveness-horizon"
-            or [r is not None for r in results] != [True, True, False, False]
-            or sorted({entry.pe for entry in stuck.entries}) != [2, 3]):
-        pytest.fail(f"the stall changed shape: {stuck}; {repro}")
     assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
-    assert not _outcomes(results), \
-        f"stale payload, no error on PE {_outcomes(results)}: {repro}"
+    assert results == [(0,)] * 4, f"not verified on every PE: {results}; " \
+        f"{repro}"
 
 
 def _rounds_on_mesh16(plan, op):

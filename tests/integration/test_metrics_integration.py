@@ -147,7 +147,7 @@ class TestOneSpine:
     def test_service_drop_gauges_exist_after_initialize(self):
         registry = run_spmd(lambda pe: iter(()), n_pes=3).metrics
         for pe in range(3):
-            assert registry.value(f"pe{pe}.service.dup_ctrl_drops") == 0
+            assert registry.value(f"pe{pe}.service.dropped_forwards") == 0
             assert registry.value(f"pe{pe}.service.abandoned_responses") == 0
             assert registry.value(f"pe{pe}.service.stale_responses") == 0
 
