@@ -17,7 +17,11 @@ execution, then the alternative order is a commutation of the observed
 one — same resulting state, isomorphic subtree — and the branch is
 pruned.  Footprints over-approximate effects (see
 :mod:`repro.check.footprint`), so pruning is conservative: imprecision
-costs explored schedules, never coverage.
+costs explored schedules, never coverage.  An alternative that never
+executed before the run ended is pruned only if nothing waited on it
+when the tie was decided: once every PE has returned, the agents its
+finalize stopped leave orphaned timers that tie with each other, and
+re-ordering no-ops leads nowhere new.
 
 **Fault branching.**  For models with ``fault_edges``, the fault-free
 root run's decision log defines the reachable injection instants: one
@@ -93,7 +97,9 @@ def _can_prune(policy: ExplorationPolicy,
     alt_event = policy.candidates[decision_index][candidate_pos]
     alt_positions = positions.get(id(alt_event))
     if not alt_positions:
-        return False  # never executed: cannot reason about it
+        # Never executed before the run ended: only a candidate nobody
+        # waited on (a stopped agent's orphaned timer) provably commutes.
+        return decision.idle[candidate_pos]
     exec_pos = None
     for position in alt_positions:
         if position >= decision.step_index:

@@ -22,6 +22,11 @@ depends on ordering:
     window — the ring barrier's dissemination recovery (resend + nudge)
     under systematic fault placement, asserting data only on the
     post-recovery round.
+``grid-barrier``
+    The same body on a 2x2 mesh: the grid token barrier's rounds, and
+    their fall-back into the dissemination recovery when a sever branch
+    cuts one cable inside the active window (200–730 µs: the two
+    tolerant phases).
 ``put-signal``
     Producer/consumer over ``shmem_put_signal`` + ``wait_until``: the
     signal must never overtake its payload.
@@ -39,6 +44,7 @@ import numpy as np
 
 from ..core import PE, FastpathConfig, ShmemConfig
 from ..core.errors import PeerUnreachableError, ShmemError
+from ..fabric import ClusterConfig
 from ..fabric.heartbeat import HeartbeatConfig
 
 __all__ = ["CheckModel", "MODELS"]
@@ -54,7 +60,9 @@ class CheckModel:
     n_pes: int
     main: PeMain
     make_config: Callable[[], ShmemConfig]
-    #: cables the fault pass may sever, as (host, host) ring edges.
+    #: the cabling (None = a ring of ``n_pes`` hosts).
+    cluster: Optional[ClusterConfig] = None
+    #: cables the fault pass may sever, as (host, host) edges.
     fault_edges: tuple[tuple[int, int], ...] = ()
     #: restrict fault injection to decisions inside this virtual-time
     #: window (us).  Severs during the startup handshake wedge before
@@ -132,7 +140,8 @@ def _deadlock_main(pe: PE) -> Generator:
 
 # --------------------------------------------------------- barrier recovery
 def _barrier_recovery_main(pe: PE) -> Generator:
-    """Ring puts around barriers, surviving a mid-phase cable sever.
+    """Puts to the next PE around barriers, surviving a mid-phase cable
+    sever.
 
     The fault contract (docs/FAULTS.md) promises delivery only *after*
     recovery: a put racing the sever may raise
@@ -140,7 +149,7 @@ def _barrier_recovery_main(pe: PE) -> Generator:
     completes via the dissemination recovery without guaranteeing the
     phase's data landed.  So the phases under fire are tolerant —
     attempt, swallow unreachable, barrier — and correctness is asserted
-    on a strict post-recovery round over the rerouted ring.
+    on a strict post-recovery round over the rerouted fabric.
     """
     me, n = pe.my_pe(), pe.num_pes()
     buf = yield from pe.static_symmetric("chk.buf", 8)
@@ -166,6 +175,16 @@ def _barrier_recovery_main(pe: PE) -> Generator:
         )
     yield from pe.barrier_all()
     return True
+
+
+def _recovery_config() -> ShmemConfig:
+    return _base_config(
+        heartbeat=HeartbeatConfig(period_us=200.0, miss_threshold=2),
+        # Retry long enough to outlast detection (2 x 200 us), so
+        # mid-round sends reroute instead of giving up.
+        max_retries=8,
+        retry_backoff_us=200.0,
+    )
 
 
 # --------------------------------------------------------------- put_signal
@@ -265,16 +284,21 @@ MODELS: dict[str, CheckModel] = {
             name="barrier-recovery",
             n_pes=3,
             main=_barrier_recovery_main,
-            make_config=lambda: _base_config(
-                heartbeat=HeartbeatConfig(period_us=200.0,
-                                          miss_threshold=2),
-                # Retry long enough to outlast detection (2 x 200 us),
-                # so mid-round sends reroute instead of giving up.
-                max_retries=8,
-                retry_backoff_us=200.0,
-            ),
+            make_config=_recovery_config,
             fault_edges=((0, 1),),
             fault_window_us=(450.0, 1_300.0),
+            horizon_us=2_000_000.0,
+            default_budget=3_000,
+            tags=("ci", "faults"),
+        ),
+        CheckModel(
+            name="grid-barrier",
+            n_pes=4,
+            main=_barrier_recovery_main,
+            make_config=_recovery_config,
+            cluster=ClusterConfig(n_hosts=4, topology="mesh", dims=(2, 2)),
+            fault_edges=((0, 1),),
+            fault_window_us=(200.0, 730.0),
             horizon_us=2_000_000.0,
             default_budget=3_000,
             tags=("ci", "faults"),

@@ -23,15 +23,23 @@ replayable trace, and that the same exploration without it stays clean.
     episode only ever sends its notification in answer to a nudge, so
     the laggards resend and nudge forever — caught on
     ``barrier-recovery`` fault branches as a livelock.
+``unchecked-token-wait``
+    ``RingBarrier._await`` drops its dead-edge check before each token
+    wait.  A PE whose detector marks the cut between two token waits
+    (its counters already drained) then sleeps in a wait that only a
+    *later* link-state change could end, while every other PE has fallen
+    back to dissemination and resends and nudges it forever — caught on
+    ``grid-barrier`` fault branches as a livelock.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, ContextManager, Iterator
+from typing import Any, Callable, ContextManager, Generator, Iterator
 
 from ..core import barrier as _barrier
 from ..core import transfer as _transfer
+from ..core.waits import remote_wait
 from ..ntb import doorbell as _doorbell
 
 __all__ = ["MUTATIONS"]
@@ -91,10 +99,34 @@ def dropped_nudge() -> Iterator[None]:
         barrier._on_nudge = original  # type: ignore[method-assign]
 
 
+@contextmanager
+def unchecked_token_wait() -> Iterator[None]:
+    """Token waits trust the link state they were entered under."""
+    barrier = _barrier.RingBarrier
+    original = barrier._await
+
+    def _await(self: _barrier.RingBarrier, side: str,
+               kind: str) -> Generator[Any, Any, None]:
+        key = (side, kind)
+        while not self._tokens.get(key):
+            # BUG: no dead-edge check before the wait
+            yield from remote_wait(
+                self.rt, self._signal.wait(), what="barrier token",
+                doomed=self._token_doomed)
+        self._tokens[key] -= 1
+
+    barrier._await = _await  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        barrier._await = original  # type: ignore[method-assign]
+
+
 MUTATIONS: dict[str, Callable[[], ContextManager[None]]] = {
     "dropped-credit-ack": dropped_credit_ack,
     "lost-doorbell": lost_doorbell,
     "dropped-nudge": dropped_nudge,
+    "unchecked-token-wait": unchecked_token_wait,
 }
 
 #: the model each mutation is expected to bite on (used by the CLI's
@@ -103,4 +135,5 @@ MUTATION_TARGETS: dict[str, str] = {
     "dropped-credit-ack": "fastpath-credit",
     "lost-doorbell": "put-signal",
     "dropped-nudge": "barrier-recovery",
+    "unchecked-token-wait": "grid-barrier",
 }

@@ -45,6 +45,9 @@ class Decision:
     n_candidates: int
     chosen: int
     labels: tuple[str, ...]
+    #: per candidate: nothing was waiting on it when the tie was decided
+    #: (an orphaned timer of a stopped agent), so running it is a no-op.
+    idle: tuple[bool, ...]
 
 
 def _label(event: Event) -> str:
@@ -157,6 +160,7 @@ class ExplorationPolicy(SchedulePolicy):
             index=index, time=now, priority=priority,
             step_index=step_index, n_candidates=len(candidates),
             chosen=choice, labels=tuple(_label(c) for c in candidates),
+            idle=tuple(not c.callbacks for c in candidates),
         ))
         self.candidates.append(list(candidates))
         return choice

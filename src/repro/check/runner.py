@@ -186,7 +186,8 @@ def run_schedule(model: CheckModel, trace: ScheduleTrace,
     env = Environment(schedule_policy=policy)
     policy.bind(env)
 
-    cluster = Cluster(ClusterConfig(n_hosts=model.n_pes), env=env)
+    cluster = Cluster(model.cluster or ClusterConfig(n_hosts=model.n_pes),
+                      env=env)
     cluster_holder["cluster"] = cluster
 
     config = model.make_config()

@@ -16,9 +16,12 @@ the same (rightward) direction — giving the barrier flush semantics for
 FIXED_RIGHT routing.  (With SHORTEST routing leftward data races the
 rightward token; the scaling ablation quantifies it.)
 
-A cut ring falls back to dissemination (:class:`RingBarrier` inherits
-it).  Two alternatives are provided for the ablation benches (DESIGN.md
-§6):
+A mesh or torus runs the same doorbell tokens between cabled neighbours
+(:class:`GridBarrier`): rounds axis by axis, x then y then z, as APEnet+
+orders its torus traffic — no token is store-and-forwarded.  A cut
+token episode, ring or grid, falls back to dissemination
+(:class:`RingBarrier` inherits it).  Two alternatives are provided for
+the ablation benches (DESIGN.md §6):
 
 * :class:`DisseminationBarrier` — ceil(log2(N)) rounds of point-to-point
   notifications (Mellor-Crummey & Scott [20]), carried as control messages
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..ntb import LinkDownError
 from ..sim import Signal
-from .errors import PeerUnreachableError, ProtocolError, ShmemError
+from .errors import PeerUnreachableError, ProtocolError
 from .heap import SymAddr
 from .transfer import (
     AmoOp,
@@ -48,8 +51,8 @@ from .waits import remote_wait
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import ShmemRuntime
 
-__all__ = ["make_barrier", "RingBarrier", "DisseminationBarrier",
-           "CentralizedBarrier"]
+__all__ = ["make_barrier", "RingBarrier", "GridBarrier",
+           "DisseminationBarrier", "CentralizedBarrier"]
 
 
 #: Dissemination aux low byte: round index, plus a high bit marking a
@@ -184,7 +187,17 @@ class DisseminationBarrier:
                 yield from rt.forwarding_quiesce()
                 yield from _notify(rt, partner, gen, rnd)
             key = (gen, rnd)
+            expires = None  # end of the running resend window
             while self._arrived.get(key, 0) < 1:
+                # Another key's notification wakes the wait but must not
+                # restart the window: strays arriving faster than it
+                # expires would starve the resend and nudge for good.
+                left = window
+                if window is not None:
+                    if expires is None:
+                        expires = rt.env.now + window
+                    else:
+                        left = max(0.0, expires - rt.env.now)
                 try:
                     yield from remote_wait(
                         rt, self._signal.wait(),
@@ -192,7 +205,7 @@ class DisseminationBarrier:
                         doomed=lambda p=partner, s=sender: (
                             self._partner_doomed(p)
                             or self._partner_doomed(s)),
-                        timeout_us=window, peer=sender,
+                        timeout_us=left, peer=sender,
                     )
                 except PeerUnreachableError:
                     doom = (self._partner_doomed(partner)
@@ -203,6 +216,7 @@ class DisseminationBarrier:
                     # a notification was lost mid-flight.  Re-send ours
                     # and ask the sender for theirs; a cable dying
                     # under the resend just waits for the detector.
+                    expires = None
                     try:
                         if partner != rt.my_pe_id:
                             yield from _notify(rt, partner, gen, rnd)
@@ -222,7 +236,11 @@ class DisseminationBarrier:
 class RingBarrier(DisseminationBarrier):
     """The paper's Fig. 6 two-round ring barrier.
 
-    With every cable alive this is the token sweep and nothing else.
+    With every cable alive this is the token sweep and nothing else.  The
+    episode is a per-PE step list — ring a doorbell on some ports, then
+    consume one latched token per port — so :class:`GridBarrier` reuses
+    the counting, the drain, the dead-edge check and the recovery below
+    with a schedule of its own.
     Fault behavior: a cable death mid-episode aborts the token round, and
     ``wait()`` *recovers inside the same call*.  A ring minus one cable is
     a 1-D mesh, and a mesh's barrier is dissemination, so the call runs
@@ -243,34 +261,57 @@ class RingBarrier(DisseminationBarrier):
 
     def __init__(self, runtime: "ShmemRuntime"):
         super().__init__(runtime)
-        #: latched START / END doorbells not yet consumed, by token kind.
-        self._tokens = {"barrier_start": 0, "barrier_end": 0}
+        #: latched doorbells not yet consumed, by (arrival port, kind).
+        #: One port's tokens arrive in send order and every ring
+        #: interrupts, so the i-th consumed is the i-th its neighbour sent.
+        self._tokens: dict[tuple[str, str], int] = {}
+        #: this PE's episode: (ports to ring, doorbell bit, ports to
+        #: await, token kind) per step.
+        self._steps = self._schedule()
+
+    def _schedule(self) -> list[tuple]:
+        start = (("right",), DOORBELL_BARRIER_START)
+        end = (("right",), DOORBELL_BARRIER_END)
+        if self.rt.my_pe_id == 0:
+            # Start the sweep, absorb it when it wraps, then start END.
+            return [(*start, ("left",), "barrier_start"), (*end, (), None)]
+        return [((), None, ("left",), "barrier_start"),
+                (*start, ("left",), "barrier_end"),
+                (*end, (), None)]   # the last host's END wraps to host 0
 
     # Called synchronously by the service thread (FIFO with data traffic).
     def on_token(self, side: str, kind: str) -> None:
-        if kind not in self._tokens:  # pragma: no cover - defensive
+        if kind not in ("barrier_start", "barrier_end"):  # pragma: no cover
             raise ProtocolError(f"bad barrier token kind {kind!r}")
-        self._tokens[kind] += 1
+        key = (side, kind)
+        self._tokens[key] = self._tokens.get(key, 0) + 1
         self._signal.fire(kind)
 
     def on_link_event(self) -> None:
-        """An edge died or recovered: in-flight ring tokens are no longer
+        """An edge died or recovered: in-flight tokens are no longer
         trustworthy (the episode they belonged to cannot complete
         consistently), so drain the counters.  Dissemination
         notifications are generation-tagged and survive untouched."""
-        self._tokens = dict.fromkeys(self._tokens, 0)
+        self._tokens.clear()
 
-    def _await(self, kind: str) -> Generator:
+    def _await(self, side: str, kind: str) -> Generator:
         token = "START" if kind == "barrier_start" else "END"
-        while self._tokens[kind] == 0:
+        key = (side, kind)
+        while not self._tokens.get(key):
+            # remote_wait re-checks ``doomed`` only on a link-state change
+            # *during* the wait: a wait entered after the cut was marked
+            # (and the counters drained) would sleep forever.
+            doom = self._token_doomed()
+            if doom is not None:
+                raise doom
             yield from remote_wait(self.rt, self._signal.wait(),
                                    what=f"barrier {token} token",
                                    doomed=self._token_doomed)
-        self._tokens[kind] -= 1
+        self._tokens[key] -= 1
 
     def _token_doomed(self) -> Optional[BaseException]:
-        # Ring tokens traverse every cable of the ring, so any dead edge
-        # dooms the episode.
+        # Tokens cross every cable of the fabric in one episode, so any
+        # dead edge dooms it.
         if self.rt.dead_edges:
             return PeerUnreachableError(
                 f"{self.rt.name}: barrier token path crosses dead edge(s) "
@@ -292,24 +333,22 @@ class RingBarrier(DisseminationBarrier):
     def _partner_doomed(self, partner: int) -> Optional[BaseException]:
         return self._partitioned() or super()._partner_doomed(partner)
 
-    def _ring_bit(self, side: str, bit: int) -> Generator:
+    def _ring_bits(self, sides: tuple[str, ...], bit: int) -> Generator:
+        rt = self.rt
         token = ("start" if bit == DOORBELL_BARRIER_START else "end")
-        with self.rt.scope.span("barrier_token", category="op",
-                                track=self.rt.name, token=token, side=side):
+        with rt.scope.span("barrier_token", category="op", track=rt.name,
+                           token=token, side=",".join(sides)):
             # Flush our store-and-forward pipeline first: the token must
             # not overtake data we are relaying for other PEs.
-            yield from self.rt.forwarding_quiesce()
-            yield from self.rt.links[side].driver.ring_doorbell(bit)
+            yield from rt.forwarding_quiesce()
+            for side in sides:
+                yield from rt.links[side].driver.ring_doorbell(bit)
 
     def wait(self) -> Generator:
         rt = self.rt
         if rt.n_pes == 1:
             self.generation += 1
             return
-        if "right" not in rt.links or "left" not in rt.links:
-            raise ShmemError(
-                f"{rt.name}: ring barrier needs both adapters"
-            )
         if not rt.dead_edges:
             try:
                 yield from self._token_wait()
@@ -340,20 +379,50 @@ class RingBarrier(DisseminationBarrier):
     def _token_wait(self) -> Generator:
         if self.rt.my_pe_id == 0:
             # A stale wrapped END from the previous round may still be
-            # latched (host N-1 rings END to us as it releases); host 0
-            # never waits on END, so drain the counter at entry.
-            self._tokens["barrier_end"] = 0
-            yield from self._ring_bit("right", DOORBELL_BARRIER_START)
-            yield from self._await("barrier_start")     # the wrapped START
-            yield from self._ring_bit("right", DOORBELL_BARRIER_END)
-        else:
-            yield from self._await("barrier_start")
-            yield from self._ring_bit("right", DOORBELL_BARRIER_START)
-            yield from self._await("barrier_end")
-            # Forward END onward; for the last host this wraps to host 0,
-            # which absorbs it (see above).
-            yield from self._ring_bit("right", DOORBELL_BARRIER_END)
+            # latched (host N-1 rings END to us as it releases); ring
+            # host 0 never waits on END, so drain it at entry.  (A grid
+            # has no "left" port: nothing to drain.)
+            self._tokens.pop(("left", "barrier_end"), None)
+        for send, bit, recv, kind in self._steps:
+            if send:
+                yield from self._ring_bits(send, bit)
+            for side in recv:
+                yield from self._await(side, kind)
         self.generation += 1
+
+
+class GridBarrier(RingBarrier):
+    """Doorbell-token rounds between cabled neighbours, axis by axis.
+
+    The Fig. 6 mechanism on a mesh or torus, in APEnet+'s dimension
+    order: for x, then y, then z, each PE runs ``k // 2`` rounds on a
+    torus axis of extent ``k`` (``k - 1`` on a mesh axis); a round rings
+    START on every cabled port of the axis and consumes one token per
+    such port.  After ``r`` rounds a PE has heard, transitively, from
+    every PE within ``r`` hops on the axis, so the first token of the
+    next axis carries the sender's whole finished sub-grid.  Every
+    notification is one hop — none is store-and-forwarded.  A dead edge
+    drops the episode into the inherited dissemination recovery; the
+    route check decides partition, not an edge count.
+    """
+
+    name = "grid"
+
+    def _schedule(self) -> list[tuple]:
+        topo, me = self.rt.topology, self.rt.my_pe_id
+        cabled = topo.ports(me)
+        steps = []
+        for axis, extent in enumerate(topo.dims):
+            ports = tuple(port for port in topo.PORT_ORDER[2 * axis:][:2]
+                          if port in cabled)
+            rounds = extent // 2 if topo.wrap else extent - 1
+            steps += [(ports, DOORBELL_BARRIER_START, ports,
+                       "barrier_start")] * rounds
+        return steps
+
+    def _partitioned(self) -> Optional[BaseException]:
+        return None
+
 
 class CentralizedBarrier:
     """Arrival counter + release flag on PE 0, via remote atomics.
@@ -422,6 +491,4 @@ def make_barrier(runtime: "ShmemRuntime"):
         return CentralizedBarrier(runtime)
     if runtime.topology.kind == "ring":
         return RingBarrier(runtime)
-    # mesh/torus circulate no token; dissemination's pairwise notifies
-    # route dimension-order like any other message.
-    return DisseminationBarrier(runtime)
+    return GridBarrier(runtime)

@@ -46,10 +46,9 @@ class ShmemConfig:
         mesh/torus.  The two 1-D policies raise on multi-axis grids.
     barrier:
         "ring", "dissemination", or "centralized".  "ring" (the default)
-        means the fabric's token barrier where one exists — the paper's
-        Fig. 6 ring barrier on a ring — and, silently, dissemination on
-        a mesh/torus, which circulates no token (``topology.kind``
-        decides, see ``make_barrier``).
+        means the fabric's doorbell-token barrier — the paper's Fig. 6
+        ring barrier on a ring, neighbour token rounds axis by axis on
+        a mesh/torus (``topology.kind`` decides, see ``make_barrier``).
     default_mode:
         DMA or MEMCPY when the caller does not specify.
     """

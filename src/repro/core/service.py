@@ -479,10 +479,11 @@ class ShmemService:
                   dest_pe: int) -> Optional["LinkEnd"]:
         """The onward link a relay sends toward ``dest_pe``.
 
-        Routing is the runtime's router's call: ring/chain relays keep
+        Routing is the runtime's router's call: ring relays keep
         travelling the direction they arrived from (the historical rule),
-        grid relays re-resolve per hop (dimension-order by default), so
-        the same store-and-forward machinery serves every topology.
+        grid relays — a line of hosts is the 1-D mesh — re-resolve per
+        hop (dimension-order by default), so the same store-and-forward
+        machinery serves every topology.
         None when the router finds no live way onward — the caller drops
         the message (end-to-end recovery is the requester's job).
         """

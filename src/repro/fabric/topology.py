@@ -26,12 +26,13 @@ under different port names; a line of hosts (a ring minus one cable) is
 the 1-D mesh ``MeshTopology((n,))``.  What stays forked, on purpose, is
 keyed on ``kind`` outside this module: ring clusters keep the paper's
 protocol family (rightward routing with keep-direction relays and the
-token barrier) while mesh/torus clusters default to dimension-order
-routing and the dissemination barrier.  Those two are the only forks:
-the link-state flood is one unicast for every fabric, and a cut ring
-recovers through the dissemination barrier the ring barrier inherits.
-Collapsing the two *defaults* moves every ring figure and waits for the
-next re-baseline (ROADMAP item 6).
+Fig. 6 START/END token sweep) while mesh/torus clusters default to
+dimension-order routing and token rounds between neighbours, axis by
+axis.  Those two are the only forks: the link-state flood is one
+unicast for every fabric, and a cut token episode, ring or grid,
+recovers through the dissemination barrier both inherit.  Collapsing
+the two *defaults* moves every ring figure and waits for the next
+re-baseline (ROADMAP item 8).
 
 Port conventions
 ----------------

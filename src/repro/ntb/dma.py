@@ -365,10 +365,18 @@ class DmaEngine:
             join = Join(self.env, 4, self._join_name)
             arrive = join.arrive
             src_port.stage(take, arrive)
-            link.stage(take, parent, arrive)
+            wire = link.stage(take, parent, arrive)
             dst_port.stage(take, arrive)
             self._pump.stage(take, arrive)
             yield join
+            if wire.dropped:
+                # The cable was cut under this chunk: its bytes never
+                # reached the peer, so the request fails and they never
+                # land.
+                raise LinkDownError(
+                    f"{self.name}: link went down under the chunk at "
+                    f"{offset}/{nbytes} bytes"
+                )
             # Realize the bytes only after the full pipeline completed so a
             # concurrent reader cannot observe data "ahead of time".
             dst_mem.write(

@@ -181,14 +181,16 @@ class Link:
         return ser
 
     def stage(self, nbytes: int, parent: Optional[int],
-              then: Callable[[], None]) -> None:
+              then: Callable[[], None]) -> "_Crossing":
         """Move ``nbytes`` across the link with no process and no
         propagation delay, then call ``then()`` — the DMA engine's wire
         stage (see :class:`~repro.sim.Join`).  ``parent`` is the span its
-        ``link_transit`` span hangs under."""
+        ``link_transit`` span hangs under.  The returned crossing's
+        ``dropped`` says, once ``then`` ran, whether a cut cable ate the
+        bytes."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
-        _Crossing(self, nbytes, parent, then)
+        return _Crossing(self, nbytes, parent, then)
 
     # -- the wire's rules, shared by transfer() and stage() ---------------------
     def _occupy(self, nbytes: int, parent: Optional[int]
@@ -227,12 +229,13 @@ class _Crossing:
     generator would have yielded.  Named after the link: ShmemCheck
     attributes a callback to its owner's ``name``."""
 
-    __slots__ = ("name", "_link", "_nbytes", "_parent", "_then", "_req",
-                 "_ser", "_span")
+    __slots__ = ("name", "dropped", "_link", "_nbytes", "_parent", "_then",
+                 "_req", "_ser", "_span")
 
     def __init__(self, link: Link, nbytes: int, parent: Optional[int],
                  then: Callable[[], None]):
         self.name = link.name
+        self.dropped = False
         self._link = link
         self._nbytes = nbytes
         self._parent = parent
@@ -259,6 +262,7 @@ class _Crossing:
             req.callbacks.append(self._granted)
 
     def _dropped(self, _timeout: Event) -> None:
+        self.dropped = True
         self._link.dropped_bytes += self._nbytes
         self._then()
 

@@ -22,11 +22,11 @@ def _check(*args: str, expect: int = 0) -> subprocess.CompletedProcess:
 
 def test_list_names_models_and_mutations():
     out = _check("--list").stdout
-    for name in ("lock", "barrier-recovery", "put-signal",
+    for name in ("lock", "barrier-recovery", "grid-barrier", "put-signal",
                  "fastpath-credit", "deadlock-demo"):
         assert name in out
     for mutation in ("dropped-credit-ack", "lost-doorbell",
-                     "dropped-nudge"):
+                     "dropped-nudge", "unchecked-token-wait"):
         assert mutation in out
 
 

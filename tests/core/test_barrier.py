@@ -9,6 +9,7 @@ from repro import ClusterConfig, ShmemConfig, run_spmd
 from repro.core.barrier import (
     CentralizedBarrier,
     DisseminationBarrier,
+    GridBarrier,
     RingBarrier,
 )
 
@@ -133,8 +134,8 @@ class TestCentralizedBarrier:
 
 
 class TestChainBarrier:
-    """A line of hosts (the 1-D mesh) circulates no token: its default
-    barrier is the dissemination barrier."""
+    """A line of hosts (the 1-D mesh) passes doorbell tokens between
+    cabled neighbours: its default barrier is the grid token barrier."""
 
     def test_correctness_on_chain(self):
         report = run_spmd(
@@ -154,7 +155,39 @@ class TestChainBarrier:
             cluster_config=ClusterConfig(n_hosts=3, topology="mesh",
                                          dims=(3,)),
         )
-        assert all(r == "DisseminationBarrier" for r in report.results)
+        assert all(r == "GridBarrier" for r in report.results)
+
+
+class TestGridBarrier:
+    """Doorbell-token rounds axis by axis on a mesh/torus: a PE leaves
+    only after hearing, transitively, from every other PE."""
+
+    GRIDS = [("mesh", (2, 3)), ("torus", (3, 4)), ("mesh", (2, 2, 2))]
+
+    @staticmethod
+    def _cluster(topology, dims):
+        n = int(np.prod(dims))
+        return n, ClusterConfig(n_hosts=n, topology=topology, dims=dims)
+
+    @pytest.mark.parametrize("topology,dims", GRIDS)
+    def test_no_pe_races_ahead(self, topology, dims):
+        n, config = self._cluster(topology, dims)
+        report = run_spmd(barrier_correctness_program(rounds=2), n_pes=n,
+                          cluster_config=config)
+        assert report.results == [0] * n
+
+    @pytest.mark.parametrize("topology,dims", GRIDS)
+    def test_skewed_arrival_still_synchronizes(self, topology, dims):
+        """The last PE, at the far corner from PE 0, enters last."""
+        def main(pe):
+            yield pe.rt.env.timeout(pe.my_pe() * 1000.0)
+            yield from pe.barrier_all()
+            return pe.rt.env.now, type(pe.rt.barrier).__name__
+
+        n, config = self._cluster(topology, dims)
+        report = run_spmd(main, n_pes=n, cluster_config=config)
+        assert all(t >= (n - 1) * 1000.0 for t, _ in report.results)
+        assert {name for _, name in report.results} == {"GridBarrier"}
 
 
 class TestBarrierLatencyShape:
@@ -192,18 +225,18 @@ class TestBarrierLatencyKey:
         yield from pe.barrier_all()
         return pe.rt.barrier.name
 
-    def test_mesh_files_under_dissemination(self):
+    def test_mesh_files_under_grid(self):
         # ShmemConfig.barrier stays at its default "ring"; make_barrier
-        # picks dissemination because a grid has no token to pass.
+        # picks the grid token barrier because a mesh has no ring.
         report = run_spmd(
             self._main, n_pes=4,
             cluster_config=ClusterConfig(n_hosts=4, topology="mesh",
                                          dims=(2, 2)),
             shmem_config=ShmemConfig(trace_spans=True))
-        assert set(report.results) == {"dissemination"}
-        assert self._keys(report) == ["barrier_us.dissemination"]
+        assert set(report.results) == {"grid"}
+        assert self._keys(report) == ["barrier_us.grid"]
         barriers = [s for s in report.scope.spans if s.name == "barrier"]
-        assert {s.args["strategy"] for s in barriers} == {"dissemination"}
+        assert {s.args["strategy"] for s in barriers} == {"grid"}
 
     def test_ring_keeps_its_key(self):
         report = run_spmd(self._main, n_pes=3)

@@ -20,7 +20,7 @@ import pytest
 
 from repro import run_spmd
 from repro.core import ShmemConfig
-from repro.core.barrier import DisseminationBarrier, RingBarrier
+from repro.core.barrier import GridBarrier, RingBarrier
 from repro.fabric import (
     Cluster,
     ClusterConfig,
@@ -145,9 +145,9 @@ class TestOneClass:
 
     @pytest.mark.parametrize("topology,dims,router,barrier", [
         ("ring", None, "fixed_right", RingBarrier),
-        ("torus", (4,), "dimension_order", DisseminationBarrier),
-        ("mesh", (2, 2), "dimension_order", DisseminationBarrier),
-        ("mesh", (4,), "dimension_order", DisseminationBarrier),
+        ("torus", (4,), "dimension_order", GridBarrier),
+        ("mesh", (2, 2), "dimension_order", GridBarrier),
+        ("mesh", (4,), "dimension_order", GridBarrier),
     ])
     def test_the_defaults_fork_is_on_kind(self, topology, dims, router,
                                           barrier):

@@ -3,9 +3,10 @@ in bounded virtual time" today, each a strict xfail, and the ones a fix
 has turned into regression tests.
 
 Four come from ``benchmarks/trajectory/README.md`` ("Known bad inputs")
-and one is a wire-level cousin of the first.  A cable cut while a ring
-barrier token is in flight is the regression test of the ring's
-dissemination recovery.  Each run goes through
+and one was a wire-level cousin of the first (a DMA chunk the wire
+dropped landed anyway; it is a regression test now).  Cables cut while
+ring or grid barrier tokens are in flight are the regression tests of
+the token barriers' dissemination recovery.  Each run goes through
 ``core.program.launch`` and ``drive`` under a virtual-time horizon and a
 cap on dispatched events, so an input that never finishes fails in
 seconds with drive's ``StuckRunError`` instead of hanging tier-1.
@@ -129,6 +130,72 @@ def test_cut_while_a_barrier_token_is_in_flight():
         f"{repro}"
 
 
+def _token_rounds(topology, dims, edge, sever_at_us):
+    """Six rounds of a 4 KiB put to the reflected partner, each closed by
+    a barrier, on a grid whose cable ``edge`` is cut at ``sever_at_us``;
+    then, once every detector has marked the cut, a strict round whose
+    payload every PE checks.  Returns the bounded run and its repro."""
+    size = 4096
+    plan = FaultPlan([SeverCable(sever_at_us, *edge)])
+    n_hosts = int(np.prod(dims))
+    cluster_config = ClusterConfig(n_hosts=n_hosts, topology=topology,
+                                   dims=dims)
+    shmem_config = ShmemConfig(faults=plan, **_RETRIES)
+
+    def main(pe):
+        me, n = pe.my_pe(), pe.num_pes()
+        partner = n - 1 - me
+        sym = yield from pe.malloc(2 * size)
+        yield from pe.barrier_all()
+        for rnd in range(6):
+            try:
+                yield from pe.put(sym + (rnd % 2) * size,
+                                  np.full(size, rnd + 1, np.uint8), partner)
+            except PeerUnreachableError:
+                pass
+            yield from pe.barrier_all()
+        yield pe.rt.env.timeout(3_000.0)
+        yield from pe.barrier_all()
+        yield from pe.put(sym, np.full(size, 99, np.uint8), partner)
+        yield from pe.barrier_all()
+        return (int((pe.read_symmetric(sym, size) != 99).sum()),)
+
+    return (_run(cluster_config, shmem_config, main),
+            _repro(plan, cluster_config, shmem_config))
+
+
+# The instants come from the fault-free run's token log: on the 4x4 mesh
+# PE 6 rings its first x-round START over (5,6) at 803.1 us (the second
+# barrier), on the 3x3 torus PE 4 rings one over (4,5) at 541.7 us; PE 5
+# of the mesh rings its second x-round at 858.9 us and its third at
+# 970.8 us.
+@pytest.mark.parametrize("topology,dims,edge,sever_at_us", [
+    ("mesh", (4, 4), (5, 6), 803.6),
+    ("torus", (3, 3), (4, 5), 542.2),
+], ids=["mesh4x4", "torus3x3"])
+def test_cut_while_grid_tokens_are_in_flight(topology, dims, edge,
+                                             sever_at_us):
+    """The grid token episode the cut lands in moves to the inherited
+    dissemination recovery on every PE, under the same generation."""
+    (results, stuck), repro = _token_rounds(topology, dims, edge,
+                                            sever_at_us)
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
+    assert results == [(0,)] * len(results), \
+        f"not verified on every PE: {results}; {repro}"
+
+
+def test_cut_between_two_token_rounds_of_one_pe():
+    """The cut lands while PE 5 waits between its second and third
+    x-round.  The dissemination recovery that follows sees stray resends
+    and nudges of other rounds wake its waits faster than a resend
+    window lasts; the window runs on regardless, or no PE would ever
+    resend (this instant livelocked while each wake restarted it)."""
+    (results, stuck), repro = _token_rounds("mesh", (4, 4), (5, 6), 915.0)
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
+    assert results == [(0,)] * 16, \
+        f"not verified on every PE: {results}; {repro}"
+
+
 def _rounds_on_mesh16(plan, op):
     """Eight rounds of ``op`` toward the reflected partner, a barrier and
     1 ms of compute, on a 4x4 mesh; returns the bounded run's outcome
@@ -244,12 +311,9 @@ def test_shmemsan_strict_flags_the_unflushed_put():
         f"stale after barrier, and ShmemSan strict saw no race: {repro}"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a DMA chunk the wire dropped is still written into the receiver's "
-    "window when its pipeline stages join"))
 def test_dma_chunk_dropped_on_the_wire_never_lands():
     """The last of three chunks is dropped by a cut inside its DelayTlp
-    wait: the engine completes the request, and the receiver holds the
+    wait: the engine fails the request and the receiver never holds the
     dropped bytes."""
     figures = severed_in_flight(sever_at_us=50.0)
     if figures["dropped"] != 16 * 1024:

@@ -80,9 +80,16 @@ def _dma_main(pe):
 #: name -> (PE body, hosts, cluster config, runtime knobs); all span-traced.
 _WHOLE_RUNS = {
     "quickstart": (_quickstart_main, 3, None, {}),
+    # The torus token barrier releases every PE in one instant, and the
+    # symmetric bench then never reaches a quiet one: the torus runs
+    # dissemination, whose relays break the symmetry, and the mesh (its
+    # edges break it too) covers the token barrier.
     "torus4x4": (_bench_body, 16,
                  ClusterConfig(n_hosts=16, topology="torus", dims=(4, 4)),
-                 {}),
+                 dict(barrier="dissemination")),
+    "mesh4x4": (_bench_body, 16,
+                ClusterConfig(n_hosts=16, topology="mesh", dims=(4, 4)),
+                {}),
     "chaos": (_chaos_main, 4, None,
               dict(faults=FaultPlan.seeded_severs(
                        4, seed=7, window_us=(2_000.0, 6_000.0)),
