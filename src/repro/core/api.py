@@ -237,7 +237,9 @@ class PE:
                    signal: SymAddr, signal_value: int,
                    mode: Optional[Mode] = None) -> Generator:
         """``shmem_put_signal`` — data put followed by an ordered 8-byte
-        signal write; pair with ``wait_until(signal, '==', value)``."""
+        signal write; pair with ``wait_until(signal, '==', value)``.
+        ``mode`` applies to the data; the signal word always goes by
+        memcpy."""
         arr = _as_u8(data)
         virt = self._stage(arr)
         yield from self.rt.put_signal(dest, virt, arr.size, pe,

@@ -50,7 +50,9 @@ class ShmemConfig:
         ring barrier on a ring, neighbour token rounds axis by axis on
         a mesh/torus (``topology.kind`` decides, see ``make_barrier``).
     default_mode:
-        DMA or MEMCPY when the caller does not specify.
+        DMA or MEMCPY for user puts and gets when the caller does not
+        specify.  The runtime's own small words (AMO operand and reply,
+        ``put_signal``'s signal) ignore it and always go by memcpy.
     """
 
     heap: HeapConfig = field(default_factory=HeapConfig)

@@ -598,7 +598,9 @@ class ShmemRuntime:
         """Register a pending AMO and hand its request to the first hop."""
         pending = self._expect_reply("amo", route, pe)
         # Fastpath: the 24-byte operand rides inline in a bypass slot
-        # header — one PIO store, no DMA.
+        # header.  Otherwise it goes through the data window.  Either way
+        # it is one PIO store: for a word, ~34 µs of fixed DMA cost
+        # (submit, setup, descriptor, completion) against ~1 µs of PIO.
         inline = self.config.fastpath is not None
         data = np.frombuffer(operand, dtype=np.uint8)
         payload = None
@@ -610,8 +612,7 @@ class ShmemRuntime:
         try:
             yield from link.post(
                 MsgKind.AMO_REQ, self.my_pe_id, pe,
-                last_leg=route.hops == 1,
-                mode=Mode.MEMCPY if inline else Mode.DMA,
+                last_leg=route.hops == 1, mode=Mode.MEMCPY,
                 offset=target.offset, size=len(operand),
                 aux=pending.req_id, payload=payload,
                 inline=data if inline else None)
@@ -659,6 +660,10 @@ class ShmemRuntime:
         """``shmem_put_signal``: put data, then put ``signal_value`` into
         the 8-byte ``signal`` cell on the same PE.
 
+        ``mode`` applies to the user data only.  The signal word is the
+        runtime's own and always goes by memcpy (PIO): for 8 bytes the
+        fixed DMA cost dwarfs the store.
+
         Delivery channels are in-order per direction, so the signal write
         lands after the data — the consumer pairs it with ``wait_until``.
         Inlining is disabled for both puts: the data and the signal must
@@ -671,8 +676,8 @@ class ShmemRuntime:
         staging = self.host.mmap(4096)
         try:
             self.host.write_user(staging.virt, np.frombuffer(raw, np.uint8))
-            yield from self.put(signal, staging.virt, 8, pe, mode,
-                                allow_inline=False)
+            yield from self.put(signal, staging.virt, len(raw), pe,
+                                Mode.MEMCPY, allow_inline=False)
         finally:
             self.host.munmap(staging)
 

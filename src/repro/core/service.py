@@ -63,6 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ShmemService"]
 
 _AMO_REQ_BYTES = struct.calcsize(AMO_REQ_FMT)
+_AMO_RESP_BYTES = struct.calcsize(AMO_RESP_FMT)
 
 #: CPU cost of one atomic read-modify-write on the heap (µs).
 _AMO_APPLY_US = 0.5
@@ -446,15 +447,9 @@ class ShmemService:
             raise ProtocolError(
                 f"{rt.name}: GET_RESP chunk overruns request {msg.aux}"
             )
-        # The window-target region is mapped uncached in the prototype, so
-        # the memcpy-mode drain pays the PIO read rate; the DMA path copies
-        # out at cached-memcpy speed (see EXPERIMENTS.md, Fig. 9 notes).
         with rt.scope.span("deliver_get_chunk", category="service",
                            track=f"{rt.name}.service", nbytes=msg.size):
-            if pending.mode is Mode.MEMCPY:
-                yield from rt.host.cpu.pio_read(msg.size)
-            else:
-                yield from rt.host.cpu.local_memcpy(msg.size)
+            yield from self._drain(pending.mode, msg.size)
             data = rt.host.memory.read(payload_phys, msg.size)
             rt.host.write_user(pending.dest_virt + msg.offset, data)
             pending.received += msg.size
@@ -463,12 +458,23 @@ class ShmemService:
                 and not pending.done.triggered:
             pending.done.succeed()
 
+    def _drain(self, mode: Mode, nbytes: int) -> Generator:
+        """Charge reading ``nbytes`` out of a receive window.  The
+        window-target region is mapped uncached in the prototype, so the
+        memcpy-mode drain pays the PIO read rate; the DMA path copies out
+        at cached-memcpy speed (see EXPERIMENTS.md, Fig. 9 notes)."""
+        cpu = self.rt.host.cpu
+        if mode is Mode.MEMCPY:
+            return cpu.pio_read(nbytes)
+        return cpu.local_memcpy(nbytes)
+
     def _deliver_amo_resp(self, msg: Message, link: "LinkEnd",
                           payload_phys: int, channel: str) -> Generator:
         pending = yield from self._awaited(msg, "amo", link, channel)
         if pending is None:
             return
-        raw = self.rt.host.memory.read_bytes(payload_phys, 8)
+        yield from self._drain(msg.mode, _AMO_RESP_BYTES)
+        raw = self.rt.host.memory.read_bytes(payload_phys, _AMO_RESP_BYTES)
         (old,) = struct.unpack(AMO_RESP_FMT, raw)
         yield from self._ack(link, channel)
         if not pending.done.triggered:
@@ -689,12 +695,17 @@ class ShmemService:
         with rt.scope.span("serve_amo", category="service",
                            track=f"{rt.name}.service",
                            requester=msg.src_pe):
+            # An inline operand was read with its slot header.
+            if not msg.flags & FLAG_INLINE:
+                yield from self._drain(msg.mode, _AMO_REQ_BYTES)
             raw = rt.host.memory.read_bytes(payload_phys, _AMO_REQ_BYTES)
             op, _dtype, value, compare = struct.unpack(AMO_REQ_FMT, raw)
             yield from self._ack(link, channel)
             old = yield from self.apply_amo_local(msg.offset, op, value,
                                                   compare)
             # Reply along the reverse path (detached, like onward sends).
+            # The 8-byte old value goes by PIO: a word's store costs far
+            # less than DMA's fixed submit/setup/completion terms.
             staging = rt.host.alloc_pinned(64)
             rt.host.memory.write(
                 staging.phys,
@@ -702,9 +713,9 @@ class ShmemService:
                               dtype=np.uint8),
             )
             self._relay(Message(
-                kind=MsgKind.AMO_RESP, mode=Mode.DMA,
+                kind=MsgKind.AMO_RESP, mode=Mode.MEMCPY,
                 src_pe=rt.my_pe_id, dest_pe=msg.src_pe,
-                offset=msg.offset, size=8, aux=msg.aux,
+                offset=msg.offset, size=_AMO_RESP_BYTES, aux=msg.aux,
             ), link, staging)
 
     def apply_amo_local(self, offset: int, op: int, value: int,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import run_spmd
 from repro.core import Mode, MsgKind, ProtocolError, TransferError
 from repro.core.transfer import (
     BypassMailbox,
@@ -27,7 +28,7 @@ from repro.core.transfer import (
 )
 from repro.fabric import Cluster, ClusterConfig
 from repro.host import CostModel, Host
-from repro.ntb import LinkDownError
+from repro.ntb import DmaConfig, LinkDownError
 from repro.ntb.device import BYPASS_WINDOW, DATA_WINDOW
 
 from ..conftest import pattern, run_to_completion
@@ -320,3 +321,120 @@ class TestHeaderBlockUnderSever:
         between_2nd_and_3rd = self._read_outcome(2.5 * read_us)
         assert between_2nd_and_3rd == before
         assert before[1] == 4
+
+
+def engine_costs(nbytes: int, cost: CostModel, dma: DmaConfig, *,
+                 segments: int = 1,
+                 uncached_drain: bool = False) -> dict[Mode, float]:
+    """Oracle: each engine's hand-off plus drain of ``nbytes`` (µs), in
+    closed form from the calibration the simulator charges.
+
+    MEMCPY is the PIO store loop; DMA is ``dma_submit + setup + segments ·
+    per_descriptor + completion + n / engine_rate``.  Each adds the
+    receiver's drain: cached memcpy, or, for a memcpy'd message loaded
+    back through the uncached window (a Get chunk, an AMO word), the PIO
+    read."""
+    drain = cost.local_memcpy_us(nbytes)
+    return {
+        Mode.MEMCPY: cost.pio_write_us(nbytes) + (
+            cost.pio_read_us(nbytes) if uncached_drain else drain),
+        Mode.DMA: (cost.dma_submit_us + dma.setup_time_us
+                   + segments * dma.per_descriptor_us
+                   + dma.completion_latency_us
+                   + nbytes / dma.engine_rate_mbps + drain),
+    }
+
+
+def cheaper_mode(nbytes: int, cost: CostModel, dma: DmaConfig,
+                 **kw) -> Mode:
+    """The engine :func:`engine_costs` charges less; a tie goes to DMA,
+    the paper's default engine."""
+    costs = engine_costs(nbytes, cost, dma, **kw)
+    return Mode.MEMCPY if costs[Mode.MEMCPY] < costs[Mode.DMA] else Mode.DMA
+
+
+class TestCheaperMode:
+    """The runtime sends its own words (AMO operand and reply,
+    ``put_signal``'s signal) by memcpy.  The closed form above says that
+    is the cheaper engine for them, and on an idle fabric it names the
+    engine the simulator finds faster for a put of any size."""
+
+    COST, DMA = CostModel(), DmaConfig()
+
+    @classmethod
+    def crossover(cls, uncached_drain: bool = False) -> int:
+        """Smallest page-aligned put size for which DMA is named."""
+        return next(
+            n for n in range(1, 64 * 1024)
+            if cheaper_mode(n, cls.COST, cls.DMA, segments=-(-n // 4096),
+                            uncached_drain=uncached_drain) is Mode.DMA)
+
+    def test_crossovers_at_the_default_calibration(self):
+        # Put (cached drain either way): about 3.7 KB, Fig. 9's "memcpy
+        # beats DMA below ~4 KB".  A Get chunk or AMO word read back
+        # through the uncached window pays the PIO read rate as well.
+        assert self.crossover() == 3705
+        assert self.crossover(uncached_drain=True) == 696
+
+    @pytest.mark.parametrize("dma", [
+        DmaConfig(), DmaConfig(per_descriptor_us=0.0),
+    ], ids=["default", "free-descriptor"])
+    def test_the_runtimes_words_go_by_memcpy(self, dma):
+        # The AMO operand (24 B) and reply (8 B) are drained from the
+        # uncached window; the signal word (8 B) is put like user data.
+        for word, uncached in ((24, True), (8, True), (8, False)):
+            assert cheaper_mode(word, self.COST, dma,
+                                uncached_drain=uncached) is Mode.MEMCPY
+    def test_agrees_with_the_simulated_put(self):
+        """Idle 3-ring, one put per explicit engine at 1 and 2 hops, timed
+        to ``quiet`` (hand-off, the receiver's drain, its ACK)."""
+        crossover = self.crossover()
+        sizes = sorted({1 << k for k in range(17)}
+                       | {1000, 3000, 3300, 4100, 4500, 6000})
+        measured: dict[tuple[int, int, Mode], float] = {}
+        segments: dict[int, int] = {}
+
+        def main(pe):
+            sym = yield from pe.malloc(max(sizes))
+            src = pe.local_alloc(max(sizes))
+            yield from pe.barrier_all()
+            for hops in (1, 2):
+                for size in sizes:
+                    for mode in Mode:
+                        if pe.my_pe() == 0:
+                            # Let the barrier's last tokens settle: the
+                            # fabric is idle when the clock starts.
+                            yield pe.rt.env.timeout(1000.0)
+                            start = pe.rt.env.now
+                            yield from pe.put_from(sym, src, size, hops,
+                                                   mode=mode)
+                            yield from pe.quiet()
+                            measured[hops, size, mode] = \
+                                pe.rt.env.now - start
+                            segments[size] = len(pe.rt.host.user_segments(
+                                src.virt, size))
+                        yield from pe.barrier_all()
+
+        run_spmd(main, n_pes=3)
+        wrong, off = [], []
+        for (hops, size, mode), took in sorted(measured.items()):
+            if mode is not Mode.DMA:
+                continue
+            # The closed form leaves out under 0.5 µs per descriptor.
+            gap = took - measured[hops, size, Mode.MEMCPY]
+            costs = engine_costs(size, self.COST, self.DMA,
+                                 segments=segments[size])
+            closed = costs[Mode.DMA] - costs[Mode.MEMCPY]
+            if not 0 <= gap - closed <= 0.51 * segments[size]:
+                off.append((hops, size, gap, closed))
+            if abs(size - crossover) < crossover / 10:
+                continue
+            faster = (Mode.MEMCPY if measured[hops, size, Mode.MEMCPY] < took
+                      else Mode.DMA)
+            named = cheaper_mode(size, self.COST, self.DMA,
+                                 segments=segments[size])
+            if named is not faster:
+                wrong.append((hops, size, named.name, faster.name))
+        assert wrong == []
+        assert off == []
+        assert {size for _hops, size, _mode in measured} == set(sizes)

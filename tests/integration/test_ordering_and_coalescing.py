@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro import run_spmd
+from repro.core import FastpathConfig, Mode, ShmemConfig
+from repro.fabric import ClusterConfig
 
 from ..conftest import pattern
 
@@ -78,3 +81,65 @@ class TestChannelOrdering:
 
         report = run_spmd(main, n_pes=3)
         assert report.results == [0, 0, 0]
+
+
+#: (name, cluster shape, routing): every fabric the data-before-signal
+#: check runs on, covering 1–6 hops between PE 0 and its destinations.
+_RELAY_FABRICS = [
+    ("ring7-fixed_right", ClusterConfig(n_hosts=7), None),
+    ("ring12-shortest", ClusterConfig(n_hosts=12), "shortest"),
+    ("mesh4x4", ClusterConfig(n_hosts=16, topology="mesh", dims=(4, 4)),
+     None),
+    ("torus3x3", ClusterConfig(n_hosts=9, topology="torus", dims=(3, 3)),
+     None),
+]
+#: Payload sizes, cycled over the destinations: one word, a sub-page
+#: DMA, and two and four store-and-forward chunks.
+_SIGNAL_SIZES = (8, 3000, 70_000, 200 * 1024)
+
+
+class TestSignalAfterDataAcrossRelays:
+    """``put_signal`` sends its data by DMA and its 8-byte signal by PIO
+    (always, for the runtime's own word).  Through every relay the signal
+    must still land after the last data byte."""
+
+    @pytest.mark.parametrize("plane", ["default", "fastpath"])
+    @pytest.mark.parametrize("name,cluster_config,routing", _RELAY_FABRICS,
+                             ids=[f[0] for f in _RELAY_FABRICS])
+    def test_whole_payload_is_there_when_the_signal_fires(
+            self, name, cluster_config, routing, plane):
+        biggest = max(_SIGNAL_SIZES)
+
+        def size_for(dest):
+            return _SIGNAL_SIZES[dest % len(_SIGNAL_SIZES)]
+
+        def main(pe):
+            data = yield from pe.malloc(biggest)
+            sig = yield from pe.malloc(8)
+            pe.write_symmetric(sig, np.zeros(1, dtype=np.int64))
+            yield from pe.barrier_all()
+            me = pe.my_pe()
+            if me == 0:
+                result = []
+                for dest in range(1, pe.num_pes()):
+                    yield from pe.put_signal(
+                        data, pattern(size_for(dest), seed=dest), dest,
+                        sig, dest, mode=Mode.DMA)
+                    result.append(pe.rt.route_to(dest).hops)
+            else:
+                yield from pe.wait_until(sig, "==", me)
+                size = size_for(me)
+                result = bool(np.array_equal(pe.read_symmetric(data, size),
+                                             pattern(size, seed=me)))
+            yield from pe.barrier_all()
+            return result
+
+        report = run_spmd(
+            main, n_pes=cluster_config.n_hosts, cluster_config=cluster_config,
+            shmem_config=ShmemConfig(
+                routing=routing,
+                fastpath=FastpathConfig() if plane == "fastpath" else None))
+        hops, landed = report.results[0], report.results[1:]
+        torn = [dest for dest, ok in enumerate(landed, start=1) if not ok]
+        assert torn == [], f"signal overtook its data at PEs {torn}"
+        assert set(hops) == set(range(1, 3 if name == "torus3x3" else 7))

@@ -14,7 +14,9 @@ After a change that is *meant* to move virtual time, re-pin with::
 
     PYTHONPATH=src python -m tests.integration.test_pinned_figures
 
-and explain the diff of ``pinned_figures.json`` per key in the PR.
+It prints every figure it changes as ``section.key: old → new (Δ %)``
+(nothing when nothing moved) before writing; explain each such line in
+the change's notes.
 """
 
 from __future__ import annotations
@@ -121,6 +123,15 @@ def test_every_pinned_section_has_a_producer():
     assert set(json.loads(PIN_FILE.read_text())) == set(SECTIONS)
 
 
+def test_pin_diff_prints_each_moved_key_and_nothing_else():
+    old = {"a": {"x": 100.0, "y": [1, 2], "z": 5}, "b": {"w": 0.0}}
+    new = {"a": {"x": 90.0, "y": [1, 3], "z": 5}, "b": {"w": 1.5}}
+    assert pin_diff(old, new) == ["a.x: 100.0 → 90.0 (-10.0 %)",
+                                  "a.y: [1, 2] → [1, 3]",
+                                  "b.w: 0.0 → 1.5"]
+    assert pin_diff(old, old) == []
+
+
 @pytest.fixture(scope="module")
 def tier64() -> dict:
     return SECTIONS["topology64"]()
@@ -140,7 +151,30 @@ def test_torus_beats_ring_at_64_hosts(tier64):
             / tier64["ring64.bisection_bytes_per_us"]) >= 3.5
 
 
+def pin_diff(old: dict, new: dict) -> list[str]:
+    """One ``section.key: old → new (Δ %)`` line per changed figure, in
+    sorted order; a key only one side has shows ``None`` on the other."""
+    lines = []
+    for section in sorted(old.keys() | new.keys()):
+        before, after = old.get(section, {}), new.get(section, {})
+        for key in sorted(before.keys() | after.keys()):
+            was, now = before.get(key), after.get(key)
+            if was == now:
+                continue
+            line = f"{section}.{key}: {was} → {now}"
+            numeric = all(isinstance(v, (int, float))
+                          and not isinstance(v, bool) for v in (was, now))
+            if numeric and was:
+                line += f" ({(now - was) / abs(was) * 100:+.1f} %)"
+            lines.append(line)
+    return lines
+
+
 if __name__ == "__main__":
-    PIN_FILE.write_text(json.dumps(
-        {name: produce() for name, produce in SECTIONS.items()},
-        indent=2, sort_keys=True) + "\n")
+    figures = json.loads(json.dumps(
+        {name: produce() for name, produce in SECTIONS.items()}))
+    old = json.loads(PIN_FILE.read_text()) if PIN_FILE.exists() else {}
+    for line in pin_diff(old, figures):
+        print(line)
+    PIN_FILE.write_text(json.dumps(figures, indent=2, sort_keys=True)
+                        + "\n")
