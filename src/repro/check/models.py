@@ -247,7 +247,8 @@ def _fastpath_credit_main(pe: PE) -> Generator:
 def _fastpath_credit_config() -> ShmemConfig:
     return _base_config(
         fwd_chunk=_CHUNK,
-        fastpath=FastpathConfig(credit_slots=2),
+        bypass_slots=2,
+        fastpath=FastpathConfig(),
     )
 
 

@@ -34,7 +34,11 @@ class ShmemConfig:
     fwd_chunk:
         Store-and-forward chunk (bypass slot payload size).
     bypass_slots:
-        Outstanding forwarded chunks per link direction (ablation knob).
+        Bypass slots per link direction: outstanding forwarded chunks on
+        the default plane (stop-and-wait), the credit pool of cut-through
+        forwarding on the fastpath.  None means 2 on the default plane
+        and 8 on the fastpath; ``__post_init__`` resolves it, so readers
+        always see an int.
     get_chunk:
         Get-response chunk; each chunk pays a full interrupt handshake,
         which is what throttles Get throughput (Fig. 9(b)/(d)).
@@ -58,7 +62,7 @@ class ShmemConfig:
     heap: HeapConfig = field(default_factory=HeapConfig)
     rx_data_size: int = 1024 * 1024
     fwd_chunk: int = 64 * 1024
-    bypass_slots: int = 2
+    bypass_slots: Optional[int] = None
     get_chunk: int = 8 * 1024
     routing: Optional[RoutingPolicy] = None
     barrier: str = "ring"
@@ -106,8 +110,6 @@ class ShmemConfig:
             raise ValueError("rx_data_size too small")
         if self.fwd_chunk < 1024:
             raise ValueError("fwd_chunk too small")
-        if not (1 <= self.bypass_slots <= 64):
-            raise ValueError("bypass_slots must be in 1..64")
         if self.get_chunk < 512:
             raise ValueError("get_chunk too small")
         if self.barrier not in ("ring", "dissemination", "centralized"):
@@ -133,6 +135,11 @@ class ShmemConfig:
                 f"fastpath must be a FastpathConfig or None, "
                 f"got {type(self.fastpath).__name__}"
             )
+        if self.bypass_slots is None:
+            object.__setattr__(self, "bypass_slots",
+                               2 if self.fastpath is None else 8)
+        if not (1 <= self.bypass_slots <= 64):
+            raise ValueError("bypass_slots must be in 1..64")
 
 
 @dataclass

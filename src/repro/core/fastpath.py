@@ -20,17 +20,7 @@ __all__ = ["FastpathConfig"]
 @dataclass(frozen=True)
 class FastpathConfig:
     """The optimized data plane (docs/FASTPATH.md and the
-    ``--compare-fastpath`` bench).
-
-    Attributes
-    ----------
-    credit_slots:
-        Bypass slots per link direction under fastpath — the credit pool
-        that replaces the baseline's two-slot stop-and-wait.
+    ``--compare-fastpath`` bench).  It has no fields: its presence is the
+    switch.  The credit pool of cut-through forwarding is
+    ``ShmemConfig.bypass_slots``, which defaults to 8 under it.
     """
-
-    credit_slots: int = 8
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.credit_slots <= 64):
-            raise ValueError("credit_slots must be in 1..64")

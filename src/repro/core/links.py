@@ -178,17 +178,15 @@ def _setup_link(rt: "ShmemRuntime", side: str, driver: NtbDriver) -> None:
     out_block = SPAD_BLOCK_RIGHTWARD if positive else SPAD_BLOCK_LEFTWARD
     in_block = SPAD_BLOCK_LEFTWARD if positive else SPAD_BLOCK_RIGHTWARD
     # The fastpath shapes a link: a pinned TX staging buffer per mailbox
-    # (chained DMA, freed by tear_down) and a deeper bypass credit pool
-    # (cut-through).
-    fp = cfg.fastpath
-    stage = fp is not None
-    slots = fp.credit_slots if fp is not None else cfg.bypass_slots
+    # (chained DMA, freed by tear_down); its deeper bypass credit pool
+    # (cut-through) is already in ``cfg.bypass_slots``.
+    stage = cfg.fastpath is not None
     data_mailbox = DataMailbox(
         rt.env, driver, spad_block=out_block, name=f"{rt.name}.{side}.data",
         staging=rt.host.alloc_pinned(cfg.rx_data_size) if stage else None,
     )
     bypass_mailbox = BypassMailbox(
-        rt.env, driver, slot_payload=cfg.fwd_chunk, slots=slots,
+        rt.env, driver, slot_payload=cfg.fwd_chunk, slots=cfg.bypass_slots,
         name=f"{rt.name}.{side}.bypass",
         staging=rt.host.alloc_pinned(cfg.fwd_chunk) if stage else None,
     )

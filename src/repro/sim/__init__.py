@@ -20,9 +20,7 @@ from .core import (
     ProcessGenerator,
     SchedulePolicy,
     Timeout,
-    set_default_queue,
 )
-from .queues import QUEUE_KINDS, CalendarQueue, HeapQueue, make_queue
 from .errors import (
     EventLifecycleError,
     Interrupt,
@@ -43,11 +41,6 @@ __all__ = [
     "ProcessGenerator",
     "SchedulePolicy",
     "Timeout",
-    "set_default_queue",
-    "QUEUE_KINDS",
-    "CalendarQueue",
-    "HeapQueue",
-    "make_queue",
     "EventLifecycleError",
     "Interrupt",
     "SchedulingError",

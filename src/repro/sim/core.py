@@ -14,10 +14,9 @@ Design notes
   sequence)`` where ``sequence`` is a monotonically increasing integer.  Two
   events scheduled for the same instant therefore fire in schedule order,
   making every simulation run bit-reproducible — a property the test-suite
-  asserts.  The key is a *total* order, so the queue backend is pluggable:
-  a binary heap and a calendar (bucket) queue are provided
-  (:mod:`repro.sim.queues`) and proven interchangeable by the differential
-  harness in ``tests/sim/test_kernel_equivalence.py``.
+  asserts.  The queue is one binary heap (``heapq``) of
+  ``(time, priority, sequence, event)`` entries; ``sequence`` is unique, so
+  comparisons never reach the event and the pop order is a total order.
 * **Processes are generator coroutines** (SimPy style).  A process yields
   :class:`Event` objects; the kernel resumes it with the event's value (or
   throws the event's exception) once the event triggers.  ``yield from`` is
@@ -41,6 +40,8 @@ synchronization primitives live in :mod:`repro.sim.primitives` and
 from __future__ import annotations
 
 import sys
+from functools import partial
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
@@ -51,7 +52,6 @@ from .errors import (
     SimulationError,
     StopProcess,
 )
-from .queues import QUEUE_KINDS, make_queue
 
 # CPython refcount probe used to prove a processed Timeout is unobservable
 # before recycling it through the slab.  On interpreters without refcounts
@@ -68,7 +68,6 @@ __all__ = [
     "Timeout",
     "Process",
     "ProcessGenerator",
-    "set_default_queue",
 ]
 
 #: Sentinel stored in :attr:`Event._value` while the event has not triggered.
@@ -90,29 +89,6 @@ _SLAB_MAX = 512
 _INLINED = (None,)
 
 ProcessGenerator = Generator["Event", Any, Any]
-
-#: Process-wide default queue backend.  The calendar queue became the
-#: default in PR 8 once the differential harness proved it byte-identical
-#: to the heap on every covered scenario; :func:`set_default_queue`
-#: (or ``Environment(queue="heap")``) selects the classic heap scheduler.
-_DEFAULT_QUEUE = "calendar"
-
-
-def set_default_queue(kind: str) -> str:
-    """Set the process-wide default queue backend; returns the previous one.
-
-    Existing environments are unaffected.  The differential test fixture
-    (``kernel`` in ``tests/conftest.py``) uses this to run whole scenarios
-    under each backend.
-    """
-    global _DEFAULT_QUEUE
-    if kind not in QUEUE_KINDS:
-        raise ValueError(
-            f"unknown event queue kind {kind!r} (expected one of "
-            f"{QUEUE_KINDS})")
-    previous = _DEFAULT_QUEUE
-    _DEFAULT_QUEUE = kind
-    return previous
 
 
 class SchedulePolicy:
@@ -436,21 +412,26 @@ class Environment:
     currently active process.  It is deliberately single-threaded: all
     concurrency in the models is cooperative.
 
-    ``queue`` selects the scheduler backend (``"heap"`` or ``"calendar"``;
-    default: the calendar queue, or what :func:`set_default_queue` set).
-    Both produce the identical ``(time, priority, sequence)`` total order
-    — see :mod:`repro.sim.queues`.
+    ``queue`` accepts only ``None`` or ``"heap"``, the one scheduler.  It
+    is kept because the trajectory's storm probe
+    (``benchmarks/trajectory/probes.py``) constructs
+    ``Environment(queue="heap")``; ROADMAP item 11 removes it.
     """
 
     def __init__(self, initial_time: float = 0.0,
                  schedule_policy: Optional[SchedulePolicy] = None,
                  queue: Optional[str] = None):
+        if queue not in (None, "heap"):
+            raise ValueError(
+                f"unknown event queue {queue!r}: the kernel has one "
+                "scheduler, the binary heap ('heap')")
         self._now: float = float(initial_time)
-        self._queue = make_queue(queue or _DEFAULT_QUEUE)
-        #: hot-path bound callables of the queue backend (C-level partials
-        #: for the heap; bound methods for the calendar).
-        self._push = self._queue.push
-        self._pop = self._queue.pop
+        #: the pending entries ``(time, priority, sequence, event)``, a
+        #: binary heap; ``_push``/``_pop`` are C-level partials over it, so
+        #: the hot paths pay no Python frame for either.
+        self._queue: list = []
+        self._push = partial(heappush, self._queue)
+        self._pop = partial(heappop, self._queue)
         self._eid = count()
         self._active_process: Optional[Process] = None
         #: the event whose callbacks are running (see :attr:`pushed_at`).
@@ -581,7 +562,8 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._queue.peek_time()
+        queue = self._queue
+        return queue[0][0] if queue else float("inf")
 
     def _grant_inline(self, event: Event, value: Any) -> bool:
         """Process the untriggered ``event`` here and now, with ``value``,
@@ -604,9 +586,10 @@ class Environment:
         """
         running = self._running
         callbacks = event.callbacks
+        queue = self._queue
         if (running is None or len(running) != 1 or len(callbacks) > 1
                 or self._policy is not None
-                or self._queue.has_due(self._now)):
+                or (queue and queue[0][0] <= self._now)):
             return False
         event._value = value
         event.callbacks = None
@@ -641,15 +624,11 @@ class Environment:
         queue = self._queue
         head = self._pop()
         when, prio = head[0], head[1]
-        nxt = queue.peek_entry()
-        if nxt is None or nxt[0] != when or nxt[1] != prio:
-            return head
         candidates = [head]
-        while True:
-            nxt = queue.peek_entry()
-            if nxt is None or nxt[0] != when or nxt[1] != prio:
-                break
+        while queue and queue[0][0] == when and queue[0][1] == prio:
             candidates.append(self._pop())
+        if len(candidates) == 1:
+            return head
         assert self._policy is not None
         index = self._policy.choose(when, prio, [c[3] for c in candidates])
         if not 0 <= index < len(candidates):
@@ -725,23 +704,19 @@ class Environment:
                     f"{self._now} µs"
                 )
         queue = self._queue
-        pop_le = queue.pop_le
+        pop = self._pop
         hooks = self.step_hooks
         slab = self._slab
         refcount = _getrefcount or (lambda _o: 0)
         try:
             while not done:
+                if not queue or queue[0][0] > horizon:
+                    break
                 if self._policy is not None:
-                    if not queue or queue.peek_time() > horizon:
-                        break
                     self.step()
                     continue
-                entry = pop_le(horizon)
-                if entry is None:
-                    break
                 # Inlined dispatch body — keep in sync with step().
-                when, _prio, _eid, event = entry
-                del entry
+                when, _prio, _eid, event = pop()
                 self._now = when
                 self._dispatching = event
                 self.dispatched_events += 1

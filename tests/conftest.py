@@ -7,26 +7,11 @@ import pytest
 
 from repro.fabric import Cluster, ClusterConfig
 from repro.sim import Environment
-from repro.sim.core import set_default_queue
-from repro.sim.queues import QUEUE_KINDS
 
 
 @pytest.fixture
 def env() -> Environment:
     return Environment()
-
-
-@pytest.fixture(params=QUEUE_KINDS)
-def kernel(request) -> str:
-    """Run the test once per event-queue backend (``heap``/``calendar``).
-
-    Installs the backend as the process-wide default so every Environment
-    the test creates — directly or through ``run_spmd`` — dispatches
-    through it, and restores the previous default afterwards.
-    """
-    previous = set_default_queue(request.param)
-    yield request.param
-    set_default_queue(previous)
 
 
 @pytest.fixture

@@ -35,8 +35,7 @@ FP = FastpathConfig()
 
 
 def _fp_config(**kwargs) -> ShmemConfig:
-    fp_kwargs = kwargs.pop("fp", {})
-    return ShmemConfig(fastpath=FastpathConfig(**fp_kwargs), **kwargs)
+    return ShmemConfig(fastpath=FastpathConfig(), **kwargs)
 
 
 class TestDefaultByteIdentity:
@@ -285,7 +284,7 @@ class TestCutThroughForwarding:
         assert svc.dropped_forwards == 0
 
     def test_single_credit_falls_back_not_deadlocks(self):
-        """credit_slots=1 forces the fallback path; the transfer still
+        """bypass_slots=1 forces the fallback path; the transfer still
         completes with correct data (no hold-and-wait cycle)."""
 
         def main(pe):
@@ -304,7 +303,7 @@ class TestCutThroughForwarding:
             return got
 
         report = run_spmd(
-            main, 4, shmem_config=_fp_config(fp={"credit_slots": 1}),
+            main, 4, shmem_config=_fp_config(bypass_slots=1),
             finalize=False)
         assert all(report.results)
 
@@ -441,7 +440,7 @@ class TestObservability:
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            FastpathConfig(credit_slots=0)
+            ShmemConfig(fastpath=FP, bypass_slots=0)
         with pytest.raises(ValueError):
             ShmemConfig(fastpath="yes")  # type: ignore[arg-type]
 
@@ -475,7 +474,7 @@ class TestConfigValidation:
                     == rt.config.rx_data_size
                 assert link.bypass_mailbox.staging.nbytes \
                     == rt.config.fwd_chunk
-                assert link.bypass_mailbox.slots == FP.credit_slots
+                assert link.bypass_mailbox.slots == 8
             assert rt.links["right"].data_mailbox.staged_sends == 1
         # 512 KiB in 128 KiB descriptors: 3 prefetched behind the first.
         assert chained(report) == 3 * 3

@@ -1,13 +1,11 @@
-"""Golden byte-identity runs, parametrized over the kernel's event queues.
+"""Golden byte-identity runs.
 
-The ``kernel`` fixture (tests/conftest.py) runs every test here once per
-queue backend.  Each test pins a full-stack run — virtual elapsed time,
-per-PE results, and span counts where traced — so the suite fails if
-*either* backend moves the default protocol's timing by a single virtual
-ns.  The numbers live in the ``golden`` section of
-``tests/integration/pinned_figures.json`` (written from
-:func:`golden_figures` by that file's one writer, compared by
-``assert_pinned``).
+Each test pins a full-stack run — virtual elapsed time, per-PE results,
+and span counts where traced — so the suite fails if anything moves the
+default protocol's timing by a single virtual ns.  The numbers live in
+the ``golden`` section of ``tests/integration/pinned_figures.json``
+(written from :func:`golden_figures` by that file's one writer, compared
+by ``assert_pinned``).
 
 Three planes cover the configurations that exercise distinct scheduling
 shapes — the paper-faithful default, a mid-run cable sever with retries
@@ -102,23 +100,23 @@ def check_golden(plane: str, trace_spans: bool = False):
     return report
 
 
-class TestGoldenRunsPerKernel:
-    def test_default_plane(self, kernel):
+class TestGoldenRuns:
+    def test_default_plane(self):
         check_golden("default")
 
-    def test_traced_is_timing_neutral(self, kernel):
+    def test_traced_is_timing_neutral(self):
         report = check_golden("default", trace_spans=True)
         assert all(span.end is not None for span in report.scope.spans)
 
-    def test_chaos_plane(self, kernel):
+    def test_chaos_plane(self):
         report = check_golden("chaos")
         assert sorted(report.runtime(0).dead_edges) == [(1, 2)]
 
-    def test_chaos_traced(self, kernel):
+    def test_chaos_traced(self):
         check_golden("chaos", trace_spans=True)
 
-    def test_fastpath_plane(self, kernel):
+    def test_fastpath_plane(self):
         check_golden("fastpath")
 
-    def test_fastpath_traced(self, kernel):
+    def test_fastpath_traced(self):
         check_golden("fastpath", trace_spans=True)

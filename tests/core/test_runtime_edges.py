@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Mode, ShmemConfig, run_spmd
-from repro.core import HeapConfig
+from repro.core import FastpathConfig, HeapConfig
 from repro.core.runtime import ShmemConfig as RuntimeShmemConfig
 
 
@@ -24,6 +24,13 @@ class TestConfigValidation:
             ShmemConfig(bypass_slots=0)
         with pytest.raises(ValueError):
             ShmemConfig(bypass_slots=65)
+
+    def test_bypass_slots_default_follows_the_plane(self):
+        fastpath = FastpathConfig()
+        assert ShmemConfig().bypass_slots == 2
+        assert ShmemConfig(fastpath=fastpath).bypass_slots == 8
+        assert ShmemConfig(fastpath=fastpath, bypass_slots=2).bypass_slots == 2
+        assert ShmemConfig(bypass_slots=8).bypass_slots == 8
 
     def test_get_chunk_floor(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 ``quiet``, ``forwarding_quiesce``, the ctrl-relay flush and
 ``ShmemService.stop`` used to be ``while not done: yield env.timeout(1.0)``
 loops.  The reference poller below *is* that loop, kept test-side as the
-differential oracle (like ``HeapQueue`` for the calendar queue): every
+differential oracle: every
 scenario here runs under both and must agree on every per-op completion
 time and the final clock, bit for bit.
 """

@@ -66,8 +66,7 @@ class TestSeveredFirstHop:
             for link in rt.links.values():
                 assert link.bypass_mailbox.in_flight == 0
                 assert link.data_mailbox.in_flight == 0
-                assert link.bypass_mailbox.slots \
-                    == config.fastpath.credit_slots
+                assert link.bypass_mailbox.slots == config.bypass_slots == 8
             assert rt.service._fastpath
             assert rt.service.active_acks == 0
             assert rt.service.active_forwards == 0

@@ -1,9 +1,8 @@
-"""16-host ring stress: chaos + tracing at scale, once per queue backend.
+"""16-host ring stress: chaos + tracing at scale.
 
 A seeded cable sever mid-run with span tracing on, then full recovery.
 The run's five virtual-time figures are pinned in ``pinned_figures.json``
-(section ``stress16``) and must come out equal under the heap and the
-calendar queue (the ``kernel`` fixture).
+(section ``stress16``).
 
 Run with ``-m "not slow"`` to skip.
 """
@@ -95,5 +94,5 @@ def run_stress_16host() -> dict[str, float]:
 
 @pytest.mark.slow
 class TestStress16Host:
-    def test_stress_matches_reference_per_kernel(self, kernel):
+    def test_stress_matches_reference(self):
         assert_pinned("stress16", run_stress_16host())

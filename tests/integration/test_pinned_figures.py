@@ -102,10 +102,10 @@ def _topology_fault() -> dict:
 
 SECTIONS = {
     "fastpath": _fastpath,
-    "golden": _golden,          # asserted per backend in test_golden_runs
+    "golden": _golden,          # asserted in test_golden_runs
     "metrics_smoke": _metrics_smoke,
     "paper": _paper,
-    "stress16": _stress16,      # asserted per backend in test_kernel_stress
+    "stress16": _stress16,      # asserted in test_kernel_stress
     "topology": _topology,
     "topology_fault": _topology_fault,
     "topology64": lambda: _topology(SLOW_SCENARIOS),

@@ -25,7 +25,6 @@ from repro.sim import (
     Resource,
     Store,
 )
-from repro.sim.queues import QUEUE_KINDS
 
 _SETTINGS = settings(
     max_examples=40,
@@ -320,7 +319,6 @@ def _pipelines(draw):
             min_size=1, max_size=3),
     }), min_size=1, max_size=3))
     return {
-        "backend": draw(st.sampled_from(QUEUE_KINDS)),
         "ports": draw(st.lists(_RATES, min_size=n_ports, max_size=n_ports)),
         "pumps": draw(st.lists(_RATES, min_size=n_pumps, max_size=n_pumps)),
         "links": draw(st.lists(st.builds(
@@ -347,7 +345,7 @@ def _pipelines(draw):
 def _run_pipeline(spec, engine_class, instants=()):
     """Run ``spec`` with ``engine_class``; returns every observation as
     one string, the event count and every dispatched instant."""
-    env = Environment(queue=spec["backend"])
+    env = Environment()
     log = []
 
     def note(*what):

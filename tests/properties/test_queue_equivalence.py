@@ -1,18 +1,13 @@
-"""Property-based equivalence of the heap and calendar event queues.
+"""Property: the kernel dispatches in ``(time, priority, sequence)`` order.
 
-Three layers, from bare data structure to full kernel:
-
-* random push/pop/pop_le/peek op sequences applied to both backends in
-  lock-step must produce identical outputs — times are drawn from a
-  small grid so same-timestamp ties (the dangerous case) are the norm,
-  not the exception;
-* random process forests with quantized delays, cancellation
-  (``Process.interrupt``) and post-interrupt rescheduling must produce
-  identical dispatch logs under ``Environment(queue="heap")`` and
-  ``Environment(queue="calendar")``;
-* the same holds with a :class:`SchedulePolicy` installed whose
-  tie-break is deterministic but non-default — the policy must see the
-  same decision points (same candidates, same order) on both backends.
+Random process forests with quantized delays (so same-instant ties are
+the norm), cancellation (``Process.interrupt``) and post-interrupt
+rescheduling run through :class:`~repro.sim.Environment`, which records
+every queue push and every dispatch.  A sorted-list reference replays
+that record and must agree on every dispatch.  With a recording
+:class:`SchedulePolicy` installed, each ``choose`` call must be shown
+exactly the pending entries that share the head's ``(time, priority)``,
+each once, in ascending sequence order.
 """
 
 from __future__ import annotations
@@ -20,58 +15,14 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim import Environment
-from repro.sim.core import NORMAL, URGENT, SchedulePolicy
+from repro.sim.core import SchedulePolicy
 from repro.sim.errors import Interrupt
-from repro.sim.queues import CalendarQueue, HeapQueue
 
 _SETTINGS = settings(
-    max_examples=40,
+    max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
     deadline=None,
 )
-
-#: coarse time grid → heavy tie pressure on (time, priority, seq) order.
-_TIMES = st.sampled_from(
-    [0.0, 0.25, 0.5, 1.0, 1.0, 2.5, 7.0, 7.0, 40.0, 999.75])
-
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"), _TIMES,
-                  st.sampled_from([NORMAL, URGENT])),
-        st.tuples(st.just("pop")),
-        st.tuples(st.just("pop_le"), _TIMES),
-        st.tuples(st.just("peek")),
-    ),
-    min_size=1, max_size=120,
-)
-
-
-class TestQueueOpSequences:
-    @_SETTINGS
-    @given(_OPS)
-    def test_op_sequences_observationally_identical(self, ops):
-        heap, cal = HeapQueue(), CalendarQueue()
-        seq = 0
-        for op in ops:
-            if op[0] == "push":
-                entry = (op[1], op[2], seq, f"ev{seq}")
-                seq += 1
-                heap.push(entry)
-                cal.push(entry)
-            elif op[0] == "pop":
-                if heap:
-                    assert heap.pop() == cal.pop()
-            elif op[0] == "pop_le":
-                assert heap.pop_le(op[1]) == cal.pop_le(op[1])
-            else:
-                assert heap.peek_entry() == cal.peek_entry()
-                assert heap.peek_time() == cal.peek_time()
-            assert len(heap) == len(cal)
-            assert bool(heap) == bool(cal)
-        while heap:
-            assert heap.pop() == cal.pop()
-        assert not cal
-
 
 #: (initial delay, hops, per-hop delay) on a quantized grid (ties!).
 _FOREST = st.lists(
@@ -90,40 +41,85 @@ _CANCELS = st.lists(
 )
 
 
-def _forest_log(queue_kind, specs, cancels, policy_factory=None):
-    env = Environment(queue=queue_kind)
-    if policy_factory is not None:
-        env.schedule_policy = policy_factory()
-    log: list = []
+class _RecordingPolicy(SchedulePolicy):
+    """Picks the first or the last candidate and records what it saw."""
+
+    def __init__(self, trace, last):
+        self.trace, self.last = trace, last
+
+    def choose(self, now, priority, candidates):
+        index = len(candidates) - 1 if self.last else 0
+        self.trace.append(("choose", (now, priority, candidates, index)))
+        return index
+
+
+def _run_forest(specs, cancels, policy_pick):
+    """Run one forest; returns the trace of pushes, choices and dispatches."""
+    env = Environment()
+    trace: list = []
+    push = env._push
+    env._push = lambda entry: (trace.append(("push", entry)), push(entry))
+    env.step_hooks.append(
+        lambda env, event: trace.append(("pop", (env.now, event))))
+    if policy_pick is not None:
+        env.schedule_policy = _RecordingPolicy(trace, policy_pick == "last")
     procs = []
 
-    def worker(tag, delay0, hops, per_hop):
+    def worker(delay0, hops, per_hop):
         try:
             yield env.timeout(delay0)
-            for hop in range(hops):
+            for _ in range(hops):
                 yield env.timeout(per_hop)
-                log.append(("hop", round(env.now, 9), tag, hop))
         except Interrupt:
-            # cancelled: reschedule one final quantized step, then stop.
-            log.append(("intr", round(env.now, 9), tag))
             try:
-                yield env.timeout(1.0)
-                log.append(("resched", round(env.now, 9), tag))
-            except Interrupt:  # cancelled again mid-reschedule
-                log.append(("intr2", round(env.now, 9), tag))
+                yield env.timeout(1.0)   # cancelled: one final step
+            except Interrupt:            # cancelled again mid-reschedule
+                pass
 
     def canceller(victim, at):
         yield env.timeout(at)
         if victim.is_alive and victim.target is not None:
             victim.interrupt("cancel")
-            log.append(("cancel", round(env.now, 9)))
 
-    for tag, (delay0, hops, per_hop) in enumerate(specs):
-        procs.append(env.process(worker(tag, delay0, hops, per_hop)))
+    for delay0, hops, per_hop in specs:
+        procs.append(env.process(worker(delay0, hops, per_hop)))
     for victim_idx, at in cancels:
         env.process(canceller(procs[victim_idx % len(procs)], at))
     env.run()
-    return log, env.now, env.dispatched_events
+    assert not env._queue
+    return trace
+
+
+def _replay(trace, policy=False):
+    """The reference scheduler, a sorted list: yields (expected, actual)
+    per dispatch and per policy decision.  With ``policy`` set it also
+    checks that the policy was asked exactly when a tie was pending."""
+    pending, chosen = [], None
+    for kind, item in trace:
+        if kind == "push":
+            if item not in pending:      # a policy's unchosen go back
+                pending.append(item)
+            continue
+        pending.sort()
+        group = [e for e in pending if e[:2] == pending[0][:2]]
+        if kind == "choose":
+            now, priority, candidates, chosen = item
+            yield (group[0][:2], [e[3] for e in group]), \
+                ((now, priority), candidates)
+        else:
+            if policy:
+                yield len(group) > 1, chosen is not None
+            head = group[chosen or 0]
+            chosen = None
+            pending.remove(head)
+            yield (head[0], head[3]), item
+
+
+def _check_against_reference(specs, cancels, policy_pick):
+    trace = _run_forest(specs, cancels, policy_pick)
+    assert sum(kind == "pop" for kind, _ in trace) >= len(specs)
+    for expected, actual in _replay(trace, policy_pick is not None):
+        assert expected == actual
 
 
 class TestKernelForestEquivalence:
@@ -131,46 +127,12 @@ class TestKernelForestEquivalence:
     @given(_FOREST, _CANCELS)
     def test_schedule_cancel_reschedule_drain_identically(
             self, specs, cancels):
-        heap = _forest_log("heap", specs, cancels)
-        cal = _forest_log("calendar", specs, cancels)
-        assert heap == cal
-
-
-class _RecordingPolicy(SchedulePolicy):
-    """Deterministic non-default tie-break: run the *last* candidate.
-
-    Records every decision point so the test can assert both backends
-    presented the same ties in the same order.
-    """
-
-    def __init__(self):
-        self.decisions: list = []
-        self.pushes = 0
-
-    def choose(self, now, priority, candidates):
-        self.decisions.append(
-            (round(now, 9), priority, len(candidates)))
-        return len(candidates) - 1
-
-    def scheduled(self, now, priority, event):
-        self.pushes += 1
+        _check_against_reference(specs, cancels, None)
 
 
 class TestPolicyTieBreakEquivalence:
     @_SETTINGS
-    @given(_FOREST, _CANCELS)
-    def test_policy_sees_identical_decision_points(self, specs, cancels):
-        policies = {}
-
-        def factory_for(kind):
-            def factory():
-                policies[kind] = _RecordingPolicy()
-                return policies[kind]
-            return factory
-
-        heap = _forest_log("heap", specs, cancels, factory_for("heap"))
-        cal = _forest_log("calendar", specs, cancels,
-                          factory_for("calendar"))
-        assert heap == cal
-        assert policies["heap"].decisions == policies["calendar"].decisions
-        assert policies["heap"].pushes == policies["calendar"].pushes
+    @given(_FOREST, _CANCELS, st.sampled_from(["first", "last"]))
+    def test_policy_sees_identical_decision_points(
+            self, specs, cancels, policy_pick):
+        _check_against_reference(specs, cancels, policy_pick)

@@ -81,7 +81,7 @@ class TestTimeout:
 
 
 class TestTimeoutAt:
-    def test_fires_at_the_absolute_instant(self, kernel, env):
+    def test_fires_at_the_absolute_instant(self, env):
         fired = []
 
         def proc():
@@ -96,7 +96,7 @@ class TestTimeoutAt:
         env.run()
         assert fired == [0.7999999999999999, 0.7999999999999999]
 
-    def test_orders_like_any_timeout_pushed_now(self, kernel, env):
+    def test_orders_like_any_timeout_pushed_now(self, env):
         order = []
         for tag, make in (("a", lambda: env.timeout(2.0)),
                           ("b", lambda: env.timeout_at(2.0)),
@@ -112,7 +112,7 @@ class TestTimeoutAt:
 
 
 class TestPushedAt:
-    def test_timeout_and_triggered_event(self, kernel, env):
+    def test_timeout_and_triggered_event(self, env):
         seen = []
 
         def proc():
@@ -352,3 +352,51 @@ class TestDeterminism:
         evt = env.event()  # never triggered
         with pytest.raises(SimulationError, match="deadlock"):
             env.run(until=evt)
+
+
+def test_queue_keyword_accepts_only_heap():
+    # The keyword survives for the trajectory's storm probe only.
+    assert Environment(queue="heap").peek() == float("inf")
+    with pytest.raises(ValueError, match="calendar"):
+        Environment(queue="calendar")
+
+
+# --------------------------------------------------------------------------
+# One deep queue, two ways to dispatch it
+# --------------------------------------------------------------------------
+
+STORM_TIMERS = 1024
+STORM_HORIZON_US = 40.0
+
+
+def _storm(dispatch):
+    """1024 periodic timers (the pending set sits in the thousands, the
+    64-host regime); returns the event count and who resumed when."""
+    env = Environment()
+    resumed = []
+
+    def timer(name, period):
+        while True:
+            yield env.timeout(period)
+            resumed.append((env.now, name))
+
+    for i in range(STORM_TIMERS):
+        name = f"storm.{i}"
+        env.process(timer(name, 1.0 + (i % 173) * 0.037), name=name)
+    dispatch(env)
+    return env.dispatched_events, resumed
+
+
+def _run_until(env):
+    env.run(until=STORM_HORIZON_US)
+
+
+def _step_loop(env):
+    while env.peek() <= STORM_HORIZON_US:
+        env.step()
+
+
+def test_timer_storm_same_under_run_and_step():
+    by_run = _storm(_run_until)
+    assert by_run[0] > 10 * STORM_TIMERS
+    assert _storm(_step_loop) == by_run

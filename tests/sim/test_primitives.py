@@ -50,7 +50,7 @@ class TestAllOf:
 
 
 class TestJoin:
-    """One test per clause of the last arrival, on both queue backends.
+    """One test per clause of the last arrival.
     Two stages end on timers at t=1 and t=2 and arrive from the timers'
     callbacks; each log entry carries ``dispatched_events`` at the time,
     so the waiter's entry shows how many events the join cost after the
@@ -87,12 +87,12 @@ class TestJoin:
         env.run()
         return log
 
-    def test_quiet_instant_resumes_in_place(self, kernel):
+    def test_quiet_instant_resumes_in_place(self):
         log = self._run()
         assert log == [("stage", 1.0, 2), ("stage", 2.0, 3),
                        ("joined", 2.0, 3)]
 
-    def test_entry_due_takes_the_hop(self, kernel):
+    def test_entry_due_takes_the_hop(self):
         def rival(env, note):
             env.timeout(2.0).callbacks.append(lambda _t: note("rival"))
 
@@ -103,7 +103,7 @@ class TestJoin:
             ("stage", 1.0, 2), ("stage", 2.0, 3), ("rival", 2.0, 4),
             ("joined", 2.0, 5)]
 
-    def test_entry_due_at_the_hop_takes_the_join_event(self, kernel):
+    def test_entry_due_at_the_hop_takes_the_join_event(self):
         def rival(env, note):
             def late(_t):
                 note("rival")
@@ -118,18 +118,18 @@ class TestJoin:
             ("stage", 1.0, 2), ("stage", 2.0, 3), ("rival", 2.0, 4),
             ("behind", 2.0, 6), ("joined", 2.0, 7)]
 
-    def test_policy_installed_takes_both_events(self, kernel):
+    def test_policy_installed_takes_both_events(self):
         assert self._run(policy=SchedulePolicy()) == [
             ("stage", 1.0, 2), ("stage", 2.0, 3), ("joined", 2.0, 5)]
 
-    def test_two_callback_dispatch_takes_the_hop(self, kernel):
+    def test_two_callback_dispatch_takes_the_hop(self):
         # The timer's second callback runs before the join, as it would
         # before the last process's termination.
         assert self._run(second_callback=True) == [
             ("stage", 1.0, 2), ("stage", 2.0, 3), ("second", 2.0, 3),
             ("joined", 2.0, 4)]
 
-    def test_join_before_anyone_waits_is_born_processed(self, kernel):
+    def test_join_before_anyone_waits_is_born_processed(self):
         env = Environment()
         join = Join(env, 1)
         env.timeout(1.0).callbacks.append(lambda _t: join.arrive())

@@ -73,7 +73,7 @@ class TestResource:
 class TestQuietInstantGrant:
     """A free resource requested at a quiet instant comes back already
     processed (no event); anything less than quiet keeps the evented
-    grant.  Both queue backends, via the ``kernel`` fixture."""
+    grant."""
 
     @staticmethod
     def _request_at_t5(env, resource, seen, before=None):
@@ -92,7 +92,7 @@ class TestQuietInstantGrant:
             resource.release(req)
         return env.process(body())
 
-    def test_free_and_quiet_is_born_processed(self, kernel):
+    def test_free_and_quiet_is_born_processed(self):
         env = Environment()
         resource = Resource(env)
         seen = {}
@@ -104,7 +104,7 @@ class TestQuietInstantGrant:
         # Initialize, the timeout, the process's own termination: no Request.
         assert env.dispatched_events == 3
 
-    def test_same_instant_entry_pending_keeps_the_event(self, kernel):
+    def test_same_instant_entry_pending_keeps_the_event(self):
         env = Environment()
         resource = Resource(env)
         order = []
@@ -125,7 +125,7 @@ class TestQuietInstantGrant:
         assert seen["granted_at"] == 5.0
         assert order == ["requested", "other"]
 
-    def test_event_pushed_earlier_in_the_dispatch_keeps_the_event(self, kernel):
+    def test_event_pushed_earlier_in_the_dispatch_keeps_the_event(self):
         env = Environment()
         resource = Resource(env)
         seen = {}
@@ -134,7 +134,7 @@ class TestQuietInstantGrant:
         env.run()
         assert (seen["processed"], seen["pushed"]) == (False, 1)
 
-    def test_two_callback_dispatch_keeps_the_event(self, kernel):
+    def test_two_callback_dispatch_keeps_the_event(self):
         env = Environment()
         resource = Resource(env)
         shared = env.timeout(5.0)
@@ -159,7 +159,7 @@ class TestQuietInstantGrant:
         assert order == [("first requested", False), "second ran",
                          "first granted"]
 
-    def test_policy_installed_keeps_the_event(self, kernel):
+    def test_policy_installed_keeps_the_event(self):
         env = Environment(schedule_policy=SchedulePolicy())
         resource = Resource(env)
         seen = {}
@@ -168,7 +168,7 @@ class TestQuietInstantGrant:
         assert (seen["processed"], seen["pushed"]) == (False, 1)
         assert env.dispatched_events == 4
 
-    def test_no_dispatch_in_progress_keeps_the_event(self, kernel):
+    def test_no_dispatch_in_progress_keeps_the_event(self):
         env = Environment()
         resource = Resource(env)
         env.run()                      # a finished run leaves nothing behind
@@ -179,7 +179,7 @@ class TestQuietInstantGrant:
         again = Resource(env).request()
         assert not again.processed
 
-    def test_contended_requests_stay_fifo(self, kernel):
+    def test_contended_requests_stay_fifo(self):
         env = Environment()
         resource = Resource(env)
         order = []
@@ -199,7 +199,7 @@ class TestQuietInstantGrant:
         assert order == [(0, True), ("in", 0, 1.0), (1, False), (2, False),
                          ("in", 1, 11.0), ("in", 2, 21.0)]
 
-    def test_timeout_held_across_an_inline_grant_is_not_recycled(self, kernel):
+    def test_timeout_held_across_an_inline_grant_is_not_recycled(self):
         # The slab proves a Timeout unobservable by counting references,
         # the kernel's own "now dispatching" slot among them; carrying on
         # inside that dispatch after an inline grant must not upset the
@@ -344,7 +344,7 @@ class TestBandwidthServer:
         with pytest.raises(ValueError):
             BandwidthServer(env, rate_mbps=0)
 
-    def test_stage_takes_a_grant_and_a_timer_and_no_process(self, kernel):
+    def test_stage_takes_a_grant_and_a_timer_and_no_process(self):
         """A free server at a quiet instant: the stage is granted inline
         and costs its service timer only; a busy one queues FIFO and is
         granted by the release, all in callbacks."""
@@ -368,13 +368,13 @@ class TestBandwidthServer:
 
 
 class TestStorePush:
-    def test_push_makes_no_event(self, kernel):
+    def test_push_makes_no_event(self):
         env = Environment()
         store: Store[int] = Store(env)
         store.push(1)
         assert env.scheduled_events == 0 and store.items == (1,)
 
-    def test_push_hands_to_a_waiting_getter(self, kernel):
+    def test_push_hands_to_a_waiting_getter(self):
         env = Environment()
         store: Store[int] = Store(env)
         got = []
@@ -388,7 +388,7 @@ class TestStorePush:
         env.run()
         assert got == [7] and len(store) == 0
 
-    def test_full_store_parks_pushes_and_admits_them_fifo(self, kernel):
+    def test_full_store_parks_pushes_and_admits_them_fifo(self):
         env = Environment()
         store: Store[int] = Store(env, capacity=1)
         for item in range(4):

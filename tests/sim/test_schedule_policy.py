@@ -8,12 +8,11 @@ import pytest
 
 from repro.bench.experiments.topology import _bench_body
 from repro.core import FastpathConfig, ShmemConfig
+from repro.core.errors import PeerUnreachableError
 from repro.core.program import make_cluster, run_spmd
 from repro.fabric import ClusterConfig
 from repro.faults import FaultPlan
 from repro.sim import Environment, Resource, SchedulePolicy
-
-from .test_kernel_equivalence import _chaos_main, _quickstart_main, _span_rows
 
 
 def _race(env, log, name, delay):
@@ -56,6 +55,67 @@ def test_default_environment_has_no_policy():
 
 def test_always_zero_policy_matches_default_order():
     assert _run_three_way_tie() == _run_three_way_tie(_Recording(pick=0))
+
+
+def _quickstart_main(pe):
+    """The quickstart ring shift: put/barrier/get/atomics/reduce."""
+    me, n = pe.my_pe(), pe.num_pes()
+    block = yield from pe.malloc_array(1024, np.int64)
+    counter = yield from pe.malloc(8)
+    pe.write_symmetric(counter, np.zeros(1, dtype=np.int64))
+    yield from pe.barrier_all()
+
+    right = (me + 1) % n
+    payload = np.arange(1024, dtype=np.int64) * (me + 1)
+    yield from pe.put_array(block, payload, right)
+    yield from pe.barrier_all()
+
+    left = (me - 1) % n
+    received = pe.read_symmetric_array(block, 1024, np.int64)
+    assert np.array_equal(
+        received, np.arange(1024, dtype=np.int64) * (left + 1))
+
+    fetched = yield from pe.get_array(block, 8, np.int64, (me + 2) % n)
+    old = yield from pe.atomic_fetch_add(counter, 1, 0)
+    yield from pe.barrier_all()
+
+    contribution = yield from pe.malloc_array(4, np.float64)
+    result = yield from pe.malloc_array(4, np.float64)
+    pe.write_symmetric(
+        contribution, np.full(4, float(me + 1), dtype=np.float64))
+    yield from pe.barrier_all()
+    yield from pe.reduce(result, contribution, 4, np.float64, "sum")
+    sums = pe.read_symmetric_array(result, 4, np.float64)
+    return (me, int(received[1]), int(fetched[1]), int(old), float(sums[0]))
+
+
+def _chaos_main(pe):
+    """Put/barrier rounds that survive a mid-run cable sever."""
+    me, n = pe.my_pe(), pe.num_pes()
+    block = yield from pe.malloc(4096)
+    yield from pe.barrier_all()
+    delivered = 0
+    for rnd in range(4):
+        data = ((np.arange(4096, dtype=np.int64) * 31 + rnd * 7 + me)
+                % 251).astype(np.uint8)
+        try:
+            yield from pe.put(block, data, (me + 1) % n)
+            delivered += 1
+        except PeerUnreachableError:
+            pass
+        yield from pe.barrier_all()
+    got = pe.read_symmetric_array(block, 4096, np.uint8)
+    return (me, delivered, int(got.sum()))
+
+
+def _span_rows(scope):
+    if scope is None:
+        return []
+    return [
+        f"span {s.span_id} {s.parent_id} {s.name} {s.track} "
+        f"{s.start!r} {s.end!r}"
+        for s in sorted(scope.spans, key=lambda s: s.span_id)
+    ]
 
 
 def _dma_main(pe):
