@@ -7,7 +7,8 @@ benches can print figure-style tables:
 * :func:`run_chunk_ablation` — bypass forward-chunk size.
 * :func:`run_get_chunk_ablation` — get-response chunk size.
 * :func:`run_dma_page_ablation` — DMA per-descriptor cost / pinned vs paged.
-* :func:`run_barrier_ablation` — ring vs dissemination vs centralized.
+* :func:`run_barrier_ablation` — ring sweep vs token rounds vs
+  dissemination vs centralized.
 * :func:`run_scaling_ablation` — ring size 2..8 (total throughput + barrier).
 * :func:`run_irq_ablation` — interrupt-path latency sensitivity.
 """
@@ -149,10 +150,19 @@ def run_dma_page_ablation(size: int = 512 * 1024) -> list[Row]:
 
 def run_barrier_ablation(n_pes_list: Optional[list[int]] = None,
                          repeats: int = 5) -> list[Row]:
-    """Mean empty-barrier latency per strategy per ring size."""
+    """Mean empty-barrier latency per strategy per ring size.
+
+    ``ring`` is the Fig. 6 sweep (FIXED_RIGHT rings); ``token rounds`` is
+    the same doorbell-token barrier on a SHORTEST ring, where it runs
+    ``n // 2`` neighbour rounds (``make_barrier``).
+    """
     n_pes_list = n_pes_list or [2, 3, 4, 6, 8]
     rows: list[Row] = []
-    for strategy in ("ring", "dissemination", "centralized"):
+    for series, strategy, routing in (
+            ("ring", "ring", None),
+            ("token rounds", "ring", RoutingPolicy.SHORTEST),
+            ("dissemination", "dissemination", None),
+            ("centralized", "centralized", None)):
         for n_pes in n_pes_list:
             measurements = {}
 
@@ -166,8 +176,9 @@ def run_barrier_ablation(n_pes_list: Optional[list[int]] = None,
 
             run_spmd(main, n_pes=n_pes,
                      cluster_config=ClusterConfig(n_hosts=n_pes),
-                     shmem_config=ShmemConfig(barrier=strategy))
-            rows.append(Row("ablation_barrier", strategy, n_pes,
+                     shmem_config=ShmemConfig(barrier=strategy,
+                                              routing=routing))
+            rows.append(Row("ablation_barrier", series, n_pes,
                             measurements["us"], "us"))
     return rows
 

@@ -12,16 +12,20 @@ interrupts, ``DOORBELL_BARRIER_START`` and ``DOORBELL_BARRIER_END``:
 
 Because barrier tokens are processed by the same FIFO service thread that
 forwards data, a token cannot overtake store-and-forward traffic travelling
-the same (rightward) direction — giving the barrier flush semantics for
-FIXED_RIGHT routing.  (With SHORTEST routing leftward data races the
-rightward token; the scaling ablation quantifies it.)
+the same way on its cable — so the barrier flushes a route only if its
+tokens follow that route end to end.  The sweep follows FIXED_RIGHT's
+rightward routes of up to N - 1 hops, and only those.
 
-A mesh or torus runs the same doorbell tokens between cabled neighbours
-(:class:`GridBarrier`): rounds axis by axis, x then y then z, as APEnet+
-orders its torus traffic — no token is store-and-forwarded.  A cut
-token episode, ring or grid, falls back to dissemination
-(:class:`RingBarrier` inherits it).  Two alternatives are provided for
-the ablation benches (DESIGN.md §6):
+Every other fabric and router runs the same doorbell tokens between
+cabled neighbours (:class:`GridBarrier`): rounds axis by axis, x then y
+then z, as APEnet+ orders its torus traffic — no token is
+store-and-forwarded.  ``k // 2`` rounds both ways on a wrapped axis of
+extent ``k`` (``k - 1`` on an open one) follow every route a shortest
+or dimension-order router takes, including a ring routed SHORTEST.
+:func:`make_barrier` picks between the two from the resolved router, not
+from the topology's ``kind``.  A cut token episode, sweep or rounds,
+falls back to dissemination (:class:`RingBarrier` inherits it).  Two
+alternatives are provided for the ablation benches (DESIGN.md §6):
 
 * :class:`DisseminationBarrier` — ceil(log2(N)) rounds of point-to-point
   notifications (Mellor-Crummey & Scott [20]), carried as control messages
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Generator, Optional
 
+from ..fabric import RoutingPolicy
 from ..ntb import LinkDownError
 from ..sim import Signal
 from .errors import PeerUnreachableError, ProtocolError
@@ -270,13 +275,15 @@ class RingBarrier(DisseminationBarrier):
         self._steps = self._schedule()
 
     def _schedule(self) -> list[tuple]:
-        start = (("right",), DOORBELL_BARRIER_START)
-        end = (("right",), DOORBELL_BARRIER_END)
+        # The sweep runs the positive way, as FIXED_RIGHT routes do.
+        neg, pos = self.rt.topology.PORT_ORDER[:2]
+        start = ((pos,), DOORBELL_BARRIER_START)
+        end = ((pos,), DOORBELL_BARRIER_END)
         if self.rt.my_pe_id == 0:
             # Start the sweep, absorb it when it wraps, then start END.
-            return [(*start, ("left",), "barrier_start"), (*end, (), None)]
-        return [((), None, ("left",), "barrier_start"),
-                (*start, ("left",), "barrier_end"),
+            return [(*start, (neg,), "barrier_start"), (*end, (), None)]
+        return [((), None, (neg,), "barrier_start"),
+                (*start, (neg,), "barrier_end"),
                 (*end, (), None)]   # the last host's END wraps to host 0
 
     # Called synchronously by the service thread (FIFO with data traffic).
@@ -381,8 +388,9 @@ class RingBarrier(DisseminationBarrier):
             # A stale wrapped END from the previous round may still be
             # latched (host N-1 rings END to us as it releases); ring
             # host 0 never waits on END, so drain it at entry.  (A grid
-            # has no "left" port: nothing to drain.)
-            self._tokens.pop(("left", "barrier_end"), None)
+            # rings no END: nothing to drain.)
+            self._tokens.pop((self.rt.topology.PORT_ORDER[0],
+                              "barrier_end"), None)
         for send, bit, recv, kind in self._steps:
             if send:
                 yield from self._ring_bits(send, bit)
@@ -483,12 +491,15 @@ class CentralizedBarrier:
 
 
 def make_barrier(runtime: "ShmemRuntime"):
-    """Pick the strategy from config + topology."""
+    """Pick the strategy from config + the resolved router: ``"ring"``
+    is the token barrier whose tokens follow the router's routes."""
     strategy = runtime.config.barrier
     if strategy == "dissemination":
         return DisseminationBarrier(runtime)
     if strategy == "centralized":
         return CentralizedBarrier(runtime)
-    if runtime.topology.kind == "ring":
+    # Only FIXED_RIGHT (one axis only) routes past k // 2 hops.
+    if (runtime.topology.wrap
+            and runtime.router.name == RoutingPolicy.FIXED_RIGHT.value):
         return RingBarrier(runtime)
     return GridBarrier(runtime)

@@ -50,9 +50,10 @@ class ShmemConfig:
         mesh/torus.  The two 1-D policies raise on multi-axis grids.
     barrier:
         "ring", "dissemination", or "centralized".  "ring" (the default)
-        means the fabric's doorbell-token barrier — the paper's Fig. 6
-        ring barrier on a ring, neighbour token rounds axis by axis on
-        a mesh/torus (``topology.kind`` decides, see ``make_barrier``).
+        means the fabric's doorbell-token barrier, and the resolved
+        router picks its shape (``make_barrier``): the paper's Fig. 6
+        sweep under FIXED_RIGHT on a ring or 1-D torus, neighbour token
+        rounds axis by axis everywhere else.
     default_mode:
         DMA or MEMCPY for user puts and gets when the caller does not
         specify.  The runtime's own small words (AMO operand and reply,

@@ -23,16 +23,16 @@ constructor              ``kind``   wrap  ports
 
 ``RingTopology(4)`` and ``TorusTopology((4,))`` are the same cabling
 under different port names; a line of hosts (a ring minus one cable) is
-the 1-D mesh ``MeshTopology((n,))``.  What stays forked, on purpose, is
-keyed on ``kind`` outside this module: ring clusters keep the paper's
-protocol family (rightward routing with keep-direction relays and the
-Fig. 6 START/END token sweep) while mesh/torus clusters default to
-dimension-order routing and token rounds between neighbours, axis by
-axis.  Those two are the only forks: the link-state flood is one
-unicast for every fabric, and a cut token episode, ring or grid,
-recovers through the dissemination barrier both inherit.  Collapsing
-the two *defaults* moves every ring figure and waits for the next
-re-baseline (ROADMAP item 8).
+the 1-D mesh ``MeshTopology((n,))``.  Outside this module ``kind`` is
+read once, by ``make_router``, for the default router: FIXED_RIGHT on a
+ring (the paper's rule), dimension-order on a mesh/torus.  The barrier
+follows the resolved router, not ``kind`` (``make_barrier``): the
+Fig. 6 START/END sweep under FIXED_RIGHT on a wrapped axis, token
+rounds between neighbours, axis by axis, everywhere else.  So a ring
+and a 1-D torus behave the same under every routing policy and differ
+only in their default router.  The link-state flood is one unicast for
+every fabric, and a cut token episode, sweep or rounds, recovers
+through the dissemination barrier both inherit.
 
 Port conventions
 ----------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,44 @@ class TestGridBarrier:
         assert {name for _, name in report.results} == {"GridBarrier"}
 
 
+class TestTokenRoundClosedForm:
+    """An idle SHORTEST ring runs ``n // 2`` doorbell-token rounds, each
+    the sum of named costs: ring the doorbell (one MMIO write), its wire
+    time (an 8-byte posted write plus propagation), then the Fig. 5 wake
+    path at the neighbour (MSI, ISR, service-thread wake)."""
+
+    @staticmethod
+    def _round_us(config):
+        cost, link = config.cost_model, config.link
+        terms = (cost.mmio_reg_write_us,
+                 link.serialization_time_us(8), link.propagation_delay_us,
+                 cost.msi_delivery_us, cost.isr_entry_us,
+                 cost.thread_wake_us)
+        return sum(terms), len(terms)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 8, 16])
+    def test_floor_half_n_rounds(self, n):
+        def main(pe):
+            yield from pe.barrier_all()
+            yield pe.rt.env.timeout(1000.0)   # everyone enters together
+            start = pe.rt.env.now
+            yield from pe.barrier_all()
+            return start, pe.rt.env.now
+
+        config = ClusterConfig(n_hosts=n)
+        report = run_spmd(main, n_pes=n, cluster_config=config,
+                          shmem_config=ShmemConfig(routing="shortest"))
+        round_us, terms = self._round_us(config)
+        rounds = n // 2
+        assert {type(rt.barrier) for rt in report.runtimes} == {GridBarrier}
+        assert len({start for start, _ in report.results}) == 1
+        for start, end in report.results:
+            # The simulator adds each term to the absolute clock, the
+            # formula sums them first: one ulp per term apart at most.
+            assert abs((end - start) - rounds * round_us) <= \
+                rounds * terms * math.ulp(end)
+
+
 class TestBarrierLatencyShape:
     def test_barrier_substantial_vs_small_put(self):
         """Fig. 10: barrier latency dwarfs small-message put latency."""
@@ -227,7 +267,8 @@ class TestBarrierLatencyKey:
 
     def test_mesh_files_under_grid(self):
         # ShmemConfig.barrier stays at its default "ring"; make_barrier
-        # picks the grid token barrier because a mesh has no ring.
+        # picks the grid token barrier because the mesh's router is not
+        # FIXED_RIGHT on a wrapped axis.
         report = run_spmd(
             self._main, n_pes=4,
             cluster_config=ClusterConfig(n_hosts=4, topology="mesh",

@@ -226,8 +226,6 @@ class TestRoutingPolicies:
             target = (pe.my_pe() + 4) % pe.num_pes()  # 1 hop left
             yield from pe.put(dest, pattern(size, seed=pe.my_pe()), target)
             yield from pe.quiet()
-            # SHORTEST + leftward data vs rightward token can race, so
-            # verify via blocking gets instead of barrier flush.
             sender = (pe.my_pe() + 1) % pe.num_pes()
             yield from pe.barrier_all()
             got = pe.read_symmetric(dest, size)

@@ -5,9 +5,9 @@
 constructors over it, and a chain (a line of hosts) is the 1-D mesh.
 These tests pin (a) the closed-form answers the deleted ring and chain
 classes computed, (b) that a ring and a 1-D torus are the same cabling
-and differ only in *defaults*, (c) that the SHORTEST policy is canonical
-next-hop routing on one axis, dead edges included, and (d) the
-FIXED_RIGHT fallback on an open axis — and the frozen fabric/core calls
+and differ only in their default router, (c) that the SHORTEST policy
+is canonical next-hop routing on one axis, dead edges included, and (d)
+the FIXED_RIGHT fallback on an open axis — and the frozen fabric/core calls
 the trajectory benchmark makes, so a rename breaks tier-1 rather than
 the benchmark.
 """
@@ -38,6 +38,7 @@ from repro.fabric import (
 )
 
 SIZES = range(2, 10)
+POLICIES = ("fixed_right", "shortest", "dimension_order", "adaptive")
 RENAME = {"x-": "left", "x+": "right"}
 
 
@@ -143,27 +144,67 @@ class TestOneClass:
             port, nxt = other.next_hop(s, d)
             assert one.next_hop(s, d) == (RENAME[port], nxt)
 
-    @pytest.mark.parametrize("topology,dims,router,barrier", [
-        ("ring", None, "fixed_right", RingBarrier),
-        ("torus", (4,), "dimension_order", GridBarrier),
-        ("mesh", (2, 2), "dimension_order", GridBarrier),
-        ("mesh", (4,), "dimension_order", GridBarrier),
+    @pytest.mark.parametrize("topology,dims,routing,router,barrier", [
+        # Each fabric's default router.
+        pytest.param("ring", None, None, "fixed_right", RingBarrier,
+                     id="ring4-default"),
+        pytest.param("torus", (4,), None, "dimension_order", GridBarrier,
+                     id="torus4-default"),
+        pytest.param("mesh", (4,), None, "dimension_order", GridBarrier,
+                     id="mesh4-default"),
+        pytest.param("mesh", (2, 2), None, "dimension_order", GridBarrier,
+                     id="mesh2x2-default"),
+        # Ring and 1-D torus under every policy: only FIXED_RIGHT sweeps.
+        *[pytest.param(topology, dims, policy, policy,
+                       RingBarrier if policy == "fixed_right"
+                       else GridBarrier, id=f"{topology}4-{policy}")
+          for topology, dims in (("ring", None), ("torus", (4,)))
+          for policy in POLICIES],
+        # A line has no wrap cable for the sweep to close over.
+        pytest.param("mesh", (4,), "fixed_right", "fixed_right",
+                     GridBarrier, id="mesh4-fixed_right"),
     ])
-    def test_the_defaults_fork_is_on_kind(self, topology, dims, router,
-                                          barrier):
-        # The whole of the ring4-vs-torus4 gap (ROADMAP item 3): one
-        # cabling, two protocol families, selected by ``kind``.
+    def test_the_barrier_follows_the_router(self, topology, dims, routing,
+                                            router, barrier):
+        # The sweep flushes only routes that run one way round the ring;
+        # every other route is short enough for the neighbour rounds.
+        # ``kind`` picks the default router and nothing else.
         def main(pe):
             yield from pe.barrier_all()
             return pe.rt.topology.kind
 
         report = run_spmd(main, 4, cluster_config=ClusterConfig(
-            n_hosts=4, topology=topology, dims=dims))
+            n_hosts=4, topology=topology, dims=dims),
+            shmem_config=ShmemConfig(routing=routing))
         assert set(report.results) == {topology}
-        assert make_router(report.cluster.topology).name == router
+        if routing is None:
+            assert make_router(report.cluster.topology).name == router
         for rt in report.runtimes:
             assert rt.router.name == router
             assert type(rt.barrier) is barrier
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_ring_and_one_axis_torus_barrier_alike(self, n, policy):
+        # Idle fabric: the same cabling and router give the same barrier
+        # latency, whatever the ports are called: n doorbell-token
+        # rounds' time for the FIXED_RIGHT sweep, n // 2 for the others.
+        def main(pe):
+            yield from pe.barrier_all()
+            start = pe.rt.env.now
+            yield from pe.barrier_all()
+            return pe.rt.env.now - start
+
+        latency = {}
+        for topology, dims in (("ring", None), ("torus", (n,))):
+            report = run_spmd(main, n, cluster_config=ClusterConfig(
+                n_hosts=n, topology=topology, dims=dims),
+                shmem_config=ShmemConfig(routing=policy))
+            latency[topology] = report.results
+        assert latency["ring"] == latency["torus"]
+        rounds = n if policy == "fixed_right" else n // 2
+        assert max(latency["ring"]) == pytest.approx(rounds * 55.8,
+                                                     rel=1e-3)
 
 
 def _one_axis(n):

@@ -5,8 +5,9 @@ has turned into regression tests.
 Four come from ``benchmarks/trajectory/README.md`` ("Known bad inputs")
 and one was a wire-level cousin of the first (a DMA chunk the wire
 dropped landed anyway; it is a regression test now).  Cables cut while
-ring or grid barrier tokens are in flight are the regression tests of
-the token barriers' dissemination recovery.  Each run goes through
+barrier tokens are in flight — the ring sweep, grid rounds and a
+SHORTEST ring's rounds — are the regression tests of the token
+barriers' dissemination recovery.  Each run goes through
 ``core.program.launch`` and ``drive`` under a virtual-time horizon and a
 cap on dispatched events, so an input that never finishes fails in
 seconds with drive's ``StuckRunError`` instead of hanging tier-1.
@@ -19,6 +20,8 @@ pass and ``strict=True`` turns that into a failure: drop its marker.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from repro.core import (
     ShmemConfig,
     StuckRunError,
 )
+from repro.check.models import _barrier_recovery_main, _recovery_config
 from repro.core.program import drive, launch, make_cluster
 from repro.fabric import ClusterConfig
 from repro.faults import DelayTlp, FaultPlan, RestoreCable, SeverCable
@@ -194,6 +198,50 @@ def test_cut_between_two_token_rounds_of_one_pe():
     assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
     assert results == [(0,)] * 16, \
         f"not verified on every PE: {results}; {repro}"
+
+
+def _recovery_on_a_shortest_ring(n_hosts, plan):
+    """ShmemCheck's barrier-recovery body on a SHORTEST ring with
+    heartbeats: puts to the next PE around barriers under the plan, then
+    a strict round after detection whose payload every PE checks."""
+    cluster_config = ClusterConfig(n_hosts=n_hosts)
+    shmem_config = dataclasses.replace(_recovery_config(), faults=plan,
+                                       routing="shortest")
+    return (_run(cluster_config, shmem_config, _barrier_recovery_main),
+            _repro(plan, cluster_config, shmem_config))
+
+
+# A SHORTEST ring runs neighbour token rounds.  Its second and third
+# barriers span 208-638 us on the 5-ring, 264-806 us on the 6-ring and
+# 320-973 us on the 8-ring (the fault-free run's barrier spans).
+@pytest.mark.parametrize("n_hosts,sever_at_us", [
+    (5, 250.0), (5, 450.0), (5, 600.0),
+    (6, 300.0), (6, 600.0), (6, 700.0),
+    (8, 450.0), (8, 700.0), (8, 900.0),
+])
+def test_cut_while_shortest_ring_tokens_are_in_flight(n_hosts,
+                                                      sever_at_us):
+    """One cut cable: the token rounds fall back to the inherited
+    dissemination recovery and every PE verifies the strict round."""
+    plan = FaultPlan.single_sever(0, 1, at_us=sever_at_us)
+    (results, stuck), repro = _recovery_on_a_shortest_ring(n_hosts, plan)
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
+    assert results == [True] * n_hosts, \
+        f"not verified on every PE: {results}; {repro}"
+
+
+@pytest.mark.parametrize("n_hosts,sever_at_us", [
+    (5, 250.0), (6, 300.0), (8, 450.0)])
+def test_two_cuts_partition_a_shortest_ring(n_hosts, sever_at_us):
+    """Two cut cables split the ring: a typed error inside the horizon,
+    never a stuck run."""
+    half = n_hosts // 2
+    plan = FaultPlan([SeverCable(sever_at_us, 0, 1),
+                      SeverCable(sever_at_us, half, half + 1)])
+    (results, stuck), repro = _recovery_on_a_shortest_ring(n_hosts, plan)
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
+    assert all(isinstance(result, PeerUnreachableError)
+               for result in results), f"{results}; {repro}"
 
 
 def _rounds_on_mesh16(plan, op):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from repro import ClusterConfig, ShmemConfig, run_spmd
+from repro import ClusterConfig, FastpathConfig, ShmemConfig, run_spmd
 
 _SETTINGS = settings(
     max_examples=12,
@@ -86,3 +87,73 @@ class TestBarrierUnderSkew:
 
         report = run_spmd(main, n_pes=3)
         assert all(report.results)
+
+
+def _align(size: int) -> int:
+    return -(-size // 64) * 64
+
+
+class TestOneAxisFlush:
+    """The barrier's tokens follow the router's routes, so a put issued
+    before ``barrier_all`` has landed when it returns: the Fig. 6 sweep
+    under FIXED_RIGHT, neighbour token rounds under SHORTEST — on a ring
+    and on the 1-D torus alike."""
+
+    @pytest.mark.parametrize("fastpath", [False, True],
+                             ids=["default", "fastpath"])
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("routing", ["fixed_right", "shortest"])
+    @pytest.mark.parametrize("topology", ["ring", "torus"])
+    @settings(max_examples=4, suppress_health_check=[HealthCheck.too_slow],
+              deadline=None, derandomize=True, database=None,
+              phases=(Phase.generate,))   # a shrink holds many clusters
+    @given(data=st.data())
+    def test_puts_land_by_the_barrier(self, topology, routing, n, fastpath,
+                                      data):
+        # Per PE: one or two puts, each to a random distance at a
+        # random size; no quiet before the barrier.
+        plan = data.draw(st.lists(
+            st.lists(st.tuples(st.integers(1, n - 1),
+                               st.integers(8, 100_000)),
+                     min_size=1, max_size=2),
+            min_size=n, max_size=n))
+        # One landing slot per (sender, put), at the same offset on
+        # every PE.
+        slots, arena_bytes = {}, 0
+        for sender, puts in enumerate(plan):
+            for index, (_, size) in enumerate(puts):
+                slots[sender, index] = arena_bytes
+                arena_bytes += _align(size)
+
+        def fill(sender, index):
+            return (7 * sender + index + 1) % 251
+
+        def main(pe):
+            me = pe.my_pe()
+            arena = yield from pe.malloc(arena_bytes)
+            yield from pe.barrier_all()
+            for index, (distance, size) in enumerate(plan[me]):
+                payload = np.full(size, fill(me, index), dtype=np.uint8)
+                yield from pe.put(arena + slots[me, index], payload,
+                                  (me + distance) % n)
+            yield from pe.barrier_all()
+            missing = []
+            for sender, puts in enumerate(plan):
+                for index, (distance, size) in enumerate(puts):
+                    if (sender + distance) % n != me:
+                        continue
+                    got = pe.read_symmetric(arena + slots[sender, index],
+                                            size)
+                    if not (got == fill(sender, index)).all():
+                        missing.append((sender, index))
+            return missing
+
+        report = run_spmd(
+            main, n_pes=n,
+            cluster_config=ClusterConfig(
+                n_hosts=n, topology=topology,
+                dims=(n,) if topology == "torus" else None),
+            shmem_config=ShmemConfig(
+                routing=routing,
+                fastpath=FastpathConfig() if fastpath else None))
+        assert report.results == [[]] * n

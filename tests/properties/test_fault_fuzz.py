@@ -1,7 +1,7 @@
 """The fault fuzz: an oracle for "every run either completes with verified
 data or raises a typed error in bounded virtual time".
 
-Hypothesis draws a fabric — ring, 1-D mesh, mesh or torus, at most 16
+Hypothesis draws a fabric — ring, 1-D mesh or torus, mesh or torus, at most 16
 hosts — a router that fabric accepts, the default or the fastpath plane,
 and a fault plan of one kind whose faults all land mid-traffic.  Every
 PE runs the same mixed body: each round one put, one get, one AMO and one
@@ -74,6 +74,7 @@ _FABRICS = (
     ClusterConfig(n_hosts=8),
     ClusterConfig(n_hosts=4, topology="mesh", dims=(4,)),
     ClusterConfig(n_hosts=5, topology="mesh", dims=(5,)),
+    ClusterConfig(n_hosts=5, topology="torus", dims=(5,)),
     ClusterConfig(n_hosts=4, topology="mesh", dims=(2, 2)),
     ClusterConfig(n_hosts=6, topology="mesh", dims=(3, 2)),
     ClusterConfig(n_hosts=16, topology="mesh", dims=(4, 4)),
