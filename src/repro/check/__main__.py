@@ -84,7 +84,8 @@ def _list_everything() -> None:
               f"{model.default_budget:<5} tags: {flags}{extra}")
     print("mutations:")
     for name in sorted(MUTATIONS):
-        print(f"  {name:<22} bites on: {MUTATION_TARGETS[name]}")
+        target = MUTATION_TARGETS.get(name, "no model (a tier-1 test)")
+        print(f"  {name:<22} bites on: {target}")
 
 
 def _save_counterexamples(report: ExploreReport, directory: Path,
@@ -135,6 +136,8 @@ def _select_models(args: argparse.Namespace) -> list[CheckModel]:
     if args.all or (not args.models and args.mutate is None):
         return [m for m in MODELS.values() if "ci" in m.tags]
     if args.mutate is not None and not args.models:
+        if args.mutate not in MUTATION_TARGETS:
+            raise SystemExit(f"no model bites on {args.mutate!r}; name one")
         return [MODELS[MUTATION_TARGETS[args.mutate]]]
     selected = []
     for name in args.models:

@@ -23,10 +23,11 @@ depends on ordering:
     under systematic fault placement, asserting data only on the
     post-recovery round.
 ``grid-barrier``
-    The same body on a 2x2 mesh: the grid token barrier's rounds, and
-    their fall-back into the dissemination recovery when a sever branch
-    cuts one cable inside the active window (200–730 µs: the two
-    tolerant phases).
+    The same body on a 2x2 mesh: the grid token barrier's rounds, their
+    fall-back into the dissemination recovery when a sever branch cuts
+    one cable inside the active window (200–730 µs: the two tolerant
+    phases), and the barriers after it, which flood the live graph once
+    every PE agreed on the cut.
 ``put-signal``
     Producer/consumer over ``shmem_put_signal`` + ``wait_until``: the
     signal must never overtake its payload.

@@ -30,6 +30,20 @@ replayable trace, and that the same exploration without it stays clean.
     *later* link-state change could end, while every other PE has fallen
     back to dissemination and resends and nudges it forever — caught on
     ``grid-barrier`` fault branches as a livelock.
+``local-view-flood``
+    ``RingBarrier.wait`` floods over each PE's own view of the dead
+    cables, with no recovery to agree on it and no fence.  PEs that learn
+    of a cut at different instants run different step lists and consume
+    each other's tokens.
+    Caught on ``grid-barrier`` fault branches as a livelock.
+``unfenced-tokens``
+    ``RingBarrier._banked`` counts a latched token whether or not its
+    port's fence for the running agreement was handled, so a token left
+    over from an aborted episode passes for a round of the flood and a
+    PE leaves a round early.  No model reaches that: ``grid-barrier``
+    and ``barrier-recovery`` exhaust clean under it.  It has no target
+    here; ``tests/core/test_barrier.py`` catches it on a cut 4-ring
+    (``test_a_token_rung_before_the_fence_does_not_count``).
 """
 
 from __future__ import annotations
@@ -39,7 +53,9 @@ from typing import Any, Callable, ContextManager, Generator, Iterator
 
 from ..core import barrier as _barrier
 from ..core import transfer as _transfer
+from ..core.errors import PeerUnreachableError
 from ..core.waits import remote_wait
+from ..ntb import LinkDownError
 from ..ntb import doorbell as _doorbell
 
 __all__ = ["MUTATIONS"]
@@ -108,8 +124,8 @@ def unchecked_token_wait() -> Iterator[None]:
     def _await(self: _barrier.RingBarrier, side: str,
                kind: str) -> Generator[Any, Any, None]:
         key = (side, kind)
-        while not self._tokens.get(key):
-            # BUG: no dead-edge check before the wait
+        while not self._banked(key):
+            # BUG: no view check before the wait
             yield from remote_wait(
                 self.rt, self._signal.wait(), what="barrier token",
                 doomed=self._token_doomed)
@@ -122,18 +138,68 @@ def unchecked_token_wait() -> Iterator[None]:
         barrier._await = original  # type: ignore[method-assign]
 
 
+@contextmanager
+def local_view_flood() -> Iterator[None]:
+    """Token episodes run on the local view: no agreement, no fence."""
+    barrier = _barrier.RingBarrier
+    original = barrier.wait
+
+    def wait(self: _barrier.RingBarrier) -> Generator[Any, Any, None]:
+        rt = self.rt
+        while True:
+            # BUG: each PE draws its steps from its own view
+            self._agreed = frozenset(rt.dead_edges)
+            self._steps = self._schedule()
+            try:
+                yield from self._token_wait()
+                return
+            except PeerUnreachableError:
+                if not rt.fault_aware:
+                    raise
+            except LinkDownError:
+                if not rt.fault_aware:
+                    raise
+                yield rt.link_state_changed.wait()
+
+    barrier.wait = wait  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        barrier.wait = original  # type: ignore[method-assign]
+
+
+@contextmanager
+def unfenced_tokens() -> Iterator[None]:
+    """Latched tokens count before their port's fence."""
+    barrier = _barrier.RingBarrier
+    original = barrier._banked
+
+    def _banked(self: _barrier.RingBarrier, key: tuple[str, str]) -> bool:
+        return bool(self._tokens.get(key))  # BUG: no fence check
+
+    barrier._banked = _banked  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        barrier._banked = original  # type: ignore[method-assign]
+
+
 MUTATIONS: dict[str, Callable[[], ContextManager[None]]] = {
     "dropped-credit-ack": dropped_credit_ack,
     "lost-doorbell": lost_doorbell,
     "dropped-nudge": dropped_nudge,
     "unchecked-token-wait": unchecked_token_wait,
+    "local-view-flood": local_view_flood,
+    "unfenced-tokens": unfenced_tokens,
 }
 
 #: the model each mutation is expected to bite on (used by the CLI's
-#: ``--mutate`` smoke mode and the CI job).
+#: ``--mutate`` smoke mode and the CI job); a mutation without one is
+#: caught by a tier-1 test instead.
 MUTATION_TARGETS: dict[str, str] = {
     "dropped-credit-ack": "fastpath-credit",
     "lost-doorbell": "put-signal",
     "dropped-nudge": "barrier-recovery",
     "unchecked-token-wait": "grid-barrier",
+    "local-view-flood": "grid-barrier",
 }

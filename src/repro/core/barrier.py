@@ -23,9 +23,21 @@ store-and-forwarded.  ``k // 2`` rounds both ways on a wrapped axis of
 extent ``k`` (``k - 1`` on an open one) follow every route a shortest
 or dimension-order router takes, including a ring routed SHORTEST.
 :func:`make_barrier` picks between the two from the resolved router, not
-from the topology's ``kind``.  A cut token episode, sweep or rounds,
-falls back to dissemination (:class:`RingBarrier` inherits it).  Two
-alternatives are provided for the ablation benches (DESIGN.md §6):
+from the topology's ``kind``.
+
+A cut aborts the token episode, sweep or rounds, into the dissemination
+recovery both inherit.  Its notifications carry the sender's view of the
+dead cables and an all-agree bit, ANDed along the dissemination; a PE
+whose bit survives (and whose view held still) *agrees* on that view,
+posts a one-hop fence on every live port, and from then on runs **flood**
+rounds: every cabled port rung (the wire drops the rings into dead
+cables), one token consumed per live port, for D rounds, D the live
+graph's diameter.  Over an agreed view every router
+takes shortest live paths, at most D hops, and the flood's tokens follow
+every walk of up to D hops, so the flood flushes as the axis rounds do.  Adaptive routes are
+minimal but take any axis order, so under the adaptive router the flood
+runs on a healthy grid too.  Two alternatives are provided for the
+ablation benches (DESIGN.md §6):
 
 * :class:`DisseminationBarrier` — ceil(log2(N)) rounds of point-to-point
   notifications (Mellor-Crummey & Scott [20]), carried as control messages
@@ -37,9 +49,9 @@ alternatives are provided for the ablation benches (DESIGN.md §6):
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, AbstractSet, Generator, Optional
 
-from ..fabric import RoutingPolicy
+from ..fabric import RoutingPolicy, Topology
 from ..ntb import LinkDownError
 from ..sim import Signal
 from .errors import PeerUnreachableError, ProtocolError
@@ -56,30 +68,66 @@ from .waits import remote_wait
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import ShmemRuntime
 
-__all__ = ["make_barrier", "RingBarrier", "GridBarrier",
+__all__ = ["make_barrier", "view_code", "RingBarrier", "GridBarrier",
            "DisseminationBarrier", "CentralizedBarrier"]
 
 
 #: Dissemination aux low byte: round index, plus a high bit marking a
-#: *nudge* — "re-send me your (generation, round) notification".
+#: *nudge* — "re-send me your (generation, round) notification" — and
+#: one marking a *fence* (see :meth:`RingBarrier._agree`).
 _DISSEM_NUDGE = 0x80
+_FENCE = 0x40
+#: Size-word bit of a notification's view words: every view folded into
+#: them was the same.
+_AGREE = 1 << 31
+#: The view words of the plain dissemination barrier and of a reply for
+#: a generation the sender passed without them: no view, no agreement.
+_NO_VIEW = (0, 0)
 
 
-def _notify(rt: "ShmemRuntime", dest: int, gen: int, low: int) -> Generator:
+def view_code(topology: Topology,
+              dead_edges: AbstractSet) -> Optional[int]:
+    """A dead-edge set as one integer below 2**63: the cables' indices in
+    ``topology.links()`` order, plus one, as digits in base (cables + 1),
+    largest most significant.  Injective wherever it fits; None when the
+    set does not fit (such a view never agrees)."""
+    index = {edge: i for i, edge in enumerate(topology.links())}
+    radix, code = len(index) + 1, 0
+    for i in sorted((index[edge] for edge in dead_edges), reverse=True):
+        code = code * radix + i + 1
+    return code if code < 1 << 63 else None
+
+
+def _view_words(code: Optional[int]) -> tuple[int, int]:
+    """A recovery's opening words: the view in BARRIER_MSG's ``offset``
+    (low half) and ``size`` (high half) words, with the all-agree bit."""
+    if code is None:
+        return _NO_VIEW
+    return code & 0xFFFFFFFF, (code >> 32) | _AGREE
+
+
+def _fold(mine: tuple[int, int], theirs: tuple[int, int]) -> tuple[int, int]:
+    """AND a received notification's agreement into ours: it survives
+    only if both carried it over the same view."""
+    return mine if mine == theirs else (mine[0], mine[1] & ~_AGREE)
+
+
+def _notify(rt: "ShmemRuntime", dest: int, gen: int, low: int,
+            words: tuple[int, int] = _NO_VIEW) -> Generator:
     """One generation-tagged BARRIER_MSG toward ``dest`` over whatever
     route is live (plain function: returns the send for ``yield from``)."""
     route = rt.route_to(dest)
     return rt.link_for(route.direction).post(
         MsgKind.BARRIER_MSG, rt.my_pe_id, dest, last_leg=route.hops == 1,
-        aux=((gen & 0xFFFFFF) << 8) | low)
+        offset=words[0], size=words[1], aux=((gen & 0xFFFFFF) << 8) | low)
 
 
-def _notify_detached(rt: "ShmemRuntime", dest: int, gen: int,
-                     low: int) -> Generator:
+def _notify_detached(rt: "ShmemRuntime", dest: int, gen: int, low: int,
+                     words: tuple[int, int]) -> Generator:
     """Body of a detached re-send.  A cable dying under it is not an
     error: the waiter nudges again and we re-send."""
     try:
-        yield from _notify(rt, dest, gen, low)
+        yield from _notify(rt, dest, gen, low, words)
     except (LinkDownError, PeerUnreachableError):
         pass
 
@@ -115,7 +163,11 @@ class DisseminationBarrier:
 
     def __init__(self, runtime: "ShmemRuntime"):
         self.rt = runtime
-        self._arrived: dict[tuple[int, int], int] = {}
+        #: banked notifications' view words, by (generation, round).
+        self._arrived: dict[tuple[int, int], tuple[int, int]] = {}
+        #: the view words this PE sent (or sends) per (generation, round),
+        #: kept a generation on so a nudge is answered with the same words.
+        self._sent: dict[tuple[int, int], tuple[int, int]] = {}
         self._signal = Signal(runtime.env, name=f"{runtime.name}.dissem")
         self.generation = 0
         #: round currently being waited on, ``None`` outside ``wait()``.
@@ -126,10 +178,10 @@ class DisseminationBarrier:
             f"{self.rt.name}: doorbell barrier token under dissemination"
         )
 
-    def on_notify(self, msg: Message) -> None:
+    def on_notify(self, msg: Message, side: str) -> None:
         gen = (msg.aux >> 8) & 0xFFFFFF
         low = msg.aux & 0xFF
-        rnd = low & (_DISSEM_NUDGE - 1)
+        rnd = low & (_FENCE - 1)
         if low & _DISSEM_NUDGE:
             self._on_nudge(msg.src_pe, gen, rnd)
             return
@@ -137,10 +189,10 @@ class DisseminationBarrier:
                 gen == self.generation and self._round is not None
                 and rnd < self._round):
             return  # duplicate of an already-consumed notification
-        # Exactly one legitimate sender per key: resent duplicates clamp
-        # instead of counting, so a recovery re-send can never satisfy a
-        # later generation's round.
-        self._arrived[(gen, rnd)] = 1
+        # Exactly one legitimate sender per key, and a re-send carries
+        # the original's words: duplicates clamp instead of counting, so
+        # a recovery re-send can never satisfy a later generation's round.
+        self._arrived[(gen, rnd)] = (msg.offset, msg.size)
         self._signal.fire((gen, rnd))
 
     def _on_nudge(self, requester: int, gen: int, rnd: int) -> None:
@@ -148,6 +200,8 @@ class DisseminationBarrier:
         re-send our (gen, rnd) notification — its copy was cut mid-flight.
         Re-send only if we already passed the original send point;
         otherwise the normal send is still coming and the nudge is early.
+        A generation we passed by tokens sent no words: the reply carries
+        none, so nobody agrees in it.
         """
         sent = (self.generation > gen
                 or (self.generation == gen and self._round is not None
@@ -156,7 +210,8 @@ class DisseminationBarrier:
             return
         rt = self.rt
         rt.env.process(
-            _notify_detached(rt, requester, gen, rnd),
+            _notify_detached(rt, requester, gen, rnd,
+                             self._sent.get((gen, rnd), _NO_VIEW)),
             name=f"{rt.name}.dissem.renotify{requester}",
         )
 
@@ -173,6 +228,12 @@ class DisseminationBarrier:
         return None
 
     def wait(self) -> Generator:
+        yield from self._disseminate(_NO_VIEW)
+
+    def _disseminate(self, words: tuple[int, int]) -> Generator:
+        """The rounds, each notification carrying ``words`` folded with
+        every notification received before it; returns whether the
+        all-agree bit survived."""
         rt = self.rt
         n = rt.n_pes
         gen = self.generation
@@ -183,6 +244,9 @@ class DisseminationBarrier:
         window = (self.RESEND_US
                   if rt.config.reply_timeout_us is None else None)
         for rnd in range(rounds):
+            key = (gen, rnd)
+            # Words first: a nudge answered from here on re-sends them.
+            self._sent[key] = words
             self._round = rnd
             partner = (rt.my_pe_id + (1 << rnd)) % n
             sender = (rt.my_pe_id - (1 << rnd)) % n
@@ -190,10 +254,9 @@ class DisseminationBarrier:
                 # Same flush rule as the token barrier: do not let our
                 # notification overtake data we are relaying.
                 yield from rt.forwarding_quiesce()
-                yield from _notify(rt, partner, gen, rnd)
-            key = (gen, rnd)
+                yield from _notify(rt, partner, gen, rnd, words)
             expires = None  # end of the running resend window
-            while self._arrived.get(key, 0) < 1:
+            while key not in self._arrived:
                 # Another key's notification wakes the wait but must not
                 # restart the window: strays arriving faster than it
                 # expires would starve the resend and nudge for good.
@@ -224,18 +287,22 @@ class DisseminationBarrier:
                     expires = None
                     try:
                         if partner != rt.my_pe_id:
-                            yield from _notify(rt, partner, gen, rnd)
+                            yield from _notify(rt, partner, gen, rnd, words)
                         if sender != rt.my_pe_id:
                             yield from _notify(rt, sender, gen,
                                                rnd | _DISSEM_NUDGE)
                     except LinkDownError:
                         pass
-            self._arrived.pop(key, None)
+            words = _fold(words, self._arrived.pop(key))
         self.generation = gen + 1
         self._round = None
-        # Purge duplicates banked after their key was consumed.
+        # Purge duplicates banked after their key was consumed, and the
+        # words of the generation before: no nudge for it is left.
         for key in [k for k in self._arrived if k[0] <= gen]:
             del self._arrived[key]
+        for key in [k for k in self._sent if k[0] < gen]:
+            del self._sent[key]
+        return bool(words[1] & _AGREE)
 
 
 class RingBarrier(DisseminationBarrier):
@@ -244,21 +311,25 @@ class RingBarrier(DisseminationBarrier):
     With every cable alive this is the token sweep and nothing else.  The
     episode is a per-PE step list — ring a doorbell on some ports, then
     consume one latched token per port — so :class:`GridBarrier` reuses
-    the counting, the drain, the dead-edge check and the recovery below
-    with a schedule of its own.
-    Fault behavior: a cable death mid-episode aborts the token round, and
-    ``wait()`` *recovers inside the same call*.  A ring minus one cable is
-    a 1-D mesh, and a mesh's barrier is dissemination, so the call runs
-    the inherited :meth:`DisseminationBarrier.wait` over the surviving
-    routes under the same absolute ``generation``.  That keeps the
-    barrier-call count aligned across PEs — if some PEs raised while
-    others completed, later barriers would pair mismatched episodes and
-    deadlock.  A cut lets some PEs finish the token episode while others
-    abort it; a finished PE is one generation ahead, so it answers a
-    laggard's nudge for the episode it already passed (see
-    :meth:`DisseminationBarrier._on_nudge`).  The call only raises
-    :class:`PeerUnreachableError` when the ring is genuinely partitioned
-    (two or more dead edges).
+    the counting, the fences, the view check and the recovery below with
+    a schedule of its own.
+
+    Fault behavior: a token episode runs only under an *agreed* view of
+    the dead cables, ∅ at the start of the run.  A link event drops the
+    agreement, aborts a running episode, and ``wait()`` *recovers inside
+    the same call*: it runs the inherited dissemination
+    (:meth:`DisseminationBarrier._disseminate`) over the surviving routes
+    under the same absolute ``generation``.  That keeps the barrier-call count
+    aligned across PEs — if some PEs raised while others completed, later
+    barriers would pair mismatched episodes and deadlock.  A cut lets
+    some PEs finish the token episode while others abort it; a finished
+    PE is one generation ahead, so it answers a laggard's nudge for the
+    episode it already passed (see :meth:`DisseminationBarrier._on_nudge`),
+    with no view words, so nobody agrees in that recovery.  A recovery
+    whose all-agree bit survives ends in :meth:`_agree`, and the next
+    barrier is tokens again, flooded over the live graph.  The call only
+    raises :class:`PeerUnreachableError` when the ring is genuinely
+    partitioned (two or more dead edges).
     """
 
     #: the key this strategy's latency is filed under (barrier_us.<name>).
@@ -270,11 +341,24 @@ class RingBarrier(DisseminationBarrier):
         #: One port's tokens arrive in send order and every ring
         #: interrupts, so the i-th consumed is the i-th its neighbour sent.
         self._tokens: dict[tuple[str, str], int] = {}
+        #: the dead-edge set every PE agreed on, and the (24-bit)
+        #: generation of the recovery that agreed, -1 for the run's start;
+        #: None from a link event until a recovery agrees again.
+        self._agreed: Optional[frozenset] = frozenset()
+        self._agreed_gen = -1
+        #: per arrival port, the agreement its neighbour last fenced (-1
+        #: until a fence): its tokens count only under that agreement.
+        self._fenced: dict[str, int] = {}
+        #: link events so far: a recovery agrees only if none lands in it.
+        self._events = 0
         #: this PE's episode: (ports to ring, doorbell bit, ports to
         #: await, token kind) per step.
         self._steps = self._schedule()
 
     def _schedule(self) -> list[tuple]:
+        return self._flood() if self._agreed else self._healthy_schedule()
+
+    def _healthy_schedule(self) -> list[tuple]:
         # The sweep runs the positive way, as FIXED_RIGHT routes do.
         neg, pos = self.rt.topology.PORT_ORDER[:2]
         start = ((pos,), DOORBELL_BARRIER_START)
@@ -286,6 +370,21 @@ class RingBarrier(DisseminationBarrier):
                 (*start, (neg,), "barrier_end"),
                 (*end, (), None)]   # the last host's END wraps to host 0
 
+    def _flood(self) -> list[tuple]:
+        """Rounds over the agreed live graph: consume one token per live
+        port, as many rounds as its diameter.  After ``r`` rounds a PE
+        has heard from every PE within ``r`` live hops, along every walk
+        of up to ``r`` hops.  A round rings every cabled port, the dead
+        ones too (the wire drops those rings): each ring keeps its slot
+        of the healthy fabric, so a cut makes no two neighbours ring a PE
+        at one instant."""
+        rt, dead = self.rt, self._agreed
+        me = rt.my_pe_id
+        # Connected: the agreeing recovery routed every PE's notification.
+        rounds = rt.router.live_diameter(dead)
+        return [(rt.topology.ports(me), DOORBELL_BARRIER_START,
+                 rt.router.live_ports(me, dead), "barrier_start")] * rounds
+
     # Called synchronously by the service thread (FIFO with data traffic).
     def on_token(self, side: str, kind: str) -> None:
         if kind not in ("barrier_start", "barrier_end"):  # pragma: no cover
@@ -294,17 +393,31 @@ class RingBarrier(DisseminationBarrier):
         self._tokens[key] = self._tokens.get(key, 0) + 1
         self._signal.fire(kind)
 
+    def on_notify(self, msg: Message, side: str) -> None:
+        if msg.aux & _FENCE:
+            # The neighbour agreed: every token it rang before this fence
+            # belongs to an episode that was aborted, and one cable's
+            # rings are handled in the order they were rung.
+            self._tokens.pop((side, "barrier_start"), None)
+            self._tokens.pop((side, "barrier_end"), None)
+            self._fenced[side] = (msg.aux >> 8) & 0xFFFFFF
+            return
+        super().on_notify(msg, side)
+
     def on_link_event(self) -> None:
         """An edge died or recovered: in-flight tokens are no longer
         trustworthy (the episode they belonged to cannot complete
-        consistently), so drain the counters.  Dissemination
-        notifications are generation-tagged and survive untouched."""
+        consistently), so drain the counters and drop the agreement.
+        Dissemination notifications are generation-tagged and survive
+        untouched."""
         self._tokens.clear()
+        self._agreed = None
+        self._events += 1
 
     def _await(self, side: str, kind: str) -> Generator:
         token = "START" if kind == "barrier_start" else "END"
         key = (side, kind)
-        while not self._tokens.get(key):
+        while not self._banked(key):
             # remote_wait re-checks ``doomed`` only on a link-state change
             # *during* the wait: a wait entered after the cut was marked
             # (and the counters drained) would sleep forever.
@@ -316,13 +429,19 @@ class RingBarrier(DisseminationBarrier):
                                    doomed=self._token_doomed)
         self._tokens[key] -= 1
 
+    def _banked(self, key: tuple[str, str]) -> bool:
+        """A ``key`` token is latched and counts: its port's neighbour
+        fenced the agreement this episode runs under."""
+        return (bool(self._tokens.get(key))
+                and self._fenced.get(key[0], -1) == self._agreed_gen)
+
     def _token_doomed(self) -> Optional[BaseException]:
-        # Tokens cross every cable of the fabric in one episode, so any
-        # dead edge dooms it.
-        if self.rt.dead_edges:
+        # The episode's steps were drawn for the agreed view: a link event
+        # since dooms it, whichever cable it touched.
+        if self._agreed is None:
             return PeerUnreachableError(
-                f"{self.rt.name}: barrier token path crosses dead edge(s) "
-                f"{sorted(self.rt.dead_edges)}"
+                f"{self.rt.name}: barrier tokens ran under a view the "
+                f"dead edge(s) {sorted(self.rt.dead_edges)} outdated"
             )
         return None
 
@@ -356,7 +475,7 @@ class RingBarrier(DisseminationBarrier):
         if rt.n_pes == 1:
             self.generation += 1
             return
-        if not rt.dead_edges:
+        if self._agreed is not None:
             try:
                 yield from self._token_wait()
                 return
@@ -367,21 +486,42 @@ class RingBarrier(DisseminationBarrier):
                 if not rt.fault_aware or not rt.heartbeats:
                     raise
             except PeerUnreachableError:
-                # Recover only on link death; a reply-deadline timeout
-                # with healthy links must surface to the caller.
-                if not rt.fault_aware or not rt.dead_edges:
+                # Recover only on a link event; a reply-deadline timeout
+                # under the agreed view must surface to the caller.
+                if not rt.fault_aware or self._agreed is not None:
                     raise
         # Recovery barrier: dissemination over the surviving routes.  The
         # hardware may report the dead cable (master abort) before the
         # failure detector marks the edge; wait for the verdict so the
         # notifications route around it.  Local signal, fired by our own
         # failure detector.
-        while not rt.dead_edges:
+        while self._agreed is not None:
             yield rt.link_state_changed.wait()  # lint: skip
         doom = self._partitioned()
         if doom is not None:
             raise doom
-        yield from super().wait()
+        gen, events = self.generation, self._events
+        view = frozenset(rt.dead_edges)
+        agreed = yield from self._disseminate(
+            _view_words(view_code(rt.topology, view)))
+        if agreed and self._events == events:
+            yield from self._agree(view, gen)
+
+    def _agree(self, view: frozenset, gen: int) -> Generator:
+        """Every PE recovered under ``view``: adopt it, and fence each
+        live port.  Its neighbour drops the tokens we rang before the
+        fence and counts ours from the fence on, once it agrees too."""
+        rt = self.rt
+        self._agreed, self._agreed_gen = view, gen & 0xFFFFFF
+        self._steps = self._schedule()
+        for side in rt.router.live_ports(rt.my_pe_id, view):
+            link = rt.links[side]
+            try:
+                yield from link.post(
+                    MsgKind.BARRIER_MSG, rt.my_pe_id, link.peer_host_id,
+                    last_leg=True, aux=(self._agreed_gen << 8) | _FENCE)
+            except (LinkDownError, PeerUnreachableError):
+                pass  # the cable's death ends this agreement anyway
 
     def _token_wait(self) -> Generator:
         if self.rt.my_pe_id == 0:
@@ -409,14 +549,20 @@ class GridBarrier(RingBarrier):
     such port.  After ``r`` rounds a PE has heard, transitively, from
     every PE within ``r`` hops on the axis, so the first token of the
     next axis carries the sender's whole finished sub-grid.  Every
-    notification is one hop — none is store-and-forwarded.  A dead edge
-    drops the episode into the inherited dissemination recovery; the
-    route check decides partition, not an edge count.
+    notification is one hop — none is store-and-forwarded.  Under the
+    adaptive router, and over any agreed dead cable, the rounds are the
+    inherited flood instead.  A dead edge drops the episode into the
+    inherited dissemination recovery; the route check decides partition,
+    not an edge count.
     """
 
     name = "grid"
 
-    def _schedule(self) -> list[tuple]:
+    def _healthy_schedule(self) -> list[tuple]:
+        if self.rt.router.name == RoutingPolicy.ADAPTIVE.value:
+            # Minimal routes in any axis order: only the flood follows
+            # them all.
+            return self._flood()
         topo, me = self.rt.topology, self.rt.my_pe_id
         cabled = topo.ports(me)
         steps = []
@@ -455,7 +601,8 @@ class CentralizedBarrier:
             f"{self.rt.name}: doorbell barrier token under centralized"
         )
 
-    def on_notify(self, msg: Message) -> None:  # pragma: no cover
+    def on_notify(self, msg: Message,
+                  side: str) -> None:  # pragma: no cover
         raise ProtocolError(
             f"{self.rt.name}: BARRIER_MSG under centralized barrier"
         )

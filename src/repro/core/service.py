@@ -404,7 +404,7 @@ class ShmemService:
                          f"get_responder.{msg.aux}", "active_responders")
         elif kind is MsgKind.BARRIER_MSG:
             assert rt.barrier is not None
-            rt.barrier.on_notify(msg)
+            rt.barrier.on_notify(msg, link.side)
 
     # --------------------------------------------------------------- delivery
     def _deliver_put(self, msg: Message, link: "LinkEnd", payload_phys: int,

@@ -83,12 +83,18 @@ def remote_wait(rt: "ShmemRuntime", event: Event, *, what: str,
             timeout_us = rt.config.reply_timeout_us
         deadline = None if timeout_us is None else env.now + timeout_us
         while True:
-            waits = [event, rt.link_state_changed.wait()]
+            link_change = rt.link_state_changed.wait()
+            waits = [event, link_change]
             timer = None
             if deadline is not None:
                 timer = env.timeout(max(0.0, deadline - env.now))
                 waits.append(timer)
-            outcome = yield env.any_of(waits)
+            either = env.any_of(waits)
+            outcome = yield either
+            if link_change.callbacks is not None:
+                # Unsubscribe from the pulse still to come: the signal may
+                # not fire again this run, and it would hold every wait.
+                link_change.callbacks.remove(either._check)
             if event in outcome:
                 return outcome[event]
             if timer is not None and timer in outcome:

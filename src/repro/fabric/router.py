@@ -62,6 +62,8 @@ class Router:
 
     def __init__(self, topology: Topology):
         self.topology = topology
+        #: :meth:`live_diameter` per dead-edge set.
+        self._diameters: dict[frozenset, Optional[int]] = {}
 
     # -- interface -----------------------------------------------------------
     def resolve(self, src: int, dst: int,
@@ -171,6 +173,19 @@ class Router:
                     dist[nxt] = dist[node] + 1
                     queue.append(nxt)
         return dist
+
+    def live_diameter(self, dead_edges: AbstractSet) -> Optional[int]:
+        """The longest shortest live path between two hosts, or None
+        when the dead edges partition the fabric.  Memoised per
+        dead-edge set: a BFS from every host."""
+        key = frozenset(dead_edges)
+        if key not in self._diameters:
+            n = self.topology.n_hosts
+            fields = [self.live_distances(dst, key) for dst in range(n)]
+            self._diameters[key] = (
+                max(max(field.values()) for field in fields)
+                if all(len(field) == n for field in fields) else None)
+        return self._diameters[key]
 
     def _detour(self, src: int, dst: int,
                 dead_edges: AbstractSet) -> Route:

@@ -3,17 +3,25 @@
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro import ClusterConfig, ShmemConfig, run_spmd
+from repro.check.mutations import MUTATIONS
+from repro.core import StuckRunError
 from repro.core.barrier import (
     CentralizedBarrier,
     DisseminationBarrier,
     GridBarrier,
     RingBarrier,
+    view_code,
 )
+from repro.core.program import drive, launch, make_cluster
+from repro.core.transfer import DOORBELL_BARRIER_START
+from repro.fabric import MeshTopology, RingTopology, TorusTopology
+from repro.faults import DelayTlp, FaultPlan, SeverCable
 
 
 def barrier_correctness_program(rounds=5):
@@ -228,6 +236,132 @@ class TestTokenRoundClosedForm:
             # formula sums them first: one ulp per term apart at most.
             assert abs((end - start) - rounds * round_us) <= \
                 rounds * terms * math.ulp(end)
+
+
+def _barriers_after_cuts(topology, dims, edges, n_barriers=4):
+    """Cut ``edges`` at 2.5 ms, then one barrier every 5 ms, driven under
+    a horizon and an event cap; per PE, each barrier's (start, end) and
+    the dead-edge set its strategy agreed on after it."""
+    n = int(np.prod(dims))
+    cluster = make_cluster(n, ClusterConfig(n_hosts=n, topology=topology,
+                                            dims=dims))
+    config = ShmemConfig(
+        faults=FaultPlan([SeverCable(2_500.0, *edge) for edge in edges]),
+        max_retries=8, retry_backoff_us=200.0)
+
+    def main(pe):
+        yield from pe.barrier_all()
+        spans = []
+        for k in range(1, n_barriers + 1):
+            yield pe.rt.env.timeout(5_000.0 * k - pe.rt.env.now)
+            start = pe.rt.env.now
+            yield from pe.barrier_all()
+            spans.append((start, pe.rt.env.now, pe.rt.barrier._agreed))
+        return spans
+
+    _runtimes, _pes, results, procs = launch(cluster, main, config)
+    drive(cluster, procs, horizon_us=1_000_000.0, max_events=2_000_000)
+    return results
+
+
+class TestAgreedFlood:
+    """After a cut the recovery makes every PE agree on the dead cables;
+    later barriers flood one-hop tokens over the live graph."""
+
+    # Each livelocked a flood that drew its steps from the PE's own view:
+    # PEs entered the barrier with different views and consumed each
+    # other's tokens.
+    @pytest.mark.parametrize("topology,dims,edges", [
+        ("mesh", (4, 4), [(5, 6), (9, 10)]),
+        ("torus", (4, 4, 4), [(0, 1)]),
+    ], ids=["mesh4x4-two-cuts", "torus4x4x4"])
+    def test_cut_while_views_differ_finishes(self, topology, dims, edges):
+        try:
+            results = _barriers_after_cuts(topology, dims, edges)
+        except StuckRunError as exc:  # pragma: no cover - the regression
+            pytest.fail(f"did not finish ({exc.kind}): {exc}")
+        assert {spans[-1][2] for spans in results} == {frozenset(edges)}
+
+    @pytest.mark.parametrize("topology,dims,edges,diameter", [
+        ("mesh", (4, 4), [(5, 6)], 6),
+        ("mesh", (4, 4), [(5, 6), (9, 10)], 6),
+        ("torus", (4, 4), [(0, 1)], 4),
+    ], ids=["mesh4x4", "mesh4x4-two-cuts", "torus4x4"])
+    def test_idle_barrier_is_diameter_token_rounds(self, topology, dims,
+                                                   edges, diameter):
+        """Once agreed, an idle barrier is D token rounds for the first
+        PE out.  A PE rings its cabled ports one after another, so a PE
+        that its neighbours ring late in their order leaves up to three
+        rings (MMIO write + wire) later."""
+        results = _barriers_after_cuts(topology, dims, edges)
+        config = ClusterConfig(n_hosts=int(np.prod(dims)))
+        round_us, terms = TestTokenRoundClosedForm._round_us(config)
+        cost, link = config.cost_model, config.link
+        ring_us = (cost.mmio_reg_write_us + link.serialization_time_us(8)
+                   + link.propagation_delay_us)
+        assert {spans[-1][2] for spans in results} == {frozenset(edges)}
+        assert len({spans[-1][0] for spans in results}) == 1
+        start, end = min((spans[-1][:2] for spans in results),
+                         key=lambda span: span[1])
+        assert abs((end - start) - diameter * round_us) <= \
+            diameter * terms * math.ulp(end)
+        assert max(spans[-1][1] for spans in results) - end \
+            <= 3 * ring_us + 1e-9
+
+    @pytest.mark.parametrize("mutation", [None, "unfenced-tokens"])
+    def test_a_token_rung_before_the_fence_does_not_count(self, mutation):
+        """A 4-ring loses cable (0,1), a line 1-2-3-0 (D = 3).  PE 2 rings
+        a START at PE 1 while no episode runs, as a PE does into an
+        episode the cut aborts.  Cable (3,0) is slow, so PE 1 agrees and
+        enters the next barrier before PE 2's fence reaches it; PE 0
+        enters that barrier last.  Counted, the stray token lets PE 1
+        leave a round early, before PE 0 came in: the seeded mutation
+        that counts it must be caught here (no ShmemCheck model reaches
+        it)."""
+        plan = FaultPlan([SeverCable(500.0, 0, 1),
+                          DelayTlp(3_000.0, 3, 0, 400.0, 1_000_000.0)])
+        cluster = make_cluster(4, ClusterConfig(n_hosts=4))
+
+        def main(pe):
+            yield from pe.barrier_all()
+            yield pe.rt.env.timeout(4_000.0 - pe.rt.env.now)
+            if pe.my_pe() == 2:
+                yield from pe.rt.links["left"].driver.ring_doorbell(
+                    DOORBELL_BARRIER_START)
+            yield pe.rt.env.timeout(5_000.0 - pe.rt.env.now)
+            yield from pe.barrier_all()
+            if pe.my_pe() == 0:
+                yield pe.rt.env.timeout(1_000.0)
+            enter = pe.rt.env.now
+            yield from pe.barrier_all()
+            return enter, pe.rt.env.now, pe.rt.barrier._agreed
+
+        _runtimes, _pes, results, procs = launch(
+            cluster, main, ShmemConfig(faults=plan, max_retries=8,
+                                       retry_backoff_us=200.0))
+        with MUTATIONS[mutation]() if mutation else nullcontext():
+            drive(cluster, procs, horizon_us=1_000_000.0,
+                  max_events=400_000)
+        assert {agreed for _, _, agreed in results} == {frozenset({(0, 1)})}
+        last_in = max(enter for enter, _, _ in results)
+        early = [pe for pe, (_, leave, _) in enumerate(results)
+                 if leave < last_in]
+        assert early == ([1] if mutation else []), results
+
+    @pytest.mark.parametrize("topology", [
+        RingTopology(3), RingTopology(4), RingTopology(8), RingTopology(16),
+        RingTopology(64), MeshTopology((2, 2)), MeshTopology((4, 4)),
+        MeshTopology((8, 8)), TorusTopology((4,)), TorusTopology((3, 3)),
+        TorusTopology((4, 4)), TorusTopology((4, 4, 4)),
+    ], ids=lambda topo: topo.kind + "x".join(map(str, topo.dims)))
+    def test_view_code_is_injective_up_to_two_dead_edges(self, topology):
+        cables = list(topology.links())
+        views = [frozenset()] + [frozenset([a]) for a in cables] + [
+            frozenset([a, b]) for i, a in enumerate(cables)
+            for b in cables[i + 1:]]
+        codes = {view_code(topology, view) for view in views}
+        assert None not in codes
+        assert len(codes) == len(views)
 
 
 class TestBarrierLatencyShape:

@@ -7,7 +7,9 @@ and one was a wire-level cousin of the first (a DMA chunk the wire
 dropped landed anyway; it is a regression test now).  Cables cut while
 barrier tokens are in flight — the ring sweep, grid rounds and a
 SHORTEST ring's rounds — are the regression tests of the token
-barriers' dissemination recovery.  Each run goes through
+barriers' dissemination recovery; a detoured put and a flapping cable
+are those of the flood that follows once every PE agreed on the cut.
+Each run goes through
 ``core.program.launch`` and ``drive`` under a virtual-time horizon and a
 cap on dispatched events, so an input that never finishes fails in
 seconds with drive's ``StuckRunError`` instead of hanging tier-1.
@@ -200,6 +202,51 @@ def test_cut_between_two_token_rounds_of_one_pe():
         f"not verified on every PE: {results}; {repro}"
 
 
+def _detoured_put(src, dst, delayed):
+    """Cable (5,6) of a 4x4 mesh is cut at 0.5 ms and cable ``delayed``
+    carries every TLP 50 µs late from 4 ms.  A settling barrier at 5 ms,
+    then ``src`` puts 64 KiB to ``dst`` at 10 ms and every PE enters a
+    barrier; ``dst`` then counts stale bytes.  Returns the bounded run
+    and its repro line."""
+    size = 64 * 1024
+    plan = FaultPlan([SeverCable(500.0, 5, 6),
+                      DelayTlp(4_000.0, *delayed, 50.0, 1_000_000.0)])
+    cluster_config = ClusterConfig(n_hosts=16, topology="mesh", dims=(4, 4))
+    shmem_config = ShmemConfig(faults=plan, **_RETRIES)
+
+    def main(pe):
+        sym = yield from pe.malloc(size)
+        yield from pe.barrier_all()
+        yield pe.rt.env.timeout(5_000.0 - pe.rt.env.now)
+        yield from pe.barrier_all()
+        yield pe.rt.env.timeout(10_000.0 - pe.rt.env.now)
+        if pe.my_pe() == src:
+            yield from pe.put(sym, np.full(size, 9, np.uint8), dst)
+        yield from pe.barrier_all()
+        stale = 0
+        if pe.my_pe() == dst:
+            stale = int((pe.read_symmetric(sym, size) != 9).sum())
+        return (stale,)
+
+    return (_run(cluster_config, shmem_config, main),
+            _repro(plan, cluster_config, shmem_config))
+
+
+# The put detours around the cut, and the delayed cable is on its path
+# but on no dissemination notification's: each read all 65 536 bytes
+# stale while the barriers after a cut were dissemination.
+@pytest.mark.parametrize("src,dst,delayed", [
+    (7, 4, (0, 1)), (7, 4, (1, 2)), (7, 4, (14, 15)), (6, 5, (1, 2)),
+])
+def test_barrier_after_a_cut_flushes_a_detoured_put(src, dst, delayed):
+    """The settling barrier agrees on the cut; the next one floods its
+    tokens over every live cable, so it follows the detour."""
+    (results, stuck), repro = _detoured_put(src, dst, delayed)
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
+    assert results == [(0,)] * 16, f"stale after barrier: {results}; " \
+        f"{repro}"
+
+
 def _recovery_on_a_shortest_ring(n_hosts, plan):
     """ShmemCheck's barrier-recovery body on a SHORTEST ring with
     heartbeats: puts to the next PE around barriers under the plan, then
@@ -295,13 +342,12 @@ def test_get_never_returns_while_a_cable_is_down():
     assert not _outcomes(results), f"stale get: {repro}"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a sever followed by a restore of the same cable leaves the run "
-    "cycling through recovery without end (ROADMAP item 2)"))
-def test_flap_never_finishes():
+def test_flap_finishes():
     """Cable (5,6) of a 4x4 mesh goes down at 3 ms and back up at 8 ms
-    under put/barrier rounds: the same run without the restore finishes
-    in 59 000 events, this one is past the cap."""
+    under put/barrier rounds.  Barriers recover until every PE agrees on
+    the restored fabric; each PE's fence then drops the START tokens its
+    neighbours rang into episodes the restore aborted (this run cycled
+    through recovery past the event cap while they counted)."""
     plan = FaultPlan([SeverCable(3_000.0, 5, 6),
                       RestoreCable(8_000.0, 5, 6)])
     (results, stuck), repro = _rounds_on_mesh16(plan, _put)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro import ClusterConfig, FastpathConfig, ShmemConfig, run_spmd
+from repro.fabric import Topology
+from repro.faults import DelayTlp, FaultPlan
 
 _SETTINGS = settings(
     max_examples=12,
@@ -156,4 +158,92 @@ class TestOneAxisFlush:
             shmem_config=ShmemConfig(
                 routing=routing,
                 fastpath=FastpathConfig() if fastpath else None))
+        assert report.results == [[]] * n
+
+
+class TestAdaptiveGridFlush:
+    """Adaptive routes are minimal but take any axis order, which the
+    axis-by-axis token rounds do not follow: under the adaptive router a
+    healthy grid floods its tokens over every live port instead."""
+
+    _GRIDS = [("mesh", (4, 4)), ("torus", (4, 4))]
+
+    def test_put_around_a_busy_port_lands_by_the_barrier(self):
+        """PE 0's x+ port is busy with a put to PE 1, so its put to
+        PE 15 leaves y first; the x-then-y rounds released PE 15 with all
+        65 536 bytes stale."""
+        size = 64 * 1024
+
+        def main(pe):
+            sym = yield from pe.malloc(2 * size)
+            yield from pe.barrier_all()
+            if pe.my_pe() == 0:
+                yield from pe.put(sym, np.full(size, 1, np.uint8), 1)
+                yield from pe.put(sym + size, np.full(size, 2, np.uint8), 15)
+            yield from pe.barrier_all()
+            return int((pe.read_symmetric(sym + size, size) != 2).sum())
+
+        report = run_spmd(
+            main, n_pes=16,
+            cluster_config=ClusterConfig(n_hosts=16, topology="mesh",
+                                         dims=(4, 4)),
+            shmem_config=ShmemConfig(routing="adaptive"))
+        assert report.results[15] == 0
+
+    @pytest.mark.parametrize("topology,dims", _GRIDS,
+                             ids=["mesh4x4", "torus4x4"])
+    @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow],
+              deadline=None, derandomize=True, database=None,
+              phases=(Phase.generate,))   # a shrink holds many clusters
+    @given(data=st.data())
+    def test_puts_land_by_the_barrier(self, topology, dims, data):
+        n = int(np.prod(dims))
+        # One PE keeps its x+ port busy with a large put to its
+        # neighbour, then puts to a random PE at a random size, so the
+        # adaptive router may leave along any other port; the other PEs
+        # put to random PEs.  No quiet before the barrier, and one random
+        # cable carries every TLP 50 µs late.
+        cables = list(Topology(dims, wrap=topology == "torus").links())
+        delayed = data.draw(st.sampled_from(cables))
+        busy = data.draw(st.integers(0, n - 1))
+        plan = [[(1, 65_536)] if pe == busy else [] for pe in range(n)]
+        for pe in range(n):
+            plan[pe] += data.draw(st.lists(
+                st.tuples(st.integers(1, n - 1), st.integers(8, 100_000)),
+                min_size=1 if pe == busy else 0, max_size=1))
+        slots, arena_bytes = {}, 0
+        for sender, puts in enumerate(plan):
+            for index, (_, size) in enumerate(puts):
+                slots[sender, index] = arena_bytes
+                arena_bytes += _align(size)
+
+        def fill(sender, index):
+            return (7 * sender + index + 1) % 251
+
+        def main(pe):
+            me = pe.my_pe()
+            arena = yield from pe.malloc(arena_bytes)
+            yield from pe.barrier_all()
+            for index, (distance, size) in enumerate(plan[me]):
+                payload = np.full(size, fill(me, index), dtype=np.uint8)
+                yield from pe.put(arena + slots[me, index], payload,
+                                  (me + distance) % n)
+            yield from pe.barrier_all()
+            missing = []
+            for sender, puts in enumerate(plan):
+                for index, (distance, size) in enumerate(puts):
+                    if (sender + distance) % n != me:
+                        continue
+                    got = pe.read_symmetric(arena + slots[sender, index],
+                                            size)
+                    if not (got == fill(sender, index)).all():
+                        missing.append((sender, index))
+            return missing
+
+        report = run_spmd(
+            main, n_pes=n,
+            cluster_config=ClusterConfig(n_hosts=n, topology=topology,
+                                         dims=dims),
+            shmem_config=ShmemConfig(routing="adaptive", faults=FaultPlan(
+                [DelayTlp(0.0, *delayed, 50.0, 1_000_000.0)])))
         assert report.results == [[]] * n
