@@ -3,7 +3,9 @@
 Runs the same Put/Get/barrier workload twice — paper-faithful config and
 ``ShmemConfig(fastpath=FastpathConfig())`` — and reports virtual-time
 latency/throughput side by side at {4 KB, 64 KB, 512 KB} × {1, 2 hops},
-plus the 32 B inline point and barrier latency.
+plus the 32 B inline point and barrier latency, all with an explicit
+DMA ``mode``.  The ``auto`` points (a 1 KiB put, a 32 B get) leave
+``mode`` unset, so the plane picks the engine (``ShmemConfig.default_mode``).
 
 Display only: the exit code is :attr:`FastpathCompareResult.targets_pass`.
 Both grids are pinned ``==`` by ``tests/integration/test_pinned_figures.py``
@@ -20,11 +22,13 @@ from ...fabric import ClusterConfig
 from ..reporting import Row, size_label
 
 __all__ = ["FastpathCompareResult", "run_fastpath_compare",
-           "SIZES", "HOPS", "INLINE_SIZE"]
+           "SIZES", "HOPS", "INLINE_SIZE", "AUTO_POINTS"]
 
 SIZES = [4 * 1024, 64 * 1024, 512 * 1024]
 HOPS = [1, 2]
 INLINE_SIZE = 32
+#: (op, size) measured with ``mode`` unset: the runtime picks the engine.
+AUTO_POINTS = [("put", 1024), ("get", 32)]
 
 #: Acceptance targets from the PR issue (fastpath relative to baseline).
 TARGETS = {
@@ -110,7 +114,19 @@ class FastpathCompareResult:
         if bar and far:
             lines.append(f"  barrier_all: base {bar:.1f}us  "
                          f"fast {far:.1f}us")
+        for op, size in AUTO_POINTS:
+            for hops in HOPS:
+                key = _auto_key(op, size, hops)
+                base, fast = self.baseline.get(key), self.fastpath.get(key)
+                if base and fast:
+                    lines.append(f"  {op} {size_label(size)} {hops} hop, "
+                                 f"engine picked by the plane: base "
+                                 f"{base:.2f}us  fast {fast:.2f}us")
         return "\n".join(lines)
+
+
+def _auto_key(op: str, size: int, hops: int) -> str:
+    return f"{op}_us.{size_label(size)}.auto.{hops}hop"
 
 
 def _measure_grid(config: ShmemConfig, n_pes: int = 3) -> dict[str, float]:
@@ -155,6 +171,19 @@ def _measure_grid(config: ShmemConfig, n_pes: int = 3) -> dict[str, float]:
         yield from pe.barrier_all()
         if pe.my_pe() == 0:
             metrics["barrier_us"] = pe.rt.env.now - start
+        # After every explicit-mode point, so that none of theirs moves.
+        for hops in HOPS:
+            target = (pe.my_pe() + hops) % pe.num_pes()
+            for op, size in AUTO_POINTS:
+                if pe.my_pe() == 0:
+                    start = pe.rt.env.now
+                    if op == "put":
+                        yield from pe.put_from(sym, src, size, target)
+                    else:
+                        yield from pe.get_into(dst, sym, size, target)
+                    metrics[_auto_key(op, size, hops)] = \
+                        pe.rt.env.now - start
+                yield from pe.barrier_all()
         return True
 
     run_spmd(main, n_pes=n_pes,

@@ -56,8 +56,13 @@ class ShmemConfig:
         rounds axis by axis everywhere else.
     default_mode:
         DMA or MEMCPY for user puts and gets when the caller does not
-        specify.  The runtime's own small words (AMO operand and reply,
-        ``put_signal``'s signal) ignore it and always go by memcpy.
+        specify; either forces that engine on both planes.  None (the
+        default) lets the plane decide: DMA on the paper-faithful plane;
+        on the fastpath, puts take the engine the closed form
+        (``transfer.cheaper_mode``) charges less for their size and
+        source pages, and gets take DMA.  The runtime's own small words
+        (AMO operand and reply, ``put_signal``'s signal) ignore it and
+        always go by memcpy.
     """
 
     heap: HeapConfig = field(default_factory=HeapConfig)
@@ -67,7 +72,7 @@ class ShmemConfig:
     get_chunk: int = 8 * 1024
     routing: Optional[RoutingPolicy] = None
     barrier: str = "ring"
-    default_mode: Mode = Mode.DMA
+    default_mode: Optional[Mode] = None
     #: Optional deadline for every remote wait (Get/AMO replies, barrier
     #: tokens and notifications): a wait that outlasts it counts one
     #: ``wait_timeouts`` and raises PeerUnreachableError (None = no

@@ -4,9 +4,9 @@
 switches on every mechanism of the optimized data plane at once — they
 are branches of the one runtime, not a second one (docs/FASTPATH.md):
 the poll window (coalesced wakes) and the cut-through / ordered-ack
-branch in :mod:`.service`, the pinned staging + chained DMA and the
-inline slot header in :mod:`.transfer`, the inline and streaming-Get
-choices in :mod:`.runtime`.  Import it as ``from repro.core import
+branch and the inline replies in :mod:`.service`, the pinned staging +
+chained DMA and the inline slot header in :mod:`.transfer`, the inline,
+engine and streaming-Get choices in :mod:`.runtime`.  Import it as ``from repro.core import
 FastpathConfig``.
 """
 

@@ -56,10 +56,12 @@ from .links import LinkEnd
 from .transfer import (
     AMO_REQ_FMT,
     INLINE_MAX_BYTES,
+    STAGED_ABOVE_BYTES,
     AmoOp,
     Mode,
     MsgKind,
     PayloadSource,
+    cheaper_mode,
     chunk_ranges,
 )
 from .waits import REPOLL, poll_wait, remote_wait
@@ -435,9 +437,10 @@ class ShmemRuntime:
         """
         self._check_ready()
         self.check_pe(pe)
-        mode = self.config.default_mode if mode is None else mode
         if nbytes <= 0:
             raise TransferError(f"put size must be positive, got {nbytes}")
+        if mode is None:
+            mode = self._put_engine(src_virt, nbytes)
         self.put_count += 1
         with self._op("put", f"{mode.name}.{size_label(nbytes)}",
                       f"put.{mode.name}", peer=pe, nbytes=nbytes,
@@ -464,6 +467,22 @@ class ShmemRuntime:
                     pe, f"put to PE {pe} at byte {cursor}/{nbytes}",
                     traversed, self._put_chunk, dest, src_virt, nbytes, pe,
                     mode, cursor, inline)
+
+    def _put_engine(self, src_virt: int, nbytes: int) -> Mode:
+        """The engine of a put with no explicit ``mode``: the configured
+        ``default_mode``, else DMA on the paper-faithful plane and, on the
+        fastpath, the engine the closed form charges less for this size
+        and these source pages (Fig. 9: memcpy wins below about 4 KB)."""
+        if self.config.default_mode is not None:
+            return self.config.default_mode
+        if self.config.fastpath is None:
+            return Mode.DMA
+        staged = nbytes > STAGED_ABOVE_BYTES
+        return cheaper_mode(
+            nbytes, self.host.cost_model, self.cluster.config.ntb.dma,
+            segments=(1 if staged
+                      else len(self.host.user_segments(src_virt, nbytes))),
+            staged=staged)
 
     def _put_chunk(self, route: Route, link: LinkEnd, dest: SymAddr,
                    src_virt: int, nbytes: int, pe: int, mode: Mode,
@@ -498,7 +517,9 @@ class ShmemRuntime:
         """
         self._check_ready()
         self.check_pe(pe)
-        mode = self.config.default_mode if mode is None else mode
+        if mode is None:
+            mode = (Mode.DMA if self.config.default_mode is None
+                    else self.config.default_mode)
         if nbytes <= 0:
             raise TransferError(f"get size must be positive, got {nbytes}")
         self.get_count += 1

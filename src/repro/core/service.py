@@ -15,13 +15,14 @@ exactly as Fig. 5 does:
 Get requests additionally walk the "Source is me?" branch: the owner spawns
 a responder that streams chunks back along the reverse path.
 
-Two mechanisms of the opt-in fastpath plane (``ShmemConfig.fastpath``,
+Three mechanisms of the opt-in fastpath plane (``ShmemConfig.fastpath``,
 docs/FASTPATH.md) are branches of this same thread, not a second one:
 coalesced wakes keep it in a bounded poll window after a drain instead
-of sleeping into a wake charge, and cut-through forwards bypass chunks
+of sleeping into a wake charge, cut-through forwards bypass chunks
 straight out of the receive slot, returning the upstream credit through a
-per-link ordered-ack chain.  With ``fastpath=None`` neither branch is ever
-taken: their counters stay 0 and ``_ack_tail`` stays empty.
+per-link ordered-ack chain, and AMO replies and small Get response chunks
+ride inline in their slot header.  With ``fastpath=None`` no such branch
+is ever taken: their counters stay 0 and ``_ack_tail`` stays empty.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .transfer import (
     AMO_RESP_FMT,
     AmoOp,
     FLAG_INLINE,
+    INLINE_MAX_BYTES,
     INLINE_PAYLOAD_OFFSET,
     KIND_FACTS,
     Message,
@@ -449,7 +451,9 @@ class ShmemService:
             )
         with rt.scope.span("deliver_get_chunk", category="service",
                            track=f"{rt.name}.service", nbytes=msg.size):
-            yield from self._drain(pending.mode, msg.size)
+            # An inline chunk was read with its slot header.
+            if not msg.flags & FLAG_INLINE:
+                yield from self._drain(pending.mode, msg.size)
             data = rt.host.memory.read(payload_phys, msg.size)
             rt.host.write_user(pending.dest_virt + msg.offset, data)
             pending.received += msg.size
@@ -473,7 +477,8 @@ class ShmemService:
         pending = yield from self._awaited(msg, "amo", link, channel)
         if pending is None:
             return
-        yield from self._drain(msg.mode, _AMO_RESP_BYTES)
+        if not msg.flags & FLAG_INLINE:
+            yield from self._drain(msg.mode, _AMO_RESP_BYTES)
         raw = self.rt.host.memory.read_bytes(payload_phys, _AMO_RESP_BYTES)
         (old,) = struct.unpack(AMO_RESP_FMT, raw)
         yield from self._ack(link, channel)
@@ -584,11 +589,17 @@ class ShmemService:
                 yield from self._onward(msg, out_link, payload)
         except (LinkDownError, PeerUnreachableError):
             self._drop_forward(msg)
-        finally:
-            # The bytes have left the slot (or died trying): return the
-            # upstream credit, in chain order.
-            yield from self._ordered_ack(in_link, prev, gate,
-                                         "active_forwards")
+        except BaseException:
+            # Closed mid-send (the run ended with it in flight) or a
+            # bug: a closing generator must not yield, so open the
+            # gate and uncount here instead of ringing the ACK.
+            if not gate.triggered:
+                gate.succeed()
+            self._finish("active_acks", "active_forwards")
+            raise
+        # The bytes have left the slot (or died trying): return the
+        # upstream credit, in chain order.
+        yield from self._ordered_ack(in_link, prev, gate, "active_forwards")
 
     def _drop_forward(self, msg: Message) -> None:
         """Count a relayed ``msg`` this host gave up on.  Posted-write
@@ -672,13 +683,19 @@ class ShmemService:
                     data = rt.heap.read(
                         SymAddr(msg.offset + chunk_off), chunk_size
                     )
-                    rt.host.memory.write(staging.phys, data)
+                    # Fastpath: a small chunk rides its slot header.
+                    inline = (self._fastpath
+                              and chunk_size <= INLINE_MAX_BYTES)
+                    if not inline:
+                        rt.host.memory.write(staging.phys, data)
                     yield from out_link.post(
                         MsgKind.GET_RESP, rt.my_pe_id, msg.src_pe,
                         last_leg=last_leg, mode=msg.mode, offset=chunk_off,
                         size=chunk_size, aux=msg.aux,
-                        payload=PayloadSource.from_pinned(
-                            rt.host, staging, 0, chunk_size),
+                        payload=(None if inline
+                                 else PayloadSource.from_pinned(
+                                     rt.host, staging, 0, chunk_size)),
+                        inline=data if inline else None,
                         relay=True)
         except (LinkDownError, PeerUnreachableError):
             # Reverse path died mid-stream: abandon the response.  The
@@ -705,18 +722,21 @@ class ShmemService:
                                                   compare)
             # Reply along the reverse path (detached, like onward sends).
             # The 8-byte old value goes by PIO: a word's store costs far
-            # less than DMA's fixed submit/setup/completion terms.
-            staging = rt.host.alloc_pinned(64)
-            rt.host.memory.write(
-                staging.phys,
-                np.frombuffer(struct.pack(AMO_RESP_FMT, old),
-                              dtype=np.uint8),
-            )
-            self._relay(Message(
+            # less than DMA's fixed submit/setup/completion terms.  On the
+            # fastpath it rides the slot header, like the operand.
+            reply = Message(
                 kind=MsgKind.AMO_RESP, mode=Mode.MEMCPY,
                 src_pe=rt.my_pe_id, dest_pe=msg.src_pe,
                 offset=msg.offset, size=_AMO_RESP_BYTES, aux=msg.aux,
-            ), link, staging)
+            )
+            data = np.frombuffer(struct.pack(AMO_RESP_FMT, old),
+                                 dtype=np.uint8)
+            if self._fastpath:
+                self._relay(reply, link, inline=data)
+                return
+            staging = rt.host.alloc_pinned(64)
+            rt.host.memory.write(staging.phys, data)
+            self._relay(reply, link, staging)
 
     def apply_amo_local(self, offset: int, op: int, value: int,
                         compare: int) -> Generator:

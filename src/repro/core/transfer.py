@@ -40,9 +40,9 @@ from typing import Callable, Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..host import Host, PinnedBuffer
+from ..host import CostModel, Host, PinnedBuffer
 from ..memory import PhysSegment
-from ..ntb import NtbDriver
+from ..ntb import DmaConfig, NtbDriver
 from ..ntb.device import BYPASS_WINDOW, DATA_WINDOW
 from ..sim import Environment, Resource
 from .errors import ProtocolError, TransferError
@@ -55,6 +55,8 @@ __all__ = [
     "AMO_REQ_FMT",
     "AMO_RESP_FMT",
     "Mode",
+    "engine_costs",
+    "cheaper_mode",
     "Message",
     "pack_message",
     "unpack_message",
@@ -76,6 +78,7 @@ __all__ = [
     "INLINE_MAX_BYTES",
     "FLAG_INLINE",
     "CHAIN_CHUNK_BYTES",
+    "STAGED_ABOVE_BYTES",
 ]
 
 # Doorbell bit map (see module docstring).
@@ -112,6 +115,10 @@ FLAG_INLINE = 0x1
 #: Descriptor granularity of a staged chained DMA: descriptors after the
 #: first hide behind the previous segment's stream time.
 CHAIN_CHUNK_BYTES = 128 * 1024
+
+#: A DMA send from paged memory is staged (fastpath) only above one page:
+#: within a page it is a single descriptor either way.
+STAGED_ABOVE_BYTES = 4096
 
 
 class MsgKind(enum.IntEnum):
@@ -185,6 +192,41 @@ class Mode(enum.IntEnum):
 
     DMA = 0
     MEMCPY = 1
+
+
+def engine_costs(nbytes: int, cost: CostModel, dma: DmaConfig, *,
+                 segments: int = 1, staged: bool = False,
+                 uncached_drain: bool = False) -> dict[Mode, float]:
+    """Each engine's hand-off plus drain of ``nbytes`` (µs), in closed
+    form from the calibration the simulator charges.
+
+    MEMCPY is the PIO store loop; DMA is ``dma_submit + setup + segments ·
+    per_descriptor + completion + n / engine_rate``.  ``staged`` is what
+    :meth:`_MailboxBase._write_window` does on the fastpath above
+    :data:`STAGED_ABOVE_BYTES`: a cached copy into the staging buffer, then
+    one exposed descriptor (the chained ones behind it hide in the
+    stream).  Each adds the receiver's drain: cached memcpy, or, for a
+    memcpy'd message loaded back through the uncached window (a Get
+    chunk, an AMO word), the PIO read.  The simulator charges each DMA
+    descriptor up to 0.5 µs more than this."""
+    drain = cost.local_memcpy_us(nbytes)
+    descriptors = (cost.local_memcpy_us(nbytes) + dma.per_descriptor_us
+                   if staged else segments * dma.per_descriptor_us)
+    return {
+        Mode.MEMCPY: cost.pio_write_us(nbytes) + (
+            cost.pio_read_us(nbytes) if uncached_drain else drain),
+        Mode.DMA: (cost.dma_submit_us + dma.setup_time_us + descriptors
+                   + dma.completion_latency_us
+                   + nbytes / dma.engine_rate_mbps + drain),
+    }
+
+
+def cheaper_mode(nbytes: int, cost: CostModel, dma: DmaConfig,
+                 **kw) -> Mode:
+    """The engine :func:`engine_costs` charges less; a tie goes to DMA,
+    the paper's default engine."""
+    costs = engine_costs(nbytes, cost, dma, **kw)
+    return Mode.MEMCPY if costs[Mode.MEMCPY] < costs[Mode.DMA] else Mode.DMA
 
 
 @dataclass(frozen=True, slots=True)
@@ -458,7 +500,7 @@ class _MailboxBase:
         # one page is a single descriptor either way, and the extra memcpy
         # would make it strictly slower.
         staged = (staging is not None and payload.virt is not None
-                  and 4096 < payload.nbytes <= staging.nbytes)
+                  and STAGED_ABOVE_BYTES < payload.nbytes <= staging.nbytes)
         if staged:
             host = self.driver.host
             with self.driver.scope.span("stage_copy", category="mailbox",

@@ -9,6 +9,9 @@ Covers, per the PR issue:
   <= 0.6x, <= 32 B Put latency <= 0.5x baseline;
 * functional correctness of inline messages, staged chained DMA and
   cut-through forwarding (contents verified end to end);
+* the engine choice: a put with no ``mode`` takes the engine the closed
+  form (``transfer.cheaper_mode``) names, and AMO replies and small Get
+  responses ride inline;
 * ordering: quiet()/fence and put_signal semantics hold under fastpath;
 * the fastpath runs sanitizer-clean and span-traced;
 * config validation.
@@ -24,9 +27,13 @@ from repro.core import FastpathConfig, ShmemConfig
 from repro.core.transfer import (
     FLAG_INLINE,
     INLINE_MAX_BYTES,
+    STAGED_ABOVE_BYTES,
     BypassMailbox,
     DataMailbox,
+    cheaper_mode,
 )
+from repro.host import CostModel
+from repro.ntb import DmaConfig
 
 from ..conftest import pattern
 from .test_golden_runs import check_golden, golden_run
@@ -192,6 +199,205 @@ class TestInlineMessages:
             link.bypass_mailbox.sent_count
             for rt in report.runtimes for link in rt.links.values())
         assert bypass_sends >= 3  # one inline AMO_REQ per PE
+
+
+def _dma_requests(rt) -> int:
+    """DMA requests the adapters of ``rt``'s host have completed."""
+    return sum(link.driver.endpoint.dma.completed_requests
+               for link in rt.links.values())
+
+
+def _inline_sends(rt, side: str) -> int:
+    return rt.links[side].bypass_mailbox.inline_count
+
+
+class TestEngineChoice:
+    """A fastpath put with no ``mode`` takes the engine the closed form
+    charges less for its size and source pages; it is then that engine's
+    explicit-mode put, event for event."""
+
+    #: a source offset 96 B before a page end: 3 000 B from it span two.
+    SPANNING = 4096 - 96
+
+    @staticmethod
+    def _put(config: ShmemConfig, size: int, offset: int,
+             mode: Mode | None):
+        """One 1-hop put on an idle fastpath 3-ring, timed to ``quiet``:
+        (latency, DMA requests PE 0 issued, source page segments, the
+        engine's counter key)."""
+        def main(pe):
+            sym = yield from pe.malloc(8192)
+            src = pe.local_alloc(8192)
+            src.write(pattern(8192, seed=5))
+            yield from pe.barrier_all()
+            out = None
+            if pe.my_pe() == 0:
+                yield pe.rt.env.timeout(1000.0)
+                dma = _dma_requests(pe.rt)
+                start = pe.rt.env.now
+                yield from pe.put_from(sym, src, size, 1, mode=mode,
+                                       src_offset=offset)
+                yield from pe.quiet()
+                out = (pe.rt.env.now - start, _dma_requests(pe.rt) - dma,
+                       len(pe.rt.host.user_segments(src.virt + offset,
+                                                    size)))
+            yield from pe.barrier_all()
+            if pe.my_pe() == 1:
+                got = pe.read_symmetric_array(sym, size, np.uint8)
+                assert np.array_equal(got,
+                                      pattern(8192, seed=5)[offset:][:size])
+            return out
+
+        report = run_spmd(main, 3, shmem_config=config, finalize=False)
+        engines = [key for key in report.metrics.snapshot()
+                   if key in ("pe0.put.DMA", "pe0.put.MEMCPY")]
+        return report.results[0] + (engines,)
+
+    @pytest.mark.parametrize("size,offset", [
+        (256, 0), (3000, 0), (3000, SPANNING), (3705, 0), (3706, 0),
+        (4096, 0),
+    ], ids=["256B", "3000B", "3000B-spanning", "3705B", "3706B", "4096B"])
+    def test_unspecified_put_takes_the_named_engine(self, size, offset):
+        took, dma, segments, engines = self._put(_fp_config(), size,
+                                                 offset, None)
+        named = cheaper_mode(size, CostModel(), DmaConfig(),
+                             segments=segments,
+                             staged=size > STAGED_ABOVE_BYTES)
+        assert dma == (1 if named is Mode.DMA else 0)
+        assert engines == [f"pe0.put.{named.name}"]
+        explicit = self._put(_fp_config(), size, offset, named)
+        assert took == explicit[0]
+        assert explicit[1] == dma
+
+    def test_the_page_boundary_moves_the_choice(self):
+        # Around the crossover a second descriptor tips DMA over.
+        aligned = cheaper_mode(3800, CostModel(), DmaConfig(), segments=1)
+        spanning = cheaper_mode(3800, CostModel(), DmaConfig(), segments=2)
+        assert (aligned, spanning) == (Mode.DMA, Mode.MEMCPY)
+        assert self._put(_fp_config(), 3800, 0, None)[1] == 1
+        assert self._put(_fp_config(), 3800, self.SPANNING, None)[1] == 0
+
+    @pytest.mark.parametrize("config,mode", [
+        (_fp_config(), Mode.DMA),
+        (_fp_config(default_mode=Mode.DMA), None),
+    ], ids=["mode", "default_mode"])
+    def test_an_explicit_dma_still_forces_dma(self, config, mode):
+        took, dma, _segments, engines = self._put(config, 256, 0, mode)
+        assert dma == 1 and engines == ["pe0.put.DMA"]
+        assert took > self._put(_fp_config(), 256, 0, None)[0]
+
+    def test_gets_keep_dma(self):
+        def main(pe):
+            sym = yield from pe.malloc(4096)
+            yield from pe.barrier_all()
+            if pe.my_pe() == 0:
+                yield from pe.get(sym, 1024, 1)
+            yield from pe.barrier_all()
+
+        report = run_spmd(main, 3, shmem_config=_fp_config(),
+                          finalize=False)
+        assert _dma_requests(report.runtimes[1]) == 1
+        assert report.metrics.snapshot()["pe0.get.DMA"] == 1
+
+
+class TestInlineReplies:
+    """On the fastpath an AMO reply and a Get response chunk of at most
+    ``INLINE_MAX_BYTES`` ride their slot header, on every hop."""
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_fetch_add_reply_is_inline_on_every_hop(self, hops):
+        def main(pe):
+            me = pe.my_pe()
+            ctr = yield from pe.malloc(8)
+            if me == hops:
+                pe.write_symmetric(ctr, np.array([100 * hops], np.int64))
+            yield from pe.barrier_all()
+            olds = None
+            if me == 0:
+                olds = [(yield from pe.atomic_fetch_add(ctr, 5, hops)),
+                        (yield from pe.atomic_fetch_add(ctr, 7, hops))]
+            yield from pe.barrier_all()
+            return olds
+
+        # A FIXED_RIGHT 4-ring: requests travel right, replies come back
+        # left through PEs hops-1 .. 1.
+        report = run_spmd(main, 4, shmem_config=_fp_config(),
+                          finalize=False)
+        assert report.results[0] == [100 * hops, 100 * hops + 5]
+        replies = [_inline_sends(rt, "left") for rt in report.runtimes]
+        assert replies == [0] + [2] * hops + [0] * (3 - hops)
+        requests = [_inline_sends(rt, "right") for rt in report.runtimes]
+        assert requests == [2] * hops + [0] * (4 - hops)
+
+    def test_small_gets_ride_inline_and_issue_no_dma(self):
+        sizes = (8, 32, INLINE_MAX_BYTES)
+
+        def main(pe):
+            me = pe.my_pe()
+            sym = yield from pe.malloc(256)
+            pe.write_symmetric(sym, pattern(256, seed=me))
+            yield from pe.barrier_all()
+            ok = True
+            if me == 0:
+                for hops in (1, 2):
+                    for size in sizes:
+                        got = yield from pe.get(sym + 64, size, hops)
+                        ok = ok and bool(np.array_equal(
+                            got, pattern(256, seed=hops)[64:64 + size]))
+            yield from pe.barrier_all()
+            return ok
+
+        report = run_spmd(main, 4, shmem_config=_fp_config(),
+                          finalize=False)
+        assert all(report.results)
+        # No DMA anywhere: not at the owners, not at relay PE 1.
+        assert [_dma_requests(rt) for rt in report.runtimes] == [0] * 4
+        # PE 1 answered three gets and relayed PE 2's three responses.
+        assert _inline_sends(report.runtimes[1], "left") == 6
+        assert _inline_sends(report.runtimes[2], "left") == 3
+
+    @pytest.mark.parametrize("mode,dma", [(None, 1), (Mode.MEMCPY, 0)])
+    def test_a_49_byte_get_uses_the_callers_engine(self, mode, dma):
+        size = INLINE_MAX_BYTES + 1
+
+        def main(pe):
+            sym = yield from pe.malloc(256)
+            pe.write_symmetric(sym, pattern(256, seed=pe.my_pe()))
+            yield from pe.barrier_all()
+            ok = True
+            if pe.my_pe() == 0:
+                got = yield from pe.get(sym, size, 1, mode=mode)
+                ok = bool(np.array_equal(got, pattern(256, seed=1)[:size]))
+            yield from pe.barrier_all()
+            return ok
+
+        report = run_spmd(main, 3, shmem_config=_fp_config(),
+                          finalize=False)
+        assert all(report.results)
+        owner = report.runtimes[1]
+        assert _dma_requests(owner) == dma
+        assert _inline_sends(owner, "left") == 0
+
+    def test_a_streaming_get_ends_with_an_inline_chunk(self):
+        size = 8 * 1024 + 16     # one full get_chunk, then 16 B
+
+        def main(pe):
+            sym = yield from pe.malloc(size)
+            pe.write_symmetric(sym, pattern(size, seed=pe.my_pe()))
+            yield from pe.barrier_all()
+            ok = True
+            if pe.my_pe() == 0:
+                got = yield from pe.get(sym, size, 1)
+                ok = bool(np.array_equal(got, pattern(size, seed=1)))
+            yield from pe.barrier_all()
+            return ok
+
+        report = run_spmd(main, 3, shmem_config=_fp_config(),
+                          finalize=False)
+        assert all(report.results)
+        owner = report.runtimes[1]
+        assert _dma_requests(owner) == 1          # the 8 KiB chunk
+        assert _inline_sends(owner, "left") == 1  # the 16 B tail
 
 
 class TestStagedChainedDma:

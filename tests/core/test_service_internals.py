@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import numpy as np
 import pytest
 
 from repro import Mode, run_spmd
-from repro.core import ProtocolError
+from repro.core import FastpathConfig, ProtocolError, ShmemConfig
+from repro.core.transfer import (
+    SLOT_HEADER_BYTES,
+    Message,
+    MsgKind,
+    PayloadSource,
+)
 
 from ..conftest import pattern
 
@@ -64,6 +73,40 @@ class TestServiceAccounting:
 
         report = run_spmd(main, n_pes=3)
         assert report.results == [0, 0, 0]
+
+
+class TestCutThroughClose:
+    def test_closing_an_in_flight_cut_through_does_not_yield(
+            self, monkeypatch):
+        """A run can end with a cut-through mid-send; the collected task
+        is then closed.  It must open its ACK gate and uncount itself
+        without yielding, or Python reports "generator ignored
+        GeneratorExit"."""
+        def main(pe):
+            yield from pe.barrier_all()
+
+        report = run_spmd(main, n_pes=3,
+                          shmem_config=ShmemConfig(fastpath=FastpathConfig()),
+                          finalize=False)
+        rt = report.runtimes[1]
+        svc, in_link, out_link = rt.service, rt.links["left"], \
+            rt.links["right"]
+        msg = Message(MsgKind.PUT_FWD, Mode.DMA, 0, 2, 0, 1024)
+        payload = PayloadSource.from_pinned(rt.host, in_link.rx_bypass,
+                                            SLOT_HEADER_BYTES, 1024)
+        prev, gate = svc._reserve_ack(in_link.side)
+        svc.active_forwards += 1      # what _detach counts
+        task = svc._cut_through_task(msg, in_link, out_link, payload, prev,
+                                     gate)
+        next(task)                    # in flight: waiting in its send
+        assert (svc.active_acks, svc.active_forwards) == (1, 1)
+        reported = []
+        monkeypatch.setattr(sys, "unraisablehook", reported.append)
+        del task
+        gc.collect()
+        assert reported == []
+        assert gate.triggered
+        assert (svc.active_acks, svc.active_forwards) == (0, 0)
 
 
 class TestDrainCostModel:

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from repro import run_spmd
-from repro.core import Mode, MsgKind, ProtocolError, TransferError
+from repro.core import (
+    FastpathConfig,
+    Mode,
+    MsgKind,
+    ProtocolError,
+    ShmemConfig,
+    TransferError,
+)
 from repro.core.transfer import (
+    INLINE_MAX_BYTES,
+    STAGED_ABOVE_BYTES,
     BypassMailbox,
     DataMailbox,
     DOORBELL_ACK_BYPASS,
@@ -20,7 +29,9 @@ from repro.core.transfer import (
     Message,
     PayloadSource,
     SLOT_HEADER_BYTES,
+    cheaper_mode,
     chunk_ranges,
+    engine_costs,
     pack_header_bytes,
     pack_message,
     unpack_header_bytes,
@@ -323,41 +334,13 @@ class TestHeaderBlockUnderSever:
         assert before[1] == 4
 
 
-def engine_costs(nbytes: int, cost: CostModel, dma: DmaConfig, *,
-                 segments: int = 1,
-                 uncached_drain: bool = False) -> dict[Mode, float]:
-    """Oracle: each engine's hand-off plus drain of ``nbytes`` (µs), in
-    closed form from the calibration the simulator charges.
-
-    MEMCPY is the PIO store loop; DMA is ``dma_submit + setup + segments ·
-    per_descriptor + completion + n / engine_rate``.  Each adds the
-    receiver's drain: cached memcpy, or, for a memcpy'd message loaded
-    back through the uncached window (a Get chunk, an AMO word), the PIO
-    read."""
-    drain = cost.local_memcpy_us(nbytes)
-    return {
-        Mode.MEMCPY: cost.pio_write_us(nbytes) + (
-            cost.pio_read_us(nbytes) if uncached_drain else drain),
-        Mode.DMA: (cost.dma_submit_us + dma.setup_time_us
-                   + segments * dma.per_descriptor_us
-                   + dma.completion_latency_us
-                   + nbytes / dma.engine_rate_mbps + drain),
-    }
-
-
-def cheaper_mode(nbytes: int, cost: CostModel, dma: DmaConfig,
-                 **kw) -> Mode:
-    """The engine :func:`engine_costs` charges less; a tie goes to DMA,
-    the paper's default engine."""
-    costs = engine_costs(nbytes, cost, dma, **kw)
-    return Mode.MEMCPY if costs[Mode.MEMCPY] < costs[Mode.DMA] else Mode.DMA
-
-
 class TestCheaperMode:
     """The runtime sends its own words (AMO operand and reply,
-    ``put_signal``'s signal) by memcpy.  The closed form above says that
-    is the cheaper engine for them, and on an idle fabric it names the
-    engine the simulator finds faster for a put of any size."""
+    ``put_signal``'s signal) by memcpy, and a fastpath put with no
+    explicit ``mode`` takes the engine ``transfer.cheaper_mode`` names.
+    The closed form (``transfer.engine_costs``) says memcpy is the cheaper
+    engine for the words, and on an idle fabric it names the engine the
+    simulator finds faster for a put of any size."""
 
     COST, DMA = CostModel(), DmaConfig()
 
@@ -385,56 +368,95 @@ class TestCheaperMode:
         for word, uncached in ((24, True), (8, True), (8, False)):
             assert cheaper_mode(word, self.COST, dma,
                                 uncached_drain=uncached) is Mode.MEMCPY
-    def test_agrees_with_the_simulated_put(self):
-        """Idle 3-ring, one put per explicit engine at 1 and 2 hops, timed
-        to ``quiet`` (hand-off, the receiver's drain, its ACK)."""
-        crossover = self.crossover()
-        sizes = sorted({1 << k for k in range(17)}
-                       | {1000, 3000, 3300, 4100, 4500, 6000})
-        measured: dict[tuple[int, int, Mode], float] = {}
-        segments: dict[int, int] = {}
+
+    #: a source that starts this far into a page: a put of 97 B to 4 KiB
+    #: from it spans two pages, so its DMA pays two descriptors.
+    UNALIGNED = 4000
+
+    def _measure(self, config: ShmemConfig, hops: tuple, sizes: list):
+        """Idle 3-ring, one put per explicit engine, per hop count and per
+        source offset (page-aligned and :attr:`UNALIGNED`), timed to
+        ``quiet`` (hand-off, the receiver's drain, its ACK).  Returns the
+        latencies and each put's source page segments."""
+        measured: dict[tuple[int, int, int, Mode], float] = {}
+        segments: dict[tuple[int, int], int] = {}
 
         def main(pe):
             sym = yield from pe.malloc(max(sizes))
-            src = pe.local_alloc(max(sizes))
+            src = pe.local_alloc(max(sizes) + self.UNALIGNED)
             yield from pe.barrier_all()
-            for hops in (1, 2):
+            for hop in hops:
                 for size in sizes:
-                    for mode in Mode:
-                        if pe.my_pe() == 0:
-                            # Let the barrier's last tokens settle: the
-                            # fabric is idle when the clock starts.
-                            yield pe.rt.env.timeout(1000.0)
-                            start = pe.rt.env.now
-                            yield from pe.put_from(sym, src, size, hops,
-                                                   mode=mode)
-                            yield from pe.quiet()
-                            measured[hops, size, mode] = \
-                                pe.rt.env.now - start
-                            segments[size] = len(pe.rt.host.user_segments(
-                                src.virt, size))
-                        yield from pe.barrier_all()
+                    for offset in (0, self.UNALIGNED):
+                        for mode in Mode:
+                            if pe.my_pe() == 0:
+                                # Let the barrier's last tokens settle: the
+                                # fabric is idle when the clock starts.
+                                yield pe.rt.env.timeout(1000.0)
+                                start = pe.rt.env.now
+                                yield from pe.put_from(sym, src, size, hop,
+                                                       mode=mode,
+                                                       src_offset=offset)
+                                yield from pe.quiet()
+                                measured[hop, size, offset, mode] = \
+                                    pe.rt.env.now - start
+                                segments[size, offset] = len(
+                                    pe.rt.host.user_segments(
+                                        src.virt + offset, size))
+                            yield from pe.barrier_all()
 
-        run_spmd(main, n_pes=3)
+        run_spmd(main, n_pes=3, shmem_config=config)
+        assert {size for _hop, size, _off, _mode in measured} == set(sizes)
+        return measured, segments
+
+    def _check(self, measured, segments, fastpath: bool) -> None:
+        """The DMA-memcpy gap exceeds the closed form's by 0 to 0.51 µs
+        per exposed descriptor, and wherever the closed form's margin is
+        wider than that, the engine it names is the faster one."""
         wrong, off = [], []
-        for (hops, size, mode), took in sorted(measured.items()):
+        for (hop, size, offset, mode), took in sorted(measured.items()):
             if mode is not Mode.DMA:
                 continue
-            # The closed form leaves out under 0.5 µs per descriptor.
-            gap = took - measured[hops, size, Mode.MEMCPY]
-            costs = engine_costs(size, self.COST, self.DMA,
-                                 segments=segments[size])
+            staged = fastpath and size > STAGED_ABOVE_BYTES
+            segs = segments[size, offset]
+            exposed = 1 if staged else segs
+            gap = took - measured[hop, size, offset, Mode.MEMCPY]
+            costs = engine_costs(size, self.COST, self.DMA, segments=segs,
+                                 staged=staged)
             closed = costs[Mode.DMA] - costs[Mode.MEMCPY]
-            if not 0 <= gap - closed <= 0.51 * segments[size]:
-                off.append((hops, size, gap, closed))
-            if abs(size - crossover) < crossover / 10:
+            if not 0 <= gap - closed <= 0.51 * exposed:
+                off.append((hop, size, offset, gap, closed))
+            if abs(closed) <= 0.51 * exposed:
                 continue
-            faster = (Mode.MEMCPY if measured[hops, size, Mode.MEMCPY] < took
+            faster = (Mode.MEMCPY
+                      if measured[hop, size, offset, Mode.MEMCPY] < took
                       else Mode.DMA)
-            named = cheaper_mode(size, self.COST, self.DMA,
-                                 segments=segments[size])
+            named = cheaper_mode(size, self.COST, self.DMA, segments=segs,
+                                 staged=staged)
             if named is not faster:
-                wrong.append((hops, size, named.name, faster.name))
+                wrong.append((hop, size, offset, named.name, faster.name))
         assert wrong == []
         assert off == []
-        assert {size for _hops, size, _mode in measured} == set(sizes)
+
+    def test_agrees_with_the_simulated_put(self):
+        """The paper-faithful plane at 1 and 2 hops; every size from a
+        page-aligned and from an unaligned source."""
+        sizes = sorted({1 << k for k in range(17)}
+                       | {1000, 3000, 3300, 4100, 4500, 6000})
+        measured, segments = self._measure(ShmemConfig(), (1, 2), sizes)
+        # The unaligned source makes DMA pay two descriptors.
+        assert segments[3000, 0] == 1 and segments[3000, self.UNALIGNED] == 2
+        self._check(measured, segments, fastpath=False)
+
+    def test_agrees_with_the_simulated_put_on_the_fastpath(self):
+        """The fastpath stages DMA sends above one page into a chained
+        ring: a cached copy, then one exposed descriptor.  One hop only:
+        a fastpath relay returns the sender's credit once its cut-through
+        has sent on in the same engine, so at two hops ``quiet`` pays the
+        engine twice.  Inline sizes ignore the engine and are left out."""
+        sizes = sorted({1 << k for k in range(6, 17)}
+                       | {1000, 3000, 3300, 4100, 4500, 6000})
+        assert min(sizes) > INLINE_MAX_BYTES
+        measured, segments = self._measure(
+            ShmemConfig(fastpath=FastpathConfig()), (1,), sizes)
+        self._check(measured, segments, fastpath=True)

@@ -9,6 +9,8 @@ barrier tokens are in flight — the ring sweep, grid rounds and a
 SHORTEST ring's rounds — are the regression tests of the token
 barriers' dissemination recovery; a detoured put and a flapping cable
 are those of the flood that follows once every PE agreed on the cut.
+A cut and restore under bypass traffic desynchronises the two ends'
+bypass slot cursors, on both planes (a strict xfail that raises).
 Each run goes through
 ``core.program.launch`` and ``drive`` under a virtual-time horizon and a
 cap on dispatched events, so an input that never finishes fails in
@@ -28,7 +30,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    FastpathConfig,
     PeerUnreachableError,
+    ProtocolError,
     RaceError,
     ShmemConfig,
     StuckRunError,
@@ -403,6 +407,47 @@ def test_shmemsan_strict_flags_the_unflushed_put():
     assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
     assert not _outcomes(results), \
         f"stale after barrier, and ShmemSan strict saw no race: {repro}"
+
+
+@pytest.mark.xfail(strict=True, raises=ProtocolError, reason=(
+    "a bypass message lost at a cut is failed at the sender, whose slot "
+    "cursor has moved on while the receiver's still points at the lost "
+    "slot; after the restore the receiver reads a zeroed header (ROADMAP "
+    "item 'one flow-control shape, a slot ring with cumulative acks')"))
+@pytest.mark.parametrize("plane", ["default", "fastpath"])
+def test_bypass_slot_cursors_desync_after_a_restore(plane):
+    """Cable (0,3) of a 3x3 mesh is cut at 4.65 ms and restored at 9.7 ms
+    under twelve rounds, 1 ms apart, of a 2 KiB put to PE ``me + 1 +
+    rnd`` and a barrier; then a strict round every PE checks.  The run
+    ends in ``ProtocolError: bad message kind 0`` near 20 ms."""
+    size = 2048
+    plan = FaultPlan([SeverCable(4652.2, 0, 3), RestoreCable(9697.0, 0, 3)])
+    cluster_config = ClusterConfig(n_hosts=9, topology="mesh", dims=(3, 3))
+    shmem_config = ShmemConfig(
+        faults=plan, fastpath=FastpathConfig() if plane == "fastpath"
+        else None, **_RETRIES)
+
+    def main(pe):
+        me, n = pe.my_pe(), pe.num_pes()
+        sym = yield from pe.malloc(size)
+        yield from pe.barrier_all()
+        for rnd in range(12):
+            try:
+                yield from pe.put(sym, np.full(size, rnd + 1, np.uint8),
+                                  (me + 1 + rnd) % n)
+            except PeerUnreachableError:
+                pass
+            yield from pe.barrier_all()
+            yield pe.rt.env.timeout(1_000.0)
+        yield from pe.put(sym, np.full(size, 99, np.uint8), (me + 1) % n)
+        yield from pe.barrier_all()
+        return (int((pe.read_symmetric(sym, size) != 99).sum()),)
+
+    (results, stuck), repro = (_run(cluster_config, shmem_config, main),
+                               _repro(plan, cluster_config, shmem_config))
+    assert stuck is None, f"did not finish ({stuck.kind}): {repro}"
+    assert results == [(0,)] * 9, f"not verified on every PE: {results}; " \
+        f"{repro}"
 
 
 def test_dma_chunk_dropped_on_the_wire_never_lands():
