@@ -44,6 +44,12 @@ replayable trace, and that the same exploration without it stays clean.
     and ``barrier-recovery`` exhaust clean under it.  It has no target
     here; ``tests/core/test_barrier.py`` catches it on a cut 4-ring
     (``test_a_token_rung_before_the_fence_does_not_count``).
+``amo-reapply``
+    The AMO owner keeps no reply cache (its bound is 0), so a retried
+    AMO whose first reply a cut lost is applied a second time.  No model
+    retries an AMO; ``tests/integration/test_amo_at_most_once.py``
+    catches it on a 4-ring cut between the apply and the reply
+    (``test_reply_lost_after_apply_is_replayed``).
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, ContextManager, Generator, Iterator
 
 from ..core import barrier as _barrier
+from ..core import service as _service
 from ..core import transfer as _transfer
 from ..core.errors import PeerUnreachableError
 from ..core.waits import remote_wait
@@ -184,6 +191,17 @@ def unfenced_tokens() -> Iterator[None]:
         barrier._banked = original  # type: ignore[method-assign]
 
 
+@contextmanager
+def amo_reapply() -> Iterator[None]:
+    """The owner forgets every AMO reply as soon as it sends it."""
+    original = _service._AMO_REPLY_CACHE
+    _service._AMO_REPLY_CACHE = 0  # BUG: a retry is applied again
+    try:
+        yield
+    finally:
+        _service._AMO_REPLY_CACHE = original
+
+
 MUTATIONS: dict[str, Callable[[], ContextManager[None]]] = {
     "dropped-credit-ack": dropped_credit_ack,
     "lost-doorbell": lost_doorbell,
@@ -191,6 +209,7 @@ MUTATIONS: dict[str, Callable[[], ContextManager[None]]] = {
     "unchecked-token-wait": unchecked_token_wait,
     "local-view-flood": local_view_flood,
     "unfenced-tokens": unfenced_tokens,
+    "amo-reapply": amo_reapply,
 }
 
 #: the model each mutation is expected to bite on (used by the CLI's

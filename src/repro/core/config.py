@@ -58,9 +58,10 @@ class ShmemConfig:
         DMA or MEMCPY for user puts and gets when the caller does not
         specify; either forces that engine on both planes.  None (the
         default) lets the plane decide: DMA on the paper-faithful plane;
-        on the fastpath, puts take the engine the closed form
-        (``transfer.cheaper_mode``) charges less for their size and
-        source pages, and gets take DMA.  The runtime's own small words
+        on the fastpath, each op takes the engine the closed form
+        (``transfer.cheaper_mode``) charges less, a put for its size and
+        source pages, a get for one response chunk read back through the
+        uncached window (memcpy below 696 B).  The runtime's own small words
         (AMO operand and reply, ``put_signal``'s signal) ignore it and
         always go by memcpy.
     """
@@ -94,8 +95,9 @@ class ShmemConfig:
     #: Heartbeat failure-detector knobs; None = detector off unless a
     #: fault plan demands it.
     heartbeat: Optional[HeartbeatConfig] = None
-    #: Send-side retries per Put/Get chunk (and per AMO request) before a
-    #: dead path surfaces as PeerUnreachableError.
+    #: Send-side retries per Put/Get chunk (and per AMO round trip, under
+    #: its one request id) before a dead path surfaces as
+    #: PeerUnreachableError.
     max_retries: int = 2
     #: First retry backoff (doubles per attempt).
     retry_backoff_us: float = 50.0

@@ -5,8 +5,10 @@ switches on every mechanism of the optimized data plane at once — they
 are branches of the one runtime, not a second one (docs/FASTPATH.md):
 the poll window (coalesced wakes) and the cut-through / ordered-ack
 branch and the inline replies in :mod:`.service`, the pinned staging +
-chained DMA and the inline slot header in :mod:`.transfer`, the inline,
-engine and streaming-Get choices in :mod:`.runtime`.  Import it as ``from repro.core import
+chained DMA and the inline slot header in :mod:`.transfer`, the bypass
+channel for control messages, relays and Get responses in
+:mod:`.links`, the inline, engine and streaming-Get choices in
+:mod:`.runtime`.  Import it as ``from repro.core import
 FastpathConfig``.
 """
 

@@ -45,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["LinkEnd", "bring_up", "register_irqs", "wire_link_metrics",
            "tear_down"]
 
+#: The inline bytes of a header-only fastpath message (no payload).
+_NO_BYTES = np.zeros(0, dtype=np.uint8)
+
 #: Handshake magic values written to ScratchPads during init.
 _HELLO_MAGIC = 0x5A5A0000
 _READY_MAGIC = 0xA5A50000
@@ -68,6 +71,7 @@ class LinkEnd:
     incoming_spad_block: int       # where peers' headers appear
     next_rx_slot: int = 0          # in-order bypass slot cursor
     peer_host_id: Optional[int] = None  # learned in the handshake
+    fastpath: bool = False         # the plane's channel rule (``post``)
 
     def post(self, kind: MsgKind, src_pe: int, dest_pe: int, *,
              last_leg: bool, mode: Mode = Mode.DMA, offset: int = 0,
@@ -80,6 +84,14 @@ class LinkEnd:
         ``inline`` bytes ride a **bypass** slot header; no payload, a
         ``data_only`` kind or the ``last_leg`` to the destination take the
         **data** window; any other payload is in transit → **bypass**.
+
+        On the fastpath the data window carries only a PE's own one-hop
+        payloads: a message with no payload is a header-only inline
+        bypass message, and a ``relay`` send (a relay, a cut-through, a
+        Get responder's chunk) stays on the bypass channel for its last
+        leg too, so a message never overtakes an earlier one of the same
+        path by switching channels at a relay.
+
         Puts are tagged ``PUT_DATA`` on the last leg, ``PUT_FWD`` before
         it; ``relay`` marks a send on behalf of another PE.  A plain
         function: it returns the mailbox's send generator for the caller
@@ -87,8 +99,14 @@ class LinkEnd:
         """
         if kind is MsgKind.PUT_DATA or kind is MsgKind.PUT_FWD:
             kind = MsgKind.PUT_DATA if last_leg else MsgKind.PUT_FWD
-        via_data = inline is None and (payload is None or last_leg
-                                       or KIND_FACTS[kind].data_only)
+        if self.fastpath:
+            if inline is None and payload is None:
+                inline = _NO_BYTES
+            via_data = (inline is None and not relay
+                        and (last_leg or KIND_FACTS[kind].data_only))
+        else:
+            via_data = inline is None and (payload is None or last_leg
+                                           or KIND_FACTS[kind].data_only)
         mailbox = self.data_mailbox if via_data else self.bypass_mailbox
         msg = Message(kind, mode, src_pe, dest_pe, offset, size, aux,
                       mailbox.next_seq(),
@@ -204,6 +222,7 @@ def _setup_link(rt: "ShmemRuntime", side: str, driver: NtbDriver) -> None:
         rx_data=rx_data,
         rx_bypass=rx_bypass,
         incoming_spad_block=in_block,
+        fastpath=stage,
     )
 
 

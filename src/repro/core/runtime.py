@@ -273,12 +273,19 @@ class ShmemRuntime:
         if not (0 <= pe < self.n_pes):
             raise BadPeError(f"PE {pe} outside 0..{self.n_pes - 1}")
 
-    def _expect_reply(self, what: str, route: Route, pe: int,
-                      **get_fields) -> PendingReply:
-        """Register an outstanding ``what`` ("get" / "amo") request under
-        the next request id."""
+    def _new_req_id(self) -> int:
+        """The next Get / AMO request id (a u32, never 0)."""
         req_id = self._next_req_id
         self._next_req_id = (req_id + 1) & 0xFFFFFFFF or 1
+        return req_id
+
+    def _expect_reply(self, what: str, route: Route, pe: int,
+                      req_id: Optional[int] = None,
+                      **get_fields) -> PendingReply:
+        """Register an outstanding ``what`` ("get" / "amo") request under
+        ``req_id``, or the next request id."""
+        if req_id is None:
+            req_id = self._new_req_id()
         pending = self.pending[req_id] = PendingReply(
             req_id=req_id, what=what, done=self.env.event(), pe=pe,
             direction=route.direction, hops=route.hops, **get_fields)
@@ -517,11 +524,10 @@ class ShmemRuntime:
         """
         self._check_ready()
         self.check_pe(pe)
-        if mode is None:
-            mode = (Mode.DMA if self.config.default_mode is None
-                    else self.config.default_mode)
         if nbytes <= 0:
             raise TransferError(f"get size must be positive, got {nbytes}")
+        if mode is None:
+            mode = self._get_engine(nbytes)
         self.get_count += 1
         with self._op("get", f"{mode.name}.{size_label(nbytes)}",
                       f"get.{mode.name}", peer=pe, nbytes=nbytes,
@@ -550,6 +556,21 @@ class ShmemRuntime:
                     pe, f"get chunk at +{chunk_off} from PE {pe}", traversed,
                     self._get_chunk, src, pe, dest_virt, mode, chunk_off,
                     chunk_size)
+
+    def _get_engine(self, nbytes: int) -> Mode:
+        """The engine of a get with no explicit ``mode``: the configured
+        ``default_mode``, else DMA on the paper-faithful plane and, on the
+        fastpath, the engine the closed form charges less for one response
+        chunk, sent from the owner's pinned staging and read back through
+        the uncached window (memcpy below 696 B at the default
+        calibration)."""
+        if self.config.default_mode is not None:
+            return self.config.default_mode
+        if self.config.fastpath is None:
+            return Mode.DMA
+        return cheaper_mode(
+            min(nbytes, self.config.get_chunk), self.host.cost_model,
+            self.cluster.config.ntb.dma, uncached_drain=True)
 
     def _get_chunk(self, route: Route, link: LinkEnd, src: SymAddr, pe: int,
                    dest_virt: int, mode: Mode, chunk_off: int,
@@ -598,26 +619,22 @@ class ShmemRuntime:
                 # thread for atomicity with concurrent remote AMOs.
                 return (yield from self.service.apply_amo_local(
                     target.offset, op, value, compare))
-            # At-most-once: only the request hand-off is retried.  A send
-            # that failed never rang the doorbell, so the owner never saw
-            # the request and retrying cannot double-apply; a reply lost
-            # *after* the send may mean the atomic was applied, so the
-            # wait below is outside the loop and its failure is final.
-            pending = yield from self._remote_attempt(
-                pe, f"amo request to PE {pe}", traversed,
-                self._amo_request, pe, target,
-                struct.pack(AMO_REQ_FMT, op, 0, value, compare))
-            try:
-                return (yield from remote_wait(
-                    self, pending.done,
-                    what=f"amo request {pending.req_id}", peer=pe))
-            finally:
-                self._retire(pending)
+            # Exactly once: the whole round trip is the retried attempt,
+            # under one request id.  A request the owner never saw is
+            # applied by the retry; one whose reply was lost is answered
+            # from the owner's reply cache without being applied again.
+            req_id = self._new_req_id()
+            return (yield from self._remote_attempt(
+                pe, f"amo request {req_id} to PE {pe}", traversed,
+                self._amo_round_trip, pe, target,
+                struct.pack(AMO_REQ_FMT, op, 0, value, compare), req_id))
 
-    def _amo_request(self, route: Route, link: LinkEnd, pe: int,
-                     target: SymAddr, operand: bytes) -> Generator:
-        """Register a pending AMO and hand its request to the first hop."""
-        pending = self._expect_reply("amo", route, pe)
+    def _amo_round_trip(self, route: Route, link: LinkEnd, pe: int,
+                        target: SymAddr, operand: bytes,
+                        req_id: int) -> Generator:
+        """One AMO_REQ hand-off to the first hop and the wait for its
+        reply; returns the old value."""
+        pending = self._expect_reply("amo", route, pe, req_id)
         # Fastpath: the 24-byte operand rides inline in a bypass slot
         # header.  Otherwise it goes through the data window.  Either way
         # it is one PIO store: for a word, ~34 µs of fixed DMA cost
@@ -626,21 +643,25 @@ class ShmemRuntime:
         data = np.frombuffer(operand, dtype=np.uint8)
         payload = None
         if not inline:
+            # Each request id owns a 32-byte record of the buffer, so
+            # concurrent AMOs of one PE (up to 128) never overwrite an
+            # operand still queued for the data mailbox.
             assert self._amo_tx is not None
-            self.host.memory.write(self._amo_tx.phys, data)
+            record = (req_id % (self._amo_tx.nbytes // 32)) * 32
+            self.host.memory.write(self._amo_tx.phys + record, data)
             payload = PayloadSource.from_pinned(
-                self.host, self._amo_tx, 0, len(operand))
+                self.host, self._amo_tx, record, len(operand))
         try:
             yield from link.post(
                 MsgKind.AMO_REQ, self.my_pe_id, pe,
                 last_leg=route.hops == 1, mode=Mode.MEMCPY,
                 offset=target.offset, size=len(operand),
-                aux=pending.req_id, payload=payload,
+                aux=req_id, payload=payload,
                 inline=data if inline else None)
-        except (LinkDownError, PeerUnreachableError):
+            return (yield from remote_wait(
+                self, pending.done, what=f"amo request {req_id}", peer=pe))
+        finally:
             self._retire(pending)
-            raise
-        return pending
 
     # ------------------------------------------------------------ non-blocking
     def put_nbi(self, dest: SymAddr, src_virt: int, nbytes: int, pe: int,

@@ -9,11 +9,14 @@ exactly as Fig. 5 does:
 
 * *Destination is me?*  → drain the payload into the symmetric heap /
   pending-get buffer / AMO table and ACK.
-* *Destination is my neighbor?* → deliver through the **data** window.
+* *Destination is my neighbor?* → deliver through the **data** window
+  (on the fastpath a relay stays on the bypass window: ``LinkEnd.post``).
 * otherwise → store-and-forward through the next hop's **bypass** window.
 
 Get requests additionally walk the "Source is me?" branch: the owner spawns
-a responder that streams chunks back along the reverse path.
+a responder that streams chunks back along the reverse path.  AMO requests
+are applied here exactly once: a retried one is answered from the
+owner's reply cache (``_AMO_REPLY_CACHE``).
 
 Three mechanisms of the opt-in fastpath plane (``ShmemConfig.fastpath``,
 docs/FASTPATH.md) are branches of this same thread, not a second one:
@@ -78,6 +81,17 @@ _POLL_US = 5.0
 _POLL_ROUNDS = 12
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+
+#: Old values an owner keeps per requester PE, newest last, so that a
+#: retried AMO (the same requester and request id) is answered from here
+#: instead of being applied again.  An entry is needed only while its
+#: requester may still re-send it, that is while the request is pending
+#: there; it is evicted only after this many newer AMOs from the same
+#: requester were applied here.  AMOs are blocking calls (the API has no
+#: non-blocking AMO), so that would take this many of one PE's processes
+#: waiting on AMOs to this owner at once, far more than any program here
+#: runs.  64 entries × 256 PEs bound the memory.
+_AMO_REPLY_CACHE = 64
 
 
 class _Detached(Process):
@@ -165,6 +179,8 @@ class ShmemService:
         self.dropped_forwards = 0
         self.abandoned_responses = 0
         self.stale_responses = 0
+        #: requester PE -> {request id: old value} (``_AMO_REPLY_CACHE``).
+        self._amo_replies: dict[int, dict[int, int]] = {}
 
     # ---------------------------------------------------------------- intake
     def enqueue(self, side: str, kind: str) -> None:
@@ -670,39 +686,46 @@ class ShmemService:
     # ------------------------------------------------------------------- gets
     def _serve_get(self, msg: Message, out_link: "LinkEnd") -> Generator:
         rt = self.rt
+        last_leg = out_link.peer_host_id == msg.src_pe
         chunk = rt.config.get_chunk
-        staging = rt.host.alloc_pinned(chunk)
+        if self._fastpath or not last_leg:
+            # The response rides bypass slots: each chunk must fit one.
+            chunk = min(chunk, rt.config.fwd_chunk)
+        # Fastpath: a chunk of at most INLINE_MAX_BYTES rides its slot
+        # header.  Only a response that small is all inline (every chunk
+        # but the tail is a full one), and it needs no staging.
+        inline_max = INLINE_MAX_BYTES if self._fastpath else 0
+        staging = (rt.host.alloc_pinned(chunk) if msg.size > inline_max
+                   else None)
         try:
             with rt.scope.span("serve_get", category="service",
                                track=f"{rt.name}.service",
                                nbytes=msg.size, requester=msg.src_pe):
-                last_leg = out_link.peer_host_id == msg.src_pe
                 for chunk_off, chunk_size in chunk_ranges(msg.size, chunk):
                     # heap -> staging (cached copy)
                     yield from rt.host.cpu.local_memcpy(chunk_size)
                     data = rt.heap.read(
                         SymAddr(msg.offset + chunk_off), chunk_size
                     )
-                    # Fastpath: a small chunk rides its slot header.
-                    inline = (self._fastpath
-                              and chunk_size <= INLINE_MAX_BYTES)
-                    if not inline:
+                    payload = None
+                    if chunk_size > inline_max:
+                        assert staging is not None
                         rt.host.memory.write(staging.phys, data)
+                        payload = PayloadSource.from_pinned(
+                            rt.host, staging, 0, chunk_size)
                     yield from out_link.post(
                         MsgKind.GET_RESP, rt.my_pe_id, msg.src_pe,
                         last_leg=last_leg, mode=msg.mode, offset=chunk_off,
-                        size=chunk_size, aux=msg.aux,
-                        payload=(None if inline
-                                 else PayloadSource.from_pinned(
-                                     rt.host, staging, 0, chunk_size)),
-                        inline=data if inline else None,
+                        size=chunk_size, aux=msg.aux, payload=payload,
+                        inline=data if payload is None else None,
                         relay=True)
         except (LinkDownError, PeerUnreachableError):
             # Reverse path died mid-stream: abandon the response.  The
             # requester's bounded wait notices and retries or raises.
             self.abandoned_responses += 1
         finally:
-            rt.host.free_pinned(staging)
+            if staging is not None:
+                rt.host.free_pinned(staging)
             self._finish("active_responders")
 
     # ------------------------------------------------------------------- amos
@@ -718,8 +741,16 @@ class ShmemService:
             raw = rt.host.memory.read_bytes(payload_phys, _AMO_REQ_BYTES)
             op, _dtype, value, compare = struct.unpack(AMO_REQ_FMT, raw)
             yield from self._ack(link, channel)
-            old = yield from self.apply_amo_local(msg.offset, op, value,
-                                                  compare)
+            # Exactly once: a repeated (requester, request id) is a retry
+            # whose reply was lost; answer it with the first old value.
+            replies = self._amo_replies.setdefault(msg.src_pe, {})
+            old = replies.get(msg.aux)
+            if old is None:
+                old = yield from self.apply_amo_local(msg.offset, op, value,
+                                                      compare)
+                replies[msg.aux] = old
+                if len(replies) > _AMO_REPLY_CACHE:
+                    del replies[next(iter(replies))]
             # Reply along the reverse path (detached, like onward sends).
             # The 8-byte old value goes by PIO: a word's store costs far
             # less than DMA's fixed submit/setup/completion terms.  On the

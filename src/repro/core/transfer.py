@@ -674,9 +674,13 @@ class BypassMailbox(_MailboxBase):
         """Fastpath: payload rides inside the 64-byte slot header.
 
         One PIO write publishes header and payload together, skipping the
-        window payload write (and all DMA setup) for tiny messages.  Flow
-        control is identical to :meth:`send` — the slot is held until the
-        receiver's ACK doorbell — so ``quiet()`` semantics are unchanged.
+        window payload write (and all DMA setup) for tiny messages.  A
+        kind with no payload (GET_REQ, BARRIER_MSG, LINK_DOWN / LINK_UP)
+        goes header-only, with no bytes: its ``size`` is a header word of
+        its own (a Get's length, a barrier view word), so only a payload
+        kind's ``size`` must match the bytes.  Flow control is identical
+        to :meth:`send` — the slot is held until the receiver's ACK
+        doorbell — so ``quiet()`` semantics are unchanged.
         """
         nbytes = int(data.nbytes)
         if nbytes > INLINE_MAX_BYTES:
@@ -684,7 +688,7 @@ class BypassMailbox(_MailboxBase):
                 f"{self.name}: inline payload {nbytes} exceeds "
                 f"{INLINE_MAX_BYTES} bytes"
             )
-        if msg.size != nbytes:
+        if msg.size != nbytes and KIND_FACTS[msg.kind].payload:
             raise ProtocolError(
                 f"{self.name}: header size {msg.size} != payload {nbytes}"
             )
@@ -721,9 +725,10 @@ class BypassMailbox(_MailboxBase):
                                   track=self.name, kind=msg.kind.name,
                                   slot=slot)
             else:
+                assert inline is not None
                 span = scope.span("inline_write", category="mailbox",
                                   track=self.name, kind=msg.kind.name,
-                                  nbytes=msg.size, slot=slot)
+                                  nbytes=len(inline), slot=slot)
             with span:
                 yield from self.driver.pio_window_write(BYPASS_WINDOW, base,
                                                         header)

@@ -1,9 +1,11 @@
 """The channel rule (docs/PROTOCOL.md) lives in ``LinkEnd.post`` alone.
 
-Two guards: a truth table — for every ``kind × payload × inline ×
+Two guards: truth tables — for every ``kind × payload × inline ×
 last_leg`` the one function picks the mailbox, re-tagged kind and flags
-the seven pre-fold send sites picked — and a structural check that no
-other module builds a ``Message``, stamps a ``seq`` or names a mailbox.
+the seven pre-fold send sites picked, and on the fastpath (``× relay``)
+the data window carries only a PE's own one-hop payloads — and a
+structural check that no other module builds a ``Message``, stamps a
+``seq`` or names a mailbox.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ class _Mailbox:
         return (self.channel, "send_inline", msg, data, relay)
 
 
-def _link() -> LinkEnd:
+def _link(fastpath: bool = False) -> LinkEnd:
     return LinkEnd(side="right", edge=(0, 1), driver=None,
                    data_mailbox=_Mailbox("data"),
                    bypass_mailbox=_Mailbox("bypass"),
-                   rx_data=None, rx_bypass=None, incoming_spad_block=4)
+                   rx_data=None, rx_bypass=None, incoming_spad_block=4,
+                   fastpath=fastpath)
 
 
 def _old_sites(kind, has_payload, inline, last_leg):
@@ -82,6 +85,36 @@ def test_post_reproduces_the_old_send_sites(kind, has_payload, inline,
     assert relayed is True
     assert (msg.mode, msg.src_pe, msg.dest_pe, msg.offset, msg.size,
             msg.aux, msg.seq) == (Mode.MEMCPY, 2, 5, 64, 8, 9, 7)
+
+
+@pytest.mark.parametrize(
+    "kind,has_payload,inline,last_leg,relay",
+    [combo for combo in itertools.product(MsgKind, (False, True),
+                                          (False, True), (False, True),
+                                          (False, True))
+     if not (combo[1] and combo[2])
+     and (KIND_FACTS[combo[0]].payload or not (combo[1] or combo[2]))])
+def test_the_fastpath_data_window_carries_own_one_hop_payloads_only(
+        kind, has_payload, inline, last_leg, relay):
+    """On the fastpath a header-only kind rides a bypass slot header with
+    no bytes, and a relay send stays on the bypass channel to the end."""
+    payload = object() if has_payload else None
+    data = np.zeros(8, np.uint8) if inline else None
+    channel, how, msg, carried, relayed = _link(fastpath=True).post(
+        kind, 2, 5, last_leg=last_leg, mode=Mode.MEMCPY, offset=64, size=8,
+        aux=9, payload=payload, inline=data, relay=relay)
+    own_hop = has_payload and not relay and (
+        last_leg or KIND_FACTS[kind].data_only)
+    assert channel == ("data" if own_hop else "bypass")
+    header_only = not (has_payload or inline)
+    assert how == ("send_inline" if inline or header_only else "send")
+    assert msg.flags == (FLAG_INLINE if inline or header_only else 0)
+    if header_only:
+        assert carried.nbytes == 0
+    else:
+        assert carried is (data if inline else payload)
+    assert relayed is relay
+    assert (msg.size, msg.aux) == (8, 9)
 
 
 @pytest.mark.parametrize("call,expected", [

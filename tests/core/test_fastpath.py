@@ -9,10 +9,11 @@ Covers, per the PR issue:
   <= 0.6x, <= 32 B Put latency <= 0.5x baseline;
 * functional correctness of inline messages, staged chained DMA and
   cut-through forwarding (contents verified end to end);
-* the engine choice: a put with no ``mode`` takes the engine the closed
-  form (``transfer.cheaper_mode``) names, and AMO replies and small Get
-  responses ride inline;
-* ordering: quiet()/fence and put_signal semantics hold under fastpath;
+* the engine choice: a put or get with no ``mode`` takes the engine the
+  closed form (``transfer.cheaper_mode``) names, and AMO replies and small
+  Get responses ride inline;
+* ordering: quiet()/fence and put_signal semantics hold under fastpath,
+  and a get never overtakes an earlier put on its path;
 * the fastpath runs sanitizer-clean and span-traced;
 * config validation.
 """
@@ -286,18 +287,37 @@ class TestEngineChoice:
         assert dma == 1 and engines == ["pe0.put.DMA"]
         assert took > self._put(_fp_config(), 256, 0, None)[0]
 
-    def test_gets_keep_dma(self):
-        def main(pe):
-            sym = yield from pe.malloc(4096)
-            yield from pe.barrier_all()
-            if pe.my_pe() == 0:
-                yield from pe.get(sym, 1024, 1)
-            yield from pe.barrier_all()
+    @pytest.mark.parametrize("size", [49, 695, 696, 1024, 64 * 1024])
+    def test_unspecified_get_takes_the_named_engine(self, size):
+        """A get with no ``mode`` takes the engine the closed form names
+        for one response chunk read back uncached (memcpy below 696 B),
+        and then costs what that engine's explicit-mode get costs."""
+        def run(mode):
+            def main(pe):
+                sym = yield from pe.malloc(64 * 1024)
+                yield from pe.barrier_all()
+                took = None
+                if pe.my_pe() == 0:
+                    start = pe.rt.env.now
+                    yield from pe.get(sym, size, 1, mode=mode)
+                    took = pe.rt.env.now - start
+                yield from pe.barrier_all()
+                return took
 
-        report = run_spmd(main, 3, shmem_config=_fp_config(),
-                          finalize=False)
-        assert _dma_requests(report.runtimes[1]) == 1
-        assert report.metrics.snapshot()["pe0.get.DMA"] == 1
+            report = run_spmd(main, 3, shmem_config=_fp_config(),
+                              finalize=False)
+            engines = [key for key in report.metrics.snapshot()
+                       if key in ("pe0.get.DMA", "pe0.get.MEMCPY")]
+            return (report.results[0], _dma_requests(report.runtimes[1]),
+                    engines)
+
+        named = cheaper_mode(min(size, 8 * 1024), CostModel(), DmaConfig(),
+                             uncached_drain=True)
+        assert named is (Mode.MEMCPY if size < 696 else Mode.DMA)
+        took, dma, engines = run(None)
+        assert engines == [f"pe0.get.{named.name}"]
+        assert (dma > 0) == (named is Mode.DMA)
+        assert (took, dma) == run(named)[:2]
 
 
 class TestInlineReplies:
@@ -356,7 +376,10 @@ class TestInlineReplies:
         assert _inline_sends(report.runtimes[1], "left") == 6
         assert _inline_sends(report.runtimes[2], "left") == 3
 
-    @pytest.mark.parametrize("mode,dma", [(None, 1), (Mode.MEMCPY, 0)])
+    # With no ``mode`` the get picks memcpy: 49 B is below the 696 B
+    # crossover of a chunk read back through the uncached window.
+    @pytest.mark.parametrize("mode,dma", [(None, 0), (Mode.MEMCPY, 0),
+                                          (Mode.DMA, 1)])
     def test_a_49_byte_get_uses_the_callers_engine(self, mode, dma):
         size = INLINE_MAX_BYTES + 1
 
@@ -595,6 +618,45 @@ class TestOrderingUnderFastpath:
 
         report = run_spmd(main, 3, shmem_config=_fp_config())
         assert all(report.results)
+
+
+class TestPerPathFifo:
+    """A put and then a get of the same bytes from the same PE, with no
+    quiet between them, reads the put's bytes: on the fastpath the
+    request follows the put's chunks down one channel on every hop (a
+    PE's own first hop aside, where the put's doorbell has rung before
+    the request is posted), so it cannot overtake them at a relay."""
+
+    SIZES = (8, 48, 49, 700, 3000, 4096, 70 * 1024)
+
+    @pytest.mark.parametrize("n,routing", [
+        (3, None), (4, "shortest"), (8, "shortest"),
+    ], ids=["ring3-default", "ring4-shortest", "ring8-shortest"])
+    def test_a_get_reads_the_put_it_follows(self, n, routing):
+        size = max(self.SIZES)
+        # The default ring route goes right, so every PE is a destination.
+        dests = range(1, n if routing is None else n // 2 + 1)
+
+        def main(pe):
+            sym = yield from pe.malloc(size)
+            yield from pe.barrier_all()
+            stale = []
+            if pe.my_pe() == 0:
+                for dest in dests:
+                    for nbytes in self.SIZES:
+                        data = pattern(nbytes, seed=dest * 100 + nbytes % 97)
+                        yield from pe.put(sym, data, dest)
+                        got = yield from pe.get(sym, nbytes, dest)
+                        if not np.array_equal(got, data):
+                            stale.append((dest, nbytes))
+            yield from pe.barrier_all()
+            return stale
+
+        report = run_spmd(main, n, shmem_config=_fp_config(routing=routing),
+                          finalize=False)
+        assert report.results[0] == []
+        assert max(report.runtimes[0].route_to(pe).hops for pe in dests) \
+            == (2 if routing is None else n // 2)
 
 
 class TestObservability:

@@ -41,6 +41,32 @@ class TestConfigValidation:
             ShmemConfig(barrier="tree")
 
 
+@pytest.mark.parametrize("fastpath", [None, FastpathConfig()],
+                         ids=["default", "fastpath"])
+@pytest.mark.parametrize("hops", [1, 2])
+def test_a_get_chunk_larger_than_a_bypass_slot(fastpath, hops):
+    """A response chunk that travels through bypass slots (every hop on
+    the fastpath, the hops before the last on the default plane) is cut
+    to ``fwd_chunk``: a 128 KiB ``get_chunk`` over 16 KiB slots."""
+    size = 256 * 1024
+    data = (np.arange(size) % 251).astype(np.uint8)
+
+    def main(pe):
+        sym = yield from pe.malloc(size)
+        pe.write_symmetric(sym, data)
+        yield from pe.barrier_all()
+        ok = None
+        if pe.my_pe() == 0:
+            got = yield from pe.get(sym, size, hops)
+            ok = bool(np.array_equal(got, data))
+        yield from pe.barrier_all()
+        return ok
+
+    report = run_spmd(main, n_pes=3, shmem_config=ShmemConfig(
+        fastpath=fastpath, get_chunk=128 * 1024, fwd_chunk=16 * 1024))
+    assert report.results[0] is True
+
+
 class TestArgumentValidation:
     def test_zero_byte_put_rejected(self):
         def main(pe):

@@ -187,7 +187,7 @@ class TestMailboxSendPath:
             mailbox = BypassMailbox(env, tx, slot_payload=self.SLOT, slots=1,
                                     name="mb", staging=staging)
             ack_bit = DOORBELL_ACK_BYPASS
-        landing = cluster.host(1).alloc_pinned(2 * self.SLOT)
+        landing = self.landing = cluster.host(1).alloc_pinned(2 * self.SLOT)
         run_to_completion(
             env,
             rx.program_incoming(DATA_WINDOW, landing.phys, landing.nbytes),
@@ -274,6 +274,24 @@ class TestMailboxSendPath:
         assert (mailbox.failed_count, mailbox.in_flight) == (1, 0)
         assert mailbox.sent_count == sent and mailbox.idle
         assert len(progress) == notified + 1
+
+    def test_a_header_only_message_rides_a_slot_header(self):
+        """A kind without payload goes inline with no bytes, and its
+        ``size`` word (a Get's length) is its own; a payload kind's
+        ``size`` must still match its inline bytes."""
+        cluster, mailbox, _ack, _ = self._link("bypass", staged=False)
+        request = Message(kind=MsgKind.GET_REQ, mode=Mode.DMA, src_pe=0,
+                          dest_pe=1, offset=64, size=8192, aux=3,
+                          seq=mailbox.next_seq(), flags=FLAG_INLINE)
+        run_to_completion(cluster.env, mailbox.send_inline(
+            request, np.zeros(0, np.uint8)))
+        assert (mailbox.sent_count, mailbox.inline_count) == (1, 1)
+        slot0 = cluster.host(1).memory.read(self.landing.phys, 16)
+        assert unpack_header_bytes(slot0) == request
+        put = Message(kind=MsgKind.PUT_DATA, mode=Mode.MEMCPY, src_pe=0,
+                      dest_pe=1, offset=0, size=32, flags=FLAG_INLINE)
+        with pytest.raises(ProtocolError, match="header size 32"):
+            mailbox.send_inline(put, pattern(8))
 
 
 
