@@ -36,7 +36,7 @@ from ..fabric import (
 )
 if TYPE_CHECKING:  # faults loads lazily: only runs configured with a plan
     from ..faults import FaultInjector  # noqa: F401
-from ..host import Host, PinnedBuffer
+from ..host import Host
 from ..ntb import LinkDownError
 from ..obsv.metrics import MetricsRegistry, MetricsTicker, size_label
 from ..obsv.spans import NULL_SCOPE, ShmemScope, instrument_cluster
@@ -122,8 +122,6 @@ class ShmemRuntime:
         # Created during init:
         self.service = None     # ShmemService
         self.barrier = None     # barrier strategy object
-        #: small pinned buffer for AMO request/response payloads.
-        self._amo_tx: Optional[PinnedBuffer] = None
         #: op counters
         self.put_count = 0
         self.get_count = 0
@@ -225,7 +223,6 @@ class ShmemRuntime:
 
         self.barrier = make_barrier(self)
         links.wire_link_metrics(self)
-        self._amo_tx = self.host.alloc_pinned(4096)
         if self._heartbeat_config is not None:
             linkstate.start_failure_detector(self)
         if self.config.metrics_window_us is not None:
@@ -255,9 +252,6 @@ class ShmemRuntime:
         yield from self.service.stop()
         self.heap.reset()
         links.tear_down(self)
-        if self._amo_tx is not None:
-            self.host.free_pinned(self._amo_tx)
-            self._amo_tx = None
         self.initialized = False
         self._finalized = True
 
@@ -447,7 +441,13 @@ class ShmemRuntime:
         if nbytes <= 0:
             raise TransferError(f"put size must be positive, got {nbytes}")
         if mode is None:
-            mode = self._put_engine(src_virt, nbytes)
+            # Fig. 9: memcpy wins below about 4 KB, less for source bytes
+            # spread over several pages.
+            staged = nbytes > STAGED_ABOVE_BYTES
+            mode = self._engine(nbytes, lambda: dict(
+                staged=staged,
+                segments=(1 if staged else
+                          len(self.host.user_segments(src_virt, nbytes)))))
         self.put_count += 1
         with self._op("put", f"{mode.name}.{size_label(nbytes)}",
                       f"put.{mode.name}", peer=pe, nbytes=nbytes,
@@ -475,21 +475,17 @@ class ShmemRuntime:
                     traversed, self._put_chunk, dest, src_virt, nbytes, pe,
                     mode, cursor, inline)
 
-    def _put_engine(self, src_virt: int, nbytes: int) -> Mode:
-        """The engine of a put with no explicit ``mode``: the configured
-        ``default_mode``, else DMA on the paper-faithful plane and, on the
-        fastpath, the engine the closed form charges less for this size
-        and these source pages (Fig. 9: memcpy wins below about 4 KB)."""
+    def _engine(self, nbytes: int, closed_form: Callable[[], dict]) -> Mode:
+        """The engine of a put or get with no explicit ``mode``: the
+        configured ``default_mode``, else DMA on the paper-faithful plane
+        and, on the fastpath, the engine the closed form charges less for
+        ``nbytes`` under the call site's ``closed_form()`` terms."""
         if self.config.default_mode is not None:
             return self.config.default_mode
         if self.config.fastpath is None:
             return Mode.DMA
-        staged = nbytes > STAGED_ABOVE_BYTES
-        return cheaper_mode(
-            nbytes, self.host.cost_model, self.cluster.config.ntb.dma,
-            segments=(1 if staged
-                      else len(self.host.user_segments(src_virt, nbytes))),
-            staged=staged)
+        return cheaper_mode(nbytes, self.host.cost_model,
+                            self.cluster.config.ntb.dma, **closed_form())
 
     def _put_chunk(self, route: Route, link: LinkEnd, dest: SymAddr,
                    src_virt: int, nbytes: int, pe: int, mode: Mode,
@@ -527,7 +523,11 @@ class ShmemRuntime:
         if nbytes <= 0:
             raise TransferError(f"get size must be positive, got {nbytes}")
         if mode is None:
-            mode = self._get_engine(nbytes)
+            # Priced per response chunk, sent from the owner's pinned
+            # staging and read back through the uncached window (memcpy
+            # below 696 B at the default calibration).
+            mode = self._engine(min(nbytes, self.config.get_chunk),
+                                lambda: dict(uncached_drain=True))
         self.get_count += 1
         with self._op("get", f"{mode.name}.{size_label(nbytes)}",
                       f"get.{mode.name}", peer=pe, nbytes=nbytes,
@@ -556,21 +556,6 @@ class ShmemRuntime:
                     pe, f"get chunk at +{chunk_off} from PE {pe}", traversed,
                     self._get_chunk, src, pe, dest_virt, mode, chunk_off,
                     chunk_size)
-
-    def _get_engine(self, nbytes: int) -> Mode:
-        """The engine of a get with no explicit ``mode``: the configured
-        ``default_mode``, else DMA on the paper-faithful plane and, on the
-        fastpath, the engine the closed form charges less for one response
-        chunk, sent from the owner's pinned staging and read back through
-        the uncached window (memcpy below 696 B at the default
-        calibration)."""
-        if self.config.default_mode is not None:
-            return self.config.default_mode
-        if self.config.fastpath is None:
-            return Mode.DMA
-        return cheaper_mode(
-            min(nbytes, self.config.get_chunk), self.host.cost_model,
-            self.cluster.config.ntb.dma, uncached_drain=True)
 
     def _get_chunk(self, route: Route, link: LinkEnd, src: SymAddr, pe: int,
                    dest_virt: int, mode: Mode, chunk_off: int,
@@ -641,16 +626,15 @@ class ShmemRuntime:
         # (submit, setup, descriptor, completion) against ~1 µs of PIO.
         inline = self.config.fastpath is not None
         data = np.frombuffer(operand, dtype=np.uint8)
-        payload = None
+        payload = staging = None
         if not inline:
-            # Each request id owns a 32-byte record of the buffer, so
-            # concurrent AMOs of one PE (up to 128) never overwrite an
-            # operand still queued for the data mailbox.
-            assert self._amo_tx is not None
-            record = (req_id % (self._amo_tx.nbytes // 32)) * 32
-            self.host.memory.write(self._amo_tx.phys + record, data)
+            # Each request stages its operand in its own buffer, so
+            # concurrent AMOs of one PE never overwrite an operand still
+            # queued for the data mailbox.
+            staging = self.host.alloc_pinned(64)
+            self.host.memory.write(staging.phys, data)
             payload = PayloadSource.from_pinned(
-                self.host, self._amo_tx, record, len(operand))
+                self.host, staging, 0, len(operand))
         try:
             yield from link.post(
                 MsgKind.AMO_REQ, self.my_pe_id, pe,
@@ -661,6 +645,8 @@ class ShmemRuntime:
             return (yield from remote_wait(
                 self, pending.done, what=f"amo request {req_id}", peer=pe))
         finally:
+            if staging is not None:
+                self.host.free_pinned(staging)
             self._retire(pending)
 
     # ------------------------------------------------------------ non-blocking

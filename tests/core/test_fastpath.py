@@ -287,6 +287,19 @@ class TestEngineChoice:
         assert dma == 1 and engines == ["pe0.put.DMA"]
         assert took > self._put(_fp_config(), 256, 0, None)[0]
 
+    def test_gets_keep_dma(self):
+        def main(pe):
+            sym = yield from pe.malloc(4096)
+            yield from pe.barrier_all()
+            if pe.my_pe() == 0:
+                yield from pe.get(sym, 1024, 1)
+            yield from pe.barrier_all()
+
+        report = run_spmd(main, 3, shmem_config=_fp_config(),
+                          finalize=False)
+        assert _dma_requests(report.runtimes[1]) == 1
+        assert report.metrics.snapshot()["pe0.get.DMA"] == 1
+
     @pytest.mark.parametrize("size", [49, 695, 696, 1024, 64 * 1024])
     def test_unspecified_get_takes_the_named_engine(self, size):
         """A get with no ``mode`` takes the engine the closed form names
@@ -316,7 +329,9 @@ class TestEngineChoice:
         assert named is (Mode.MEMCPY if size < 696 else Mode.DMA)
         took, dma, engines = run(None)
         assert engines == [f"pe0.get.{named.name}"]
-        assert (dma > 0) == (named is Mode.DMA)
+        # One DMA request per response chunk (none rides inline here).
+        chunks = -(-size // (8 * 1024))
+        assert dma == (chunks if named is Mode.DMA else 0)
         assert (took, dma) == run(named)[:2]
 
 
