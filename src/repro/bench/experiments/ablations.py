@@ -154,7 +154,7 @@ def run_barrier_ablation(n_pes_list: Optional[list[int]] = None,
 
     ``ring`` is the Fig. 6 sweep (FIXED_RIGHT rings); ``token rounds`` is
     the same doorbell-token barrier on a SHORTEST ring, where it runs
-    ``n // 2`` neighbour rounds (``make_barrier``).
+    ``n // 2`` neighbour rounds (``TokenBarrier._schedule``).
     """
     n_pes_list = n_pes_list or [2, 3, 4, 6, 8]
     rows: list[Row] = []

@@ -52,11 +52,13 @@ _BISECTION_BYTES = 32 * 1024
 _ROUNDS = 4
 _BARRIER_ROUNDS = 4
 
-#: (name, topology, n_hosts, dims) — the quick sweep (N = 4 and 16).
+#: (name, topology, n_hosts, dims[, routing]) — the quick sweep (N = 4
+#: and 16).  ``torus4`` routes dimension-order: under its default,
+#: FIXED_RIGHT as on any one wrapped axis, it would repeat ``ring4``.
 SCENARIOS: tuple = (
     ("ring4", "ring", 4, None),
     ("mesh2x2", "mesh", 4, (2, 2)),
-    ("torus4", "torus", 4, (4,)),
+    ("torus4", "torus", 4, (4,), RoutingPolicy.DIMENSION_ORDER),
     ("ring16", "ring", 16, None),
     ("mesh4x4", "mesh", 16, (4, 4)),
     ("torus4x4", "torus", 16, (4, 4)),
@@ -259,8 +261,7 @@ class TopologyBenchResult:
 def run_topology_bench(include_slow: bool = False) -> TopologyBenchResult:
     """The full sweep (quick tiers; 64-host tier with ``include_slow``)."""
     sweep = SCENARIOS + (SLOW_SCENARIOS if include_slow else ())
-    scenarios = [run_scenario(name, topology, n, dims)
-                 for name, topology, n, dims in sweep]
+    scenarios = [run_scenario(*scenario) for scenario in sweep]
     fault = run_fault_scenario()
     return TopologyBenchResult(scenarios=scenarios, fault=fault,
                                include_slow=include_slow)

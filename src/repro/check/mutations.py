@@ -24,26 +24,34 @@ replayable trace, and that the same exploration without it stays clean.
     the laggards resend and nudge forever — caught on
     ``barrier-recovery`` fault branches as a livelock.
 ``unchecked-token-wait``
-    ``RingBarrier._await`` drops its dead-edge check before each token
+    ``TokenBarrier._await`` drops its dead-edge check before each token
     wait.  A PE whose detector marks the cut between two token waits
     (its counters already drained) then sleeps in a wait that only a
     *later* link-state change could end, while every other PE has fallen
     back to dissemination and resends and nudges it forever — caught on
     ``grid-barrier`` fault branches as a livelock.
 ``local-view-flood``
-    ``RingBarrier.wait`` floods over each PE's own view of the dead
+    ``TokenBarrier.wait`` floods over each PE's own view of the dead
     cables, with no recovery to agree on it and no fence.  PEs that learn
     of a cut at different instants run different step lists and consume
     each other's tokens.
     Caught on ``grid-barrier`` fault branches as a livelock.
 ``unfenced-tokens``
-    ``RingBarrier._banked`` counts a latched token whether or not its
+    ``TokenBarrier._banked`` counts a latched token whether or not its
     port's fence for the running agreement was handled, so a token left
     over from an aborted episode passes for a round of the flood and a
     PE leaves a round early.  No model reaches that: ``grid-barrier``
     and ``barrier-recovery`` exhaust clean under it.  It has no target
     here; ``tests/core/test_barrier.py`` catches it on a cut 4-ring
     (``test_a_token_rung_before_the_fence_does_not_count``).
+``partition-blind``
+    ``DisseminationBarrier._partitioned`` never reports a partition (the
+    rule the grid token barrier once had), so a fabric that the dead
+    edges split is waited on as if it could recover: the PEs whose
+    partners stay routable resend and nudge across the split forever.
+    No model severs twice; ``tests/integration/test_fault_tolerance.py``
+    catches it on each of eight split fabrics, rings, meshes and a torus
+    (``TestSplitFabricBarrier``, the ``[partition-blind]`` cases).
 ``amo-reapply``
     The AMO owner keeps no reply cache (its bound is 0), so a retried
     AMO whose first reply a cut lost is applied a second time.  No model
@@ -125,10 +133,10 @@ def dropped_nudge() -> Iterator[None]:
 @contextmanager
 def unchecked_token_wait() -> Iterator[None]:
     """Token waits trust the link state they were entered under."""
-    barrier = _barrier.RingBarrier
+    barrier = _barrier.TokenBarrier
     original = barrier._await
 
-    def _await(self: _barrier.RingBarrier, side: str,
+    def _await(self: _barrier.TokenBarrier, side: str,
                kind: str) -> Generator[Any, Any, None]:
         key = (side, kind)
         while not self._banked(key):
@@ -148,10 +156,10 @@ def unchecked_token_wait() -> Iterator[None]:
 @contextmanager
 def local_view_flood() -> Iterator[None]:
     """Token episodes run on the local view: no agreement, no fence."""
-    barrier = _barrier.RingBarrier
+    barrier = _barrier.TokenBarrier
     original = barrier.wait
 
-    def wait(self: _barrier.RingBarrier) -> Generator[Any, Any, None]:
+    def wait(self: _barrier.TokenBarrier) -> Generator[Any, Any, None]:
         rt = self.rt
         while True:
             # BUG: each PE draws its steps from its own view
@@ -178,10 +186,10 @@ def local_view_flood() -> Iterator[None]:
 @contextmanager
 def unfenced_tokens() -> Iterator[None]:
     """Latched tokens count before their port's fence."""
-    barrier = _barrier.RingBarrier
+    barrier = _barrier.TokenBarrier
     original = barrier._banked
 
-    def _banked(self: _barrier.RingBarrier, key: tuple[str, str]) -> bool:
+    def _banked(self: _barrier.TokenBarrier, key: tuple[str, str]) -> bool:
         return bool(self._tokens.get(key))  # BUG: no fence check
 
     barrier._banked = _banked  # type: ignore[method-assign]
@@ -189,6 +197,22 @@ def unfenced_tokens() -> Iterator[None]:
         yield
     finally:
         barrier._banked = original  # type: ignore[method-assign]
+
+
+@contextmanager
+def partition_blind() -> Iterator[None]:
+    """Barrier waits never see a partition."""
+    barrier = _barrier.DisseminationBarrier
+    original = barrier._partitioned
+
+    def _partitioned(self: _barrier.DisseminationBarrier) -> None:
+        return None  # BUG: a split fabric is waited on for good
+
+    barrier._partitioned = _partitioned  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        barrier._partitioned = original  # type: ignore[method-assign]
 
 
 @contextmanager
@@ -209,6 +233,7 @@ MUTATIONS: dict[str, Callable[[], ContextManager[None]]] = {
     "unchecked-token-wait": unchecked_token_wait,
     "local-view-flood": local_view_flood,
     "unfenced-tokens": unfenced_tokens,
+    "partition-blind": partition_blind,
     "amo-reapply": amo_reapply,
 }
 

@@ -4,7 +4,7 @@ from .api import PE, LocalBuffer
 from .barrier import (
     CentralizedBarrier,
     DisseminationBarrier,
-    RingBarrier,
+    TokenBarrier,
 )
 from .errors import (
     BadPeError,
@@ -57,7 +57,7 @@ __all__ = [
     "LocalBuffer",
     "CentralizedBarrier",
     "DisseminationBarrier",
-    "RingBarrier",
+    "TokenBarrier",
     "REDUCE_OPS",
     "alltoall",
     "broadcast",

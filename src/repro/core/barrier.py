@@ -13,31 +13,38 @@ interrupts, ``DOORBELL_BARRIER_START`` and ``DOORBELL_BARRIER_END``:
 Because barrier tokens are processed by the same FIFO service thread that
 forwards data, a token cannot overtake store-and-forward traffic travelling
 the same way on its cable — so the barrier flushes a route only if its
-tokens follow that route end to end.  The sweep follows FIXED_RIGHT's
-rightward routes of up to N - 1 hops, and only those.
+tokens follow that route end to end.  :class:`TokenBarrier` is that one
+mechanism, doorbell tokens between cabled neighbours, run on one of three
+schedules that :meth:`TokenBarrier._schedule` picks from the resolved
+router:
 
-Every other fabric and router runs the same doorbell tokens between
-cabled neighbours (:class:`GridBarrier`): rounds axis by axis, x then y
-then z, as APEnet+ orders its torus traffic — no token is
-store-and-forwarded.  ``k // 2`` rounds both ways on a wrapped axis of
-extent ``k`` (``k - 1`` on an open one) follow every route a shortest
-or dimension-order router takes, including a ring routed SHORTEST.
-:func:`make_barrier` picks between the two from the resolved router, not
-from the topology's ``kind``.
+* the **sweep** above, under FIXED_RIGHT on a wrapped axis: it follows
+  FIXED_RIGHT's rightward routes of up to N - 1 hops, and only those;
+* the **axis rounds** under SHORTEST or dimension-order: x, then y, then
+  z, as APEnet+ orders its torus traffic, ``k // 2`` rounds both ways on
+  a wrapped axis of extent ``k`` (``k - 1`` on an open one), which follow
+  every route those routers take, a ring routed SHORTEST included;
+* the **flood** under the adaptive router, whose minimal routes take any
+  axis order, and over an agreed dead view: every cabled port rung (the
+  wire drops the rings into dead cables), one token consumed per live
+  port, for D rounds, D the live graph's diameter.
 
-A cut aborts the token episode, sweep or rounds, into the dissemination
-recovery both inherit.  Its notifications carry the sender's view of the
-dead cables and an all-agree bit, ANDed along the dissemination; a PE
-whose bit survives (and whose view held still) *agrees* on that view,
-posts a one-hop fence on every live port, and from then on runs **flood**
-rounds: every cabled port rung (the wire drops the rings into dead
-cables), one token consumed per live port, for D rounds, D the live
-graph's diameter.  Over an agreed view every router
-takes shortest live paths, at most D hops, and the flood's tokens follow
-every walk of up to D hops, so the flood flushes as the axis rounds do.  Adaptive routes are
-minimal but take any axis order, so under the adaptive router the flood
-runs on a healthy grid too.  Two alternatives are provided for the
-ablation benches (DESIGN.md §6):
+A cut aborts the token episode into the dissemination recovery
+:class:`TokenBarrier` inherits.  Its notifications carry the sender's
+view of the dead cables and an all-agree bit, ANDed along the
+dissemination; a PE whose bit survives (and whose view held still)
+*agrees* on that view, posts a one-hop fence on every live port, and
+from then on floods.  Over an agreed view every router takes shortest
+live paths, at most D hops, and the flood's tokens follow every walk of
+up to D hops, so the flood flushes as the axis rounds do.
+
+Every barrier that waits on its peers' messages has one partition
+verdict, :meth:`DisseminationBarrier._partitioned`: the dead edges
+disconnect the live graph.  No barrier can complete then, so every PE's
+wait raises :class:`PeerUnreachableError` ("barrier impossible: dead
+edges [...] partition the fabric") as soon as its view shows the split.
+
+Two alternatives are provided for the ablation benches (DESIGN.md §6):
 
 * :class:`DisseminationBarrier` — ceil(log2(N)) rounds of point-to-point
   notifications (Mellor-Crummey & Scott [20]), carried as control messages
@@ -68,13 +75,13 @@ from .waits import remote_wait
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import ShmemRuntime
 
-__all__ = ["make_barrier", "view_code", "RingBarrier", "GridBarrier",
+__all__ = ["make_barrier", "view_code", "TokenBarrier",
            "DisseminationBarrier", "CentralizedBarrier"]
 
 
 #: Dissemination aux low byte: round index, plus a high bit marking a
 #: *nudge* — "re-send me your (generation, round) notification" — and
-#: one marking a *fence* (see :meth:`RingBarrier._agree`).
+#: one marking a *fence* (see :meth:`TokenBarrier._agree`).
 _DISSEM_NUDGE = 0x80
 _FENCE = 0x40
 #: Size-word bit of a notification's view words: every view folded into
@@ -139,18 +146,20 @@ class DisseminationBarrier:
     ``(me - 2^k) mod N``.  Notifications are tagged (generation, round) in
     ``aux`` so early arrivals from fast peers are banked, never lost.
 
-    Fault behavior: a notification posted into a cable at the instant it
-    is cut is silently dropped (posted-write semantics, docs/FAULTS.md),
-    and the victim's wait has nothing to time it out — the sender stays
-    perfectly routable, so a doomed-predicate alone never fires.  Under a
-    fault layer each round therefore waits in bounded **resend windows**:
+    Fault behavior: a fabric that the dead edges split fails the barrier
+    with :class:`PeerUnreachableError` (:meth:`_partitioned`).  Short of
+    that, a notification posted into a cable at the instant it is cut is
+    silently dropped (posted-write semantics, docs/FAULTS.md), and the
+    victim's wait has nothing to time it out — the fabric stays
+    connected, so the partition verdict never fires.  Under a fault
+    layer each round therefore waits in bounded **resend windows**:
     on expiry the waiter re-sends its own notification (keyed and
     idempotent) and *nudges* its round sender to re-send the missing one.
     The nudge is load-bearing — the sender may have completed this whole
     generation before the cut's damage surfaced (dissemination lets a
     subset of PEs finish while others stall), so only a request/response
-    can recover.  A ring cut mid-token-sweep leaves the same skew, which
-    is why :class:`RingBarrier` recovers through this class.
+    can recover.  A cut mid-token-episode leaves the same skew, which
+    is why :class:`TokenBarrier` recovers through this class.
     Fault-free runs take the bare-yield path and stay byte-identical.
     """
 
@@ -218,13 +227,17 @@ class DisseminationBarrier:
     def on_link_event(self) -> None:
         """Notifications are generation-tagged: nothing to drain."""
 
-    def _partner_doomed(self, partner: int) -> Optional[BaseException]:
-        # Cables are bidirectional, so "I cannot reach my partner" is
-        # exactly "my partner cannot reach me".
-        try:
-            self.rt.route_to(partner)
-        except PeerUnreachableError as exc:
-            return exc
+    def _partitioned(self) -> Optional[BaseException]:
+        """The one partition verdict of every barrier wait: this PE's
+        dead edges disconnect the live graph (the router memoises the
+        answer per dead-edge set).  Over a connected live graph every
+        router finds a route to every PE, so no other doom exists."""
+        dead = self.rt.dead_edges
+        if dead and self.rt.router.live_diameter(dead) is None:
+            return PeerUnreachableError(
+                f"{self.rt.name}: barrier impossible: dead edges "
+                f"{sorted(dead)} partition the fabric"
+            )
         return None
 
     def wait(self) -> Generator:
@@ -244,6 +257,9 @@ class DisseminationBarrier:
         window = (self.RESEND_US
                   if rt.config.reply_timeout_us is None else None)
         for rnd in range(rounds):
+            doom = self._partitioned()
+            if doom is not None:
+                raise doom
             key = (gen, rnd)
             # Words first: a nudge answered from here on re-sends them.
             self._sent[key] = words
@@ -270,18 +286,17 @@ class DisseminationBarrier:
                     yield from remote_wait(
                         rt, self._signal.wait(),
                         what=f"dissemination round {rnd} notification",
-                        doomed=lambda p=partner, s=sender: (
-                            self._partner_doomed(p)
-                            or self._partner_doomed(s)),
+                        doomed=self._partitioned,
                         timeout_us=left, peer=sender,
                     )
                 except PeerUnreachableError:
-                    doom = (self._partner_doomed(partner)
-                            or self._partner_doomed(sender))
-                    if doom is not None or window is None:
+                    doom = self._partitioned()
+                    if doom is not None:
+                        raise doom from None
+                    if window is None:
                         raise
-                    # Resend window expired with both peers routable:
-                    # a notification was lost mid-flight.  Re-send ours
+                    # Resend window expired over a connected fabric: a
+                    # notification was lost mid-flight.  Re-send ours
                     # and ask the sender for theirs; a cable dying
                     # under the resend just waits for the detector.
                     expires = None
@@ -305,14 +320,14 @@ class DisseminationBarrier:
         return bool(words[1] & _AGREE)
 
 
-class RingBarrier(DisseminationBarrier):
-    """The paper's Fig. 6 two-round ring barrier.
+class TokenBarrier(DisseminationBarrier):
+    """The paper's Fig. 6 doorbell-token barrier, on every fabric.
 
-    With every cable alive this is the token sweep and nothing else.  The
-    episode is a per-PE step list — ring a doorbell on some ports, then
-    consume one latched token per port — so :class:`GridBarrier` reuses
-    the counting, the fences, the view check and the recovery below with
-    a schedule of its own.
+    With every cable alive this is a token episode and nothing else: a
+    per-PE step list — ring a doorbell on some ports, then consume one
+    latched token per port — drawn by :meth:`_schedule` as the sweep
+    (``name`` ``"ring"``: FIXED_RIGHT on a wrapped axis), or as the axis
+    rounds or the flood (``name`` ``"grid"``: every other router).
 
     Fault behavior: a token episode runs only under an *agreed* view of
     the dead cables, ∅ at the start of the run.  A link event drops the
@@ -328,15 +343,17 @@ class RingBarrier(DisseminationBarrier):
     with no view words, so nobody agrees in that recovery.  A recovery
     whose all-agree bit survives ends in :meth:`_agree`, and the next
     barrier is tokens again, flooded over the live graph.  The call only
-    raises :class:`PeerUnreachableError` when the ring is genuinely
-    partitioned (two or more dead edges).
+    raises :class:`PeerUnreachableError` when the fabric is partitioned
+    (:meth:`DisseminationBarrier._partitioned`).
     """
-
-    #: the key this strategy's latency is filed under (barrier_us.<name>).
-    name = "ring"
 
     def __init__(self, runtime: "ShmemRuntime"):
         super().__init__(runtime)
+        #: the key this barrier's latency is filed under (barrier_us.<name>):
+        #: "ring" for the sweep, "grid" for the rounds and the flood.
+        #: Only FIXED_RIGHT (one axis only) routes past k // 2 hops.
+        self.name =("ring" if runtime.topology.wrap and runtime.router.name
+                     == RoutingPolicy.FIXED_RIGHT.value else "grid")
         #: latched doorbells not yet consumed, by (arrival port, kind).
         #: One port's tokens arrive in send order and every ring
         #: interrupts, so the i-th consumed is the i-th its neighbour sent.
@@ -356,34 +373,46 @@ class RingBarrier(DisseminationBarrier):
         self._steps = self._schedule()
 
     def _schedule(self) -> list[tuple]:
-        return self._flood() if self._agreed else self._healthy_schedule()
-
-    def _healthy_schedule(self) -> list[tuple]:
-        # The sweep runs the positive way, as FIXED_RIGHT routes do.
-        neg, pos = self.rt.topology.PORT_ORDER[:2]
-        start = ((pos,), DOORBELL_BARRIER_START)
-        end = ((pos,), DOORBELL_BARRIER_END)
-        if self.rt.my_pe_id == 0:
-            # Start the sweep, absorb it when it wraps, then start END.
-            return [(*start, (neg,), "barrier_start"), (*end, (), None)]
-        return [((), None, (neg,), "barrier_start"),
-                (*start, (neg,), "barrier_end"),
-                (*end, (), None)]   # the last host's END wraps to host 0
-
-    def _flood(self) -> list[tuple]:
-        """Rounds over the agreed live graph: consume one token per live
-        port, as many rounds as its diameter.  After ``r`` rounds a PE
-        has heard from every PE within ``r`` live hops, along every walk
-        of up to ``r`` hops.  A round rings every cabled port, the dead
-        ones too (the wire drops those rings): each ring keeps its slot
-        of the healthy fabric, so a cut makes no two neighbours ring a PE
-        at one instant."""
+        """This PE's episode under the agreed view, from the router."""
         rt, dead = self.rt, self._agreed
-        me = rt.my_pe_id
-        # Connected: the agreeing recovery routed every PE's notification.
-        rounds = rt.router.live_diameter(dead)
-        return [(rt.topology.ports(me), DOORBELL_BARRIER_START,
-                 rt.router.live_ports(me, dead), "barrier_start")] * rounds
+        topo, me = rt.topology, rt.my_pe_id
+        if dead or rt.router.name == RoutingPolicy.ADAPTIVE.value:
+            # The flood: consume one token per live port, as many rounds
+            # as the live graph's diameter.  After ``r`` rounds a PE has
+            # heard from every PE within ``r`` live hops, along every walk
+            # of up to ``r`` hops.  A round rings every cabled port, the
+            # dead ones too (the wire drops those rings): each ring keeps
+            # its slot of the healthy fabric, so a cut makes no two
+            # neighbours ring a PE at one instant.  The live graph is
+            # connected: the agreeing recovery routed every notification.
+            rounds = rt.router.live_diameter(dead)
+            return [(topo.ports(me), DOORBELL_BARRIER_START,
+                     rt.router.live_ports(me, dead), "barrier_start")] * rounds
+        if self.name == "ring":
+            # The sweep runs the positive way, as FIXED_RIGHT routes do.
+            neg, pos = topo.PORT_ORDER
+            start = ((pos,), DOORBELL_BARRIER_START)
+            end = ((pos,), DOORBELL_BARRIER_END)
+            if me == 0:
+                # Start the sweep, absorb it when it wraps, then start END.
+                return [(*start, (neg,), "barrier_start"), (*end, (), None)]
+            return [((), None, (neg,), "barrier_start"),
+                    (*start, (neg,), "barrier_end"),
+                    (*end, (), None)]   # the last host's END wraps to 0
+        # The axis rounds: for x, then y, then z, ``k // 2`` rounds on a
+        # wrapped axis of extent ``k`` (``k - 1`` on an open one), each
+        # ringing START on every cabled port of the axis and consuming
+        # one token per such port.  The first token of the next axis
+        # carries the sender's whole finished sub-grid.
+        cabled = topo.ports(me)
+        steps = []
+        for axis, extent in enumerate(topo.dims):
+            ports = tuple(port for port in topo.PORT_ORDER[2 * axis:][:2]
+                          if port in cabled)
+            rounds = extent // 2 if topo.wrap else extent - 1
+            steps += [(ports, DOORBELL_BARRIER_START, ports,
+                       "barrier_start")] * rounds
+        return steps
 
     # Called synchronously by the service thread (FIFO with data traffic).
     def on_token(self, side: str, kind: str) -> None:
@@ -445,20 +474,6 @@ class RingBarrier(DisseminationBarrier):
             )
         return None
 
-    def _partitioned(self) -> Optional[BaseException]:
-        # Two dead edges split the ring: whichever side a partner is on,
-        # some round of the episode needs the other side.
-        dead = self.rt.dead_edges
-        if len(dead) > 1:
-            return PeerUnreachableError(
-                f"{self.rt.name}: barrier impossible with {len(dead)} "
-                f"dead edges ({sorted(dead)})"
-            )
-        return None
-
-    def _partner_doomed(self, partner: int) -> Optional[BaseException]:
-        return self._partitioned() or super()._partner_doomed(partner)
-
     def _ring_bits(self, sides: tuple[str, ...], bit: int) -> Generator:
         rt = self.rt
         token = ("start" if bit == DOORBELL_BARRIER_START else "end")
@@ -497,9 +512,6 @@ class RingBarrier(DisseminationBarrier):
         # failure detector.
         while self._agreed is not None:
             yield rt.link_state_changed.wait()  # lint: skip
-        doom = self._partitioned()
-        if doom is not None:
-            raise doom
         gen, events = self.generation, self._events
         view = frozenset(rt.dead_edges)
         agreed = yield from self._disseminate(
@@ -537,45 +549,6 @@ class RingBarrier(DisseminationBarrier):
             for side in recv:
                 yield from self._await(side, kind)
         self.generation += 1
-
-
-class GridBarrier(RingBarrier):
-    """Doorbell-token rounds between cabled neighbours, axis by axis.
-
-    The Fig. 6 mechanism on a mesh or torus, in APEnet+'s dimension
-    order: for x, then y, then z, each PE runs ``k // 2`` rounds on a
-    torus axis of extent ``k`` (``k - 1`` on a mesh axis); a round rings
-    START on every cabled port of the axis and consumes one token per
-    such port.  After ``r`` rounds a PE has heard, transitively, from
-    every PE within ``r`` hops on the axis, so the first token of the
-    next axis carries the sender's whole finished sub-grid.  Every
-    notification is one hop — none is store-and-forwarded.  Under the
-    adaptive router, and over any agreed dead cable, the rounds are the
-    inherited flood instead.  A dead edge drops the episode into the
-    inherited dissemination recovery; the route check decides partition,
-    not an edge count.
-    """
-
-    name = "grid"
-
-    def _healthy_schedule(self) -> list[tuple]:
-        if self.rt.router.name == RoutingPolicy.ADAPTIVE.value:
-            # Minimal routes in any axis order: only the flood follows
-            # them all.
-            return self._flood()
-        topo, me = self.rt.topology, self.rt.my_pe_id
-        cabled = topo.ports(me)
-        steps = []
-        for axis, extent in enumerate(topo.dims):
-            ports = tuple(port for port in topo.PORT_ORDER[2 * axis:][:2]
-                          if port in cabled)
-            rounds = extent // 2 if topo.wrap else extent - 1
-            steps += [(ports, DOORBELL_BARRIER_START, ports,
-                       "barrier_start")] * rounds
-        return steps
-
-    def _partitioned(self) -> Optional[BaseException]:
-        return None
 
 
 class CentralizedBarrier:
@@ -638,15 +611,8 @@ class CentralizedBarrier:
 
 
 def make_barrier(runtime: "ShmemRuntime"):
-    """Pick the strategy from config + the resolved router: ``"ring"``
-    is the token barrier whose tokens follow the router's routes."""
-    strategy = runtime.config.barrier
-    if strategy == "dissemination":
-        return DisseminationBarrier(runtime)
-    if strategy == "centralized":
-        return CentralizedBarrier(runtime)
-    # Only FIXED_RIGHT (one axis only) routes past k // 2 hops.
-    if (runtime.topology.wrap
-            and runtime.router.name == RoutingPolicy.FIXED_RIGHT.value):
-        return RingBarrier(runtime)
-    return GridBarrier(runtime)
+    """The strategy ``ShmemConfig.barrier`` names; ``"ring"`` is the
+    doorbell-token barrier, whose schedule follows the resolved router."""
+    strategy = {"ring": TokenBarrier, "dissemination": DisseminationBarrier,
+                "centralized": CentralizedBarrier}[runtime.config.barrier]
+    return strategy(runtime)

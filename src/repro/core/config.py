@@ -46,14 +46,16 @@ class ShmemConfig:
         Which router resolves routes: a :class:`RoutingPolicy` member or
         its value (``"fixed_right"`` — the paper's rule — ``"shortest"``,
         ``"dimension_order"``, ``"adaptive"``).  None is the fabric
-        default: FIXED_RIGHT on a ring, dimension-order on
-        mesh/torus.  The two 1-D policies raise on multi-axis grids.
+        default, from the shape: FIXED_RIGHT on one wrapped axis (a ring
+        or a 1-D torus), dimension-order everywhere else.  The two 1-D
+        policies raise on multi-axis grids.
     barrier:
         "ring", "dissemination", or "centralized".  "ring" (the default)
-        means the fabric's doorbell-token barrier, and the resolved
-        router picks its shape (``make_barrier``): the paper's Fig. 6
+        means the fabric's doorbell-token barrier, ``TokenBarrier``,
+        whose schedule the resolved router picks: the paper's Fig. 6
         sweep under FIXED_RIGHT on a ring or 1-D torus, neighbour token
-        rounds axis by axis everywhere else.
+        rounds axis by axis under SHORTEST and dimension-order, a flood
+        under the adaptive router.
     default_mode:
         DMA or MEMCPY for user puts and gets when the caller does not
         specify; either forces that engine on both planes.  None (the

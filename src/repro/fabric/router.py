@@ -384,12 +384,14 @@ def make_router(topology: Topology,
     """Build the router ``name`` (a :class:`RoutingPolicy` or its value)
     for ``topology``.
 
-    ``None`` is the fabric default, keyed on ``topology.kind``:
-    FIXED_RIGHT on a ring (the paper's rule), dimension-order on
-    mesh/torus.  The two 1-D policies raise on multi-axis grids.
+    ``None`` is the fabric default, a function of the shape alone:
+    FIXED_RIGHT on one wrapped axis (the paper's rule, so a ring and a
+    1-D torus agree), dimension-order everywhere else.  The two 1-D
+    policies raise on multi-axis grids.
     """
     if name is None:
-        name = (RoutingPolicy.FIXED_RIGHT if topology.kind == "ring"
+        name = (RoutingPolicy.FIXED_RIGHT
+                if topology.wrap and len(topology.dims) == 1
                 else RoutingPolicy.DIMENSION_ORDER)
     try:
         policy = RoutingPolicy(name)

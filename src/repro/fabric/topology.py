@@ -10,29 +10,29 @@ lower-dimensional layouts as degenerate tori of one router datapath.
 
 So there is **one** class, :class:`Topology` ``(dims, wrap)`` — a k-ary
 n-dimensional grid, open or wrapped — and three named constructors that
-add nothing but an extent check, a ``kind`` and (on the ring) the
-historical port names:
+add nothing but an extent check and (on the ring) the historical port
+names:
 
-=======================  =========  ====  ====================
-constructor              ``kind``   wrap  ports
-=======================  =========  ====  ====================
-``RingTopology(n)``      ``ring``   yes   ``left``/``right``
-``MeshTopology(dims)``   ``mesh``   no    ``x-``/``x+``/...
-``TorusTopology(dims)``  ``torus``  yes   ``x-``/``x+``/...
-=======================  =========  ====  ====================
+=======================  ====  ====================
+constructor              wrap  ports
+=======================  ====  ====================
+``RingTopology(n)``      yes   ``left``/``right``
+``MeshTopology(dims)``   no    ``x-``/``x+``/...
+``TorusTopology(dims)``  yes   ``x-``/``x+``/...
+=======================  ====  ====================
 
 ``RingTopology(4)`` and ``TorusTopology((4,))`` are the same cabling
 under different port names; a line of hosts (a ring minus one cable) is
-the 1-D mesh ``MeshTopology((n,))``.  Outside this module ``kind`` is
-read once, by ``make_router``, for the default router: FIXED_RIGHT on a
-ring (the paper's rule), dimension-order on a mesh/torus.  The barrier
-follows the resolved router, not ``kind`` (``make_barrier``): the
-Fig. 6 START/END sweep under FIXED_RIGHT on a wrapped axis, token
-rounds between neighbours, axis by axis, everywhere else.  So a ring
-and a 1-D torus behave the same under every routing policy and differ
-only in their default router.  The link-state flood is one unicast for
-every fabric, and a cut token episode, sweep or rounds, recovers
-through the dissemination barrier both inherit.
+the 1-D mesh ``MeshTopology((n,))``.  Nothing outside this module asks
+which constructor built a topology.  The default router follows from
+the shape (``make_router``): FIXED_RIGHT on one wrapped axis (the
+paper's rule), dimension-order everywhere else.  The barrier follows the
+resolved router (``TokenBarrier``): the Fig. 6 START/END sweep under
+FIXED_RIGHT on a wrapped axis, token rounds between neighbours, axis by
+axis, under SHORTEST and dimension-order.  So a ring and a 1-D torus
+behave the same under every routing policy, the default included.  The
+link-state flood is one unicast for every fabric, and a cut token
+episode recovers through the dissemination barrier it inherits.
 
 Port conventions
 ----------------
@@ -125,7 +125,6 @@ class Topology:
     AXES = "xyz"
 
     def __init__(self, dims: Sequence[int], wrap: bool,
-                 kind: Optional[str] = None,
                  ports: Optional[tuple[str, ...]] = None):
         dims = tuple(int(d) for d in dims)
         if not 1 <= len(dims) <= 3:
@@ -139,9 +138,6 @@ class Topology:
                 )
         self.dims = dims
         self.wrap = wrap
-        #: "ring" | "mesh" | "torus": selects the two protocol defaults
-        #: (router, barrier), never structure.
-        self.kind = kind or ("torus" if wrap else "mesh")
         self.n_hosts = prod(dims)
         #: Port names as (negative, positive) pairs per axis.
         self.PORT_ORDER: tuple[str, ...] = ports or tuple(
@@ -346,14 +342,14 @@ class RingTopology(Topology):
     """N hosts in a cycle — the paper's fabric; a 1-D torus cabling."""
 
     def __init__(self, n_hosts: int):
-        super().__init__((n_hosts,), True, "ring", ("left", "right"))
+        super().__init__((n_hosts,), True, ("left", "right"))
 
 
 class MeshTopology(Topology):
     """Open-boundary grid: edge hosts have fewer seated adapters."""
 
     def __init__(self, dims: Sequence[int]):
-        super().__init__(dims, False, "mesh")
+        super().__init__(dims, False)
 
 
 class TorusTopology(Topology):
@@ -364,4 +360,4 @@ class TorusTopology(Topology):
         if any(int(extent) < 3 for extent in dims):
             raise TopologyError(
                 f"torus axes need extent >= 3, got {tuple(dims)}")
-        super().__init__(dims, True, "torus")
+        super().__init__(dims, True)

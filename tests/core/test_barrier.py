@@ -1,4 +1,4 @@
-"""Tests for all four barrier strategies (Fig. 6 + ablations)."""
+"""Tests for the three barrier strategies (Fig. 6 + ablations)."""
 
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ from repro.core import StuckRunError
 from repro.core.barrier import (
     CentralizedBarrier,
     DisseminationBarrier,
-    GridBarrier,
-    RingBarrier,
+    TokenBarrier,
     view_code,
 )
 from repro.core.program import drive, launch, make_cluster
@@ -67,10 +66,10 @@ class TestRingBarrier:
     def test_strategy_selected_for_ring(self):
         def main(pe):
             yield from pe.barrier_all()
-            return type(pe.rt.barrier).__name__
+            return type(pe.rt.barrier), pe.rt.barrier.name
 
         report = run_spmd(main, n_pes=3)
-        assert all(r == "RingBarrier" for r in report.results)
+        assert all(r == (TokenBarrier, "ring") for r in report.results)
 
     def test_generation_counter_advances(self):
         def main(pe):
@@ -158,14 +157,14 @@ class TestChainBarrier:
     def test_strategy_selected_for_chain(self):
         def main(pe):
             yield from pe.barrier_all()
-            return type(pe.rt.barrier).__name__
+            return type(pe.rt.barrier), pe.rt.barrier.name
 
         report = run_spmd(
             main, n_pes=3,
             cluster_config=ClusterConfig(n_hosts=3, topology="mesh",
                                          dims=(3,)),
         )
-        assert all(r == "GridBarrier" for r in report.results)
+        assert all(r == (TokenBarrier, "grid") for r in report.results)
 
 
 class TestGridBarrier:
@@ -192,12 +191,13 @@ class TestGridBarrier:
         def main(pe):
             yield pe.rt.env.timeout(pe.my_pe() * 1000.0)
             yield from pe.barrier_all()
-            return pe.rt.env.now, type(pe.rt.barrier).__name__
+            return pe.rt.env.now, type(pe.rt.barrier), pe.rt.barrier.name
 
         n, config = self._cluster(topology, dims)
         report = run_spmd(main, n_pes=n, cluster_config=config)
-        assert all(t >= (n - 1) * 1000.0 for t, _ in report.results)
-        assert {name for _, name in report.results} == {"GridBarrier"}
+        assert all(t >= (n - 1) * 1000.0 for t, _, _ in report.results)
+        assert {(cls, name) for _, cls, name in report.results} == {
+            (TokenBarrier, "grid")}
 
 
 class TestTokenRoundClosedForm:
@@ -229,7 +229,8 @@ class TestTokenRoundClosedForm:
                           shmem_config=ShmemConfig(routing="shortest"))
         round_us, terms = self._round_us(config)
         rounds = n // 2
-        assert {type(rt.barrier) for rt in report.runtimes} == {GridBarrier}
+        assert {(type(rt.barrier), rt.barrier.name)
+                for rt in report.runtimes} == {(TokenBarrier, "grid")}
         assert len({start for start, _ in report.results}) == 1
         for start, end in report.results:
             # The simulator adds each term to the absolute clock, the
@@ -353,7 +354,8 @@ class TestAgreedFlood:
         RingTopology(64), MeshTopology((2, 2)), MeshTopology((4, 4)),
         MeshTopology((8, 8)), TorusTopology((4,)), TorusTopology((3, 3)),
         TorusTopology((4, 4)), TorusTopology((4, 4, 4)),
-    ], ids=lambda topo: topo.kind + "x".join(map(str, topo.dims)))
+    ], ids=lambda topo: type(topo).__name__.removesuffix("Topology").lower()
+        + "x".join(map(str, topo.dims)))
     def test_view_code_is_injective_up_to_two_dead_edges(self, topology):
         cables = list(topology.links())
         views = [frozenset()] + [frozenset([a]) for a in cables] + [

@@ -5,7 +5,7 @@
 constructors over it, and a chain (a line of hosts) is the 1-D mesh.
 These tests pin (a) the closed-form answers the deleted ring and chain
 classes computed, (b) that a ring and a 1-D torus are the same cabling
-and differ only in their default router, (c) that the SHORTEST policy
+with one default router, (c) that the SHORTEST policy
 is canonical next-hop routing on one axis, dead edges included, and (d)
 the FIXED_RIGHT fallback on an open axis — and the frozen fabric/core calls
 the trajectory benchmark makes, so a rename breaks tier-1 rather than
@@ -20,7 +20,7 @@ import pytest
 
 from repro import run_spmd
 from repro.core import ShmemConfig
-from repro.core.barrier import GridBarrier, RingBarrier
+from repro.core.barrier import TokenBarrier
 from repro.fabric import (
     Cluster,
     ClusterConfig,
@@ -61,8 +61,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", SIZES)
     def test_ring(self, n):
         ring = RingTopology(n)
-        assert (ring.kind, ring.n_hosts, ring.dims, ring.wrap) == (
-            "ring", n, (n,), True)
+        assert (ring.n_hosts, ring.dims, ring.wrap) == (n, (n,), True)
         assert ring.PORT_ORDER == ("left", "right")
         assert list(ring.cables()) == [
             (i, "right", (i + 1) % n, "left") for i in range(n)]
@@ -85,8 +84,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", SIZES)
     def test_chain(self, n):
         chain = MeshTopology((n,))
-        assert (chain.kind, chain.n_hosts, chain.dims, chain.wrap) == (
-            "mesh", n, (n,), False)
+        assert (chain.n_hosts, chain.dims, chain.wrap) == (n, (n,), False)
         assert chain.PORT_ORDER == ("x-", "x+")
         assert list(chain.cables()) == [
             (i, "x+", i + 1, "x-") for i in range(n - 1)]
@@ -111,7 +109,7 @@ class TestClosedForms:
 
 
 class TestOneClass:
-    """(b) Same cabling, different defaults."""
+    """(b) Same cabling, same defaults."""
 
     def test_constructors_only_construct(self):
         for cls in (RingTopology, MeshTopology, TorusTopology):
@@ -119,8 +117,6 @@ class TestOneClass:
             own = {name for name in vars(cls) if not name.startswith("__")}
             assert own == set(), own
             assert "__init__" in vars(cls)
-        assert Topology((4, 4), wrap=True).kind == "torus"
-        assert Topology((4, 4), wrap=False).kind == "mesh"
 
     @pytest.mark.parametrize("named,grid", [(RingTopology, TorusTopology)])
     @pytest.mark.parametrize("n", range(3, 10))
@@ -129,7 +125,8 @@ class TestOneClass:
         # constructor left with a cabling of its own name.
         one, other = named(n), grid((n,))
         assert (one.dims, one.wrap) == (other.dims, other.wrap)
-        assert one.kind != other.kind
+        assert make_router(one).name == make_router(other).name == \
+            "fixed_right"
         assert list(one.cables()) == [
             (a, RENAME[pa], b, RENAME[pb])
             for a, pa, b, pb in other.cables()]
@@ -145,43 +142,43 @@ class TestOneClass:
             assert one.next_hop(s, d) == (RENAME[port], nxt)
 
     @pytest.mark.parametrize("topology,dims,routing,router,barrier", [
-        # Each fabric's default router.
-        pytest.param("ring", None, None, "fixed_right", RingBarrier,
+        # Each fabric's default router: one wrapped axis sweeps.
+        pytest.param("ring", None, None, "fixed_right", "ring",
                      id="ring4-default"),
-        pytest.param("torus", (4,), None, "dimension_order", GridBarrier,
+        pytest.param("torus", (4,), None, "fixed_right", "ring",
                      id="torus4-default"),
-        pytest.param("mesh", (4,), None, "dimension_order", GridBarrier,
+        pytest.param("mesh", (4,), None, "dimension_order", "grid",
                      id="mesh4-default"),
-        pytest.param("mesh", (2, 2), None, "dimension_order", GridBarrier,
+        pytest.param("mesh", (2, 2), None, "dimension_order", "grid",
                      id="mesh2x2-default"),
         # Ring and 1-D torus under every policy: only FIXED_RIGHT sweeps.
         *[pytest.param(topology, dims, policy, policy,
-                       RingBarrier if policy == "fixed_right"
-                       else GridBarrier, id=f"{topology}4-{policy}")
+                       "ring" if policy == "fixed_right" else "grid",
+                       id=f"{topology}4-{policy}")
           for topology, dims in (("ring", None), ("torus", (4,)))
           for policy in POLICIES],
         # A line has no wrap cable for the sweep to close over.
         pytest.param("mesh", (4,), "fixed_right", "fixed_right",
-                     GridBarrier, id="mesh4-fixed_right"),
+                     "grid", id="mesh4-fixed_right"),
     ])
     def test_the_barrier_follows_the_router(self, topology, dims, routing,
                                             router, barrier):
         # The sweep flushes only routes that run one way round the ring;
         # every other route is short enough for the neighbour rounds.
-        # ``kind`` picks the default router and nothing else.
+        # The shape picks the default router and nothing else.
         def main(pe):
             yield from pe.barrier_all()
-            return pe.rt.topology.kind
+            return pe.rt.barrier.name
 
         report = run_spmd(main, 4, cluster_config=ClusterConfig(
             n_hosts=4, topology=topology, dims=dims),
             shmem_config=ShmemConfig(routing=routing))
-        assert set(report.results) == {topology}
+        assert set(report.results) == {barrier}
         if routing is None:
             assert make_router(report.cluster.topology).name == router
         for rt in report.runtimes:
             assert rt.router.name == router
-            assert type(rt.barrier) is barrier
+            assert type(rt.barrier) is TokenBarrier
 
     @pytest.mark.parametrize("n", [4, 8])
     @pytest.mark.parametrize("policy", POLICIES)
@@ -367,4 +364,4 @@ def test_frozen_trajectory_api():
                    dict(n_hosts=16, topology="mesh", dims=(4, 4)),
                    dict(n_hosts=64, topology="torus", dims=(4, 4, 4))):
         config = ClusterConfig(**kwargs)
-        assert config.make_topology().kind == kwargs["topology"]
+        assert config.make_topology().n_hosts == kwargs["n_hosts"]

@@ -7,8 +7,10 @@ The contract under test, per docs/FAULTS.md:
   :class:`PeerUnreachableError`;
 * the heartbeat failure detector marks the edge DEAD within
   ``miss_threshold`` periods and tells every other host with LINK_DOWN;
-* ring barriers recover *inside the same call* via the dissemination
-  barrier they inherit, over the surviving line;
+* token barriers recover *inside the same call* via the dissemination
+  barrier they inherit, over the surviving cables;
+* a fabric that the dead cables split fails every PE's token or
+  dissemination barrier with a typed error, on every fabric and router;
 * pending-reply tables drain on link death (no leaked entries);
 * a run configured with an **empty** fault plan is byte-identical in
   virtual time to a run with no fault layer at all.
@@ -16,11 +18,14 @@ The contract under test, per docs/FAULTS.md:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from repro import Mode, run_spmd
-from repro.core import PeerUnreachableError, ShmemConfig
+from repro import ClusterConfig, Mode, run_spmd
+from repro.check.mutations import MUTATIONS
+from repro.core import PeerUnreachableError, ShmemConfig, StuckRunError
 from repro.core.program import drive, launch, make_cluster
 from repro.faults import FaultPlan, SeverCable
 
@@ -187,6 +192,81 @@ class TestTypedFailureNoHang:
         except PeerUnreachableError as exc:
             return str(exc), pe.rt.env.now - entered
         return "passed", pe.rt.env.now - entered
+
+
+def _two_barriers(n, topology, dims, edges, mutation=None, **shmem):
+    """A barrier, cuts of ``edges`` at 2 ms, a second barrier at 8 ms,
+    driven under a 300 ms horizon: per PE, "passed" or the second
+    barrier's :class:`PeerUnreachableError`, and the stuck-run verdict's
+    kind (None when every PE finished)."""
+    cluster = make_cluster(n, ClusterConfig(n_hosts=n, topology=topology,
+                                            dims=dims))
+    config = ShmemConfig(
+        faults=FaultPlan([SeverCable(2_000.0, *edge) for edge in edges]),
+        **shmem)
+
+    def main(pe):
+        yield from pe.barrier_all()
+        yield pe.rt.env.timeout(8_000.0 - pe.rt.env.now)
+        try:
+            yield from pe.barrier_all()
+        except PeerUnreachableError as exc:
+            return exc
+        return "passed"
+
+    _rts, _pes, results, procs = launch(cluster, main, config,
+                                        finalize=False)
+    with MUTATIONS[mutation]() if mutation else nullcontext():
+        try:
+            drive(cluster, procs, horizon_us=300_000.0)
+        except StuckRunError as exc:
+            return results, exc.kind
+    return results, None
+
+
+class TestSplitFabricBarrier:
+    """One partition verdict: once a PE's view of the dead cables
+    disconnects the live graph, its barrier raises "barrier impossible"
+    instead of waiting for PEs it can never hear from.  Each of these
+    splits hung the token, axis-round, flood or dissemination barrier
+    until the horizon before the verdict was shared."""
+
+    @pytest.mark.parametrize("mutation", [None, "partition-blind"])
+    @pytest.mark.parametrize("n,topology,dims,shmem,edges", [
+        (16, "mesh", (4, 4), {}, [(0, 1), (0, 4)]),
+        (16, "mesh", (4, 4), {"barrier": "dissemination"},
+         [(0, 1), (0, 4)]),
+        (9, "mesh", (3, 3), {}, [(0, 1), (0, 3)]),
+        (9, "torus", (3, 3), {}, [(0, 1), (2, 0), (0, 3), (6, 0)]),
+        (8, "ring", None, {"barrier": "dissemination"}, [(0, 1), (1, 2)]),
+        (8, "ring", None, {"routing": "shortest"}, [(0, 1), (4, 5)]),
+        (6, "ring", None, {"routing": "shortest"}, [(0, 1), (2, 3)]),
+        (6, "mesh", (3, 2), {"routing": "adaptive"}, [(0, 1), (0, 3)]),
+    ], ids=["mesh4x4", "mesh4x4-dissemination", "mesh3x3",
+            "torus3x3-pe0-isolated", "ring8-dissemination",
+            "ring8-shortest", "ring6-shortest", "mesh3x2-adaptive"])
+    def test_split_fabric_fails_every_barrier(self, n, topology, dims,
+                                              shmem, edges, mutation):
+        results, stuck = _two_barriers(n, topology, dims, edges, mutation,
+                                       **shmem)
+        if mutation:
+            # The seeded bug waits across the split: the run is stuck.
+            assert stuck == "liveness-horizon", results
+            return
+        assert stuck is None
+        assert all(isinstance(outcome, PeerUnreachableError)
+                   and "barrier impossible" in str(outcome)
+                   for outcome in results), results
+
+    @pytest.mark.parametrize("n,topology,dims,edges", [
+        (16, "mesh", (4, 4), [(5, 6), (9, 10)]),
+        (16, "torus", (4, 4), [(0, 1), (0, 4), (3, 0)]),
+    ], ids=["mesh4x4", "torus4x4-pe0-three-cuts"])
+    def test_connected_double_cut_passes_both_barriers(self, n, topology,
+                                                       dims, edges):
+        results, stuck = _two_barriers(n, topology, dims, edges)
+        assert stuck is None
+        assert results == ["passed"] * n
 
 
 class TestPioMasterAbort:
