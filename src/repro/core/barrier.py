@@ -352,8 +352,8 @@ class TokenBarrier(DisseminationBarrier):
         #: the key this barrier's latency is filed under (barrier_us.<name>):
         #: "ring" for the sweep, "grid" for the rounds and the flood.
         #: Only FIXED_RIGHT (one axis only) routes past k // 2 hops.
-        self.name =("ring" if runtime.topology.wrap and runtime.router.name
-                     == RoutingPolicy.FIXED_RIGHT.value else "grid")
+        self.name = ("ring" if runtime.topology.wrap and runtime.router.policy
+                     is RoutingPolicy.FIXED_RIGHT else "grid")
         #: latched doorbells not yet consumed, by (arrival port, kind).
         #: One port's tokens arrive in send order and every ring
         #: interrupts, so the i-th consumed is the i-th its neighbour sent.
@@ -376,7 +376,7 @@ class TokenBarrier(DisseminationBarrier):
         """This PE's episode under the agreed view, from the router."""
         rt, dead = self.rt, self._agreed
         topo, me = rt.topology, rt.my_pe_id
-        if dead or rt.router.name == RoutingPolicy.ADAPTIVE.value:
+        if dead or rt.router.policy is RoutingPolicy.ADAPTIVE:
             # The flood: consume one token per live port, as many rounds
             # as the live graph's diameter.  After ``r`` rounds a PE has
             # heard from every PE within ``r`` live hops, along every walk

@@ -74,18 +74,6 @@ def _watch_link(rt: "ShmemRuntime", side: str,
         return
 
 
-def _route_blocked(rt: "ShmemRuntime", route: Route, dst: int) -> bool:
-    """Does ``route`` (starting at me, toward ``dst``) cross a dead
-    edge?  The router reconstructs the issue-time path (first port,
-    then canonical next hops)."""
-    if not rt.dead_edges:
-        return False
-    edges = rt.router.route_edges(rt.my_pe_id, dst, route)
-    if len(edges) < route.hops:
-        return True  # the walk fell off a boundary: path is gone
-    return any(edge in rt.dead_edges for edge in edges)
-
-
 def apply_edge_dead(rt: "ShmemRuntime", edge: tuple[int, int]) -> bool:
     """Record a dead edge: fail doomed pending requests, flush the
     affected mailboxes, reset the barrier's token state and wake every
@@ -123,8 +111,9 @@ def _fail_pending_on_edge(rt: "ShmemRuntime") -> None:
     """Fail every pending Get/AMO whose issue-time route now crosses a
     dead edge, so blocking callers stop waiting immediately."""
     for req_id, pending in list(rt.pending.items()):
-        if not _route_blocked(rt, Route(pending.direction, pending.hops),
-                              pending.pe):
+        if not rt.router.blocked(rt.my_pe_id, pending.pe,
+                                 Route(pending.direction, pending.hops),
+                                 rt.dead_edges):
             continue
         if not pending.done.triggered:
             exc = PeerUnreachableError(

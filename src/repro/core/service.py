@@ -506,9 +506,9 @@ class ShmemService:
                   dest_pe: int) -> Optional["LinkEnd"]:
         """The onward link a relay sends toward ``dest_pe``.
 
-        Routing is the runtime's router's call: ring relays keep
-        travelling the direction they arrived from (the historical rule),
-        grid relays — a line of hosts is the 1-D mesh — re-resolve per
+        Routing is the runtime's router's call: on one axis (a ring, a
+        line of hosts, a 1-D torus) relays keep travelling the direction
+        they arrived from under every router; grid relays re-resolve per
         hop (dimension-order by default), so the same store-and-forward
         machinery serves every topology.
         None when the router finds no live way onward — the caller drops

@@ -4,8 +4,6 @@ from .cluster import Cluster, ClusterConfig
 from .heartbeat import HeartbeatConfig, HeartbeatMonitor, LinkState
 from .router import (
     AdaptiveRouter,
-    DimensionOrderRouter,
-    PolicyRouter,
     Router,
     make_router,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "TopologyError",
     "TorusTopology",
     "AdaptiveRouter",
-    "DimensionOrderRouter",
-    "PolicyRouter",
     "Router",
     "make_router",
 ]

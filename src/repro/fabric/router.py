@@ -5,20 +5,19 @@ opposite direction on a dead edge" inline in ``route_to``.  That rule is
 both ring-specific and subtly wrong: the flipped route was never checked
 against the dead-edge set, so a double-severed ring retried into a known
 hole instead of failing promptly, and no multi-path topology can be
-expressed at all.  This module lifts routing into small strategy objects:
+expressed at all.  This module lifts routing into two strategy classes:
 
-``PolicyRouter``
-    The historical behaviour — ``FIXED_RIGHT`` (the paper's rule) or
-    ``SHORTEST`` (ties rightward) on one axis; the only place a 1-D
-    fabric's direction is decided.  Byte-identical to the inline logic
-    on live fabrics; on dead edges it *validates* the detour too and
-    raises :class:`~.topology.NoRouteError` promptly when both ways
-    around are severed.  Relays keep the arrival direction.
-
-``DimensionOrderRouter``
-    X-then-Y-then-Z per-hop resolution on meshes and tori (the APEnet+
-    discipline).  Deadlock-free on live fabrics; on dead edges it falls
-    back to a deterministic breadth-first search over live cables.
+``Router``
+    One class for the three deterministic policies.  ``FIXED_RIGHT``
+    (the paper's rule: the positive port of the one axis, the open-axis
+    fallback flagged on the :class:`Route`) and ``SHORTEST`` (ties
+    rightward) refuse multi-axis grids; ``DIMENSION_ORDER`` is X then Y
+    then Z on any grid (the APEnet+ discipline).  SHORTEST and
+    dimension-order take the topology's canonical ``next_hop`` /
+    ``min_hops``.  Whenever the policy's route is :meth:`Router.blocked`
+    by a dead edge, every policy falls back to the same deterministic
+    breadth-first detour over live cables, and raises
+    :class:`~.topology.NoRouteError` promptly when there is none.
 
 ``AdaptiveRouter``
     Congestion-aware minimal routing: among the live ports that make
@@ -26,6 +25,10 @@ expressed at all.  This module lifts routing into small strategy objects:
     one (the runtime feeds it live mailbox occupancy; the post-hoc
     link-utilisation sampler tells the same story offline).  Falls back
     to the BFS detour when no minimal port is live.
+
+A simple path on one axis never turns, so on a ring or a line every
+router's relays keep the arrival direction and its cable walk runs
+straight; on grids relays re-resolve per hop.
 
 Routers are pure fabric-layer objects: they know topology shape and the
 caller's dead-edge set, never the runtime.  Unroutable destinations
@@ -46,8 +49,7 @@ from .topology import (
     TopologyError,
 )
 
-__all__ = ["Router", "PolicyRouter", "DimensionOrderRouter",
-           "AdaptiveRouter", "make_router"]
+__all__ = ["Router", "AdaptiveRouter", "make_router"]
 
 #: Outbound-port load estimate at the resolving node (0.0 == idle).
 LoadFn = Callable[[str], float]
@@ -56,14 +58,35 @@ _NO_EDGES: frozenset = frozenset()
 
 
 class Router:
-    """Strategy interface: resolve routes one hop (or one path) at a time."""
+    """Resolve routes under one :class:`RoutingPolicy`.
 
-    name = "base"
+    ``Router`` serves FIXED_RIGHT, SHORTEST and DIMENSION_ORDER;
+    :class:`AdaptiveRouter` serves ADAPTIVE.  :func:`make_router` picks
+    the class from the policy.
+    """
 
-    def __init__(self, topology: Topology):
+    def __init__(self, topology: Topology, policy: RoutingPolicy):
+        if (policy is RoutingPolicy.ADAPTIVE) != isinstance(
+                self, AdaptiveRouter):
+            raise TopologyError(
+                f"{type(self).__name__} does not serve {policy.value}; "
+                f"build routers with make_router")
+        one_axis = (RoutingPolicy.FIXED_RIGHT, RoutingPolicy.SHORTEST)
+        if policy in one_axis and len(topology.dims) != 1:
+            raise TopologyError(
+                f"{policy.value} routes one axis; use dimension_order/"
+                f"adaptive on meshes and tori")
         self.topology = topology
+        self.policy = policy
+        #: One axis: every simple path runs straight along its first port.
+        self._straight = len(topology.dims) == 1
         #: :meth:`live_diameter` per dead-edge set.
         self._diameters: dict[frozenset, Optional[int]] = {}
+
+    @property
+    def name(self) -> str:
+        """The policy's value (metric labels, reports)."""
+        return self.policy.value
 
     # -- interface -----------------------------------------------------------
     def resolve(self, src: int, dst: int,
@@ -71,22 +94,57 @@ class Router:
                 load: Optional[LoadFn] = None) -> Route:
         """A live route src -> dst, or raise :class:`NoRouteError`.
 
-        ``route.rerouted`` is set when the canonical route was blocked by
-        a dead edge and a detour was taken; ``route.fallback`` when the
-        policy direction was structurally unavailable (an open axis).
+        ``route.rerouted`` is set when the policy's route was blocked by
+        a dead edge and the BFS detour was taken; ``route.fallback`` when
+        the policy direction was structurally unavailable (FIXED_RIGHT on
+        an open axis).
         """
-        raise NotImplementedError
+        topo = self.topology
+        if self.policy is RoutingPolicy.FIXED_RIGHT:
+            topo.check_host(src)
+            topo.check_host(dst)
+            if src == dst:
+                raise TopologyError(f"route to self (host {src})")
+            negative, positive = topo.PORT_ORDER
+            right = ((dst - src) % topo.n_hosts if topo.wrap
+                     else max(dst - src, 0))
+            # Open axis with the destination leftward: under the paper's
+            # fixed-rightward rule that is a fallback, a real routing
+            # decision that must show up in the metrics fabric.
+            route = (Route(positive, right) if right
+                     else Route(negative, src - dst, fallback=True))
+        else:
+            port, _nxt = topo.next_hop(src, dst)
+            route = Route(port, topo.min_hops(src, dst))
+        # Every op and grid relay resolves: a healthy fabric skips the walk.
+        if dead_edges and self.blocked(src, dst, route, dead_edges):
+            return self._detour(src, dst, dead_edges)
+        return route
+
+    def blocked(self, src: int, dst: int, route: Route,
+                dead_edges: AbstractSet) -> bool:
+        """Does ``route`` (from ``src`` toward ``dst``) cross a dead
+        cable or fall off a boundary?  The check inside :meth:`resolve`
+        and the dead-link handler's verdict on a pending request."""
+        if not dead_edges:
+            return False
+        edges = self.route_edges(src, dst, route)
+        return len(edges) < route.hops or any(
+            edge in dead_edges for edge in edges)
 
     def forward_port(self, node: int, dst: int, in_port: str,
                      dead_edges: AbstractSet = _NO_EDGES,
                      load: Optional[LoadFn] = None) -> str:
         """The outbound port a relay at ``node`` sends toward ``dst``.
 
-        The default re-resolves from the relay's own view — per-hop
-        routing in the dimension-order style.  The 1-D policy router
-        overrides this with the historical "keep travelling the arrival
-        direction" rule.
+        On one axis the message keeps travelling the direction it
+        arrived from (a simple path there never turns; on a dead edge the
+        relay drops and the sender retries around).  On grids the relay
+        re-resolves from its own view, per-hop routing in the
+        dimension-order style.
         """
+        if self._straight:
+            return self.topology.opposite_port(in_port)
         return self.resolve(node, dst, dead_edges, load).port
 
     def route_edges(self, src: int, dst: int,
@@ -94,22 +152,26 @@ class Router:
         """The directed cable ids ``route`` crosses (issue-time path).
 
         Used for dead-edge bookkeeping: when a cable dies, pending
-        operations whose issue-time path crossed it are failed fast.
-        The walk takes ``route``'s first port then follows the canonical
-        next-hop discipline — deterministic and cheap.
+        operations whose issue-time path crossed it are failed fast.  On
+        one axis the walk runs straight along ``route``'s first port; on
+        grids it takes that port, then follows the canonical next-hop
+        discipline.  Shorter than ``route.hops`` when it falls off a
+        boundary (or, on grids, reaches ``dst`` early).
         """
+        topo = self.topology
         edges = []
         node = src
         port = route.port
         for _ in range(route.hops):
-            edge = self.topology.edge_for(node, port)
+            edge = topo.edge_for(node, port)
             if edge is None:
                 break
             edges.append(edge)
-            node = self.topology.neighbor(node, port)
-            if node == dst:
-                break
-            port, _nxt = self.topology.next_hop(node, dst)
+            node = edge[1] if edge[0] == node else edge[0]  # far end
+            if not self._straight:
+                if node == dst:
+                    break
+                port, _nxt = topo.next_hop(node, dst)
         return tuple(edges)
 
     # -- shared helpers ------------------------------------------------------
@@ -202,114 +264,6 @@ class Router:
         return f"<{type(self).__name__} over {self.topology!r}>"
 
 
-class PolicyRouter(Router):
-    """FIXED_RIGHT / SHORTEST on one axis (the paper's protocol family).
-
-    This class owns how a 1-D fabric picks a direction.  FIXED_RIGHT
-    leaves through the positive port whenever the destination can be
-    reached that way (always on a ring; on an open axis — a 1-D mesh —
-    the leftward fallback is flagged on the :class:`Route`).  SHORTEST takes the
-    shorter way around, ties positive — which on one axis *is* the
-    canonical ``next_hop``/``min_hops``, computed here by 1-D arithmetic
-    instead of a coordinate walk per call.
-    """
-
-    def __init__(self, topology: Topology, policy: RoutingPolicy):
-        if len(topology.dims) != 1:
-            raise TopologyError(
-                "policy routers are 1D; use dimension_order/adaptive "
-                "on meshes and tori"
-            )
-        if policy not in (RoutingPolicy.FIXED_RIGHT, RoutingPolicy.SHORTEST):
-            raise TopologyError(f"{policy} is not a 1D direction policy")
-        super().__init__(topology)
-        self.policy = policy
-        self.name = policy.value
-        self._negative, self._positive = topology.PORT_ORDER
-
-    def resolve(self, src: int, dst: int,
-                dead_edges: AbstractSet = _NO_EDGES,
-                load: Optional[LoadFn] = None) -> Route:
-        topo = self.topology
-        topo.check_host(src)
-        topo.check_host(dst)
-        if src == dst:
-            raise TopologyError(f"route to self (host {src})")
-        # Link traversals travelling only rightward / only leftward;
-        # 0 when an open axis ends in the way.
-        if topo.wrap:
-            right, left = (dst - src) % topo.n_hosts, (src - dst) % topo.n_hosts
-        else:
-            right, left = max(dst - src, 0), max(src - dst, 0)
-        fixed = self.policy is RoutingPolicy.FIXED_RIGHT
-        if not right:
-            # Open axis: the destination lies leftward.  Under the paper's
-            # fixed-rightward rule that is a fallback — a real routing
-            # decision that must show up in the metrics fabric.
-            route = Route(self._negative, left, fallback=fixed)
-        elif fixed or not left or right <= left:  # ties rightward
-            route = Route(self._positive, right)
-        else:
-            route = Route(self._negative, left)
-        if not dead_edges or not self._blocked(src, route, dead_edges):
-            return route
-        # The historical detour: the exact opposite way around — but
-        # validated against the dead-edge set, so a double-severed ring
-        # fails promptly instead of retrying into a known hole.
-        if route.port == self._positive:
-            alt = Route(self._negative, left, rerouted=True)
-        else:
-            alt = Route(self._positive, right, rerouted=True)
-        if alt.hops and not self._blocked(src, alt, dead_edges):
-            return alt
-        raise NoRouteError(
-            f"no live route {src} -> {dst} "
-            f"(dead edges: {sorted(dead_edges)})"
-        )
-
-    def forward_port(self, node: int, dst: int, in_port: str,
-                     dead_edges: AbstractSet = _NO_EDGES,
-                     load: Optional[LoadFn] = None) -> str:
-        # Messages keep travelling the direction they arrived from; the
-        # relay drops (and the sender retries around) on a dead edge.
-        return self.topology.opposite_port(in_port)
-
-    def route_edges(self, src: int, dst: int, route: Route) -> tuple:
-        # Straight-line walk: every hop leaves through the same port.
-        edges = []
-        node = src
-        for _ in range(route.hops):
-            edge = self.topology.edge_for(node, route.port)
-            if edge is None:
-                break
-            edges.append(edge)
-            node = self.topology.neighbor(node, route.port)
-        return tuple(edges)
-
-    def _blocked(self, src: int, route: Route,
-                 dead_edges: AbstractSet) -> bool:
-        return any(edge in dead_edges
-                   for edge in self.route_edges(src, -1, route))
-
-
-class DimensionOrderRouter(Router):
-    """Canonical next-hop routing (X then Y then Z; shortest on rings)."""
-
-    name = "dimension_order"
-
-    def resolve(self, src: int, dst: int,
-                dead_edges: AbstractSet = _NO_EDGES,
-                load: Optional[LoadFn] = None) -> Route:
-        port, _nxt = self.topology.next_hop(src, dst)
-        route = Route(port, self.topology.min_hops(src, dst))
-        if not dead_edges:
-            return route
-        if not any(self.topology.edge_for(node, via) in dead_edges
-                   for node, via, _ in self.topology.path(src, dst)):
-            return route
-        return self._detour(src, dst, dead_edges)
-
-
 class AdaptiveRouter(Router):
     """Minimal adaptive routing: least-loaded live port that makes progress.
 
@@ -322,14 +276,13 @@ class AdaptiveRouter(Router):
     With dead edges in play "closer" is measured on the *live* graph
     (a BFS distance field rooted at the destination), not the intact
     topology.  A purely local minimal rule can livelock around a sever:
-    on a 4-ring with (1,2) cut, host 0's minimal port toward 2 points at
-    host 1, whose only escape is straight back at 0 — relays bounce the
-    message forever.  Descending the live-distance field makes every
-    hop strict progress, so relayed walks always terminate at the
-    destination (or the resolve fails promptly when it is partitioned).
+    on a 3x2 mesh with (1,2) and (1,4) cut, host 0's minimal port toward
+    2 points at host 1, whose only live cable leads straight back to 0 —
+    grid relays, which re-resolve, would bounce the message forever.
+    Descending the live-distance field makes every hop strict progress,
+    so relayed walks always terminate at the destination (or the resolve
+    fails promptly when it is partitioned).
     """
-
-    name = "adaptive"
 
     def resolve(self, src: int, dst: int,
                 dead_edges: AbstractSet = _NO_EDGES,
@@ -386,8 +339,8 @@ def make_router(topology: Topology,
 
     ``None`` is the fabric default, a function of the shape alone:
     FIXED_RIGHT on one wrapped axis (the paper's rule, so a ring and a
-    1-D torus agree), dimension-order everywhere else.  The two 1-D
-    policies raise on multi-axis grids.
+    1-D torus agree), dimension-order everywhere else.  FIXED_RIGHT and
+    SHORTEST raise on multi-axis grids.
     """
     if name is None:
         name = (RoutingPolicy.FIXED_RIGHT
@@ -397,8 +350,5 @@ def make_router(topology: Topology,
         policy = RoutingPolicy(name)
     except ValueError as exc:
         raise TopologyError(str(exc)) from None
-    if policy is RoutingPolicy.DIMENSION_ORDER:
-        return DimensionOrderRouter(topology)
-    if policy is RoutingPolicy.ADAPTIVE:
-        return AdaptiveRouter(topology)
-    return PolicyRouter(topology, policy)
+    cls = AdaptiveRouter if policy is RoutingPolicy.ADAPTIVE else Router
+    return cls(topology, policy)

@@ -5,11 +5,11 @@
 constructors over it, and a chain (a line of hosts) is the 1-D mesh.
 These tests pin (a) the closed-form answers the deleted ring and chain
 classes computed, (b) that a ring and a 1-D torus are the same cabling
-with one default router, (c) that the SHORTEST policy
-is canonical next-hop routing on one axis, dead edges included, and (d)
-the FIXED_RIGHT fallback on an open axis — and the frozen fabric/core calls
-the trajectory benchmark makes, so a rename breaks tier-1 rather than
-the benchmark.
+with one default router, (c) that the SHORTEST policy is canonical
+next-hop routing on one axis, dead edges included, and that every router
+walks one axis straight, and (d) the FIXED_RIGHT fallback on an open
+axis — and the frozen fabric/core calls the trajectory benchmark makes,
+so a rename breaks tier-1 rather than the benchmark.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from repro.fabric import (
     Direction,
     MeshTopology,
     NoRouteError,
-    PolicyRouter,
     RingTopology,
     Route,
+    Router,
     RoutingPolicy,
     Topology,
     TopologyError,
@@ -217,7 +217,8 @@ class TestShortestIsCanonical:
         for topo in _one_axis(n):
             shortest = make_router(topo, "shortest")
             ordered = make_router(topo, "dimension_order")
-            assert isinstance(shortest, PolicyRouter)
+            assert type(shortest) is Router
+            assert shortest.policy is RoutingPolicy.SHORTEST
             cables = list(topo.links())
             dead_sets = [frozenset()] + [
                 frozenset(c) for k in (1, 2)
@@ -227,36 +228,55 @@ class TestShortestIsCanonical:
                     assert _resolve(shortest, s, d, dead) == \
                         _resolve(ordered, s, d, dead), (topo, dead, s, d)
 
-    @pytest.mark.parametrize("n", range(3, 10))
-    def test_forward_port_differs_exactly_where_a_detour_exists(self, n):
-        # The relay rule is the one real difference.  Take a message
-        # travelling its canonical direction toward ``dst`` and a relay
-        # that knows about dead edges: the policy relay keeps the arrival
-        # direction, the dimension-order relay re-resolves — they part
-        # ways exactly when that re-resolve is a detour (``rerouted``).
-        differed = 0
+    @pytest.mark.parametrize("n", SIZES)
+    def test_every_router_walks_one_axis_straight(self, n):
+        # A simple path on one axis never turns.  Whatever a router
+        # resolves, its cable walk is ``hops`` distinct live cables
+        # straight along the first port, and every relay on it keeps
+        # sending through that port.
         for topo in _one_axis(n):
-            shortest = make_router(topo, "shortest")
-            ordered = make_router(topo, "dimension_order")
             cables = list(topo.links())
-            for dead in [frozenset(c) for k in (0, 1, 2)
-                         for c in combinations(cables, k)]:
-                for node, dst in _pairs(n):
-                    onward, _nxt = topo.next_hop(node, dst)
-                    in_port = topo.opposite_port(onward)
-                    if topo.neighbor(node, in_port) is None:
-                        continue  # line end: nothing arrives there
-                    keep = shortest.forward_port(node, dst, in_port, dead)
-                    assert keep == onward
-                    try:
-                        fresh = ordered.resolve(node, dst, dead)
-                    except NoRouteError:
-                        continue
-                    assert ordered.forward_port(
-                        node, dst, in_port, dead) == fresh.port
-                    assert (fresh.port != keep) == fresh.rerouted
-                    differed += fresh.rerouted
-        assert differed > 0
+            dead_sets = [frozenset(c) for k in (0, 1, 2)
+                         for c in combinations(cables, k)]
+            for policy in POLICIES:
+                router = make_router(topo, policy)
+                for dead in dead_sets:
+                    for s, d in _pairs(n):
+                        try:
+                            route = router.resolve(s, d, dead)
+                        except NoRouteError:
+                            continue
+                        case = (topo, policy, dead, s, d)
+                        straight, node = [], s
+                        for _ in range(route.hops):
+                            straight.append(topo.edge_for(node, route.port))
+                            node = topo.neighbor(node, route.port)
+                        assert node == d, case
+                        edges = router.route_edges(s, d, route)
+                        assert edges == tuple(straight), case
+                        assert len(set(edges)) == route.hops, case
+                        assert not set(edges) & dead, case
+                        assert not router.blocked(s, d, route, dead), case
+                        arrived = topo.opposite_port(route.port)
+                        node = s
+                        for _ in range(route.hops - 1):
+                            node = topo.neighbor(node, route.port)
+                            assert router.forward_port(
+                                node, d, arrived, dead) == route.port, case
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_detour_is_blocked_only_by_its_own_cables(self, policy):
+        # Ring of 8, 0 -> 2 around a cut (0,1): the six-hop detour leaves
+        # leftward and never crosses (1,2), so the dead-link handler
+        # keeps a pending request on it when (1,2) dies too, and fails it
+        # when a cable the detour does cross, (4,5), dies.
+        router = make_router(RingTopology(8), policy)
+        route = router.resolve(0, 2, frozenset({(0, 1)}))
+        assert route == Route("left", 6) and route.rerouted
+        assert router.route_edges(0, 2, route) == (
+            (7, 0), (6, 7), (5, 6), (4, 5), (3, 4), (2, 3))
+        assert not router.blocked(0, 2, route, {(0, 1), (1, 2)})
+        assert router.blocked(0, 2, route, {(0, 1), (4, 5)})
 
     def test_live_relays_agree_along_the_canonical_walk(self):
         # With every cable alive no relay ever turns a message around.

@@ -17,13 +17,12 @@ import pytest
 
 from repro.fabric import (
     AdaptiveRouter,
-    DimensionOrderRouter,
     Direction,
     MeshTopology,
     NoRouteError,
-    PolicyRouter,
     RingTopology,
     Route,
+    Router,
     RoutingPolicy,
     TopologyError,
     TorusTopology,
@@ -35,8 +34,8 @@ class TestPolicyRouter:
     def test_live_ring_matches_topology_route(self):
         # What the deleted ``Topology.route`` computed, as closed forms.
         topo = RingTopology(6)
-        fixed = PolicyRouter(topo, RoutingPolicy.FIXED_RIGHT)
-        shortest = PolicyRouter(topo, RoutingPolicy.SHORTEST)
+        fixed = Router(topo, RoutingPolicy.FIXED_RIGHT)
+        shortest = Router(topo, RoutingPolicy.SHORTEST)
         for src in range(6):
             for dst in range(6):
                 if src == dst:
@@ -48,21 +47,27 @@ class TestPolicyRouter:
                     else Route("left", left))
 
     def test_only_the_two_direction_policies(self):
-        for policy in (RoutingPolicy.DIMENSION_ORDER, RoutingPolicy.ADAPTIVE):
-            with pytest.raises(TopologyError):
-                PolicyRouter(RingTopology(6), policy)
+        # FIXED_RIGHT and SHORTEST pick a direction on one axis; a
+        # multi-axis grid is refused, whichever way the router is built.
+        for policy in (RoutingPolicy.FIXED_RIGHT, RoutingPolicy.SHORTEST):
+            for topo in (MeshTopology((2, 2)), TorusTopology((3, 3)),
+                         MeshTopology((2, 2, 2))):
+                with pytest.raises(TopologyError):
+                    Router(topo, policy)
+                with pytest.raises(TopologyError):
+                    make_router(topo, policy)
 
     def test_even_ring_shortest_ties_right(self):
         # Antipodal on an even ring: both ways are 2 hops.  Pin the
         # historical tie-break so goldens stay byte-identical.
-        route = PolicyRouter(RingTopology(4),
+        route = Router(RingTopology(4),
                              RoutingPolicy.SHORTEST).resolve(0, 2)
         assert route.direction == Direction.RIGHT
         assert route.hops == 2
 
     def test_single_sever_detours_the_other_way(self):
         topo = RingTopology(4)
-        router = PolicyRouter(topo, RoutingPolicy.FIXED_RIGHT)
+        router = Router(topo, RoutingPolicy.FIXED_RIGHT)
         route = router.resolve(0, 1, dead_edges={(0, 1)})
         assert route.direction == Direction.LEFT
         assert route.hops == 3
@@ -72,7 +77,7 @@ class TestPolicyRouter:
         # The old inline logic flipped direction without checking the
         # flipped path; the detour must itself avoid dead edges.
         topo = RingTopology(4)
-        router = PolicyRouter(topo, RoutingPolicy.FIXED_RIGHT)
+        router = Router(topo, RoutingPolicy.FIXED_RIGHT)
         with pytest.raises(NoRouteError):
             router.resolve(0, 1, dead_edges={(0, 1), (3, 0)})
 
@@ -80,7 +85,7 @@ class TestPolicyRouter:
         # Severing both sides of a destination partitions the ring:
         # every resolve toward it must fail, not spin through retries.
         topo = RingTopology(4)
-        router = PolicyRouter(topo, RoutingPolicy.SHORTEST)
+        router = Router(topo, RoutingPolicy.SHORTEST)
         dead = {(1, 2), (2, 3)}
         with pytest.raises(NoRouteError):
             router.resolve(0, 2, dead_edges=dead)
@@ -88,18 +93,22 @@ class TestPolicyRouter:
         assert router.resolve(0, 1, dead_edges=dead).hops == 1
 
     def test_forward_port_keeps_arrival_direction(self):
-        router = PolicyRouter(RingTopology(4), RoutingPolicy.FIXED_RIGHT)
-        # A relay that received on its left port forwards out the right.
-        assert router.forward_port(1, 3, "left") == "right"
-        assert router.forward_port(1, 3, "right") == "left"
+        # A relay that received on its left port forwards out the right,
+        # under every router: a simple path on one axis never turns.
+        for policy in RoutingPolicy:
+            router = make_router(RingTopology(4), policy)
+            assert router.forward_port(1, 3, "left") == "right"
+            assert router.forward_port(1, 3, "right") == "left"
+            assert router.forward_port(
+                1, 3, "left", dead_edges={(1, 2)}) == "right"
 
     def test_rejects_grid_topologies(self):
         with pytest.raises(TopologyError):
-            PolicyRouter(MeshTopology((2, 2)), RoutingPolicy.FIXED_RIGHT)
+            Router(MeshTopology((2, 2)), RoutingPolicy.FIXED_RIGHT)
 
     def test_route_edges_straight_line(self):
         topo = RingTopology(4)
-        router = PolicyRouter(topo, RoutingPolicy.FIXED_RIGHT)
+        router = Router(topo, RoutingPolicy.FIXED_RIGHT)
         route = router.resolve(0, 2)
         assert router.route_edges(0, 2, route) == ((0, 1), (1, 2))
 
@@ -110,7 +119,7 @@ class TestChainFallback:
         # rightward; the fallback used to be silent — it is now flagged
         # on every such resolve (the runtime counts the flags:
         # test_route_fallbacks_counted).
-        router = PolicyRouter(MeshTopology((4,)), RoutingPolicy.FIXED_RIGHT)
+        router = Router(MeshTopology((4,)), RoutingPolicy.FIXED_RIGHT)
         route = router.resolve(3, 0)
         assert route.direction == "x-"
         assert route.hops == 3
@@ -121,17 +130,17 @@ class TestChainFallback:
 
     def test_router_surfaces_the_fallback(self):
         topo = MeshTopology((3,))
-        router = PolicyRouter(topo, RoutingPolicy.FIXED_RIGHT)
+        router = Router(topo, RoutingPolicy.FIXED_RIGHT)
         assert router.resolve(2, 0).fallback
         # Leftward by choice (SHORTEST) is not a fallback.
-        assert not PolicyRouter(
+        assert not Router(
             topo, RoutingPolicy.SHORTEST).resolve(2, 0).fallback
 
 
 class TestDimensionOrderRouter:
     def test_canonical_route(self):
         topo = MeshTopology((3, 3))
-        router = DimensionOrderRouter(topo)
+        router = Router(topo, RoutingPolicy.DIMENSION_ORDER)
         route = router.resolve(0, 8)  # (0,0) -> (2,2)
         assert route.port == "x+"
         assert route.hops == 4
@@ -141,7 +150,7 @@ class TestDimensionOrderRouter:
         # Canonical 0 -> 2 is x+,x+ through edge (1,2); sever it and the
         # router must find the live 4-hop way round, not give up.
         topo = MeshTopology((3, 3))
-        router = DimensionOrderRouter(topo)
+        router = Router(topo, RoutingPolicy.DIMENSION_ORDER)
         route = router.resolve(0, 2, dead_edges={(1, 2)})
         assert route.rerouted
         assert route.hops == 4
@@ -149,7 +158,7 @@ class TestDimensionOrderRouter:
     def test_partitioned_destination_raises(self):
         # Cut both cables into corner host 2: (1,2) on x and (2,5) on y.
         topo = MeshTopology((3, 3))
-        router = DimensionOrderRouter(topo)
+        router = Router(topo, RoutingPolicy.DIMENSION_ORDER)
         with pytest.raises(NoRouteError):
             router.resolve(0, 2, dead_edges={(1, 2), (2, 5)})
 
@@ -157,13 +166,13 @@ class TestDimensionOrderRouter:
         # Grid relays re-resolve from their own view: after the x leg of
         # 0 -> 8 a relay at 2 turns the corner onto y+.
         topo = MeshTopology((3, 3))
-        router = DimensionOrderRouter(topo)
+        router = Router(topo, RoutingPolicy.DIMENSION_ORDER)
         assert router.forward_port(1, 8, "x-") == "x+"
         assert router.forward_port(2, 8, "x-") == "y+"
 
     def test_torus_wrap_detour(self):
         topo = TorusTopology((4,))
-        router = DimensionOrderRouter(topo)
+        router = Router(topo, RoutingPolicy.DIMENSION_ORDER)
         live = router.resolve(0, 3)
         assert live.port == "x-"  # 1 hop around the wrap
         assert live.hops == 1
@@ -176,15 +185,15 @@ class TestDimensionOrderRouter:
 class TestAdaptiveRouter:
     def test_no_load_no_faults_is_canonical(self):
         topo = TorusTopology((4, 4))
-        router = AdaptiveRouter(topo)
-        canonical = DimensionOrderRouter(topo).resolve(0, 10)
+        router = make_router(topo, RoutingPolicy.ADAPTIVE)
+        canonical = Router(topo, RoutingPolicy.DIMENSION_ORDER).resolve(0, 10)
         assert router.resolve(0, 10) == canonical
 
     def test_picks_least_loaded_minimal_port(self):
         # (0,0) -> (2,2) on a 4-torus: x distance ties at 2 either way,
         # so all four ports make minimal progress.  Load steers the pick.
         topo = TorusTopology((4, 4))
-        router = AdaptiveRouter(topo)
+        router = make_router(topo, RoutingPolicy.ADAPTIVE)
         load = {"x-": 3.0, "x+": 2.0, "y-": 1.0, "y+": 0.0}
         route = router.resolve(0, 10, load=load.__getitem__)
         assert route.port == "y+"
@@ -192,13 +201,13 @@ class TestAdaptiveRouter:
 
     def test_uniform_load_ties_in_port_order(self):
         topo = TorusTopology((4, 4))
-        router = AdaptiveRouter(topo)
+        router = make_router(topo, RoutingPolicy.ADAPTIVE)
         route = router.resolve(0, 10, load=lambda _port: 0.0)
         assert route.port == "x-"  # first minimal port in PORT_ORDER
 
     def test_dead_canonical_edge_shifts_sideways(self):
         topo = TorusTopology((4, 4))
-        router = AdaptiveRouter(topo)
+        router = make_router(topo, RoutingPolicy.ADAPTIVE)
         route = router.resolve(0, 10, dead_edges={(0, 1)})
         assert route.port != "x+"
         assert route.hops == 4  # still minimal
@@ -209,7 +218,7 @@ class TestAdaptiveRouter:
         # (1,4).  Sever it and no minimal port remains, so the router
         # must degrade to the BFS detour instead of raising.
         topo = MeshTopology((3, 3))
-        router = AdaptiveRouter(topo)
+        router = make_router(topo, RoutingPolicy.ADAPTIVE)
         route = router.resolve(1, 7, dead_edges={(1, 4)})
         assert route.rerouted
         assert route.hops == 4
@@ -221,7 +230,7 @@ class TestAdaptiveRouter:
         # port is dead and its detour hands the message straight back.
         # The live-distance descent rule walks 0 -> 3 -> 2 instead.
         topo = TorusTopology((4,))
-        router = AdaptiveRouter(topo)
+        router = make_router(topo, RoutingPolicy.ADAPTIVE)
         dead = {(1, 2)}
         route = router.resolve(0, 2, dead_edges=dead)
         node, port, walked = 0, route.port, 0
@@ -234,12 +243,33 @@ class TestAdaptiveRouter:
                     node, 2, topo.opposite_port(port), dead_edges=dead)
         assert walked == route.hops == 2
 
+    def test_grid_relay_walk_does_not_ping_pong_around_sever(self):
+        # Grid relays re-resolve.  On a 3x2 mesh with (1,2) and (1,4)
+        # cut, 0's minimal port toward 2 points at 1, whose only live
+        # cable leads straight back to 0; a local minimal rule would
+        # bounce 0 -> 1 -> 0.  Descending the live distances walks
+        # 0 -> 3 -> 4 -> 5 -> 2.
+        topo = MeshTopology((3, 2))
+        router = make_router(topo, RoutingPolicy.ADAPTIVE)
+        dead = {(1, 2), (1, 4)}
+        route = router.resolve(0, 2, dead_edges=dead)
+        node, port, walked = 0, route.port, 0
+        while node != 2:
+            assert walked <= topo.n_hosts, "relay walk is cycling"
+            assert topo.edge_for(node, port) not in dead
+            node = topo.neighbor(node, port)
+            walked += 1
+            if node != 2:
+                port = router.forward_port(
+                    node, 2, topo.opposite_port(port), dead_edges=dead)
+        assert walked == route.hops == 4
+
     def test_isolated_source_raises(self):
         # Adaptive resolution is local: it checks the *next* edge, not
         # the whole path (downstream severs re-resolve per hop).  With
         # every cable at the source dead, even BFS finds nothing.
         topo = MeshTopology((2, 2))
-        router = AdaptiveRouter(topo)
+        router = make_router(topo, RoutingPolicy.ADAPTIVE)
         with pytest.raises(NoRouteError):
             router.resolve(0, 3, dead_edges={(0, 1), (0, 2)})
 
@@ -247,21 +277,24 @@ class TestAdaptiveRouter:
 class TestMakeRouter:
     def test_defaults(self):
         ring = make_router(RingTopology(4))
-        assert isinstance(ring, PolicyRouter)
+        assert type(ring) is Router
         assert ring.policy is RoutingPolicy.FIXED_RIGHT
         shortest = make_router(RingTopology(4), RoutingPolicy.SHORTEST)
         assert shortest.policy is RoutingPolicy.SHORTEST
         grid = make_router(MeshTopology((2, 2)))
-        assert isinstance(grid, DimensionOrderRouter)
+        assert type(grid) is Router
+        assert grid.policy is RoutingPolicy.DIMENSION_ORDER
 
     def test_explicit_names(self):
         topo = TorusTopology((3, 3))
-        assert isinstance(make_router(topo, name="adaptive"),
-                          AdaptiveRouter)
-        assert isinstance(make_router(topo, name="dimension_order"),
-                          DimensionOrderRouter)
+        adaptive = make_router(topo, name="adaptive")
+        assert type(adaptive) is AdaptiveRouter
+        assert adaptive.policy is RoutingPolicy.ADAPTIVE
+        ordered = make_router(topo, name="dimension_order")
+        assert type(ordered) is Router
+        assert ordered.policy is RoutingPolicy.DIMENSION_ORDER
         ring = make_router(RingTopology(4), name="shortest")
-        assert isinstance(ring, PolicyRouter)
+        assert type(ring) is Router
         assert ring.policy is RoutingPolicy.SHORTEST
 
     def test_unknown_name_rejected(self):

@@ -1,6 +1,6 @@
 """Unit tests for topology math and routing policies.
 
-The direction decision lives in :class:`PolicyRouter`; "hops travelling
+The direction decision lives in :class:`Router`; "hops travelling
 only leftward" is what FIXED_RIGHT resolves once the rightward cable at
 the source is dead.
 """
@@ -13,16 +13,16 @@ from repro.fabric import (
     Direction,
     MeshTopology,
     NoRouteError,
-    PolicyRouter,
     RingTopology,
     Route,
+    Router,
     RoutingPolicy,
     TopologyError,
 )
 
 
 def _route(topo, src, dst, policy=RoutingPolicy.FIXED_RIGHT, dead=()):
-    return PolicyRouter(topo, policy).resolve(src, dst, frozenset(dead))
+    return Router(topo, policy).resolve(src, dst, frozenset(dead))
 
 
 class TestRing:

@@ -18,8 +18,9 @@ seconds with drive's ``StuckRunError`` instead of hanging tier-1.
 Every failure message is a one-line repro: seed, plan, topology and
 routing (the plans are fixed, so there is no seed).
 
-When the fault path is fixed (ROADMAP item 2), a test here starts to
-pass and ``strict=True`` turns that into a failure: drop its marker.
+When the fault path is fixed (the ROADMAP item on end-to-end
+delivery), a test here starts to pass and ``strict=True`` turns that
+into a failure: drop its marker.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _put_over_a_cut_cable(sever_at_us):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "a put relayed across a cable in the window between its cut and its "
     "detection is dropped by the relay; the sender's put already "
-    "returned and nobody is told (ROADMAP item 2)"))
+    "returned and nobody is told (ROADMAP: end-to-end delivery)"))
 def test_relayed_put_lost_between_cut_and_detection():
     """The cut lands while PE 1 relays the put, 1.5 ms before the
     detector can mark the cable."""
@@ -336,7 +337,7 @@ def _put(pe, sym, size, partner, rnd):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "a get whose request or response path crosses a dead cable is never "
-    "answered and never failed (ROADMAP item 2)"))
+    "answered and never failed (ROADMAP: end-to-end delivery)"))
 def test_get_never_returns_while_a_cable_is_down():
     """Cable (5,6) of a 4x4 mesh is cut between two get rounds; PEs 12-15
     then wait in ``get`` for good (the healthy run: 54 000 events)."""
@@ -389,7 +390,7 @@ def _unflushed_put(sanitize):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the dissemination barrier orders nothing its own notifications do "
     "not travel behind: a put on another route lands after the barrier "
-    "(ROADMAP item 2)"))
+    "(ROADMAP: end-to-end delivery)"))
 def test_dissemination_barrier_does_not_flush_a_put_on_another_route():
     (results, stuck), repro = _unflushed_put(sanitize=None)
     assert stuck is None, f"did not finish ({stuck.kind}): {repro}"

@@ -239,19 +239,25 @@ class TestPendingGetOnACutPath:
             self, monkeypatch):
         """A 64 KiB get from PE 0 to PE 8 on a 3x3 mesh leaves on the
         dimension-order path 0-1-2-5-8; cable (1,2) dies under it.  When
-        the detector marks the edge, the base router's grid walk
-        (``Router.route_edges``) finds the pending request on the dead
-        path, fails it, and the retry verifies the data over a detour."""
+        the detector marks the edge, the dead-link handler's verdict
+        (``Router.blocked``) finds the pending request on the dead path,
+        fails it, and the retry verifies the data over a detour."""
+        import sys
+
+        from repro.core import linkstate
         from repro.fabric import Router
 
-        walks = []
-        walk = Router.route_edges
+        verdicts = []
+        judge = Router.blocked
+        handler = linkstate._fail_pending_on_edge.__code__
 
-        def counted(router, src, dst, route):
-            walks.append((type(router).__name__, src, dst))
-            return walk(router, src, dst, route)
+        def counted(router, src, dst, route, dead_edges):
+            verdict = judge(router, src, dst, route, dead_edges)
+            if sys._getframe(1).f_code is handler:
+                verdicts.append((router.name, src, dst, verdict))
+            return verdict
 
-        monkeypatch.setattr(Router, "route_edges", counted)
+        monkeypatch.setattr(Router, "blocked", counted)
         size = 64 * 1024
 
         def main(pe):
@@ -273,7 +279,7 @@ class TestPendingGetOnACutPath:
                 faults=FaultPlan([SeverCable(2_500.0, 1, 2)]),
                 max_retries=8, retry_backoff_us=200.0))
         assert all(report.results)
-        assert walks == [("DimensionOrderRouter", 0, 8)]
+        assert verdicts == [("dimension_order", 0, 8, True)]
         assert report.runtimes[0].retries == 1
 
 

@@ -237,8 +237,9 @@ def _fuzz(kind, red=None):
 
     if red is None:
         return test
-    return pytest.mark.xfail(strict=True, raises=AssertionError,
-                             reason=red + " (ROADMAP item 2)")(test)
+    return pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=red + " (ROADMAP: end-to-end delivery)")(test)
 
 
 test_no_faults = _fuzz("none")

@@ -18,8 +18,8 @@ from repro.core.transfer import (
 )
 from repro.fabric import (
     Direction,
-    PolicyRouter,
     RingTopology,
+    Router,
     RoutingPolicy,
 )
 from repro.host import Host
@@ -183,7 +183,7 @@ class TestTopologyProperties:
             return
         # Leftward hops: what FIXED_RIGHT detours to once the source's
         # rightward cable is dead.
-        router = PolicyRouter(ring, RoutingPolicy.FIXED_RIGHT)
+        router = Router(ring, RoutingPolicy.FIXED_RIGHT)
         right = router.resolve(src, dst)
         left = router.resolve(
             src, dst, {ring.edge_for(src, Direction.RIGHT)})
@@ -199,9 +199,9 @@ class TestTopologyProperties:
         dst = data.draw(st.integers(0, n - 1))
         if src == dst:
             return
-        fixed = PolicyRouter(
+        fixed = Router(
             ring, RoutingPolicy.FIXED_RIGHT).resolve(src, dst)
-        short = PolicyRouter(ring, RoutingPolicy.SHORTEST).resolve(src, dst)
+        short = Router(ring, RoutingPolicy.SHORTEST).resolve(src, dst)
         assert short.hops <= fixed.hops
         assert short.hops <= n // 2
 
@@ -214,7 +214,7 @@ class TestTopologyProperties:
         if src == dst:
             return
         for policy in (RoutingPolicy.FIXED_RIGHT, RoutingPolicy.SHORTEST):
-            route = PolicyRouter(ring, policy).resolve(src, dst)
+            route = Router(ring, policy).resolve(src, dst)
             node = src
             for _hop in range(route.hops):
                 node = ring.neighbor(node, route.direction)

@@ -13,9 +13,10 @@ relay) — must:
   destination must be genuinely partitioned on the live graph — the
   prompt-failure half of the double-sever bugfix.
 
-Exactness holds for all three router families: policy routers validate
-the whole straight line at resolve time, and the dimension-order and
-adaptive routers descend a live-BFS distance field one hop at a time.
+Exactness holds for every router: on one axis a resolved route is
+checked along its whole straight line and relays keep its direction; on
+grids dimension-order relays re-resolve from a validated route and
+adaptive relays descend a live-BFS distance field one hop at a time.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fabric import (
-    AdaptiveRouter,
-    DimensionOrderRouter,
     MeshTopology,
     NoRouteError,
-    PolicyRouter,
     RingTopology,
     RoutingPolicy,
     TorusTopology,
+    make_router,
 )
 
 _SETTINGS = settings(
@@ -49,13 +48,12 @@ _TOPOLOGIES = st.one_of(
 
 
 def _routers_for(topology):
-    routers = (DimensionOrderRouter(topology), AdaptiveRouter(topology))
-    if len(topology.dims) > 1:
-        return routers
-    # One axis (ring, line — the 1-D mesh — and the 1-D torus):
-    # the two direction policies apply as well.
-    return (PolicyRouter(topology, RoutingPolicy.FIXED_RIGHT),
-            PolicyRouter(topology, RoutingPolicy.SHORTEST)) + routers
+    policies = [RoutingPolicy.DIMENSION_ORDER, RoutingPolicy.ADAPTIVE]
+    if len(topology.dims) == 1:
+        # One axis (ring, line — the 1-D mesh — and the 1-D torus):
+        # the two direction policies apply as well.
+        policies[:0] = [RoutingPolicy.FIXED_RIGHT, RoutingPolicy.SHORTEST]
+    return tuple(make_router(topology, policy) for policy in policies)
 
 
 @st.composite
