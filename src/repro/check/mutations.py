@@ -51,7 +51,9 @@ replayable trace, and that the same exploration without it stays clean.
     partners stay routable resend and nudge across the split forever.
     No model severs twice; ``tests/integration/test_fault_tolerance.py``
     catches it on each of eight split fabrics, rings, meshes and a torus
-    (``TestSplitFabricBarrier``, the ``[partition-blind]`` cases).
+    (``TestSplitFabricBarrier``, the ``[partition-blind]`` cases): six
+    runs are stuck, and on the two rings routed SHORTEST every PE fails
+    a route lookup across the split instead of reaching the verdict.
 ``amo-reapply``
     The AMO owner keeps no reply cache (its bound is 0), so a retried
     AMO whose first reply a cut lost is applied a second time.  No model

@@ -279,8 +279,13 @@ class PE:
         yield from self.rt.quiet()
 
     def fence(self) -> Generator:
-        """``shmem_fence`` — ordering; with one in-order channel per
-        direction this is equivalent to ``quiet``."""
+        """``shmem_fence`` — ordering, implemented as ``quiet``, whose
+        completion is first-hop.  That orders the puts, gets and barrier
+        notices after it behind the puts before it, since on every hop
+        they share one channel.  It does not order an AMO on the default
+        plane: an AMO word takes the data window on every hop and can
+        overtake put chunks still in transit (ROADMAP: end-to-end
+        delivery)."""
         yield from self.rt.quiet()
 
     def wait_until(self, addr: SymAddr, op: str, value: int) -> Generator:

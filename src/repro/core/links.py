@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["LinkEnd", "bring_up", "register_irqs", "wire_link_metrics",
            "tear_down"]
 
-#: The inline bytes of a header-only fastpath message (no payload).
+#: The inline bytes of a header-only bypass message (no payload).
 _NO_BYTES = np.zeros(0, dtype=np.uint8)
 
 #: Handshake magic values written to ScratchPads during init.
@@ -81,16 +81,19 @@ class LinkEnd:
              relay: bool = False) -> Generator:
         """Send one message through this adapter — the channel rule of
         Fig. 4/5, decided here and nowhere else (docs/PROTOCOL.md):
-        ``inline`` bytes ride a **bypass** slot header; no payload, a
-        ``data_only`` kind or the ``last_leg`` to the destination take the
-        **data** window; any other payload is in transit → **bypass**.
+        the ``last_leg`` to the destination or a ``data_only`` kind (the
+        AMO words) takes the **data** window; anything else is in transit
+        → **bypass**.  ``inline`` bytes ride a bypass slot header, and so
+        does a message with no payload in transit: a header-only inline
+        message, so a Get request or a relayed barrier notice never
+        overtakes the put chunks ahead of it on the same path.
 
-        On the fastpath the data window carries only a PE's own one-hop
-        payloads: a message with no payload is a header-only inline
-        bypass message, and a ``relay`` send (a relay, a cut-through, a
-        Get responder's chunk) stays on the bypass channel for its last
-        leg too, so a message never overtakes an earlier one of the same
-        path by switching channels at a relay.
+        The fastpath adds two terms, so its data window carries only a
+        PE's own one-hop payloads: a message with no payload goes
+        header-only on its last leg too, and a ``relay`` send (a relay, a
+        cut-through, a Get responder's chunk) stays on the bypass channel
+        for its last leg, so a message never overtakes an earlier one of
+        the same path by switching channels at a relay.
 
         Puts are tagged ``PUT_DATA`` on the last leg, ``PUT_FWD`` before
         it; ``relay`` marks a send on behalf of another PE.  A plain
@@ -99,14 +102,11 @@ class LinkEnd:
         """
         if kind is MsgKind.PUT_DATA or kind is MsgKind.PUT_FWD:
             kind = MsgKind.PUT_DATA if last_leg else MsgKind.PUT_FWD
-        if self.fastpath:
-            if inline is None and payload is None:
-                inline = _NO_BYTES
-            via_data = (inline is None and not relay
-                        and (last_leg or KIND_FACTS[kind].data_only))
-        else:
-            via_data = inline is None and (payload is None or last_leg
-                                           or KIND_FACTS[kind].data_only)
+        if inline is None and payload is None and (
+                self.fastpath or not last_leg):
+            inline = _NO_BYTES
+        via_data = (inline is None and not (self.fastpath and relay)
+                    and (last_leg or KIND_FACTS[kind].data_only))
         mailbox = self.data_mailbox if via_data else self.bypass_mailbox
         msg = Message(kind, mode, src_pe, dest_pe, offset, size, aux,
                       mailbox.next_seq(),

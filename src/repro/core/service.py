@@ -11,7 +11,11 @@ exactly as Fig. 5 does:
   pending-get buffer / AMO table and ACK.
 * *Destination is my neighbor?* → deliver through the **data** window
   (on the fastpath a relay stays on the bypass window: ``LinkEnd.post``).
-* otherwise → store-and-forward through the next hop's **bypass** window.
+* otherwise → store-and-forward through the next hop's **bypass** window;
+  a control message with no payload (a Get request, a barrier notice, a
+  link-state notice) goes as a header-only bypass slot header, so it
+  stays behind the put chunks ahead of it.  Only the AMO words take the
+  data window on every hop.
 
 Get requests additionally walk the "Source is me?" branch: the owner spawns
 a responder that streams chunks back along the reverse path.  AMO requests

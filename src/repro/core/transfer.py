@@ -671,12 +671,13 @@ class BypassMailbox(_MailboxBase):
 
     def send_inline(self, msg: Message, data: np.ndarray,
                     relay: bool = False) -> Generator:
-        """Fastpath: payload rides inside the 64-byte slot header.
+        """Payload rides inside the 64-byte slot header (fastpath).
 
         One PIO write publishes header and payload together, skipping the
         window payload write (and all DMA setup) for tiny messages.  A
         kind with no payload (GET_REQ, BARRIER_MSG, LINK_DOWN / LINK_UP)
-        goes header-only, with no bytes: its ``size`` is a header word of
+        goes header-only, with no bytes, on both planes in transit and on
+        the fastpath's last leg too: its ``size`` is a header word of
         its own (a Get's length, a barrier view word), so only a payload
         kind's ``size`` must match the bytes.  Flow control is identical
         to :meth:`send` — the slot is held until the receiver's ACK

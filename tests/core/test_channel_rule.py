@@ -2,7 +2,9 @@
 
 Two guards: truth tables — for every ``kind × payload × inline ×
 last_leg`` the one function picks the mailbox, re-tagged kind and flags
-the seven pre-fold send sites picked, and on the fastpath (``× relay``)
+the seven pre-fold send sites picked, except that a header-only message
+in transit rides a bypass slot header (Fig. 5: every non-last leg goes
+through the next hop's bypass buffer), and on the fastpath (``× relay``)
 the data window carries only a PE's own one-hop payloads — and a
 structural check that no other module builds a ``Message``, stamps a
 ``seq`` or names a mailbox.
@@ -73,15 +75,28 @@ def _old_sites(kind, has_payload, inline, last_leg):
      and (KIND_FACTS[combo[0]].payload or not (combo[1] or combo[2]))])
 def test_post_reproduces_the_old_send_sites(kind, has_payload, inline,
                                             last_leg):
+    """Every row but one is the pre-fold choice.  The one that moved: a
+    message with no payload that is not on its last leg (a Get request,
+    a relayed barrier notice, a link-state notice) is a header-only
+    bypass slot message instead of a data-window one, so it travels
+    behind the put chunks ahead of it on the same path."""
     payload = object() if has_payload else None
     data = np.zeros(8, np.uint8) if inline else None
     channel, how, msg, carried, relayed = _link().post(
         kind, 2, 5, last_leg=last_leg, mode=Mode.MEMCPY, offset=64, size=8,
         aux=9, payload=payload, inline=data, relay=True)
-    assert (channel, msg.kind, msg.flags) == _old_sites(
-        kind, has_payload, inline, last_leg)
-    assert how == ("send_inline" if inline else "send")
-    assert carried is (data if inline else payload)
+    expected = _old_sites(kind, has_payload, inline, last_leg)
+    if not (has_payload or inline or last_leg):   # header-only, in transit
+        expected = ("bypass", expected[1], FLAG_INLINE)
+        assert how == "send_inline" and carried.nbytes == 0
+    else:
+        assert how == ("send_inline" if inline else "send")
+        assert carried is (data if inline else payload)
+    assert (channel, msg.kind, msg.flags) == expected
+    if has_payload or inline or not KIND_FACTS[kind].payload:
+        # The data window carries exactly the last legs and the AMO words.
+        assert (channel == "data") == (not inline and (
+            last_leg or KIND_FACTS[kind].data_only))
     assert relayed is True
     assert (msg.mode, msg.src_pe, msg.dest_pe, msg.offset, msg.size,
             msg.aux, msg.seq) == (Mode.MEMCPY, 2, 5, 64, 8, 9, 7)
@@ -97,7 +112,8 @@ def test_post_reproduces_the_old_send_sites(kind, has_payload, inline,
 def test_the_fastpath_data_window_carries_own_one_hop_payloads_only(
         kind, has_payload, inline, last_leg, relay):
     """On the fastpath a header-only kind rides a bypass slot header with
-    no bytes, and a relay send stays on the bypass channel to the end."""
+    no bytes on its last leg too, and a relay send stays on the bypass
+    channel to the end."""
     payload = object() if has_payload else None
     data = np.zeros(8, np.uint8) if inline else None
     channel, how, msg, carried, relayed = _link(fastpath=True).post(
@@ -125,8 +141,11 @@ def test_the_fastpath_data_window_carries_own_one_hop_payloads_only(
      ("bypass", MsgKind.PUT_DATA, FLAG_INLINE)),
     ((MsgKind.PUT_DATA, False, True, False),
      ("bypass", MsgKind.PUT_FWD, FLAG_INLINE)),
-    # runtime._get_chunk / _amo_request: data window on every hop
-    ((MsgKind.GET_REQ, False, False, False), ("data", MsgKind.GET_REQ, 0)),
+    # runtime._get_chunk: header-only in transit, data window to a neighbor
+    ((MsgKind.GET_REQ, False, False, False),
+     ("bypass", MsgKind.GET_REQ, FLAG_INLINE)),
+    ((MsgKind.GET_REQ, False, False, True), ("data", MsgKind.GET_REQ, 0)),
+    # runtime._amo_request: the operand takes the data window on every hop
     ((MsgKind.AMO_REQ, True, False, False), ("data", MsgKind.AMO_REQ, 0)),
     ((MsgKind.AMO_REQ, False, True, False),
      ("bypass", MsgKind.AMO_REQ, FLAG_INLINE)),
@@ -134,11 +153,14 @@ def test_the_fastpath_data_window_carries_own_one_hop_payloads_only(
     ((MsgKind.GET_RESP, True, False, False), ("bypass", MsgKind.GET_RESP, 0)),
     ((MsgKind.GET_RESP, True, False, True), ("data", MsgKind.GET_RESP, 0)),
     ((MsgKind.AMO_RESP, True, False, False), ("data", MsgKind.AMO_RESP, 0)),
-    # barrier senders and the link-state flood
+    # barrier senders (a notice, a one-hop fence) and the link-state flood
     ((MsgKind.BARRIER_MSG, False, False, False),
+     ("bypass", MsgKind.BARRIER_MSG, FLAG_INLINE)),
+    ((MsgKind.BARRIER_MSG, False, False, True),
      ("data", MsgKind.BARRIER_MSG, 0)),
     ((MsgKind.LINK_DOWN, False, False, False),
-     ("data", MsgKind.LINK_DOWN, 0)),
+     ("bypass", MsgKind.LINK_DOWN, FLAG_INLINE)),
+    ((MsgKind.LINK_DOWN, False, False, True), ("data", MsgKind.LINK_DOWN, 0)),
 ])
 def test_first_hop_sites_literally(call, expected):
     kind, has_payload, inline, last_leg = call

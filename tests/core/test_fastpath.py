@@ -28,6 +28,7 @@ from repro.core import FastpathConfig, ShmemConfig
 from repro.core.transfer import (
     FLAG_INLINE,
     INLINE_MAX_BYTES,
+    KIND_FACTS,
     STAGED_ABOVE_BYTES,
     BypassMailbox,
     DataMailbox,
@@ -99,7 +100,17 @@ class TestDefaultPlane:
                   in report.metrics.snapshot().items()
                   if key.endswith((".data.inline", ".bypass.inline"))}
         assert len(inline) == 4 * len(report.runtimes)
-        assert not any(inline.values())
+        assert not any(value for key, value in inline.items()
+                       if key.endswith(".data.inline"))
+        # The default plane sends no inline bytes: its only inline sends
+        # are header-only messages in transit (Fig. 5's bypass legs).
+        header_only = [span for span in report.scope.spans
+                       if span.name == "inline_write"]
+        assert header_only and sum(inline.values()) == len(header_only)
+        assert {span.args["nbytes"] for span in header_only} == {0}
+        assert {span.args["kind"] for span in header_only} <= {
+            kind.name for kind, facts in KIND_FACTS.items()
+            if not facts.payload}
         assert not [span.name for span in report.scope.spans
                     if span.name.startswith("cut_through")]
         lever_keys = ("cut_throughs", "cut_through_fallbacks",
@@ -637,17 +648,17 @@ class TestOrderingUnderFastpath:
 
 class TestPerPathFifo:
     """A put and then a get of the same bytes from the same PE, with no
-    quiet between them, reads the put's bytes: on the fastpath the
+    quiet between them, reads the put's bytes: on both planes the
     request follows the put's chunks down one channel on every hop (a
     PE's own first hop aside, where the put's doorbell has rung before
     the request is posted), so it cannot overtake them at a relay."""
 
     SIZES = (8, 48, 49, 700, 3000, 4096, 70 * 1024)
-
-    @pytest.mark.parametrize("n,routing", [
+    FABRICS = pytest.mark.parametrize("n,routing", [
         (3, None), (4, "shortest"), (8, "shortest"),
     ], ids=["ring3-default", "ring4-shortest", "ring8-shortest"])
-    def test_a_get_reads_the_put_it_follows(self, n, routing):
+
+    def _get_after_put(self, n, routing, config):
         size = max(self.SIZES)
         # The default ring route goes right, so every PE is a destination.
         dests = range(1, n if routing is None else n // 2 + 1)
@@ -667,11 +678,56 @@ class TestPerPathFifo:
             yield from pe.barrier_all()
             return stale
 
-        report = run_spmd(main, n, shmem_config=_fp_config(routing=routing),
-                          finalize=False)
+        report = run_spmd(main, n, shmem_config=config, finalize=False)
         assert report.results[0] == []
         assert max(report.runtimes[0].route_to(pe).hops for pe in dests) \
             == (2 if routing is None else n // 2)
+
+    @FABRICS
+    def test_a_get_reads_the_put_it_follows(self, n, routing):
+        self._get_after_put(n, routing, _fp_config(routing=routing))
+
+    @FABRICS
+    def test_a_get_reads_the_put_it_follows_on_the_default_plane(
+            self, n, routing):
+        """A header-only request in transit rides a bypass slot, as the
+        put's chunks do; on the last leg both take the data window."""
+        self._get_after_put(n, routing, ShmemConfig(routing=routing))
+
+    @pytest.mark.parametrize("n,plane", [
+        (8, "fastpath"),
+        (3, "default"),
+        pytest.param(8, "default", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "an AMO word takes the data window on every hop and "
+                "overtakes the put chunks still in transit; fence is "
+                "first-hop quiet (ROADMAP: end-to-end delivery)"))),
+    ], ids=["ring8-fastpath", "ring3-default", "ring8-default"])
+    def test_fence_orders_an_amo_behind_a_put(self, n, plane):
+        """Put 64 KiB, put 100·dest into a cell, fence, then fetch-add
+        the cell: the AMO must read the put's value, at every distance
+        of a SHORTEST ring."""
+        dests = range(1, n // 2 + 1)
+
+        def main(pe):
+            sym = yield from pe.malloc(64 * 1024)
+            cell = yield from pe.malloc(8)
+            yield from pe.barrier_all()
+            old = {}
+            if pe.my_pe() == 0:
+                for dest in dests:
+                    yield from pe.put(sym, pattern(64 * 1024, seed=dest),
+                                      dest)
+                    yield from pe.p(cell, 100 * dest, dest)
+                    yield from pe.fence()
+                    old[dest] = yield from pe.atomic_fetch_add(cell, 1, dest)
+            yield from pe.barrier_all()
+            return old
+
+        config = (_fp_config if plane == "fastpath" else ShmemConfig)(
+            routing="shortest")
+        report = run_spmd(main, n, shmem_config=config, finalize=False)
+        assert report.results[0] == {dest: 100 * dest for dest in dests}
 
 
 class TestObservability:

@@ -232,26 +232,40 @@ class TestSplitFabricBarrier:
     until the horizon before the verdict was shared."""
 
     @pytest.mark.parametrize("mutation", [None, "partition-blind"])
-    @pytest.mark.parametrize("n,topology,dims,shmem,edges", [
-        (16, "mesh", (4, 4), {}, [(0, 1), (0, 4)]),
+    @pytest.mark.parametrize("n,topology,dims,shmem,edges,blind", [
+        (16, "mesh", (4, 4), {}, [(0, 1), (0, 4)], "stuck"),
         (16, "mesh", (4, 4), {"barrier": "dissemination"},
-         [(0, 1), (0, 4)]),
-        (9, "mesh", (3, 3), {}, [(0, 1), (0, 3)]),
-        (9, "torus", (3, 3), {}, [(0, 1), (2, 0), (0, 3), (6, 0)]),
-        (8, "ring", None, {"barrier": "dissemination"}, [(0, 1), (1, 2)]),
-        (8, "ring", None, {"routing": "shortest"}, [(0, 1), (4, 5)]),
-        (6, "ring", None, {"routing": "shortest"}, [(0, 1), (2, 3)]),
-        (6, "mesh", (3, 2), {"routing": "adaptive"}, [(0, 1), (0, 3)]),
+         [(0, 1), (0, 4)], "stuck"),
+        (9, "mesh", (3, 3), {}, [(0, 1), (0, 3)], "stuck"),
+        (9, "torus", (3, 3), {}, [(0, 1), (2, 0), (0, 3), (6, 0)], "stuck"),
+        (8, "ring", None, {"barrier": "dissemination"}, [(0, 1), (1, 2)],
+         "stuck"),
+        (8, "ring", None, {"routing": "shortest"}, [(0, 1), (4, 5)],
+         "no-route"),
+        (6, "ring", None, {"routing": "shortest"}, [(0, 1), (2, 3)],
+         "no-route"),
+        (6, "mesh", (3, 2), {"routing": "adaptive"}, [(0, 1), (0, 3)],
+         "stuck"),
     ], ids=["mesh4x4", "mesh4x4-dissemination", "mesh3x3",
             "torus3x3-pe0-isolated", "ring8-dissemination",
             "ring8-shortest", "ring6-shortest", "mesh3x2-adaptive"])
     def test_split_fabric_fails_every_barrier(self, n, topology, dims,
-                                              shmem, edges, mutation):
+                                              shmem, edges, blind, mutation):
         results, stuck = _two_barriers(n, topology, dims, edges, mutation,
                                        **shmem)
-        if mutation:
+        if mutation and blind == "stuck":
             # The seeded bug waits across the split: the run is stuck.
             assert stuck == "liveness-horizon", results
+            return
+        if mutation:
+            # On a SHORTEST ring every PE's first notification partner
+            # lies across the split: the seeded bug walks each PE into a
+            # route lookup that fails, never into the verdict.
+            assert stuck is None
+            assert all(isinstance(outcome, PeerUnreachableError)
+                       and "no live route" in str(outcome)
+                       and "barrier impossible" not in str(outcome)
+                       for outcome in results), results
             return
         assert stuck is None
         assert all(isinstance(outcome, PeerUnreachableError)
