@@ -124,9 +124,10 @@ def _notify(rt: "ShmemRuntime", dest: int, gen: int, low: int,
     """One generation-tagged BARRIER_MSG toward ``dest`` over whatever
     route is live (plain function: returns the send for ``yield from``)."""
     route = rt.route_to(dest)
-    return rt.link_for(route.direction).post(
+    return rt.link_for(route.port).post(
         MsgKind.BARRIER_MSG, rt.my_pe_id, dest, last_leg=route.hops == 1,
-        offset=words[0], size=words[1], aux=((gen & 0xFFFFFF) << 8) | low)
+        offset=words[0], size=words[1], aux=((gen & 0xFFFFFF) << 8) | low,
+        path=route.carried)
 
 
 def _notify_detached(rt: "ShmemRuntime", dest: int, gen: int, low: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..fabric import HeartbeatConfig, RoutingPolicy
+from ..fabric import HeartbeatConfig, Route, RoutingPolicy
 if TYPE_CHECKING:  # faults loads lazily: only runs configured with a plan
     from ..faults import FaultPlan  # noqa: F401
 from ..sim import Event
@@ -160,11 +160,10 @@ class PendingReply:
     #: "get" or "amo": which response answers it, and its name in errors.
     what: str
     done: Event
-    #: target PE and route at issue time, so a link-death handler can
-    #: tell which pending requests just lost their path.
+    #: target PE and the request's whole path, so a link-death handler
+    #: can tell which pending requests just lost it.
     pe: int
-    direction: str
-    hops: int
+    route: Route
     #: Get only: where response chunks land and how many bytes are in.
     dest_virt: int = 0
     nbytes: int = 0

@@ -78,7 +78,7 @@ class LinkEnd:
              size: int = 0, aux: int = 0,
              payload: Optional[PayloadSource] = None,
              inline: Optional[np.ndarray] = None,
-             relay: bool = False) -> Generator:
+             relay: bool = False, path: tuple[int, ...] = ()) -> Generator:
         """Send one message through this adapter — the channel rule of
         Fig. 4/5, decided here and nowhere else (docs/PROTOCOL.md):
         the ``last_leg`` to the destination or a ``data_only`` kind (the
@@ -95,6 +95,9 @@ class LinkEnd:
         for its last leg, so a message never overtakes an earlier one of
         the same path by switching channels at a relay.
 
+        A ``path`` for relays (``Route.carried``) rides a bypass slot
+        header's tail, so a message with one takes bypass slots.
+
         Puts are tagged ``PUT_DATA`` on the last leg, ``PUT_FWD`` before
         it; ``relay`` marks a send on behalf of another PE.  A plain
         function: it returns the mailbox's send generator for the caller
@@ -105,12 +108,13 @@ class LinkEnd:
         if inline is None and payload is None and (
                 self.fastpath or not last_leg):
             inline = _NO_BYTES
-        via_data = (inline is None and not (self.fastpath and relay)
+        via_data = (inline is None and not path
+                    and not (self.fastpath and relay)
                     and (last_leg or KIND_FACTS[kind].data_only))
         mailbox = self.data_mailbox if via_data else self.bypass_mailbox
         msg = Message(kind, mode, src_pe, dest_pe, offset, size, aux,
                       mailbox.next_seq(),
-                      0 if inline is None else FLAG_INLINE)
+                      0 if inline is None else FLAG_INLINE, path)
         if via_data:
             return self.data_mailbox.send(msg, payload, relay)
         if inline is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from ..fabric import HeartbeatMonitor, LinkState, Route
+from ..fabric import HeartbeatMonitor, LinkState
 from ..ntb import LinkDownError
 from ..sim import Interrupt
 from .errors import PeerUnreachableError
@@ -108,11 +108,10 @@ def _edge_changed(rt: "ShmemRuntime", state: str,
 
 
 def _fail_pending_on_edge(rt: "ShmemRuntime") -> None:
-    """Fail every pending Get/AMO whose issue-time route now crosses a
-    dead edge, so blocking callers stop waiting immediately."""
+    """Fail every pending Get/AMO whose request path now crosses a dead
+    edge, so blocking callers stop waiting immediately."""
     for req_id, pending in list(rt.pending.items()):
-        if not rt.router.blocked(rt.my_pe_id, pending.pe,
-                                 Route(pending.direction, pending.hops),
+        if not rt.router.blocked(rt.my_pe_id, pending.pe, pending.route,
                                  rt.dead_edges):
             continue
         if not pending.done.triggered:
@@ -142,9 +141,10 @@ def announce_link_state(rt: "ShmemRuntime", kind: MsgKind,
         if dest == rt.my_pe_id:
             continue
         try:
-            link = rt.link_for(rt.route_to(dest).direction)
-            yield from link.post(
-                kind, rt.my_pe_id, dest, last_leg=link.peer_host_id == dest,
-                aux=((edge[0] & 0xFF) << 8) | (edge[1] & 0xFF))
+            route = rt.route_to(dest)
+            yield from rt.link_for(route.port).post(
+                kind, rt.my_pe_id, dest, last_leg=route.hops == 1,
+                aux=((edge[0] & 0xFF) << 8) | (edge[1] & 0xFF),
+                path=route.carried)
         except (LinkDownError, PeerUnreachableError):
             continue  # an unreachable island: nothing to tell it

@@ -63,6 +63,7 @@ from .transfer import (
     PayloadSource,
     cheaper_mode,
     chunk_ranges,
+    inline_room,
 )
 from .waits import REPOLL, poll_wait, remote_wait
 
@@ -282,7 +283,7 @@ class ShmemRuntime:
             req_id = self._new_req_id()
         pending = self.pending[req_id] = PendingReply(
             req_id=req_id, what=what, done=self.env.event(), pe=pe,
-            direction=route.direction, hops=route.hops, **get_fields)
+            route=route, **get_fields)
         return pending
 
     def _retire(self, pending: PendingReply) -> None:
@@ -318,7 +319,7 @@ class ShmemRuntime:
             ) from None
 
     def _port_load(self, port: str) -> float:
-        """Live congestion estimate the adaptive router consults per hop:
+        """Live congestion estimate the adaptive router's first hop reads:
         in-flight traffic plus credit waiters on the port's mailboxes
         (the post-hoc ``link_utilisation`` sampler tells the same story
         offline from ``link_transit`` spans)."""
@@ -326,15 +327,9 @@ class ShmemRuntime:
         return float("inf") if link is None else link.load
 
     def route_to(self, pe: int) -> Route:
-        """Resolve a route via the pluggable router, steering around
-        edges declared dead.
-
-        The fault-free fast path is byte-identical to the pre-router
-        runtime: with no dead edges the policy route is returned
-        untouched.  A blocked route triggers the router's alternate-path
-        search (the opposite way around a ring, a BFS detour on grids);
-        no live path raises :class:`PeerUnreachableError` promptly.
-        """
+        """This PE's whole path to ``pe`` from the pluggable router:
+        the policy route, or a detour around the edges declared dead;
+        no live path raises :class:`PeerUnreachableError` promptly."""
         try:
             route = self.router.resolve(
                 self.my_pe_id, pe, self.dead_edges, load=self._port_load)
@@ -392,10 +387,12 @@ class ShmemRuntime:
             self.metrics_registry.observe(f"{op}_us.{detail}{bucket}", elapsed)
 
     def _remote_attempt(self, pe: int, what: str, traversed: list,
-                        attempt, *args) -> Generator:
+                        attempt, *args,
+                        route: Optional[Route] = None) -> Generator:
         """The one remote-attempt loop behind put chunks, get chunks and
-        AMO requests: resolve a route, run ``attempt(route, link, *args)``
-        and, if the path died under it, back off and go again.
+        AMO requests: resolve a route (a given ``route`` on the first
+        try), run ``attempt(route, link, *args)`` and, if the path died
+        under it, back off and go again.
 
         The route is re-resolved per attempt, so a mid-transfer sever
         sends the rest of the message the long way around; callers invoke
@@ -406,10 +403,11 @@ class ShmemRuntime:
         """
         tries = 0
         while True:
-            route = self.route_to(pe)
+            if route is None or tries:
+                route = self.route_to(pe)
             if route.hops > traversed[0]:
                 traversed[0] = route.hops
-            link = self.link_for(route.direction)
+            link = self.link_for(route.port)
             try:
                 return (yield from attempt(route, link, *args))
             except (LinkDownError, PeerUnreachableError) as exc:
@@ -425,16 +423,17 @@ class ShmemRuntime:
     # ------------------------------------------------------------------- put
     def put(self, dest: SymAddr, src_virt: int, nbytes: int, pe: int,
             mode: Optional[Mode] = None, *,
-            allow_inline: bool = True) -> Generator:
+            route: Optional[Route] = None) -> Generator:
         """One-sided Put: locally blocking (§II-B), returns once the local
         buffer is reusable.  ``src_virt`` is a local user virtual address.
 
         Neighbor destinations stream straight through the data window
         (Fig. 4 upper path); others are chunked into the next hop's bypass
         window for store-and-forward (lower path).  Under fastpath, tiny
-        payloads ride inline in a bypass slot header unless
-        ``allow_inline=False`` (callers that need same-channel ordering
-        with a preceding data-window Put, e.g. ``put_signal``).
+        payloads ride inline in a bypass slot header.  A given ``route``
+        (``put_signal``'s one path) is every chunk's first try and keeps
+        the payload out of slot headers, so a put behind another on that
+        route takes the same channel.
         """
         self._check_ready()
         self.check_pe(pe)
@@ -466,14 +465,14 @@ class ShmemRuntime:
             # descriptor/completion, no ScratchPad walk.  Flow control
             # (slot held until the receiver's ACK) is unchanged, so
             # ``quiet()`` still covers inline traffic.
-            inline = (self.config.fastpath is not None and allow_inline
+            inline = (self.config.fastpath is not None and route is None
                       and 0 < nbytes <= INLINE_MAX_BYTES)
             cursor = 0
             while cursor < nbytes:
                 cursor += yield from self._remote_attempt(
                     pe, f"put to PE {pe} at byte {cursor}/{nbytes}",
                     traversed, self._put_chunk, dest, src_virt, nbytes, pe,
-                    mode, cursor, inline)
+                    mode, cursor, inline, route=route)
 
     def _engine(self, nbytes: int, closed_form: Callable[[], dict]) -> Mode:
         """The engine of a put or get with no explicit ``mode``: the
@@ -494,6 +493,7 @@ class ShmemRuntime:
         size.  The chunk limit follows the route — a rerouted chunk must
         fit the bypass slot, not the neighbor's data window."""
         last_leg = route.hops == 1
+        inline = inline and nbytes <= inline_room(route.carried)
         if inline:
             limit, mode = nbytes, Mode.MEMCPY
         else:
@@ -506,7 +506,8 @@ class ShmemRuntime:
             mode=mode, offset=dest.offset + cursor, size=size,
             payload=(None if inline
                      else PayloadSource.from_user(self.host, virt, size)),
-            inline=self.host.read_user(virt, size) if inline else None)
+            inline=self.host.read_user(virt, size) if inline else None,
+            path=route.carried)
         return size
 
     # ------------------------------------------------------------------- get
@@ -572,7 +573,7 @@ class ShmemRuntime:
                 MsgKind.GET_REQ, self.my_pe_id, pe,
                 last_leg=route.hops == 1, mode=mode,
                 offset=src.offset + chunk_off, size=chunk_size,
-                aux=pending.req_id)
+                aux=pending.req_id, path=route.carried)
             yield from remote_wait(
                 self, pending.done,
                 what=f"get request {pending.req_id}", peer=pe)
@@ -641,7 +642,7 @@ class ShmemRuntime:
                 last_leg=route.hops == 1, mode=Mode.MEMCPY,
                 offset=target.offset, size=len(operand),
                 aux=req_id, payload=payload,
-                inline=data if inline else None)
+                inline=data if inline else None, path=route.carried)
             return (yield from remote_wait(
                 self, pending.done, what=f"amo request {req_id}", peer=pe))
         finally:
@@ -692,20 +693,21 @@ class ShmemRuntime:
         runtime's own and always goes by memcpy (PIO): for 8 bytes the
         fixed DMA cost dwarfs the store.
 
-        Delivery channels are in-order per direction, so the signal write
+        Delivery channels are in-order per path, so the signal write
         lands after the data — the consumer pairs it with ``wait_until``.
-        Inlining is disabled for both puts: the data and the signal must
-        travel the *same* channel, or the signal (inline, bypass window)
-        could overtake the data (data window) and fire early.
+        Both puts take the one path resolved here, and so the same
+        channel: a second resolve could leave by another first hop (the
+        adaptive router), and an inline signal by another window.
         """
-        yield from self.put(dest, src_virt, nbytes, pe, mode,
-                            allow_inline=False)
+        self.check_pe(pe)
+        route = None if pe == self.my_pe_id else self.route_to(pe)
+        yield from self.put(dest, src_virt, nbytes, pe, mode, route=route)
         raw = struct.pack("<q", signal_value)
         staging = self.host.mmap(4096)
         try:
             self.host.write_user(staging.virt, np.frombuffer(raw, np.uint8))
             yield from self.put(signal, staging.virt, len(raw), pe,
-                                Mode.MEMCPY, allow_inline=False)
+                                Mode.MEMCPY, route=route)
         finally:
             self.host.munmap(staging)
 

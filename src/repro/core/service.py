@@ -17,8 +17,11 @@ exactly as Fig. 5 does:
   stays behind the put chunks ahead of it.  Only the AMO words take the
   data window on every hop.
 
-Get requests additionally walk the "Source is me?" branch: the owner spawns
-a responder that streams chunks back along the reverse path.  AMO requests
+A relay does not route: the next hop is the header's path or the default
+walk, and only a dead next cable makes it resolve a route from itself
+(``_next_hop``).  Get requests additionally walk the "Source is me?"
+branch: the owner spawns a responder that streams chunks back out of the
+request's arrival port, on a path it fixes (``_reply_path``).  AMO requests
 are applied here exactly once: a retried one is answered from the
 owner's reply cache (``_AMO_REPLY_CACHE``).
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+from dataclasses import replace
 from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
@@ -52,7 +56,6 @@ from .transfer import (
     AMO_RESP_FMT,
     AmoOp,
     FLAG_INLINE,
-    INLINE_MAX_BYTES,
     INLINE_PAYLOAD_OFFSET,
     KIND_FACTS,
     Message,
@@ -61,6 +64,7 @@ from .transfer import (
     PayloadSource,
     SLOT_HEADER_BYTES,
     chunk_ranges,
+    inline_room,
     unpack_header_bytes,
 )
 from .waits import REPOLL, poll_wait
@@ -306,7 +310,8 @@ class ShmemService:
             link.next_rx_slot = (slot + 1) % mailbox.slots
             base = link.rx_bypass.phys + slot * mailbox.slot_stride
             yield from rt.host.cpu._charge(_SLOT_HEADER_US)
-            msg = unpack_header_bytes(rt.host.memory.read(base, 16))
+            msg = unpack_header_bytes(
+                rt.host.memory.read(base, SLOT_HEADER_BYTES))
             # Inline payloads (fastpath small messages) ride inside the
             # slot header itself, right after the packed Message words.
             payload_phys = base + (INLINE_PAYLOAD_OFFSET
@@ -506,25 +511,46 @@ class ShmemService:
             pending.done.succeed(old)
 
     # -------------------------------------------------------------- forwarding
-    def _out_link(self, in_link: "LinkEnd",
-                  dest_pe: int) -> Optional["LinkEnd"]:
-        """The onward link a relay sends toward ``dest_pe``.
+    def _next_hop(self, msg: Message, in_link: "LinkEnd"
+                  ) -> Optional[tuple["LinkEnd", Message]]:
+        """Where a relay sends ``msg``, and ``msg`` with its onward path.
 
-        Routing is the runtime's router's call: on one axis (a ring, a
-        line of hosts, a 1-D torus) relays keep travelling the direction
-        they arrived from under every router; grid relays re-resolve per
-        hop (dimension-order by default), so the same store-and-forward
-        machinery serves every topology.
-        None when the router finds no live way onward — the caller drops
-        the message (end-to-end recovery is the requester's job).
-        """
+        Relays do not route: they take the header path's next port, or
+        with none the default walk's (``Topology.relay_port``).  A next
+        cable dead in this PE's view makes the relay do what a source
+        does, resolve a route from here.  None when no live route is
+        left: the caller drops the message (end-to-end recovery is the
+        requester's job)."""
         rt = self.rt
+        if msg.path:
+            port = rt.topology.PORT_ORDER[msg.path[0]]
+            onward = replace(msg, path=msg.path[1:])
+        else:
+            port = rt.topology.relay_port(rt.my_pe_id, msg.dest_pe,
+                                          in_link.side)
+            onward = msg
+        link = rt.links.get(port)
+        if link is not None and link.edge not in rt.dead_edges:
+            return link, onward
         try:
-            return rt.link_for(rt.router.forward_port(
-                rt.my_pe_id, dest_pe, in_link.side, rt.dead_edges,
-                load=rt._port_load))
-        except NoRouteError:
+            route = rt.route_to(msg.dest_pe)
+        except PeerUnreachableError:
             return None
+        return rt.links[route.port], replace(msg, path=route.carried)
+
+    def _reply_path(self, link: "LinkEnd", dest: int) -> tuple[int, ...]:
+        """The header path of a response that leaves by its request's
+        arrival ``link``: the route from that neighbour on.  On one axis
+        and on a healthy fabric it is the default walk, so it is empty."""
+        rt = self.rt
+        nbr = link.peer_host_id
+        if nbr == dest or not rt.dead_edges or len(rt.topology.dims) == 1:
+            return ()
+        try:
+            ports = rt.router.resolve(nbr, dest, rt.dead_edges).ports
+        except NoRouteError:
+            return ()
+        return rt.topology.carried(rt.my_pe_id, dest, (link.side,) + ports)
 
     def _forward(self, msg: Message, in_link: "LinkEnd", payload_phys: int,
                  channel: str) -> Generator:
@@ -548,17 +574,16 @@ class ShmemService:
         the classic credit-deadlock cycle on a saturated ring.
         """
         rt = self.rt
-        out_link = self._out_link(in_link, msg.dest_pe)
-        if out_link is None or (
-                rt.dead_edges and out_link.edge in rt.dead_edges):
-            # Nowhere to go, or the onward cable is declared dead: behave
-            # like the posted fabric itself — ACK the sender (its slot
-            # must come back) and drop the chunk.
+        onward = self._next_hop(msg, in_link)
+        if onward is None:
+            # Nowhere to go: behave like the posted fabric itself — ACK
+            # the sender (its slot must come back) and drop the chunk.
             yield from self._ack(in_link, channel)
             self._drop_forward(msg)
             return
+        out_link, msg = onward
         if self._fastpath and channel == "bypass":
-            if msg.flags & FLAG_INLINE:
+            if msg.flags & FLAG_INLINE and msg.size <= inline_room(msg.path):
                 # Copy the ≤48 in-header bytes out (effectively free) and
                 # relay them inline again — the relay skips DMA exactly
                 # like the first hop did.
@@ -636,13 +661,14 @@ class ShmemService:
             msg.kind, msg.src_pe, msg.dest_pe,
             last_leg=out_link.peer_host_id == msg.dest_pe, mode=msg.mode,
             offset=msg.offset, size=msg.size, aux=msg.aux,
-            payload=payload, inline=inline, relay=True)
+            payload=payload, inline=inline, relay=True, path=msg.path)
 
     def _forward_control(self, msg: Message, in_link: "LinkEnd") -> None:
-        out_link = self._out_link(in_link, msg.dest_pe)
-        if out_link is None:
+        onward = self._next_hop(msg, in_link)
+        if onward is None:
             self._drop_forward(msg)
             return
+        out_link, msg = onward
         self._relay(msg, out_link)
 
     def _relay(self, msg: Message, out_link: "LinkEnd", staging=None,
@@ -691,14 +717,15 @@ class ShmemService:
     def _serve_get(self, msg: Message, out_link: "LinkEnd") -> Generator:
         rt = self.rt
         last_leg = out_link.peer_host_id == msg.src_pe
+        path = self._reply_path(out_link, msg.src_pe)
         chunk = rt.config.get_chunk
         if self._fastpath or not last_leg:
             # The response rides bypass slots: each chunk must fit one.
             chunk = min(chunk, rt.config.fwd_chunk)
-        # Fastpath: a chunk of at most INLINE_MAX_BYTES rides its slot
+        # Fastpath: a chunk that fits beside the path rides its slot
         # header.  Only a response that small is all inline (every chunk
         # but the tail is a full one), and it needs no staging.
-        inline_max = INLINE_MAX_BYTES if self._fastpath else 0
+        inline_max = inline_room(path) if self._fastpath else 0
         staging = (rt.host.alloc_pinned(chunk) if msg.size > inline_max
                    else None)
         try:
@@ -722,7 +749,7 @@ class ShmemService:
                         last_leg=last_leg, mode=msg.mode, offset=chunk_off,
                         size=chunk_size, aux=msg.aux, payload=payload,
                         inline=data if payload is None else None,
-                        relay=True)
+                        relay=True, path=path)
         except (LinkDownError, PeerUnreachableError):
             # Reverse path died mid-stream: abandon the response.  The
             # requester's bounded wait notices and retries or raises.
@@ -763,7 +790,7 @@ class ShmemService:
                 kind=MsgKind.AMO_RESP, mode=Mode.MEMCPY,
                 src_pe=rt.my_pe_id, dest_pe=msg.src_pe,
                 offset=msg.offset, size=_AMO_RESP_BYTES, aux=msg.aux,
-            )
+                path=self._reply_path(link, msg.src_pe))
             data = np.frombuffer(struct.pack(AMO_RESP_FMT, old),
                                  dtype=np.uint8)
             if self._fastpath:

@@ -77,6 +77,9 @@ __all__ = [
     "INLINE_PAYLOAD_OFFSET",
     "INLINE_MAX_BYTES",
     "FLAG_INLINE",
+    "FLAG_PATH",
+    "PATH_MAX_PORTS",
+    "inline_room",
     "CHAIN_CHUNK_BYTES",
     "STAGED_ABOVE_BYTES",
 ]
@@ -111,6 +114,13 @@ INLINE_MAX_BYTES = SLOT_HEADER_BYTES - INLINE_PAYLOAD_OFFSET
 #: (no window write, no DMA).  Only ever set by the fastpath sender; the
 #: decode path is part of the base wire protocol so mixed rings interop.
 FLAG_INLINE = 0x1
+
+#: Message flag: the bypass slot header's last :data:`PATH_BYTES` carry
+#: the path relays follow, 3 bits per ``PORT_ORDER`` index plus one (0
+#: ends it).  A message with a path rides bypass slots (``LinkEnd.post``).
+FLAG_PATH = 0x2
+PATH_BYTES = 8
+PATH_MAX_PORTS = PATH_BYTES * 8 // 3
 
 #: Descriptor granularity of a staged chained DMA: descriptors after the
 #: first hide behind the previous segment's stream time.
@@ -236,7 +246,8 @@ class Message:
     ``offset``/``size`` are the paper's "Address Offset" / "Data Size";
     ``aux`` carries a request id (get/amo) or chunk offset; ``seq`` is a
     per-direction sequence number used to catch protocol bugs; ``flags``
-    occupies the two spare bits of reg0 (``FLAG_INLINE``).
+    occupies the two spare bits of reg0 (``FLAG_INLINE``; the wire adds
+    ``FLAG_PATH`` for a ``path``, the ports still to walk).
     """
 
     kind: MsgKind
@@ -248,6 +259,7 @@ class Message:
     aux: int = 0
     seq: int = 0
     flags: int = 0
+    path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not (0 <= self.src_pe < 256 and 0 <= self.dest_pe < 256):
@@ -258,6 +270,9 @@ class Message:
             raise ProtocolError(f"aux must fit u32: {self}")
         if not (0 <= self.flags < 4):
             raise ProtocolError(f"flags must fit two bits: {self}")
+        if len(self.path) > PATH_MAX_PORTS:
+            raise ProtocolError(
+                f"a path fits {PATH_MAX_PORTS} ports of a slot header: {self}")
 
 
 def pack_message(msg: Message) -> tuple[int, int, int, int]:
@@ -265,7 +280,7 @@ def pack_message(msg: Message) -> tuple[int, int, int, int]:
     reg0 = (
         (int(msg.kind) & 0xF) << 28
         | (int(msg.mode) & 0x3) << 26
-        | (msg.flags & 0x3) << 24
+        | (msg.flags | (FLAG_PATH if msg.path else 0)) << 24
         | (msg.src_pe & 0xFF) << 16
         | (msg.dest_pe & 0xFF) << 8
         | (msg.seq & 0xFF)
@@ -273,11 +288,14 @@ def pack_message(msg: Message) -> tuple[int, int, int, int]:
     return reg0, msg.offset, msg.size, msg.aux
 
 
-def unpack_message(regs: Sequence[int]) -> Message:
+def unpack_message(regs: Sequence[int],
+                   path: tuple[int, ...] = ()) -> Message:
     """Four u32 register values -> Message (validates the kind)."""
     if len(regs) != SPAD_BLOCK_REGS:
         raise ProtocolError(f"expected {SPAD_BLOCK_REGS} regs, got {len(regs)}")
     reg0, offset, size, aux = regs
+    if (reg0 >> 24) & FLAG_PATH and not path:
+        raise ProtocolError(f"FLAG_PATH without a path in {reg0:#010x}")
     kind_val = (reg0 >> 28) & 0xF
     try:
         kind = MsgKind(kind_val)
@@ -293,8 +311,14 @@ def unpack_message(regs: Sequence[int]) -> Message:
         size=size,
         aux=aux,
         seq=reg0 & 0xFF,
-        flags=(reg0 >> 24) & 0x3,
+        flags=(reg0 >> 24) & FLAG_INLINE,
+        path=path,
     )
+
+
+def inline_room(path: tuple[int, ...]) -> int:
+    """The inline payload bytes a slot header holds beside ``path``."""
+    return INLINE_MAX_BYTES - (PATH_BYTES if path else 0)
 
 
 def pack_header_bytes(msg: Message,
@@ -302,23 +326,37 @@ def pack_header_bytes(msg: Message,
     """In-slot header encoding (bypass mailbox).
 
     With ``inline_data`` the payload bytes are embedded in the header's
-    padding at :data:`INLINE_PAYLOAD_OFFSET` (fastpath inline messages).
+    padding at :data:`INLINE_PAYLOAD_OFFSET` (fastpath inline messages),
+    before ``msg.path``.
     """
     regs = pack_message(msg)
     head = struct.pack("<4I", *regs)
     if inline_data is not None:
-        if len(inline_data) > INLINE_MAX_BYTES:
+        if len(inline_data) > inline_room(msg.path):
             raise ProtocolError(
                 f"inline payload {len(inline_data)} exceeds "
-                f"{INLINE_MAX_BYTES} bytes"
+                f"{inline_room(msg.path)} bytes"
             )
         head += bytes(inline_data)
+    if msg.path:
+        word = sum((port + 1) << (3 * i) for i, port in enumerate(msg.path))
+        head = (head.ljust(SLOT_HEADER_BYTES - PATH_BYTES, b"\0")
+                + word.to_bytes(PATH_BYTES, "little"))
     return head.ljust(SLOT_HEADER_BYTES, b"\0")
 
 
 def unpack_header_bytes(raw: bytes | np.ndarray) -> Message:
-    buf = bytes(raw[:16])
-    return unpack_message(struct.unpack("<4I", buf))
+    regs = struct.unpack("<4I", bytes(raw[:16]))
+    word = 0
+    if (regs[0] >> 24) & FLAG_PATH:
+        word = int.from_bytes(
+            bytes(raw[SLOT_HEADER_BYTES - PATH_BYTES:SLOT_HEADER_BYTES]),
+            "little")
+    path = []
+    while word:
+        path.append((word & 0x7) - 1)
+        word >>= 3
+    return unpack_message(regs, tuple(path))
 
 
 class PayloadSource:
@@ -684,10 +722,10 @@ class BypassMailbox(_MailboxBase):
         doorbell — so ``quiet()`` semantics are unchanged.
         """
         nbytes = int(data.nbytes)
-        if nbytes > INLINE_MAX_BYTES:
+        if nbytes > inline_room(msg.path):
             raise ProtocolError(
                 f"{self.name}: inline payload {nbytes} exceeds "
-                f"{INLINE_MAX_BYTES} bytes"
+                f"{inline_room(msg.path)} bytes"
             )
         if msg.size != nbytes and KIND_FACTS[msg.kind].payload:
             raise ProtocolError(

@@ -89,22 +89,30 @@ class RoutingPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class Route:
-    """A resolved route: first-hop port and total link traversals.
+    """A resolved route: the whole walk as the outbound port of each hop.
 
     ``fallback`` marks a policy route that had to abandon the requested
     direction (FIXED_RIGHT on an open axis); ``rerouted`` marks a route
-    that detoured around dead edges.
+    that detoured around dead edges.  ``carried`` is the path the
+    message's header carries for relays (:meth:`Topology.carried`).
     """
 
-    direction: str
-    hops: int
+    ports: tuple[str, ...]
     fallback: bool = field(default=False, compare=False)
     rerouted: bool = field(default=False, compare=False)
+    carried: tuple[int, ...] = field(default=(), compare=False)
 
     @property
     def port(self) -> str:
-        """The outbound port name of the first hop (``direction``)."""
-        return self.direction
+        """The outbound port name of the first hop."""
+        return self.ports[0]
+
+    direction = port
+
+    @property
+    def hops(self) -> int:
+        """Link traversals end to end."""
+        return len(self.ports)
 
 
 class Topology:
@@ -156,10 +164,9 @@ class Topology:
              for port in self.PORT_ORDER}
             for host in range(self.n_hosts)
         )
-        # Likewise the canonical route of a (src, dst) pair, asked again
+        # Likewise the canonical walk of a (src, dst) pair, asked again
         # at every relay hop; filled on first use, so set-up pays nothing.
-        self._next_hops: dict[tuple[int, int], tuple[str, int]] = {}
-        self._min_hops: dict[tuple[int, int], int] = {}
+        self._walks: dict[tuple[int, int], tuple[str, ...]] = {}
 
     def check_host(self, host_id: int) -> None:
         if not (0 <= host_id < self.n_hosts):
@@ -270,68 +277,56 @@ class Topology:
             yield owner, peer
 
     # -- routing -------------------------------------------------------------
-    def _axis_step(self, axis: int, frm: int, to: int) -> tuple[int, int]:
-        """(signed step, remaining hops) to correct one axis coordinate."""
-        extent = self.dims[axis]
-        if self.wrap:
-            fwd = (to - frm) % extent
-            back = (frm - to) % extent
-            if fwd <= back:  # ties toward the positive port
-                return +1, fwd
-            return -1, back
-        return (+1 if to > frm else -1), abs(to - frm)
-
     def next_hop(self, src: int, dst: int) -> tuple[str, int]:
-        """The canonical first hop for src -> dst: ``(port, next_host)``."""
-        hop = self._next_hops.get((src, dst))
-        if hop is None:
-            hop = self._next_hops[src, dst] = self._compute_next_hop(src, dst)
-        return hop
-
-    def _compute_next_hop(self, src: int, dst: int) -> tuple[str, int]:
+        """The canonical first hop for src -> dst: ``(port, next_host)``,
+        on the lowest differing axis, the shorter way around a wrapped
+        one (ties toward the positive port)."""
         self.check_host(src)
         self.check_host(dst)
         if src == dst:
             raise TopologyError(f"route to self (host {src})")
-        sc = self.coords(src)
-        dc = self.coords(dst)
-        for axis, (s, d) in enumerate(zip(sc, dc)):
-            if s == d:
-                continue
-            sign, _ = self._axis_step(axis, s, d)
-            port = self.PORT_ORDER[axis * 2 + (1 if sign > 0 else 0)]
-            return port, self.neighbor(src, port)
-        raise TopologyError(  # pragma: no cover - src != dst implies a diff
-            f"no differing axis routing {src} -> {dst}"
-        )
+        sc, dc = self.coords(src), self.coords(dst)
+        axis = next(axis for axis in range(len(sc)) if sc[axis] != dc[axis])
+        s, d, extent = sc[axis], dc[axis], self.dims[axis]
+        positive = (d - s) % extent <= (s - d) % extent if self.wrap else d > s
+        port = self.PORT_ORDER[2 * axis + positive]
+        return port, self.neighbor(src, port)
 
     def min_hops(self, src: int, dst: int) -> int:
         """Length of the canonical (minimal) path from src to dst."""
-        hops = self._min_hops.get((src, dst))
-        if hops is None:
+        return len(self.walk(src, dst))
+
+    def walk(self, src: int, dst: int) -> tuple[str, ...]:
+        """The canonical path's outbound ports, hop by hop."""
+        ports = self._walks.get((src, dst))
+        if ports is None:
             self.check_host(src)
             self.check_host(dst)
-            sc = self.coords(src)
-            dc = self.coords(dst)
-            hops = self._min_hops[src, dst] = sum(
-                self._axis_step(axis, s, d)[1]
-                for axis, (s, d) in enumerate(zip(sc, dc))
-            )
-        return hops
+            hops, node = [], src
+            while node != dst:
+                port, node = self.next_hop(node, dst)
+                hops.append(port)
+            ports = self._walks[src, dst] = tuple(hops)
+        return ports
 
-    def path(self, src: int, dst: int) -> list[tuple[int, str, int]]:
-        """The canonical hop-by-hop walk as ``(node, port, next)`` triples."""
-        self.check_host(src)
-        self.check_host(dst)
-        walk: list[tuple[int, str, int]] = []
-        node = src
-        while node != dst:
-            port, nxt = self.next_hop(node, dst)
-            walk.append((node, port, nxt))
-            node = nxt
-            if len(walk) > self.n_hosts:  # pragma: no cover - safety net
-                raise TopologyError(f"next_hop cycle routing {src}->{dst}")
-        return walk
+    def relay_port(self, node: int, dst: int, in_port: str) -> str:
+        """The default walk: where a relay at ``node`` sends a message
+        for ``dst`` whose header carries no path.  Straight on one axis
+        (a simple path there never turns), the canonical hop on grids."""
+        if len(self.dims) == 1:
+            return self.opposite_port(in_port)
+        return self.walk(node, dst)[0]
+
+    def carried(self, src: int, dst: int,
+                ports: Sequence[str]) -> tuple[int, ...]:
+        """The header path of a message that leaves ``src`` for ``dst``
+        on ``ports``: nothing when it is the relays' default walk
+        (:meth:`relay_port`), else the later ports' ``PORT_ORDER`` index."""
+        rest = tuple(ports[1:])
+        default = ((ports[0],) * len(rest) if len(self.dims) == 1 else
+                   rest and self.walk(self.neighbor(src, ports[0]), dst))
+        return () if rest == default else tuple(map(self.PORT_ORDER.index,
+                                                    rest))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         shape = "x".join(str(d) for d in self.dims)

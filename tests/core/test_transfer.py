@@ -16,6 +16,8 @@ from repro.core import (
 )
 from repro.core.transfer import (
     INLINE_MAX_BYTES,
+    INLINE_PAYLOAD_OFFSET,
+    PATH_MAX_PORTS,
     STAGED_ABOVE_BYTES,
     BypassMailbox,
     DataMailbox,
@@ -25,6 +27,7 @@ from repro.core.transfer import (
     DOORBELL_DMAGET,
     DOORBELL_DMAPUT,
     FLAG_INLINE,
+    FLAG_PATH,
     KIND_FACTS,
     Message,
     PayloadSource,
@@ -32,6 +35,7 @@ from repro.core.transfer import (
     cheaper_mode,
     chunk_ranges,
     engine_costs,
+    inline_room,
     pack_header_bytes,
     pack_message,
     unpack_header_bytes,
@@ -66,6 +70,35 @@ class TestMessageCodec:
         raw = pack_header_bytes(msg)
         assert len(raw) == SLOT_HEADER_BYTES
         assert unpack_header_bytes(np.frombuffer(raw, np.uint8)) == msg
+
+    def test_a_path_rides_the_slot_header_tail(self):
+        # The longest path a header holds, beside the largest inline
+        # payload that fits with it: 40 bytes, where one with no path
+        # keeps 48.
+        path = tuple(i % 6 for i in range(PATH_MAX_PORTS))
+        msg = Message(kind=MsgKind.PUT_FWD, mode=Mode.MEMCPY, src_pe=1,
+                      dest_pe=2, offset=99, size=40, aux=5, seq=9,
+                      flags=FLAG_INLINE, path=path)
+        data = bytes(range(1, 41))
+        raw = pack_header_bytes(msg, data)
+        assert len(raw) == SLOT_HEADER_BYTES
+        assert (pack_message(msg)[0] >> 24) & FLAG_PATH
+        assert raw[INLINE_PAYLOAD_OFFSET:INLINE_PAYLOAD_OFFSET + 40] == data
+        assert unpack_header_bytes(np.frombuffer(raw, np.uint8)) == msg
+        assert (inline_room(path), inline_room(())) == (40, INLINE_MAX_BYTES)
+        with pytest.raises(ProtocolError, match="exceeds 40 bytes"):
+            pack_header_bytes(msg, bytes(41))
+
+    def test_a_path_the_header_cannot_hold_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="path fits"):
+            Message(kind=MsgKind.GET_REQ, mode=Mode.DMA, src_pe=0,
+                    dest_pe=1, offset=0, size=8,
+                    path=(0,) * (PATH_MAX_PORTS + 1))
+        # The ScratchPads carry no path, so they cannot carry its flag.
+        msg = Message(kind=MsgKind.GET_REQ, mode=Mode.DMA, src_pe=0,
+                      dest_pe=1, offset=0, size=8, path=(1,))
+        with pytest.raises(ProtocolError, match="FLAG_PATH"):
+            unpack_message(pack_message(msg))
 
     def test_bad_kind_rejected_on_unpack(self):
         with pytest.raises(ProtocolError):

@@ -120,15 +120,15 @@ class TestDimensionOrderRouting:
                                 topo.host_at((2, 0)))
         assert port == "x+"
 
-    def test_path_walks_to_destination(self):
+    def test_walk_reaches_destination(self):
+        # (0,0,0) -> (2,2,2) wraps once on every axis, X then Y then Z.
         topo = TorusTopology((3, 3, 3))
-        src, dst = 0, 26
-        path = topo.path(src, dst)
-        assert len(path) == topo.min_hops(src, dst)
-        assert path[0][0] == src
-        assert path[-1][2] == dst
-        for (_, _, arrive), (depart, _, _) in zip(path, path[1:]):
-            assert arrive == depart
+        node = 0
+        for port in topo.walk(0, 26):
+            node = topo.neighbor(node, port)
+        assert node == 26
+        assert topo.walk(0, 26) == ("x-", "y-", "z-")
+        assert topo.min_hops(0, 26) == 3
 
 
 class TestGridEdges:

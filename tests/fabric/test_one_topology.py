@@ -231,9 +231,9 @@ class TestShortestIsCanonical:
     @pytest.mark.parametrize("n", SIZES)
     def test_every_router_walks_one_axis_straight(self, n):
         # A simple path on one axis never turns.  Whatever a router
-        # resolves, its cable walk is ``hops`` distinct live cables
-        # straight along the first port, and every relay on it keeps
-        # sending through that port.
+        # resolves, its walk is ``hops`` distinct live cables straight
+        # along the first port, which is the relays' default walk: the
+        # header carries no path.
         for topo in _one_axis(n):
             cables = list(topo.links())
             dead_sets = [frozenset(c) for k in (0, 1, 2)
@@ -247,22 +247,20 @@ class TestShortestIsCanonical:
                         except NoRouteError:
                             continue
                         case = (topo, policy, dead, s, d)
-                        straight, node = [], s
-                        for _ in range(route.hops):
-                            straight.append(topo.edge_for(node, route.port))
-                            node = topo.neighbor(node, route.port)
-                        assert node == d, case
-                        edges = router.route_edges(s, d, route)
-                        assert edges == tuple(straight), case
+                        assert route.ports == (route.port,) * route.hops
+                        edges, end = _walk(topo, s, route)
+                        assert end == d, case
                         assert len(set(edges)) == route.hops, case
                         assert not set(edges) & dead, case
                         assert not router.blocked(s, d, route, dead), case
+                        assert route.carried == topo.carried(
+                            s, d, route.ports) == (), case
                         arrived = topo.opposite_port(route.port)
                         node = s
                         for _ in range(route.hops - 1):
                             node = topo.neighbor(node, route.port)
-                            assert router.forward_port(
-                                node, d, arrived, dead) == route.port, case
+                            assert topo.relay_port(
+                                node, d, arrived) == route.port, case
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_a_detour_is_blocked_only_by_its_own_cables(self, policy):
@@ -270,24 +268,41 @@ class TestShortestIsCanonical:
         # leftward and never crosses (1,2), so the dead-link handler
         # keeps a pending request on it when (1,2) dies too, and fails it
         # when a cable the detour does cross, (4,5), dies.
-        router = make_router(RingTopology(8), policy)
+        ring = RingTopology(8)
+        router = make_router(ring, policy)
         route = router.resolve(0, 2, frozenset({(0, 1)}))
-        assert route == Route("left", 6) and route.rerouted
-        assert router.route_edges(0, 2, route) == (
-            (7, 0), (6, 7), (5, 6), (4, 5), (3, 4), (2, 3))
+        assert route == Route(("left",) * 6) and route.rerouted
+        assert _walk(ring, 0, route) == ((
+            (7, 0), (6, 7), (5, 6), (4, 5), (3, 4), (2, 3)), 2)
         assert not router.blocked(0, 2, route, {(0, 1), (1, 2)})
         assert router.blocked(0, 2, route, {(0, 1), (4, 5)})
 
     def test_live_relays_agree_along_the_canonical_walk(self):
-        # With every cable alive no relay ever turns a message around.
+        # With every cable alive no relay ever turns a message around:
+        # both routers resolve the canonical walk, and the default walk
+        # of every relay on it sends the message on along that walk.
         ring = RingTopology(7)
         shortest = make_router(ring, "shortest")
         ordered = make_router(ring, "dimension_order")
         for s, d in _pairs(7):
-            for node, port, nxt in ring.path(s, d)[:-1]:
-                arrived = ring.opposite_port(port)
-                assert shortest.forward_port(nxt, d, arrived) == \
-                    ordered.forward_port(nxt, d, arrived) == port
+            walk = ring.walk(s, d)
+            assert shortest.resolve(s, d).ports == ordered.resolve(
+                s, d).ports == walk
+            node = s
+            for port in walk[:-1]:
+                node = ring.neighbor(node, port)
+                assert ring.relay_port(node, d,
+                                       ring.opposite_port(port)) == port
+
+
+def _walk(topo, src, route):
+    """The directed cable ids ``route`` crosses from ``src``, and where
+    it ends."""
+    edges, node = [], src
+    for port in route.ports:
+        edges.append(topo.edge_for(node, port))
+        node = topo.neighbor(node, port)
+    return tuple(edges), node
 
 
 class TestFixedRight:
@@ -300,10 +315,10 @@ class TestFixedRight:
         for s, d in _pairs(n):
             route = router.resolve(s, d)
             if d > s:
-                assert route == Route("x+", d - s)
+                assert route == Route(("x+",) * (d - s))
                 assert not route.fallback
             else:
-                assert route == Route("x-", s - d)
+                assert route == Route(("x-",) * (s - d))
                 assert route.fallback
             assert not route.rerouted
 
@@ -312,12 +327,12 @@ class TestFixedRight:
         router = make_router(RingTopology(n), RoutingPolicy.FIXED_RIGHT)
         for s, d in _pairs(n):
             route = router.resolve(s, d)
-            assert route == Route("right", (d - s) % n)
+            assert route == Route(("right",) * ((d - s) % n))
             assert not route.fallback
 
     def test_positive_port_on_a_one_axis_torus(self):
         route = make_router(TorusTopology((5,)), "fixed_right").resolve(0, 4)
-        assert route == Route("x+", 4)
+        assert route == Route(("x+",) * 4)
 
     def test_errors_still_come_from_the_router(self):
         for topo in (RingTopology(3), MeshTopology((3,))):

@@ -41,10 +41,10 @@ class TestPolicyRouter:
                 if src == dst:
                     continue
                 right, left = (dst - src) % 6, (src - dst) % 6
-                assert fixed.resolve(src, dst) == Route("right", right)
+                assert fixed.resolve(src, dst) == Route(("right",) * right)
                 assert shortest.resolve(src, dst) == (
-                    Route("right", right) if right <= left
-                    else Route("left", left))
+                    Route(("right",) * right) if right <= left
+                    else Route(("left",) * left))
 
     def test_only_the_two_direction_policies(self):
         # FIXED_RIGHT and SHORTEST pick a direction on one axis; a
@@ -92,25 +92,31 @@ class TestPolicyRouter:
         # Unaffected pairs still route.
         assert router.resolve(0, 1, dead_edges=dead).hops == 1
 
-    def test_forward_port_keeps_arrival_direction(self):
+    def test_one_axis_default_walk_keeps_arrival_direction(self):
         # A relay that received on its left port forwards out the right,
-        # under every router: a simple path on one axis never turns.
+        # whatever the router: a simple path on one axis never turns, so
+        # no route there carries a path in its header.
+        ring = RingTopology(4)
+        assert ring.relay_port(1, 3, "left") == "right"
+        assert ring.relay_port(1, 3, "right") == "left"
         for policy in RoutingPolicy:
-            router = make_router(RingTopology(4), policy)
-            assert router.forward_port(1, 3, "left") == "right"
-            assert router.forward_port(1, 3, "right") == "left"
-            assert router.forward_port(
-                1, 3, "left", dead_edges={(1, 2)}) == "right"
+            router = make_router(ring, policy)
+            for dead in (frozenset(), {(1, 2)}, {(3, 0)}):
+                route = router.resolve(0, 2, dead_edges=dead)
+                assert route.ports == (route.port,) * 2
+                assert route.carried == ()
 
     def test_rejects_grid_topologies(self):
         with pytest.raises(TopologyError):
             Router(MeshTopology((2, 2)), RoutingPolicy.FIXED_RIGHT)
 
-    def test_route_edges_straight_line(self):
+    def test_route_ports_straight_line(self):
         topo = RingTopology(4)
         router = Router(topo, RoutingPolicy.FIXED_RIGHT)
         route = router.resolve(0, 2)
-        assert router.route_edges(0, 2, route) == ((0, 1), (1, 2))
+        assert route.ports == ("right", "right")
+        assert router.blocked(0, 2, route, {(1, 2)})
+        assert not router.blocked(0, 2, route, {(2, 3)})
 
 
 class TestChainFallback:
@@ -162,13 +168,29 @@ class TestDimensionOrderRouter:
         with pytest.raises(NoRouteError):
             router.resolve(0, 2, dead_edges={(1, 2), (2, 5)})
 
-    def test_forward_port_reresolves_per_hop(self):
-        # Grid relays re-resolve from their own view: after the x leg of
-        # 0 -> 8 a relay at 2 turns the corner onto y+.
+    def test_route_ports_turn_the_corner(self):
+        # The whole walk of 0 -> 8: after the x leg, 2 turns the corner
+        # onto y+.  It is the grid relays' default walk, so the header
+        # carries nothing.
         topo = MeshTopology((3, 3))
         router = Router(topo, RoutingPolicy.DIMENSION_ORDER)
-        assert router.forward_port(1, 8, "x-") == "x+"
-        assert router.forward_port(2, 8, "x-") == "y+"
+        route = router.resolve(0, 8)
+        assert route.ports == ("x+", "x+", "y+", "y+")
+        assert route.carried == ()
+        assert topo.relay_port(1, 8, "x-") == "x+"
+        assert topo.relay_port(2, 8, "x-") == "y+"
+
+    def test_a_detour_is_blocked_only_by_its_own_cables(self):
+        # Around a cut (1,2) the detour 0 -> 2 on a 3x3 mesh is 0-1-4-5-2,
+        # carried in its header because the relays' default walk from 1
+        # would take the dead cable.  The dead-link verdict reads those
+        # four cables: a cut of (6,7) leaves it be, a cut of (4,5) not.
+        router = Router(MeshTopology((3, 3)), RoutingPolicy.DIMENSION_ORDER)
+        route = router.resolve(0, 2, dead_edges={(1, 2)})
+        assert route.rerouted and route.ports == ("x+", "y+", "x+", "y-")
+        assert route.carried == (3, 1, 2)
+        assert not router.blocked(0, 2, route, {(1, 2), (6, 7)})
+        assert router.blocked(0, 2, route, {(1, 2), (4, 5)})
 
     def test_torus_wrap_detour(self):
         topo = TorusTopology((4,))
@@ -233,18 +255,14 @@ class TestAdaptiveRouter:
         router = make_router(topo, RoutingPolicy.ADAPTIVE)
         dead = {(1, 2)}
         route = router.resolve(0, 2, dead_edges=dead)
-        node, port, walked = 0, route.port, 0
-        while node != 2:
-            assert walked <= topo.n_hosts, "relay walk is cycling"
+        node = 0
+        for port in route.ports:
             node = topo.neighbor(node, port)
-            walked += 1
-            if node != 2:
-                port = router.forward_port(
-                    node, 2, topo.opposite_port(port), dead_edges=dead)
-        assert walked == route.hops == 2
+        assert node == 2 and route.hops == 2
+        assert route.ports == ("x-", "x-")
 
     def test_grid_relay_walk_does_not_ping_pong_around_sever(self):
-        # Grid relays re-resolve.  On a 3x2 mesh with (1,2) and (1,4)
+        # The walk is resolved whole.  On a 3x2 mesh with (1,2) and (1,4)
         # cut, 0's minimal port toward 2 points at 1, whose only live
         # cable leads straight back to 0; a local minimal rule would
         # bounce 0 -> 1 -> 0.  Descending the live distances walks
@@ -253,21 +271,16 @@ class TestAdaptiveRouter:
         router = make_router(topo, RoutingPolicy.ADAPTIVE)
         dead = {(1, 2), (1, 4)}
         route = router.resolve(0, 2, dead_edges=dead)
-        node, port, walked = 0, route.port, 0
-        while node != 2:
-            assert walked <= topo.n_hosts, "relay walk is cycling"
+        node, visited = 0, [0]
+        for port in route.ports:
             assert topo.edge_for(node, port) not in dead
             node = topo.neighbor(node, port)
-            walked += 1
-            if node != 2:
-                port = router.forward_port(
-                    node, 2, topo.opposite_port(port), dead_edges=dead)
-        assert walked == route.hops == 4
+            visited.append(node)
+        assert visited == [0, 3, 4, 5, 2] and route.hops == 4
 
     def test_isolated_source_raises(self):
-        # Adaptive resolution is local: it checks the *next* edge, not
-        # the whole path (downstream severs re-resolve per hop).  With
-        # every cable at the source dead, even BFS finds nothing.
+        # With every cable at the source dead there is no live walk:
+        # the live-distance field does not reach the source.
         topo = MeshTopology((2, 2))
         router = make_router(topo, RoutingPolicy.ADAPTIVE)
         with pytest.raises(NoRouteError):

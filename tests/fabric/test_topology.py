@@ -76,8 +76,8 @@ class TestRing:
 
     def test_two_host_ring(self):
         ring = RingTopology(2)
-        assert _route(ring, 0, 1) == Route(Direction.RIGHT, 1)
-        assert _route(ring, 0, 1, dead={(0, 1)}) == Route(Direction.LEFT, 1)
+        assert _route(ring, 0, 1) == Route((Direction.RIGHT,))
+        assert _route(ring, 0, 1, dead={(0, 1)}) == Route((Direction.LEFT,))
         route = _route(ring, 0, 1, RoutingPolicy.SHORTEST)
         assert route.hops == 1
 

@@ -197,8 +197,8 @@ class TestTypedFailureNoHang:
 def _two_barriers(n, topology, dims, edges, mutation=None, **shmem):
     """A barrier, cuts of ``edges`` at 2 ms, a second barrier at 8 ms,
     driven under a 300 ms horizon: per PE, "passed" or the second
-    barrier's :class:`PeerUnreachableError`, and the stuck-run verdict's
-    kind (None when every PE finished)."""
+    barrier's :class:`PeerUnreachableError`, the stuck-run verdict's
+    kind (None when every PE finished), and the runtimes."""
     cluster = make_cluster(n, ClusterConfig(n_hosts=n, topology=topology,
                                             dims=dims))
     config = ShmemConfig(
@@ -214,14 +214,14 @@ def _two_barriers(n, topology, dims, edges, mutation=None, **shmem):
             return exc
         return "passed"
 
-    _rts, _pes, results, procs = launch(cluster, main, config,
-                                        finalize=False)
+    rts, _pes, results, procs = launch(cluster, main, config,
+                                       finalize=False)
     with MUTATIONS[mutation]() if mutation else nullcontext():
         try:
             drive(cluster, procs, horizon_us=300_000.0)
         except StuckRunError as exc:
-            return results, exc.kind
-    return results, None
+            return results, exc.kind, rts
+    return results, None, rts
 
 
 class TestSplitFabricBarrier:
@@ -251,8 +251,8 @@ class TestSplitFabricBarrier:
             "ring8-shortest", "ring6-shortest", "mesh3x2-adaptive"])
     def test_split_fabric_fails_every_barrier(self, n, topology, dims,
                                               shmem, edges, blind, mutation):
-        results, stuck = _two_barriers(n, topology, dims, edges, mutation,
-                                       **shmem)
+        results, stuck, _rts = _two_barriers(n, topology, dims, edges,
+                                             mutation, **shmem)
         if mutation and blind == "stuck":
             # The seeded bug waits across the split: the run is stuck.
             assert stuck == "liveness-horizon", results
@@ -278,9 +278,22 @@ class TestSplitFabricBarrier:
     ], ids=["mesh4x4", "torus4x4-pe0-three-cuts"])
     def test_connected_double_cut_passes_both_barriers(self, n, topology,
                                                        dims, edges):
-        results, stuck = _two_barriers(n, topology, dims, edges)
+        results, stuck, _rts = _two_barriers(n, topology, dims, edges)
         assert stuck is None
         assert results == ["passed"] * n
+
+    def test_no_relay_posts_into_a_dead_cable(self):
+        """Cuts of (0,1) and (4,5) split an 8-ring routed SHORTEST.  A
+        relay whose next cable is dead in its view re-sources or drops;
+        it never posts into the dead cable, whose window write never
+        fails and whose one data slot would then stay in flight."""
+        _results, stuck, rts = _two_barriers(8, "ring", None,
+                                             [(0, 1), (4, 5)],
+                                             routing="shortest")
+        assert stuck is None
+        assert [(rt.my_pe_id, side, link.data_mailbox.in_flight)
+                for rt in rts for side, link in rt.links.items()
+                if link.data_mailbox.in_flight] == []
 
 
 class TestPioMasterAbort:

@@ -282,6 +282,55 @@ class TestPendingGetOnACutPath:
         assert verdicts == [("dimension_order", 0, 8, True)]
         assert report.runtimes[0].retries == 1
 
+    def test_a_detoured_get_outlives_a_cut_off_its_path(self, monkeypatch):
+        """With (1,2) dead, a 64 KiB get from PE 0 to PE 2 on a 3x3 mesh
+        leaves on the detour 0-1-4-5-2.  Cable (6,7) dies while it is
+        pending: the handler's verdict reads the request's whole path,
+        keeps it, and the get completes with no retry.  A guess of the
+        detour's cables from its first port failed it."""
+        import sys
+
+        from repro.core import linkstate
+        from repro.fabric import Router
+
+        verdicts = []
+        judge = Router.blocked
+        handler = linkstate._fail_pending_on_edge.__code__
+
+        def counted(router, src, dst, route, dead_edges):
+            verdict = judge(router, src, dst, route, dead_edges)
+            if sys._getframe(1).f_code is handler:
+                verdicts.append((route.ports, sorted(dead_edges), verdict))
+            return verdict
+
+        monkeypatch.setattr(Router, "blocked", counted)
+        size = 64 * 1024
+
+        def main(pe):
+            sym = yield from pe.malloc(size)
+            pe.write_symmetric(sym, np.full(size, pe.my_pe() + 1, np.uint8))
+            yield from pe.barrier_all()
+            yield pe.rt.env.timeout(5_000.0 - pe.rt.env.now)
+            ok = True
+            if pe.my_pe() == 0:
+                got = yield from pe.get(sym, size, 2)
+                ok = bool((got == 3).all())
+            yield from pe.barrier_all()
+            return ok
+
+        report = run_spmd(
+            main, 9,
+            cluster_config=ClusterConfig(n_hosts=9, topology="mesh",
+                                         dims=(3, 3)),
+            shmem_config=ShmemConfig(
+                faults=FaultPlan([SeverCable(1_000.0, 1, 2),
+                                  SeverCable(4_000.0, 6, 7)]),
+                max_retries=8, retry_backoff_us=200.0))
+        assert all(report.results)
+        assert verdicts == [(("x+", "y+", "x+", "y-"),
+                             [(1, 2), (6, 7)], False)]
+        assert report.runtimes[0].retries == 0
+
 
 class TestRouterConfigValidation:
     def test_unknown_router_rejected(self):

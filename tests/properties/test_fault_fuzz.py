@@ -84,9 +84,9 @@ _FABRICS = (
 _GRIDS = tuple(fabric for fabric in _FABRICS if len(fabric.dims or ()) > 1)
 _ONE_AXIS_ROUTERS = (None, "fixed_right", "shortest", "dimension_order",
                      "adaptive")
-#: AdaptiveRouter on a multi-axis grid is its own kind, "adaptive-grid":
-#: there it can send put_signal's signal over another first hop than its
-#: payload, faults or not.
+#: AdaptiveRouter on a multi-axis grid is its own kind, "adaptive-grid",
+#: fault-free: its first hop follows the load, so put_signal's signal
+#: must take its payload's path to stay behind it.
 _GRID_ROUTERS = (None, "dimension_order")
 
 
@@ -243,9 +243,7 @@ def _fuzz(kind, red=None):
 
 
 test_no_faults = _fuzz("none")
-test_adaptive_routing_on_a_grid = _fuzz("adaptive-grid", red=(
-    "AdaptiveRouter on a grid can send put_signal's signal over another "
-    "first hop than its payload, so the signal overtakes it"))
+test_adaptive_routing_on_a_grid = _fuzz("adaptive-grid")
 test_sever = _fuzz("sever", red=(
     "a put relayed over a cable cut before its detection is dropped, and "
     "the sender is never told; a get across the cut is never answered"))

@@ -1,22 +1,22 @@
 """Property-based routing correctness under random severed-edge sets.
 
 For every router on every topology family, a resolved route — walked
-hop by hop exactly the way the runtime's relay service walks it (first
-hop from ``resolve``, every later hop from ``forward_port`` at the
-relay) — must:
+hop by hop exactly the way the runtime's relays walk it (the first hop
+from ``resolve``, every later one from the path the header carries, or
+with none from the default walk, ``Topology.relay_port``) — must:
 
 * cross only real, seated cables that are not in the dead-edge set;
 * terminate at the destination in **exactly** ``route.hops`` link
-  traversals (the hop count the runtime keys credits, retry budgets
-  and latency metrics on);
+  traversals, along ``route.ports`` (the path the runtime keys credits,
+  retry budgets, latency metrics and the dead-link verdict on);
 * and when ``resolve`` raises :class:`NoRouteError` instead, the
   destination must be genuinely partitioned on the live graph — the
   prompt-failure half of the double-sever bugfix.
 
-Exactness holds for every router: on one axis a resolved route is
-checked along its whole straight line and relays keep its direction; on
-grids dimension-order relays re-resolve from a validated route and
-adaptive relays descend a live-BFS distance field one hop at a time.
+With at most two dead cables the walk is also simple, a healthy
+fabric's route is the default walk (so fault-free headers carry no
+path), and ``Router.blocked`` is exact: a route is blocked by a dead
+set exactly when it crosses one of its cables.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.fabric import (
     MeshTopology,
     NoRouteError,
     RingTopology,
+    Route,
     RoutingPolicy,
     TorusTopology,
     make_router,
@@ -56,13 +57,39 @@ def _routers_for(topology):
     return tuple(make_router(topology, policy) for policy in policies)
 
 
+def _cables(topology, src, route):
+    """The directed cable ids ``route`` crosses from ``src`` (None for
+    an uncabled port)."""
+    edges, node = [], src
+    for port in route.ports:
+        edges.append(topology.edge_for(node, port))
+        node = topology.neighbor(node, port)
+        if node is None:
+            break
+    return edges
+
+
+def _relay_walk(topology, src, dst, route):
+    """The ports a message posted on ``route`` takes: its first port,
+    then at each relay the next port of the path its header carries, or
+    with none the default walk."""
+    ports, path = [route.port], list(route.carried)
+    node = topology.neighbor(src, route.port)
+    while node is not None and node != dst and len(ports) <= 64:
+        ports.append(topology.PORT_ORDER[path.pop(0)] if path else
+                     topology.relay_port(node, dst,
+                                         topology.opposite_port(ports[-1])))
+        node = topology.neighbor(node, ports[-1])
+    return tuple(ports)
+
+
 @st.composite
-def _scenarios(draw):
+def _scenarios(draw, max_dead=5):
     topology = draw(_TOPOLOGIES)
     cables = [(owner, peer)
               for owner, _port, peer, _peer_port in topology.cables()]
     dead = draw(st.sets(st.sampled_from(cables),
-                        max_size=min(len(cables), 5)))
+                        max_size=min(len(cables), max_dead)))
     src = draw(st.integers(0, topology.n_hosts - 1))
     offset = draw(st.integers(1, topology.n_hosts - 1))
     dst = (src + offset) % topology.n_hosts
@@ -85,31 +112,46 @@ class TestRouterWalks:
                     f"with a live path available (dead={sorted(dead)})"
                 )
                 continue
-            node, port, walked = src, route.port, 0
-            while node != dst:
-                assert walked < route.hops, (
-                    f"{router.name} walk {src}->{dst} exceeds reported "
-                    f"{route.hops} hops (dead={sorted(dead)})"
-                )
-                edge = topology.edge_for(node, port)
+            walk = _relay_walk(topology, src, dst, route)
+            assert walk == route.ports, (
+                f"{router.name} relays walk {walk} for {src}->{dst}, "
+                f"not its route {route.ports} (dead={sorted(dead)})")
+            for edge in _cables(topology, src, route):
                 assert edge is not None, (
-                    f"{router.name} sent host {node} out uncabled "
-                    f"port {port!r}"
-                )
+                    f"{router.name} sent a message out an uncabled port "
+                    f"routing {src}->{dst}")
                 assert edge not in dead, (
                     f"{router.name} crossed severed cable {edge} "
                     f"routing {src}->{dst}"
                 )
-                node = topology.neighbor(node, port)
-                walked += 1
-                if node != dst:
-                    port = router.forward_port(
-                        node, dst, topology.opposite_port(port),
-                        dead_edges=dead)
-            assert walked == route.hops, (
-                f"{router.name} reported {route.hops} hops for "
-                f"{src}->{dst} but walked {walked} (dead={sorted(dead)})"
-            )
+
+    @_SETTINGS
+    @given(_scenarios(max_dead=2), st.data())
+    def test_paths_are_simple_default_when_healthy_and_exactly_blocked(
+            self, case, data):
+        topology, dead, src, dst = case
+        cables = sorted({(owner, peer) for owner, _port, peer, _peer_port
+                         in topology.cables()})
+        cut = frozenset(data.draw(st.sets(st.sampled_from(cables),
+                                          max_size=2), label="cut"))
+        for router in _routers_for(topology):
+            try:
+                route = router.resolve(src, dst, dead_edges=dead)
+            except NoRouteError:
+                continue
+            nodes = [src]
+            for port in route.ports:
+                nodes.append(topology.neighbor(nodes[-1], port))
+            assert nodes[-1] == dst and len(set(nodes)) == len(nodes), (
+                router.name, nodes)
+            edges = _cables(topology, src, route)
+            assert not set(edges) & dead, (router.name, edges)
+            if not dead:
+                assert route.carried == (), (router.name, route)
+                assert _relay_walk(topology, src, dst, Route(
+                    route.ports[:1])) == route.ports, (router.name, route)
+            assert router.blocked(src, dst, route, cut) == bool(
+                set(edges) & cut), (router.name, edges, sorted(cut))
 
     @_SETTINGS
     @given(_scenarios())
